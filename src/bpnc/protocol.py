@@ -8,6 +8,7 @@ with RTS/CTS conflict resolution in between.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, field
@@ -55,7 +56,6 @@ class SourceGen:
     sent: int = 0
     finalized: bool = False
     real_count: int = 0
-    opened_us: int = 0
     # coded packets are generated the moment source data arrives — a
     # combination can only cover packets that exist yet, which is what makes
     # received tag matrices tend lower-triangular — and sent later in order
@@ -67,6 +67,13 @@ class SourceGen:
 
 @dataclass
 class RelayGen:
+    """Coded packets a relay holds for one (flow, generation).
+
+    While its credit (rcvd - sent) is positive, the generation's id is listed
+    in its node's ``relay_credit[flow]``; it leaves that index when the credit
+    falls to 0 and rejoins it when a new packet arrives.
+    """
+
     block_size: int
     pkts: list[rlnc.CodedPacket] = field(default_factory=list)
     rcvd: int = 0
@@ -110,7 +117,6 @@ class Node:
         self.tx_until_us = 0
         # negotiation state
         self.pending: Schedule | None = None
-        self.pending_since_us = 0
         self.rts_inbox: list[tuple[int, wire.RtsFrame]] = []   # (t, frame)
         self.overheard_rts: list[tuple[int, wire.RtsFrame]] = []
         self.resolve_scheduled = False
@@ -119,7 +125,6 @@ class Node:
         self.data_peer = 0
         self.data_deadline_us = 0
         self.data_flow_index = 0
-        self.last_data_rx_us = 0
         # coding state
         self.flows = [bp.FlowId(f.src, tuple(f.dsts)) for f in scn.flows]
         self.source_gens: dict[int, list[SourceGen]] = {
@@ -127,6 +132,8 @@ class Node:
         }
         self.next_gen_id: dict[int, int] = {i: 0 for i in self.source_gens}
         self.relay_gens: dict[tuple[int, int], RelayGen] = {}
+        # flow -> ascending ids of the relay generations with credit > 0
+        self.relay_credit: dict[int, list[int]] = {i: [] for i in range(len(self.flows))}
         self.decoders: dict[tuple[int, int], rlnc.DecoderState] = {}
 
     # -- helpers ------------------------------------------------------------
@@ -204,7 +211,6 @@ class Node:
         sched = self.compute_schedule()
         if sched is not None:
             self.pending = sched
-            self.pending_since_us = self.now()
             self.enter_phase(Phase.NEGOTIATION)
             self.channel = sched.channel
             self.negotiation_tick()
@@ -423,7 +429,6 @@ class Node:
             if self.pending is None and own_sched is not None:
                 # our utility won: start negotiating it right away
                 self.pending = own_sched
-                self.pending_since_us = self.now()
                 self.enter_phase(Phase.NEGOTIATION)
                 self.channel = own_sched.channel
                 self.negotiation_tick()
@@ -454,7 +459,6 @@ class Node:
         self.data_peer = peer
         self.channel = chan
         self.data_deadline_us = self.now() + self.us(self.scn.timing.data_s)
-        self.last_data_rx_us = self.now()
         self.enter_phase(Phase.DATA_TRANSFER)
         self.engine.schedule(self.us(self.scn.timing.data_s), self.end_data_phase)
 
@@ -512,7 +516,12 @@ class Node:
     def next_coded_packet(self, flow_index: int,
                           peer: int | None = None) -> rlnc.CodedPacket | None:
         """Oldest generation with send credit; source encodes over its filled
-        prefix, relay recodes its buffer."""
+        prefix, relay recodes its buffer.
+
+        A relay walks only ``relay_credit[flow_index]``, which holds exactly
+        the flow's generations with credit > 0 in ascending id order, so it
+        picks the same generation as a scan over every relay generation.
+        """
         if flow_index in self.source_gens:
             for sg in self.source_gens[flow_index]:
                 if sg.credit() > 0:
@@ -521,12 +530,13 @@ class Node:
                     self.prune_source_gens(flow_index)
                     return pkt
             return None
-        for key in sorted(self.relay_gens):
-            if key[0] != flow_index:
-                continue
-            rg = self.relay_gens[key]
+        credited = self.relay_credit[flow_index]
+        for i, gid in enumerate(credited):
+            rg = self.relay_gens[(flow_index, gid)]
             if rg.sendable_to(peer):
                 rg.sent += 1
+                if rg.credit() == 0:
+                    del credited[i]
                 # forward each received packet once in arrival order (keeps
                 # the tag staircase intact); recode only for surplus credit
                 if rg.fwd_idx < len(rg.pkts):
@@ -546,14 +556,13 @@ class Node:
         if flow_index in self.source_gens:
             return any(sg.credit() > 0 for sg in self.source_gens[flow_index])
         return any(
-            key[0] == flow_index and rg.sendable_to(peer)
-            for key, rg in self.relay_gens.items()
+            self.relay_gens[(flow_index, gid)].sendable_to(peer)
+            for gid in self.relay_credit[flow_index]
         )
 
     def on_data(self, src: int, frame: wire.DataFrame) -> None:
         if self.data_role != "rx" or src != self.data_peer:
             return
-        self.last_data_rx_us = self.now()
         flow = self.flows[frame.flow_index]
         h = frame.block_size
         tag = np.array(frame.tag, dtype=np.uint8)
@@ -580,6 +589,8 @@ class Node:
                 rg = self.relay_gens[key] = RelayGen(h)
             if len(rg.pkts) < 4 * h:
                 rg.pkts.append(pkt)
+            if rg.credit() == 0:
+                bisect.insort(self.relay_credit[frame.flow_index], frame.gen_id)
             rg.rcvd += 1
             rg.origins.add(src)
             for d in relay_dests:
@@ -615,7 +626,7 @@ class Node:
         h = self.block_size()
         sg = SourceGen(
             rlnc.Generation(gid, h, self.packet_symbols()),
-            extra=self.extra_packets(), opened_us=self.now(),
+            extra=self.extra_packets(),
         )
         if self.scn.coding.enabled and self.scn.coding.gen_timeout_s > 0:
             self.engine.schedule(

@@ -266,8 +266,7 @@ class DecoderState:
 
     def __post_init__(self):
         h, n = self.block_size, self.packet_len
-        self.rows = np.zeros((0, h + n), dtype=np.uint8)
-        self.rref = self.rows
+        self.rref = np.zeros((0, h + n), dtype=np.uint8)
         self.pivot_cols: list[int] = []
         self.rank = 0
         self.decoded_mask = np.zeros(h, dtype=bool)
@@ -300,7 +299,6 @@ class DecoderState:
         self.rref = rref[:rank]
         self.rank = rank
         self.pivot_cols = pivots
-        self.rows = stacked  # rref of previous rows + new row; history equivalent
         h = self.block_size
         fresh = []
         for r, c in enumerate(pivots):

@@ -211,6 +211,7 @@ def unpack(raw: bytes, field_bits: int = 4):
             if len(perm) != h or len(tag) != h:
                 raise MalformedFrame("short DATA header")
             return DataFrame(fidx, gen_id, h, perm, tag, bytes(raw[off:]), field_bits)
-    except struct.error as e:
+    except (struct.error, IndexError) as e:
+        # IndexError: a header or entry cut short reads past the end of raw
         raise MalformedFrame(str(e)) from e
     raise MalformedFrame(f"unknown frame type 0x{t:02x}")

@@ -20,6 +20,32 @@ def test_same_seed_identical_packet_logs():
     assert a.packet_log == b.packet_log
 
 
+def _lossy_coded_butterfly7():
+    scn = ch.butterfly7()
+    scn.coding.block_size = 4
+    scn.coding.field_bits = 4
+    scn.coding.decoder = "rank_deficient"
+    scn.frame_loss = 0.1
+    return scn.validate()
+
+
+# The packet-log digest is the behaviour contract: a change that is meant to
+# be behaviour-preserving (a speed-up, a deletion) must leave these as they are.
+PINNED_DIGESTS = [
+    (ch.line7, 600,
+     "f7b03b3ad048432c1e863da740d820167dd4dfc4220f0d1de2a22dd0a674f8e2"),
+    (_lossy_coded_butterfly7, 300,
+     "9dfab0c66a139eb12fb9e904bc374df2b3310288a9d11f7337dad6bf48b06a3e"),
+]
+
+
+@pytest.mark.parametrize("make_scn,duration_s,digest", PINNED_DIGESTS,
+                         ids=["line7", "butterfly7_lossy_coded"])
+def test_packet_log_digest_pinned(make_scn, duration_s, digest):
+    eng = engine.run(make_scn(), seed=1, duration_s=duration_s)
+    assert engine.packet_log_digest(eng.packet_log) == digest
+
+
 def test_different_seeds_differ():
     a = engine.run(ch.line7(), seed=1, duration_s=150)
     b = engine.run(ch.line7(), seed=2, duration_s=150)

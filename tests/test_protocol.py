@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpnc import channel as ch
 from bpnc import engine, gf, wire
 from bpnc.backpressure import FlowId
-from bpnc.protocol import Node, Phase, apply_power_update, resolve_conflicts
+from bpnc.protocol import Node, Phase, RelayGen, apply_power_update, resolve_conflicts
 
 
 class FakeEngine:
@@ -138,21 +140,92 @@ def test_empty_queue_syn_still_sent():
 def test_syn_backlogs_feed_flow_selection():
     # neighbor-reported backlogs flow from the wire into the schedule choice
     node, _ = make_node(2)
-    flow = node.flows[0]
-    node.queues.increment(flow, 7, 10)
-    from bpnc.protocol import RelayGen
-    from bpnc.rlnc import CodedPacket
-    rg = node.relay_gens[(0, 0)] = RelayGen(1)
-    rg.rcvd = 10
-    rg.origins = {1}
-    rg.pkts.append(CodedPacket(0, 0, np.array([1], np.uint8),
-                               np.zeros(1000, np.uint8)))
+    # ten packets of generation 0 relayed from node 1 queue 10 for node 7
+    node.data_role, node.data_peer = "rx", 1
+    data = wire.DataFrame(0, 0, 1, (0,), (1,), bytes(500), 4)
+    for _ in range(10):
+        node.on_data(1, data)
     syn = wire.SynFrame(3, ((1, (7,), 4),)).pack()
     node.handle_frame(3, 0, syn, -65.0, -10.0)
     sched = node.compute_schedule()
     assert sched is not None and sched.neighbor == 3
     # score = [10 - 4]^+ = 6, utility = c * 6
     assert sched.utility == pytest.approx(6 * node.link_rate_to(node.neighbors[3], 0))
+
+
+# -- relay generation choice ------------------------------------------------
+
+def _scan_pick(node, fi, peer):
+    """The relay choice by a full scan: oldest sendable generation of fi."""
+    for key in sorted(node.relay_gens):
+        if key[0] == fi and node.relay_gens[key].sendable_to(peer):
+            return key
+    return None
+
+
+def _relay_node():
+    """Node 4 of line7, relaying four flows with h=2 coding; it is also a
+    destination of the last one."""
+    scn = ch.line7()
+    scn.flows = [ch.FlowConfig(1, (7,), 1.0), ch.FlowConfig(1, (6, 7), 1.0),
+                 ch.FlowConfig(2, (5,), 1.0), ch.FlowConfig(1, (4, 7), 1.0)]
+    scn.coding = ch.CodingConfig(enabled=True, block_size=2, packet_len=4)
+    node, _ = make_node(4, scn=scn.validate())
+    return node
+
+
+RELAY_STEP = st.one_of(
+    # ("rx", flow, gen id, sender): one relayed packet arrives
+    st.tuples(st.just("rx"), st.integers(0, 3), st.integers(0, 5), st.integers(1, 3)),
+    # ("tx", flow, peer): one packet is sent, peer None for a broadcast
+    st.tuples(st.just("tx"), st.integers(0, 3), st.none() | st.integers(1, 3)),
+)
+
+
+@given(st.lists(RELAY_STEP, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_relay_choice_matches_full_scan(steps):
+    node = _relay_node()
+    node.data_role = "rx"
+    for step in steps:
+        if step[0] == "rx":
+            _, fi, gid, sender = step
+            node.data_peer = sender
+            node.on_data(sender, wire.DataFrame(fi, gid, 2, (0, 1), (1, 3), bytes(4), 4))
+            continue
+        _, fi, peer = step
+        expect = _scan_pick(node, fi, peer)
+        assert node.has_sendable(fi, peer) == (expect is not None)
+        before = {k: rg.sent for k, rg in node.relay_gens.items()}
+        pkt = node.next_coded_packet(fi, peer)
+        sent = [k for k, rg in node.relay_gens.items() if rg.sent != before[k]]
+        if expect is None:
+            assert pkt is None and sent == []
+        else:
+            assert (pkt.flow_id, pkt.gen_id) == expect and sent == [expect]
+    for fi, gids in node.relay_credit.items():
+        assert gids == sorted(g for (f, g), rg in node.relay_gens.items()
+                              if f == fi and rg.credit() > 0)
+
+
+def test_relay_choice_does_not_scan_spent_generations(monkeypatch):
+    # each DATA frame looks only at generations with credit, not at every
+    # generation the relay has ever held
+    calls = {"sendable_to": 0, "next_coded_packet": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(RelayGen, "sendable_to",
+                        counted("sendable_to", RelayGen.sendable_to))
+    monkeypatch.setattr(Node, "next_coded_packet",
+                        counted("next_coded_packet", Node.next_coded_packet))
+    engine.run(ch.line7(), seed=1, duration_s=600)
+    assert calls["next_coded_packet"] > 0
+    assert calls["sendable_to"] <= 4 * calls["next_coded_packet"]
 
 
 # -- conflict resolution ----------------------------------------------------

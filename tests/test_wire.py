@@ -93,6 +93,30 @@ def test_truncated_frames_rejected():
         unpack(raw[:-1])
     with pytest.raises(MalformedFrame):
         unpack(DisFrame(1, 0, ((2, 0, -50.0),)).pack() + b"\x00")
+    with pytest.raises(MalformedFrame):
+        unpack(b"\x02\x01\x01")  # SYN promising one entry, header only
+    with pytest.raises(MalformedFrame):
+        unpack(b"\x01\x01")  # DIS cut inside its header
+
+
+# arbitrary bytes, plus bytes that start with a known type tag so every
+# parser branch sees garbage
+ANY_FRAME_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda t, rest: bytes([t]) + rest,
+              st.sampled_from(sorted(wire.TYPE_NAMES)), st.binary(max_size=64)),
+)
+
+
+@given(ANY_FRAME_BYTES, st.integers(1, 8))
+@settings(max_examples=1000)
+def test_unpack_fails_only_with_malformed_frame(raw, field_bits):
+    # any byte string is a frame or a MalformedFrame, never a stray error
+    try:
+        frame = unpack(raw, field_bits=field_bits)
+    except MalformedFrame:
+        return
+    assert type(frame) in (DisFrame, SynFrame, RtsFrame, CtsFrame, DataFrame)
 
 
 @given(
