@@ -128,9 +128,14 @@ class Scenario:
             self._gain_map[(l.src, l.dst, l.channel)] = l.gain_db
 
     def validate(self):
+        # node ids, flow indices and channel indices each travel in one byte
+        if self.num_nodes > 255:
+            raise ScenarioError(f"num_nodes: at most 255, got {self.num_nodes}")
         nodes = set(range(1, self.num_nodes + 1))
         if not self.channels:
             raise ScenarioError("channels: need at least one channel")
+        if len(self.channels) > 256:
+            raise ScenarioError(f"channels: at most 256, got {len(self.channels)}")
         for l in self.links:
             if l.src not in nodes or l.dst not in nodes:
                 raise ScenarioError(f"links: node {l.src}-{l.dst} outside 1..{self.num_nodes}")
@@ -138,6 +143,8 @@ class Scenario:
                 raise ScenarioError(f"links: channel index {l.channel} out of range")
         if not self.flows:
             raise ScenarioError("flows: need at least one flow")
+        if len(self.flows) > 256:
+            raise ScenarioError(f"flows: at most 256, got {len(self.flows)}")
         for f in self.flows:
             if f.src not in nodes or not set(f.dsts) <= nodes:
                 raise ScenarioError(f"flows: flow {f.src}->{f.dsts} references unknown node")

@@ -216,7 +216,7 @@ class Engine:
         self.injected[flow_index] += 1
 
     def on_destination_ingest(self, dest: int, flow_index: int, gen_id: int,
-                              dec, was_full: bool) -> None:
+                              dec, rank_before: int) -> None:
         h = dec.block_size
         self.log.accuracy.append(
             (self.now_us, flow_index, gen_id, dest, dec.received,
@@ -224,23 +224,26 @@ class Engine:
         )
         key = (flow_index, gen_id)
         truth = self.truth.get(key)
+        k = (flow_index, gen_id, dest)
+        # A reception that did not raise the rank left the decoder state as it
+        # was; truth is never dropped once registered, so if k is already in
+        # best_pre_full that state has been scored and solving again is waste.
         if (dec.mode == "rank_deficient" and not dec.full_rank
-                and truth is not None and truth[0].shape[0] == h):
+                and truth is not None and truth[0].shape[0] == h
+                and (dec.rank > rank_before or k not in self.best_pre_full)):
             est, conf = dec.solve_rank_deficient()
             perm = dec.perm or tuple(range(h))
             correct = 0
             for c in range(h):
                 mask = conf[c] > 0
                 correct += int(np.count_nonzero(est[c][mask] == truth[0][perm[c]][mask]))
-            k = (flow_index, gen_id, dest)
             self.best_pre_full[k] = max(self.best_pre_full.get(k, 0), correct)
-        if dec.full_rank and not was_full:
+        if dec.full_rank and rank_before < h:
             self._on_generation_decoded(dest, flow_index, gen_id, dec, truth)
 
     def _on_generation_decoded(self, dest, flow_index, gen_id, dec, truth) -> None:
         h = dec.block_size
         if truth is not None and truth[0].shape[0] == h:
-            perm = dec.perm or tuple(range(h))
             for src_idx, payload in dec.delivered.items():
                 if not np.array_equal(payload, truth[0][src_idx]):
                     self.decode_errors += 1

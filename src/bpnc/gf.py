@@ -8,6 +8,8 @@ reference kept for cross-checking.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 # Reduction polynomials (primitive for each width), as integer bitmasks
@@ -179,6 +181,40 @@ def gaussian_eliminate(ctx: FieldContext, M) -> tuple[np.ndarray, int, list[int]
         pivot_cols.append(c)
         r += 1
     return R, len(pivot_cols), pivot_cols
+
+
+def rref_insert(
+    ctx: FieldContext, R: np.ndarray, pivot_cols: list[int], row
+) -> tuple[np.ndarray, list[int]] | None:
+    """Add one row to a matrix already in reduced row-echelon form.
+
+    R holds one row per pivot, as ``gaussian_eliminate`` returns them
+    trimmed to the rank.  Only the new row is reduced; if it is independent
+    it becomes a pivot row and its pivot column is cleared from the others.
+    The RREF of a row space is unique, so the result equals
+    ``gaussian_eliminate`` of R stacked over row, trimmed to its rank.
+    Returns (rref, pivot_cols), or None when row lies in the row space of R.
+    """
+    v = validate_symbols(ctx, row).copy()
+    if pivot_cols:
+        coeffs = v[pivot_cols]
+        nz = np.flatnonzero(coeffs)
+        if len(nz):
+            v ^= np.bitwise_xor.reduce(ctx.mul_table[coeffs[nz][:, None], R[nz]], axis=0)
+    lead = np.flatnonzero(v)
+    if not len(lead):
+        return None
+    p = int(lead[0])
+    if v[p] != 1:
+        v = ctx.scale_row(ctx.inv(int(v[p])), v)
+    i = bisect.bisect(pivot_cols, p)
+    out = np.insert(R, i, v, axis=0)
+    col = out[:, p].copy()
+    col[i] = 0
+    nz = col != 0
+    if nz.any():
+        out[nz] ^= ctx.mul_table[col[nz][:, None], v[None, :]]
+    return out, pivot_cols[:i] + [p] + pivot_cols[i:]
 
 
 def rank(ctx: FieldContext, M) -> int:

@@ -578,10 +578,10 @@ class Node:
                     mode=self.scn.coding.decoder,
                     min_weight_limit=self.scn.coding.min_weight_limit,
                 )
-            was_full = dec.full_rank
+            rank_before = dec.rank
             dec.ingest(pkt)
             self.engine.on_destination_ingest(self.id, frame.flow_index,
-                                              frame.gen_id, dec, was_full)
+                                              frame.gen_id, dec, rank_before)
         relay_dests = tuple(d for d in flow.destinations if d != self.id)
         if relay_dests and (self.id not in flow.destinations or len(flow.destinations) > 1):
             rg = self.relay_gens.get(key)

@@ -178,10 +178,11 @@ def encode_generation(
                         continue
                 break
             tag[:j] = t
-        prev_tags.append(tag)
-        prev_rank = gaussian_eliminate(
-            ctx, np.array([p[:j] for p in prev_tags], dtype=np.uint8)
-        )[1]
+        if mode == "rank_increasing":
+            prev_tags.append(tag)
+            prev_rank = gaussian_eliminate(
+                ctx, np.array([p[:j] for p in prev_tags], dtype=np.uint8)
+            )[1]
         payload = ctx.matmul(tag[None, :j], X)[0]
         out.append(CodedPacket(flow_id, gen.gen_id, tag, payload, perm=perm))
     return out
@@ -281,8 +282,9 @@ class DecoderState:
     def ingest(self, pkt: CodedPacket) -> list[tuple[int, np.ndarray]]:
         """Add one packet; return newly decoded (source_index, payload) pairs.
 
-        Dependent (duplicate) rows change nothing.  Source indices are
-        un-permuted through the encoder's column permutation.
+        Only the new row is reduced against the stored RREF; dependent
+        (duplicate) rows change nothing.  Source indices are un-permuted
+        through the encoder's column permutation.
         """
         if len(pkt.tag) != self.block_size:
             raise TagLengthMismatch(
@@ -293,15 +295,17 @@ class DecoderState:
         if self.perm is None:
             self.perm = pkt.perm or tuple(range(self.block_size))
         self.received += 1
-        row = np.concatenate([pkt.tag, pkt.payload])[None, :]
-        stacked = np.concatenate([self.rref, row], axis=0)
-        rref, rank, pivots = gaussian_eliminate(self.ctx, stacked)
-        self.rref = rref[:rank]
-        self.rank = rank
-        self.pivot_cols = pivots
+        inserted = gf.rref_insert(
+            self.ctx, self.rref, self.pivot_cols,
+            np.concatenate([pkt.tag, pkt.payload]),
+        )
+        if inserted is None:
+            return []
+        self.rref, self.pivot_cols = inserted
+        self.rank = len(self.pivot_cols)
         h = self.block_size
         fresh = []
-        for r, c in enumerate(pivots):
+        for r, c in enumerate(self.pivot_cols):
             if c >= h:
                 continue
             tag_part = self.rref[r, :h]
@@ -330,7 +334,8 @@ def rank_deficient_solve(
     pick over the affine solution set), 0 = undecoded.  Rows are indexed by
     true source position (un-permuted).  Certain symbols always agree with
     earliest decoding; the heuristic is a stand-in for an LP lowest-weight
-    decoder and is bounded to q^T candidate assignments per column.
+    decoder and scores at most q^T assignments x distinct payload patterns,
+    where a pattern is a column's tuple of heuristic-row payload symbols.
     """
     if state.received == 0:
         raise ValueError("decoder state holds no rows")
@@ -359,28 +364,26 @@ def rank_deficient_solve(
         # all q^n_free assignments of the free variables, lexicographic
         grids = np.meshgrid(*[np.arange(q, dtype=np.uint8)] * n_free, indexing="ij")
         A = np.stack([g.ravel() for g in grids], axis=1)  # (q^n_free, n_free)
-        n_assign = A.shape[0]
-        # candidate solutions W[a, j, l] for every column l
-        W = np.zeros((n_assign, h, n), dtype=np.uint8)
-        for fi, c in enumerate(free_cols):
-            W[:, c, :] = A[:, fi][:, None]
-        for r, c in zip(range(len(state.pivot_cols)), state.pivot_cols):
-            if c >= h:
-                continue
-            contrib = np.zeros((n_assign, n), dtype=np.uint8)
-            for fi, fc in enumerate(free_cols):
-                g = int(R[r, fc])
-                if g:
-                    contrib ^= ctx.mul_table[g, A[:, fi]][:, None]
-            W[:, c, :] = R[r, h:][None, :] ^ contrib
-        weights = (W != 0).sum(axis=1)  # (n_assign, n)
-        best = np.argmin(weights, axis=0)  # first minimal index, deterministic
-        chosen = W[best, :, np.arange(n)].T  # (h, n)
-        for r, c in heuristic_rows:
-            est[perm[c]] = chosen[c]
+        rows = [r for r, _ in heuristic_rows]
+        # f[a, i]: the symbol assignment a subtracts from heuristic row i
+        G = R[rows][:, free_cols]
+        f = np.bitwise_xor.reduce(ctx.mul_table[G[None], A[:, None, :]], axis=2)
+        # A candidate's weight in column l is nnz(a) plus the heuristic rows
+        # whose payload symbol differs from f[a] (certain rows add the same
+        # count to every candidate), so it depends on l only through the
+        # column's tuple of heuristic-row payload symbols: score each distinct
+        # tuple once and map the pick back to its columns.
+        patterns, inverse = np.unique(R[rows, h:].T, axis=0, return_inverse=True)
+        weights = np.count_nonzero(A, axis=1)[:, None] + (
+            patterns[None, :, :] != f[:, None, :]
+        ).sum(axis=2)  # (n_assign, n_patterns)
+        # first minimal index, deterministic
+        best = np.argmin(weights, axis=0)[inverse.reshape(-1)]
+        for i, (r, c) in enumerate(heuristic_rows):
+            est[perm[c]] = R[r, h:] ^ f[best, i]
             conf[perm[c]] = 1
-        for c in free_cols:
-            est[perm[c]] = chosen[c]
+        for fi, c in enumerate(free_cols):
+            est[perm[c]] = A[best, fi]
             conf[perm[c]] = 1
     return est, conf
 

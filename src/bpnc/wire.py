@@ -119,9 +119,6 @@ class RtsFrame:
             encode_utility(self.utility),
         )
 
-    def quantized_utility(self) -> float:
-        return decode_utility(encode_utility(self.utility))
-
 
 @dataclass(frozen=True)
 class CtsFrame:

@@ -4,6 +4,9 @@ import pytest
 
 from bpnc import channel as ch
 from bpnc.channel import (
+    STRONG_GAIN_DB,
+    FlowConfig,
+    LinkConfig,
     Scenario,
     ScenarioError,
     ber,
@@ -151,6 +154,38 @@ def test_validation_errors():
     scn3.links[0].src = 99
     with pytest.raises(ScenarioError):
         scn3.validate()
+
+
+# node ids, flow indices and channel indices each travel in one wire byte,
+# so a scenario past those limits must fail validation, not a run
+
+
+def test_validate_rejects_node_ids_beyond_a_byte():
+    scn = line7()
+    scn.num_nodes = 255
+    scn.validate()
+    scn.num_nodes = 300
+    scn.links.append(LinkConfig(300, 7, STRONG_GAIN_DB))
+    with pytest.raises(ScenarioError, match="num_nodes"):
+        scn.validate()
+
+
+def test_validate_rejects_more_than_256_flows():
+    scn = line7()
+    scn.flows = [FlowConfig(1, (7,), 0.01) for _ in range(256)]
+    scn.validate()
+    scn.flows.append(FlowConfig(1, (7,), 0.01))
+    with pytest.raises(ScenarioError, match="flows"):
+        scn.validate()
+
+
+def test_validate_rejects_more_than_256_channels():
+    scn = line7()
+    scn.channels = [2400.0 + i for i in range(256)]
+    scn.validate()
+    scn.channels.append(2900.0)
+    with pytest.raises(ScenarioError, match="channels"):
+        scn.validate()
 
 
 def test_scenario_file_roundtrip(tmp_path):

@@ -46,6 +46,17 @@ def test_scenario_file_round_trip(tmp_path):
     assert rc == 0
 
 
+def test_scenario_with_node_id_past_a_byte_exits_2(tmp_path):
+    scn = ch.line7()
+    scn.num_nodes = 300
+    scn.links.append(ch.LinkConfig(300, 7, ch.STRONG_GAIN_DB))
+    path = tmp_path / "scn.yaml"
+    ch.save_scenario(scn, path)
+    rc = main(["run", "--scenario", str(path), "--duration", "30",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+
+
 def test_sweep_table_shape(tmp_path):
     rc = main(["sweep", "--builtin", "butterfly7", "--param", "duration=30,60",
                "--seeds", "2", "--out", str(tmp_path)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bpnc import channel as ch
-from bpnc import engine, wire
+from bpnc import engine, rlnc, wire
 
 
 def test_zero_duration_run_is_empty():
@@ -44,6 +44,29 @@ PINNED_DIGESTS = [
 def test_packet_log_digest_pinned(make_scn, duration_s, digest):
     eng = engine.run(make_scn(), seed=1, duration_s=duration_s)
     assert engine.packet_log_digest(eng.packet_log) == digest
+
+
+def test_early_recovery_pinned():
+    # the rank-deficient solve reaches summary.json only, not the packet log
+    s = engine.run(_lossy_coded_butterfly7(), seed=1, duration_s=300).log.summary
+    assert s["early_recovery_mean"] == 0.7649857142857143
+    assert s["early_recovery_count"] == 35
+
+
+def test_unchanged_decoder_state_is_scored_once_truth_arrives():
+    # receptions before the source registers a generation's truth are not
+    # scored, so the first one after it is, even when it adds no rank
+    eng = engine.Engine(_lossy_coded_butterfly7(), seed=1)
+    X = np.arange(32, dtype=np.uint8).reshape(4, 8) % 16
+    pkt = rlnc.CodedPacket(0, 0, [1, 0, 0, 0], X[0])
+    dec = rlnc.DecoderState(eng.ctx, 4, 8, mode="rank_deficient")
+    dec.ingest(pkt)
+    eng.on_destination_ingest(6, 0, 0, dec, 0)
+    assert eng.best_pre_full == {}
+    eng.register_truth(0, 0, X, 4)
+    dec.ingest(pkt)
+    eng.on_destination_ingest(6, 0, 0, dec, 1)
+    assert eng.best_pre_full == {(0, 0, 6): 8}  # row 0 is certain
 
 
 def test_different_seeds_differ():

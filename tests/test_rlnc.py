@@ -376,3 +376,138 @@ def test_monotonicity_of_decoded_set(f16):
         now = set(state.delivered)
         assert prev <= now
         prev = now
+
+
+# -- equivalence with the brute-force references ----------------------------
+
+def reference_rank_deficient_solve(state, free_var_limit=None):
+    """Full enumeration: every q^n_free assignment is expanded to an (h, N)
+    candidate and scored per column by its count of nonzero symbols."""
+    ctx = state.ctx
+    h, n = state.block_size, state.packet_len
+    T = state.min_weight_limit if free_var_limit is None else free_var_limit
+    perm = state.perm or tuple(range(h))
+    est = np.zeros((h, n), dtype=np.uint8)
+    conf = np.zeros((h, n), dtype=np.uint8)
+    tag_pivots = [c for c in state.pivot_cols if c < h]
+    R = state.rref
+    free_cols = [c for c in range(h) if c not in tag_pivots]
+    heuristic_rows = []
+    for r, c in enumerate(state.pivot_cols):
+        if c >= h:
+            continue
+        if len(free_cols) == 0 or not R[r, free_cols].any():
+            est[perm[c]] = R[r, h:]
+            conf[perm[c]] = 2
+        else:
+            heuristic_rows.append((r, c))
+    if free_cols and len(free_cols) <= T:
+        q = ctx.size
+        n_free = len(free_cols)
+        grids = np.meshgrid(*[np.arange(q, dtype=np.uint8)] * n_free, indexing="ij")
+        A = np.stack([g.ravel() for g in grids], axis=1)
+        n_assign = A.shape[0]
+        W = np.zeros((n_assign, h, n), dtype=np.uint8)
+        for fi, c in enumerate(free_cols):
+            W[:, c, :] = A[:, fi][:, None]
+        for r, c in enumerate(state.pivot_cols):
+            if c >= h:
+                continue
+            contrib = np.zeros((n_assign, n), dtype=np.uint8)
+            for fi, fc in enumerate(free_cols):
+                g = int(R[r, fc])
+                if g:
+                    contrib ^= ctx.mul_table[g, A[:, fi]][:, None]
+            W[:, c, :] = R[r, h:][None, :] ^ contrib
+        weights = (W != 0).sum(axis=1)
+        best = np.argmin(weights, axis=0)
+        chosen = W[best, :, np.arange(n)].T
+        for r, c in heuristic_rows:
+            est[perm[c]] = chosen[c]
+            conf[perm[c]] = 1
+        for c in free_cols:
+            est[perm[c]] = chosen[c]
+            conf[perm[c]] = 1
+    return est, conf
+
+
+@st.composite
+def rank_deficient_states(draw):
+    """A decoder state with a chosen number of free tag columns, built by
+    ingesting the rows of an RREF: free-column coefficients are zero when
+    the draw asks for no heuristic rows, and payloads use few symbols so
+    columns repeat."""
+    m = draw(st.sampled_from([1, 4]))
+    ctx = FieldContext(m)
+    h = draw(st.integers(2, 6))
+    n_free = draw(st.integers(0, min(3, h)))
+    n = draw(st.integers(1, 12))
+    heuristic = draw(st.booleans())
+    free = sorted(draw(st.permutations(range(h)))[:n_free])
+    pivots = [c for c in range(h) if c not in free]
+    symbols = st.integers(0, draw(st.integers(1, ctx.size - 1)))
+    perm = tuple(draw(st.permutations(range(h))))
+    state = DecoderState(ctx, h, n, mode="rank_deficient")
+    rows = []
+    for p in pivots:
+        tag = np.zeros(h, dtype=np.uint8)
+        tag[p] = 1
+        if heuristic:
+            for c in free:
+                if c > p:
+                    tag[c] = draw(st.integers(0, ctx.size - 1))
+        payload = np.array(draw(st.lists(symbols, min_size=n, max_size=n)), np.uint8)
+        rows.append((tag, payload))
+    if not rows or draw(st.booleans()):
+        # a zero-tag row pivots in the payload and must be ignored
+        payload = np.zeros(n, dtype=np.uint8)
+        payload[draw(st.integers(0, n - 1))] = draw(st.integers(1, ctx.size - 1))
+        rows.append((np.zeros(h, dtype=np.uint8), payload))
+    for tag, payload in rows:
+        state.ingest(CodedPacket("f", 0, tag, payload, perm=perm))
+    assert len([c for c in state.pivot_cols if c < h]) == h - n_free
+    return state, draw(st.integers(0, 3))
+
+
+@given(rank_deficient_states())
+@settings(max_examples=300, deadline=None)
+def test_rank_deficient_solve_matches_enumeration(case):
+    state, limit = case
+    est, conf = rank_deficient_solve(state, limit)
+    ref_est, ref_conf = reference_rank_deficient_solve(state, limit)
+    assert np.array_equal(conf, ref_conf)
+    assert np.array_equal(est, ref_est)
+
+
+@st.composite
+def row_sequences(draw):
+    m = draw(st.sampled_from([1, 4]))
+    ctx = FieldContext(m)
+    h = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    sym = st.integers(0, ctx.size - 1)
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["random", "duplicate", "zero_tag"]))
+        if kind == "duplicate" and rows:
+            row = ctx.scale_row(draw(st.integers(1, ctx.size - 1)),
+                                rows[draw(st.integers(0, len(rows) - 1))])
+        else:
+            row = np.array(draw(st.lists(sym, min_size=h + n, max_size=h + n)), np.uint8)
+            if kind == "zero_tag":
+                row[:h] = 0
+        rows.append(row)
+    return ctx, h, n, rows
+
+
+@given(row_sequences())
+@settings(max_examples=300, deadline=None)
+def test_incremental_ingest_matches_full_elimination(case):
+    ctx, h, n, rows = case
+    state = DecoderState(ctx, h, n)
+    for i, row in enumerate(rows):
+        state.ingest(CodedPacket("f", 0, row[:h], row[h:]))
+        rref, rank, pivots = gaussian_eliminate(ctx, np.array(rows[: i + 1]))
+        assert state.rank == rank
+        assert state.pivot_cols == pivots
+        assert np.array_equal(state.rref, rref[:rank])
