@@ -119,7 +119,6 @@ class Scenario:
     phy: PhyConfig = field(default_factory=PhyConfig)
     frame_loss: float = 0.0
     sensing_enabled: bool = True
-    seed: int = 0
     duration_s: float = 600.0
 
     def __post_init__(self):
@@ -217,11 +216,6 @@ def link_rate(scn: Scenario, sinr: float, frame_len_bytes: int) -> tuple[float, 
     return scn.phy.bit_rate() * p / bits, p
 
 
-def rx_power_dbm(scn: Scenario, tx_power_dbm: float, i: int, j: int, chan: int) -> float:
-    g = scn.gain_db(i, j, chan)
-    return tx_power_dbm + g if g > float("-inf") else float("-inf")
-
-
 # -- canonical topologies ---------------------------------------------------
 
 STRONG_GAIN_DB = -55.0  # 25 dB SNR at -10 dBm over a -90 dBm floor
@@ -235,7 +229,7 @@ def _links(pairs, strong=True):
     return [LinkConfig(a, b, g) for a, b in pairs]
 
 
-def line7(seed: int = 0) -> Scenario:
+def line7() -> Scenario:
     """Seven nodes in a line; single unicast flow 1 -> 7, no coding."""
     return Scenario(
         name="line7",
@@ -244,11 +238,10 @@ def line7(seed: int = 0) -> Scenario:
         links=_links([(i, i + 1) for i in range(1, 7)]),
         flows=[FlowConfig(1, (7,), arrival_rate=1.2)],
         coding=CodingConfig(enabled=False, block_size=1),
-        seed=seed,
     )
 
 
-def ring7(seed: int = 0) -> Scenario:
+def ring7() -> Scenario:
     """Seven-node ring: two node-disjoint routes 1-2-6-7 and 1-3-4-5-7.
 
     The short route's first hop (1,2) is strong and (1,3) weak, so node 2 is
@@ -263,11 +256,10 @@ def ring7(seed: int = 0) -> Scenario:
         links=links,
         flows=[FlowConfig(1, (7,), arrival_rate=1.2)],
         coding=CodingConfig(enabled=False, block_size=1),
-        seed=seed,
     )
 
 
-def grid6(seed: int = 0) -> Scenario:
+def grid6() -> Scenario:
     """2x3 grid, source 1 (corner) to destination 6 (opposite corner)."""
     return Scenario(
         name="grid6",
@@ -276,11 +268,10 @@ def grid6(seed: int = 0) -> Scenario:
         links=_links([(1, 2), (2, 3), (4, 5), (5, 6), (1, 4), (2, 5), (3, 6)]),
         flows=[FlowConfig(1, (6,), arrival_rate=1.2)],
         coding=CodingConfig(enabled=False, block_size=1),
-        seed=seed,
     )
 
 
-def butterfly7(seed: int = 0) -> Scenario:
+def butterfly7() -> Scenario:
     """Butterfly: source 1 multicasts to 6 and 7 through relays 2-5; a packet
     counts toward throughput only when both destinations decode it."""
     return Scenario(
@@ -293,7 +284,6 @@ def butterfly7(seed: int = 0) -> Scenario:
         flows=[FlowConfig(1, (6, 7), arrival_rate=1.0)],
         coding=CodingConfig(enabled=True, block_size=4, decoder="earliest",
                             redundancy=0.5),
-        seed=seed,
     )
 
 
@@ -332,7 +322,6 @@ def scenario_from_dict(d: dict) -> Scenario:
             phy=PhyConfig(**d.get("phy", {})),
             frame_loss=float(d.get("frame_loss", 0.0)),
             sensing_enabled=bool(d.get("sensing_enabled", True)),
-            seed=int(d.get("seed", 0)),
             duration_s=float(d.get("duration_s", 600.0)),
         )
     except (KeyError, TypeError) as e:

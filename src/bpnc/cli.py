@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("--builtin", default="line7",
                        help="builtin scenario: line7, ring7, grid6, butterfly7")
         sp.add_argument("--seed", type=int, default=1,
-                        help="run seed (scenario.seed field)")
+                        help="run seed (engine argument, not a scenario field)")
         sp.add_argument("--out", default=default_out(),
                         help="output directory (defaults to $BPNC_OUT or ./out)")
         if coding:

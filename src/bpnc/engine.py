@@ -3,6 +3,10 @@
 Time is integer microseconds.  Events with equal timestamps run in
 scheduling order, so a run is a pure function of (scenario, seed); logging
 never consumes randomness.
+
+The medium is the one place where frames become bytes and back: it packs
+each transmitted frame once and parses it once, and every receiver tuned to
+the transmission shares that parsed frame.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ class Transmission:
     src: int
     chan: int
     power_dbm: float
-    raw: bytes
-    is_data: bool
+    frame: object  # as parsed from the wire; frozen, so receivers share it
+    nbytes: int
 
 
 @dataclass
@@ -145,17 +149,20 @@ class Engine:
     def airtime_us(self, raw: bytes) -> int:
         return int(math.ceil(len(raw) * 8 / self.scn.phy.bit_rate() * US))
 
-    def transmit(self, node: Node, chan: int, raw: bytes) -> int:
+    def transmit(self, node: Node, chan: int, frame) -> int:
+        raw = frame.pack()
         air = self.airtime_us(raw)
         end = self.now_us + air
+        # receivers get the values the wire carries (q16.16 utility, q8.8
+        # gains, clamped backlogs), not the sender's frame object
         tx = Transmission(self.now_us, end, node.id, chan, node.power_dbm,
-                          raw, raw[0] == wire.TYPE_DATA)
+                          wire.unpack(raw, self.scn.coding.field_bits), len(raw))
         self.active = [a for a in self.active if a.end_us > self.now_us]
         self.active.append(tx)
         node.tx_until_us = max(node.tx_until_us, end)
         node.tx_airtime_us += air
         node.tx_energy_mj += ch.dbm_to_mw(node.power_dbm) * air / US
-        if tx.is_data:
+        if isinstance(tx.frame, wire.DataFrame):
             self.data_frames[node.id] += 1
         self.packet_log.append(
             f"{self.now_us} {chan} {node.id} {wire.TYPE_NAMES[raw[0]]} {raw.hex()}"
@@ -182,9 +189,9 @@ class Engine:
             # whether or not it is tuned here, so logging can't shift draws
             sinr = ch.link_snr(self.scn, tx.power_dbm, (tx.src, nid), tx.chan,
                                concurrent)
-            p_ok = ch.frame_success_prob(self.scn, sinr, len(tx.raw))
+            p_ok = ch.frame_success_prob(self.scn, sinr, tx.nbytes)
             ok = self.chan_rng.random() < p_ok
-            if ok and tx.is_data and self.scn.frame_loss > 0:
+            if ok and isinstance(tx.frame, wire.DataFrame) and self.scn.frame_loss > 0:
                 ok = self.chan_rng.random() >= self.scn.frame_loss
             node = self.nodes[nid]
             tuned = node.channel == tx.chan and node.tx_until_us <= tx.start_us
@@ -193,7 +200,7 @@ class Engine:
                     self.collision_losses += 1
                 continue
             if tuned:
-                node.handle_frame(tx.src, tx.chan, tx.raw, rxp, tx.power_dbm)
+                node.handle_frame(tx.src, tx.chan, tx.frame, rxp, tx.power_dbm)
 
     def sense(self, node_id: int, chan: int) -> float:
         """Received power in mW at a node from all live co-channel carriers."""

@@ -115,12 +115,6 @@ class FieldContext:
 
     # -- vector ops ---------------------------------------------------------
 
-    def mul_arr(self, a, b):
-        """Elementwise product; a and b broadcast against each other."""
-        a = np.asarray(a, dtype=np.uint8)
-        b = np.asarray(b, dtype=np.uint8)
-        return self.mul_table[a, b]
-
     def scale_row(self, c: int, row):
         return self.mul_table[c, np.asarray(row, dtype=np.uint8)]
 

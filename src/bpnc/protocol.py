@@ -111,7 +111,6 @@ class Node:
         self.penalty = bp.PenaltyTracker()
         self.power_dbm = scn.power.init_dbm
         self.overhead = 0
-        self.malformed = 0
         self.tx_airtime_us = 0
         self.tx_energy_mj = 0.0
         self.tx_until_us = 0
@@ -262,7 +261,7 @@ class Node:
         )[:255]
         frame = wire.DisFrame(self.id, self.channel, nbrs)
         self.overhead += 1
-        self.engine.transmit(self, self.channel, frame.pack())
+        self.engine.transmit(self, self.channel, frame)
 
     def send_syn(self) -> None:
         entries = []
@@ -271,18 +270,18 @@ class Node:
             entries.append((flow.source, dsts, backlog))
         frame = wire.SynFrame(self.id, tuple(entries))
         self.overhead += 1
-        self.engine.transmit(self, self.channel, frame.pack())
+        self.engine.transmit(self, self.channel, frame)
 
     def send_rts(self) -> None:
         s = self.pending
         frame = wire.RtsFrame(self.id, s.neighbor, s.channel, s.flow_index, s.utility)
         self.overhead += 1
-        self.engine.transmit(self, s.channel, frame.pack())
+        self.engine.transmit(self, s.channel, frame)
 
     def send_cts(self, tx: int, chan: int) -> None:
         frame = wire.CtsFrame(self.id, tx, chan)
         self.overhead += 1
-        self.engine.transmit(self, chan, frame.pack())
+        self.engine.transmit(self, chan, frame)
 
     # -- backpressure decision ----------------------------------------------
 
@@ -355,13 +354,8 @@ class Node:
 
     # -- inbound frames -----------------------------------------------------
 
-    def handle_frame(self, src: int, chan: int, raw: bytes,
+    def handle_frame(self, src: int, chan: int, frame,
                      rx_power_dbm: float, tx_power_dbm: float) -> None:
-        try:
-            frame = wire.unpack(raw, field_bits=self.scn.coding.field_bits)
-        except wire.MalformedFrame:
-            self.malformed += 1
-            return
         self.note_neighbor(src, chan, rx_power_dbm, tx_power_dbm)
         if src not in self.neighbors:
             return  # below sensitivity: no table entry, nothing to act on
@@ -508,7 +502,7 @@ class Node:
             pkt.perm or tuple(range(self.block_size())),
             tuple(int(x) for x in pkt.tag), payload, self.scn.coding.field_bits,
         )
-        airtime = self.engine.transmit(self, s.channel, frame.pack())
+        airtime = self.engine.transmit(self, s.channel, frame)
         for d in s.covered_dests:
             self.queues.decrement(flow, d)
         self.engine.schedule(airtime, self.send_next_data)

@@ -147,7 +147,6 @@ def encode_generation(
     mode: str = "uniform",
     systematic_first: bool = False,
     flow_id=None,
-    perm: tuple[int, ...] | None = None,
 ) -> list[CodedPacket]:
     """Emit coded packets whose tags cover the filled prefix of the block.
 
@@ -184,7 +183,7 @@ def encode_generation(
                 ctx, np.array([p[:j] for p in prev_tags], dtype=np.uint8)
             )[1]
         payload = ctx.matmul(tag[None, :j], X)[0]
-        out.append(CodedPacket(flow_id, gen.gen_id, tag, payload, perm=perm))
+        out.append(CodedPacket(flow_id, gen.gen_id, tag, payload))
     return out
 
 

@@ -111,6 +111,8 @@ def test_help_documents_every_flag():
             assert flag in help_text
         # every flag names the scenario field it maps to
         for field_name in ("coding.block_size", "coding.decoder",
-                           "coding.field_bits", "scenario.seed"):
+                           "coding.field_bits"):
             if sub == "run":
                 assert field_name in help_text
+        # the seed is an engine argument; no scenario field holds it
+        assert "scenario.seed" not in help_text

@@ -53,6 +53,22 @@ def test_early_recovery_pinned():
     assert s["early_recovery_count"] == 35
 
 
+def test_each_transmission_parsed_once(monkeypatch):
+    # every receiver tuned to a transmission shares the medium's one parse
+    calls = 0
+    unpack = wire.unpack
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return unpack(*args, **kwargs)
+
+    monkeypatch.setattr(wire, "unpack", counted)
+    eng = engine.run(_lossy_coded_butterfly7(), seed=1, duration_s=300)
+    assert len(eng.packet_log) > 0
+    assert calls == len(eng.packet_log)
+
+
 def test_unchanged_decoder_state_is_scored_once_truth_arrives():
     # receptions before the source registers a generation's truth are not
     # scored, so the first one after it is, even when it adds no rank
@@ -175,8 +191,10 @@ def test_sweep_parallel_matches_serial():
 
 
 def test_unknown_sweep_parameter_rejected():
-    with pytest.raises(ch.ScenarioError):
-        engine.apply_override(ch.line7(), "warp_speed", 9)
+    # the run seed is an argument of the engine, not a scenario field
+    for key in ("warp_speed", "seed"):
+        with pytest.raises(ch.ScenarioError):
+            engine.apply_override(ch.line7(), key, 9)
 
 
 def test_override_aliases_and_types():
