@@ -7,7 +7,7 @@ All functions are pure over the scenario config; the engine owns time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
@@ -171,28 +171,12 @@ class Scenario:
 
 # -- SNR / BER / rate -------------------------------------------------------
 
-def link_snr(
-    scn: Scenario,
-    tx_power_dbm: float,
-    link: tuple[int, int],
-    chan: int,
-    concurrent: list[tuple[int, float]] = (),
-) -> float:
-    """Linear SINR at the receiver; concurrent is [(other tx node, power dbm)]."""
-    i, j = link
-    g = scn.gain_db(i, j, chan)
-    if g == float("-inf"):
-        return 0.0
-    signal = dbm_to_mw(tx_power_dbm + g)
+def link_snr(scn: Scenario, rx_power_dbm: float, interference_dbm=()) -> float:
+    """Linear SINR at a receiver, from the received power of the signal and
+    of each co-channel interferer, in dBm (-inf when out of reach)."""
     noise = dbm_to_mw(scn.phy.noise_floor_dbm)
-    interference = 0.0
-    for k, p in concurrent:
-        if k in (i, j):
-            continue
-        gk = scn.gain_db(k, j, chan)
-        if gk > float("-inf"):
-            interference += dbm_to_mw(p + gk)
-    return signal / (noise + interference)
+    interference = sum(dbm_to_mw(p) for p in interference_dbm)
+    return dbm_to_mw(rx_power_dbm) / (noise + interference)
 
 
 def ber(modulation: str, sinr: float) -> float:
@@ -297,9 +281,7 @@ def builtin_scenarios() -> dict[str, Scenario]:
 # -- scenario files ---------------------------------------------------------
 
 def scenario_to_dict(scn: Scenario) -> dict:
-    d = asdict(scn)
-    d.pop("_gain_map", None)
-    return d
+    return asdict(scn)
 
 
 def save_scenario(scn: Scenario, path) -> None:
@@ -308,6 +290,10 @@ def save_scenario(scn: Scenario, path) -> None:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
+    # a misspelt key would otherwise fall back silently to its default
+    unknown = sorted(map(str, d.keys() - {f.name for f in fields(Scenario)}))
+    if unknown:
+        raise ScenarioError(f"scenario file: unknown key(s) {', '.join(unknown)}")
     try:
         scn = Scenario(
             name=d.get("name", "unnamed"),

@@ -94,6 +94,15 @@ class Engine:
                 np.random.SeedSequence([seed & 0xFFFFFFFF, nid])
             )
             self.nodes[nid] = Node(nid, scn, self, rng)
+        # the topology is static for a run: receivers[src][chan] maps each
+        # node that src reaches on chan (never src itself) to its gain,
+        # in ascending node id
+        self.receivers: dict[int, list[dict[int, float]]] = {
+            src: [{dst: g for dst in self.nodes
+                   if dst != src and (g := scn.gain_db(src, dst, chan)) != float("-inf")}
+                  for chan in range(len(scn.channels))]
+            for src in self.nodes
+        }
         self.active: list[Transmission] = []
         self.packet_log: list[str] = []
         self.log = MetricsLog()
@@ -172,23 +181,22 @@ class Engine:
 
     def _deliver(self, tx: Transmission) -> None:
         concurrent = [
-            (a.src, a.power_dbm) for a in self.active
+            a for a in self.active
             if a is not tx and a.chan == tx.chan
             and a.start_us < tx.end_us and a.end_us > tx.start_us
         ]
-        for nid in sorted(self.nodes):
-            if nid == tx.src:
-                continue
-            g = self.scn.gain_db(tx.src, nid, tx.chan)
-            if g == float("-inf"):
-                continue
+        # the other senders on this channel, each with the gains it reaches;
+        # a receiver's own carrier is not in its own table
+        interferers = [(a.power_dbm, self.receivers[a.src][tx.chan])
+                       for a in concurrent if a.src != tx.src]
+        for nid, g in self.receivers[tx.src][tx.chan].items():
             rxp = tx.power_dbm + g
             if rxp < self.scn.phy.sensitivity_dbm:
                 continue
             # every in-range node gets its own draw from this transmission,
             # whether or not it is tuned here, so logging can't shift draws
-            sinr = ch.link_snr(self.scn, tx.power_dbm, (tx.src, nid), tx.chan,
-                               concurrent)
+            interference = [p + gains[nid] for p, gains in interferers if nid in gains]
+            sinr = ch.link_snr(self.scn, rxp, interference)
             p_ok = ch.frame_success_prob(self.scn, sinr, tx.nbytes)
             ok = self.chan_rng.random() < p_ok
             if ok and isinstance(tx.frame, wire.DataFrame) and self.scn.frame_loss > 0:
@@ -206,10 +214,10 @@ class Engine:
         """Received power in mW at a node from all live co-channel carriers."""
         total = ch.dbm_to_mw(self.scn.phy.noise_floor_dbm)
         for a in self.active:
-            if a.chan != chan or a.src == node_id or a.end_us <= self.now_us:
+            if a.chan != chan or a.end_us <= self.now_us:
                 continue
-            g = self.scn.gain_db(a.src, node_id, chan)
-            if g > float("-inf"):
+            g = self.receivers[a.src][chan].get(node_id)
+            if g is not None:
                 total += ch.dbm_to_mw(a.power_dbm + g)
         return total
 

@@ -202,7 +202,7 @@ def rref_insert(
     if v[p] != 1:
         v = ctx.scale_row(ctx.inv(int(v[p])), v)
     i = bisect.bisect(pivot_cols, p)
-    out = np.insert(R, i, v, axis=0)
+    out = np.concatenate((R[:i], v[None, :], R[i:]))
     col = out[:, p].copy()
     col[i] = 0
     nz = col != 0
@@ -239,25 +239,29 @@ def symbols_per_byte(m: int) -> int:
 def bytes_to_symbols(data: bytes, m: int) -> np.ndarray:
     """Split bytes into GF(2^m) symbols, most-significant group first."""
     spb = symbols_per_byte(m)
-    arr = np.frombuffer(bytes(data), dtype=np.uint8)
+    arr = np.frombuffer(data, dtype=np.uint8)
     if spb == 1:
         return arr.copy()
     mask = (1 << m) - 1
-    shifts = [(spb - 1 - i) * m for i in range(spb)]
     out = np.empty(len(arr) * spb, dtype=np.uint8)
-    for i, sh in enumerate(shifts):
-        out[i::spb] = (arr >> sh) & mask
+    out[0::spb] = arr >> (8 - m)  # the shift leaves only the top group
+    for i in range(1, spb - 1):
+        out[i::spb] = (arr >> ((spb - 1 - i) * m)) & mask
+    out[spb - 1::spb] = arr & mask
     return out
 
 
 def symbols_to_bytes(symbols, m: int) -> bytes:
+    """Pack symbols, each masked to m bits, most-significant group first."""
     spb = symbols_per_byte(m)
     arr = np.asarray(symbols, dtype=np.uint8)
     if spb == 1:
         return arr.tobytes()
     if len(arr) % spb:
         raise ValueError("symbol count not a multiple of symbols-per-byte")
-    out = np.zeros(len(arr) // spb, dtype=np.uint8)
-    for i in range(spb):
-        out |= (arr[i::spb] & ((1 << m) - 1)) << ((spb - 1 - i) * m)
+    mask = (1 << m) - 1
+    out = arr[0::spb] << (8 - m)  # uint8: bits above the top group drop out
+    for i in range(1, spb - 1):
+        out |= (arr[i::spb] & mask) << ((spb - 1 - i) * m)
+    out |= arr[spb - 1::spb] & mask
     return out.tobytes()

@@ -500,7 +500,7 @@ class Node:
         frame = wire.DataFrame(
             s.flow_index, pkt.gen_id % 0x10000, self.block_size(),
             pkt.perm or tuple(range(self.block_size())),
-            tuple(int(x) for x in pkt.tag), payload, self.scn.coding.field_bits,
+            tuple(pkt.tag.tolist()), payload, self.scn.coding.field_bits,
         )
         airtime = self.engine.transmit(self, s.channel, frame)
         for d in s.covered_dests:
@@ -517,11 +517,15 @@ class Node:
         picks the same generation as a scan over every relay generation.
         """
         if flow_index in self.source_gens:
-            for sg in self.source_gens[flow_index]:
+            gens = self.source_gens[flow_index]
+            for i, sg in enumerate(gens):
                 if sg.credit() > 0:
                     pkt = sg.queue[sg.sent]
                     sg.sent += 1
-                    self.prune_source_gens(flow_index)
+                    # finalizing leaves credit, so only a send drains a
+                    # finalized generation: it is done, drop it
+                    if sg.finalized and sg.credit() == 0:
+                        del gens[i]
                     return pkt
             return None
         credited = self.relay_credit[flow_index]
@@ -539,12 +543,6 @@ class Node:
                     return pkt
                 return rlnc.recode(self.ctx, rg.pkts, self.rng)
         return None
-
-    def prune_source_gens(self, flow_index: int) -> None:
-        gens = self.source_gens[flow_index]
-        self.source_gens[flow_index] = [
-            sg for sg in gens if not (sg.finalized and sg.credit() == 0)
-        ]
 
     def has_sendable(self, flow_index: int, peer: int | None = None) -> bool:
         if flow_index in self.source_gens:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from . import gf
-
 TYPE_DIS = 0x01
 TYPE_SYN = 0x02
 TYPE_RTS = 0x03
@@ -53,15 +51,20 @@ def decode_utility(raw: int) -> float:
 
 
 def pack_tag(tag, m: int) -> bytes:
-    """Tag symbols on the wire: nibble-packed when m divides a byte, else one
-    byte per symbol."""
-    tag = list(int(t) for t in tag)
+    """Tag symbols on the wire.
+
+    When m divides 8, the symbols, each masked to m bits, go 8 // m to a
+    byte, the first in the byte's high group, and the last byte is padded
+    with zero symbols.  Otherwise each symbol takes one byte.
+    """
     if 8 % m:
         return bytes(tag)
-    spb = 8 // m
-    while len(tag) % spb:
-        tag.append(0)
-    return gf.symbols_to_bytes(tag, m)
+    mask = (1 << m) - 1
+    v = 0
+    for t in tag:
+        v = v << m | int(t) & mask
+    n = tag_wire_len(len(tag), m)
+    return (v << (8 * n - m * len(tag))).to_bytes(n, "big")
 
 
 def tag_wire_len(h: int, m: int) -> int:
@@ -72,9 +75,13 @@ def tag_wire_len(h: int, m: int) -> int:
 
 
 def unpack_tag(raw: bytes, h: int, m: int) -> list[int]:
+    """The first h tag symbols in raw (fewer if raw is short)."""
     if 8 % m:
         return list(raw[:h])
-    return list(gf.bytes_to_symbols(raw, m))[:h]
+    mask = (1 << m) - 1
+    v = int.from_bytes(raw, "big")
+    top = 8 * len(raw) - m
+    return [v >> (top - m * k) & mask for k in range(min(h, 8 * len(raw) // m))]
 
 
 @dataclass(frozen=True)

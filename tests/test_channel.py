@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import yaml
 
 from bpnc import channel as ch
 from bpnc.channel import (
@@ -24,30 +25,32 @@ from bpnc.channel import (
 
 def test_snr_20db_above_noise():
     scn = line7()
-    # signal at noise + 20 dB: tx power so that p + gain = -70 dBm
-    sinr = link_snr(scn, -15.0, (1, 2), 0)
-    # -15 - 55 = -70 dBm over -90 floor -> 20 dB -> 100 linear
+    # signal at noise + 20 dB: -15 dBm tx over the -55 dB link is -70 dBm
+    sinr = link_snr(scn, -15.0 + scn.gain_db(1, 2, 0))
+    # -70 dBm over -90 floor -> 20 dB -> 100 linear
     assert sinr == pytest.approx(100.0)
 
 
 def test_equal_power_cochannel_interferer():
     scn = line7()
     # node 3 interferes at node 2 with the same gain class as the 1->2 signal
-    sinr = link_snr(scn, -10.0, (1, 2), 0, concurrent=[(3, -10.0)])
+    sinr = link_snr(scn, -10.0 + scn.gain_db(1, 2, 0), [-10.0 + scn.gain_db(3, 2, 0)])
     assert sinr == pytest.approx(1.0, rel=0.01)
 
 
 def test_sinr_decreases_with_interferers():
     scn = grid6()
-    base = link_snr(scn, -10.0, (1, 2), 0)
-    one = link_snr(scn, -10.0, (1, 2), 0, concurrent=[(5, -10.0)])
-    two = link_snr(scn, -10.0, (1, 2), 0, concurrent=[(5, -10.0), (3, -10.0)])
+    signal = -10.0 + scn.gain_db(1, 2, 0)
+    at_2 = [-10.0 + scn.gain_db(k, 2, 0) for k in (5, 3)]
+    base = link_snr(scn, signal)
+    one = link_snr(scn, signal, at_2[:1])
+    two = link_snr(scn, signal, at_2)
     assert base > one > two
 
 
 def test_disconnected_link_zero_snr():
     scn = line7()
-    assert link_snr(scn, -5.0, (1, 7), 0) == 0.0
+    assert link_snr(scn, -5.0 + scn.gain_db(1, 7, 0)) == 0.0
 
 
 def test_ber_examples():
@@ -199,6 +202,17 @@ def test_scenario_file_roundtrip(tmp_path):
     assert loaded.coding.block_size == scn.coding.block_size
     assert len(loaded.links) == len(scn.links)
     assert loaded.gain_db(1, 2, 0) == scn.gain_db(1, 2, 0)
+
+
+@pytest.mark.parametrize("key,value", [("frame_los", 0.2), ("seed", 5)])
+def test_scenario_file_rejects_unknown_top_level_key(tmp_path, key, value):
+    # a typo or a removed field must not load silently with its default
+    d = ch.scenario_to_dict(line7())
+    d[key] = value
+    path = tmp_path / "scn.yaml"
+    path.write_text(yaml.safe_dump(d))
+    with pytest.raises(ScenarioError, match=key):
+        load_scenario(path)
 
 
 def test_scenario_file_rejects_garbage(tmp_path):

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+import yaml
 
 from bpnc import channel as ch
 from bpnc.cli import build_parser, main, parse_param
@@ -52,6 +53,16 @@ def test_scenario_with_node_id_past_a_byte_exits_2(tmp_path):
     scn.links.append(ch.LinkConfig(300, 7, ch.STRONG_GAIN_DB))
     path = tmp_path / "scn.yaml"
     ch.save_scenario(scn, path)
+    rc = main(["run", "--scenario", str(path), "--duration", "30",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+
+
+def test_scenario_file_with_unknown_key_exits_2(tmp_path):
+    d = ch.scenario_to_dict(ch.line7())
+    d["frame_los"] = 0.2
+    path = tmp_path / "scn.yaml"
+    path.write_text(yaml.safe_dump(d))
     rc = main(["run", "--scenario", str(path), "--duration", "30",
                "--out", str(tmp_path / "o")])
     assert rc == 2

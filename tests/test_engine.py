@@ -1,5 +1,7 @@
 """Event loop, conservation, energy accounting, sweeps, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,20 @@ def _lossy_coded_butterfly7():
     return scn.validate()
 
 
+def _asymmetric_line7():
+    # hop 2-3 is weak on channels 0 and 2, and on channel 1 its two
+    # directions differ, so DATA 2->3 goes out on channel 1 at -60 dB and its
+    # replies come back at -70 dB; node 1 also reaches node 3 on channel 1 only
+    base = ch.line7()
+    return dataclasses.replace(base, name="line7_asymmetric", links=base.links + [
+        ch.LinkConfig(2, 3, -72.0, channel=0),
+        ch.LinkConfig(2, 3, -72.0, channel=2),
+        ch.LinkConfig(1, 3, -75.0, channel=1),
+        ch.LinkConfig(2, 3, -60.0, channel=1),
+        ch.LinkConfig(3, 2, -70.0, channel=1),
+    ]).validate()
+
+
 # The packet-log digest is the behaviour contract: a change that is meant to
 # be behaviour-preserving (a speed-up, a deletion) must leave these as they are.
 PINNED_DIGESTS = [
@@ -36,11 +52,20 @@ PINNED_DIGESTS = [
      "f7b03b3ad048432c1e863da740d820167dd4dfc4220f0d1de2a22dd0a674f8e2"),
     (_lossy_coded_butterfly7, 300,
      "9dfab0c66a139eb12fb9e904bc374df2b3310288a9d11f7337dad6bf48b06a3e"),
+    (ch.ring7, 300,
+     "99f657d99835274c4122ac39047bc4575428375c38bfd6ca3ffd0d11cdd59052"),
+    (ch.grid6, 300,
+     "f0ddb332a9259d9353f27613b94740e644125bafe4fa2ea26b79fbbe6c8c216a"),
+    (ch.butterfly7, 300,
+     "cbfed117405ed3b5f9ef1d33cced4a322b82ba0dd8dab01604bcc1e333d61de9"),
+    (_asymmetric_line7, 300,
+     "15e455a1cc595bd95080c9b2ca87d55b05bafe35a97600f82c4c081bf9a2571c"),
 ]
 
 
 @pytest.mark.parametrize("make_scn,duration_s,digest", PINNED_DIGESTS,
-                         ids=["line7", "butterfly7_lossy_coded"])
+                         ids=["line7", "butterfly7_lossy_coded", "ring7", "grid6",
+                              "butterfly7", "line7_asymmetric"])
 def test_packet_log_digest_pinned(make_scn, duration_s, digest):
     eng = engine.run(make_scn(), seed=1, duration_s=duration_s)
     assert engine.packet_log_digest(eng.packet_log) == digest
@@ -67,6 +92,44 @@ def test_each_transmission_parsed_once(monkeypatch):
     eng = engine.run(_lossy_coded_butterfly7(), seed=1, duration_s=300)
     assert len(eng.packet_log) > 0
     assert calls == len(eng.packet_log)
+
+
+@pytest.mark.parametrize("make_scn", [_asymmetric_line7, ch.ring7, ch.butterfly7])
+def test_receiver_table_matches_gain_lookup(make_scn):
+    scn = make_scn()
+    eng = engine.Engine(scn, seed=1)
+    for src in eng.nodes:
+        for chan in range(len(scn.channels)):
+            expected = {dst: scn.gain_db(src, dst, chan) for dst in sorted(eng.nodes)
+                        if dst != src and scn.gain_db(src, dst, chan) > float("-inf")}
+            table = eng.receivers[src][chan]
+            assert table == expected
+            assert list(table) == sorted(table)
+
+
+def test_receiver_table_keeps_link_direction():
+    eng = engine.Engine(_asymmetric_line7(), seed=1)
+    assert eng.receivers[2][1][3] == -60.0
+    assert eng.receivers[3][1][2] == -70.0
+    assert eng.receivers[2][0][3] == eng.receivers[3][0][2] == -72.0
+    assert 3 in eng.receivers[1][1] and 3 not in eng.receivers[1][0]
+
+
+def test_run_makes_no_gain_lookups(monkeypatch):
+    # the medium resolves the static topology once, when the engine is built
+    eng = engine.Engine(_asymmetric_line7(), seed=1, duration_s=300)
+    calls = 0
+    gain_db = ch.Scenario.gain_db
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return gain_db(*args, **kwargs)
+
+    monkeypatch.setattr(ch.Scenario, "gain_db", counted)
+    eng.run()
+    assert len(eng.packet_log) > 0
+    assert calls == 0
 
 
 def test_unchanged_decoder_state_is_scored_once_truth_arrives():

@@ -193,6 +193,60 @@ def test_nibble_packing_high_first():
     assert gf.symbols_to_bytes([0xA, 0xB], 4) == b"\xab"
 
 
+def reference_bytes_to_symbols(data, m):
+    """bytes_to_symbols as it was: a copy, then a masked shift per group."""
+    spb = gf.symbols_per_byte(m)
+    arr = np.frombuffer(bytes(data), dtype=np.uint8)
+    if spb == 1:
+        return arr.copy()
+    mask = (1 << m) - 1
+    out = np.empty(len(arr) * spb, dtype=np.uint8)
+    for i in range(spb):
+        out[i::spb] = (arr >> ((spb - 1 - i) * m)) & mask
+    return out
+
+
+def reference_symbols_to_bytes(symbols, m):
+    """symbols_to_bytes as it was: every group masked, then shifted."""
+    spb = gf.symbols_per_byte(m)
+    arr = np.asarray(symbols, dtype=np.uint8)
+    if spb == 1:
+        return arr.tobytes()
+    if len(arr) % spb:
+        raise ValueError("symbol count not a multiple of symbols-per-byte")
+    out = np.zeros(len(arr) // spb, dtype=np.uint8)
+    for i in range(spb):
+        out |= (arr[i::spb] & ((1 << m) - 1)) << ((spb - 1 - i) * m)
+    return out.tobytes()
+
+
+@given(st.binary(max_size=64), st.sampled_from([1, 2, 4, 8]))
+@settings(max_examples=300)
+def test_bytes_to_symbols_matches_reference(data, m):
+    syms = gf.bytes_to_symbols(data, m)
+    ref = reference_bytes_to_symbols(data, m)
+    assert syms.dtype == ref.dtype == np.uint8
+    assert np.array_equal(syms, ref)
+
+
+@given(st.sampled_from([1, 2, 4, 8]), st.data())
+@settings(max_examples=300)
+def test_symbols_to_bytes_matches_reference(m, data):
+    # symbols up to 255 are out of range for m < 8: both mask them to m bits
+    spb = 8 // m
+    n = data.draw(st.integers(0, 24)) * spb + data.draw(st.sampled_from([0, 0, 1]))
+    syms = data.draw(st.lists(st.integers(0, 255), min_size=n, max_size=n))
+    if n % spb:
+        with pytest.raises(ValueError):
+            reference_symbols_to_bytes(syms, m)
+        with pytest.raises(ValueError):
+            gf.symbols_to_bytes(syms, m)
+        return
+    assert gf.symbols_to_bytes(syms, m) == reference_symbols_to_bytes(syms, m)
+    arr = np.array(syms, dtype=np.uint8)
+    assert gf.symbols_to_bytes(arr, m) == reference_symbols_to_bytes(arr, m)
+
+
 def test_matmul_matches_scalar(f16):
     rng = np.random.default_rng(5)
     A = rng.integers(0, 16, size=(3, 4), dtype=np.uint8)

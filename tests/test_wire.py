@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpnc import wire
+from bpnc import gf, wire
 from bpnc.wire import (
     CtsFrame,
     DataFrame,
@@ -132,6 +133,45 @@ def test_data_roundtrip_property(fidx, gen, tag, payload):
     f = DataFrame(fidx, gen, h, perm, tuple(tag), payload, 4)
     g = unpack(f.pack(), field_bits=4)
     assert (g.flow_index, g.gen_id, g.tag, g.payload) == (fidx, gen, tuple(tag), payload)
+
+
+def reference_pack_tag(tag, m):
+    """pack_tag as it was: a padded symbol list through gf.symbols_to_bytes."""
+    tag = list(int(t) for t in tag)
+    if 8 % m:
+        return bytes(tag)
+    spb = 8 // m
+    while len(tag) % spb:
+        tag.append(0)
+    return gf.symbols_to_bytes(tag, m)
+
+
+def reference_unpack_tag(raw, h, m):
+    """unpack_tag as it was: every byte through gf.bytes_to_symbols."""
+    if 8 % m:
+        return list(raw[:h])
+    return list(gf.bytes_to_symbols(raw, m))[:h]
+
+
+@given(st.integers(1, 8), st.data())
+@settings(max_examples=500)
+def test_tag_packing_matches_reference(m, data):
+    h = data.draw(st.integers(1, 255))
+    tag = data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=h, max_size=h))
+    raw = wire.pack_tag(tag, m)
+    assert raw == reference_pack_tag(tag, m)
+    assert len(raw) == wire.tag_wire_len(h, m)
+    assert wire.unpack_tag(raw, h, m) == reference_unpack_tag(raw, h, m) == tag
+    # any bytes, including a header cut short, parse as they did
+    junk = data.draw(st.binary(max_size=wire.tag_wire_len(h, m)))
+    assert wire.unpack_tag(junk, h, m) == reference_unpack_tag(junk, h, m)
+
+
+def test_tag_layout_high_group_first_zero_padded():
+    assert wire.pack_tag([0xA, 0xB, 0xC], 4) == b"\xab\xc0"
+    assert wire.pack_tag([1, 0, 1], 1) == b"\xa0"
+    assert wire.pack_tag([5, 6], 3) == b"\x05\x06"  # 3 does not divide 8
+    assert wire.pack_tag(np.array([3, 1], dtype=np.uint8), 2) == b"\xd0"
 
 
 BYTE = st.integers(0, 255)
