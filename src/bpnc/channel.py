@@ -24,6 +24,14 @@ def db_to_linear(db: float) -> float:
     return 10 ** (db / 10)
 
 
+def _require_nonnegative(section: str, cfg, names) -> None:
+    for name in names:
+        v = getattr(cfg, name)
+        # the comparison is False for NaN
+        if not isinstance(v, (int, float)) or not 0 <= v < math.inf:
+            raise ScenarioError(f"{section}.{name}: must be a finite number >= 0, got {v!r}")
+
+
 @dataclass
 class LinkConfig:
     src: int
@@ -54,6 +62,14 @@ class TimingConfig:
     cts_wait_s: float = 0.25
     sample_interval_s: float = 5.0
 
+    def validate(self):
+        _require_nonnegative("timing", self, [f.name for f in fields(self)])
+        # metrics sampling reschedules itself this far ahead, in whole
+        # microseconds: 0 would never let simulated time advance
+        if round(self.sample_interval_s * 1e6) < 1:
+            raise ScenarioError(
+                f"timing.sample_interval_s: must be at least 1e-6, got {self.sample_interval_s}")
+
 
 @dataclass
 class CodingConfig:
@@ -68,14 +84,20 @@ class CodingConfig:
     min_weight_limit: int = 2
 
     def validate(self):
-        if not 1 <= self.field_bits <= 8:
-            raise ScenarioError(f"coding.field_bits: must be 1..8, got {self.field_bits}")
+        # payload bytes split into whole symbols only when m divides 8
+        if self.field_bits not in (1, 2, 4, 8):
+            raise ScenarioError(
+                f"coding.field_bits: must be 1, 2, 4 or 8, got {self.field_bits}")
         if self.block_size < 1 or self.block_size > 255:
             raise ScenarioError("coding.block_size: must be 1..255")
         if self.decoder not in ("earliest", "rank_deficient"):
             raise ScenarioError(f"coding.decoder: unknown mode {self.decoder!r}")
         if not 1 <= self.packet_len <= 500:
             raise ScenarioError("coding.packet_len: must be 1..500 bytes")
+        if self.tag_mode not in ("uniform", "rank_increasing"):
+            raise ScenarioError(f"coding.tag_mode: unknown mode {self.tag_mode!r}")
+        # gen_timeout_s 0 disables the timeout
+        _require_nonnegative("coding", self, ("redundancy", "gen_timeout_s", "min_weight_limit"))
 
 
 @dataclass
@@ -84,6 +106,12 @@ class PowerConfig:
     max_dbm: float = -5.0
     init_dbm: float = -10.0
     target_snr_db: float = 15.0
+
+    def validate(self):
+        if not self.min_dbm <= self.init_dbm <= self.max_dbm:
+            raise ScenarioError(
+                "power: need min_dbm <= init_dbm <= max_dbm, got "
+                f"{self.min_dbm}, {self.init_dbm}, {self.max_dbm}")
 
 
 @dataclass
@@ -155,7 +183,9 @@ class Scenario:
             raise ScenarioError("frame_loss: must be in [0, 1)")
         if self.duration_s < 0:
             raise ScenarioError("duration_s: must be >= 0")
+        self.timing.validate()
         self.coding.validate()
+        self.power.validate()
         return self
 
     def gain_db(self, i: int, j: int, chan: int) -> float:

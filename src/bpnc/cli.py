@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="decoder mode (coding.decoder): full=earliest "
                             "Gaussian, rankdef=rank-deficient")
             sp.add_argument("--field-bits", type=int,
-                            help="GF(2^m) symbol width m, 1..8 (coding.field_bits)")
+                            help="GF(2^m) symbol width m: 1, 2, 4 or 8 (coding.field_bits)")
 
     sp = sub.add_parser("run", help="single simulation run")
     common(sp)

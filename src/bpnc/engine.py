@@ -6,7 +6,9 @@ never consumes randomness.
 
 The medium is the one place where frames become bytes and back: it packs
 each transmitted frame once and parses it once, and every receiver tuned to
-the transmission shares that parsed frame.
+the transmission shares that parsed frame.  A coded packet travels as its
+``wire.DataFrame`` and is never converted to GF symbols here: outside
+``rlnc``, symbols exist only for encoding, decoding and recoding.
 """
 
 from __future__ import annotations

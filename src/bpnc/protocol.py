@@ -4,6 +4,11 @@ Each Node is a single-owner state machine driven by timestamped engine
 events; nodes never share memory and interact only through transmitted
 frames.  Phases: Discovery -> FlowUpdate -> Negotiation -> DataTransfer,
 with RTS/CTS conflict resolution in between.
+
+Outside ``rlnc`` a coded packet is its ``wire.DataFrame``: sources build the
+frame once when they create the packet, relays buffer and re-send the frames
+they receive, and GF symbols exist only where GF arithmetic runs: encoding at
+the source, decoding at a destination and recoding at a relay.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ class SourceGen:
     # coded packets are generated the moment source data arrives — a
     # combination can only cover packets that exist yet, which is what makes
     # received tag matrices tend lower-triangular — and sent later in order
-    queue: list[rlnc.CodedPacket] = field(default_factory=list)
+    queue: list[wire.DataFrame] = field(default_factory=list)
 
     def credit(self) -> int:
         return max(0, len(self.queue) - self.sent)
@@ -67,7 +72,7 @@ class SourceGen:
 
 @dataclass
 class RelayGen:
-    """Coded packets a relay holds for one (flow, generation).
+    """Coded packets a relay holds for one (flow, generation), as received.
 
     While its credit (rcvd - sent) is positive, the generation's id is listed
     in its node's ``relay_credit[flow]``; it leaves that index when the credit
@@ -75,7 +80,7 @@ class RelayGen:
     """
 
     block_size: int
-    pkts: list[rlnc.CodedPacket] = field(default_factory=list)
+    pkts: list[wire.DataFrame] = field(default_factory=list)
     rcvd: int = 0
     sent: int = 0
     fwd_idx: int = 0
@@ -159,6 +164,19 @@ class Node:
 
     def packet_symbols(self) -> int:
         return self.scn.coding.packet_len * gf.symbols_per_byte(self.scn.coding.field_bits)
+
+    def to_frame(self, pkt: rlnc.CodedPacket) -> wire.DataFrame:
+        """The wire form of a packet this node codes, built once."""
+        h = self.block_size()
+        m = self.scn.coding.field_bits
+        return wire.DataFrame(pkt.flow_id, pkt.gen_id % 0x10000, h, tuple(range(h)),
+                              tuple(pkt.tag.tolist()), gf.symbols_to_bytes(pkt.payload, m), m)
+
+    def to_packet(self, frame: wire.DataFrame) -> rlnc.CodedPacket:
+        """The symbol form of a received frame, for decoding or recoding."""
+        payload = gf.bytes_to_symbols(frame.payload, self.scn.coding.field_bits)
+        return rlnc.CodedPacket(frame.flow_index, frame.gen_id, frame.tag, payload,
+                                perm=frame.perm)
 
     # -- phase drivers (called by engine timers) ----------------------------
 
@@ -491,26 +509,21 @@ class Node:
             self.engine.schedule(int(self.rng.integers(2_000, 10_000)),
                                  self.send_next_data)
             return
-        pkt = self.next_coded_packet(s.flow_index, self.data_peer)
-        if pkt is None:
+        frame = self.next_coded_packet(s.flow_index, self.data_peer)
+        if frame is None:
             self.end_data_phase()
             return
         flow = self.flows[s.flow_index]
-        payload = gf.symbols_to_bytes(pkt.payload, self.scn.coding.field_bits)
-        frame = wire.DataFrame(
-            s.flow_index, pkt.gen_id % 0x10000, self.block_size(),
-            pkt.perm or tuple(range(self.block_size())),
-            tuple(pkt.tag.tolist()), payload, self.scn.coding.field_bits,
-        )
         airtime = self.engine.transmit(self, s.channel, frame)
         for d in s.covered_dests:
             self.queues.decrement(flow, d)
         self.engine.schedule(airtime, self.send_next_data)
 
     def next_coded_packet(self, flow_index: int,
-                          peer: int | None = None) -> rlnc.CodedPacket | None:
-        """Oldest generation with send credit; source encodes over its filled
-        prefix, relay recodes its buffer.
+                          peer: int | None = None) -> wire.DataFrame | None:
+        """Oldest generation with send credit; a source sends the frames it
+        coded on arrival, a relay forwards the frames it received and recodes
+        its buffer for surplus credit.
 
         A relay walks only ``relay_credit[flow_index]``, which holds exactly
         the flow's generations with credit > 0 in ascending id order, so it
@@ -520,13 +533,13 @@ class Node:
             gens = self.source_gens[flow_index]
             for i, sg in enumerate(gens):
                 if sg.credit() > 0:
-                    pkt = sg.queue[sg.sent]
+                    frame = sg.queue[sg.sent]
                     sg.sent += 1
                     # finalizing leaves credit, so only a send drains a
                     # finalized generation: it is done, drop it
                     if sg.finalized and sg.credit() == 0:
                         del gens[i]
-                    return pkt
+                    return frame
             return None
         credited = self.relay_credit[flow_index]
         for i, gid in enumerate(credited):
@@ -538,10 +551,11 @@ class Node:
                 # forward each received packet once in arrival order (keeps
                 # the tag staircase intact); recode only for surplus credit
                 if rg.fwd_idx < len(rg.pkts):
-                    pkt = rg.pkts[rg.fwd_idx]
+                    frame = rg.pkts[rg.fwd_idx]
                     rg.fwd_idx += 1
-                    return pkt
-                return rlnc.recode(self.ctx, rg.pkts, self.rng)
+                    return frame
+                pkts = [self.to_packet(f) for f in rg.pkts]
+                return self.to_frame(rlnc.recode(self.ctx, pkts, self.rng))
         return None
 
     def has_sendable(self, flow_index: int, peer: int | None = None) -> bool:
@@ -557,16 +571,13 @@ class Node:
             return
         flow = self.flows[frame.flow_index]
         h = frame.block_size
-        tag = np.array(frame.tag, dtype=np.uint8)
-        payload = gf.bytes_to_symbols(frame.payload, self.scn.coding.field_bits)
-        pkt = rlnc.CodedPacket(frame.flow_index, frame.gen_id, tag, payload,
-                               perm=frame.perm)
         key = (frame.flow_index, frame.gen_id)
         if self.id in flow.destinations:
+            pkt = self.to_packet(frame)
             dec = self.decoders.get(key)
             if dec is None:
                 dec = self.decoders[key] = rlnc.DecoderState(
-                    self.ctx, h, len(payload),
+                    self.ctx, h, len(pkt.payload),
                     mode=self.scn.coding.decoder,
                     min_weight_limit=self.scn.coding.min_weight_limit,
                 )
@@ -580,7 +591,7 @@ class Node:
             if rg is None:
                 rg = self.relay_gens[key] = RelayGen(h)
             if len(rg.pkts) < 4 * h:
-                rg.pkts.append(pkt)
+                rg.pkts.append(frame)
             if rg.credit() == 0:
                 bisect.insort(self.relay_credit[frame.flow_index], frame.gen_id)
             rg.rcvd += 1
@@ -605,7 +616,7 @@ class Node:
         # the same generation were dropped.
         tag = np.zeros(sg.gen.block_size, dtype=np.uint8)
         tag[sg.gen.filled - 1] = 1
-        sg.queue.append(rlnc.CodedPacket(flow_index, sg.gen.gen_id, tag, data))
+        sg.queue.append(self.to_frame(rlnc.CodedPacket(flow_index, sg.gen.gen_id, tag, data)))
         for d in flow.destinations:
             self.queues.increment(flow, d)
         self.engine.count_injected(flow_index)
@@ -646,19 +657,19 @@ class Node:
             first = False
             # padding rows get coded coverage like any other arrival, or the
             # block could never reach full rank
-            sg.queue.extend(rlnc.encode_generation(
+            sg.queue.extend(map(self.to_frame, rlnc.encode_generation(
                 self.ctx, sg.gen, 1, self.rng,
                 mode=self.scn.coding.tag_mode, flow_id=flow_index,
-            ))
+            )))
         self.finalize_generation(flow_index, sg)
 
     def finalize_generation(self, flow_index: int, sg: SourceGen) -> None:
         sg.finalized = True
         if sg.extra > 0:
-            sg.queue.extend(rlnc.encode_generation(
+            sg.queue.extend(map(self.to_frame, rlnc.encode_generation(
                 self.ctx, sg.gen, sg.extra, self.rng,
                 mode=self.scn.coding.tag_mode, flow_id=flow_index,
-            ))
+            )))
         self.engine.register_truth(flow_index, sg.gen.gen_id, sg.gen.matrix(),
                                    sg.real_count)
 

@@ -2,8 +2,11 @@
 earliest (Gaussian) decoding, and rank-deficient decoding with the
 precondition/column-reorder step.
 
-Payloads live as numpy symbol arrays; byte conversion happens at the block
-padding boundary (``gf.bytes_to_symbols``).
+A ``CodedPacket`` holds its tag and payload as numpy symbol arrays, because
+this module is where GF arithmetic runs.  Everywhere else a coded packet is
+its ``wire.DataFrame``: the protocol converts between payload bytes and
+symbols only to encode at a source, decode at a destination or recode at a
+relay.
 """
 
 from __future__ import annotations
@@ -195,14 +198,15 @@ def recode(ctx: FieldContext, buffered: list[CodedPacket], rng) -> CodedPacket:
     for p in buffered[1:]:
         if p.flow_id != first.flow_id or p.gen_id != first.gen_id:
             raise ValueError("recode inputs must share flow and generation")
-    tags = np.array([p.tag for p in buffered], dtype=np.uint8)
-    payloads = np.array([p.payload for p in buffered], dtype=np.uint8)
+    h = len(first.tag)
+    # each buffered packet as one row, tag then payload: one gather combines both
+    rows = np.array([np.concatenate([p.tag, p.payload]) for p in buffered], dtype=np.uint8)
     for _ in range(16):
         coeffs = rng.integers(0, ctx.size, size=len(buffered), dtype=np.uint8)
-        tag = ctx.matmul(coeffs[None, :], tags)[0]
-        if tag.any():
-            payload = ctx.matmul(coeffs[None, :], payloads)[0]
-            return CodedPacket(first.flow_id, first.gen_id, tag, payload, perm=first.perm)
+        combo = np.bitwise_xor.reduce(ctx.mul_table[coeffs[:, None], rows], axis=0)
+        if combo[:h].any():
+            return CodedPacket(first.flow_id, first.gen_id, combo[:h], combo[h:],
+                               perm=first.perm)
     return CodedPacket(
         first.flow_id, first.gen_id, first.tag.copy(), first.payload.copy(), perm=first.perm
     )

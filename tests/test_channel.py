@@ -191,6 +191,63 @@ def test_validate_rejects_more_than_256_channels():
         scn.validate()
 
 
+@pytest.mark.parametrize("bits", [0, 3, 5, 6, 7, 9])
+def test_validate_rejects_field_bits_that_do_not_divide_a_byte(bits):
+    # payload bytes must split into whole symbols, or the first arrival fails
+    scn = butterfly7()
+    scn.coding.field_bits = bits
+    with pytest.raises(ScenarioError, match="field_bits"):
+        scn.validate()
+
+
+@pytest.mark.parametrize("bits", [1, 2, 4, 8])
+def test_validate_accepts_field_bits_dividing_a_byte(bits):
+    scn = butterfly7()
+    scn.coding.field_bits = bits
+    scn.validate()
+
+
+def test_validate_rejects_unknown_tag_mode():
+    scn = butterfly7()
+    scn.coding.tag_mode = "rank_increasing"
+    scn.validate()
+    scn.coding.tag_mode = "bogus"
+    with pytest.raises(ScenarioError, match="tag_mode"):
+        scn.validate()
+
+
+@pytest.mark.parametrize("section,name,value", [
+    ("timing", "sample_interval_s", 0.0),
+    ("timing", "sample_interval_s", 1e-9),  # rounds to 0 us
+    ("timing", "data_s", -1.0),
+    ("timing", "channel_dwell_s", math.nan),
+    ("timing", "cts_wait_s", math.inf),
+    ("timing", "negotiation_s", "60"),
+    ("coding", "redundancy", -0.25),
+    ("coding", "gen_timeout_s", -1.0),
+    ("coding", "min_weight_limit", -1),
+    ("power", "max_dbm", -20.0),   # below min_dbm and init_dbm
+    ("power", "init_dbm", -16.0),  # below min_dbm
+    ("power", "init_dbm", 0.0),    # above max_dbm
+])
+def test_validate_rejects_out_of_range_numbers(section, name, value):
+    scn = butterfly7()
+    setattr(getattr(scn, section), name, value)
+    with pytest.raises(ScenarioError, match=section):
+        scn.validate()
+
+
+def test_validate_accepts_range_edges():
+    scn = butterfly7()
+    scn.timing.data_s = 0.0
+    scn.timing.sample_interval_s = 1e-6
+    scn.coding.redundancy = 0.0
+    scn.coding.gen_timeout_s = 0.0  # disables the generation timeout
+    scn.coding.min_weight_limit = 0
+    scn.power.min_dbm = scn.power.init_dbm = scn.power.max_dbm = -10.0
+    scn.validate()
+
+
 def test_scenario_file_roundtrip(tmp_path):
     scn = butterfly7()
     scn.frame_loss = 0.05

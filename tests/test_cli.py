@@ -34,6 +34,27 @@ def test_invalid_field_bits_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_field_bits_not_dividing_a_byte_exits_2(tmp_path):
+    rc = main(["run", "--builtin", "butterfly7", "--field-bits", "3",
+               "--duration", "10", "--out", str(tmp_path)])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("coding", "tag_mode", "bogus"),
+    ("timing", "sample_interval_s", 0),
+    ("power", "min_dbm", 0),
+])
+def test_scenario_file_with_invalid_setting_exits_2(tmp_path, section, key, value):
+    d = ch.scenario_to_dict(ch.butterfly7())
+    d[section][key] = value
+    path = tmp_path / "scn.yaml"
+    path.write_text(yaml.safe_dump(d))
+    rc = main(["run", "--scenario", str(path), "--duration", "60",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+
+
 def test_unknown_builtin_exits_2(tmp_path):
     rc = main(["run", "--builtin", "mesh99", "--out", str(tmp_path)])
     assert rc == 2

@@ -1,6 +1,8 @@
 """Event loop, conservation, energy accounting, sweeps, determinism."""
 
 import dataclasses
+import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +71,18 @@ PINNED_DIGESTS = [
 def test_packet_log_digest_pinned(make_scn, duration_s, digest):
     eng = engine.run(make_scn(), seed=1, duration_s=duration_s)
     assert engine.packet_log_digest(eng.packet_log) == digest
+
+
+def test_known_scenarios_pass_validation(monkeypatch):
+    # range checks must not reject any scenario the suite or benchmark runs
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    scenarios = list(ch.builtin_scenarios().values())
+    scenarios += [build() for build, _ in workloads.WORKLOADS.values()]
+    scenarios += [make_scn() for make_scn, _, _ in PINNED_DIGESTS]
+    assert len(scenarios) == 4 + 2 + len(PINNED_DIGESTS)
+    for scn in scenarios:
+        scn.validate()
 
 
 def test_early_recovery_pinned():

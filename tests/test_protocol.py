@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpnc import channel as ch
-from bpnc import engine, gf, wire
+from bpnc import engine, gf, rlnc, wire
 from bpnc.backpressure import FlowId
 from bpnc.protocol import Node, Phase, RelayGen, apply_power_update, resolve_conflicts
 
@@ -191,15 +191,60 @@ def test_relay_choice_matches_full_scan(steps):
         expect = _scan_pick(node, fi, peer)
         assert node.has_sendable(fi, peer) == (expect is not None)
         before = {k: rg.sent for k, rg in node.relay_gens.items()}
-        pkt = node.next_coded_packet(fi, peer)
+        frame = node.next_coded_packet(fi, peer)
         sent = [k for k, rg in node.relay_gens.items() if rg.sent != before[k]]
         if expect is None:
-            assert pkt is None and sent == []
+            assert frame is None and sent == []
         else:
-            assert (pkt.flow_id, pkt.gen_id) == expect and sent == [expect]
+            assert (frame.flow_index, frame.gen_id) == expect and sent == [expect]
     for fi, gids in node.relay_credit.items():
         assert gids == sorted(g for (f, g), rg in node.relay_gens.items()
                               if f == fi and rg.credit() > 0)
+
+
+def test_relay_forwards_received_frame():
+    # a relay re-sends the very frames it received, in arrival order, and
+    # codes a new frame only for credit beyond its buffer of 4h frames
+    node = _relay_node()
+    node.data_role, node.data_peer = "rx", 3
+    frames = [wire.DataFrame(0, 7, 2, (0, 1), (1 + k % 3, k % 2), bytes([k, 2 * k, 3, 4]), 4)
+              for k in range(9)]
+    for f in frames:
+        node.on_data(3, f)
+    rg = node.relay_gens[(0, 7)]
+    assert rg.pkts == frames[:8] and rg.credit() == 9
+    for f in frames[:8]:
+        assert rg.fwd_idx < len(rg.pkts)
+        assert node.next_coded_packet(0, 5) is f
+    recoded = node.next_coded_packet(0, 5)
+    assert isinstance(recoded, wire.DataFrame)
+    assert all(recoded is not f for f in frames)
+    assert (recoded.flow_index, recoded.gen_id, recoded.block_size) == (0, 7, 2)
+    assert len(recoded.payload) == 4 and any(recoded.tag)
+    assert node.next_coded_packet(0, 5) is None
+
+
+def test_payload_converted_only_for_gf_arithmetic(monkeypatch):
+    # On line7 (coding off, so one packet per arrival and no recoding) a
+    # payload becomes bytes once, when the source creates the packet, and
+    # symbols once per destination decoder ingest, never at a relay hop.
+    calls = {"bytes_to_symbols": 0, "symbols_to_bytes": 0, "ingest": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("bytes_to_symbols", "symbols_to_bytes"):
+        monkeypatch.setattr(gf, name, counted(name, getattr(gf, name)))
+    monkeypatch.setattr(rlnc.DecoderState, "ingest",
+                        counted("ingest", rlnc.DecoderState.ingest))
+    eng = engine.run(ch.line7(), seed=1, duration_s=600)
+    hops = sum(eng.data_frames.values())
+    assert calls["ingest"] > 0 and hops > calls["ingest"]
+    assert calls["bytes_to_symbols"] == calls["ingest"]
+    assert calls["symbols_to_bytes"] == sum(eng.injected.values())
 
 
 def test_relay_choice_does_not_scan_spent_generations(monkeypatch):

@@ -196,6 +196,54 @@ def test_recode_rejects_mixed_generations(f16):
         recode(f16, [a, b], np.random.default_rng(0))
 
 
+def reference_recode(ctx, buffered, rng):
+    """Recoding as two GF matrix products, one for the tags and one for the
+    payloads: the oracle for ``recode``."""
+    first = buffered[0]
+    tags = np.array([p.tag for p in buffered], dtype=np.uint8)
+    payloads = np.array([p.payload for p in buffered], dtype=np.uint8)
+    for _ in range(16):
+        coeffs = rng.integers(0, ctx.size, size=len(buffered), dtype=np.uint8)
+        tag = ctx.matmul(coeffs[None, :], tags)[0]
+        if tag.any():
+            payload = ctx.matmul(coeffs[None, :], payloads)[0]
+            return CodedPacket(first.flow_id, first.gen_id, tag, payload, perm=first.perm)
+    return CodedPacket(
+        first.flow_id, first.gen_id, first.tag.copy(), first.payload.copy(), perm=first.perm
+    )
+
+
+@st.composite
+def recode_buffers(draw):
+    m = draw(st.sampled_from([1, 2, 4, 8]))
+    ctx = FieldContext(m)
+    h = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    sym = st.integers(0, ctx.size - 1)
+    # zero tags included: an all-zero buffer exhausts the retries
+    buffered = [
+        CodedPacket(3, 9, draw(st.lists(sym, min_size=h, max_size=h)),
+                    draw(st.lists(sym, min_size=n, max_size=n)),
+                    perm=tuple(range(h)))
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    return ctx, buffered, draw(st.integers(0, 2**32 - 1))
+
+
+@given(recode_buffers())
+@settings(max_examples=300, deadline=None)
+def test_recode_matches_reference(case):
+    ctx, buffered, seed = case
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = recode(ctx, buffered, rng_a)
+    want = reference_recode(ctx, buffered, rng_b)
+    assert (got.flow_id, got.gen_id, got.perm) == (want.flow_id, want.gen_id, want.perm)
+    assert np.array_equal(got.tag, want.tag)
+    assert np.array_equal(got.payload, want.payload)
+    # the same draws were taken, so the stream continues identically
+    assert rng_a.integers(0, 2**32) == rng_b.integers(0, 2**32)
+
+
 # -- earliest decoding ------------------------------------------------------
 
 def test_lower_triangular_prefix_decoding(f16):
