@@ -1,28 +1,13 @@
 """Queue bookkeeping and the scheduling math: penalized differential-backlog
 flow selection, spectrum utility, and next-hop choice.
 
-Pure functions over plain dict state; owned by a single node's state machine.
+A flow is its index in the scenario's flow list, the number RTS and DATA
+frames carry.  The queue set is given each index's (source, destinations)
+once, at construction, and orders SYN entries by them.  Pure functions over
+plain dict state; owned by a single node's state machine.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class FlowId:
-    source: int
-    destinations: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.destinations:
-            raise ValueError("flow needs at least one destination")
-        if self.source in self.destinations:
-            raise ValueError("source cannot be its own destination")
-
-    @property
-    def unicast(self) -> bool:
-        return len(self.destinations) == 1
 
 
 class PenaltyTracker:
@@ -33,16 +18,16 @@ class PenaltyTracker:
     """
 
     def __init__(self):
-        self.visits: dict[tuple[FlowId, int], int] = {}
+        self.visits: dict[tuple[int, int], int] = {}
 
-    def record_visit(self, flow: FlowId, node: int) -> None:
+    def record_visit(self, flow: int, node: int) -> None:
         key = (flow, node)
         self.visits[key] = self.visits.get(key, 0) + 1
 
-    def count(self, flow: FlowId, node: int) -> int:
+    def count(self, flow: int, node: int) -> int:
         return self.visits.get((flow, node), 0)
 
-    def alpha(self, flow: FlowId, node: int) -> float:
+    def alpha(self, flow: int, node: int) -> float:
         f = self.count(flow, node)
         return 1.0 if f <= 1 else 1.0 / f
 
@@ -50,39 +35,43 @@ class PenaltyTracker:
 class VirtualQueueSet:
     """Per (flow, destination) backlogs at one node.
 
-    The node's own virtual queue for a flow it terminates is never created:
-    a virtual queue disappears once its destination is reached.
+    ``flows[i]`` is flow i's (source, destinations).  The node's own virtual
+    queue for a flow it terminates is never created: a virtual queue
+    disappears once its destination is reached.
     """
 
-    def __init__(self, node_id: int):
+    def __init__(self, node_id: int, flows: list[tuple[int, tuple[int, ...]]]):
         self.node_id = node_id
-        self.backlogs: dict[tuple[FlowId, int], int] = {}
+        self.flows = flows
+        self._dests_here = [tuple(d for d in dsts if d != node_id) for _, dsts in flows]
+        self.backlogs: dict[tuple[int, int], int] = {}
 
-    def dests_here(self, flow: FlowId) -> tuple[int, ...]:
-        return tuple(d for d in flow.destinations if d != self.node_id)
+    def dests_here(self, flow: int) -> tuple[int, ...]:
+        return self._dests_here[flow]
 
-    def backlog(self, flow: FlowId, dest: int) -> int:
+    def backlog(self, flow: int, dest: int) -> int:
         return self.backlogs.get((flow, dest), 0)
 
-    def increment(self, flow: FlowId, dest: int, n: int = 1) -> None:
+    def increment(self, flow: int, dest: int, n: int = 1) -> None:
         if dest == self.node_id:
             return
         self.backlogs[(flow, dest)] = self.backlogs.get((flow, dest), 0) + n
 
-    def decrement(self, flow: FlowId, dest: int, n: int = 1) -> None:
+    def decrement(self, flow: int, dest: int, n: int = 1) -> None:
         key = (flow, dest)
         cur = self.backlogs.get(key, 0)
         self.backlogs[key] = max(0, cur - n)
 
-    def flow_backlogs(self, flow: FlowId) -> dict[int, int]:
+    def flow_backlogs(self, flow: int) -> dict[int, int]:
         return {d: self.backlog(flow, d) for d in self.dests_here(flow)}
 
     def total(self) -> int:
         return sum(self.backlogs.values())
 
-    def entries(self) -> list[tuple[FlowId, int, int]]:
-        """(flow, destination, backlog) triples in deterministic order."""
-        keys = sorted(self.backlogs, key=lambda k: (k[0].source, k[0].destinations, k[1]))
+    def entries(self) -> list[tuple[int, int, int]]:
+        """(flow, destination, backlog) triples in (source, destinations,
+        destination) order."""
+        keys = sorted(self.backlogs, key=lambda k: (self.flows[k[0]], k[1]))
         return [(f, d, self.backlogs[(f, d)]) for f, d in keys]
 
 
@@ -102,17 +91,16 @@ def flow_score(
 
 
 def select_flow(
-    candidates: list[tuple[FlowId, dict[int, int], dict[int, int], float]],
-) -> tuple[FlowId, float] | None:
+    candidates: list[tuple[int, dict[int, int], dict[int, int], float]],
+) -> tuple[int, float] | None:
     """Argmax of flow_score over (flow, local, remote, alpha) candidates.
 
-    Returns None when every score is zero.  Ties break on the lower
-    (source, destinations) flow identity for reproducibility.
+    Returns None when every score is zero.  Ties go to the earliest
+    candidate; nodes list them in (source, destinations) order, so the lower
+    flow identity wins for reproducibility.
     """
-    best: tuple[FlowId, float] | None = None
-    for flow, local, remote, alpha in sorted(
-        candidates, key=lambda c: (c[0].source, c[0].destinations)
-    ):
+    best: tuple[int, float] | None = None
+    for flow, local, remote, alpha in candidates:
         score = flow_score(local, remote, alpha)
         if score > 0 and (best is None or score > best[1]):
             best = (flow, score)
@@ -127,8 +115,8 @@ def spectrum_utility(c_ij: float, score: float) -> float:
 
 
 def select_next_hop(
-    candidates: list[tuple[int, int, float, FlowId, float]],
-) -> tuple[int, int, FlowId, float] | None:
+    candidates: list[tuple[int, int, float, int, float]],
+) -> tuple[int, int, int, float] | None:
     """Argmax of utility over (neighbor, channel, c_ij, flow, score) entries.
 
     Returns (neighbor, channel, flow, utility) or None if the best utility is

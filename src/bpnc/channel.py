@@ -24,12 +24,16 @@ def db_to_linear(db: float) -> float:
     return 10 ** (db / 10)
 
 
-def _require_nonnegative(section: str, cfg, names) -> None:
+def _require(section: str, cfg, names, ok, what: str) -> None:
     for name in names:
         v = getattr(cfg, name)
-        # the comparison is False for NaN
-        if not isinstance(v, (int, float)) or not 0 <= v < math.inf:
-            raise ScenarioError(f"{section}.{name}: must be a finite number >= 0, got {v!r}")
+        # every comparison is False for NaN
+        if not isinstance(v, (int, float)) or not ok(v):
+            raise ScenarioError(f"{section}.{name}: must be {what}, got {v!r}")
+
+
+def _require_nonnegative(section: str, cfg, names) -> None:
+    _require(section, cfg, names, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 
 
 @dataclass
@@ -126,6 +130,20 @@ class PhyConfig:
     busy_threshold_db: float = 6.0
     listen_power_frac: float = 0.1
 
+    def validate(self):
+        # airtime divides by bit_rate(), which divides by fft_len
+        _require("phy", self, ("sample_rate", "fft_len", "occupied"),
+                 lambda v: 0 < v < math.inf, "a finite number > 0")
+        _require_nonnegative("phy", self, ("cp_len",))
+        _require("phy", self, ("noise_floor_dbm", "sensitivity_dbm", "busy_threshold_db"),
+                 math.isfinite, "a finite number")
+        _require("phy", self, ("listen_power_frac",), lambda v: 0 <= v <= 1, "in [0, 1]")
+        if self.occupied > self.fft_len:
+            raise ScenarioError(
+                f"phy.occupied: at most fft_len {self.fft_len}, got {self.occupied}")
+        if self.modulation != "bpsk":
+            raise ScenarioError(f"phy.modulation: only 'bpsk' is modelled, got {self.modulation!r}")
+
     def bit_rate(self) -> float:
         """OFDM goodput in bits/s: symbol rate x occupied fraction x CP
         efficiency x bits per carrier (BPSK = 1)."""
@@ -172,11 +190,23 @@ class Scenario:
             raise ScenarioError("flows: need at least one flow")
         if len(self.flows) > 256:
             raise ScenarioError(f"flows: at most 256, got {len(self.flows)}")
+        # SYN names a flow by its source and destination set, so no two flows
+        # may share both, and a destination set must not repeat a node
+        seen = set()
         for f in self.flows:
+            if not f.dsts:
+                raise ScenarioError(f"flows: flow from {f.src} needs at least one destination")
             if f.src not in nodes or not set(f.dsts) <= nodes:
                 raise ScenarioError(f"flows: flow {f.src}->{f.dsts} references unknown node")
             if f.src in f.dsts:
                 raise ScenarioError("flows: source cannot be a destination")
+            if len(set(f.dsts)) != len(f.dsts):
+                raise ScenarioError(f"flows: flow {f.src}->{f.dsts} repeats a destination")
+            key = (f.src, frozenset(f.dsts))
+            if key in seen:
+                raise ScenarioError(
+                    f"flows: two flows {f.src}->{f.dsts} share a source and destination set")
+            seen.add(key)
             if f.arrival_rate < 0:
                 raise ScenarioError("flows: arrival_rate must be >= 0")
         if not 0 <= self.frame_loss < 1:
@@ -186,6 +216,7 @@ class Scenario:
         self.timing.validate()
         self.coding.validate()
         self.power.validate()
+        self.phy.validate()
         return self
 
     def gain_db(self, i: int, j: int, chan: int) -> float:

@@ -436,6 +436,8 @@ def sweep(scn: ch.Scenario, param: str, values, seeds, parallel: bool = False) -
     for i, v in enumerate(values):
         chunk = results[i * len(seeds) : (i + 1) * len(seeds)]
         delivered = [sum(r["delivered"].values()) for r in chunk]
+        recovered = [r["early_recovery_mean"] for r in chunk
+                     if r["early_recovery_mean"] is not None]
         pooled: dict[int, list[float]] = {}
         for r in chunk:
             for received, frac in r["accuracy_curve"]:
@@ -446,6 +448,8 @@ def sweep(scn: ch.Scenario, param: str, values, seeds, parallel: bool = False) -
             "runs": len(chunk),
             "delivered_mean": float(np.mean(delivered)),
             "delivered_std": float(np.std(delivered)),
+            # over the runs that recovered symbols before full rank, if any
+            "early_recovery_mean": float(np.mean(recovered)) if recovered else None,
             "digests": [r["packet_log_digest"] for r in chunk],
             "accuracy_curve": [(k, float(np.mean(pooled[k]))) for k in sorted(pooled)],
         })
@@ -454,11 +458,12 @@ def sweep(scn: ch.Scenario, param: str, values, seeds, parallel: bool = False) -
 
 def write_sweep_csv(rows: list[dict], path) -> None:
     with open(path, "w") as f:
-        f.write("# bpnc-sweep v1\n")
-        f.write("param,value,runs,delivered_mean,delivered_std\n")
+        f.write("# bpnc-sweep v2\n")
+        f.write("param,value,runs,delivered_mean,delivered_std,early_recovery_mean\n")
         for r in rows:
+            er = r["early_recovery_mean"]
             f.write(f"{r['param']},{r['value']},{r['runs']},"
-                    f"{r['delivered_mean']},{r['delivered_std']}\n")
+                    f"{r['delivered_mean']},{r['delivered_std']},{'' if er is None else er}\n")
 
 
 def write_outputs(eng: Engine, out_dir) -> None:

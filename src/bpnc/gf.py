@@ -211,10 +211,6 @@ def rref_insert(
     return out, pivot_cols[:i] + [p] + pivot_cols[i:]
 
 
-def rank(ctx: FieldContext, M) -> int:
-    return gaussian_eliminate(ctx, M)[1]
-
-
 def invert(ctx: FieldContext, M) -> np.ndarray:
     """Inverse over GF(2^m); raises SingularMatrixError if rank < n."""
     M = validate_symbols(ctx, M)
@@ -224,7 +220,8 @@ def invert(ctx: FieldContext, M) -> np.ndarray:
     aug = np.concatenate([M, np.eye(n, dtype=np.uint8)], axis=1)
     rref, rk, pivots = gaussian_eliminate(ctx, aug)
     if rk < n or pivots[:n] != list(range(n)):
-        raise SingularMatrixError(f"rank {rank(ctx, M)} < {n}")
+        # [M | I] has rank n; M's own rank is its pivots left of the identity
+        raise SingularMatrixError(f"rank {sum(p < n for p in pivots)} < {n}")
     return rref[:, n:]
 
 

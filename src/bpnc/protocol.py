@@ -38,8 +38,8 @@ class NeighborRecord:
     gains_db: dict[int, float] = field(default_factory=dict)  # channel -> dB
     next_channel: int = 0
     last_heard_us: int = 0
-    # (flow source, flow dsts) -> {dest: backlog} from the last SYN
-    backlogs: dict[tuple[int, tuple[int, ...]], dict[int, int]] = field(default_factory=dict)
+    # flow index -> {dest: backlog} from the last SYN
+    backlogs: dict[int, dict[int, int]] = field(default_factory=dict)
 
     def best_gain_db(self) -> float:
         return max(self.gains_db.values()) if self.gains_db else float("-inf")
@@ -112,7 +112,15 @@ class Node:
         self.tick_token = 0
         self.channel = 0
         self.neighbors: dict[int, NeighborRecord] = {}
-        self.queues = bp.VirtualQueueSet(node_id)
+        # a flow is its index; (source, destinations) names it only in SYN
+        self.flows = [(f.src, f.dsts) for f in scn.flows]
+        self.flow_by_key = {(src, frozenset(dsts)): i for i, (src, dsts) in enumerate(self.flows)}
+        # (index, source) in (source, destinations) order, the order in
+        # which select_flow breaks ties
+        self.flow_order = [(i, src) for (src, _), i in
+                           sorted((flow, i) for i, flow in enumerate(self.flows))]
+        self.dest_flows = {i for i, (_, dsts) in enumerate(self.flows) if node_id in dsts}
+        self.queues = bp.VirtualQueueSet(node_id, self.flows)
         self.penalty = bp.PenaltyTracker()
         self.power_dbm = scn.power.init_dbm
         self.overhead = 0
@@ -128,11 +136,9 @@ class Node:
         self.data_role: str | None = None  # "tx" | "rx"
         self.data_peer = 0
         self.data_deadline_us = 0
-        self.data_flow_index = 0
         # coding state
-        self.flows = [bp.FlowId(f.src, tuple(f.dsts)) for f in scn.flows]
         self.source_gens: dict[int, list[SourceGen]] = {
-            i: [] for i, f in enumerate(self.flows) if f.source == node_id
+            i: [] for i, (src, _) in enumerate(self.flows) if src == node_id
         }
         self.next_gen_id: dict[int, int] = {i: 0 for i in self.source_gens}
         self.relay_gens: dict[tuple[int, int], RelayGen] = {}
@@ -283,9 +289,9 @@ class Node:
 
     def send_syn(self) -> None:
         entries = []
-        for flow, dest, backlog in self.queues.entries():
-            dsts = (dest,) + tuple(d for d in flow.destinations if d != dest)
-            entries.append((flow.source, dsts, backlog))
+        for fi, dest, backlog in self.queues.entries():
+            src, dsts = self.flows[fi]
+            entries.append((src, (dest,) + tuple(d for d in dsts if d != dest), backlog))
         frame = wire.SynFrame(self.id, tuple(entries))
         self.overhead += 1
         self.engine.transmit(self, self.channel, frame)
@@ -318,30 +324,28 @@ class Node:
         for nid in sorted(self.neighbors):
             rec = self.neighbors[nid]
             flow_cands = []
-            for fi, flow in enumerate(self.flows):
-                if nid == flow.source or not self.has_sendable(fi, nid):
+            for fi, src in self.flow_order:
+                if nid == src or not self.has_sendable(fi, nid):
                     continue
-                local = self.queues.flow_backlogs(flow)
+                local = self.queues.flow_backlogs(fi)
                 if not local:
                     continue
-                remote = rec.backlogs.get((flow.source, flow.destinations), {})
-                alpha = self.penalty.alpha(flow, nid)
-                flow_cands.append((flow, local, remote, alpha))
+                remote = rec.backlogs.get(fi, {})
+                flow_cands.append((fi, local, remote, self.penalty.alpha(fi, nid)))
             got = bp.select_flow(flow_cands)
             if got is None:
                 continue
-            flow, score = got
+            fi, score = got
             for chan in range(len(self.scn.channels)):
                 c = self.link_rate_to(rec, chan)
-                cands.append((nid, chan, c, flow, score))
+                cands.append((nid, chan, c, fi, score))
         pick = bp.select_next_hop(cands)
         if pick is None:
             return None
-        nid, chan, flow, utility = pick
-        fi = self.flows.index(flow)
-        remote = self.neighbors[nid].backlogs.get((flow.source, flow.destinations), {})
+        nid, chan, fi, utility = pick
+        remote = self.neighbors[nid].backlogs.get(fi, {})
         covered = tuple(
-            d for d, qi in self.queues.flow_backlogs(flow).items()
+            d for d, qi in self.queues.flow_backlogs(fi).items()
             if qi - remote.get(d, 0) > 0
         )
         return Schedule(nid, chan, fi, utility, covered)
@@ -382,20 +386,15 @@ class Node:
         elif isinstance(frame, wire.SynFrame):
             rec = self.neighbors[src]
             for fsrc, dsts, backlog in frame.entries:
-                flow_key = (fsrc, self._canonical_dsts(fsrc, dsts))
-                rec.backlogs.setdefault(flow_key, {})[dsts[0]] = backlog
+                fi = self.flow_by_key.get((fsrc, frozenset(dsts)))
+                if fi is not None:
+                    rec.backlogs.setdefault(fi, {})[dsts[0]] = backlog
         elif isinstance(frame, wire.RtsFrame):
             self.on_rts(frame)
         elif isinstance(frame, wire.CtsFrame):
             self.on_cts(frame)
         elif isinstance(frame, wire.DataFrame):
             self.on_data(src, frame)
-
-    def _canonical_dsts(self, fsrc: int, dsts: tuple[int, ...]) -> tuple[int, ...]:
-        for flow in self.flows:
-            if flow.source == fsrc and set(flow.destinations) == set(dsts):
-                return flow.destinations
-        return tuple(sorted(dsts))
 
     def note_neighbor(self, src: int, chan: int,
                       rx_power_dbm: float, tx_power_dbm: float) -> None:
@@ -460,8 +459,7 @@ class Node:
         if frame.rx != s.neighbor or frame.channel != s.channel:
             return
         # a CTS after fallback to flow update still starts the data phase
-        flow = self.flows[s.flow_index]
-        self.penalty.record_visit(flow, s.neighbor)
+        self.penalty.record_visit(s.flow_index, s.neighbor)
         self.begin_data_tx()
 
     # -- data phase ---------------------------------------------------------
@@ -478,7 +476,6 @@ class Node:
         s = self.pending
         self.data_role = "tx"
         self.data_peer = s.neighbor
-        self.data_flow_index = s.flow_index
         self.channel = s.channel
         self.data_deadline_us = self.now() + self.us(self.scn.timing.data_s)
         self.enter_phase(Phase.DATA_TRANSFER)
@@ -513,10 +510,9 @@ class Node:
         if frame is None:
             self.end_data_phase()
             return
-        flow = self.flows[s.flow_index]
         airtime = self.engine.transmit(self, s.channel, frame)
         for d in s.covered_dests:
-            self.queues.decrement(flow, d)
+            self.queues.decrement(s.flow_index, d)
         self.engine.schedule(airtime, self.send_next_data)
 
     def next_coded_packet(self, flow_index: int,
@@ -569,10 +565,10 @@ class Node:
     def on_data(self, src: int, frame: wire.DataFrame) -> None:
         if self.data_role != "rx" or src != self.data_peer:
             return
-        flow = self.flows[frame.flow_index]
+        fi = frame.flow_index
         h = frame.block_size
-        key = (frame.flow_index, frame.gen_id)
-        if self.id in flow.destinations:
+        key = (fi, frame.gen_id)
+        if fi in self.dest_flows:
             pkt = self.to_packet(frame)
             dec = self.decoders.get(key)
             if dec is None:
@@ -583,26 +579,25 @@ class Node:
                 )
             rank_before = dec.rank
             dec.ingest(pkt)
-            self.engine.on_destination_ingest(self.id, frame.flow_index,
-                                              frame.gen_id, dec, rank_before)
-        relay_dests = tuple(d for d in flow.destinations if d != self.id)
-        if relay_dests and (self.id not in flow.destinations or len(flow.destinations) > 1):
+            self.engine.on_destination_ingest(self.id, fi, frame.gen_id, dec, rank_before)
+        # a destination of a multicast flow also relays it to the others
+        relay_dests = self.queues.dests_here(fi)
+        if relay_dests:
             rg = self.relay_gens.get(key)
             if rg is None:
                 rg = self.relay_gens[key] = RelayGen(h)
             if len(rg.pkts) < 4 * h:
                 rg.pkts.append(frame)
             if rg.credit() == 0:
-                bisect.insort(self.relay_credit[frame.flow_index], frame.gen_id)
+                bisect.insort(self.relay_credit[fi], frame.gen_id)
             rg.rcvd += 1
             rg.origins.add(src)
             for d in relay_dests:
-                self.queues.increment(flow, d)
+                self.queues.increment(fi, d)
 
     # -- application layer (source only) ------------------------------------
 
     def app_arrival(self, flow_index: int) -> None:
-        flow = self.flows[flow_index]
         n_sym = self.packet_symbols()
         data = self.rng.integers(0, self.ctx.size, size=n_sym, dtype=np.uint8)
         gens = self.source_gens[flow_index]
@@ -617,8 +612,8 @@ class Node:
         tag = np.zeros(sg.gen.block_size, dtype=np.uint8)
         tag[sg.gen.filled - 1] = 1
         sg.queue.append(self.to_frame(rlnc.CodedPacket(flow_index, sg.gen.gen_id, tag, data)))
-        for d in flow.destinations:
-            self.queues.increment(flow, d)
+        for d in self.queues.dests_here(flow_index):
+            self.queues.increment(flow_index, d)
         self.engine.count_injected(flow_index)
         if sg.gen.full:
             self.finalize_generation(flow_index, sg)
@@ -644,17 +639,10 @@ class Node:
         self.close_partial_generation(flow_index, sg)
 
     def close_partial_generation(self, flow_index: int, sg: SourceGen) -> None:
-        """Fill the short block with padding rows (0x80 marker then zeros)."""
-        n_sym = self.packet_symbols()
-        m = self.scn.coding.field_bits
-        marker = gf.bytes_to_symbols(
-            b"\x80" + b"\x00" * (self.scn.coding.packet_len - 1), m
-        )
-        first = True
-        while not sg.gen.full:
-            row = marker if first else np.zeros(n_sym, dtype=np.uint8)
-            sg.gen.add_source_packet(row)
-            first = False
+        """Fill the short block with rlnc.pad_block's padding rows."""
+        pad = rlnc.pad_block(b"", self.scn.coding.packet_len, sg.gen.block_size - sg.gen.filled)
+        for row in pad[0]:
+            sg.gen.add_source_packet(gf.bytes_to_symbols(row, self.scn.coding.field_bits))
             # padding rows get coded coverage like any other arrival, or the
             # block could never reach full rank
             sg.queue.extend(map(self.to_frame, rlnc.encode_generation(

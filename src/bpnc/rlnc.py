@@ -148,7 +148,6 @@ def encode_generation(
     count: int,
     rng,
     mode: str = "uniform",
-    systematic_first: bool = False,
     flow_id=None,
 ) -> list[CodedPacket]:
     """Emit coded packets whose tags cover the filled prefix of the block.
@@ -167,19 +166,16 @@ def encode_generation(
     out = []
     prev_tags: list[np.ndarray] = []
     prev_rank = 0
-    for i in range(count):
+    for _ in range(count):
         tag = np.zeros(h, dtype=np.uint8)
-        if systematic_first and i < j:
-            tag[i] = 1
-        else:
-            while True:
-                t = _sample_nonzero_tag(ctx, j, rng)
-                if mode == "rank_increasing" and prev_rank < j:
-                    cand = np.array([p[:j] for p in prev_tags] + [t], dtype=np.uint8)
-                    if gaussian_eliminate(ctx, cand)[1] <= prev_rank:
-                        continue
-                break
-            tag[:j] = t
+        while True:
+            t = _sample_nonzero_tag(ctx, j, rng)
+            if mode == "rank_increasing" and prev_rank < j:
+                cand = np.array([p[:j] for p in prev_tags] + [t], dtype=np.uint8)
+                if gaussian_eliminate(ctx, cand)[1] <= prev_rank:
+                    continue
+            break
+        tag[:j] = t
         if mode == "rank_increasing":
             prev_tags.append(tag)
             prev_rank = gaussian_eliminate(

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpnc.backpressure import (
-    FlowId,
     PenaltyTracker,
     VirtualQueueSet,
     flow_score,
@@ -13,15 +12,9 @@ from bpnc.backpressure import (
 )
 
 
-FA = FlowId(1, (7,))
-FB = FlowId(2, (7,))
-
-
-def test_flowid_validation():
-    with pytest.raises(ValueError):
-        FlowId(1, ())
-    with pytest.raises(ValueError):
-        FlowId(1, (1, 2))
+# flow indices, as nodes key their tables; FA is listed before FB
+FA = 0
+FB = 1
 
 
 def test_unicast_selection_example():
@@ -31,6 +24,12 @@ def test_unicast_selection_example():
         (FB, {7: 4}, {7: 0}, 1.0),
     ])
     assert got == (FB, 4)
+
+
+def test_flow_tie_goes_to_first_candidate():
+    # the caller lists candidates in its tie-break order
+    assert select_flow([(FB, {7: 4}, {}, 1.0), (FA, {7: 4}, {}, 1.0)]) == (FB, 4)
+    assert select_flow([(FA, {7: 4}, {}, 1.0), (FB, {7: 4}, {}, 1.0)]) == (FA, 4)
 
 
 def test_no_positive_differential_returns_none():
@@ -47,7 +46,6 @@ def test_penalty_changes_selection():
 
 
 def test_multicast_score_sums_destinations():
-    f = FlowId(1, (6, 7))
     assert flow_score({6: 3, 7: 1}, {6: 1, 7: 2}, 1.0) == 2
 
 
@@ -124,8 +122,8 @@ def test_alpha_non_increasing():
 
 
 def test_virtual_queue_accounting():
-    q = VirtualQueueSet(node_id=4)
-    f = FlowId(1, (6, 7))
+    q = VirtualQueueSet(node_id=4, flows=[(1, (6, 7))])
+    f = 0
     q.increment(f, 6)
     q.increment(f, 7)
     assert q.total() == 2
@@ -136,8 +134,8 @@ def test_virtual_queue_accounting():
 
 
 def test_own_destination_queue_absent():
-    q = VirtualQueueSet(node_id=6)
-    f = FlowId(1, (6, 7))
+    q = VirtualQueueSet(node_id=6, flows=[(1, (6, 7))])
+    f = 0
     q.increment(f, 6)
     q.increment(f, 7)
     assert q.backlog(f, 6) == 0
@@ -145,10 +143,10 @@ def test_own_destination_queue_absent():
 
 
 def test_entries_deterministic_order():
-    q = VirtualQueueSet(node_id=4)
-    f1 = FlowId(1, (6, 7))
-    f2 = FlowId(2, (7,))
-    q.increment(f2, 7)
-    q.increment(f1, 7)
-    q.increment(f1, 6)
-    assert [(f.source, d) for f, d, _ in q.entries()] == [(1, 6), (1, 7), (2, 7)]
+    # entries follow (source, destinations, destination), not flow index
+    flows = [(2, (7,)), (1, (6, 7))]
+    q = VirtualQueueSet(node_id=4, flows=flows)
+    q.increment(0, 7)
+    q.increment(1, 7)
+    q.increment(1, 6)
+    assert [(flows[f][0], d) for f, d, _ in q.entries()] == [(1, 6), (1, 7), (2, 7)]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -174,12 +175,42 @@ def test_validate_rejects_node_ids_beyond_a_byte():
 
 
 def test_validate_rejects_more_than_256_flows():
+    # line7 offers 7 sources x 63 destination sets, all distinct flows
+    flows = [FlowConfig(src, dsts, 0.01) for src in range(1, 8)
+             for n in range(1, 7)
+             for dsts in itertools.combinations([d for d in range(1, 8) if d != src], n)]
     scn = line7()
-    scn.flows = [FlowConfig(1, (7,), 0.01) for _ in range(256)]
+    scn.flows = flows[:256]
     scn.validate()
-    scn.flows.append(FlowConfig(1, (7,), 0.01))
+    scn.flows = flows[:257]
+    with pytest.raises(ScenarioError, match="at most 256"):
+        scn.validate()
+
+
+# SYN names a flow by (source, destination set): flows the wire cannot tell
+# apart would share every per-flow table at the receiving node
+
+
+@pytest.mark.parametrize("flows", [
+    [FlowConfig(1, (), 1.0)],
+    [FlowConfig(1, (1, 7), 1.0)],
+    [FlowConfig(1, (7, 7), 1.0)],
+    [FlowConfig(1, (7,), 0.6), FlowConfig(1, (7,), 0.6)],
+    [FlowConfig(1, (6, 7), 0.5), FlowConfig(1, (7, 6), 0.5)],
+], ids=["no_destination", "source_is_destination", "repeated_destination",
+        "same_flow_twice", "same_destination_set"])
+def test_validate_rejects_flows_the_wire_cannot_tell_apart(flows):
+    scn = butterfly7()
+    scn.flows = flows
     with pytest.raises(ScenarioError, match="flows"):
         scn.validate()
+
+
+def test_validate_accepts_flows_that_differ_in_source_or_destinations():
+    scn = butterfly7()
+    scn.flows = [FlowConfig(1, (6, 7), 0.5), FlowConfig(1, (6,), 0.5),
+                 FlowConfig(2, (6, 7), 0.5), FlowConfig(7, (1,), 0.5)]
+    scn.validate()
 
 
 def test_validate_rejects_more_than_256_channels():
@@ -235,6 +266,43 @@ def test_validate_rejects_out_of_range_numbers(section, name, value):
     setattr(getattr(scn, section), name, value)
     with pytest.raises(ScenarioError, match=section):
         scn.validate()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("sample_rate", 0.0),
+    ("sample_rate", -1.0),
+    ("sample_rate", math.inf),
+    ("fft_len", 0),
+    ("fft_len", math.nan),
+    ("occupied", 0),
+    ("occupied", -200),
+    ("occupied", 513),  # more carriers than the FFT has
+    ("cp_len", -1),
+    ("cp_len", math.inf),
+    ("modulation", "qpsk"),
+    ("noise_floor_dbm", math.nan),
+    ("sensitivity_dbm", -math.inf),
+    ("busy_threshold_db", math.inf),
+    ("listen_power_frac", -0.1),
+    ("listen_power_frac", 1.5),
+    ("listen_power_frac", math.nan),
+    ("sample_rate", "250e3"),
+])
+def test_validate_rejects_bad_phy_settings(name, value):
+    scn = line7()
+    setattr(scn.phy, name, value)
+    with pytest.raises(ScenarioError, match=f"phy.{name}"):
+        scn.validate()
+
+
+def test_validate_accepts_phy_edges():
+    scn = line7()
+    scn.phy.occupied = scn.phy.fft_len
+    scn.phy.cp_len = 0
+    scn.phy.listen_power_frac = 0.0
+    scn.validate()
+    scn.phy.listen_power_frac = 1.0
+    scn.validate()
 
 
 def test_validate_accepts_range_edges():

@@ -55,6 +55,41 @@ def test_scenario_file_with_invalid_setting_exits_2(tmp_path, section, key, valu
     assert rc == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("occupied", 0),             # used to divide by zero at the first frame
+    ("fft_len", 0),
+    ("sample_rate", -1),         # used to run and exit 0
+    ("listen_power_frac", float("nan")),
+    ("modulation", "qpsk"),      # used to fail only at the first frame
+])
+def test_scenario_file_with_invalid_phy_exits_2(tmp_path, key, value):
+    d = ch.scenario_to_dict(ch.line7())
+    d["phy"][key] = value
+    path = tmp_path / "scn.yaml"
+    path.write_text(yaml.safe_dump(d))
+    rc = main(["run", "--scenario", str(path), "--duration", "30",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("flows", [
+    [{"src": 1, "dsts": [], "arrival_rate": 1.0}],
+    [{"src": 1, "dsts": [7, 7], "arrival_rate": 1.0}],
+    [{"src": 1, "dsts": [7], "arrival_rate": 0.6}] * 2,
+    [{"src": 1, "dsts": [6, 7], "arrival_rate": 0.5},
+     {"src": 1, "dsts": [7, 6], "arrival_rate": 0.5}],
+], ids=["no_destination", "repeated_destination", "same_flow_twice",
+        "same_destination_set"])
+def test_scenario_file_with_indistinct_flows_exits_2(tmp_path, flows):
+    d = ch.scenario_to_dict(ch.line7())
+    d["flows"] = flows
+    path = tmp_path / "scn.yaml"
+    path.write_text(yaml.safe_dump(d))
+    rc = main(["run", "--scenario", str(path), "--duration", "30",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+
+
 def test_unknown_builtin_exits_2(tmp_path):
     rc = main(["run", "--builtin", "mesh99", "--out", str(tmp_path)])
     assert rc == 2
@@ -94,7 +129,7 @@ def test_sweep_table_shape(tmp_path):
                "--seeds", "2", "--out", str(tmp_path)])
     assert rc == 0
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "# bpnc-sweep v1"
+    assert lines[0] == "# bpnc-sweep v2"
     assert len(lines) == 4  # header comment + column row + 2 value rows
 
 

@@ -47,6 +47,22 @@ def _asymmetric_line7():
     ]).validate()
 
 
+def _two_way_line7():
+    # flow 0 is listed first but sorts after flow 1 by (source, destinations)
+    base = ch.line7()
+    return dataclasses.replace(base, name="line7_two_way", flows=[
+        ch.FlowConfig(7, (1,), 0.6), ch.FlowConfig(1, (7,), 0.6),
+    ]).validate()
+
+
+def _unicast_and_multicast_butterfly7():
+    scn = ch.butterfly7()
+    scn.flows = [ch.FlowConfig(4, (6,), 0.4), ch.FlowConfig(1, (6, 7), 0.8)]
+    scn.frame_loss = 0.1
+    scn.coding.decoder = "rank_deficient"
+    return scn.validate()
+
+
 # The packet-log digest is the behaviour contract: a change that is meant to
 # be behaviour-preserving (a speed-up, a deletion) must leave these as they are.
 PINNED_DIGESTS = [
@@ -62,12 +78,19 @@ PINNED_DIGESTS = [
      "cbfed117405ed3b5f9ef1d33cced4a322b82ba0dd8dab01604bcc1e333d61de9"),
     (_asymmetric_line7, 300,
      "15e455a1cc595bd95080c9b2ca87d55b05bafe35a97600f82c4c081bf9a2571c"),
+    # two flows each: SYN entries and flow ties follow (source,
+    # destinations), not the order flows are listed in
+    (_two_way_line7, 600,
+     "51128f92cb21a83c1f2c314435f386b349c6bd6f3301b126e11389233337551b"),
+    (_unicast_and_multicast_butterfly7, 300,
+     "44f63dd8d9dfa30ed89a96f369a359e8fc57ac44690013164d51e021798082dd"),
 ]
 
 
 @pytest.mark.parametrize("make_scn,duration_s,digest", PINNED_DIGESTS,
                          ids=["line7", "butterfly7_lossy_coded", "ring7", "grid6",
-                              "butterfly7", "line7_asymmetric"])
+                              "butterfly7", "line7_asymmetric", "line7_two_way",
+                              "butterfly7_unicast_and_multicast"])
 def test_packet_log_digest_pinned(make_scn, duration_s, digest):
     eng = engine.run(make_scn(), seed=1, duration_s=duration_s)
     assert engine.packet_log_digest(eng.packet_log) == digest
@@ -259,6 +282,22 @@ def test_sweep_single_cell_matches_run():
     eng = engine.run(ch.line7(), seed=9, duration_s=120)
     assert rows[0]["digests"][0] == engine.packet_log_digest(eng.packet_log)
     assert rows[0]["delivered_mean"] == sum(eng.log.summary["delivered"].values())
+
+
+def test_sweep_reports_early_recovery_mean(tmp_path):
+    rows = engine.sweep(_lossy_coded_butterfly7(), "duration", [300], seeds=[1, 2])
+    per_run = [engine.run(_lossy_coded_butterfly7(), seed=s, duration_s=300)
+               .log.summary["early_recovery_mean"] for s in (1, 2)]
+    assert rows[0]["early_recovery_mean"] == float(np.mean(per_run))
+    # coding off: no run recovers symbols early, so the field is left blank
+    plain = engine.sweep(ch.line7(), "duration", [60], seeds=[1])
+    assert plain[0]["early_recovery_mean"] is None
+    engine.write_sweep_csv(rows + plain, tmp_path / "sweep.csv")
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[:2] == ["# bpnc-sweep v2", "param,value,runs,delivered_mean,"
+                         "delivered_std,early_recovery_mean"]
+    assert lines[2].split(",")[-1] == str(rows[0]["early_recovery_mean"])
+    assert lines[3].split(",")[-1] == ""
 
 
 def test_sweep_parallel_matches_serial():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bpnc import channel as ch
 from bpnc import engine, gf, rlnc, wire
-from bpnc.backpressure import FlowId
 from bpnc.protocol import Node, Phase, RelayGen, apply_power_update, resolve_conflicts
 
 
@@ -116,9 +115,9 @@ def test_syn_lists_every_virtual_queue():
         ch.FlowConfig(1, (5, 6), 1.0),
     ]
     node, eng = make_node(1, scn=scn)
-    for fi, f in enumerate(node.flows):
-        for d in f.destinations:
-            node.queues.increment(f, d, 3)
+    for fi, (_, dsts) in enumerate(node.flows):
+        for d in dsts:
+            node.queues.increment(fi, d, 3)
     node.send_syn()
     frame = eng.sent[-1][1]
     assert len(frame.entries) == 4
@@ -145,6 +144,23 @@ def test_syn_backlogs_feed_flow_selection():
     assert sched is not None and sched.neighbor == 3
     # score = [10 - 4]^+ = 6, utility = c * 6
     assert sched.utility == pytest.approx(6 * node.link_rate_to(node.neighbors[3], 0))
+
+
+def test_flow_tie_goes_to_lower_source_and_destinations():
+    # node 4 of line7 relays two flows listed against (source, destinations)
+    # order; with equal scores toward node 5 the lower flow, 2 -> 7, wins
+    scn = ch.line7()
+    scn.flows = [ch.FlowConfig(3, (7,), 1.0), ch.FlowConfig(2, (7,), 1.0)]
+    node, _ = make_node(4, scn=scn.validate())
+    node.data_role, node.data_peer = "rx", 3
+    for fi in (0, 1):
+        for _ in range(10):
+            node.on_data(3, wire.DataFrame(fi, 0, 1, (0,), (1,), bytes(500), 4))
+    node.handle_frame(5, 0, wire.SynFrame(5, ()), -65.0, -10.0)
+    sched = node.compute_schedule()
+    assert sched is not None and sched.neighbor == 5
+    assert sched.flow_index == 1
+    assert sched.covered_dests == (7,)
 
 
 # -- relay generation choice ------------------------------------------------
@@ -364,7 +380,7 @@ def test_data_phase_rate_bound():
 def test_destination_never_enqueues_own_queue():
     scn = ch.butterfly7()
     eng = engine.run(scn, seed=2, duration_s=200)
-    flow = FlowId(1, (6, 7))
+    flow = 0  # 1 -> (6, 7)
     # destination 6 keeps a virtual queue for 7 but never one for itself
     assert (flow, 6) not in eng.nodes[6].queues.backlogs
     assert (flow, 7) not in eng.nodes[7].queues.backlogs
