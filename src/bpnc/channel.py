@@ -207,12 +207,15 @@ class Scenario:
                 raise ScenarioError(
                     f"flows: two flows {f.src}->{f.dsts} share a source and destination set")
             seen.add(key)
-            if f.arrival_rate < 0:
-                raise ScenarioError("flows: arrival_rate must be >= 0")
+            # arrival gaps are drawn with mean 1 / arrival_rate
+            if not 0 < f.arrival_rate < math.inf:
+                raise ScenarioError(
+                    f"flows: arrival_rate must be a finite number > 0, got {f.arrival_rate!r}")
         if not 0 <= self.frame_loss < 1:
             raise ScenarioError("frame_loss: must be in [0, 1)")
-        if self.duration_s < 0:
-            raise ScenarioError("duration_s: must be >= 0")
+        if not 0 <= self.duration_s < math.inf:
+            raise ScenarioError(
+                f"duration_s: must be a finite number >= 0, got {self.duration_s!r}")
         self.timing.validate()
         self.coding.validate()
         self.power.validate()
@@ -225,9 +228,6 @@ class Scenario:
             if key in self._gain_map:
                 return self._gain_map[key]
         return float("-inf")
-
-    def connected(self, i: int, j: int) -> bool:
-        return any(self.gain_db(i, j, c) > float("-inf") for c in range(len(self.channels)))
 
 
 # -- SNR / BER / rate -------------------------------------------------------

@@ -39,13 +39,15 @@ def load_scenario(args) -> ch.Scenario:
                                     DECODER_NAMES[args.decoder])
     if getattr(args, "field_bits", None) is not None:
         scn = engine.apply_override(scn, "coding.field_bits", args.field_bits)
+    if getattr(args, "duration", None) is not None:
+        scn = engine.apply_override(scn, "duration_s", args.duration)
     scn.validate()
     return scn
 
 
 def cmd_run(args) -> int:
     scn = load_scenario(args)
-    eng = engine.run(scn, seed=args.seed, duration_s=args.duration)
+    eng = engine.run(scn, seed=args.seed)
     engine.write_outputs(eng, args.out)
     print(f"wrote metrics.csv, summary.json, packets.log to {args.out}")
     return 0

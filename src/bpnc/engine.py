@@ -249,11 +249,8 @@ class Engine:
                 and truth is not None and truth[0].shape[0] == h
                 and (dec.rank > rank_before or k not in self.best_pre_full)):
             est, conf = dec.solve_rank_deficient()
-            perm = dec.perm or tuple(range(h))
-            correct = 0
-            for c in range(h):
-                mask = conf[c] > 0
-                correct += int(np.count_nonzero(est[c][mask] == truth[0][perm[c]][mask]))
+            mask = conf > 0
+            correct = int(np.count_nonzero(est[mask] == truth[0][mask]))
             self.best_pre_full[k] = max(self.best_pre_full.get(k, 0), correct)
         if dec.full_rank and rank_before < h:
             self._on_generation_decoded(dest, flow_index, gen_id, dec, truth)

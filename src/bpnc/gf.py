@@ -212,7 +212,12 @@ def rref_insert(
 
 
 def invert(ctx: FieldContext, M) -> np.ndarray:
-    """Inverse over GF(2^m); raises SingularMatrixError if rank < n."""
+    """Inverse over GF(2^m); raises SingularMatrixError if rank < n.
+
+    No decoding path calls it: it is the independent cross-check oracle that
+    test_gf.py and test_rlnc.py hold the eliminations against, as ``mul_slow``
+    is for the multiply tables.
+    """
     M = validate_symbols(ctx, M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")

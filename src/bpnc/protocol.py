@@ -56,10 +56,10 @@ class Schedule:
 
 @dataclass
 class SourceGen:
+    """A source's generation; it is finalized once ``gen`` is full."""
+
     gen: rlnc.Generation
-    extra: int
     sent: int = 0
-    finalized: bool = False
     real_count: int = 0
     # coded packets are generated the moment source data arrives — a
     # combination can only cover packets that exist yet, which is what makes
@@ -74,16 +74,16 @@ class SourceGen:
 class RelayGen:
     """Coded packets a relay holds for one (flow, generation), as received.
 
-    While its credit (rcvd - sent) is positive, the generation's id is listed
-    in its node's ``relay_credit[flow]``; it leaves that index when the credit
-    falls to 0 and rejoins it when a new packet arrives.
+    ``pkts`` keeps every reception until it holds 4h frames, so the first
+    ``min(sent, len(pkts))`` of them have been forwarded.  While its credit
+    (rcvd - sent) is positive, the generation's id is listed in its node's
+    ``relay_credit[flow]``; it leaves that index when the credit falls to 0
+    and rejoins it when a new packet arrives.
     """
 
-    block_size: int
     pkts: list[wire.DataFrame] = field(default_factory=list)
     rcvd: int = 0
     sent: int = 0
-    fwd_idx: int = 0
     origins: set[int] = field(default_factory=set)
 
     def credit(self) -> int:
@@ -92,9 +92,7 @@ class RelayGen:
     def sendable_to(self, peer: int | None) -> bool:
         """Split horizon: never hand a generation back to a node it came
         from."""
-        if self.credit() <= 0 or not self.pkts:
-            return False
-        return peer is None or peer not in self.origins
+        return self.credit() > 0 and (peer is None or peer not in self.origins)
 
 
 class Node:
@@ -171,18 +169,17 @@ class Node:
     def packet_symbols(self) -> int:
         return self.scn.coding.packet_len * gf.symbols_per_byte(self.scn.coding.field_bits)
 
-    def to_frame(self, pkt: rlnc.CodedPacket) -> wire.DataFrame:
+    def to_frame(self, flow_index: int, gen_id: int,
+                 pkt: rlnc.CodedPacket) -> wire.DataFrame:
         """The wire form of a packet this node codes, built once."""
-        h = self.block_size()
         m = self.scn.coding.field_bits
-        return wire.DataFrame(pkt.flow_id, pkt.gen_id % 0x10000, h, tuple(range(h)),
-                              tuple(pkt.tag.tolist()), gf.symbols_to_bytes(pkt.payload, m), m)
+        return wire.DataFrame(flow_index, gen_id % 0x10000, tuple(pkt.tag.tolist()),
+                              gf.symbols_to_bytes(pkt.payload, m), m)
 
     def to_packet(self, frame: wire.DataFrame) -> rlnc.CodedPacket:
         """The symbol form of a received frame, for decoding or recoding."""
-        payload = gf.bytes_to_symbols(frame.payload, self.scn.coding.field_bits)
-        return rlnc.CodedPacket(frame.flow_index, frame.gen_id, frame.tag, payload,
-                                perm=frame.perm)
+        return rlnc.CodedPacket(
+            frame.tag, gf.bytes_to_symbols(frame.payload, self.scn.coding.field_bits))
 
     # -- phase drivers (called by engine timers) ----------------------------
 
@@ -533,7 +530,7 @@ class Node:
                     sg.sent += 1
                     # finalizing leaves credit, so only a send drains a
                     # finalized generation: it is done, drop it
-                    if sg.finalized and sg.credit() == 0:
+                    if sg.gen.full and sg.credit() == 0:
                         del gens[i]
                     return frame
             return None
@@ -546,12 +543,10 @@ class Node:
                     del credited[i]
                 # forward each received packet once in arrival order (keeps
                 # the tag staircase intact); recode only for surplus credit
-                if rg.fwd_idx < len(rg.pkts):
-                    frame = rg.pkts[rg.fwd_idx]
-                    rg.fwd_idx += 1
-                    return frame
+                if rg.sent <= len(rg.pkts):
+                    return rg.pkts[rg.sent - 1]
                 pkts = [self.to_packet(f) for f in rg.pkts]
-                return self.to_frame(rlnc.recode(self.ctx, pkts, self.rng))
+                return self.to_frame(flow_index, gid, rlnc.recode(self.ctx, pkts, self.rng))
         return None
 
     def has_sendable(self, flow_index: int, peer: int | None = None) -> bool:
@@ -566,7 +561,7 @@ class Node:
         if self.data_role != "rx" or src != self.data_peer:
             return
         fi = frame.flow_index
-        h = frame.block_size
+        h = len(frame.tag)
         key = (fi, frame.gen_id)
         if fi in self.dest_flows:
             pkt = self.to_packet(frame)
@@ -585,7 +580,7 @@ class Node:
         if relay_dests:
             rg = self.relay_gens.get(key)
             if rg is None:
-                rg = self.relay_gens[key] = RelayGen(h)
+                rg = self.relay_gens[key] = RelayGen()
             if len(rg.pkts) < 4 * h:
                 rg.pkts.append(frame)
             if rg.credit() == 0:
@@ -601,7 +596,7 @@ class Node:
         n_sym = self.packet_symbols()
         data = self.rng.integers(0, self.ctx.size, size=n_sym, dtype=np.uint8)
         gens = self.source_gens[flow_index]
-        if not gens or gens[-1].finalized or gens[-1].gen.full:
+        if not gens or gens[-1].gen.full:
             gens.append(self.open_generation(flow_index))
         sg = gens[-1]
         sg.gen.add_source_packet(data)
@@ -611,7 +606,7 @@ class Node:
         # the same generation were dropped.
         tag = np.zeros(sg.gen.block_size, dtype=np.uint8)
         tag[sg.gen.filled - 1] = 1
-        sg.queue.append(self.to_frame(rlnc.CodedPacket(flow_index, sg.gen.gen_id, tag, data)))
+        sg.queue.append(self.to_frame(flow_index, sg.gen.gen_id, rlnc.CodedPacket(tag, data)))
         for d in self.queues.dests_here(flow_index):
             self.queues.increment(flow_index, d)
         self.engine.count_injected(flow_index)
@@ -621,11 +616,7 @@ class Node:
     def open_generation(self, flow_index: int) -> SourceGen:
         gid = self.next_gen_id[flow_index]
         self.next_gen_id[flow_index] = gid + 1
-        h = self.block_size()
-        sg = SourceGen(
-            rlnc.Generation(gid, h, self.packet_symbols()),
-            extra=self.extra_packets(),
-        )
+        sg = SourceGen(rlnc.Generation(gid, self.block_size(), self.packet_symbols()))
         if self.scn.coding.enabled and self.scn.coding.gen_timeout_s > 0:
             self.engine.schedule(
                 self.us(self.scn.coding.gen_timeout_s),
@@ -634,7 +625,7 @@ class Node:
         return sg
 
     def generation_timeout(self, flow_index: int, sg: SourceGen) -> None:
-        if sg.finalized or sg.gen.filled == 0:
+        if sg.gen.full or sg.gen.filled == 0:
             return
         self.close_partial_generation(flow_index, sg)
 
@@ -645,21 +636,21 @@ class Node:
             sg.gen.add_source_packet(gf.bytes_to_symbols(row, self.scn.coding.field_bits))
             # padding rows get coded coverage like any other arrival, or the
             # block could never reach full rank
-            sg.queue.extend(map(self.to_frame, rlnc.encode_generation(
-                self.ctx, sg.gen, 1, self.rng,
-                mode=self.scn.coding.tag_mode, flow_id=flow_index,
-            )))
+            self.queue_coded(flow_index, sg, 1)
         self.finalize_generation(flow_index, sg)
 
     def finalize_generation(self, flow_index: int, sg: SourceGen) -> None:
-        sg.finalized = True
-        if sg.extra > 0:
-            sg.queue.extend(map(self.to_frame, rlnc.encode_generation(
-                self.ctx, sg.gen, sg.extra, self.rng,
-                mode=self.scn.coding.tag_mode, flow_id=flow_index,
-            )))
+        extra = self.extra_packets()
+        if extra > 0:
+            self.queue_coded(flow_index, sg, extra)
         self.engine.register_truth(flow_index, sg.gen.gen_id, sg.gen.matrix(),
                                    sg.real_count)
+
+    def queue_coded(self, flow_index: int, sg: SourceGen, count: int) -> None:
+        """Code count packets over sg's filled rows onto its send queue."""
+        pkts = rlnc.encode_generation(self.ctx, sg.gen, count, self.rng,
+                                      mode=self.scn.coding.tag_mode)
+        sg.queue.extend(self.to_frame(flow_index, sg.gen.gen_id, p) for p in pkts)
 
 
 # -- pure decision functions (replayable in tests) --------------------------

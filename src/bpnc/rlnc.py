@@ -1,12 +1,13 @@
 """Random linear network coding: padding, generations, encoding, recoding,
-earliest (Gaussian) decoding, and rank-deficient decoding with the
-precondition/column-reorder step.
+earliest (Gaussian) decoding and rank-deficient decoding, plus the offline
+column-reordering (preconditioning) analysis behind the Table-III report.
 
-A ``CodedPacket`` holds its tag and payload as numpy symbol arrays, because
+A ``CodedPacket`` is only a tag and a payload as numpy symbol arrays, because
 this module is where GF arithmetic runs.  Everywhere else a coded packet is
-its ``wire.DataFrame``: the protocol converts between payload bytes and
-symbols only to encode at a source, decode at a destination or recode at a
-relay.
+its ``wire.DataFrame``, which alone names its flow and generation: the
+protocol converts between payload bytes and symbols only to encode at a
+source, decode at a destination or recode at a relay.  Tag column c always
+stands for source packet c; the live stack never reorders columns.
 """
 
 from __future__ import annotations
@@ -72,11 +73,8 @@ def unpad_block(packets: list[bytes]) -> bytes:
 
 @dataclass
 class CodedPacket:
-    flow_id: object
-    gen_id: int
     tag: np.ndarray        # h symbols
     payload: np.ndarray    # N symbols
-    perm: tuple[int, ...] | None = None  # encoder-side column permutation
 
     def __post_init__(self):
         self.tag = np.asarray(self.tag, dtype=np.uint8)
@@ -148,7 +146,6 @@ def encode_generation(
     count: int,
     rng,
     mode: str = "uniform",
-    flow_id=None,
 ) -> list[CodedPacket]:
     """Emit coded packets whose tags cover the filled prefix of the block.
 
@@ -182,7 +179,7 @@ def encode_generation(
                 ctx, np.array([p[:j] for p in prev_tags], dtype=np.uint8)
             )[1]
         payload = ctx.matmul(tag[None, :j], X)[0]
-        out.append(CodedPacket(flow_id, gen.gen_id, tag, payload))
+        out.append(CodedPacket(tag, payload))
     return out
 
 
@@ -191,9 +188,6 @@ def recode(ctx: FieldContext, buffered: list[CodedPacket], rng) -> CodedPacket:
     if not buffered:
         raise ValueError("nothing to recode")
     first = buffered[0]
-    for p in buffered[1:]:
-        if p.flow_id != first.flow_id or p.gen_id != first.gen_id:
-            raise ValueError("recode inputs must share flow and generation")
     h = len(first.tag)
     # each buffered packet as one row, tag then payload: one gather combines both
     rows = np.array([np.concatenate([p.tag, p.payload]) for p in buffered], dtype=np.uint8)
@@ -201,22 +195,19 @@ def recode(ctx: FieldContext, buffered: list[CodedPacket], rng) -> CodedPacket:
         coeffs = rng.integers(0, ctx.size, size=len(buffered), dtype=np.uint8)
         combo = np.bitwise_xor.reduce(ctx.mul_table[coeffs[:, None], rows], axis=0)
         if combo[:h].any():
-            return CodedPacket(first.flow_id, first.gen_id, combo[:h], combo[h:],
-                               perm=first.perm)
-    return CodedPacket(
-        first.flow_id, first.gen_id, first.tag.copy(), first.payload.copy(), perm=first.perm
-    )
+            return CodedPacket(combo[:h], combo[h:])
+    return CodedPacket(first.tag.copy(), first.payload.copy())
 
 
 # -- column reordering (precondition step) ---------------------------------
 
 def precondition_reorder(ctx: FieldContext, G) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Greedy encoder-side column permutation.
+    """Greedy column permutation of a tag matrix, for the offline
+    preconditioning report (``prefix_equivalence_report``) only.
 
     For each row r (after eliminating the contribution of earlier pivots),
     the earliest column with a nonzero entry is swapped into position r.  The
-    returned permutation maps position -> original column so the decoder can
-    un-permute recovered packets.
+    returned permutation maps position -> original column.
     """
     G = gf.validate_symbols(ctx, G)
     if G.ndim != 2 or G.size == 0:
@@ -271,7 +262,6 @@ class DecoderState:
         self.rank = 0
         self.decoded_mask = np.zeros(h, dtype=bool)
         self.delivered: dict[int, np.ndarray] = {}
-        self.perm: tuple[int, ...] | None = None
         self.received = 0
 
     @property
@@ -282,8 +272,7 @@ class DecoderState:
         """Add one packet; return newly decoded (source_index, payload) pairs.
 
         Only the new row is reduced against the stored RREF; dependent
-        (duplicate) rows change nothing.  Source indices are un-permuted
-        through the encoder's column permutation.
+        (duplicate) rows change nothing.  A source index is its tag column.
         """
         if len(pkt.tag) != self.block_size:
             raise TagLengthMismatch(
@@ -291,8 +280,6 @@ class DecoderState:
             )
         if len(pkt.payload) != self.packet_len:
             raise ValueError("payload length mismatch")
-        if self.perm is None:
-            self.perm = pkt.perm or tuple(range(self.block_size))
         self.received += 1
         inserted = gf.rref_insert(
             self.ctx, self.rref, self.pivot_cols,
@@ -309,11 +296,10 @@ class DecoderState:
                 continue
             tag_part = self.rref[r, :h]
             if tag_part.sum() == 1 and tag_part[c] == 1 and not self.decoded_mask[c]:
-                src = self.perm[c]
                 payload = self.rref[r, h:].copy()
                 self.decoded_mask[c] = True
-                self.delivered[src] = payload
-                fresh.append((src, payload))
+                self.delivered[c] = payload
+                fresh.append((c, payload))
         return fresh
 
     def decoded_count(self) -> int:
@@ -330,8 +316,8 @@ def rank_deficient_solve(
 
     Returns (estimates (h, N) uint8, confidence (h, N) uint8) with confidence
     2 = certain (unique under current rank), 1 = heuristic (minimum-weight
-    pick over the affine solution set), 0 = undecoded.  Rows are indexed by
-    true source position (un-permuted).  Certain symbols always agree with
+    pick over the affine solution set), 0 = undecoded.  Row c is source
+    packet c, the tag column.  Certain symbols always agree with
     earliest decoding; the heuristic is a stand-in for an LP lowest-weight
     decoder and scores at most q^T assignments x distinct payload patterns,
     where a pattern is a column's tuple of heuristic-row payload symbols.
@@ -341,7 +327,6 @@ def rank_deficient_solve(
     ctx = state.ctx
     h, n = state.block_size, state.packet_len
     T = state.min_weight_limit if free_var_limit is None else free_var_limit
-    perm = state.perm or tuple(range(h))
     est = np.zeros((h, n), dtype=np.uint8)
     conf = np.zeros((h, n), dtype=np.uint8)
     tag_pivots = [c for c in state.pivot_cols if c < h]
@@ -353,8 +338,8 @@ def rank_deficient_solve(
         if c >= h:
             continue
         if len(free_cols) == 0 or not R[r, free_cols].any():
-            est[perm[c]] = R[r, h:]
-            conf[perm[c]] = 2
+            est[c] = R[r, h:]
+            conf[c] = 2
         else:
             heuristic_rows.append((r, c))
     if free_cols and len(free_cols) <= T:
@@ -379,11 +364,11 @@ def rank_deficient_solve(
         # first minimal index, deterministic
         best = np.argmin(weights, axis=0)[inverse.reshape(-1)]
         for i, (r, c) in enumerate(heuristic_rows):
-            est[perm[c]] = R[r, h:] ^ f[best, i]
-            conf[perm[c]] = 1
+            est[c] = R[r, h:] ^ f[best, i]
+            conf[c] = 1
         for fi, c in enumerate(free_cols):
-            est[perm[c]] = A[best, fi]
-            conf[perm[c]] = 1
+            est[c] = A[best, fi]
+            conf[c] = 1
     return est, conf
 
 

@@ -3,6 +3,18 @@
 All multi-byte integers are little-endian with a 1-byte type tag first.
 Link gains travel as q8.8 fixed point of (gain_db + 128); utilities as
 q16.16 so receivers compare bit-exact values instead of floats.
+
+A DATA frame is the one representation of a coded packet outside ``rlnc``:
+
+    type 0x05 | flow index (1) | generation id (2, wraps at 2^16) |
+    block size h (1) | column order (h) | tag (tag_wire_len(h, m)) |
+    payload (rest, at most 500 bytes)
+
+The column order is always 0..h-1: the stack never reorders tag columns
+(column reordering is only the offline preconditioning analysis), so
+``unpack`` rejects any other order.  The bytes still travel because every
+packet-log digest covers them, and a shorter frame changes each DATA
+frame's airtime and loss draws, and with them the simulated routes.
 """
 
 from __future__ import annotations
@@ -141,21 +153,20 @@ class CtsFrame:
 class DataFrame:
     flow_index: int
     gen_id: int
-    block_size: int
-    perm: tuple[int, ...]
-    tag: tuple[int, ...]
+    tag: tuple[int, ...]  # h symbols; h is the generation's block size
     payload: bytes
     field_bits: int = 4
 
     def pack(self) -> bytes:
         if len(self.payload) > MAX_PAYLOAD_BYTES:
             raise MalformedFrame("payload exceeds 500 bytes")
-        if len(self.perm) != self.block_size or len(self.tag) != self.block_size:
-            raise MalformedFrame("perm/tag length must equal block size")
+        h = len(self.tag)
+        if h > 255:
+            raise MalformedFrame("block size exceeds 255")
         out = bytearray([TYPE_DATA, self.flow_index])
         out += struct.pack("<H", self.gen_id)
-        out.append(self.block_size)
-        out += bytes(self.perm)
+        out.append(h)
+        out += bytes(range(h))  # column order
         out += pack_tag(self.tag, self.field_bits)
         out += self.payload
         return bytes(out)
@@ -206,15 +217,14 @@ def unpack(raw: bytes, field_bits: int = 4):
             fidx = raw[1]
             (gen_id,) = struct.unpack_from("<H", raw, 2)
             h = raw[4]
-            off = 5
-            perm = tuple(raw[off : off + h])
-            off += h
+            off = 5 + h
             tl = tag_wire_len(h, field_bits)
             tag = tuple(unpack_tag(raw[off : off + tl], h, field_bits))
-            off += tl
-            if len(perm) != h or len(tag) != h:
+            if len(tag) != h:
                 raise MalformedFrame("short DATA header")
-            return DataFrame(fidx, gen_id, h, perm, tag, bytes(raw[off:]), field_bits)
+            if raw[5:off] != bytes(range(h)):
+                raise MalformedFrame("DATA column order must be 0..h-1")
+            return DataFrame(fidx, gen_id, tag, bytes(raw[off + tl :]), field_bits)
     except (struct.error, IndexError) as e:
         # IndexError: a header or entry cut short reads past the end of raw
         raise MalformedFrame(str(e)) from e

@@ -90,6 +90,35 @@ def test_scenario_file_with_indistinct_flows_exits_2(tmp_path, flows):
     assert rc == 2
 
 
+@pytest.mark.parametrize("field,value", [
+    ("arrival_rate", 0.0),          # used to divide by zero at the first arrival
+    ("arrival_rate", float("nan")),
+    ("duration_s", float("nan")),
+    ("duration_s", float("inf")),
+])
+def test_scenario_file_with_bad_rate_or_duration_exits_2(tmp_path, field, value):
+    # an infinite arrival_rate is tested only through Scenario.validate:
+    # if validation missed it, the run would never finish
+    d = ch.scenario_to_dict(ch.line7())
+    if field == "arrival_rate":
+        d["flows"][0]["arrival_rate"] = value
+    else:
+        d["duration_s"] = value
+    path = tmp_path / "scn.yaml"
+    path.write_text(yaml.safe_dump(d))
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf", "-5"])
+def test_run_with_bad_duration_exits_2(tmp_path, duration):
+    # --duration is applied to duration_s and validated like a scenario field
+    rc = main(["run", "--builtin", "line7", "--duration", duration,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_builtin_exits_2(tmp_path):
     rc = main(["run", "--builtin", "mesh99", "--out", str(tmp_path)])
     assert rc == 2

@@ -174,7 +174,7 @@ def test_unchanged_decoder_state_is_scored_once_truth_arrives():
     # scored, so the first one after it is, even when it adds no rank
     eng = engine.Engine(_lossy_coded_butterfly7(), seed=1)
     X = np.arange(32, dtype=np.uint8).reshape(4, 8) % 16
-    pkt = rlnc.CodedPacket(0, 0, [1, 0, 0, 0], X[0])
+    pkt = rlnc.CodedPacket([1, 0, 0, 0], X[0])
     dec = rlnc.DecoderState(eng.ctx, 4, 8, mode="rank_deficient")
     dec.ingest(pkt)
     eng.on_destination_ingest(6, 0, 0, dec, 0)

@@ -135,7 +135,7 @@ def test_syn_backlogs_feed_flow_selection():
     node, _ = make_node(2)
     # ten packets of generation 0 relayed from node 1 queue 10 for node 7
     node.data_role, node.data_peer = "rx", 1
-    data = wire.DataFrame(0, 0, 1, (0,), (1,), bytes(500), 4)
+    data = wire.DataFrame(0, 0, (1,), bytes(500), 4)
     for _ in range(10):
         node.on_data(1, data)
     syn = wire.SynFrame(3, ((1, (7,), 4),))
@@ -155,7 +155,7 @@ def test_flow_tie_goes_to_lower_source_and_destinations():
     node.data_role, node.data_peer = "rx", 3
     for fi in (0, 1):
         for _ in range(10):
-            node.on_data(3, wire.DataFrame(fi, 0, 1, (0,), (1,), bytes(500), 4))
+            node.on_data(3, wire.DataFrame(fi, 0, (1,), bytes(500), 4))
     node.handle_frame(5, 0, wire.SynFrame(5, ()), -65.0, -10.0)
     sched = node.compute_schedule()
     assert sched is not None and sched.neighbor == 5
@@ -201,7 +201,7 @@ def test_relay_choice_matches_full_scan(steps):
         if step[0] == "rx":
             _, fi, gid, sender = step
             node.data_peer = sender
-            node.on_data(sender, wire.DataFrame(fi, gid, 2, (0, 1), (1, 3), bytes(4), 4))
+            node.on_data(sender, wire.DataFrame(fi, gid, (1, 3), bytes(4), 4))
             continue
         _, fi, peer = step
         expect = _scan_pick(node, fi, peer)
@@ -223,19 +223,18 @@ def test_relay_forwards_received_frame():
     # codes a new frame only for credit beyond its buffer of 4h frames
     node = _relay_node()
     node.data_role, node.data_peer = "rx", 3
-    frames = [wire.DataFrame(0, 7, 2, (0, 1), (1 + k % 3, k % 2), bytes([k, 2 * k, 3, 4]), 4)
+    frames = [wire.DataFrame(0, 7, (1 + k % 3, k % 2), bytes([k, 2 * k, 3, 4]), 4)
               for k in range(9)]
     for f in frames:
         node.on_data(3, f)
     rg = node.relay_gens[(0, 7)]
     assert rg.pkts == frames[:8] and rg.credit() == 9
     for f in frames[:8]:
-        assert rg.fwd_idx < len(rg.pkts)
         assert node.next_coded_packet(0, 5) is f
     recoded = node.next_coded_packet(0, 5)
     assert isinstance(recoded, wire.DataFrame)
     assert all(recoded is not f for f in frames)
-    assert (recoded.flow_index, recoded.gen_id, recoded.block_size) == (0, 7, 2)
+    assert (recoded.flow_index, recoded.gen_id, len(recoded.tag)) == (0, 7, 2)
     assert len(recoded.payload) == 4 and any(recoded.tag)
     assert node.next_coded_packet(0, 5) is None
 

@@ -187,13 +187,6 @@ def test_decode_through_two_relay_recodings(f16):
         assert np.array_equal(state.delivered[i], gen.source_rows[i])
 
 
-def test_recode_rejects_mixed_generations(f16):
-    a = CodedPacket("f", 0, np.array([1, 0], np.uint8), np.zeros(4, np.uint8))
-    b = CodedPacket("f", 1, np.array([0, 1], np.uint8), np.zeros(4, np.uint8))
-    with pytest.raises(ValueError):
-        recode(f16, [a, b], np.random.default_rng(0))
-
-
 def reference_recode(ctx, buffered, rng):
     """Recoding as two GF matrix products, one for the tags and one for the
     payloads: the oracle for ``recode``."""
@@ -205,10 +198,8 @@ def reference_recode(ctx, buffered, rng):
         tag = ctx.matmul(coeffs[None, :], tags)[0]
         if tag.any():
             payload = ctx.matmul(coeffs[None, :], payloads)[0]
-            return CodedPacket(first.flow_id, first.gen_id, tag, payload, perm=first.perm)
-    return CodedPacket(
-        first.flow_id, first.gen_id, first.tag.copy(), first.payload.copy(), perm=first.perm
-    )
+            return CodedPacket(tag, payload)
+    return CodedPacket(first.tag.copy(), first.payload.copy())
 
 
 @st.composite
@@ -220,9 +211,8 @@ def recode_buffers(draw):
     sym = st.integers(0, ctx.size - 1)
     # zero tags included: an all-zero buffer exhausts the retries
     buffered = [
-        CodedPacket(3, 9, draw(st.lists(sym, min_size=h, max_size=h)),
-                    draw(st.lists(sym, min_size=n, max_size=n)),
-                    perm=tuple(range(h)))
+        CodedPacket(draw(st.lists(sym, min_size=h, max_size=h)),
+                    draw(st.lists(sym, min_size=n, max_size=n)))
         for _ in range(draw(st.integers(1, 8)))
     ]
     return ctx, buffered, draw(st.integers(0, 2**32 - 1))
@@ -235,7 +225,6 @@ def test_recode_matches_reference(case):
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
     got = recode(ctx, buffered, rng_a)
     want = reference_recode(ctx, buffered, rng_b)
-    assert (got.flow_id, got.gen_id, got.perm) == (want.flow_id, want.gen_id, want.perm)
     assert np.array_equal(got.tag, want.tag)
     assert np.array_equal(got.payload, want.payload)
     # the same draws were taken, so the stream continues identically
@@ -255,7 +244,7 @@ def test_lower_triangular_prefix_decoding(f16):
         tag[: i + 1] = rng.integers(0, 16, i + 1, dtype=np.uint8)
         tag[i] = int(rng.integers(1, 16))
         payload = f16.matmul(tag[None, :], X)[0]
-        state.ingest(CodedPacket("f", 0, tag, payload))
+        state.ingest(CodedPacket(tag, payload))
         assert sorted(state.delivered) == list(range(i + 1))
 
 
@@ -292,7 +281,7 @@ def test_full_rank_random_decodes_all(f16):
 def test_tag_length_mismatch_raises(f16):
     state = DecoderState(f16, 4, 4)
     with pytest.raises(TagLengthMismatch):
-        state.ingest(CodedPacket("f", 0, np.array([1, 2], np.uint8), np.zeros(4, np.uint8)))
+        state.ingest(CodedPacket(np.array([1, 2], np.uint8), np.zeros(4, np.uint8)))
 
 
 def test_never_emits_wrong_packet(f16):
@@ -359,7 +348,7 @@ def test_rank_deficient_full_rank_matches_invert(f16):
     Y = f16.matmul(G, gen.matrix())
     state = DecoderState(f16, 4, 8, mode="rank_deficient")
     for i in range(4):
-        state.ingest(CodedPacket("f", 0, G[i], Y[i]))
+        state.ingest(CodedPacket(G[i], Y[i]))
     est, conf = rank_deficient_solve(state)
     assert (conf == 2).all()
     X = f16.matmul(invert(f16, G), Y)
@@ -376,7 +365,7 @@ def test_rank_deficient_unit_rows_certain(f16):
     for i in range(h - 1):
         tag = np.zeros(h, dtype=np.uint8)
         tag[i] = 1
-        state.ingest(CodedPacket("f", 0, tag, X[i]))
+        state.ingest(CodedPacket(tag, X[i]))
     est, conf = rank_deficient_solve(state)
     for i in range(h - 1):
         assert (conf[i] == 2).all()
@@ -432,7 +421,6 @@ def reference_rank_deficient_solve(state, free_var_limit=None):
     ctx = state.ctx
     h, n = state.block_size, state.packet_len
     T = state.min_weight_limit if free_var_limit is None else free_var_limit
-    perm = state.perm or tuple(range(h))
     est = np.zeros((h, n), dtype=np.uint8)
     conf = np.zeros((h, n), dtype=np.uint8)
     tag_pivots = [c for c in state.pivot_cols if c < h]
@@ -443,8 +431,8 @@ def reference_rank_deficient_solve(state, free_var_limit=None):
         if c >= h:
             continue
         if len(free_cols) == 0 or not R[r, free_cols].any():
-            est[perm[c]] = R[r, h:]
-            conf[perm[c]] = 2
+            est[c] = R[r, h:]
+            conf[c] = 2
         else:
             heuristic_rows.append((r, c))
     if free_cols and len(free_cols) <= T:
@@ -469,11 +457,11 @@ def reference_rank_deficient_solve(state, free_var_limit=None):
         best = np.argmin(weights, axis=0)
         chosen = W[best, :, np.arange(n)].T
         for r, c in heuristic_rows:
-            est[perm[c]] = chosen[c]
-            conf[perm[c]] = 1
+            est[c] = chosen[c]
+            conf[c] = 1
         for c in free_cols:
-            est[perm[c]] = chosen[c]
-            conf[perm[c]] = 1
+            est[c] = chosen[c]
+            conf[c] = 1
     return est, conf
 
 
@@ -492,7 +480,6 @@ def rank_deficient_states(draw):
     free = sorted(draw(st.permutations(range(h)))[:n_free])
     pivots = [c for c in range(h) if c not in free]
     symbols = st.integers(0, draw(st.integers(1, ctx.size - 1)))
-    perm = tuple(draw(st.permutations(range(h))))
     state = DecoderState(ctx, h, n, mode="rank_deficient")
     rows = []
     for p in pivots:
@@ -510,7 +497,7 @@ def rank_deficient_states(draw):
         payload[draw(st.integers(0, n - 1))] = draw(st.integers(1, ctx.size - 1))
         rows.append((np.zeros(h, dtype=np.uint8), payload))
     for tag, payload in rows:
-        state.ingest(CodedPacket("f", 0, tag, payload, perm=perm))
+        state.ingest(CodedPacket(tag, payload))
     assert len([c for c in state.pivot_cols if c < h]) == h - n_free
     return state, draw(st.integers(0, 3))
 
@@ -552,7 +539,7 @@ def test_incremental_ingest_matches_full_elimination(case):
     ctx, h, n, rows = case
     state = DecoderState(ctx, h, n)
     for i, row in enumerate(rows):
-        state.ingest(CodedPacket("f", 0, row[:h], row[h:]))
+        state.ingest(CodedPacket(row[:h], row[h:]))
         rref, rank, pivots = gaussian_eliminate(ctx, np.array(rows[: i + 1]))
         assert state.rank == rank
         assert state.pivot_cols == pivots

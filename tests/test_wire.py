@@ -54,31 +54,53 @@ def test_cts_roundtrip():
 
 
 def test_data_roundtrip_nibble_tag():
-    f = DataFrame(0, 7, 4, (0, 1, 2, 3), (0xA, 0, 0x3, 0x1), b"hello", 4)
+    f = DataFrame(0, 7, (0xA, 0, 0x3, 0x1), b"hello", 4)
     raw = f.pack()
+    assert raw[5:9] == bytes([0, 1, 2, 3])  # column order
     g = unpack(raw, field_bits=4)
     assert g.gen_id == 7
     assert g.tag == (0xA, 0, 0x3, 0x1)
-    assert g.perm == (0, 1, 2, 3)
     assert g.payload == b"hello"
 
 
 def test_data_odd_block_size_tag_padding():
-    f = DataFrame(1, 0, 3, (2, 0, 1), (1, 2, 3), b"\x00" * 10, 4)
+    f = DataFrame(1, 0, (1, 2, 3), b"\x00" * 10, 4)
     g = unpack(f.pack(), field_bits=4)
     assert g.tag == (1, 2, 3)
-    assert g.perm == (2, 0, 1)
+
+
+def test_data_frame_bytes_pinned():
+    # m=4, h=3: type, flow, gen id (LE), h, column order 0..2, tag nibbles
+    # high first with a zero pad nibble, payload
+    f = DataFrame(2, 0x0102, (0xA, 0x5, 0xF), b"\xde\xad", 4)
+    assert f.pack() == bytes.fromhex("05 02 0201 03 000102 a5f0 dead")
 
 
 def test_data_byte_tag_for_m8():
-    f = DataFrame(0, 1, 2, (0, 1), (200, 3), b"xy", 8)
+    f = DataFrame(0, 1, (200, 3), b"xy", 8)
     g = unpack(f.pack(), field_bits=8)
     assert g.tag == (200, 3)
 
 
 def test_data_payload_limit():
     with pytest.raises(MalformedFrame):
-        DataFrame(0, 0, 1, (0,), (1,), b"\x00" * 501, 4).pack()
+        DataFrame(0, 0, (1,), b"\x00" * 501, 4).pack()
+
+
+def test_data_block_size_limit():
+    # h travels in one byte
+    assert len(DataFrame(0, 0, (1,) * 255, b"", 8).pack()) == 5 + 2 * 255
+    with pytest.raises(MalformedFrame):
+        DataFrame(0, 0, (1,) * 256, b"", 8).pack()
+
+
+@pytest.mark.parametrize("order", [(1, 0, 2), (0, 1, 1), (0, 1, 3)])
+def test_data_column_order_other_than_identity_rejected(order):
+    # the stack never reorders tag columns, so it cannot honour another order
+    raw = bytearray(DataFrame(0, 5, (1, 2, 3), b"abc", 4).pack())
+    raw[5:8] = bytes(order)
+    with pytest.raises(MalformedFrame):
+        unpack(bytes(raw), field_bits=4)
 
 
 def test_unknown_type_rejected():
@@ -128,9 +150,7 @@ def test_unpack_fails_only_with_malformed_frame(raw, field_bits):
 )
 @settings(max_examples=200)
 def test_data_roundtrip_property(fidx, gen, tag, payload):
-    h = len(tag)
-    perm = tuple(range(h))
-    f = DataFrame(fidx, gen, h, perm, tuple(tag), payload, 4)
+    f = DataFrame(fidx, gen, tuple(tag), payload, 4)
     g = unpack(f.pack(), field_bits=4)
     assert (g.flow_index, g.gen_id, g.tag, g.payload) == (fidx, gen, tuple(tag), payload)
 
@@ -188,8 +208,7 @@ def data_frames(draw):
     m = draw(st.sampled_from([4, 8]))
     h = 2 * draw(st.integers(1, 127)) if m == 4 else draw(st.integers(1, 255))
     tag = tuple(draw(st.lists(st.integers(0, (1 << m) - 1), min_size=h, max_size=h)))
-    perm = tuple(draw(st.lists(BYTE, min_size=h, max_size=h)))
-    return DataFrame(draw(BYTE), draw(st.integers(0, 0xFFFF)), h, perm, tag,
+    return DataFrame(draw(BYTE), draw(st.integers(0, 0xFFFF)), tag,
                      draw(st.binary(max_size=wire.MAX_PAYLOAD_BYTES)), m)
 
 
