@@ -77,12 +77,11 @@ class MetricsLog:
 class Engine:
     """One simulation run; owns the clock, the medium, and all nodes."""
 
-    def __init__(self, scn: ch.Scenario, seed: int, duration_s: float | None = None):
+    def __init__(self, scn: ch.Scenario, seed: int):
         scn.validate()
         self.scn = scn
         self.seed = seed
-        self.duration_us = int(round((duration_s if duration_s is not None
-                                      else scn.duration_s) * US))
+        self.duration_us = int(round(scn.duration_s * US))
         self.ctx = gf.FieldContext(scn.coding.field_bits)
         self.now_us = 0
         self._seq = 0
@@ -350,8 +349,8 @@ def accuracy_curve(log: MetricsLog) -> list[tuple[int, float]]:
     return [(r, float(np.mean(buckets[r]))) for r in sorted(buckets)]
 
 
-def run(scn: ch.Scenario, seed: int, duration_s: float | None = None) -> Engine:
-    eng = Engine(scn, seed, duration_s)
+def run(scn: ch.Scenario, seed: int) -> Engine:
+    eng = Engine(scn, seed)
     eng.run()
     return eng
 

@@ -102,9 +102,6 @@ class FieldContext:
             raise ZeroDivisionError("no inverse of 0")
         return int(self.inv_table[a])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def exp(self, k: int) -> int:
         return int(self.exp_table[k % max(self.order, 1)])
 

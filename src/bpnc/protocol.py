@@ -8,7 +8,10 @@ with RTS/CTS conflict resolution in between.
 Outside ``rlnc`` a coded packet is its ``wire.DataFrame``: sources build the
 frame once when they create the packet, relays buffer and re-send the frames
 they receive, and GF symbols exist only where GF arithmetic runs: encoding at
-the source, decoding at a destination and recoding at a relay.
+the source, decoding at a destination and recoding at a relay.  Sources and
+relays share one send path: every frame a node holds credit for, coded or
+received, sits in ``Node.relay_gens`` and goes out through
+``next_coded_packet``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ class Phase(enum.Enum):
 class NeighborRecord:
     node_id: int
     gains_db: dict[int, float] = field(default_factory=dict)  # channel -> dB
-    next_channel: int = 0
     last_heard_us: int = 0
     # flow index -> {dest: backlog} from the last SYN
     backlogs: dict[int, dict[int, int]] = field(default_factory=dict)
@@ -55,30 +57,21 @@ class Schedule:
 
 
 @dataclass
-class SourceGen:
-    """A source's generation; it is finalized once ``gen`` is full."""
-
-    gen: rlnc.Generation
-    sent: int = 0
-    real_count: int = 0
-    # coded packets are generated the moment source data arrives — a
-    # combination can only cover packets that exist yet, which is what makes
-    # received tag matrices tend lower-triangular — and sent later in order
-    queue: list[wire.DataFrame] = field(default_factory=list)
-
-    def credit(self) -> int:
-        return max(0, len(self.queue) - self.sent)
-
-
-@dataclass
 class RelayGen:
-    """Coded packets a relay holds for one (flow, generation), as received.
+    """Coded frames a node holds credit for in one (flow, generation).
 
-    ``pkts`` keeps every reception until it holds 4h frames, so the first
-    ``min(sent, len(pkts))`` of them have been forwarded.  While its credit
-    (rcvd - sent) is positive, the generation's id is listed in its node's
-    ``relay_credit[flow]``; it leaves that index when the credit falls to 0
-    and rejoins it when a new packet arrives.
+    A relay holds the frames it receives; a source's own frames live here
+    too, coded the moment source data arrives (a combination can only cover
+    packets that exist yet, which is what makes received tag matrices tend
+    lower-triangular) and sent later in order.  ``rcvd`` counts the frames
+    received or coded, and ``pkts`` keeps them, at a relay only until it
+    holds 4h, so the first ``min(sent, len(pkts))`` have been sent.
+    ``origins`` names the nodes a relay heard the generation from; a
+    source's entries have none.  While its credit (rcvd - sent) is positive,
+    the generation's id is listed in its node's ``relay_credit[flow]``; it
+    leaves that index when the credit falls to 0 and rejoins it when a new
+    frame arrives.  A source drops the entry instead, since it keeps no
+    frame it has sent.
     """
 
     pkts: list[wire.DataFrame] = field(default_factory=list)
@@ -130,17 +123,16 @@ class Node:
         self.rts_inbox: list[tuple[int, wire.RtsFrame]] = []   # (t, frame)
         self.overheard_rts: list[tuple[int, wire.RtsFrame]] = []
         self.resolve_scheduled = False
-        # data-phase state
-        self.data_role: str | None = None  # "tx" | "rx"
+        # data phase: a node receives in it iff pending is None
         self.data_peer = 0
-        self.data_deadline_us = 0
         # coding state
-        self.source_gens: dict[int, list[SourceGen]] = {
-            i: [] for i, (src, _) in enumerate(self.flows) if src == node_id
-        }
-        self.next_gen_id: dict[int, int] = {i: 0 for i in self.source_gens}
+        # flow -> the newest generation this node sources; it fills it with
+        # arrivals until it is full, then opens the next
+        self.open_gens: dict[int, rlnc.Generation] = {}
+        # (flow, generation id) -> the frames held to send; a relay keys by
+        # the wire id, a source by its own unwrapped id
         self.relay_gens: dict[tuple[int, int], RelayGen] = {}
-        # flow -> ascending ids of the relay generations with credit > 0
+        # flow -> ascending ids of the held generations with credit > 0
         self.relay_credit: dict[int, list[int]] = {i: [] for i in range(len(self.flows))}
         self.decoders: dict[tuple[int, int], rlnc.DecoderState] = {}
 
@@ -378,9 +370,7 @@ class Node:
         self.note_neighbor(src, chan, rx_power_dbm, tx_power_dbm)
         if src not in self.neighbors:
             return  # below sensitivity: no table entry, nothing to act on
-        if isinstance(frame, wire.DisFrame):
-            self.neighbors[src].next_channel = frame.next_channel
-        elif isinstance(frame, wire.SynFrame):
+        if isinstance(frame, wire.SynFrame):
             rec = self.neighbors[src]
             for fsrc, dsts, backlog in frame.entries:
                 fi = self.flow_by_key.get((fsrc, frozenset(dsts)))
@@ -406,7 +396,7 @@ class Node:
     # -- negotiation --------------------------------------------------------
 
     def on_rts(self, frame: wire.RtsFrame) -> None:
-        if self.data_role is not None:
+        if self.phase is Phase.DATA_TRANSFER:
             return  # half-duplex: busy in a data phase
         t = self.now()
         if frame.rx == self.id:
@@ -425,7 +415,7 @@ class Node:
         overheard = [f for t, f in self.overheard_rts if t >= horizon]
         self.rts_inbox.clear()
         self.overheard_rts = [(t, f) for t, f in self.overheard_rts if t >= horizon]
-        if not inbox or self.data_role is not None:
+        if not inbox or self.phase is Phase.DATA_TRANSFER:
             return
         own_sched = self.pending
         if own_sched is None and self.phase is Phase.FLOW_UPDATE:
@@ -448,9 +438,7 @@ class Node:
         self.begin_data_rx(winner.tx, winner.channel)
 
     def on_cts(self, frame: wire.CtsFrame) -> None:
-        if frame.tx != self.id or self.pending is None:
-            return
-        if self.data_role is not None:
+        if frame.tx != self.id or self.pending is None or self.phase is Phase.DATA_TRANSFER:
             return
         s = self.pending
         if frame.rx != s.neighbor or frame.channel != s.channel:
@@ -462,28 +450,21 @@ class Node:
     # -- data phase ---------------------------------------------------------
 
     def begin_data_rx(self, peer: int, chan: int) -> None:
-        self.data_role = "rx"
         self.data_peer = peer
         self.channel = chan
-        self.data_deadline_us = self.now() + self.us(self.scn.timing.data_s)
         self.enter_phase(Phase.DATA_TRANSFER)
         self.engine.schedule(self.us(self.scn.timing.data_s), self.end_data_phase)
 
     def begin_data_tx(self) -> None:
         s = self.pending
-        self.data_role = "tx"
         self.data_peer = s.neighbor
         self.channel = s.channel
-        self.data_deadline_us = self.now() + self.us(self.scn.timing.data_s)
         self.enter_phase(Phase.DATA_TRANSFER)
         self.send_next_data()
 
     def end_data_phase(self) -> None:
         if self.phase is not Phase.DATA_TRANSFER:
             return
-        if self.data_role == "rx" and self.now() < self.data_deadline_us:
-            return
-        self.data_role = None
         self.pending = None
         self.enter_phase(Phase.FLOW_UPDATE)
         # prompt tick: a SYN right after a burst keeps neighbor backlog
@@ -491,10 +472,10 @@ class Node:
         self.schedule_tick(0)
 
     def send_next_data(self) -> None:
-        if self.phase is not Phase.DATA_TRANSFER or self.data_role != "tx":
+        if self.phase is not Phase.DATA_TRANSFER or self.pending is None:
             return
         s = self.pending
-        if s is None or self.now() >= self.data_deadline_us:
+        if self.now() >= self.phase_entry_us + self.us(self.scn.timing.data_s):
             self.end_data_phase()
             return
         if self.scn.sensing_enabled and self.channel_busy(s.channel):
@@ -514,26 +495,14 @@ class Node:
 
     def next_coded_packet(self, flow_index: int,
                           peer: int | None = None) -> wire.DataFrame | None:
-        """Oldest generation with send credit; a source sends the frames it
-        coded on arrival, a relay forwards the frames it received and recodes
-        its buffer for surplus credit.
+        """Oldest generation with send credit for peer, at a source or a relay.
 
-        A relay walks only ``relay_credit[flow_index]``, which holds exactly
+        The walk covers only ``relay_credit[flow_index]``, which holds exactly
         the flow's generations with credit > 0 in ascending id order, so it
-        picks the same generation as a scan over every relay generation.
+        picks the same generation as a scan over every held one.  Each held
+        frame goes out once, in the order it was coded or received; a relay
+        recodes its buffer only for credit beyond it.
         """
-        if flow_index in self.source_gens:
-            gens = self.source_gens[flow_index]
-            for i, sg in enumerate(gens):
-                if sg.credit() > 0:
-                    frame = sg.queue[sg.sent]
-                    sg.sent += 1
-                    # finalizing leaves credit, so only a send drains a
-                    # finalized generation: it is done, drop it
-                    if sg.gen.full and sg.credit() == 0:
-                        del gens[i]
-                    return frame
-            return None
         credited = self.relay_credit[flow_index]
         for i, gid in enumerate(credited):
             rg = self.relay_gens[(flow_index, gid)]
@@ -541,8 +510,12 @@ class Node:
                 rg.sent += 1
                 if rg.credit() == 0:
                     del credited[i]
-                # forward each received packet once in arrival order (keeps
-                # the tag staircase intact); recode only for surplus credit
+                    # a source keeps no frame it has sent: a later frame of
+                    # a generation it still fills starts a new entry
+                    if flow_index in self.open_gens:
+                        del self.relay_gens[(flow_index, gid)]
+                # send each held frame once in the order it came (keeps the
+                # tag staircase intact); recode only for surplus credit
                 if rg.sent <= len(rg.pkts):
                     return rg.pkts[rg.sent - 1]
                 pkts = [self.to_packet(f) for f in rg.pkts]
@@ -550,21 +523,31 @@ class Node:
         return None
 
     def has_sendable(self, flow_index: int, peer: int | None = None) -> bool:
-        if flow_index in self.source_gens:
-            return any(sg.credit() > 0 for sg in self.source_gens[flow_index])
         return any(
             self.relay_gens[(flow_index, gid)].sendable_to(peer)
             for gid in self.relay_credit[flow_index]
         )
 
+    def credit_frame(self, flow_index: int, gid: int) -> RelayGen:
+        """The entry of (flow_index, gid), credited with one more frame."""
+        key = (flow_index, gid)
+        rg = self.relay_gens.get(key)
+        if rg is None:
+            rg = self.relay_gens[key] = RelayGen()
+        if rg.credit() == 0:
+            bisect.insort(self.relay_credit[flow_index], gid)
+        rg.rcvd += 1
+        return rg
+
     def on_data(self, src: int, frame: wire.DataFrame) -> None:
-        if self.data_role != "rx" or src != self.data_peer:
+        if (self.phase is not Phase.DATA_TRANSFER or self.pending is not None
+                or src != self.data_peer):
             return
         fi = frame.flow_index
         h = len(frame.tag)
-        key = (fi, frame.gen_id)
         if fi in self.dest_flows:
             pkt = self.to_packet(frame)
+            key = (fi, frame.gen_id)
             dec = self.decoders.get(key)
             if dec is None:
                 dec = self.decoders[key] = rlnc.DecoderState(
@@ -575,82 +558,80 @@ class Node:
             rank_before = dec.rank
             dec.ingest(pkt)
             self.engine.on_destination_ingest(self.id, fi, frame.gen_id, dec, rank_before)
-        # a destination of a multicast flow also relays it to the others
+        # a destination of a multicast flow also relays it to the others; a
+        # source already holds every frame of its own flow it may send
         relay_dests = self.queues.dests_here(fi)
-        if relay_dests:
-            rg = self.relay_gens.get(key)
-            if rg is None:
-                rg = self.relay_gens[key] = RelayGen()
+        if relay_dests and self.flows[fi][0] != self.id:
+            rg = self.credit_frame(fi, frame.gen_id)
             if len(rg.pkts) < 4 * h:
                 rg.pkts.append(frame)
-            if rg.credit() == 0:
-                bisect.insort(self.relay_credit[fi], frame.gen_id)
-            rg.rcvd += 1
             rg.origins.add(src)
-            for d in relay_dests:
-                self.queues.increment(fi, d)
+        for d in relay_dests:
+            self.queues.increment(fi, d)
 
     # -- application layer (source only) ------------------------------------
 
     def app_arrival(self, flow_index: int) -> None:
         n_sym = self.packet_symbols()
         data = self.rng.integers(0, self.ctx.size, size=n_sym, dtype=np.uint8)
-        gens = self.source_gens[flow_index]
-        if not gens or gens[-1].gen.full:
-            gens.append(self.open_generation(flow_index))
-        sg = gens[-1]
-        sg.gen.add_source_packet(data)
-        sg.real_count += 1
+        gen = self.open_gens.get(flow_index)
+        if gen is None or gen.full:
+            gen = self.open_generation(flow_index)
+        gen.add_source_packet(data)
         # Systematic emission: the packet carries the newly arrived block
         # directly, so a destination decodes it even when earlier packets of
         # the same generation were dropped.
-        tag = np.zeros(sg.gen.block_size, dtype=np.uint8)
-        tag[sg.gen.filled - 1] = 1
-        sg.queue.append(self.to_frame(flow_index, sg.gen.gen_id, rlnc.CodedPacket(tag, data)))
+        tag = np.zeros(gen.block_size, dtype=np.uint8)
+        tag[gen.filled - 1] = 1
+        self.credit_frame(flow_index, gen.gen_id).pkts.append(
+            self.to_frame(flow_index, gen.gen_id, rlnc.CodedPacket(tag, data)))
         for d in self.queues.dests_here(flow_index):
             self.queues.increment(flow_index, d)
         self.engine.count_injected(flow_index)
-        if sg.gen.full:
-            self.finalize_generation(flow_index, sg)
+        if gen.full:
+            self.finalize_generation(flow_index, gen, gen.block_size)
 
-    def open_generation(self, flow_index: int) -> SourceGen:
-        gid = self.next_gen_id[flow_index]
-        self.next_gen_id[flow_index] = gid + 1
-        sg = SourceGen(rlnc.Generation(gid, self.block_size(), self.packet_symbols()))
+    def open_generation(self, flow_index: int) -> rlnc.Generation:
+        last = self.open_gens.get(flow_index)
+        gen = self.open_gens[flow_index] = rlnc.Generation(
+            0 if last is None else last.gen_id + 1, self.block_size(), self.packet_symbols())
         if self.scn.coding.enabled and self.scn.coding.gen_timeout_s > 0:
             self.engine.schedule(
                 self.us(self.scn.coding.gen_timeout_s),
-                lambda: self.generation_timeout(flow_index, sg),
+                lambda: self.generation_timeout(flow_index, gen),
             )
-        return sg
+        return gen
 
-    def generation_timeout(self, flow_index: int, sg: SourceGen) -> None:
-        if sg.gen.full or sg.gen.filled == 0:
+    def generation_timeout(self, flow_index: int, gen: rlnc.Generation) -> None:
+        """Close a block still short at its timeout with rlnc.pad_block's
+        padding rows."""
+        if gen.full:
             return
-        self.close_partial_generation(flow_index, sg)
-
-    def close_partial_generation(self, flow_index: int, sg: SourceGen) -> None:
-        """Fill the short block with rlnc.pad_block's padding rows."""
-        pad = rlnc.pad_block(b"", self.scn.coding.packet_len, sg.gen.block_size - sg.gen.filled)
+        real_count = gen.filled
+        pad = rlnc.pad_block(b"", self.scn.coding.packet_len, gen.block_size - gen.filled)
         for row in pad[0]:
-            sg.gen.add_source_packet(gf.bytes_to_symbols(row, self.scn.coding.field_bits))
+            gen.add_source_packet(gf.bytes_to_symbols(row, self.scn.coding.field_bits))
             # padding rows get coded coverage like any other arrival, or the
             # block could never reach full rank
-            self.queue_coded(flow_index, sg, 1)
-        self.finalize_generation(flow_index, sg)
+            self.queue_coded(flow_index, gen, 1)
+        self.finalize_generation(flow_index, gen, real_count)
 
-    def finalize_generation(self, flow_index: int, sg: SourceGen) -> None:
+    def finalize_generation(self, flow_index: int, gen: rlnc.Generation,
+                            real_count: int) -> None:
+        """Code the redundancy packets of a full block and register its truth;
+        real_count is the number of rows that are not padding."""
         extra = self.extra_packets()
         if extra > 0:
-            self.queue_coded(flow_index, sg, extra)
-        self.engine.register_truth(flow_index, sg.gen.gen_id, sg.gen.matrix(),
-                                   sg.real_count)
+            self.queue_coded(flow_index, gen, extra)
+        self.engine.register_truth(flow_index, gen.gen_id, gen.matrix(), real_count)
 
-    def queue_coded(self, flow_index: int, sg: SourceGen, count: int) -> None:
-        """Code count packets over sg's filled rows onto its send queue."""
-        pkts = rlnc.encode_generation(self.ctx, sg.gen, count, self.rng,
+    def queue_coded(self, flow_index: int, gen: rlnc.Generation, count: int) -> None:
+        """Code count packets over gen's filled rows, to send in order."""
+        pkts = rlnc.encode_generation(self.ctx, gen, count, self.rng,
                                       mode=self.scn.coding.tag_mode)
-        sg.queue.extend(self.to_frame(flow_index, sg.gen.gen_id, p) for p in pkts)
+        for p in pkts:
+            self.credit_frame(flow_index, gen.gen_id).pkts.append(
+                self.to_frame(flow_index, gen.gen_id, p))
 
 
 # -- pure decision functions (replayable in tests) --------------------------

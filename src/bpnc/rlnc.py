@@ -260,7 +260,6 @@ class DecoderState:
         self.rref = np.zeros((0, h + n), dtype=np.uint8)
         self.pivot_cols: list[int] = []
         self.rank = 0
-        self.decoded_mask = np.zeros(h, dtype=bool)
         self.delivered: dict[int, np.ndarray] = {}
         self.received = 0
 
@@ -295,15 +294,14 @@ class DecoderState:
             if c >= h:
                 continue
             tag_part = self.rref[r, :h]
-            if tag_part.sum() == 1 and tag_part[c] == 1 and not self.decoded_mask[c]:
+            if tag_part.sum() == 1 and tag_part[c] == 1 and c not in self.delivered:
                 payload = self.rref[r, h:].copy()
-                self.decoded_mask[c] = True
                 self.delivered[c] = payload
                 fresh.append((c, payload))
         return fresh
 
     def decoded_count(self) -> int:
-        return int(self.decoded_mask.sum())
+        return len(self.delivered)
 
     def solve_rank_deficient(self) -> tuple[np.ndarray, np.ndarray]:
         return rank_deficient_solve(self, self.min_weight_limit)

@@ -120,7 +120,7 @@ def test_ac4_rank_deficient_early_recovery():
     scn.frame_loss = 0.2
     means = []
     for seed in range(1, 11):
-        s = engine.run(scn, seed=seed, duration_s=600).log.summary
+        s = engine.run(engine.apply_override(scn, "duration_s", 600), seed=seed).log.summary
         assert s["early_recovery_count"] > 0
         means.append(s["early_recovery_mean"])
     wall = time.monotonic() - t0
@@ -157,7 +157,7 @@ def test_ac6_backpressure_stability():
     relays = ("2", "3", "4", "5", "6")
     slopes = {n: [] for n in relays}
     for seed in range(1, 11):
-        eng = engine.run(scn, seed=seed, duration_s=600)
+        eng = engine.run(engine.apply_override(scn, "duration_s", 600), seed=seed)
         rows = [r for r in eng.log.samples if r["kind"] == "backlog"]
         for n in relays:
             pts = [(float(r["time_s"]), float(r["value"]))
@@ -191,7 +191,7 @@ def test_ac7_line_relay_backlog_ordering():
     scn.flows[0].arrival_rate = LOADED_RATE
     hits = 0
     for seed in range(1, 11):
-        s = engine.run(scn, seed=seed, duration_s=600).log.summary
+        s = engine.run(engine.apply_override(scn, "duration_s", 600), seed=seed).log.summary
         meds = {n: s["per_node"][n]["median_backlog"] for n in "23456"}
         hits += int(meds["2"] > max(meds[n] for n in "3456"))
     report("line topology backlog ordering", hits >= 6,
@@ -203,7 +203,7 @@ def test_ac7_ring_uses_both_routes():
     scn.flows[0].arrival_rate = LOADED_RATE
     hits = 0
     for seed in range(1, 11):
-        s = engine.run(scn, seed=seed, duration_s=600).log.summary
+        s = engine.run(engine.apply_override(scn, "duration_s", 600), seed=seed).log.summary
         df = {n: s["per_node"][n]["data_frames"] for n in "23456"}
         upper = df["2"] + df["6"]
         lower = df["3"] + df["4"] + df["5"]
@@ -247,8 +247,8 @@ def test_ac8_power_control_convergence():
 
 def test_ac9_determinism():
     scn = channel.line7()
-    a = engine.run(scn, seed=5, duration_s=120).packet_log
-    b = engine.run(scn, seed=5, duration_s=120).packet_log
+    a = engine.run(engine.apply_override(scn, "duration_s", 120), seed=5).packet_log
+    b = engine.run(engine.apply_override(scn, "duration_s", 120), seed=5).packet_log
     serial = engine.sweep(scn, "block_size", [1], seeds=[1, 2], parallel=False)
     par = engine.sweep(scn, "block_size", [1], seeds=[1, 2], parallel=True)
     ok = a == b and serial[0]["digests"] == par[0]["digests"]
@@ -308,7 +308,7 @@ def test_ac10_field_and_elimination_properties():
 # -- substitutes for excluded absolute measurements ---------------------------
 
 def test_energy_scales_linearly_with_time():
-    eng = engine.run(channel.line7(), seed=3, duration_s=600)
+    eng = engine.run(engine.apply_override(channel.line7(), "duration_s", 600), seed=3)
     rows = [r for r in eng.log.samples if r["kind"] == "energy_mj"]
     per_node: dict[str, list[tuple[float, float]]] = {}
     for r in rows:

@@ -12,15 +12,15 @@ from bpnc import engine, rlnc, wire
 
 
 def test_zero_duration_run_is_empty():
-    eng = engine.run(ch.line7(), seed=1, duration_s=0)
+    eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 0), seed=1)
     assert eng.packet_log == []
     assert all(r["value"] in (0, 0.0) for r in eng.log.samples
                if r["kind"] in ("backlog", "overhead", "delivered"))
 
 
 def test_same_seed_identical_packet_logs():
-    a = engine.run(ch.line7(), seed=11, duration_s=150)
-    b = engine.run(ch.line7(), seed=11, duration_s=150)
+    a = engine.run(engine.apply_override(ch.line7(), "duration_s", 150), seed=11)
+    b = engine.run(engine.apply_override(ch.line7(), "duration_s", 150), seed=11)
     assert a.packet_log == b.packet_log
 
 
@@ -92,7 +92,7 @@ PINNED_DIGESTS = [
                               "butterfly7", "line7_asymmetric", "line7_two_way",
                               "butterfly7_unicast_and_multicast"])
 def test_packet_log_digest_pinned(make_scn, duration_s, digest):
-    eng = engine.run(make_scn(), seed=1, duration_s=duration_s)
+    eng = engine.run(engine.apply_override(make_scn(), "duration_s", duration_s), seed=1)
     assert engine.packet_log_digest(eng.packet_log) == digest
 
 
@@ -108,9 +108,36 @@ def test_known_scenarios_pass_validation(monkeypatch):
         scn.validate()
 
 
+def test_benchmark_tracer_restores_what_it_wraps(monkeypatch):
+    # perfbench/tracing.py wraps protocol, rlnc, gf, wire, channel, engine
+    # and backpressure names by attribute: a rename breaks it here first
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    targets = ([(owner, attr) for _, owner, attr, _ in tracing.SPANS]
+               + [(owner, attr) for _, owner, attr in tracing.COUNTS])
+    originals = [vars(owner)[attr] for owner, attr in targets]
+    with tracing.Tracer():
+        assert all(vars(owner)[attr] is not fn
+                   for (owner, attr), fn in zip(targets, originals))
+    assert all(vars(owner)[attr] is fn for (owner, attr), fn in zip(targets, originals))
+
+
+@pytest.mark.parametrize("seconds", [float("nan"), -5.0])
+def test_run_length_is_the_validated_scenario_duration(seconds):
+    scn = ch.line7()
+    scn.duration_s = seconds
+    with pytest.raises(ch.ScenarioError, match="duration_s"):
+        engine.run(scn, seed=1)
+    with pytest.raises(ch.ScenarioError, match="duration_s"):
+        engine.apply_override(ch.line7(), "duration_s", seconds)
+    with pytest.raises(TypeError):
+        engine.Engine(ch.line7(), 1, seconds)
+
+
 def test_early_recovery_pinned():
     # the rank-deficient solve reaches summary.json only, not the packet log
-    s = engine.run(_lossy_coded_butterfly7(), seed=1, duration_s=300).log.summary
+    scn = engine.apply_override(_lossy_coded_butterfly7(), "duration_s", 300)
+    s = engine.run(scn, seed=1).log.summary
     assert s["early_recovery_mean"] == 0.7649857142857143
     assert s["early_recovery_count"] == 35
 
@@ -126,7 +153,7 @@ def test_each_transmission_parsed_once(monkeypatch):
         return unpack(*args, **kwargs)
 
     monkeypatch.setattr(wire, "unpack", counted)
-    eng = engine.run(_lossy_coded_butterfly7(), seed=1, duration_s=300)
+    eng = engine.run(engine.apply_override(_lossy_coded_butterfly7(), "duration_s", 300), seed=1)
     assert len(eng.packet_log) > 0
     assert calls == len(eng.packet_log)
 
@@ -154,7 +181,7 @@ def test_receiver_table_keeps_link_direction():
 
 def test_run_makes_no_gain_lookups(monkeypatch):
     # the medium resolves the static topology once, when the engine is built
-    eng = engine.Engine(_asymmetric_line7(), seed=1, duration_s=300)
+    eng = engine.Engine(engine.apply_override(_asymmetric_line7(), "duration_s", 300), seed=1)
     calls = 0
     gain_db = ch.Scenario.gain_db
 
@@ -186,13 +213,13 @@ def test_unchanged_decoder_state_is_scored_once_truth_arrives():
 
 
 def test_different_seeds_differ():
-    a = engine.run(ch.line7(), seed=1, duration_s=150)
-    b = engine.run(ch.line7(), seed=2, duration_s=150)
+    a = engine.run(engine.apply_override(ch.line7(), "duration_s", 150), seed=1)
+    b = engine.run(engine.apply_override(ch.line7(), "duration_s", 150), seed=2)
     assert a.packet_log != b.packet_log
 
 
 def test_line7_delivers_and_conserves():
-    eng = engine.run(ch.line7(), seed=1, duration_s=600)
+    eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 600), seed=1)
     s = eng.log.summary
     assert s["delivered"]["0"] > 0
     assert s["delivered"]["0"] <= s["injected"]["0"]
@@ -200,7 +227,7 @@ def test_line7_delivers_and_conserves():
 
 
 def test_delivered_series_monotone_and_capped_by_injected():
-    eng = engine.run(ch.line7(), seed=6, duration_s=400)
+    eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 400), seed=6)
     dlv = [v for _, v in eng.log.series("delivered", flow=0)]
     inj = [v for _, v in eng.log.series("injected", flow=0)]
     assert dlv == sorted(dlv) and inj == sorted(inj)
@@ -208,7 +235,7 @@ def test_delivered_series_monotone_and_capped_by_injected():
 
 
 def test_overhead_counter_matches_packet_log():
-    eng = engine.run(ch.line7(), seed=3, duration_s=200)
+    eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 200), seed=3)
     counts = {n: 0 for n in eng.nodes}
     for line in eng.packet_log:
         _, _, src, kind, _ = line.split()
@@ -219,7 +246,7 @@ def test_overhead_counter_matches_packet_log():
 
 
 def test_energy_meter_matches_log_recomputation():
-    eng = engine.run(ch.line7(), seed=3, duration_s=200)
+    eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 200), seed=3)
     scn = eng.scn
     # rebuild each node's tx energy from the packet log alone
     tx_mj = {n: 0.0 for n in eng.nodes}
@@ -240,7 +267,7 @@ def test_energy_meter_matches_log_recomputation():
 
 
 def test_energy_series_nondecreasing_and_linear():
-    eng = engine.run(ch.line7(), seed=1, duration_s=600)
+    eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 600), seed=1)
     for nid in eng.nodes:
         series = eng.log.series("energy_mj", node=nid)
         ts = np.array([t for t, _ in series])
@@ -268,26 +295,24 @@ def test_sense_backoff_reduces_collision_losses():
             ],
             flows=[ch.FlowConfig(1, (2,), 2.0), ch.FlowConfig(3, (4,), 2.0)],
             coding=ch.CodingConfig(enabled=False, block_size=1),
-            sensing_enabled=sensing,
+            sensing_enabled=sensing, duration_s=300,
         )
-    on = sum(engine.run(scenario(True), seed=s, duration_s=300).collision_losses
-             for s in (1, 2, 3))
-    off = sum(engine.run(scenario(False), seed=s, duration_s=300).collision_losses
-              for s in (1, 2, 3))
+    on = sum(engine.run(scenario(True), seed=s).collision_losses for s in (1, 2, 3))
+    off = sum(engine.run(scenario(False), seed=s).collision_losses for s in (1, 2, 3))
     assert on < off
 
 
 def test_sweep_single_cell_matches_run():
     rows = engine.sweep(ch.line7(), "duration", [120], seeds=[9])
-    eng = engine.run(ch.line7(), seed=9, duration_s=120)
+    eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 120), seed=9)
     assert rows[0]["digests"][0] == engine.packet_log_digest(eng.packet_log)
     assert rows[0]["delivered_mean"] == sum(eng.log.summary["delivered"].values())
 
 
 def test_sweep_reports_early_recovery_mean(tmp_path):
     rows = engine.sweep(_lossy_coded_butterfly7(), "duration", [300], seeds=[1, 2])
-    per_run = [engine.run(_lossy_coded_butterfly7(), seed=s, duration_s=300)
-               .log.summary["early_recovery_mean"] for s in (1, 2)]
+    scn = engine.apply_override(_lossy_coded_butterfly7(), "duration_s", 300)
+    per_run = [engine.run(scn, seed=s).log.summary["early_recovery_mean"] for s in (1, 2)]
     assert rows[0]["early_recovery_mean"] == float(np.mean(per_run))
     # coding off: no run recovers symbols early, so the field is left blank
     plain = engine.sweep(ch.line7(), "duration", [60], seeds=[1])
@@ -323,7 +348,7 @@ def test_override_aliases_and_types():
 
 
 def test_metrics_csv_and_outputs(tmp_path):
-    eng = engine.run(ch.line7(), seed=1, duration_s=60)
+    eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 60), seed=1)
     engine.write_outputs(eng, tmp_path)
     text = (tmp_path / "metrics.csv").read_text().splitlines()
     assert text[0] == "# bpnc-metrics v1"
@@ -335,7 +360,7 @@ def test_metrics_csv_and_outputs(tmp_path):
 
 
 def test_butterfly_counts_only_joint_decodes():
-    eng = engine.run(ch.butterfly7(), seed=1, duration_s=400)
+    eng = engine.run(engine.apply_override(ch.butterfly7(), "duration_s", 400), seed=1)
     per_dest = eng.dest_decoded
     joint = sum(1 for done in eng.dest_done.values() if done == {6, 7})
     h = eng.scn.coding.block_size
@@ -344,7 +369,7 @@ def test_butterfly_counts_only_joint_decodes():
 
 
 def test_packet_log_line_format():
-    eng = engine.run(ch.line7(), seed=2, duration_s=60)
+    eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 60), seed=2)
     for line in eng.packet_log[:50]:
         t, chan, src, kind, payload = line.split()
         assert t.isdigit() and chan.isdigit() and src.isdigit()

@@ -1,5 +1,7 @@
 """Node state machine: hopping, neighbor tables, conflict resolution, power."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,8 +90,7 @@ def test_mutual_dis_populates_both_tables():
     a.handle_frame(2, 0, dis_b, rx_power_dbm=-65.0, tx_power_dbm=-10.0)
     assert list(a.neighbors) == [2] and list(b.neighbors) == [1]
     assert a.neighbors[2].gains_db[0] == pytest.approx(-55.0)
-    assert a.neighbors[2].next_channel == 0
-    assert b.neighbors[1].next_channel == 2
+    assert b.neighbors[1].gains_db[0] == pytest.approx(-55.0)
 
 
 def test_dis_below_sensitivity_ignored():
@@ -134,7 +135,7 @@ def test_syn_backlogs_feed_flow_selection():
     # neighbor-reported backlogs flow from the wire into the schedule choice
     node, _ = make_node(2)
     # ten packets of generation 0 relayed from node 1 queue 10 for node 7
-    node.data_role, node.data_peer = "rx", 1
+    node.begin_data_rx(1, 0)
     data = wire.DataFrame(0, 0, (1,), bytes(500), 4)
     for _ in range(10):
         node.on_data(1, data)
@@ -152,7 +153,7 @@ def test_flow_tie_goes_to_lower_source_and_destinations():
     scn = ch.line7()
     scn.flows = [ch.FlowConfig(3, (7,), 1.0), ch.FlowConfig(2, (7,), 1.0)]
     node, _ = make_node(4, scn=scn.validate())
-    node.data_role, node.data_peer = "rx", 3
+    node.begin_data_rx(3, 0)
     for fi in (0, 1):
         for _ in range(10):
             node.on_data(3, wire.DataFrame(fi, 0, (1,), bytes(500), 4))
@@ -175,20 +176,46 @@ def _scan_pick(node, fi, peer):
 
 def _relay_node():
     """Node 4 of line7, relaying four flows with h=2 coding; it is also a
-    destination of the last one."""
+    destination of the fourth and the source of the fifth."""
     scn = ch.line7()
     scn.flows = [ch.FlowConfig(1, (7,), 1.0), ch.FlowConfig(1, (6, 7), 1.0),
-                 ch.FlowConfig(2, (5,), 1.0), ch.FlowConfig(1, (4, 7), 1.0)]
+                 ch.FlowConfig(2, (5,), 1.0), ch.FlowConfig(1, (4, 7), 1.0),
+                 ch.FlowConfig(4, (6, 7), 1.0)]
     scn.coding = ch.CodingConfig(enabled=True, block_size=2, packet_len=4)
     node, _ = make_node(4, scn=scn.validate())
     return node
 
 
+OWN = 4  # the flow _relay_node sources
+
+
+def _assert_credit_index(node):
+    """relay_credit lists exactly the held generations with credit, and a
+    source holds only the frames it has yet to send."""
+    for fi, gids in node.relay_credit.items():
+        assert gids == sorted(g for (f, g), rg in node.relay_gens.items()
+                              if f == fi and rg.credit() > 0)
+    for (fi, _), rg in node.relay_gens.items():
+        if fi in node.open_gens:
+            assert rg.origins == set() and len(rg.pkts) == rg.rcvd > rg.sent
+
+
+def _source_step(node, step):
+    """Run an "arrive" or "timeout" step at the source of OWN."""
+    if step[0] == "arrive":
+        node.app_arrival(OWN)
+    elif OWN in node.open_gens:
+        node.generation_timeout(OWN, node.open_gens[OWN])
+
+
+SOURCE_STEP = st.tuples(st.sampled_from(["arrive", "timeout"]))
 RELAY_STEP = st.one_of(
-    # ("rx", flow, gen id, sender): one relayed packet arrives
-    st.tuples(st.just("rx"), st.integers(0, 3), st.integers(0, 5), st.integers(1, 3)),
+    # ("rx", flow, gen id, sender): one packet arrives; frames of OWN come
+    # back to their source
+    st.tuples(st.just("rx"), st.integers(0, 4), st.integers(0, 5), st.integers(1, 3)),
     # ("tx", flow, peer): one packet is sent, peer None for a broadcast
-    st.tuples(st.just("tx"), st.integers(0, 3), st.none() | st.integers(1, 3)),
+    st.tuples(st.just("tx"), st.integers(0, 4), st.none() | st.integers(1, 3)),
+    SOURCE_STEP,
 )
 
 
@@ -196,33 +223,137 @@ RELAY_STEP = st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_relay_choice_matches_full_scan(steps):
     node = _relay_node()
-    node.data_role = "rx"
     for step in steps:
         if step[0] == "rx":
             _, fi, gid, sender = step
-            node.data_peer = sender
+            node.begin_data_rx(sender, 0)
             node.on_data(sender, wire.DataFrame(fi, gid, (1, 3), bytes(4), 4))
+            continue
+        if step[0] != "tx":
+            _source_step(node, step)
             continue
         _, fi, peer = step
         expect = _scan_pick(node, fi, peer)
         assert node.has_sendable(fi, peer) == (expect is not None)
         before = {k: rg.sent for k, rg in node.relay_gens.items()}
         frame = node.next_coded_packet(fi, peer)
-        sent = [k for k, rg in node.relay_gens.items() if rg.sent != before[k]]
+        sent = [k for k, rg in before.items()
+                if k not in node.relay_gens or node.relay_gens[k].sent != rg]
         if expect is None:
             assert frame is None and sent == []
         else:
             assert (frame.flow_index, frame.gen_id) == expect and sent == [expect]
-    for fi, gids in node.relay_credit.items():
-        assert gids == sorted(g for (f, g), rg in node.relay_gens.items()
-                              if f == fi and rg.credit() > 0)
+    _assert_credit_index(node)
+
+
+@dataclass
+class ReferenceSourceGen:
+    """One generation of the source send queue that sources used to keep
+    apart from the relay store: frames coded so far, and frames sent."""
+
+    gen_id: int
+    filled: int = 0
+    coded: int = 0
+    sent: int = 0
+
+
+class ReferenceSource:
+    """The former source send path: a list of generations in the order
+    opened; a pick sends the next frame of the oldest one with credit, and a
+    full generation is dropped once that leaves it without credit."""
+
+    def __init__(self, h, extra):
+        self.h, self.extra = h, extra
+        self.gens: list[ReferenceSourceGen] = []
+        self.open: ReferenceSourceGen | None = None
+
+    def arrive(self):
+        if self.open is None or self.open.filled == self.h:
+            self.open = ReferenceSourceGen(0 if self.open is None else self.open.gen_id + 1)
+            self.gens.append(self.open)
+        self.open.filled += 1
+        self.open.coded += 1 + (self.extra if self.open.filled == self.h else 0)
+
+    def timeout(self):
+        g = self.open
+        if g is not None and g.filled < self.h:
+            g.coded += self.h - g.filled + self.extra
+            g.filled = self.h
+
+    def has_sendable(self):
+        return any(g.coded > g.sent for g in self.gens)
+
+    def pick(self):
+        for i, g in enumerate(self.gens):
+            if g.coded > g.sent:
+                g.sent += 1
+                if g.filled == self.h and g.coded == g.sent:
+                    del self.gens[i]
+                return g.gen_id, g.sent - 1
+        return None
+
+
+@given(st.lists(RELAY_STEP, max_size=80))
+@settings(max_examples=200, deadline=None)
+def test_source_choice_matches_source_gen_list(steps):
+    node = _relay_node()
+    ref = ReferenceSource(node.block_size(), node.extra_packets())
+    coded = {}  # generation id -> every frame the source coded, in order
+    to_frame = node.to_frame
+
+    def recording(fi, gid, pkt):
+        frame = to_frame(fi, gid, pkt)
+        if fi == OWN:
+            coded.setdefault(gid, []).append(frame)
+        return frame
+    node.to_frame = recording
+    for step in steps:
+        if step[0] == "rx":
+            _, fi, gid, sender = step
+            node.begin_data_rx(sender, 0)
+            node.on_data(sender, wire.DataFrame(fi, gid, (1, 3), bytes(4), 4))
+        elif step[0] == "tx" and step[1] == OWN:
+            peer = step[2]
+            assert node.has_sendable(OWN, peer) == ref.has_sendable()
+            frame = node.next_coded_packet(OWN, peer)
+            expect = ref.pick()
+            if expect is None:
+                assert frame is None
+            else:
+                gid, k = expect
+                assert frame is coded[gid][k]
+        elif step[0] == "tx":
+            node.next_coded_packet(step[1], step[2])
+        else:
+            _source_step(node, step)
+            getattr(ref, step[0])()
+    assert node.has_sendable(OWN) == ref.has_sendable()
+    _assert_credit_index(node)
+
+
+def test_source_holds_no_frame_of_its_own_flow():
+    # DATA of its own flow that comes back to a source counts in its virtual
+    # queues, but the source holds no frame for it and sends its own next
+    node = _relay_node()
+    node.app_arrival(OWN)
+    own = node.relay_gens[(OWN, 0)].pkts[0]
+    backlog = node.queues.flow_backlogs(OWN)
+    assert backlog == {6: 1, 7: 1}
+    node.begin_data_rx(3, 0)
+    for gid in (0, 5):
+        node.on_data(3, wire.DataFrame(OWN, gid, (1, 3), bytes(4), 4))
+    assert node.queues.flow_backlogs(OWN) == {6: 3, 7: 3}
+    assert list(node.relay_gens) == [(OWN, 0)] and node.relay_credit[OWN] == [0]
+    assert node.relay_gens[(OWN, 0)].rcvd == 1
+    assert node.next_coded_packet(OWN, 3) is own
+    assert node.next_coded_packet(OWN, 3) is None
 
 
 def test_relay_forwards_received_frame():
     # a relay re-sends the very frames it received, in arrival order, and
     # codes a new frame only for credit beyond its buffer of 4h frames
     node = _relay_node()
-    node.data_role, node.data_peer = "rx", 3
+    node.begin_data_rx(3, 0)
     frames = [wire.DataFrame(0, 7, (1 + k % 3, k % 2), bytes([k, 2 * k, 3, 4]), 4)
               for k in range(9)]
     for f in frames:
@@ -255,7 +386,7 @@ def test_payload_converted_only_for_gf_arithmetic(monkeypatch):
         monkeypatch.setattr(gf, name, counted(name, getattr(gf, name)))
     monkeypatch.setattr(rlnc.DecoderState, "ingest",
                         counted("ingest", rlnc.DecoderState.ingest))
-    eng = engine.run(ch.line7(), seed=1, duration_s=600)
+    eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 600), seed=1)
     hops = sum(eng.data_frames.values())
     assert calls["ingest"] > 0 and hops > calls["ingest"]
     assert calls["bytes_to_symbols"] == calls["ingest"]
@@ -277,7 +408,7 @@ def test_relay_choice_does_not_scan_spent_generations(monkeypatch):
                         counted("sendable_to", RelayGen.sendable_to))
     monkeypatch.setattr(Node, "next_coded_packet",
                         counted("next_coded_packet", Node.next_coded_packet))
-    engine.run(ch.line7(), seed=1, duration_s=600)
+    engine.run(engine.apply_override(ch.line7(), "duration_s", 600), seed=1)
     assert calls["next_coded_packet"] > 0
     assert calls["sendable_to"] <= 4 * calls["next_coded_packet"]
 
@@ -367,7 +498,7 @@ def test_active_neighbor_trips_busy():
 def test_data_phase_rate_bound():
     """30 s at the medium's frame airtime bounds the packets one phase sends."""
     scn = ch.line7()
-    eng = engine.run(scn, seed=3, duration_s=200)
+    eng = engine.run(engine.apply_override(scn, "duration_s", 200), seed=3)
     airtime_s = eng.airtime_us(b"\x00" * 510) / 1e6
     cap = int(scn.timing.data_s / airtime_s) + 1
     for node in eng.nodes.values():
@@ -378,7 +509,7 @@ def test_data_phase_rate_bound():
 
 def test_destination_never_enqueues_own_queue():
     scn = ch.butterfly7()
-    eng = engine.run(scn, seed=2, duration_s=200)
+    eng = engine.run(engine.apply_override(scn, "duration_s", 200), seed=2)
     flow = 0  # 1 -> (6, 7)
     # destination 6 keeps a virtual queue for 7 but never one for itself
     assert (flow, 6) not in eng.nodes[6].queues.backlogs
@@ -386,7 +517,7 @@ def test_destination_never_enqueues_own_queue():
 
 
 def test_phase_transitions_logged_and_power_in_range():
-    eng = engine.run(ch.line7(), seed=4, duration_s=120)
+    eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 120), seed=4)
     scn = eng.scn
     for node in eng.nodes.values():
         assert node.phase_log[0][1] is Phase.DISCOVERY
@@ -398,7 +529,7 @@ def test_phase_transitions_logged_and_power_in_range():
 
 
 def test_no_cts_without_matching_rts():
-    eng = engine.run(ch.line7(), seed=5, duration_s=300)
+    eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 300), seed=5)
     seen_rts = set()
     for line in eng.packet_log:
         t, chan, src, kind, payload = line.split()
