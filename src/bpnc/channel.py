@@ -167,11 +167,6 @@ class Scenario:
     sensing_enabled: bool = True
     duration_s: float = 600.0
 
-    def __post_init__(self):
-        self._gain_map: dict[tuple[int, int, int | None], float] = {}
-        for l in self.links:
-            self._gain_map[(l.src, l.dst, l.channel)] = l.gain_db
-
     def validate(self):
         # node ids, flow indices and channel indices each travel in one byte
         if self.num_nodes > 255:
@@ -223,11 +218,18 @@ class Scenario:
         return self
 
     def gain_db(self, i: int, j: int, chan: int) -> float:
-        """Directional lookup with symmetric fallback; -inf if disconnected."""
-        for key in ((i, j, chan), (j, i, chan), (i, j, None), (j, i, None)):
-            if key in self._gain_map:
-                return self._gain_map[key]
-        return float("-inf")
+        """Directional lookup with symmetric fallback; -inf if disconnected.
+
+        Resolved from the current ``links``, so a link added or edited after
+        construction counts; of two links with the same key, the later wins.
+        """
+        keys = ((i, j, chan), (j, i, chan), (i, j, None), (j, i, None))
+        rank, gain = len(keys), float("-inf")
+        for l in self.links:
+            key = (l.src, l.dst, l.channel)
+            if key in keys and keys.index(key) <= rank:
+                rank, gain = keys.index(key), l.gain_db
+        return gain
 
 
 # -- SNR / BER / rate -------------------------------------------------------

@@ -17,6 +17,7 @@ import copy
 import heapq
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,8 +45,9 @@ class Transmission:
 @dataclass
 class MetricsLog:
     samples: list[dict] = field(default_factory=list)
-    # (time_us, flow, gen, dest, received, decoded_fraction)
-    accuracy: list[tuple] = field(default_factory=list)
+    # packets received -> decoded fraction at each destination ingest, in
+    # arrival order
+    accuracy: dict[int, list[float]] = field(default_factory=dict)
     early_recovery: list[float] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
@@ -113,8 +115,8 @@ class Engine:
         self.delivered: dict[int, int] = {i: 0 for i in range(len(scn.flows))}
         self.dest_done: dict[tuple[int, int], set[int]] = {}
         self.best_pre_full: dict[tuple[int, int, int], int] = {}
-        self.data_frames: dict[int, int] = {n: 0 for n in self.nodes}
-        self.dest_decoded: dict[int, int] = {}
+        # node -> frame type name -> frames it sent
+        self.frames_sent: dict[int, Counter] = {n: Counter() for n in self.nodes}
         self.collision_losses = 0
         self.decode_errors = 0
 
@@ -172,11 +174,9 @@ class Engine:
         node.tx_until_us = max(node.tx_until_us, end)
         node.tx_airtime_us += air
         node.tx_energy_mj += ch.dbm_to_mw(node.power_dbm) * air / US
-        if isinstance(tx.frame, wire.DataFrame):
-            self.data_frames[node.id] += 1
-        self.packet_log.append(
-            f"{self.now_us} {chan} {node.id} {wire.TYPE_NAMES[raw[0]]} {raw.hex()}"
-        )
+        kind = wire.TYPE_NAMES[raw[0]]
+        self.frames_sent[node.id][kind] += 1
+        self.packet_log.append(f"{self.now_us} {chan} {node.id} {kind} {raw.hex()}")
         self.schedule_at(end, lambda: self._deliver(tx))
         return air
 
@@ -234,18 +234,14 @@ class Engine:
     def on_destination_ingest(self, dest: int, flow_index: int, gen_id: int,
                               dec, rank_before: int) -> None:
         h = dec.block_size
-        self.log.accuracy.append(
-            (self.now_us, flow_index, gen_id, dest, dec.received,
-             dec.decoded_count() / h)
-        )
-        key = (flow_index, gen_id)
-        truth = self.truth.get(key)
+        self.log.accuracy.setdefault(dec.received, []).append(dec.decoded_count() / h)
+        truth = self.truth.get((flow_index, gen_id))
         k = (flow_index, gen_id, dest)
         # A reception that did not raise the rank left the decoder state as it
-        # was; truth is never dropped once registered, so if k is already in
-        # best_pre_full that state has been scored and solving again is waste.
-        if (dec.mode == "rank_deficient" and not dec.full_rank
-                and truth is not None and truth[0].shape[0] == h
+        # was; truth is kept until every destination has decoded, so if k is
+        # already in best_pre_full that state has been scored and solving
+        # again is waste.
+        if (dec.mode == "rank_deficient" and not dec.full_rank and truth is not None
                 and (dec.rank > rank_before or k not in self.best_pre_full)):
             est, conf = dec.solve_rank_deficient()
             mask = conf > 0
@@ -256,7 +252,7 @@ class Engine:
 
     def _on_generation_decoded(self, dest, flow_index, gen_id, dec, truth) -> None:
         h = dec.block_size
-        if truth is not None and truth[0].shape[0] == h:
+        if truth is not None:
             for src_idx, payload in dec.delivered.items():
                 if not np.array_equal(payload, truth[0][src_idx]):
                     self.decode_errors += 1
@@ -265,30 +261,34 @@ class Engine:
                 self.log.early_recovery.append(
                     self.best_pre_full.pop(k) / (h * dec.packet_len)
                 )
+        # a destination has one decoder per generation, so it gets here once
         done = self.dest_done.setdefault((flow_index, gen_id), set())
-        if dest not in done:
-            self.dest_decoded[dest] = self.dest_decoded.get(dest, 0) + 1
         done.add(dest)
-        flow_dests = set(self.scn.flows[flow_index].dsts)
-        if done == flow_dests:
-            real = truth[1] if truth is not None else h
-            self.delivered[flow_index] += real
+        if done == set(self.scn.flows[flow_index].dsts):
+            self.delivered[flow_index] += truth[1] if truth is not None else h
+            # no destination ingests this generation below full rank again
+            self.truth.pop((flow_index, gen_id), None)
 
     # -- metrics ------------------------------------------------------------
 
+    def node_stats(self, nid: int) -> dict[str, float]:
+        """A node's backlog, energy and frames sent so far, keyed by the
+        metric names of ``metrics.csv``."""
+        n = self.nodes[nid]
+        listen_mw = self.scn.phy.listen_power_frac * ch.dbm_to_mw(self.scn.power.max_dbm)
+        listen_s = max(0, self.now_us - n.tx_airtime_us) / US
+        sent = self.frames_sent[nid]
+        return {
+            "backlog": n.queues.total(),
+            "energy_mj": round(n.tx_energy_mj + listen_mw * listen_s, 6),
+            "overhead": sent.total() - sent["DATA"],
+            "data_frames": sent["DATA"],
+        }
+
     def _sample_metrics(self) -> None:
         t_s = self.now_us / US
-        listen_mw = self.scn.phy.listen_power_frac * ch.dbm_to_mw(self.scn.power.max_dbm)
         for nid in sorted(self.nodes):
-            n = self.nodes[nid]
-            listen_s = max(0, self.now_us - n.tx_airtime_us) / US
-            energy = n.tx_energy_mj + listen_mw * listen_s
-            for kind, value in (
-                ("backlog", n.queues.total()),
-                ("energy_mj", round(energy, 6)),
-                ("overhead", n.overhead),
-                ("data_frames", self.data_frames[nid]),
-            ):
+            for kind, value in self.node_stats(nid).items():
                 self.log.samples.append(
                     {"time_s": t_s, "kind": kind, "node": nid, "flow": "", "value": value}
                 )
@@ -306,22 +306,20 @@ class Engine:
                           self._sample_metrics)
 
     def _finalize_summary(self) -> None:
-        listen_mw = self.scn.phy.listen_power_frac * ch.dbm_to_mw(self.scn.power.max_dbm)
+        """Built at duration_us, from the values of the final sample."""
         per_node = {}
         for nid in sorted(self.nodes):
-            n = self.nodes[nid]
+            stats = self.node_stats(nid)
             backlogs = [v for (t, v) in self.log.series("backlog", node=nid)]
             per_node[str(nid)] = {
-                "energy_mj": round(
-                    n.tx_energy_mj
-                    + listen_mw * max(0, self.duration_us - n.tx_airtime_us) / US, 6
-                ),
-                "overhead_frames": n.overhead,
-                "data_frames": self.data_frames[nid],
-                "final_backlog": n.queues.total(),
+                "energy_mj": stats["energy_mj"],
+                "overhead_frames": stats["overhead"],
+                "data_frames": stats["data_frames"],
+                "final_backlog": stats["backlog"],
                 "median_backlog": float(np.median(backlogs)) if backlogs else 0.0,
-                "power_dbm": round(n.power_dbm, 3),
+                "power_dbm": round(self.nodes[nid].power_dbm, 3),
             }
+        decoded = Counter(d for done in self.dest_done.values() for d in done)
         er = self.log.early_recovery
         self.log.summary = {
             "scenario": self.scn.name,
@@ -331,7 +329,7 @@ class Engine:
             "delivered": {str(k): v for k, v in self.delivered.items()},
             "per_node": per_node,
             "decoded_generations_per_destination": {
-                str(k): v for k, v in sorted(self.dest_decoded.items())
+                str(k): v for k, v in sorted(decoded.items())
             },
             "collision_losses": self.collision_losses,
             "decode_errors": self.decode_errors,
@@ -343,10 +341,7 @@ class Engine:
 def accuracy_curve(log: MetricsLog) -> list[tuple[int, float]]:
     """Mean decoded fraction as a function of packets received, pooled over
     all (flow, generation, destination) decode traces."""
-    buckets: dict[int, list[float]] = {}
-    for _, _, _, _, received, frac in log.accuracy:
-        buckets.setdefault(received, []).append(frac)
-    return [(r, float(np.mean(buckets[r]))) for r in sorted(buckets)]
+    return [(r, float(np.mean(log.accuracy[r]))) for r in sorted(log.accuracy)]
 
 
 def run(scn: ch.Scenario, seed: int) -> Engine:

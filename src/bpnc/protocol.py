@@ -99,7 +99,6 @@ class Node:
         self.ctx = engine.ctx
         self.phase = Phase.DISCOVERY
         self.phase_entry_us = 0
-        self.phase_log: list[tuple[int, Phase]] = []
         self.tick_token = 0
         self.channel = 0
         self.neighbors: dict[int, NeighborRecord] = {}
@@ -114,14 +113,13 @@ class Node:
         self.queues = bp.VirtualQueueSet(node_id, self.flows)
         self.penalty = bp.PenaltyTracker()
         self.power_dbm = scn.power.init_dbm
-        self.overhead = 0
         self.tx_airtime_us = 0
         self.tx_energy_mj = 0.0
         self.tx_until_us = 0
         # negotiation state
         self.pending: Schedule | None = None
-        self.rts_inbox: list[tuple[int, wire.RtsFrame]] = []   # (t, frame)
-        self.overheard_rts: list[tuple[int, wire.RtsFrame]] = []
+        self.rts_inbox: list[wire.RtsFrame] = []
+        self.overheard_rts: list[tuple[int, wire.RtsFrame]] = []   # (t, frame)
         self.resolve_scheduled = False
         # data phase: a node receives in it iff pending is None
         self.data_peer = 0
@@ -147,7 +145,6 @@ class Node:
     def enter_phase(self, phase: Phase) -> None:
         self.phase = phase
         self.phase_entry_us = self.now()
-        self.phase_log.append((self.now(), phase))
 
     def block_size(self) -> int:
         return self.scn.coding.block_size if self.scn.coding.enabled else 1
@@ -233,12 +230,9 @@ class Node:
         if self.phase is not Phase.NEGOTIATION:
             return
         t = self.scn.timing
-        if self.now() - self.phase_entry_us >= self.us(t.negotiation_s):
-            # TDT expiry: fall back, but keep pending so a late CTS still wins
-            self.enter_phase(Phase.FLOW_UPDATE)
-            self.schedule_tick(self.us(t.syn_interval_s))
-            return
-        if self.pending is None:
+        if self.pending is None or self.now() - self.phase_entry_us >= self.us(t.negotiation_s):
+            # TDT expiry (or nothing left to negotiate): fall back, but keep
+            # pending so a late CTS still wins
             self.enter_phase(Phase.FLOW_UPDATE)
             self.schedule_tick(self.us(t.syn_interval_s))
             return
@@ -273,7 +267,6 @@ class Node:
             if rec.gains_db
         )[:255]
         frame = wire.DisFrame(self.id, self.channel, nbrs)
-        self.overhead += 1
         self.engine.transmit(self, self.channel, frame)
 
     def send_syn(self) -> None:
@@ -282,18 +275,15 @@ class Node:
             src, dsts = self.flows[fi]
             entries.append((src, (dest,) + tuple(d for d in dsts if d != dest), backlog))
         frame = wire.SynFrame(self.id, tuple(entries))
-        self.overhead += 1
         self.engine.transmit(self, self.channel, frame)
 
     def send_rts(self) -> None:
         s = self.pending
         frame = wire.RtsFrame(self.id, s.neighbor, s.channel, s.flow_index, s.utility)
-        self.overhead += 1
         self.engine.transmit(self, s.channel, frame)
 
     def send_cts(self, tx: int, chan: int) -> None:
         frame = wire.CtsFrame(self.id, tx, chan)
-        self.overhead += 1
         self.engine.transmit(self, chan, frame)
 
     # -- backpressure decision ----------------------------------------------
@@ -398,23 +388,22 @@ class Node:
     def on_rts(self, frame: wire.RtsFrame) -> None:
         if self.phase is Phase.DATA_TRANSFER:
             return  # half-duplex: busy in a data phase
-        t = self.now()
         if frame.rx == self.id:
-            self.rts_inbox.append((t, frame))
+            # resolve_rts clears the inbox cts_wait_s after its first entry
+            self.rts_inbox.append(frame)
             if not self.resolve_scheduled:
                 self.resolve_scheduled = True
                 self.engine.schedule(self.us(self.scn.timing.cts_wait_s), self.resolve_rts)
         else:
-            self.overheard_rts.append((t, frame))
+            self.overheard_rts.append((self.now(), frame))
 
     def resolve_rts(self) -> None:
         self.resolve_scheduled = False
         window = self.us(2 * self.scn.timing.cts_wait_s)
         horizon = self.now() - window
-        inbox = [f for t, f in self.rts_inbox if t >= horizon]
-        overheard = [f for t, f in self.overheard_rts if t >= horizon]
-        self.rts_inbox.clear()
+        inbox, self.rts_inbox = self.rts_inbox, []
         self.overheard_rts = [(t, f) for t, f in self.overheard_rts if t >= horizon]
+        overheard = [f for _, f in self.overheard_rts]
         if not inbox or self.phase is Phase.DATA_TRANSFER:
             return
         own_sched = self.pending

@@ -150,6 +150,19 @@ def test_gain_symmetric_lookup():
     assert scn.gain_db(2, 1, 0) == scn.gain_db(1, 2, 0)
 
 
+def test_gain_lookup_precedence():
+    # own direction on the channel, then reverse, then any channel; of two
+    # links with the same key the later one counts
+    scn = line7()
+    scn.links = [LinkConfig(1, 2, -50.0), LinkConfig(2, 1, -60.0, channel=1),
+                 LinkConfig(1, 2, -70.0, channel=1), LinkConfig(1, 2, -65.0)]
+    assert scn.gain_db(1, 2, 1) == -70.0
+    assert scn.gain_db(2, 1, 1) == -60.0
+    assert scn.gain_db(1, 2, 0) == -65.0
+    assert scn.gain_db(2, 1, 0) == -65.0
+    assert scn.gain_db(1, 3, 0) == float("-inf")
+
+
 def test_validation_errors():
     scn = line7()
     scn.coding.field_bits = 9

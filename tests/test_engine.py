@@ -1,7 +1,9 @@
 """Event loop, conservation, energy accounting, sweeps, determinism."""
 
 import dataclasses
+import hashlib
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +96,26 @@ PINNED_DIGESTS = [
 def test_packet_log_digest_pinned(make_scn, duration_s, digest):
     eng = engine.run(engine.apply_override(make_scn(), "duration_s", duration_s), seed=1)
     assert engine.packet_log_digest(eng.packet_log) == digest
+
+
+# summary.json and metrics.csv as write_outputs writes them, at seed 1
+PINNED_OUTPUTS = [
+    (ch.line7, 600,
+     "e8a913d285685ca2cba2306c84d01825d475169033e1ee1509bb11814ecb3ef2",
+     "bba143813d61eb1f636b3cf724f2a9b8794dd9ff2f5320201be4b843602eb5cc"),
+    (_lossy_coded_butterfly7, 300,
+     "d608ed597782fb6ad9cd6d20d53984f573e7e616b9a9fb82ec160c55d27b1479",
+     "a4e3196e7d311ea4c8775f960ffad1bfcae59b6b8705e3589afd973231b42652"),
+]
+
+
+@pytest.mark.parametrize("make_scn,duration_s,summary,metrics", PINNED_OUTPUTS,
+                         ids=["line7", "butterfly7_lossy_coded"])
+def test_output_files_pinned(tmp_path, make_scn, duration_s, summary, metrics):
+    eng = engine.run(engine.apply_override(make_scn(), "duration_s", duration_s), seed=1)
+    engine.write_outputs(eng, tmp_path)
+    assert hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest() == summary
+    assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == metrics
 
 
 def test_known_scenarios_pass_validation(monkeypatch):
@@ -236,13 +258,31 @@ def test_delivered_series_monotone_and_capped_by_injected():
 
 def test_overhead_counter_matches_packet_log():
     eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 200), seed=3)
-    counts = {n: 0 for n in eng.nodes}
+    counts = {n: Counter() for n in eng.nodes}
     for line in eng.packet_log:
         _, _, src, kind, _ = line.split()
-        if kind in ("DIS", "SYN", "RTS", "CTS"):
-            counts[int(src)] += 1
-    for nid, node in eng.nodes.items():
-        assert node.overhead == counts[nid]
+        counts[int(src)][kind] += 1
+    assert eng.frames_sent == counts
+    assert all(counts[n]["DATA"] > 0 for n in range(1, 7))
+    last = {(r["node"], r["kind"]): r["value"] for r in eng.log.samples}
+    for nid in eng.nodes:
+        assert last[(nid, "data_frames")] == counts[nid]["DATA"]
+        assert last[(nid, "overhead")] == sum(
+            counts[nid][k] for k in ("DIS", "SYN", "RTS", "CTS"))
+
+
+@pytest.mark.parametrize("make_scn", [ch.line7, _lossy_coded_butterfly7])
+def test_summary_per_node_is_the_final_sample(make_scn):
+    eng = engine.run(engine.apply_override(make_scn(), "duration_s", 300), seed=2)
+    end_s = eng.duration_us / engine.US
+    final = {(r["node"], r["kind"]): r["value"] for r in eng.log.samples
+             if r["time_s"] == end_s and r["node"] != ""}
+    for nid in eng.nodes:
+        per_node = eng.log.summary["per_node"][str(nid)]
+        assert per_node["energy_mj"] == final[(nid, "energy_mj")]
+        assert per_node["overhead_frames"] == final[(nid, "overhead")]
+        assert per_node["data_frames"] == final[(nid, "data_frames")]
+        assert per_node["final_backlog"] == final[(nid, "backlog")]
 
 
 def test_energy_meter_matches_log_recomputation():
@@ -361,11 +401,34 @@ def test_metrics_csv_and_outputs(tmp_path):
 
 def test_butterfly_counts_only_joint_decodes():
     eng = engine.run(engine.apply_override(ch.butterfly7(), "duration_s", 400), seed=1)
-    per_dest = eng.dest_decoded
+    per_dest = {int(d): n for d, n in
+                eng.log.summary["decoded_generations_per_destination"].items()}
     joint = sum(1 for done in eng.dest_done.values() if done == {6, 7})
     h = eng.scn.coding.block_size
     assert sum(eng.delivered.values()) <= joint * h
     assert eng.delivered[0] <= min(per_dest.get(6, 0), per_dest.get(7, 0)) * h
+
+
+@pytest.mark.parametrize("make_scn,duration_s",
+                         [(ch.butterfly7, 600), (_unicast_and_multicast_butterfly7, 300)])
+def test_truth_freed_once_every_destination_decoded(make_scn, duration_s):
+    eng = engine.run(engine.apply_override(make_scn(), "duration_s", duration_s), seed=1)
+    joint = {key for key, done in eng.dest_done.items()
+             if done == set(eng.scn.flows[key[0]].dsts)}
+    assert joint and eng.truth
+    assert not joint & eng.truth.keys()
+
+
+def test_link_added_after_construction_is_used(tmp_path):
+    # the engine sees the links a saved scenario file holds
+    scn = engine.apply_override(ch.line7(), "duration_s", 300)
+    scn.links.append(ch.LinkConfig(2, 3, -80.0, channel=0))
+    ch.save_scenario(scn, tmp_path / "scn.yaml")
+    loaded = ch.load_scenario(tmp_path / "scn.yaml")
+    assert scn.gain_db(2, 3, 0) == loaded.gain_db(2, 3, 0) == -80.0
+    digests = [engine.packet_log_digest(engine.run(s, seed=1).packet_log)
+               for s in (scn, loaded)]
+    assert digests[0] == digests[1]
 
 
 def test_packet_log_line_format():

@@ -387,7 +387,7 @@ def test_payload_converted_only_for_gf_arithmetic(monkeypatch):
     monkeypatch.setattr(rlnc.DecoderState, "ingest",
                         counted("ingest", rlnc.DecoderState.ingest))
     eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 600), seed=1)
-    hops = sum(eng.data_frames.values())
+    hops = sum(sent["DATA"] for sent in eng.frames_sent.values())
     assert calls["ingest"] > 0 and hops > calls["ingest"]
     assert calls["bytes_to_symbols"] == calls["ingest"]
     assert calls["symbols_to_bytes"] == sum(eng.injected.values())
@@ -495,16 +495,29 @@ def test_active_neighbor_trips_busy():
 
 # -- data round accounting --------------------------------------------------
 
-def test_data_phase_rate_bound():
+def run_logging_phases(monkeypatch, scn, seed):
+    """A run, with each node's (time_us, phase) entries in the order it
+    entered them."""
+    phases = {}
+    enter_phase = Node.enter_phase
+
+    def logged(self, phase):
+        enter_phase(self, phase)
+        phases.setdefault(self.id, []).append((self.now(), phase))
+
+    monkeypatch.setattr(Node, "enter_phase", logged)
+    return engine.run(scn, seed=seed), phases
+
+
+def test_data_phase_rate_bound(monkeypatch):
     """30 s at the medium's frame airtime bounds the packets one phase sends."""
     scn = ch.line7()
-    eng = engine.run(engine.apply_override(scn, "duration_s", 200), seed=3)
+    eng, phases = run_logging_phases(monkeypatch, engine.apply_override(scn, "duration_s", 200), 3)
     airtime_s = eng.airtime_us(b"\x00" * 510) / 1e6
     cap = int(scn.timing.data_s / airtime_s) + 1
     for node in eng.nodes.values():
-        phases = node.phase_log
-        data_windows = sum(1 for _, p in phases if p is Phase.DATA_TRANSFER)
-        assert eng.data_frames[node.id] <= cap * max(1, data_windows)
+        data_windows = sum(1 for _, p in phases[node.id] if p is Phase.DATA_TRANSFER)
+        assert eng.frames_sent[node.id]["DATA"] <= cap * max(1, data_windows)
 
 
 def test_destination_never_enqueues_own_queue():
@@ -516,13 +529,14 @@ def test_destination_never_enqueues_own_queue():
     assert (flow, 7) not in eng.nodes[7].queues.backlogs
 
 
-def test_phase_transitions_logged_and_power_in_range():
-    eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 120), seed=4)
+def test_phase_transitions_logged_and_power_in_range(monkeypatch):
+    eng, phases = run_logging_phases(
+        monkeypatch, engine.apply_override(ch.line7(), "duration_s", 120), 4)
     scn = eng.scn
     for node in eng.nodes.values():
-        assert node.phase_log[0][1] is Phase.DISCOVERY
+        assert phases[node.id][0][1] is Phase.DISCOVERY
         # discovery hand-off happens at the first tick at/after TTR
-        t_fu = next(t for t, p in node.phase_log if p is Phase.FLOW_UPDATE)
+        t_fu = next(t for t, p in phases[node.id] if p is Phase.FLOW_UPDATE)
         ttr = scn.timing.discovery_s * 1e6
         assert ttr <= t_fu <= ttr + (scn.timing.channel_dwell_s + 0.5) * 1e6
         assert scn.power.min_dbm <= node.power_dbm <= scn.power.max_dbm
