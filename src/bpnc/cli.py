@@ -63,12 +63,19 @@ def parse_param(spec: str) -> tuple[str, list[str]]:
     return key, values
 
 
+def seed_list(count: int) -> list[int]:
+    """Seeds 1..count; a sweep over no seed has no row to report."""
+    if count < 1:
+        raise ch.ScenarioError(f"seeds: must be at least 1, got {count}")
+    return list(range(1, count + 1))
+
+
 def cmd_sweep(args) -> int:
+    seeds = seed_list(args.seeds)
     scn = load_scenario(args)
     key, values = parse_param(args.param)
     if key == "decoder":
         values = [DECODER_NAMES.get(v, v) for v in values]
-    seeds = list(range(1, args.seeds + 1))
     rows = engine.sweep(scn, key, values, seeds, parallel=args.parallel)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -90,9 +97,9 @@ def _write_accuracy_curves(rows, out: Path) -> None:
 
 
 def cmd_paper_suite(args) -> int:
+    seeds = seed_list(args.seeds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = list(range(1, args.seeds + 1))
 
     # block preconditioning report (per-packet equivalence rates)
     ctx = gf.FieldContext(4)

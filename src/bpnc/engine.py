@@ -4,9 +4,15 @@ Time is integer microseconds.  Events with equal timestamps run in
 scheduling order, so a run is a pure function of (scenario, seed); logging
 never consumes randomness.
 
-The medium is the one place where frames become bytes and back: it packs
-each transmitted frame once and parses it once, and every receiver tuned to
-the transmission shares that parsed frame.  A coded packet travels as its
+The medium is the one place where frames become bytes and back, and it
+does each packet's work once.  It packs and parses every control frame, and
+every DATA frame a node built, once per transmission; every receiver tuned
+to the transmission shares that parse.  A DATA frame is thus parsed once,
+at its first hop: the parse keeps its bytes, so a relay re-sends the very
+object it received, and the medium neither packs nor parses it again.  The
+success probability of a reception no other carrier reaches depends only on
+its received power and frame length, so each run computes it once per such
+pair (``Engine.clear_p_ok``).  A coded packet travels as its
 ``wire.DataFrame`` and is never converted to GF symbols here: outside
 ``rlnc``, symbols exist only for encoding, decoding and recoding.
 """
@@ -38,7 +44,8 @@ class Transmission:
     src: int
     chan: int
     power_dbm: float
-    frame: object  # as parsed from the wire; frozen, so receivers share it
+    frame: object  # as parsed from the wire (a relayed DATA frame at its first
+                   # hop); frozen, so receivers and later hops share it
     nbytes: int
 
 
@@ -107,6 +114,9 @@ class Engine:
             for src in self.nodes
         }
         self.active: list[Transmission] = []
+        # (received dBm, frame bytes) -> success probability of a reception
+        # no other carrier reaches: it depends on nothing else in a run
+        self.clear_p_ok: dict[tuple[float, int], float] = {}
         self.packet_log: list[str] = []
         self.log = MetricsLog()
         # ground truth and delivery accounting
@@ -166,9 +176,11 @@ class Engine:
         air = self.airtime_us(raw)
         end = self.now_us + air
         # receivers get the values the wire carries (q16.16 utility, q8.8
-        # gains, clamped backlogs), not the sender's frame object
-        tx = Transmission(self.now_us, end, node.id, chan, node.power_dbm,
-                          wire.unpack(raw, self.scn.coding.field_bits), len(raw))
+        # gains, clamped backlogs), not the sender's frame object; a DATA
+        # frame parsed at an earlier hop is one already, of these very bytes
+        if not (isinstance(frame, wire.DataFrame) and frame.raw is not None):
+            frame = wire.unpack(raw, self.scn.coding.field_bits)
+        tx = Transmission(self.now_us, end, node.id, chan, node.power_dbm, frame, len(raw))
         self.active = [a for a in self.active if a.end_us > self.now_us]
         self.active.append(tx)
         node.tx_until_us = max(node.tx_until_us, end)
@@ -197,8 +209,12 @@ class Engine:
             # every in-range node gets its own draw from this transmission,
             # whether or not it is tuned here, so logging can't shift draws
             interference = [p + gains[nid] for p, gains in interferers if nid in gains]
-            sinr = ch.link_snr(self.scn, rxp, interference)
-            p_ok = ch.frame_success_prob(self.scn, sinr, tx.nbytes)
+            p_ok = None if interference else self.clear_p_ok.get((rxp, tx.nbytes))
+            if p_ok is None:
+                sinr = ch.link_snr(self.scn, rxp, interference)
+                p_ok = ch.frame_success_prob(self.scn, sinr, tx.nbytes)
+                if not interference:
+                    self.clear_p_ok[(rxp, tx.nbytes)] = p_ok
             ok = self.chan_rng.random() < p_ok
             if ok and isinstance(tx.frame, wire.DataFrame) and self.scn.frame_loss > 0:
                 ok = self.chan_rng.random() >= self.scn.frame_loss
@@ -417,6 +433,9 @@ def sweep(scn: ch.Scenario, param: str, values, seeds, parallel: bool = False) -
     Parallel execution farms runs to worker processes; each run is seeded
     independently, so the schedule of workers cannot change any result.
     """
+    if not values or not seeds:
+        raise ch.ScenarioError(
+            f"sweep: needs at least one value and one seed, got {len(values)} and {len(seeds)}")
     jobs = [(apply_override(scn, param, v), seed) for v in values for seed in seeds]
     if parallel:
         with ProcessPoolExecutor() as ex:

@@ -15,12 +15,18 @@ The column order is always 0..h-1: the stack never reorders tag columns
 ``unpack`` rejects any other order.  The bytes still travel because every
 packet-log digest covers them, and a shorter frame changes each DATA
 frame's airtime and loss draws, and with them the simulated routes.
+
+A parsed DATA frame keeps the bytes it was parsed from (``DataFrame.raw``,
+outside the frame's value), and ``pack`` returns them, so a relay re-sends
+its first hop's parse without packing or parsing it again.  ``unpack``
+accepts only the bytes ``pack`` writes (zero tag padding, at most 500
+payload bytes), so those bytes are the frame's one wire form.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 TYPE_DIS = 0x01
 TYPE_SYN = 0x02
@@ -156,8 +162,13 @@ class DataFrame:
     tag: tuple[int, ...]  # h symbols; h is the generation's block size
     payload: bytes
     field_bits: int = 4
+    # the bytes ``unpack`` parsed this frame from, or None for a frame a
+    # node built; not part of the frame's value (==, hash, repr)
+    raw: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def pack(self) -> bytes:
+        if self.raw is not None:
+            return self.raw
         if len(self.payload) > MAX_PAYLOAD_BYTES:
             raise MalformedFrame("payload exceeds 500 bytes")
         h = len(self.tag)
@@ -224,7 +235,16 @@ def unpack(raw: bytes, field_bits: int = 4):
                 raise MalformedFrame("short DATA header")
             if raw[5:off] != bytes(range(h)):
                 raise MalformedFrame("DATA column order must be 0..h-1")
-            return DataFrame(fidx, gen_id, tag, bytes(raw[off + tl :]), field_bits)
+            # only the bytes pack() writes parse, so the kept bytes are
+            # the frame's one wire form
+            pad_bits = 0 if 8 % field_bits else 8 * tl - field_bits * h
+            if pad_bits and raw[off + tl - 1] & ((1 << pad_bits) - 1):
+                raise MalformedFrame("nonzero DATA tag padding")
+            if len(raw) - off - tl > MAX_PAYLOAD_BYTES:
+                raise MalformedFrame("payload exceeds 500 bytes")
+            frame = DataFrame(fidx, gen_id, tag, bytes(raw[off + tl :]), field_bits)
+            object.__setattr__(frame, "raw", bytes(raw))
+            return frame
     except (struct.error, IndexError) as e:
         # IndexError: a header or entry cut short reads past the end of raw
         raise MalformedFrame(str(e)) from e

@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from bpnc import channel as ch
+from bpnc import engine
 from bpnc.cli import build_parser, main, parse_param
 
 
@@ -175,6 +176,26 @@ def test_empty_param_values_exit_2(tmp_path):
     rc = main(["sweep", "--builtin", "line7", "--param", "block_size=",
                "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_sweep_without_seeds_exits_2(tmp_path, seeds):
+    rc = main(["sweep", "--builtin", "line7", "--param", "duration=5",
+               "--seeds", seeds, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_paper_suite_without_seeds_exits_2(tmp_path):
+    rc = main(["paper-suite", "--seeds", "0", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("values,seeds", [([], [1]), ([5], [])])
+def test_sweep_over_nothing_is_a_scenario_error(values, seeds):
+    with pytest.raises(ch.ScenarioError):
+        engine.sweep(ch.line7(), "duration", values, seeds)
 
 
 def test_parse_param():

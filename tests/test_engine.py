@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bpnc import channel as ch
-from bpnc import engine, rlnc, wire
+from bpnc import engine, protocol, rlnc, wire
 
 
 def test_zero_duration_run_is_empty():
@@ -164,8 +164,10 @@ def test_early_recovery_pinned():
     assert s["early_recovery_count"] == 35
 
 
-def test_each_transmission_parsed_once(monkeypatch):
-    # every receiver tuned to a transmission shares the medium's one parse
+def test_each_frame_parsed_once(monkeypatch):
+    # the medium parses every control frame and every DATA frame a node
+    # built, once per transmission; a DATA frame a relay re-sends is already
+    # a parse, and every receiver shares the one parse of a transmission
     calls = 0
     unpack = wire.unpack
 
@@ -174,10 +176,116 @@ def test_each_transmission_parsed_once(monkeypatch):
         calls += 1
         return unpack(*args, **kwargs)
 
+    received = {}  # id -> every frame object a node was handed (kept alive)
+    handle_frame = protocol.Node.handle_frame
+
+    def recording(node, src, chan, frame, *args):
+        received[id(frame)] = frame
+        return handle_frame(node, src, chan, frame, *args)
+
+    sent = Counter()
+    transmit = engine.Engine.transmit
+
+    def classify(eng, node, chan, frame):
+        if not isinstance(frame, wire.DataFrame):
+            sent["control"] += 1
+        else:
+            sent["resent" if received.get(id(frame)) is frame else "built"] += 1
+        return transmit(eng, node, chan, frame)
+
     monkeypatch.setattr(wire, "unpack", counted)
+    monkeypatch.setattr(protocol.Node, "handle_frame", recording)
+    monkeypatch.setattr(engine.Engine, "transmit", classify)
     eng = engine.run(engine.apply_override(_lossy_coded_butterfly7(), "duration_s", 300), seed=1)
-    assert len(eng.packet_log) > 0
-    assert calls == len(eng.packet_log)
+    assert sent.total() == len(eng.packet_log)
+    assert sent["control"] > 0 and sent["built"] > 0 and sent["resent"] > 0
+    assert calls == sent["control"] + sent["built"]
+
+
+def test_later_hops_resend_the_first_hop_parse(monkeypatch):
+    # line7 with coding off: every DATA frame is built at node 1 and then
+    # relayed unchanged, hop by hop, to node 7
+    delivered = []
+    deliver = engine.Engine._deliver
+
+    def recording(eng, tx):
+        delivered.append(tx)
+        return deliver(eng, tx)
+
+    monkeypatch.setattr(engine.Engine, "_deliver", recording)
+    eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 600), seed=1)
+    logged = {}
+    for line in eng.packet_log:
+        t_us, _, src, kind, hexed = line.split(" ")
+        logged[(int(t_us), int(src))] = bytes.fromhex(hexed)
+    first_parse = {}
+    hops = Counter()
+    for tx in delivered:
+        if not isinstance(tx.frame, wire.DataFrame):
+            continue
+        raw = logged[(tx.start_us, tx.src)]
+        assert tx.frame.pack() is tx.frame.raw
+        assert tx.frame.raw == raw
+        first = first_parse.setdefault(raw, tx)
+        assert tx.frame is first.frame
+        assert (tx is first) == (tx.src == 1)
+        hops[raw] += 1
+    assert max(hops.values()) >= 6  # relayed all the way, 1 -> 7
+
+
+def _sensing_off_butterfly7():
+    scn = ch.butterfly7()
+    scn.sensing_enabled = False
+    return scn.validate()
+
+
+@pytest.mark.parametrize("make_scn,duration", [(ch.line7, 600), (_sensing_off_butterfly7, 300)])
+def test_clear_reception_odds_computed_once_per_key(monkeypatch, make_scn, duration):
+    # a reception no other carrier reaches has odds that depend only on its
+    # received power and frame length; the others are computed per receiver.
+    # The oracle counts both kinds from the scenario's gains before each
+    # delivery, and only calls made while delivering count (not the MAC's
+    # link-rate estimates).
+    interfered = clear = calls = 0
+    keys = set()
+    delivering = False
+    deliver = engine.Engine._deliver
+    success_prob = ch.frame_success_prob
+
+    def counting_deliver(eng, tx):
+        nonlocal interfered, clear, delivering
+        scn = eng.scn
+        others = [a for a in eng.active
+                  if a is not tx and a.chan == tx.chan and a.src != tx.src
+                  and a.start_us < tx.end_us and a.end_us > tx.start_us]
+        for nid in eng.nodes:
+            g = scn.gain_db(tx.src, nid, tx.chan)
+            if nid == tx.src or tx.power_dbm + g < scn.phy.sensitivity_dbm:
+                continue
+            if any(a.src != nid and scn.gain_db(a.src, nid, tx.chan) > float("-inf")
+                   for a in others):
+                interfered += 1
+            else:
+                clear += 1
+                keys.add((tx.power_dbm + g, tx.nbytes))
+        delivering = True
+        try:
+            return deliver(eng, tx)
+        finally:
+            delivering = False
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += delivering
+        return success_prob(*args, **kwargs)
+
+    monkeypatch.setattr(engine.Engine, "_deliver", counting_deliver)
+    monkeypatch.setattr(ch, "frame_success_prob", counted)
+    eng = engine.run(engine.apply_override(make_scn(), "duration_s", duration), seed=1)
+    assert clear > 10 * len(keys)
+    assert interfered > 0 and eng.collision_losses > 0
+    assert calls == interfered + len(keys)
+    assert set(eng.clear_p_ok) == keys
 
 
 @pytest.mark.parametrize("make_scn", [_asymmetric_line7, ch.ring7, ch.butterfly7])

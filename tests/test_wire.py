@@ -87,6 +87,27 @@ def test_data_payload_limit():
         DataFrame(0, 0, (1,), b"\x00" * 501, 4).pack()
 
 
+def test_data_parse_keeps_its_bytes_outside_its_value():
+    built = DataFrame(3, 9, (1, 2, 3), b"xyz", 4)
+    raw = built.pack()
+    parsed = unpack(raw, field_bits=4)
+    assert built.raw is None and parsed.raw == raw
+    assert parsed.pack() is parsed.raw  # re-sent as parsed, not packed again
+    assert parsed == built and hash(parsed) == hash(built)
+    assert repr(parsed) == repr(built)
+
+
+@pytest.mark.parametrize("field_bits,raw", [
+    pytest.param(4, bytes.fromhex("05 00 0000 03 000102 a5f1 dead"), id="m4-pad-nibble"),
+    pytest.param(2, bytes.fromhex("05 00 0000 01 00 c1"), id="m2-pad-bits"),
+    pytest.param(4, bytes.fromhex("05 00 0000 01 00 a0") + bytes(501), id="payload-501"),
+])
+def test_data_bytes_pack_cannot_write_rejected(field_bits, raw):
+    # a kept parse is re-sent as its bytes, so only bytes pack() writes parse
+    with pytest.raises(MalformedFrame):
+        unpack(raw, field_bits=field_bits)
+
+
 def test_data_block_size_limit():
     # h travels in one byte
     assert len(DataFrame(0, 0, (1,) * 255, b"", 8).pack()) == 5 + 2 * 255
@@ -202,11 +223,8 @@ UTILITY = st.integers(0, 0xFFFFFFFF).map(wire.decode_utility)
 
 @st.composite
 def data_frames(draw):
-    # under m=4 an odd-length tag is padded with a nibble that unpack drops,
-    # so the wire bytes do not survive pack(unpack(raw)); tags there are
-    # drawn with even length (test_data_odd_block_size_tag_padding covers odd)
     m = draw(st.sampled_from([4, 8]))
-    h = 2 * draw(st.integers(1, 127)) if m == 4 else draw(st.integers(1, 255))
+    h = draw(st.integers(1, 255))
     tag = tuple(draw(st.lists(st.integers(0, (1 << m) - 1), min_size=h, max_size=h)))
     return DataFrame(draw(BYTE), draw(st.integers(0, 0xFFFF)), tag,
                      draw(st.binary(max_size=wire.MAX_PAYLOAD_BYTES)), m)
