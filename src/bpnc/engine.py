@@ -51,7 +51,14 @@ class Transmission:
 
 @dataclass
 class MetricsLog:
-    samples: list[dict] = field(default_factory=list)
+    """``metrics.csv`` has one row per series per sample time, sampled at
+    0 s, every ``sample_interval_s`` before the run's end and once at its
+    end.  ``times`` lists the sample times; ``columns`` keys each
+    (kind, node, flow) series, in row order, to its values at those times
+    ("" names no node or no flow)."""
+
+    times: list[float] = field(default_factory=list)
+    columns: dict[tuple[str, int | str, int | str], list] = field(default_factory=dict)
     # packets received -> decoded fraction at each destination ingest, in
     # arrival order
     accuracy: dict[int, list[float]] = field(default_factory=dict)
@@ -62,25 +69,18 @@ class MetricsLog:
         with open(path, "w") as f:
             f.write("# bpnc-metrics v1\n")
             f.write("time_s,kind,node,flow,value\n")
-            for row in self.samples:
-                f.write("{time_s},{kind},{node},{flow},{value}\n".format(**row))
+            for i, t in enumerate(self.times):
+                for (kind, node, flow), values in self.columns.items():
+                    f.write(f"{t},{kind},{node},{flow},{values[i]}\n")
 
     def write_summary(self, path) -> None:
         with open(path, "w") as f:
             json.dump(self.summary, f, indent=2, sort_keys=True)
             f.write("\n")
 
-    def series(self, kind: str, node: int | None = None, flow: int | None = None):
-        out = []
-        for r in self.samples:
-            if r["kind"] != kind:
-                continue
-            if node is not None and r["node"] != node:
-                continue
-            if flow is not None and r["flow"] != flow:
-                continue
-            out.append((r["time_s"], r["value"]))
-        return out
+    def series(self, kind: str, node: int | str = "", flow: int | str = ""):
+        """(time_s, value) of every sample of one series."""
+        return list(zip(self.times, self.columns[(kind, node, flow)]))
 
 
 class Engine:
@@ -154,8 +154,11 @@ class Engine:
                 break
             self.now_us = t
             fn()
-        self.now_us = self.duration_us
-        self._sample_metrics()
+        if self.duration_us > 0:
+            # the final sample, after every event at the run's end; a
+            # zero-length run's only sample is its first
+            self.now_us = self.duration_us
+            self._sample_metrics()
         self._finalize_summary()
         return self.log
 
@@ -302,37 +305,31 @@ class Engine:
         }
 
     def _sample_metrics(self) -> None:
-        t_s = self.now_us / US
+        """Sample every series at now_us; ``run`` takes the final sample."""
+        cols = self.log.columns
+        self.log.times.append(self.now_us / US)
         for nid in sorted(self.nodes):
             for kind, value in self.node_stats(nid).items():
-                self.log.samples.append(
-                    {"time_s": t_s, "kind": kind, "node": nid, "flow": "", "value": value}
-                )
+                cols.setdefault((kind, nid, ""), []).append(value)
         for fi in self.delivered:
-            self.log.samples.append(
-                {"time_s": t_s, "kind": "delivered", "node": "", "flow": fi,
-                 "value": self.delivered[fi]}
-            )
-            self.log.samples.append(
-                {"time_s": t_s, "kind": "injected", "node": "", "flow": fi,
-                 "value": self.injected[fi]}
-            )
-        if self.now_us < self.duration_us:
-            self.schedule(int(round(self.scn.timing.sample_interval_s * US)),
-                          self._sample_metrics)
+            cols.setdefault(("delivered", "", fi), []).append(self.delivered[fi])
+            cols.setdefault(("injected", "", fi), []).append(self.injected[fi])
+        step = int(round(self.scn.timing.sample_interval_s * US))
+        if self.now_us + step < self.duration_us:
+            self.schedule(step, self._sample_metrics)
 
     def _finalize_summary(self) -> None:
         """Built at duration_us, from the values of the final sample."""
+        cols = self.log.columns
         per_node = {}
         for nid in sorted(self.nodes):
-            stats = self.node_stats(nid)
-            backlogs = [v for (t, v) in self.log.series("backlog", node=nid)]
+            backlogs = cols[("backlog", nid, "")]
             per_node[str(nid)] = {
-                "energy_mj": stats["energy_mj"],
-                "overhead_frames": stats["overhead"],
-                "data_frames": stats["data_frames"],
-                "final_backlog": stats["backlog"],
-                "median_backlog": float(np.median(backlogs)) if backlogs else 0.0,
+                "energy_mj": cols[("energy_mj", nid, "")][-1],
+                "overhead_frames": cols[("overhead", nid, "")][-1],
+                "data_frames": cols[("data_frames", nid, "")][-1],
+                "final_backlog": backlogs[-1],
+                "median_backlog": float(np.median(backlogs)),
                 "power_dbm": round(self.nodes[nid].power_dbm, 3),
             }
         decoded = Counter(d for done in self.dest_done.values() for d in done)

@@ -118,9 +118,12 @@ class Node:
         self.tx_until_us = 0
         # negotiation state
         self.pending: Schedule | None = None
+        # RTS frames addressed here since the last resolve_rts, which the
+        # first of them scheduled
         self.rts_inbox: list[wire.RtsFrame] = []
-        self.overheard_rts: list[tuple[int, wire.RtsFrame]] = []   # (t, frame)
-        self.resolve_scheduled = False
+        # (t, frame) of RTS frames addressed elsewhere, heard within the
+        # last 2 * cts_wait_s (see prune_overheard_rts)
+        self.overheard_rts: list[tuple[int, wire.RtsFrame]] = []
         # data phase: a node receives in it iff pending is None
         self.data_peer = 0
         # coding state
@@ -219,12 +222,15 @@ class Node:
         self.update_power()
         sched = self.compute_schedule()
         if sched is not None:
-            self.pending = sched
-            self.enter_phase(Phase.NEGOTIATION)
-            self.channel = sched.channel
-            self.negotiation_tick()
+            self.begin_negotiation(sched)
             return
         self.schedule_tick(self.us(t.syn_interval_s))
+
+    def begin_negotiation(self, sched: Schedule) -> None:
+        self.pending = sched
+        self.enter_phase(Phase.NEGOTIATION)
+        self.channel = sched.channel
+        self.negotiation_tick()
 
     def negotiation_tick(self) -> None:
         if self.phase is not Phase.NEGOTIATION:
@@ -390,19 +396,22 @@ class Node:
             return  # half-duplex: busy in a data phase
         if frame.rx == self.id:
             # resolve_rts clears the inbox cts_wait_s after its first entry
-            self.rts_inbox.append(frame)
-            if not self.resolve_scheduled:
-                self.resolve_scheduled = True
+            if not self.rts_inbox:
                 self.engine.schedule(self.us(self.scn.timing.cts_wait_s), self.resolve_rts)
+            self.rts_inbox.append(frame)
         else:
             self.overheard_rts.append((self.now(), frame))
+            self.prune_overheard_rts()
+
+    def prune_overheard_rts(self) -> None:
+        """Keep only the RTS frames overheard in the last 2 * cts_wait_s,
+        the window resolve_rts weighs."""
+        horizon = self.now() - self.us(2 * self.scn.timing.cts_wait_s)
+        self.overheard_rts = [(t, f) for t, f in self.overheard_rts if t >= horizon]
 
     def resolve_rts(self) -> None:
-        self.resolve_scheduled = False
-        window = self.us(2 * self.scn.timing.cts_wait_s)
-        horizon = self.now() - window
         inbox, self.rts_inbox = self.rts_inbox, []
-        self.overheard_rts = [(t, f) for t, f in self.overheard_rts if t >= horizon]
+        self.prune_overheard_rts()
         overheard = [f for _, f in self.overheard_rts]
         if not inbox or self.phase is Phase.DATA_TRANSFER:
             return
@@ -415,10 +424,7 @@ class Node:
         if decision is None:
             if self.pending is None and own_sched is not None:
                 # our utility won: start negotiating it right away
-                self.pending = own_sched
-                self.enter_phase(Phase.NEGOTIATION)
-                self.channel = own_sched.channel
-                self.negotiation_tick()
+                self.begin_negotiation(own_sched)
             return
         winner = decision
         # abandon own transmission: the winner's utility beat ours

@@ -121,23 +121,29 @@ def _sample_nonzero_tag(ctx: FieldContext, width: int, rng) -> np.ndarray:
             return tag
 
 
-def sample_tag_matrix(ctx: FieldContext, h: int, rng, mode: str = "uniform") -> np.ndarray:
-    """h x h random tag matrix.
+def sample_tags(ctx: FieldContext, width: int, count: int, rng,
+                mode: str = "uniform") -> np.ndarray:
+    """count x width matrix of random nonzero tags, drawn in row order.
 
-    mode 'uniform' rejects all-zero rows only; 'rank_increasing' rejects any
-    row dependent on the rows so far, so every new packet raises the rank.
+    mode 'uniform' rejects all-zero rows only; 'rank_increasing' also
+    rejects a row in the span of the rows so far, until they span the whole
+    space, so every new packet raises the rank while it can.  The accepted
+    rows are kept reduced (``gf.rref_insert``), so a candidate costs one
+    reduction of one row.
     """
+    if mode not in ("uniform", "rank_increasing"):
+        raise ValueError(f"unknown tag mode {mode!r}")
     rows: list[np.ndarray] = []
-    while len(rows) < h:
-        tag = _sample_nonzero_tag(ctx, h, rng)
-        if mode == "rank_increasing" and rows:
-            cand = np.array(rows + [tag], dtype=np.uint8)
-            if gaussian_eliminate(ctx, cand)[1] <= len(rows):
+    rref, pivots = np.zeros((0, width), dtype=np.uint8), []
+    while len(rows) < count:
+        tag = _sample_nonzero_tag(ctx, width, rng)
+        if mode == "rank_increasing" and len(pivots) < width:
+            reduced = gf.rref_insert(ctx, rref, pivots, tag)
+            if reduced is None:
                 continue
-        elif mode not in ("uniform", "rank_increasing"):
-            raise ValueError(f"unknown tag mode {mode!r}")
+            rref, pivots = reduced
         rows.append(tag)
-    return np.array(rows, dtype=np.uint8)
+    return np.array(rows, dtype=np.uint8).reshape(count, width)
 
 
 def encode_generation(
@@ -155,32 +161,11 @@ def encode_generation(
     """
     if gen.filled == 0:
         raise ValueError("generation holds no source rows")
-    h = gen.block_size
     j = gen.filled
-    X = gen.matrix()
-    if mode not in ("uniform", "rank_increasing"):
-        raise ValueError(f"unknown tag mode {mode!r}")
-    out = []
-    prev_tags: list[np.ndarray] = []
-    prev_rank = 0
-    for _ in range(count):
-        tag = np.zeros(h, dtype=np.uint8)
-        while True:
-            t = _sample_nonzero_tag(ctx, j, rng)
-            if mode == "rank_increasing" and prev_rank < j:
-                cand = np.array([p[:j] for p in prev_tags] + [t], dtype=np.uint8)
-                if gaussian_eliminate(ctx, cand)[1] <= prev_rank:
-                    continue
-            break
-        tag[:j] = t
-        if mode == "rank_increasing":
-            prev_tags.append(tag)
-            prev_rank = gaussian_eliminate(
-                ctx, np.array([p[:j] for p in prev_tags], dtype=np.uint8)
-            )[1]
-        payload = ctx.matmul(tag[None, :j], X)[0]
-        out.append(CodedPacket(tag, payload))
-    return out
+    tags = np.zeros((count, gen.block_size), dtype=np.uint8)
+    tags[:, :j] = sample_tags(ctx, j, count, rng, mode)
+    payloads = ctx.matmul(tags[:, :j], gen.matrix())
+    return [CodedPacket(tag, payload) for tag, payload in zip(tags, payloads)]
 
 
 def recode(ctx: FieldContext, buffered: list[CodedPacket], rng) -> CodedPacket:
@@ -398,7 +383,7 @@ def prefix_equivalence_report(
     (each new packet raises the rank); data is uniform."""
     hits = np.zeros(h, dtype=np.int64)
     for b in range(num_blocks):
-        G = sample_tag_matrix(ctx, h, rng, mode="rank_increasing")
+        G = sample_tags(ctx, h, h, rng, mode="rank_increasing")
         if reorder:
             G, _ = precondition_reorder(ctx, G)
         for p in range(1, h + 1):

@@ -158,10 +158,9 @@ def test_ac6_backpressure_stability():
     slopes = {n: [] for n in relays}
     for seed in range(1, 11):
         eng = engine.run(engine.apply_override(scn, "duration_s", 600), seed=seed)
-        rows = [r for r in eng.log.samples if r["kind"] == "backlog"]
         for n in relays:
-            pts = [(float(r["time_s"]), float(r["value"]))
-                   for r in rows if str(r["node"]) == n and float(r["time_s"]) >= 300]
+            pts = [(float(t), float(v))
+                   for t, v in eng.log.series("backlog", node=int(n)) if t >= 300]
             t = np.array([p[0] for p in pts])
             y = np.array([p[1] for p in pts])
             slopes[n].append(float(np.polyfit(t, y, 1)[0]))
@@ -309,11 +308,8 @@ def test_ac10_field_and_elimination_properties():
 
 def test_energy_scales_linearly_with_time():
     eng = engine.run(engine.apply_override(channel.line7(), "duration_s", 600), seed=3)
-    rows = [r for r in eng.log.samples if r["kind"] == "energy_mj"]
-    per_node: dict[str, list[tuple[float, float]]] = {}
-    for r in rows:
-        per_node.setdefault(str(r["node"]), []).append(
-            (float(r["time_s"]), float(r["value"])))
+    per_node = {nid: [(float(t), float(v)) for t, v in eng.log.series("energy_mj", node=nid)]
+                for nid in eng.nodes}
     worst = 1.0
     for pts in per_node.values():
         pts = pts[len(pts) // 5:]

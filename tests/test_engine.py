@@ -16,8 +16,10 @@ from bpnc import engine, protocol, rlnc, wire
 def test_zero_duration_run_is_empty():
     eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 0), seed=1)
     assert eng.packet_log == []
-    assert all(r["value"] in (0, 0.0) for r in eng.log.samples
-               if r["kind"] in ("backlog", "overhead", "delivered"))
+    series = [eng.log.series(kind, node=nid) for kind in ("backlog", "overhead")
+              for nid in eng.nodes]
+    series += [eng.log.series("delivered", flow=fi) for fi in eng.delivered]
+    assert all(v in (0, 0.0) for s in series for _, v in s)
 
 
 def test_same_seed_identical_packet_logs():
@@ -101,11 +103,11 @@ def test_packet_log_digest_pinned(make_scn, duration_s, digest):
 # summary.json and metrics.csv as write_outputs writes them, at seed 1
 PINNED_OUTPUTS = [
     (ch.line7, 600,
-     "e8a913d285685ca2cba2306c84d01825d475169033e1ee1509bb11814ecb3ef2",
-     "bba143813d61eb1f636b3cf724f2a9b8794dd9ff2f5320201be4b843602eb5cc"),
+     "d06ed10d7f71bfbc2c02cac888855c765f729111a26e489bc1e21d5881f195e8",
+     "d0b53db19f8c3dcd55506ed86d14c74d4812642c3955e4d88e2615a0fa04678a"),
     (_lossy_coded_butterfly7, 300,
-     "d608ed597782fb6ad9cd6d20d53984f573e7e616b9a9fb82ec160c55d27b1479",
-     "a4e3196e7d311ea4c8775f960ffad1bfcae59b6b8705e3589afd973231b42652"),
+     "e0f18e96a72c29bccef661cab78781b55514ea77b0c2110e8dc4d6aeb15ec62f",
+     "c87f28c137c33be90e8ca40dcfb8a6a995d5417c904e71482b1224661b147145"),
 ]
 
 
@@ -372,10 +374,11 @@ def test_overhead_counter_matches_packet_log():
         counts[int(src)][kind] += 1
     assert eng.frames_sent == counts
     assert all(counts[n]["DATA"] > 0 for n in range(1, 7))
-    last = {(r["node"], r["kind"]): r["value"] for r in eng.log.samples}
+    def last(nid, kind):
+        return eng.log.series(kind, node=nid)[-1][1]
     for nid in eng.nodes:
-        assert last[(nid, "data_frames")] == counts[nid]["DATA"]
-        assert last[(nid, "overhead")] == sum(
+        assert last(nid, "data_frames") == counts[nid]["DATA"]
+        assert last(nid, "overhead") == sum(
             counts[nid][k] for k in ("DIS", "SYN", "RTS", "CTS"))
 
 
@@ -383,8 +386,9 @@ def test_overhead_counter_matches_packet_log():
 def test_summary_per_node_is_the_final_sample(make_scn):
     eng = engine.run(engine.apply_override(make_scn(), "duration_s", 300), seed=2)
     end_s = eng.duration_us / engine.US
-    final = {(r["node"], r["kind"]): r["value"] for r in eng.log.samples
-             if r["time_s"] == end_s and r["node"] != ""}
+    final = {(nid, kind): v for nid in eng.nodes
+             for kind in ("energy_mj", "overhead", "data_frames", "backlog")
+             for t, v in eng.log.series(kind, node=nid) if t == end_s}
     for nid in eng.nodes:
         per_node = eng.log.summary["per_node"][str(nid)]
         assert per_node["energy_mj"] == final[(nid, "energy_mj")]
@@ -493,6 +497,42 @@ def test_override_aliases_and_types():
     assert all(f.arrival_rate == 0.5 for f in scn.flows)
     scn = engine.apply_override(ch.line7(), "sensing", "false")
     assert scn.sensing_enabled is False
+
+
+@pytest.mark.parametrize("duration_s,samples", [(600, 121), (602.5, 122), (0, 1)])
+def test_each_sample_taken_once(duration_s, samples):
+    # an end on the sampling grid (every 5 s) is sampled once, after every
+    # event at that time; a zero-length run's only sample is its first
+    eng = engine.run(engine.apply_override(ch.line7(), "duration_s", duration_s), seed=1)
+    assert len(eng.log.times) == samples
+    assert eng.log.times.count(duration_s) == 1
+    assert eng.log.times == sorted(set(eng.log.times))
+    assert all(len(values) == samples for values in eng.log.columns.values())
+
+
+def test_metrics_csv_rows_are_the_log_series(tmp_path):
+    eng = engine.run(engine.apply_override(_two_way_line7(), "duration_s", 120), seed=1)
+    engine.write_outputs(eng, tmp_path)
+    rows = [r.split(",") for r in (tmp_path / "metrics.csv").read_text().splitlines()[2:]]
+    read: dict[tuple, list] = {}
+    for t, kind, node, flow, value in rows:
+        key = (kind, int(node) if node else "", int(flow) if flow else "")
+        read.setdefault(key, []).append((float(t), float(value)))
+    assert list(read) == list(eng.log.columns)
+    assert len(read) == 4 * len(eng.nodes) + 2 * len(eng.scn.flows)
+    for key, pts in read.items():
+        assert pts == eng.log.series(*key)
+    # time-major: every series once per sample time
+    assert [float(r[0]) for r in rows] == [t for t in eng.log.times for _ in read]
+
+
+def test_overheard_rts_kept_for_the_resolve_window_only():
+    eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 600), seed=1)
+    window = 2 * eng.scn.timing.cts_wait_s * engine.US
+    assert any(n.overheard_rts for n in eng.nodes.values())
+    for n in eng.nodes.values():
+        times = [t for t, _ in n.overheard_rts]
+        assert not times or max(times) - min(times) <= window
 
 
 def test_metrics_csv_and_outputs(tmp_path):

@@ -17,7 +17,7 @@ from bpnc.rlnc import (
     prefix_equivalence_report,
     rank_deficient_solve,
     recode,
-    sample_tag_matrix,
+    sample_tags,
     unpad_block,
 )
 
@@ -344,7 +344,7 @@ def test_prefix_equivalence_rates_small(f16):
 def test_rank_deficient_full_rank_matches_invert(f16):
     rng = np.random.default_rng(14)
     gen = make_generation(f16, 4, 8, rng)
-    G = sample_tag_matrix(f16, 4, rng, mode="rank_increasing")
+    G = sample_tags(f16, 4, 4, rng, mode="rank_increasing")
     Y = f16.matmul(G, gen.matrix())
     state = DecoderState(f16, 4, 8, mode="rank_deficient")
     for i in range(4):
