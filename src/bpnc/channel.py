@@ -75,6 +75,10 @@ class TimingConfig:
                 f"timing.sample_interval_s: must be at least 1e-6, got {self.sample_interval_s}")
 
 
+# one rank-deficient solve enumerates at most 2^16 = 65,536 assignments
+MIN_WEIGHT_SEARCH_BITS = 16
+
+
 @dataclass
 class CodingConfig:
     enabled: bool = False
@@ -101,7 +105,19 @@ class CodingConfig:
         if self.tag_mode not in ("uniform", "rank_increasing"):
             raise ScenarioError(f"coding.tag_mode: unknown mode {self.tag_mode!r}")
         # gen_timeout_s 0 disables the timeout
-        _require_nonnegative("coding", self, ("redundancy", "gen_timeout_s", "min_weight_limit"))
+        _require_nonnegative("coding", self, ("redundancy", "gen_timeout_s"))
+        limit = self.min_weight_limit
+        if type(limit) is not int or limit < 0:  # bool is an int subclass
+            raise ScenarioError(
+                f"coding.min_weight_limit: must be an integer >= 0, got {limit!r}")
+        # the rank-deficient solve scores all 2^(field_bits x limit)
+        # assignments of up to limit free tag columns against the payload
+        # columns, so past 2^MIN_WEIGHT_SEARCH_BITS its tables outgrow memory
+        if self.decoder == "rank_deficient" and self.field_bits * limit > MIN_WEIGHT_SEARCH_BITS:
+            raise ScenarioError(
+                f"coding.min_weight_limit: field_bits x limit must be at most "
+                f"{MIN_WEIGHT_SEARCH_BITS} with the rank_deficient decoder, got "
+                f"{self.field_bits} x {limit}")
 
 
 @dataclass

@@ -12,6 +12,7 @@ stands for source packet c; the live stack never reorders columns.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,14 +258,23 @@ class DecoderState:
 
         Only the new row is reduced against the stored RREF; dependent
         (duplicate) rows change nothing.  A source index is its tag column.
+        Once every tag column is a pivot the RREF is [I | X], so a row is
+        dependent exactly when its payload equals tag . X: that check alone
+        runs, and only a row that fails it (data inconsistent with the
+        decoded sources) is inserted.
         """
-        if len(pkt.tag) != self.block_size:
-            raise TagLengthMismatch(
-                f"tag length {len(pkt.tag)} != block size {self.block_size}"
-            )
+        h = self.block_size
+        if len(pkt.tag) != h:
+            raise TagLengthMismatch(f"tag length {len(pkt.tag)} != block size {h}")
         if len(pkt.payload) != self.packet_len:
             raise ValueError("payload length mismatch")
         self.received += 1
+        if self.full_rank and self.pivot_cols[-1] < h:
+            residual = pkt.payload.copy()
+            for i in np.flatnonzero(gf.validate_symbols(self.ctx, pkt.tag)):
+                residual ^= self.ctx.mul_table[pkt.tag[i]].take(self.rref[i, h:])
+            if not residual.any():
+                return []
         inserted = gf.rref_insert(
             self.ctx, self.rref, self.pivot_cols,
             np.concatenate([pkt.tag, pkt.payload]),
@@ -273,7 +283,6 @@ class DecoderState:
             return []
         self.rref, self.pivot_cols = inserted
         self.rank = len(self.pivot_cols)
-        h = self.block_size
         fresh = []
         for r, c in enumerate(self.pivot_cols):
             if c >= h:
@@ -292,6 +301,19 @@ class DecoderState:
         return rank_deficient_solve(self, self.min_weight_limit)
 
 
+@functools.cache
+def _assignments(q: int, n_free: int) -> tuple[np.ndarray, np.ndarray]:
+    """All q^n_free assignments of n_free free variables, lexicographic (the
+    last variable varies fastest), and the nonzero count of each.  Both
+    depend only on (q, n_free), so each pair is built once, read-only.
+    """
+    A = np.indices((q,) * n_free, dtype=np.uint8).reshape(n_free, -1).T.copy()
+    nnz = np.count_nonzero(A, axis=1)
+    A.setflags(write=False)
+    nnz.setflags(write=False)
+    return A, nnz
+
+
 def rank_deficient_solve(
     state: DecoderState, free_var_limit: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -302,8 +324,11 @@ def rank_deficient_solve(
     pick over the affine solution set), 0 = undecoded.  Row c is source
     packet c, the tag column.  Certain symbols always agree with
     earliest decoding; the heuristic is a stand-in for an LP lowest-weight
-    decoder and scores at most q^T assignments x distinct payload patterns,
-    where a pattern is a column's tuple of heuristic-row payload symbols.
+    decoder.  It costs q^T cached assignments x distinct column codes x
+    heuristic rows, where a column's code numbers its tuple of heuristic-row
+    payload symbols, plus one 1-D ``np.unique`` over the N columns per
+    heuristic row.  With no heuristic rows the lightest assignment is the
+    all-zero one, so no search runs.
     """
     if state.received == 0:
         raise ValueError("decoder state holds no rows")
@@ -325,33 +350,38 @@ def rank_deficient_solve(
             conf[c] = 2
         else:
             heuristic_rows.append((r, c))
-    if free_cols and len(free_cols) <= T:
-        q = ctx.size
-        n_free = len(free_cols)
-        # all q^n_free assignments of the free variables, lexicographic
-        grids = np.meshgrid(*[np.arange(q, dtype=np.uint8)] * n_free, indexing="ij")
-        A = np.stack([g.ravel() for g in grids], axis=1)  # (q^n_free, n_free)
-        rows = [r for r, _ in heuristic_rows]
-        # f[a, i]: the symbol assignment a subtracts from heuristic row i
-        G = R[rows][:, free_cols]
-        f = np.bitwise_xor.reduce(ctx.mul_table[G[None], A[:, None, :]], axis=2)
-        # A candidate's weight in column l is nnz(a) plus the heuristic rows
-        # whose payload symbol differs from f[a] (certain rows add the same
-        # count to every candidate), so it depends on l only through the
-        # column's tuple of heuristic-row payload symbols: score each distinct
-        # tuple once and map the pick back to its columns.
-        patterns, inverse = np.unique(R[rows, h:].T, axis=0, return_inverse=True)
-        weights = np.count_nonzero(A, axis=1)[:, None] + (
-            patterns[None, :, :] != f[:, None, :]
-        ).sum(axis=2)  # (n_assign, n_patterns)
-        # first minimal index, deterministic
-        best = np.argmin(weights, axis=0)[inverse.reshape(-1)]
-        for i, (r, c) in enumerate(heuristic_rows):
-            est[c] = R[r, h:] ^ f[best, i]
-            conf[c] = 1
-        for fi, c in enumerate(free_cols):
-            est[c] = A[best, fi]
-            conf[c] = 1
+    if not free_cols or len(free_cols) > T:
+        return est, conf
+    conf[free_cols] = 1
+    if not heuristic_rows:
+        # every candidate weighs nnz(a) in every column: a = 0 wins alone
+        return est, conf
+    q = ctx.size
+    A, nnz = _assignments(q, len(free_cols))
+    rows = [r for r, _ in heuristic_rows]
+    # f[a, i]: the symbol assignment a subtracts from heuristic row i
+    G = R[rows][:, free_cols]
+    f = np.bitwise_xor.reduce(ctx.mul_table[G[None], A[:, None, :]], axis=2)
+    # A candidate's weight in column l is nnz(a) plus the heuristic rows
+    # whose payload symbol differs from f[a] (certain rows add the same
+    # count to every candidate), so it depends on l only through the
+    # column's tuple of heuristic-row payload symbols.  Number the tuples by
+    # one row at a time, re-ranking after each (codes stay below N*q), score
+    # each distinct code once and map the pick back to its columns.
+    codes = np.zeros(n, dtype=np.intp)
+    for r in rows:
+        _, first, codes = np.unique(codes * q + R[r, h:], return_index=True,
+                                    return_inverse=True)
+    patterns = R[rows][:, h + first]  # (k, n_patterns)
+    weights = np.repeat(nnz[:, None], len(first), axis=1)  # (n_assign, n_patterns)
+    for i in range(len(rows)):
+        weights += f[:, i, None] != patterns[i]
+    # first minimal index, deterministic
+    best = np.argmin(weights, axis=0)[codes]
+    for i, (r, c) in enumerate(heuristic_rows):
+        est[c] = R[r, h:] ^ f[best, i]
+        conf[c] = 1
+    est[free_cols] = A[best].T
     return est, conf
 
 

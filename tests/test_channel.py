@@ -265,6 +265,44 @@ def test_validate_rejects_unknown_tag_mode():
         scn.validate()
 
 
+@pytest.mark.parametrize("value", [2.5, True, "2", None])
+def test_validate_rejects_non_integer_min_weight_limit(value):
+    scn = butterfly7()
+    scn.coding.min_weight_limit = value
+    with pytest.raises(ScenarioError, match="coding.min_weight_limit"):
+        scn.validate()
+
+
+# the rank-deficient solve enumerates 2^(field_bits x limit) assignments
+
+
+@pytest.mark.parametrize("bits,limit", [(8, 3), (4, 5), (2, 9), (1, 17), (4, 10**6)])
+def test_validate_rejects_min_weight_limit_past_the_search_bound(bits, limit):
+    scn = butterfly7()
+    scn.coding.decoder = "rank_deficient"
+    scn.coding.field_bits = bits
+    scn.coding.min_weight_limit = limit
+    with pytest.raises(ScenarioError, match="coding.min_weight_limit"):
+        scn.validate()
+
+
+@pytest.mark.parametrize("bits,limit", [(8, 2), (4, 4), (2, 8), (1, 16)])
+def test_validate_accepts_min_weight_limit_at_the_search_bound(bits, limit):
+    scn = butterfly7()
+    scn.coding.decoder = "rank_deficient"
+    scn.coding.field_bits = bits
+    scn.coding.min_weight_limit = limit
+    scn.validate()
+
+
+def test_min_weight_limit_search_bound_applies_to_rank_deficient_only():
+    # the earliest decoder never runs the solve, so the limit is unused
+    scn = butterfly7()
+    scn.coding.field_bits = 8
+    scn.coding.min_weight_limit = 10**6
+    scn.validate()
+
+
 @pytest.mark.parametrize("section,name,value", [
     ("timing", "sample_interval_s", 0.0),
     ("timing", "sample_interval_s", 1e-9),  # rounds to 0 us

@@ -56,6 +56,29 @@ def test_scenario_file_with_invalid_setting_exits_2(tmp_path, section, key, valu
     assert rc == 2
 
 
+@pytest.mark.parametrize("decoder,limit,args", [
+    ("rank_deficient", 2.5, []),
+    ("rank_deficient", True, []),
+    ("rank_deficient", 5, []),                      # 2^(4 x 5) assignments
+    ("earliest", 3, ["--decoder", "rankdef", "--field-bits", "8"]),
+    ("rank_deficient", 4, ["--field-bits", "8"]),   # accepted at m=4 only
+])
+def test_scenario_file_with_unusable_min_weight_limit_exits_2(tmp_path, capsys,
+                                                             decoder, limit, args):
+    # rejected before the run starts: the solve would enumerate the
+    # assignments mid-run
+    d = ch.scenario_to_dict(ch.butterfly7())
+    d["coding"]["decoder"] = decoder
+    d["coding"]["min_weight_limit"] = limit
+    path = tmp_path / "scn.yaml"
+    path.write_text(yaml.safe_dump(d))
+    rc = main(["run", "--scenario", str(path), "--duration", "60",
+               "--out", str(tmp_path / "o"), *args])
+    assert rc == 2
+    assert "coding.min_weight_limit" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key,value", [
     ("occupied", 0),             # used to divide by zero at the first frame
     ("fft_len", 0),

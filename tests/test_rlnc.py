@@ -470,12 +470,13 @@ def rank_deficient_states(draw):
     """A decoder state with a chosen number of free tag columns, built by
     ingesting the rows of an RREF: free-column coefficients are zero when
     the draw asks for no heuristic rows, and payloads use few symbols so
-    columns repeat."""
-    m = draw(st.sampled_from([1, 4]))
+    columns repeat.  The limit stays at 1 or less over GF(2^8), where the
+    reference enumerates 256^limit full candidates."""
+    m = draw(st.sampled_from([1, 2, 4, 8]))
     ctx = FieldContext(m)
     h = draw(st.integers(2, 6))
     n_free = draw(st.integers(0, min(3, h)))
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 40))
     heuristic = draw(st.booleans())
     free = sorted(draw(st.permutations(range(h)))[:n_free])
     pivots = [c for c in range(h) if c not in free]
@@ -499,7 +500,7 @@ def rank_deficient_states(draw):
     for tag, payload in rows:
         state.ingest(CodedPacket(tag, payload))
     assert len([c for c in state.pivot_cols if c < h]) == h - n_free
-    return state, draw(st.integers(0, 3))
+    return state, draw(st.integers(0, 1 if m == 8 else 3))
 
 
 @given(rank_deficient_states())
@@ -510,6 +511,74 @@ def test_rank_deficient_solve_matches_enumeration(case):
     ref_est, ref_conf = reference_rank_deficient_solve(state, limit)
     assert np.array_equal(conf, ref_conf)
     assert np.array_equal(est, ref_est)
+
+
+def test_rank_deficient_solve_matches_enumeration_in_a_lossy_run(monkeypatch):
+    # every solve of the 300 s lossy butterfly7 run (the run behind
+    # test_early_recovery_pinned), reached through the module-level name
+    from bpnc import channel as ch
+    from bpnc import engine
+
+    scn = ch.butterfly7()
+    scn.coding.block_size = 4
+    scn.coding.field_bits = 4
+    scn.coding.decoder = "rank_deficient"
+    scn.frame_loss = 0.1
+    scn.duration_s = 300
+    calls = 0
+    solve = rlnc.rank_deficient_solve
+
+    def checked(state, free_var_limit=None):
+        nonlocal calls
+        calls += 1
+        est, conf = solve(state, free_var_limit)
+        ref_est, ref_conf = reference_rank_deficient_solve(state, free_var_limit)
+        assert np.array_equal(conf, ref_conf)
+        assert np.array_equal(est, ref_est)
+        return est, conf
+
+    monkeypatch.setattr(rlnc, "rank_deficient_solve", checked)
+    s = engine.run(scn.validate(), seed=1).log.summary
+    assert calls > 100
+    assert s["early_recovery_count"] == 35
+
+
+def test_assignment_table_is_cached_and_read_only():
+    A, nnz = rlnc._assignments(4, 3)
+    assert rlnc._assignments(4, 3)[0] is A
+    # lexicographic, the last variable fastest, as meshgrid(indexing="ij")
+    grids = np.meshgrid(*[np.arange(4, dtype=np.uint8)] * 3, indexing="ij")
+    assert np.array_equal(A, np.stack([g.ravel() for g in grids], axis=1))
+    assert np.array_equal(nnz, np.count_nonzero(A, axis=1))
+    for arr in (A, nnz):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+def test_full_rank_ingest_skips_elimination(f16, monkeypatch):
+    rng = np.random.default_rng(19)
+    gen = make_generation(f16, 4, 6, rng)
+    pkts = encode_generation(f16, gen, 6, rng, mode="rank_increasing")
+    state = DecoderState(f16, 4, 6)
+    for p in pkts[:4]:
+        state.ingest(p)
+    assert state.full_rank
+    rref = state.rref
+
+    def refused(*args):
+        raise AssertionError("a redundant row reached rref_insert")
+
+    monkeypatch.setattr(gf, "rref_insert", refused)
+    for p in pkts[4:]:
+        assert state.ingest(p) == []
+    assert state.received == 6 and state.rank == 4 and state.rref is rref
+    monkeypatch.undo()
+    # a payload inconsistent with the decoded sources is still inserted, as
+    # full elimination would: it pivots in the payload
+    bad = CodedPacket(pkts[4].tag, pkts[4].payload ^ 1)
+    assert state.ingest(bad) == []
+    assert state.rank == 5 and state.pivot_cols[-1] >= 4
 
 
 @st.composite
