@@ -5,11 +5,20 @@ scheduling order, so a run is a pure function of (scenario, seed); logging
 never consumes randomness.
 
 The medium is the one place where frames become bytes and back, and it
-does each packet's work once.  It packs and parses every control frame, and
-every DATA frame a node built, once per transmission; every receiver tuned
-to the transmission shares that parse.  A DATA frame is thus parsed once,
-at its first hop: the parse keeps its bytes, so a relay re-sends the very
-object it received, and the medium neither packs nor parses it again.  The
+does each packet's work once.  It packs every frame a node hands it and
+parses it at most once: every receiver tuned to a transmission shares that
+parse.  A DATA frame is parsed once, at its first hop: the parse keeps its
+bytes, so a relay re-sends the very object it received, and the medium
+neither packs nor parses it again.  A control frame whose bytes equal its
+sender's previous control frame (an RTS retry, say) reuses that frame's
+parse, since frames are frozen.
+
+What does not change from frame to frame is kept in per-run tables.  For
+each (sender, channel), ``Engine.reach`` lists the receivers at or above
+sensitivity with their received power, built for the sender's power and
+rebuilt only when it transmits at another one.  Airtime is kept by frame
+length.  Channel uniforms come from ``DRAW_BUFFER``-sized blocks of the
+channel generator, the same stream as one scalar draw at a time.  The
 success probability of a reception no other carrier reaches depends only on
 its received power and frame length, so each run computes it once per such
 pair (``Engine.clear_p_ok``).  A coded packet travels as its
@@ -35,9 +44,18 @@ from . import gf, wire
 from .protocol import Node
 
 US = 1_000_000
+# channel uniforms are drawn this many at a time; Generator.random(n) yields
+# the same stream as n scalar draws
+DRAW_BUFFER = 1024
 
 
-@dataclass
+def _uniforms(rng: np.random.Generator):
+    """rng's uniform stream, drawn DRAW_BUFFER at a time."""
+    while True:
+        yield from rng.random(DRAW_BUFFER).tolist()
+
+
+@dataclass(slots=True)
 class Transmission:
     start_us: int
     end_us: int
@@ -95,9 +113,11 @@ class Engine:
         self.now_us = 0
         self._seq = 0
         self._heap: list[tuple[int, int, object]] = []
-        self.chan_rng = np.random.default_rng(
+        # the channel's draws: one per in-range receiver of a transmission,
+        # and one more per DATA frame that draw lets through under frame loss
+        self.uniforms = _uniforms(np.random.default_rng(
             np.random.SeedSequence([seed & 0xFFFFFFFF, 0x5EED])
-        )
+        ))
         self.nodes: dict[int, Node] = {}
         for nid in range(1, scn.num_nodes + 1):
             rng = np.random.default_rng(
@@ -113,6 +133,15 @@ class Engine:
                   for chan in range(len(scn.channels))]
             for src in self.nodes
         }
+        # (src, chan) -> (power, [(node id, received dBm, Node)]): the nodes
+        # src reaches at or above sensitivity when it sends at that power,
+        # in ascending node id; rebuilt when src sends at another power
+        self.reach: dict[tuple[int, int], tuple[float, list[tuple[int, float, Node]]]] = {}
+        # frame length in bytes -> airtime
+        self.airtimes: dict[int, int] = {}
+        # sender -> (bytes, parse) of the last control frame it sent
+        self.last_control: dict[int, tuple[bytes, object]] = {}
+        self.noise_mw = ch.dbm_to_mw(scn.phy.noise_floor_dbm)
         self.active: list[Transmission] = []
         # (received dBm, frame bytes) -> success probability of a reception
         # no other carrier reaches: it depends on nothing else in a run
@@ -172,7 +201,11 @@ class Engine:
     # -- the medium ---------------------------------------------------------
 
     def airtime_us(self, raw: bytes) -> int:
-        return int(math.ceil(len(raw) * 8 / self.scn.phy.bit_rate() * US))
+        n = len(raw)
+        air = self.airtimes.get(n)
+        if air is None:
+            air = self.airtimes[n] = int(math.ceil(n * 8 / self.scn.phy.bit_rate() * US))
+        return air
 
     def transmit(self, node: Node, chan: int, frame) -> int:
         raw = frame.pack()
@@ -180,9 +213,18 @@ class Engine:
         end = self.now_us + air
         # receivers get the values the wire carries (q16.16 utility, q8.8
         # gains, clamped backlogs), not the sender's frame object; a DATA
-        # frame parsed at an earlier hop is one already, of these very bytes
-        if not (isinstance(frame, wire.DataFrame) and frame.raw is not None):
-            frame = wire.unpack(raw, self.scn.coding.field_bits)
+        # frame parsed at an earlier hop is one already, of these very bytes,
+        # and a control frame repeating its sender's last one shares its parse
+        if isinstance(frame, wire.DataFrame):
+            if frame.raw is None:
+                frame = wire.unpack(raw, self.scn.coding.field_bits)
+        else:
+            last_raw, parse = self.last_control.get(node.id, (None, None))
+            if raw == last_raw:
+                frame = parse
+            else:
+                frame = wire.unpack(raw, self.scn.coding.field_bits)
+                self.last_control[node.id] = (raw, frame)
         tx = Transmission(self.now_us, end, node.id, chan, node.power_dbm, frame, len(raw))
         self.active = [a for a in self.active if a.end_us > self.now_us]
         self.active.append(tx)
@@ -195,44 +237,55 @@ class Engine:
         self.schedule_at(end, lambda: self._deliver(tx))
         return air
 
+    def _reach(self, src: int, chan: int, power_dbm: float) -> list[tuple[int, float, Node]]:
+        """The nodes src reaches on chan at power_dbm, as ``reach`` keeps them."""
+        built = self.reach.get((src, chan))
+        if built is None or built[0] != power_dbm:
+            sensitivity = self.scn.phy.sensitivity_dbm
+            built = self.reach[(src, chan)] = (power_dbm, [
+                (nid, rxp, self.nodes[nid])
+                for nid, g in self.receivers[src][chan].items()
+                if (rxp := power_dbm + g) >= sensitivity
+            ])
+        return built[1]
+
     def _deliver(self, tx: Transmission) -> None:
+        chan, nbytes = tx.chan, tx.nbytes
         concurrent = [
             a for a in self.active
-            if a is not tx and a.chan == tx.chan
+            if a is not tx and a.chan == chan
             and a.start_us < tx.end_us and a.end_us > tx.start_us
         ]
         # the other senders on this channel, each with the gains it reaches;
         # a receiver's own carrier is not in its own table
-        interferers = [(a.power_dbm, self.receivers[a.src][tx.chan])
+        interferers = [(a.power_dbm, self.receivers[a.src][chan])
                        for a in concurrent if a.src != tx.src]
-        for nid, g in self.receivers[tx.src][tx.chan].items():
-            rxp = tx.power_dbm + g
-            if rxp < self.scn.phy.sensitivity_dbm:
-                continue
+        lossy = isinstance(tx.frame, wire.DataFrame) and self.scn.frame_loss > 0
+        uniforms = self.uniforms
+        for nid, rxp, node in self._reach(tx.src, chan, tx.power_dbm):
             # every in-range node gets its own draw from this transmission,
             # whether or not it is tuned here, so logging can't shift draws
             interference = [p + gains[nid] for p, gains in interferers if nid in gains]
-            p_ok = None if interference else self.clear_p_ok.get((rxp, tx.nbytes))
+            p_ok = None if interference else self.clear_p_ok.get((rxp, nbytes))
             if p_ok is None:
                 sinr = ch.link_snr(self.scn, rxp, interference)
-                p_ok = ch.frame_success_prob(self.scn, sinr, tx.nbytes)
+                p_ok = ch.frame_success_prob(self.scn, sinr, nbytes)
                 if not interference:
-                    self.clear_p_ok[(rxp, tx.nbytes)] = p_ok
-            ok = self.chan_rng.random() < p_ok
-            if ok and isinstance(tx.frame, wire.DataFrame) and self.scn.frame_loss > 0:
-                ok = self.chan_rng.random() >= self.scn.frame_loss
-            node = self.nodes[nid]
-            tuned = node.channel == tx.chan and node.tx_until_us <= tx.start_us
+                    self.clear_p_ok[(rxp, nbytes)] = p_ok
+            ok = next(uniforms) < p_ok
+            if ok and lossy:
+                ok = next(uniforms) >= self.scn.frame_loss
+            tuned = node.channel == chan and node.tx_until_us <= tx.start_us
             if not ok:
                 if concurrent and tuned:
                     self.collision_losses += 1
                 continue
             if tuned:
-                node.handle_frame(tx.src, tx.chan, tx.frame, rxp, tx.power_dbm)
+                node.handle_frame(tx.src, chan, tx.frame, rxp, tx.power_dbm)
 
     def sense(self, node_id: int, chan: int) -> float:
         """Received power in mW at a node from all live co-channel carriers."""
-        total = ch.dbm_to_mw(self.scn.phy.noise_floor_dbm)
+        total = self.noise_mw
         for a in self.active:
             if a.chan != chan or a.end_us <= self.now_us:
                 continue
@@ -266,7 +319,8 @@ class Engine:
             mask = conf > 0
             correct = int(np.count_nonzero(est[mask] == truth[0][mask]))
             self.best_pre_full[k] = max(self.best_pre_full.get(k, 0), correct)
-        if dec.full_rank and rank_before < h:
+        # decoded on the reception after which every tag column is a pivot
+        if dec.full_rank and dest not in self.dest_done.get((flow_index, gen_id), ()):
             self._on_generation_decoded(dest, flow_index, gen_id, dec, truth)
 
     def _on_generation_decoded(self, dest, flow_index, gen_id, dec, truth) -> None:
@@ -280,7 +334,6 @@ class Engine:
                 self.log.early_recovery.append(
                     self.best_pre_full.pop(k) / (h * dec.packet_len)
                 )
-        # a destination has one decoder per generation, so it gets here once
         done = self.dest_done.setdefault((flow_index, gen_id), set())
         done.add(dest)
         if done == set(self.scn.flows[flow_index].dsts):

@@ -120,13 +120,11 @@ class FieldContext:
         A = np.asarray(A, dtype=np.uint8)
         B = np.asarray(B, dtype=np.uint8)
         out = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
-        for k in range(A.shape[1]):
-            # outer product of column k of A with row k of B, accumulated by xor
-            col = A[:, k]
-            nz = col != 0
-            if not nz.any():
-                continue
-            out[nz] ^= self.mul_table[col[nz][:, None], B[k][None, :]]
+        for row, coeffs in zip(out, A.tolist()):
+            # row i is the xor of A[i, k] * B[k], one table row per coefficient
+            for k, c in enumerate(coeffs):
+                if c:
+                    row ^= self.mul_table[c].take(B[k])
         return out
 
 
@@ -187,11 +185,11 @@ def rref_insert(
     Returns (rref, pivot_cols), or None when row lies in the row space of R.
     """
     v = validate_symbols(ctx, row).copy()
-    if pivot_cols:
-        coeffs = v[pivot_cols]
-        nz = np.flatnonzero(coeffs)
-        if len(nz):
-            v ^= np.bitwise_xor.reduce(ctx.mul_table[coeffs[nz][:, None], R[nz]], axis=0)
+    # each pivot row times the new row's symbol in its pivot column, taken
+    # before any of them is subtracted
+    for r, c in enumerate(v[pivot_cols].tolist()):
+        if c:
+            v ^= ctx.mul_table[c].take(R[r])
     lead = np.flatnonzero(v)
     if not len(lead):
         return None
@@ -200,11 +198,9 @@ def rref_insert(
         v = ctx.scale_row(ctx.inv(int(v[p])), v)
     i = bisect.bisect(pivot_cols, p)
     out = np.concatenate((R[:i], v[None, :], R[i:]))
-    col = out[:, p].copy()
-    col[i] = 0
-    nz = col != 0
-    if nz.any():
-        out[nz] ^= ctx.mul_table[col[nz][:, None], v[None, :]]
+    for r, c in enumerate(out[:, p].tolist()):
+        if c and r != i:
+            out[r] ^= ctx.mul_table[c].take(v)
     return out, pivot_cols[:i] + [p] + pivot_cols[i:]
 
 

@@ -113,6 +113,9 @@ class Node:
         self.queues = bp.VirtualQueueSet(node_id, self.flows)
         self.penalty = bp.PenaltyTracker()
         self.power_dbm = scn.power.init_dbm
+        # sensed power above this reads as a busy channel
+        self.busy_threshold_mw = (ch.dbm_to_mw(scn.phy.noise_floor_dbm)
+                                  * ch.db_to_linear(scn.phy.busy_threshold_db))
         self.tx_airtime_us = 0
         self.tx_energy_mj = 0.0
         self.tx_until_us = 0
@@ -260,9 +263,7 @@ class Node:
         return self.channel
 
     def channel_busy(self, chan: int) -> bool:
-        reading_mw = self.engine.sense(self.id, chan)
-        floor_mw = ch.dbm_to_mw(self.scn.phy.noise_floor_dbm)
-        return reading_mw > floor_mw * ch.db_to_linear(self.scn.phy.busy_threshold_db)
+        return self.engine.sense(self.id, chan) > self.busy_threshold_mw
 
     # -- outbound frames ----------------------------------------------------
 

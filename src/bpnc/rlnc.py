@@ -251,7 +251,12 @@ class DecoderState:
 
     @property
     def full_rank(self) -> bool:
-        return self.rank == self.block_size
+        """Every tag column is a pivot, so every source packet is decoded.
+        ``rank`` also counts payload pivots, from a row with a zero tag and
+        a nonzero payload or with data inconsistent with the decoded
+        sources; such a row neither makes nor unmakes full rank."""
+        h = self.block_size
+        return len(self.pivot_cols) >= h and self.pivot_cols[h - 1] < h
 
     def ingest(self, pkt: CodedPacket) -> list[tuple[int, np.ndarray]]:
         """Add one packet; return newly decoded (source_index, payload) pairs.

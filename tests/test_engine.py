@@ -167,9 +167,10 @@ def test_early_recovery_pinned():
 
 
 def test_each_frame_parsed_once(monkeypatch):
-    # the medium parses every control frame and every DATA frame a node
-    # built, once per transmission; a DATA frame a relay re-sends is already
-    # a parse, and every receiver shares the one parse of a transmission
+    # the medium parses every DATA frame a node built once, and every control
+    # frame unless it repeats its sender's last control frame byte for byte;
+    # a DATA frame a relay re-sends is already a parse, and every receiver
+    # shares the one parse of a transmission
     calls = 0
     unpack = wire.unpack
 
@@ -186,11 +187,14 @@ def test_each_frame_parsed_once(monkeypatch):
         return handle_frame(node, src, chan, frame, *args)
 
     sent = Counter()
+    last_control = {}  # sender -> bytes of its last control frame
     transmit = engine.Engine.transmit
 
     def classify(eng, node, chan, frame):
         if not isinstance(frame, wire.DataFrame):
-            sent["control"] += 1
+            raw = frame.pack()
+            sent["repeated" if last_control.get(node.id) == raw else "control"] += 1
+            last_control[node.id] = raw
         else:
             sent["resent" if received.get(id(frame)) is frame else "built"] += 1
         return transmit(eng, node, chan, frame)
@@ -200,8 +204,108 @@ def test_each_frame_parsed_once(monkeypatch):
     monkeypatch.setattr(engine.Engine, "transmit", classify)
     eng = engine.run(engine.apply_override(_lossy_coded_butterfly7(), "duration_s", 300), seed=1)
     assert sent.total() == len(eng.packet_log)
-    assert sent["control"] > 0 and sent["built"] > 0 and sent["resent"] > 0
+    assert all(sent[k] > 0 for k in ("control", "repeated", "built", "resent"))
     assert calls == sent["control"] + sent["built"]
+
+
+def test_repeated_rts_reaches_receivers_as_one_object(monkeypatch):
+    # an RTS retry packs to the bytes of its sender's last control frame, so
+    # every receiver of every retry is handed that frame's one parse
+    sent = []  # (transmission, the bytes sent) in send order
+    transmit = engine.Engine.transmit
+
+    def recording_transmit(eng, node, chan, frame):
+        air = transmit(eng, node, chan, frame)
+        sent.append((eng.active[-1], frame.pack()))
+        return air
+
+    handed = Counter()  # id(tx) -> receivers handed tx's frame
+    delivering = None
+    deliver = engine.Engine._deliver
+    handle_frame = protocol.Node.handle_frame
+
+    def recording_deliver(eng, tx):
+        nonlocal delivering
+        delivering = tx
+        return deliver(eng, tx)
+
+    def recording_handle(node, src, chan, frame, *args):
+        assert frame is delivering.frame
+        handed[id(delivering)] += 1
+        return handle_frame(node, src, chan, frame, *args)
+
+    monkeypatch.setattr(engine.Engine, "transmit", recording_transmit)
+    monkeypatch.setattr(engine.Engine, "_deliver", recording_deliver)
+    monkeypatch.setattr(protocol.Node, "handle_frame", recording_handle)
+    engine.run(engine.apply_override(_lossy_coded_butterfly7(), "duration_s", 300), seed=1)
+    last = {}  # sender -> (transmission, bytes) of its last control frame
+    shared = 0  # receptions of a repeated RTS
+    for tx, raw in sent:
+        if isinstance(tx.frame, wire.DataFrame):
+            continue
+        assert tx.frame == wire.unpack(raw)
+        prev, prev_raw = last.get(tx.src, (None, None))
+        if raw == prev_raw:
+            assert tx.frame is prev.frame
+            if isinstance(tx.frame, wire.RtsFrame):
+                shared += handed[id(tx)]
+        else:
+            assert prev is None or tx.frame is not prev.frame
+        last[tx.src] = (tx, raw)
+    assert shared > 0
+
+
+def test_channel_draws_are_the_scalar_stream():
+    # the medium draws its uniforms DRAW_BUFFER at a time; they are the
+    # stream scalar Generator.random() calls give from the same seed
+    eng = engine.Engine(engine.apply_override(_lossy_coded_butterfly7(), "duration_s", 300), seed=1)
+    drawn = []
+
+    def recording(uniforms):
+        for u in uniforms:
+            drawn.append(u)
+            yield u
+
+    eng.uniforms = recording(eng.uniforms)
+    eng.run()
+    assert engine.packet_log_digest(eng.packet_log) == PINNED_DIGESTS[1][2]
+    assert len(drawn) > 3 * engine.DRAW_BUFFER
+    rng = np.random.default_rng(np.random.SeedSequence([1, 0x5EED]))
+    assert drawn == [rng.random() for _ in drawn]
+
+
+def test_reach_follows_the_senders_power(monkeypatch):
+    # node 1 reaches node 3 on channel 1 over a -75 dB link: above the
+    # -88 dBm sensitivity at -10 dBm, below it at -15 dBm.  Power is forced
+    # to alternate mid-run, and every delivery reaches the nodes the
+    # scenario's gains put at or above sensitivity at the sender's power
+    scn = engine.apply_override(_asymmetric_line7(), "duration_s", 300)
+    eng = engine.Engine(scn, seed=1)
+    n_tables = len(eng.nodes) * len(scn.channels)
+    seen = Counter()  # (src, chan, power) -> deliveries
+    deliver = engine.Engine._deliver
+
+    def checked(eng, tx):
+        deliver(eng, tx)
+        expected = [(nid, tx.power_dbm + g, eng.nodes[nid]) for nid in sorted(eng.nodes)
+                    if nid != tx.src
+                    and tx.power_dbm + (g := scn.gain_db(tx.src, nid, tx.chan))
+                    >= scn.phy.sensitivity_dbm]
+        assert eng.reach[(tx.src, tx.chan)] == (tx.power_dbm, expected)
+        assert len(eng.reach) <= n_tables
+        seen[(tx.src, tx.chan, tx.power_dbm)] += 1
+
+    def force_power(dbm):
+        def fire():
+            eng.nodes[1].power_dbm = dbm
+        return fire
+
+    for k in range(1, 30):
+        eng.schedule_at(k * 10 * engine.US, force_power(-15.0 if k % 2 else -10.0))
+    monkeypatch.setattr(engine.Engine, "_deliver", checked)
+    eng.run()
+    assert seen[(1, 1, -10.0)] > 0 and seen[(1, 1, -15.0)] > 0
+    assert len(eng.reach) == n_tables
 
 
 def test_later_hops_resend_the_first_hop_parse(monkeypatch):
@@ -342,6 +446,35 @@ def test_unchanged_decoder_state_is_scored_once_truth_arrives():
     dec.ingest(pkt)
     eng.on_destination_ingest(6, 0, 0, dec, 1)
     assert eng.best_pre_full == {(0, 0, 6): 8}  # row 0 is certain
+
+
+def test_generation_decoded_once_every_tag_column_is_a_pivot(monkeypatch):
+    # h=2: a zero tag with a nonzero payload pivots in a payload column, so
+    # it raises the rank to h without decoding anything; the generation
+    # decodes on the row that makes both tag columns pivots, once, and a
+    # row inconsistent with the decoded sources after that changes neither
+    eng = engine.Engine(_lossy_coded_butterfly7(), seed=1)
+    decoded = []
+    on_decoded = engine.Engine._on_generation_decoded
+
+    def recording(eng, dest, flow_index, gen_id, *args):
+        decoded.append((dest, flow_index, gen_id))
+        return on_decoded(eng, dest, flow_index, gen_id, *args)
+
+    monkeypatch.setattr(engine.Engine, "_on_generation_decoded", recording)
+    dec = rlnc.DecoderState(eng.ctx, 2, 4)
+    rows = [([1, 0], [1, 2, 3, 4]), ([0, 0], [0, 0, 5, 0]),
+            ([0, 1], [6, 7, 8, 9]), ([1, 0], [9, 9, 9, 9])]
+    trace = []
+    for tag, payload in rows:
+        rank_before = dec.rank
+        dec.ingest(rlnc.CodedPacket(tag, payload))
+        eng.on_destination_ingest(6, 0, 0, dec, rank_before)
+        trace.append((dec.rank, dec.full_rank, len(decoded)))
+    assert trace == [(1, False, 0), (2, False, 0), (3, True, 1), (4, True, 1)]
+    assert decoded == [(6, 0, 0)]
+    assert eng.dest_done == {(0, 0): {6}}
+    assert sorted(dec.delivered) == [0, 1]
 
 
 def test_different_seeds_differ():

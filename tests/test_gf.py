@@ -258,3 +258,37 @@ def test_matmul_matches_scalar(f16):
             for k in range(4):
                 acc ^= f16.mul(int(A[i, k]), int(B[k, j]))
             assert C[i, j] == acc
+
+
+@st.composite
+def matmul_operands(draw):
+    """(m, A, B) over GF(2^m), 1-row shapes and all-zero rows and columns
+    included."""
+    m = draw(st.sampled_from([1, 2, 4, 8]))
+    r, k, c = (draw(st.integers(1, n)) for n in (6, 6, 12))
+    sym = st.integers(0, (1 << m) - 1)
+    A = np.array(draw(st.lists(st.lists(sym, min_size=k, max_size=k),
+                               min_size=r, max_size=r)), dtype=np.uint8)
+    B = np.array(draw(st.lists(st.lists(sym, min_size=c, max_size=c),
+                               min_size=k, max_size=k)), dtype=np.uint8)
+    def zeroed(n):  # indices of the rows (or columns) to zero
+        return sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    A[zeroed(r), :] = 0
+    A[:, zeroed(k)] = 0
+    B[zeroed(k), :] = 0
+    B[:, zeroed(c)] = 0
+    return m, A, B
+
+
+@given(matmul_operands())
+@settings(max_examples=300)
+def test_matmul_matches_mul_slow(operands):
+    m, A, B = operands
+    ctx = FieldContext(m)
+    C = ctx.matmul(A, B)
+    assert C.shape == (A.shape[0], B.shape[1]) and C.dtype == np.uint8
+    for i, j in itertools.product(range(A.shape[0]), range(B.shape[1])):
+        acc = 0
+        for k in range(A.shape[1]):
+            acc ^= mul_slow(int(A[i, k]), int(B[k, j]), m, ctx.poly)
+        assert C[i, j] == acc
