@@ -4,14 +4,13 @@ Time is integer microseconds.  Events with equal timestamps run in
 scheduling order, so a run is a pure function of (scenario, seed); logging
 never consumes randomness.
 
-The medium is the one place where frames become bytes and back, and it
-does each packet's work once.  It packs every frame a node hands it and
-parses it at most once: every receiver tuned to a transmission shares that
-parse.  A DATA frame is parsed once, at its first hop: the parse keeps its
-bytes, so a relay re-sends the very object it received, and the medium
-neither packs nor parses it again.  A control frame whose bytes equal its
-sender's previous control frame (an RTS retry, say) reuses that frame's
-parse, since frames are frozen.
+The medium does each packet's work once.  Frames are built on the wire grid
+and packed once, and no frame is parsed during a run: ``wire`` snaps every
+field a frame carries when the frame is built, so the frame equals its own
+parse, and every receiver is handed the sender's own frozen object.  The
+bytes serve only for airtime, the success model and the packet log.  A DATA
+frame caches its bytes, so a relay re-sends the very object it received and
+the medium never packs it again.
 
 What does not change from frame to frame is kept in per-run tables.  For
 each (sender, channel), ``Engine.reach`` lists the receivers at or above
@@ -40,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channel as ch
-from . import gf, wire
+from . import gf, rlnc, wire
 from .protocol import Node
 
 US = 1_000_000
@@ -62,8 +61,8 @@ class Transmission:
     src: int
     chan: int
     power_dbm: float
-    frame: object  # as parsed from the wire (a relayed DATA frame at its first
-                   # hop); frozen, so receivers and later hops share it
+    frame: object  # the sender's own frame, on the wire grid and frozen, so
+                   # receivers and later hops share it
     nbytes: int
 
 
@@ -139,8 +138,6 @@ class Engine:
         self.reach: dict[tuple[int, int], tuple[float, list[tuple[int, float, Node]]]] = {}
         # frame length in bytes -> airtime
         self.airtimes: dict[int, int] = {}
-        # sender -> (bytes, parse) of the last control frame it sent
-        self.last_control: dict[int, tuple[bytes, object]] = {}
         self.noise_mw = ch.dbm_to_mw(scn.phy.noise_floor_dbm)
         self.active: list[Transmission] = []
         # (received dBm, frame bytes) -> success probability of a reception
@@ -211,20 +208,6 @@ class Engine:
         raw = frame.pack()
         air = self.airtime_us(raw)
         end = self.now_us + air
-        # receivers get the values the wire carries (q16.16 utility, q8.8
-        # gains, clamped backlogs), not the sender's frame object; a DATA
-        # frame parsed at an earlier hop is one already, of these very bytes,
-        # and a control frame repeating its sender's last one shares its parse
-        if isinstance(frame, wire.DataFrame):
-            if frame.raw is None:
-                frame = wire.unpack(raw, self.scn.coding.field_bits)
-        else:
-            last_raw, parse = self.last_control.get(node.id, (None, None))
-            if raw == last_raw:
-                frame = parse
-            else:
-                frame = wire.unpack(raw, self.scn.coding.field_bits)
-                self.last_control[node.id] = (raw, frame)
         tx = Transmission(self.now_us, end, node.id, chan, node.power_dbm, frame, len(raw))
         self.active = [a for a in self.active if a.end_us > self.now_us]
         self.active.append(tx)
@@ -313,9 +296,10 @@ class Engine:
         # was; truth is kept until every destination has decoded, so if k is
         # already in best_pre_full that state has been scored and solving
         # again is waste.
-        if (dec.mode == "rank_deficient" and not dec.full_rank and truth is not None
+        coding = self.scn.coding
+        if (coding.decoder == "rank_deficient" and not dec.full_rank and truth is not None
                 and (dec.rank > rank_before or k not in self.best_pre_full)):
-            est, conf = dec.solve_rank_deficient()
+            est, conf = rlnc.rank_deficient_solve(dec, coding.min_weight_limit)
             mask = conf > 0
             correct = int(np.count_nonzero(est[mask] == truth[0][mask]))
             self.best_pre_full[k] = max(self.best_pre_full.get(k, 0), correct)

@@ -546,11 +546,7 @@ class Node:
             key = (fi, frame.gen_id)
             dec = self.decoders.get(key)
             if dec is None:
-                dec = self.decoders[key] = rlnc.DecoderState(
-                    self.ctx, h, len(pkt.payload),
-                    mode=self.scn.coding.decoder,
-                    min_weight_limit=self.scn.coding.min_weight_limit,
-                )
+                dec = self.decoders[key] = rlnc.DecoderState(self.ctx, h, len(pkt.payload))
             rank_before = dec.rank
             dec.ingest(pkt)
             self.engine.on_destination_ingest(self.id, fi, frame.gen_id, dec, rank_before)

@@ -230,7 +230,8 @@ def precondition_reorder(ctx: FieldContext, G) -> tuple[np.ndarray, tuple[int, .
 
 @dataclass
 class DecoderState:
-    """Per-generation accumulator for earliest or rank-deficient decoding.
+    """Per-generation accumulator; earliest and rank-deficient decoding
+    ingest alike.
 
     Single-owner mutable; distinct generations decode independently.
     """
@@ -238,8 +239,6 @@ class DecoderState:
     ctx: FieldContext
     block_size: int
     packet_len: int
-    mode: str = "earliest"  # or "rank_deficient"
-    min_weight_limit: int = 2
 
     def __post_init__(self):
         h, n = self.block_size, self.packet_len
@@ -263,10 +262,6 @@ class DecoderState:
 
         Only the new row is reduced against the stored RREF; dependent
         (duplicate) rows change nothing.  A source index is its tag column.
-        Once every tag column is a pivot the RREF is [I | X], so a row is
-        dependent exactly when its payload equals tag . X: that check alone
-        runs, and only a row that fails it (data inconsistent with the
-        decoded sources) is inserted.
         """
         h = self.block_size
         if len(pkt.tag) != h:
@@ -274,12 +269,6 @@ class DecoderState:
         if len(pkt.payload) != self.packet_len:
             raise ValueError("payload length mismatch")
         self.received += 1
-        if self.full_rank and self.pivot_cols[-1] < h:
-            residual = pkt.payload.copy()
-            for i in np.flatnonzero(gf.validate_symbols(self.ctx, pkt.tag)):
-                residual ^= self.ctx.mul_table[pkt.tag[i]].take(self.rref[i, h:])
-            if not residual.any():
-                return []
         inserted = gf.rref_insert(
             self.ctx, self.rref, self.pivot_cols,
             np.concatenate([pkt.tag, pkt.payload]),
@@ -302,9 +291,6 @@ class DecoderState:
     def decoded_count(self) -> int:
         return len(self.delivered)
 
-    def solve_rank_deficient(self) -> tuple[np.ndarray, np.ndarray]:
-        return rank_deficient_solve(self, self.min_weight_limit)
-
 
 @functools.cache
 def _assignments(q: int, n_free: int) -> tuple[np.ndarray, np.ndarray]:
@@ -320,9 +306,11 @@ def _assignments(q: int, n_free: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rank_deficient_solve(
-    state: DecoderState, free_var_limit: int | None = None
+    state: DecoderState, free_var_limit: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-symbol estimates and confidence from a possibly rank-deficient state.
+    """Per-symbol estimates and confidence from a possibly rank-deficient
+    state, searching only when at most T = free_var_limit tag columns are
+    free.
 
     Returns (estimates (h, N) uint8, confidence (h, N) uint8) with confidence
     2 = certain (unique under current rank), 1 = heuristic (minimum-weight
@@ -339,7 +327,6 @@ def rank_deficient_solve(
         raise ValueError("decoder state holds no rows")
     ctx = state.ctx
     h, n = state.block_size, state.packet_len
-    T = state.min_weight_limit if free_var_limit is None else free_var_limit
     est = np.zeros((h, n), dtype=np.uint8)
     conf = np.zeros((h, n), dtype=np.uint8)
     tag_pivots = [c for c in state.pivot_cols if c < h]
@@ -355,7 +342,7 @@ def rank_deficient_solve(
             conf[c] = 2
         else:
             heuristic_rows.append((r, c))
-    if not free_cols or len(free_cols) > T:
+    if not free_cols or len(free_cols) > free_var_limit:
         return est, conf
     conf[free_cols] = 1
     if not heuristic_rows:

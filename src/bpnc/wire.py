@@ -2,7 +2,9 @@
 
 All multi-byte integers are little-endian with a 1-byte type tag first.
 Link gains travel as q8.8 fixed point of (gain_db + 128); utilities as
-q16.16 so receivers compare bit-exact values instead of floats.
+q16.16 so receivers compare bit-exact values instead of floats.  A frame
+snaps its fields to that grid when it is built, and clamps SYN backlogs to
+0xFFFF, so ``unpack(f.pack()) == f`` for every frame a node can build.
 
 A DATA frame is the one representation of a coded packet outside ``rlnc``:
 
@@ -16,11 +18,13 @@ The column order is always 0..h-1: the stack never reorders tag columns
 packet-log digest covers them, and a shorter frame changes each DATA
 frame's airtime and loss draws, and with them the simulated routes.
 
-A parsed DATA frame keeps the bytes it was parsed from (``DataFrame.raw``,
-outside the frame's value), and ``pack`` returns them, so a relay re-sends
-its first hop's parse without packing or parsing it again.  ``unpack``
-accepts only the bytes ``pack`` writes (zero tag padding, at most 500
-payload bytes), so those bytes are the frame's one wire form.
+Frames are built on the wire grid and packed once, and no frame is parsed
+during a run: receivers share the sender's frozen frame.  A DATA frame
+caches the bytes of its first ``pack`` (``DataFrame.raw``, outside its
+value), so a relayed frame is packed once in its life.  ``unpack`` is the
+typed gate for bytes from outside a run (tests, fuzzing, packet-log
+readers); it accepts only the bytes ``pack`` writes (zero tag padding, at
+most 500 payload bytes), so those bytes are the frame's one wire form.
 """
 
 from __future__ import annotations
@@ -51,8 +55,7 @@ class MalformedFrame(ValueError):
 
 
 def encode_gain_db(gain_db: float) -> int:
-    v = int(round((gain_db + GAIN_DB_BIAS) * 256))
-    return max(0, min(0xFFFF, v))
+    return int(round(max(0, min(0xFFFF, (gain_db + GAIN_DB_BIAS) * 256))))
 
 
 def decode_gain_db(raw: int) -> float:
@@ -60,8 +63,7 @@ def decode_gain_db(raw: int) -> float:
 
 
 def encode_utility(u: float) -> int:
-    v = int(round(u * 65536))
-    return max(0, min(0xFFFFFFFF, v))
+    return int(round(max(0, min(0xFFFFFFFF, u * 65536))))
 
 
 def decode_utility(raw: int) -> float:
@@ -108,6 +110,10 @@ class DisFrame:
     next_channel: int
     neighbors: tuple[tuple[int, int, float], ...]  # (nbr id, channel, gain_db)
 
+    def __post_init__(self):
+        object.__setattr__(self, "neighbors", tuple(
+            (nbr, chan, decode_gain_db(encode_gain_db(g))) for nbr, chan, g in self.neighbors))
+
     def pack(self) -> bytes:
         out = bytearray([TYPE_DIS, self.sender, self.next_channel, len(self.neighbors)])
         for nbr, chan, gain_db in self.neighbors:
@@ -122,11 +128,15 @@ class SynFrame:
     # destination listed first, backlog)
     entries: tuple[tuple[int, tuple[int, ...], int], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(
+            (src, dsts, min(backlog, 0xFFFF)) for src, dsts, backlog in self.entries))
+
     def pack(self) -> bytes:
         out = bytearray([TYPE_SYN, self.sender, len(self.entries)])
         for src, dsts, backlog in self.entries:
             out += bytes([src, len(dsts), *dsts])
-            out += struct.pack("<H", min(backlog, 0xFFFF))
+            out += struct.pack("<H", backlog)
         return bytes(out)
 
 
@@ -137,6 +147,9 @@ class RtsFrame:
     channel: int
     flow_index: int
     utility: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "utility", decode_utility(encode_utility(self.utility)))
 
     def pack(self) -> bytes:
         return struct.pack(
@@ -162,8 +175,8 @@ class DataFrame:
     tag: tuple[int, ...]  # h symbols; h is the generation's block size
     payload: bytes
     field_bits: int = 4
-    # the bytes ``unpack`` parsed this frame from, or None for a frame a
-    # node built; not part of the frame's value (==, hash, repr)
+    # the bytes the first ``pack`` wrote, or None before it; not part of
+    # the frame's value (==, hash, repr)
     raw: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def pack(self) -> bytes:
@@ -180,7 +193,8 @@ class DataFrame:
         out += bytes(range(h))  # column order
         out += pack_tag(self.tag, self.field_bits)
         out += self.payload
-        return bytes(out)
+        object.__setattr__(self, "raw", bytes(out))
+        return self.raw
 
 
 def unpack(raw: bytes, field_bits: int = 4):
@@ -235,16 +249,14 @@ def unpack(raw: bytes, field_bits: int = 4):
                 raise MalformedFrame("short DATA header")
             if raw[5:off] != bytes(range(h)):
                 raise MalformedFrame("DATA column order must be 0..h-1")
-            # only the bytes pack() writes parse, so the kept bytes are
-            # the frame's one wire form
+            # only the bytes pack() writes parse, so they are the frame's
+            # one wire form
             pad_bits = 0 if 8 % field_bits else 8 * tl - field_bits * h
             if pad_bits and raw[off + tl - 1] & ((1 << pad_bits) - 1):
                 raise MalformedFrame("nonzero DATA tag padding")
             if len(raw) - off - tl > MAX_PAYLOAD_BYTES:
                 raise MalformedFrame("payload exceeds 500 bytes")
-            frame = DataFrame(fidx, gen_id, tag, bytes(raw[off + tl :]), field_bits)
-            object.__setattr__(frame, "raw", bytes(raw))
-            return frame
+            return DataFrame(fidx, gen_id, tag, bytes(raw[off + tl :]), field_bits)
     except (struct.error, IndexError) as e:
         # IndexError: a header or entry cut short reads past the end of raw
         raise MalformedFrame(str(e)) from e

@@ -166,11 +166,9 @@ def test_early_recovery_pinned():
     assert s["early_recovery_count"] == 35
 
 
-def test_each_frame_parsed_once(monkeypatch):
-    # the medium parses every DATA frame a node built once, and every control
-    # frame unless it repeats its sender's last control frame byte for byte;
-    # a DATA frame a relay re-sends is already a parse, and every receiver
-    # shares the one parse of a transmission
+def test_a_run_parses_no_frame(monkeypatch):
+    # frames are built on the wire grid, so receivers are handed the
+    # sender's own frame and nothing is parsed, DATA or control
     calls = 0
     unpack = wire.unpack
 
@@ -179,48 +177,49 @@ def test_each_frame_parsed_once(monkeypatch):
         calls += 1
         return unpack(*args, **kwargs)
 
-    received = {}  # id -> every frame object a node was handed (kept alive)
-    handle_frame = protocol.Node.handle_frame
+    monkeypatch.setattr(wire, "unpack", counted)
+    eng = engine.run(engine.apply_override(_lossy_coded_butterfly7(), "duration_s", 300), seed=1)
+    assert {"DIS", "SYN", "RTS", "CTS", "DATA"} <= {line.split(" ")[3] for line in eng.packet_log}
+    assert calls == 0
 
-    def recording(node, src, chan, frame, *args):
-        received[id(frame)] = frame
-        return handle_frame(node, src, chan, frame, *args)
 
+@pytest.mark.parametrize("make_scn", [*ch.BUILTINS.values(), _lossy_coded_butterfly7],
+                         ids=[*ch.BUILTINS, "butterfly7_lossy_coded"])
+def test_every_frame_sent_equals_its_parse(monkeypatch, make_scn):
+    # what a receiver is handed (the sender's frame) is what the wire carries
     sent = Counter()
-    last_control = {}  # sender -> bytes of its last control frame
     transmit = engine.Engine.transmit
 
-    def classify(eng, node, chan, frame):
-        if not isinstance(frame, wire.DataFrame):
-            raw = frame.pack()
-            sent["repeated" if last_control.get(node.id) == raw else "control"] += 1
-            last_control[node.id] = raw
-        else:
-            sent["resent" if received.get(id(frame)) is frame else "built"] += 1
+    def checked(eng, node, chan, frame):
+        assert wire.unpack(frame.pack(), eng.scn.coding.field_bits) == frame
+        sent[type(frame)] += 1
         return transmit(eng, node, chan, frame)
 
-    monkeypatch.setattr(wire, "unpack", counted)
-    monkeypatch.setattr(protocol.Node, "handle_frame", recording)
-    monkeypatch.setattr(engine.Engine, "transmit", classify)
-    eng = engine.run(engine.apply_override(_lossy_coded_butterfly7(), "duration_s", 300), seed=1)
-    assert sent.total() == len(eng.packet_log)
-    assert all(sent[k] > 0 for k in ("control", "repeated", "built", "resent"))
-    assert calls == sent["control"] + sent["built"]
+    monkeypatch.setattr(engine.Engine, "transmit", checked)
+    engine.run(engine.apply_override(make_scn(), "duration_s", 300), seed=1)
+    assert sent[wire.RtsFrame] > 0 and sent[wire.DataFrame] > 0
 
 
 def test_repeated_rts_reaches_receivers_as_one_object(monkeypatch):
-    # an RTS retry packs to the bytes of its sender's last control frame, so
-    # every receiver of every retry is handed that frame's one parse
-    sent = []  # (transmission, the bytes sent) in send order
+    # every receiver of a transmission is handed the very object its sender
+    # passed to transmit, an RTS retry (the bytes of its sender's last RTS)
+    # included
+    sent = {}  # id(tx) -> (tx, the frame the sender passed, is an RTS retry)
+    last_rts = {}  # sender -> bytes of its last RTS
     transmit = engine.Engine.transmit
 
     def recording_transmit(eng, node, chan, frame):
+        retry = False
+        if isinstance(frame, wire.RtsFrame):
+            raw = frame.pack()
+            retry = last_rts.get(node.id) == raw
+            last_rts[node.id] = raw
         air = transmit(eng, node, chan, frame)
-        sent.append((eng.active[-1], frame.pack()))
+        sent[id(eng.active[-1])] = (eng.active[-1], frame, retry)
         return air
 
-    handed = Counter()  # id(tx) -> receivers handed tx's frame
     delivering = None
+    retry_receptions = 0
     deliver = engine.Engine._deliver
     handle_frame = protocol.Node.handle_frame
 
@@ -230,29 +229,17 @@ def test_repeated_rts_reaches_receivers_as_one_object(monkeypatch):
         return deliver(eng, tx)
 
     def recording_handle(node, src, chan, frame, *args):
-        assert frame is delivering.frame
-        handed[id(delivering)] += 1
+        nonlocal retry_receptions
+        tx, passed, retry = sent[id(delivering)]
+        assert tx is delivering and frame is passed
+        retry_receptions += retry
         return handle_frame(node, src, chan, frame, *args)
 
     monkeypatch.setattr(engine.Engine, "transmit", recording_transmit)
     monkeypatch.setattr(engine.Engine, "_deliver", recording_deliver)
     monkeypatch.setattr(protocol.Node, "handle_frame", recording_handle)
     engine.run(engine.apply_override(_lossy_coded_butterfly7(), "duration_s", 300), seed=1)
-    last = {}  # sender -> (transmission, bytes) of its last control frame
-    shared = 0  # receptions of a repeated RTS
-    for tx, raw in sent:
-        if isinstance(tx.frame, wire.DataFrame):
-            continue
-        assert tx.frame == wire.unpack(raw)
-        prev, prev_raw = last.get(tx.src, (None, None))
-        if raw == prev_raw:
-            assert tx.frame is prev.frame
-            if isinstance(tx.frame, wire.RtsFrame):
-                shared += handed[id(tx)]
-        else:
-            assert prev is None or tx.frame is not prev.frame
-        last[tx.src] = (tx, raw)
-    assert shared > 0
+    assert retry_receptions > 0
 
 
 def test_channel_draws_are_the_scalar_stream():
@@ -308,9 +295,9 @@ def test_reach_follows_the_senders_power(monkeypatch):
     assert len(eng.reach) == n_tables
 
 
-def test_later_hops_resend_the_first_hop_parse(monkeypatch):
-    # line7 with coding off: every DATA frame is built at node 1 and then
-    # relayed unchanged, hop by hop, to node 7
+def test_later_hops_resend_the_sources_frame(monkeypatch):
+    # line7 with coding off: every DATA frame is built at node 1, packed
+    # once there, and then relayed as that very object, hop by hop, to node 7
     delivered = []
     deliver = engine.Engine._deliver
 
@@ -324,7 +311,7 @@ def test_later_hops_resend_the_first_hop_parse(monkeypatch):
     for line in eng.packet_log:
         t_us, _, src, kind, hexed = line.split(" ")
         logged[(int(t_us), int(src))] = bytes.fromhex(hexed)
-    first_parse = {}
+    first_hop = {}
     hops = Counter()
     for tx in delivered:
         if not isinstance(tx.frame, wire.DataFrame):
@@ -332,7 +319,7 @@ def test_later_hops_resend_the_first_hop_parse(monkeypatch):
         raw = logged[(tx.start_us, tx.src)]
         assert tx.frame.pack() is tx.frame.raw
         assert tx.frame.raw == raw
-        first = first_parse.setdefault(raw, tx)
+        first = first_hop.setdefault(raw, tx)
         assert tx.frame is first.frame
         assert (tx is first) == (tx.src == 1)
         hops[raw] += 1
@@ -438,7 +425,7 @@ def test_unchanged_decoder_state_is_scored_once_truth_arrives():
     eng = engine.Engine(_lossy_coded_butterfly7(), seed=1)
     X = np.arange(32, dtype=np.uint8).reshape(4, 8) % 16
     pkt = rlnc.CodedPacket([1, 0, 0, 0], X[0])
-    dec = rlnc.DecoderState(eng.ctx, 4, 8, mode="rank_deficient")
+    dec = rlnc.DecoderState(eng.ctx, 4, 8)
     dec.ingest(pkt)
     eng.on_destination_ingest(6, 0, 0, dec, 0)
     assert eng.best_pre_full == {}

@@ -88,13 +88,18 @@ def test_data_payload_limit():
 
 
 def test_data_parse_keeps_its_bytes_outside_its_value():
+    # only pack() writes a DATA frame's bytes, once, whether the frame was
+    # built or parsed, and they stay outside the frame's value
     built = DataFrame(3, 9, (1, 2, 3), b"xyz", 4)
+    assert built.raw is None
     raw = built.pack()
+    assert built.pack() is raw and built.raw is raw
     parsed = unpack(raw, field_bits=4)
-    assert built.raw is None and parsed.raw == raw
-    assert parsed.pack() is parsed.raw  # re-sent as parsed, not packed again
+    assert parsed.raw is None
     assert parsed == built and hash(parsed) == hash(built)
     assert repr(parsed) == repr(built)
+    first = parsed.pack()
+    assert first == raw and parsed.pack() is first and parsed.raw is first
 
 
 @pytest.mark.parametrize("field_bits,raw", [
@@ -103,7 +108,7 @@ def test_data_parse_keeps_its_bytes_outside_its_value():
     pytest.param(4, bytes.fromhex("05 00 0000 01 00 a0") + bytes(501), id="payload-501"),
 ])
 def test_data_bytes_pack_cannot_write_rejected(field_bits, raw):
-    # a kept parse is re-sent as its bytes, so only bytes pack() writes parse
+    # only bytes pack() writes parse, so they are a frame's one wire form
     with pytest.raises(MalformedFrame):
         unpack(raw, field_bits=field_bits)
 
@@ -246,6 +251,32 @@ ANY_FRAME = st.one_of(
 @settings(max_examples=500)
 def test_unpack_inverts_pack(frame):
     assert unpack(frame.pack(), field_bits=getattr(frame, "field_bits", 4)) == frame
+
+
+FLOAT = st.floats(allow_nan=False)
+
+
+@given(st.one_of(
+    st.builds(DisFrame, BYTE, BYTE,
+              st.lists(st.tuples(BYTE, BYTE, FLOAT), max_size=255).map(tuple)),
+    st.builds(SynFrame, BYTE,
+              st.lists(st.tuples(BYTE, st.lists(BYTE, max_size=8).map(tuple),
+                                 st.integers(0, 1 << 20)), max_size=255).map(tuple)),
+    st.builds(RtsFrame, BYTE, BYTE, BYTE, BYTE, FLOAT),
+))
+@settings(max_examples=500)
+def test_built_frame_equals_its_parse(frame):
+    # built from any gain, utility or backlog, a frame is already on the wire
+    # grid, so a receiver can be handed the frame itself
+    assert unpack(frame.pack()) == frame
+
+
+def test_frames_snap_to_the_wire_grid_when_built():
+    assert RtsFrame(1, 2, 0, 0, 0.1).utility == round(0.1 * 65536) / 65536
+    assert RtsFrame(1, 2, 0, 0, -3.0).utility == 0.0
+    assert RtsFrame(1, 2, 0, 0, float("inf")).utility == 0xFFFFFFFF / 65536
+    assert DisFrame(1, 0, ((2, 0, -55.001),)).neighbors == ((2, 0, -55.0),)
+    assert SynFrame(1, ((1, (7,), 70000),)).entries == ((1, (7,), 0xFFFF),)
 
 
 def test_gain_encoding_monotone_and_clamped():
