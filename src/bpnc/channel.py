@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-import yaml
-
 
 class ScenarioError(ValueError):
     """Config validation failure; message names the offending field."""
@@ -24,16 +22,33 @@ def db_to_linear(db: float) -> float:
     return 10 ** (db / 10)
 
 
+def _check(label: str, v, ok, what: str) -> None:
+    """v is a number (not a bool) for which ok holds."""
+    # every comparison is False for NaN
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not ok(v):
+        raise ScenarioError(f"{label}: must be {what}, got {v!r}")
+
+
 def _require(section: str, cfg, names, ok, what: str) -> None:
+    """_check each named field of cfg, as section.name (name for a
+    top-level field)."""
     for name in names:
-        v = getattr(cfg, name)
-        # every comparison is False for NaN
-        if not isinstance(v, (int, float)) or not ok(v):
-            raise ScenarioError(f"{section}.{name}: must be {what}, got {v!r}")
+        _check(f"{section}.{name}" if section else name, getattr(cfg, name), ok, what)
 
 
 def _require_nonnegative(section: str, cfg, names) -> None:
     _require(section, cfg, names, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+
+
+def _is_int_in(v, lo, hi) -> bool:
+    return type(v) is int and lo <= v <= hi
+
+
+def _require_int(section: str, cfg, names, lo: int, hi: float = math.inf) -> None:
+    """Counts and indices are ints: a float or a bool would pass a range
+    check here and fail mid-run."""
+    what = f"an integer >= {lo}" if hi == math.inf else f"an integer in {lo}..{hi}"
+    _require(section, cfg, names, lambda v: _is_int_in(v, lo, hi), what)
 
 
 @dataclass
@@ -93,23 +108,18 @@ class CodingConfig:
 
     def validate(self):
         # payload bytes split into whole symbols only when m divides 8
-        if self.field_bits not in (1, 2, 4, 8):
-            raise ScenarioError(
-                f"coding.field_bits: must be 1, 2, 4 or 8, got {self.field_bits}")
-        if self.block_size < 1 or self.block_size > 255:
-            raise ScenarioError("coding.block_size: must be 1..255")
+        _require("coding", self, ("field_bits",),
+                 lambda v: type(v) is int and v in (1, 2, 4, 8), "1, 2, 4 or 8")
+        _require_int("coding", self, ("block_size",), 1, 255)
         if self.decoder not in ("earliest", "rank_deficient"):
             raise ScenarioError(f"coding.decoder: unknown mode {self.decoder!r}")
-        if not 1 <= self.packet_len <= 500:
-            raise ScenarioError("coding.packet_len: must be 1..500 bytes")
+        _require_int("coding", self, ("packet_len",), 1, 500)  # bytes
         if self.tag_mode not in ("uniform", "rank_increasing"):
             raise ScenarioError(f"coding.tag_mode: unknown mode {self.tag_mode!r}")
         # gen_timeout_s 0 disables the timeout
         _require_nonnegative("coding", self, ("redundancy", "gen_timeout_s"))
+        _require_int("coding", self, ("min_weight_limit",), 0)
         limit = self.min_weight_limit
-        if type(limit) is not int or limit < 0:  # bool is an int subclass
-            raise ScenarioError(
-                f"coding.min_weight_limit: must be an integer >= 0, got {limit!r}")
         # the rank-deficient solve scores all 2^(field_bits x limit)
         # assignments of up to limit free tag columns against the payload
         # columns, so past 2^MIN_WEIGHT_SEARCH_BITS its tables outgrow memory
@@ -128,6 +138,7 @@ class PowerConfig:
     target_snr_db: float = 15.0
 
     def validate(self):
+        _require("power", self, [f.name for f in fields(self)], math.isfinite, "a finite number")
         if not self.min_dbm <= self.init_dbm <= self.max_dbm:
             raise ScenarioError(
                 "power: need min_dbm <= init_dbm <= max_dbm, got "
@@ -148,9 +159,10 @@ class PhyConfig:
 
     def validate(self):
         # airtime divides by bit_rate(), which divides by fft_len
-        _require("phy", self, ("sample_rate", "fft_len", "occupied"),
-                 lambda v: 0 < v < math.inf, "a finite number > 0")
-        _require_nonnegative("phy", self, ("cp_len",))
+        _require("phy", self, ("sample_rate",), lambda v: 0 < v < math.inf,
+                 "a finite number > 0")
+        _require_int("phy", self, ("fft_len", "occupied"), 1)
+        _require_int("phy", self, ("cp_len",), 0)
         _require("phy", self, ("noise_floor_dbm", "sensitivity_dbm", "busy_threshold_db"),
                  math.isfinite, "a finite number")
         _require("phy", self, ("listen_power_frac",), lambda v: 0 <= v <= 1, "in [0, 1]")
@@ -184,19 +196,24 @@ class Scenario:
     duration_s: float = 600.0
 
     def validate(self):
+        if not isinstance(self.name, str):
+            raise ScenarioError(f"name: must be a string, got {self.name!r}")
         # node ids, flow indices and channel indices each travel in one byte
-        if self.num_nodes > 255:
-            raise ScenarioError(f"num_nodes: at most 255, got {self.num_nodes}")
-        nodes = set(range(1, self.num_nodes + 1))
-        if not self.channels:
-            raise ScenarioError("channels: need at least one channel")
+        _require_int("", self, ("num_nodes",), 1, 255)
+        if not isinstance(self.channels, (list, tuple)) or not self.channels:
+            raise ScenarioError(f"channels: need a list of at least one channel, "
+                                f"got {self.channels!r}")
         if len(self.channels) > 256:
             raise ScenarioError(f"channels: at most 256, got {len(self.channels)}")
-        for l in self.links:
-            if l.src not in nodes or l.dst not in nodes:
-                raise ScenarioError(f"links: node {l.src}-{l.dst} outside 1..{self.num_nodes}")
-            if l.channel is not None and not 0 <= l.channel < len(self.channels):
-                raise ScenarioError(f"links: channel index {l.channel} out of range")
+        for c in self.channels:
+            _check("channels", c, math.isfinite, "a list of finite numbers")
+        for i, l in enumerate(self.links):
+            _require_int(f"links[{i}]", l, ("src", "dst"), 1, self.num_nodes)
+            # -inf means no link, as for a pair that no link names
+            _require(f"links[{i}]", l, ("gain_db",), lambda v: v < math.inf,
+                     "a finite number or -inf")
+            if l.channel is not None:
+                _require_int(f"links[{i}]", l, ("channel",), 0, len(self.channels) - 1)
         if not self.flows:
             raise ScenarioError("flows: need at least one flow")
         if len(self.flows) > 256:
@@ -204,11 +221,13 @@ class Scenario:
         # SYN names a flow by its source and destination set, so no two flows
         # may share both, and a destination set must not repeat a node
         seen = set()
-        for f in self.flows:
+        for i, f in enumerate(self.flows):
+            _require_int(f"flows[{i}]", f, ("src",), 1, self.num_nodes)
             if not f.dsts:
                 raise ScenarioError(f"flows: flow from {f.src} needs at least one destination")
-            if f.src not in nodes or not set(f.dsts) <= nodes:
-                raise ScenarioError(f"flows: flow {f.src}->{f.dsts} references unknown node")
+            for d in f.dsts:
+                _check(f"flows[{i}].dsts", d, lambda v: _is_int_in(v, 1, self.num_nodes),
+                       f"node ids in 1..{self.num_nodes}")
             if f.src in f.dsts:
                 raise ScenarioError("flows: source cannot be a destination")
             if len(set(f.dsts)) != len(f.dsts):
@@ -219,14 +238,10 @@ class Scenario:
                     f"flows: two flows {f.src}->{f.dsts} share a source and destination set")
             seen.add(key)
             # arrival gaps are drawn with mean 1 / arrival_rate
-            if not 0 < f.arrival_rate < math.inf:
-                raise ScenarioError(
-                    f"flows: arrival_rate must be a finite number > 0, got {f.arrival_rate!r}")
-        if not 0 <= self.frame_loss < 1:
-            raise ScenarioError("frame_loss: must be in [0, 1)")
-        if not 0 <= self.duration_s < math.inf:
-            raise ScenarioError(
-                f"duration_s: must be a finite number >= 0, got {self.duration_s!r}")
+            _require(f"flows[{i}]", f, ("arrival_rate",), lambda v: 0 < v < math.inf,
+                     "a finite number > 0")
+        _require("", self, ("frame_loss",), lambda v: 0 <= v < 1, "in [0, 1)")
+        _require_nonnegative("", self, ("duration_s",))
         self.timing.validate()
         self.coding.validate()
         self.power.validate()
@@ -364,6 +379,7 @@ def scenario_to_dict(scn: Scenario) -> dict:
 
 
 def save_scenario(scn: Scenario, path) -> None:
+    import yaml
     with open(path, "w") as fh:
         yaml.safe_dump(scenario_to_dict(scn), fh, sort_keys=False)
 
@@ -376,7 +392,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     try:
         scn = Scenario(
             name=d.get("name", "unnamed"),
-            num_nodes=int(d["num_nodes"]),
+            num_nodes=d["num_nodes"],
             channels=[float(c) for c in d["channels"]],
             links=[LinkConfig(**l) for l in d["links"]],
             flows=[FlowConfig(f["src"], tuple(f["dsts"]), float(f["arrival_rate"]))
@@ -389,14 +405,20 @@ def scenario_from_dict(d: dict) -> Scenario:
             sensing_enabled=bool(d.get("sensing_enabled", True)),
             duration_s=float(d.get("duration_s", 600.0)),
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ScenarioError(f"scenario file: {e}") from e
     return scn.validate()
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        d = yaml.safe_load(fh)
+    """The scenario a YAML file describes; a file that cannot be read or
+    parsed is a ScenarioError that names it."""
+    import yaml
+    try:
+        with open(path) as fh:
+            d = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as e:
+        raise ScenarioError(f"scenario file {path}: {e}") from e
     if not isinstance(d, dict):
-        raise ScenarioError("scenario file: top level must be a mapping")
+        raise ScenarioError(f"scenario file {path}: top level must be a mapping")
     return scenario_from_dict(d)

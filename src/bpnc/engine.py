@@ -27,14 +27,10 @@ pair (``Engine.clear_p_ok``).  A coded packet travels as its
 
 from __future__ import annotations
 
-import copy
 import heapq
-import json
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -91,6 +87,7 @@ class MetricsLog:
                     f.write(f"{t},{kind},{node},{flow},{values[i]}\n")
 
     def write_summary(self, path) -> None:
+        import json
         with open(path, "w") as f:
             json.dump(self.summary, f, indent=2, sort_keys=True)
             f.write("\n")
@@ -412,13 +409,22 @@ SWEEP_ALIASES = {
 }
 
 
+def _convert(key: str, convert, value):
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ch.ScenarioError(f"param {key}: cannot convert {value!r}") from e
+
+
 def apply_override(scn: ch.Scenario, key: str, value) -> ch.Scenario:
     """Deep-copied scenario with one dotted-path (or aliased) field changed."""
+    import copy
     scn = copy.deepcopy(scn)
     key = SWEEP_ALIASES.get(key, key)
     if key == "arrival_rate":
+        rate = _convert(key, float, value)
         for f in scn.flows:
-            f.arrival_rate = float(value)
+            f.arrival_rate = rate
         scn.validate()
         return scn
     obj = scn
@@ -433,10 +439,8 @@ def apply_override(scn: ch.Scenario, key: str, value) -> ch.Scenario:
     old = getattr(obj, leaf)
     if isinstance(old, bool):
         value = str(value).lower() in ("1", "true", "yes", "on")
-    elif isinstance(old, int):
-        value = int(value)
-    elif isinstance(old, float):
-        value = float(value)
+    elif isinstance(old, (int, float)):
+        value = _convert(key, type(old), value)
     setattr(obj, leaf, value)
     scn.validate()
     return scn
@@ -472,6 +476,7 @@ def sweep(scn: ch.Scenario, param: str, values, seeds, parallel: bool = False) -
             f"sweep: needs at least one value and one seed, got {len(values)} and {len(seeds)}")
     jobs = [(apply_override(scn, param, v), seed) for v in values for seed in seeds]
     if parallel:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor() as ex:
             results = list(ex.map(_run_one, jobs))
     else:
@@ -511,6 +516,7 @@ def write_sweep_csv(rows: list[dict], path) -> None:
 
 
 def write_outputs(eng: Engine, out_dir) -> None:
+    from pathlib import Path
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     eng.log.write_csv(out / "metrics.csv")

@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from bpnc import channel as ch
+from bpnc import engine
 from bpnc.channel import (
     STRONG_GAIN_DB,
     FlowConfig,
@@ -432,3 +433,49 @@ def test_scenario_file_rejects_garbage(tmp_path):
     p.write_text("num_nodes: 3\n")
     with pytest.raises(ScenarioError):
         load_scenario(p)
+
+
+def _line7_dict_with(path, value) -> dict:
+    """line7's scenario file with the field at path set to value."""
+    d = ch.scenario_to_dict(line7())
+    parent = d
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return d
+
+
+def _line7_field_paths():
+    """Every field of line7's scenario file: top level, each config section,
+    the first link and the first flow."""
+    d = ch.scenario_to_dict(line7())
+    paths = [(k,) for k in d]
+    paths += [(s, k) for s in ("timing", "coding", "power", "phy") for k in d[s]]
+    paths += [(s, 0, k) for s in ("links", "flows") for k in d[s][0]]
+    return paths
+
+
+@pytest.mark.parametrize("path,value", [
+    (("num_nodes",), 7.9),
+    (("links", 0, "src"), 1.0),
+    (("flows", 0, "dsts"), [7.0]),
+    (("coding", "block_size"), 4.0),
+    (("phy", "fft_len"), True),
+])
+def test_scenario_file_count_must_be_an_integer(path, value):
+    # a float count would be truncated or fail mid-run, and True is no count
+    with pytest.raises(ScenarioError, match=str(path[-1])):
+        ch.scenario_from_dict(_line7_dict_with(path, value))
+
+
+@pytest.mark.parametrize("value", ["x", None, [1]], ids=["str", "none", "list"])
+@pytest.mark.parametrize("path", _line7_field_paths(),
+                         ids=lambda p: ".".join(map(str, p)))
+def test_malformed_scenario_field_fails_validation_or_runs(path, value):
+    # a field of the wrong type must not escape as a raw ValueError or
+    # TypeError, neither from loading nor mid-run
+    try:
+        scn = ch.scenario_from_dict(_line7_dict_with(path, value))
+    except ScenarioError:
+        return
+    engine.run(scn, seed=1)

@@ -148,6 +148,18 @@ def test_unknown_builtin_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text", ["num_nodes: [1, 2\n", None],
+                         ids=["yaml_syntax_error", "missing_path"])
+def test_scenario_file_that_cannot_be_read_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.yaml"
+    if text is not None:
+        path.write_text(text)
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_scenario_file_round_trip(tmp_path):
     path = tmp_path / "scn.yaml"
     ch.save_scenario(ch.line7(), path)
@@ -199,6 +211,17 @@ def test_empty_param_values_exit_2(tmp_path):
     rc = main(["sweep", "--builtin", "line7", "--param", "block_size=",
                "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("param", ["frame_loss=abc", "block_size=2.5", "arrival_rate=fast"])
+def test_sweep_param_value_that_does_not_convert_exits_2(tmp_path, capsys, param):
+    rc = main(["sweep", "--builtin", "line7", "--param", param, "--seeds", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    key, _, value = param.partition("=")
+    err = capsys.readouterr().err
+    assert key in err and repr(value) in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import importlib
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -601,6 +603,20 @@ def test_sweep_parallel_matches_serial():
     serial = engine.sweep(ch.line7(), "duration", [90], seeds=[1, 2])
     par = engine.sweep(ch.line7(), "duration", [90], seeds=[1, 2], parallel=True)
     assert serial[0]["digests"] == par[0]["digests"]
+
+
+def test_engine_loads_no_module_a_builtin_run_does_not_use():
+    # PyYAML, the sweep's process pool and json are imported where they
+    # are used, so a run's start-up does not pay for them
+    src = str(Path(engine.__file__).resolve().parents[1])
+    optional = ("yaml", "concurrent.futures", "multiprocessing", "json")
+    code = (f"import sys\nsys.path.insert(0, {src!r})\n"
+            "from bpnc import channel, engine\n"
+            "engine.Engine(channel.butterfly7(), 1)\n"
+            f"print([m for m in {optional!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_unknown_sweep_parameter_rejected():
