@@ -40,6 +40,16 @@ def _require_nonnegative(section: str, cfg, names) -> None:
     _require(section, cfg, names, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 
 
+def _require_bool(section: str, cfg, names) -> None:
+    """Switches are bools: any truthy value would otherwise switch a layer
+    on, "off" included."""
+    for name in names:
+        v = getattr(cfg, name)
+        if type(v) is not bool:
+            label = f"{section}.{name}" if section else name
+            raise ScenarioError(f"{label}: must be true or false, got {v!r}")
+
+
 def _is_int_in(v, lo, hi) -> bool:
     return type(v) is int and lo <= v <= hi
 
@@ -107,7 +117,8 @@ class CodingConfig:
     min_weight_limit: int = 2
 
     def validate(self):
-        # payload bytes split into whole symbols only when m divides 8
+        _require_bool("coding", self, ("enabled",))
+        # a payload byte packs whole symbols only when m divides 8
         _require("coding", self, ("field_bits",),
                  lambda v: type(v) is int and v in (1, 2, 4, 8), "1, 2, 4 or 8")
         _require_int("coding", self, ("block_size",), 1, 255)
@@ -241,6 +252,7 @@ class Scenario:
             _require(f"flows[{i}]", f, ("arrival_rate",), lambda v: 0 < v < math.inf,
                      "a finite number > 0")
         _require("", self, ("frame_loss",), lambda v: 0 <= v < 1, "in [0, 1)")
+        _require_bool("", self, ("sensing_enabled",))
         _require_nonnegative("", self, ("duration_s",))
         self.timing.validate()
         self.coding.validate()
@@ -402,7 +414,7 @@ def scenario_from_dict(d: dict) -> Scenario:
             power=PowerConfig(**d.get("power", {})),
             phy=PhyConfig(**d.get("phy", {})),
             frame_loss=float(d.get("frame_loss", 0.0)),
-            sensing_enabled=bool(d.get("sensing_enabled", True)),
+            sensing_enabled=d.get("sensing_enabled", True),
             duration_s=float(d.get("duration_s", 600.0)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as e:

@@ -21,8 +21,10 @@ channel generator, the same stream as one scalar draw at a time.  The
 success probability of a reception no other carrier reaches depends only on
 its received power and frame length, so each run computes it once per such
 pair (``Engine.clear_p_ok``).  A coded packet travels as its
-``wire.DataFrame`` and is never converted to GF symbols here: outside
-``rlnc``, symbols exist only for encoding, decoding and recoding.
+``wire.DataFrame``, and its payload stays packed bytes from source to
+decoder.  The ground truth of a generation is its source rows as packed
+bytes, and the decode check compares bytes; symbols are unpacked only to
+score rank-deficient estimates, once per generation for the truth.
 """
 
 from __future__ import annotations
@@ -142,8 +144,12 @@ class Engine:
         self.clear_p_ok: dict[tuple[float, int], float] = {}
         self.packet_log: list[str] = []
         self.log = MetricsLog()
-        # ground truth and delivery accounting
+        # ground truth and delivery accounting: (flow, generation) -> (source
+        # rows as packed bytes, rows that are not padding)
         self.truth: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
+        # (flow, generation) -> its truth split into symbols, built when a
+        # rank-deficient estimate is first scored and dropped with the truth
+        self.truth_symbols: dict[tuple[int, int], np.ndarray] = {}
         self.injected: dict[int, int] = {i: 0 for i in range(len(scn.flows))}
         self.delivered: dict[int, int] = {i: 0 for i in range(len(scn.flows))}
         self.dest_done: dict[tuple[int, int], set[int]] = {}
@@ -287,7 +293,8 @@ class Engine:
                               dec, rank_before: int) -> None:
         h = dec.block_size
         self.log.accuracy.setdefault(dec.received, []).append(dec.decoded_count() / h)
-        truth = self.truth.get((flow_index, gen_id))
+        gen = (flow_index, gen_id)
+        truth = self.truth.get(gen)
         k = (flow_index, gen_id, dest)
         # A reception that did not raise the rank left the decoder state as it
         # was; truth is kept until every destination has decoded, so if k is
@@ -297,11 +304,15 @@ class Engine:
         if (coding.decoder == "rank_deficient" and not dec.full_rank and truth is not None
                 and (dec.rank > rank_before or k not in self.best_pre_full)):
             est, conf = rlnc.rank_deficient_solve(dec, coding.min_weight_limit)
+            want = self.truth_symbols.get(gen)
+            if want is None:
+                want = self.truth_symbols[gen] = gf.bytes_to_symbols(
+                    truth[0].tobytes(), coding.field_bits).reshape(est.shape)
             mask = conf > 0
-            correct = int(np.count_nonzero(est[mask] == truth[0][mask]))
+            correct = int(np.count_nonzero(est[mask] == want[mask]))
             self.best_pre_full[k] = max(self.best_pre_full.get(k, 0), correct)
         # decoded on the reception after which every tag column is a pivot
-        if dec.full_rank and dest not in self.dest_done.get((flow_index, gen_id), ()):
+        if dec.full_rank and dest not in self.dest_done.get(gen, ()):
             self._on_generation_decoded(dest, flow_index, gen_id, dec, truth)
 
     def _on_generation_decoded(self, dest, flow_index, gen_id, dec, truth) -> None:
@@ -312,15 +323,16 @@ class Engine:
                     self.decode_errors += 1
             k = (flow_index, gen_id, dest)
             if k in self.best_pre_full:
-                self.log.early_recovery.append(
-                    self.best_pre_full.pop(k) / (h * dec.packet_len)
-                )
+                # a fraction of the generation's symbols
+                symbols = h * dec.packet_len * gf.symbols_per_byte(self.ctx.m)
+                self.log.early_recovery.append(self.best_pre_full.pop(k) / symbols)
         done = self.dest_done.setdefault((flow_index, gen_id), set())
         done.add(dest)
         if done == set(self.scn.flows[flow_index].dsts):
             self.delivered[flow_index] += truth[1] if truth is not None else h
             # no destination ingests this generation below full rank again
             self.truth.pop((flow_index, gen_id), None)
+            self.truth_symbols.pop((flow_index, gen_id), None)
 
     # -- metrics ------------------------------------------------------------
 
@@ -409,11 +421,25 @@ SWEEP_ALIASES = {
 }
 
 
+# what a bool field takes, in any case; str(True) is "True"
+BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
+
+
 def _convert(key: str, convert, value):
     try:
         return convert(value)
-    except (TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ch.ScenarioError(f"param {key}: cannot convert {value!r}") from e
+
+
+def _to_int(value) -> int:
+    """int(value), for an int or a string of one; a value int() would round,
+    such as 2.7, is an error."""
+    out = int(value)
+    if not isinstance(value, str) and out != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return out
 
 
 def apply_override(scn: ch.Scenario, key: str, value) -> ch.Scenario:
@@ -438,9 +464,11 @@ def apply_override(scn: ch.Scenario, key: str, value) -> ch.Scenario:
         raise ch.ScenarioError(f"unknown sweep parameter {key!r}")
     old = getattr(obj, leaf)
     if isinstance(old, bool):
-        value = str(value).lower() in ("1", "true", "yes", "on")
-    elif isinstance(old, (int, float)):
-        value = _convert(key, type(old), value)
+        value = _convert(key, lambda v: BOOL_WORDS[str(v).lower()], value)
+    elif isinstance(old, int):
+        value = _convert(key, _to_int, value)
+    elif isinstance(old, float):
+        value = _convert(key, float, value)
     setattr(obj, leaf, value)
     scn.validate()
     return scn

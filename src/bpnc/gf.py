@@ -1,9 +1,13 @@
-"""GF(2^m) arithmetic and matrix algebra over field symbols.
+"""GF(2^m) arithmetic and matrix algebra over field symbols and packed bytes.
 
 Symbols are plain ints (or numpy uint8 arrays) in [0, 2^m).  Matrices are
-2-D numpy uint8 arrays, row-major.  All decoding paths build on the
-table-driven multiply here; ``mul_slow`` is the independent shift-reduce
-reference kept for cross-checking.
+2-D numpy uint8 arrays, row-major.  All decoding paths build on the one
+table-driven multiply here, ``FieldContext.mul_table``: it scales a symbol,
+and it scales a byte of packed m-bit symbols group by group, so a coded
+payload is combined, eliminated and recoded as the bytes it travels in.
+``bytes_to_symbols`` splits bytes into symbols only where single symbols
+are scored (the rank-deficient solve).  ``mul_slow`` is the independent
+shift-reduce reference kept for cross-checking.
 """
 
 from __future__ import annotations
@@ -76,12 +80,21 @@ class FieldContext:
         self.exp_table = exp
         self.log_table = log
         self.order = order
-        # full multiplication table; at most 256x256, cheap and fast to index
+        # symbol products, size x size
         a = np.arange(self.size, dtype=np.int32)
         la = log[a]
-        tbl = exp[(la[:, None] + la[None, :]) % max(order, 1)].astype(np.uint8)
-        tbl[0, :] = 0
-        tbl[:, 0] = 0
+        sym = exp[(la[:, None] + la[None, :]) % max(order, 1)].astype(np.uint8)
+        sym[0, :] = 0
+        sym[:, 0] = 0
+        # mul_table[c, b] multiplies each m-bit group of the byte b by c on
+        # its own.  A symbol b < size is a byte whose upper groups are 0, so
+        # it reads the same as in sym.  Bytes are packed only for m dividing
+        # 8; for other m the columns past size go unused.  At most 256 x 256,
+        # cheap and fast to index.
+        b = np.arange(256)
+        tbl = np.zeros((self.size, 256), dtype=np.uint8)
+        for shift in range(0, 8, m):
+            tbl |= sym[:, (b >> shift) & (self.size - 1)] << shift
         self.mul_table = tbl
         inv = np.zeros(self.size, dtype=np.uint8)
         for v in range(1, self.size):
@@ -173,24 +186,28 @@ def gaussian_eliminate(ctx: FieldContext, M) -> tuple[np.ndarray, int, list[int]
 
 
 def rref_insert(
-    ctx: FieldContext, R: np.ndarray, pivot_cols: list[int], row
+    ctx: FieldContext, R: np.ndarray, pivot_cols: list[int], row, pivot_width: int
 ) -> tuple[np.ndarray, list[int]] | None:
     """Add one row to a matrix already in reduced row-echelon form.
 
-    R holds one row per pivot, as ``gaussian_eliminate`` returns them
-    trimmed to the rank.  Only the new row is reduced; if it is independent
-    it becomes a pivot row and its pivot column is cleared from the others.
-    The RREF of a row space is unique, so the result equals
-    ``gaussian_eliminate`` of R stacked over row, trimmed to its rank.
-    Returns (rref, pivot_cols), or None when row lies in the row space of R.
+    Only the first pivot_width columns may hold a pivot, and only they are
+    checked as symbols; the columns after them (a coded packet's payload,
+    as packed bytes) are carried along.  R holds one row per pivot.  Only
+    the new row is reduced; if its first pivot_width columns do not reduce
+    to zero, it becomes a pivot row and its pivot column is cleared from the
+    others.  The RREF of a row space is unique, so an inserted row gives
+    ``gaussian_eliminate`` of R stacked over row (with the payload packed).
+    Returns (rref, pivot_cols), or None when the row's first pivot_width
+    columns reduce to zero.
     """
-    v = validate_symbols(ctx, row).copy()
+    v = np.array(row, dtype=np.uint8)
+    validate_symbols(ctx, v[:pivot_width])
     # each pivot row times the new row's symbol in its pivot column, taken
     # before any of them is subtracted
     for r, c in enumerate(v[pivot_cols].tolist()):
         if c:
             v ^= ctx.mul_table[c].take(R[r])
-    lead = np.flatnonzero(v)
+    lead = np.flatnonzero(v[:pivot_width])
     if not len(lead):
         return None
     p = int(lead[0])

@@ -6,12 +6,12 @@ frames.  Phases: Discovery -> FlowUpdate -> Negotiation -> DataTransfer,
 with RTS/CTS conflict resolution in between.
 
 Outside ``rlnc`` a coded packet is its ``wire.DataFrame``: sources build the
-frame once when they create the packet, relays buffer and re-send the frames
-they receive, and GF symbols exist only where GF arithmetic runs: encoding at
-the source, decoding at a destination and recoding at a relay.  Sources and
-relays share one send path: every frame a node holds credit for, coded or
-received, sits in ``Node.relay_gens`` and goes out through
-``next_coded_packet``.
+frame once when they create the packet, and relays buffer and re-send the
+frames they receive.  A payload is packed bytes from the moment a source
+draws its symbols: generations, encoding, recoding and decoding all take the
+frame's payload bytes as they are.  Sources and relays share one send path:
+every frame a node holds credit for, coded or received, sits in
+``Node.relay_gens`` and goes out through ``next_coded_packet``.
 """
 
 from __future__ import annotations
@@ -161,20 +161,16 @@ class Node:
         h = self.scn.coding.block_size
         return max(1, math.ceil(self.scn.coding.redundancy * h))
 
-    def packet_symbols(self) -> int:
-        return self.scn.coding.packet_len * gf.symbols_per_byte(self.scn.coding.field_bits)
-
     def to_frame(self, flow_index: int, gen_id: int,
                  pkt: rlnc.CodedPacket) -> wire.DataFrame:
         """The wire form of a packet this node codes, built once."""
-        m = self.scn.coding.field_bits
         return wire.DataFrame(flow_index, gen_id % 0x10000, tuple(pkt.tag.tolist()),
-                              gf.symbols_to_bytes(pkt.payload, m), m)
+                              pkt.payload.tobytes(), self.scn.coding.field_bits)
 
-    def to_packet(self, frame: wire.DataFrame) -> rlnc.CodedPacket:
-        """The symbol form of a received frame, for decoding or recoding."""
-        return rlnc.CodedPacket(
-            frame.tag, gf.bytes_to_symbols(frame.payload, self.scn.coding.field_bits))
+    @staticmethod
+    def to_packet(frame: wire.DataFrame) -> rlnc.CodedPacket:
+        """A received frame as rlnc arrays, for decoding or recoding."""
+        return rlnc.CodedPacket(frame.tag, np.frombuffer(frame.payload, dtype=np.uint8))
 
     # -- phase drivers (called by engine timers) ----------------------------
 
@@ -542,13 +538,12 @@ class Node:
         fi = frame.flow_index
         h = len(frame.tag)
         if fi in self.dest_flows:
-            pkt = self.to_packet(frame)
             key = (fi, frame.gen_id)
             dec = self.decoders.get(key)
             if dec is None:
-                dec = self.decoders[key] = rlnc.DecoderState(self.ctx, h, len(pkt.payload))
+                dec = self.decoders[key] = rlnc.DecoderState(self.ctx, h, len(frame.payload))
             rank_before = dec.rank
-            dec.ingest(pkt)
+            dec.ingest(self.to_packet(frame))
             self.engine.on_destination_ingest(self.id, fi, frame.gen_id, dec, rank_before)
         # a destination of a multicast flow also relays it to the others; a
         # source already holds every frame of its own flow it may send
@@ -564,8 +559,11 @@ class Node:
     # -- application layer (source only) ------------------------------------
 
     def app_arrival(self, flow_index: int) -> None:
-        n_sym = self.packet_symbols()
-        data = self.rng.integers(0, self.ctx.size, size=n_sym, dtype=np.uint8)
+        m = self.scn.coding.field_bits
+        n_sym = self.scn.coding.packet_len * gf.symbols_per_byte(m)
+        symbols = self.rng.integers(0, self.ctx.size, size=n_sym, dtype=np.uint8)
+        # packed once: from here on the payload is only bytes
+        data = np.frombuffer(gf.symbols_to_bytes(symbols, m), dtype=np.uint8)
         gen = self.open_gens.get(flow_index)
         if gen is None or gen.full:
             gen = self.open_generation(flow_index)
@@ -586,7 +584,7 @@ class Node:
     def open_generation(self, flow_index: int) -> rlnc.Generation:
         last = self.open_gens.get(flow_index)
         gen = self.open_gens[flow_index] = rlnc.Generation(
-            0 if last is None else last.gen_id + 1, self.block_size(), self.packet_symbols())
+            0 if last is None else last.gen_id + 1, self.block_size(), self.scn.coding.packet_len)
         if self.scn.coding.enabled and self.scn.coding.gen_timeout_s > 0:
             self.engine.schedule(
                 self.us(self.scn.coding.gen_timeout_s),
@@ -602,7 +600,7 @@ class Node:
         real_count = gen.filled
         pad = rlnc.pad_block(b"", self.scn.coding.packet_len, gen.block_size - gen.filled)
         for row in pad[0]:
-            gen.add_source_packet(gf.bytes_to_symbols(row, self.scn.coding.field_bits))
+            gen.add_source_packet(np.frombuffer(row, dtype=np.uint8))
             # padding rows get coded coverage like any other arrival, or the
             # block could never reach full rank
             self.queue_coded(flow_index, gen, 1)

@@ -2,12 +2,15 @@
 earliest (Gaussian) decoding and rank-deficient decoding, plus the offline
 column-reordering (preconditioning) analysis behind the Table-III report.
 
-A ``CodedPacket`` is only a tag and a payload as numpy symbol arrays, because
-this module is where GF arithmetic runs.  Everywhere else a coded packet is
-its ``wire.DataFrame``, which alone names its flow and generation: the
-protocol converts between payload bytes and symbols only to encode at a
-source, decode at a destination or recode at a relay.  Tag column c always
-stands for source packet c; the live stack never reorders columns.
+A ``CodedPacket`` is only a tag (h symbols) and a payload (packed bytes, as
+on the wire) as numpy arrays, because this module is where GF arithmetic
+runs.  Everywhere else a coded packet is its ``wire.DataFrame``, which alone
+names its flow and generation.  A payload has one form from source to
+decoder: ``gf.FieldContext.mul_table`` scales a packed byte group by group,
+so encoding, recoding and elimination combine payload bytes as they are.
+Only ``rank_deficient_solve``, which scores single symbols, unpacks them.
+Tag column c always stands for source packet c; the live stack never
+reorders columns.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ def unpad_block(packets: list[bytes]) -> bytes:
 @dataclass
 class CodedPacket:
     tag: np.ndarray        # h symbols
-    payload: np.ndarray    # N symbols
+    payload: np.ndarray    # N bytes of packed symbols
 
     def __post_init__(self):
         self.tag = np.asarray(self.tag, dtype=np.uint8)
@@ -84,7 +87,7 @@ class CodedPacket:
 
 @dataclass
 class Generation:
-    """Source-side packet block: up to block_size rows of packet_len symbols."""
+    """Source-side packet block: up to block_size rows of packet_len bytes."""
 
     gen_id: int
     block_size: int
@@ -139,7 +142,7 @@ def sample_tags(ctx: FieldContext, width: int, count: int, rng,
     while len(rows) < count:
         tag = _sample_nonzero_tag(ctx, width, rng)
         if mode == "rank_increasing" and len(pivots) < width:
-            reduced = gf.rref_insert(ctx, rref, pivots, tag)
+            reduced = gf.rref_insert(ctx, rref, pivots, tag, width)
             if reduced is None:
                 continue
             rref, pivots = reduced
@@ -233,6 +236,13 @@ class DecoderState:
     """Per-generation accumulator; earliest and rank-deficient decoding
     ingest alike.
 
+    ``rref`` holds one row per pivot: h tag symbols, then packet_len payload
+    bytes.  Pivots are taken in tag columns only.  A row whose tag reduces
+    to zero against the rows so far is not innovative: it is counted in
+    ``received`` and changes nothing else, whatever its payload.  So
+    ``rank`` is the rank of the tags received, and the state is full rank
+    when every tag column is a pivot.
+
     Single-owner mutable; distinct generations decode independently.
     """
 
@@ -244,24 +254,23 @@ class DecoderState:
         h, n = self.block_size, self.packet_len
         self.rref = np.zeros((0, h + n), dtype=np.uint8)
         self.pivot_cols: list[int] = []
-        self.rank = 0
         self.delivered: dict[int, np.ndarray] = {}
         self.received = 0
 
     @property
+    def rank(self) -> int:
+        return len(self.pivot_cols)
+
+    @property
     def full_rank(self) -> bool:
-        """Every tag column is a pivot, so every source packet is decoded.
-        ``rank`` also counts payload pivots, from a row with a zero tag and
-        a nonzero payload or with data inconsistent with the decoded
-        sources; such a row neither makes nor unmakes full rank."""
-        h = self.block_size
-        return len(self.pivot_cols) >= h and self.pivot_cols[h - 1] < h
+        """Every tag column is a pivot, so every source packet is decoded."""
+        return len(self.pivot_cols) == self.block_size
 
     def ingest(self, pkt: CodedPacket) -> list[tuple[int, np.ndarray]]:
         """Add one packet; return newly decoded (source_index, payload) pairs.
 
-        Only the new row is reduced against the stored RREF; dependent
-        (duplicate) rows change nothing.  A source index is its tag column.
+        Only the new row is reduced against the stored RREF; a row that is
+        not innovative changes nothing.  A source index is its tag column.
         """
         h = self.block_size
         if len(pkt.tag) != h:
@@ -271,16 +280,13 @@ class DecoderState:
         self.received += 1
         inserted = gf.rref_insert(
             self.ctx, self.rref, self.pivot_cols,
-            np.concatenate([pkt.tag, pkt.payload]),
+            np.concatenate([pkt.tag, pkt.payload]), h,
         )
         if inserted is None:
             return []
         self.rref, self.pivot_cols = inserted
-        self.rank = len(self.pivot_cols)
         fresh = []
         for r, c in enumerate(self.pivot_cols):
-            if c >= h:
-                continue
             tag_part = self.rref[r, :h]
             if tag_part.sum() == 1 and tag_part[c] == 1 and c not in self.delivered:
                 payload = self.rref[r, h:].copy()
@@ -312,33 +318,35 @@ def rank_deficient_solve(
     state, searching only when at most T = free_var_limit tag columns are
     free.
 
-    Returns (estimates (h, N) uint8, confidence (h, N) uint8) with confidence
-    2 = certain (unique under current rank), 1 = heuristic (minimum-weight
-    pick over the affine solution set), 0 = undecoded.  Row c is source
-    packet c, the tag column.  Certain symbols always agree with
-    earliest decoding; the heuristic is a stand-in for an LP lowest-weight
-    decoder.  It costs q^T cached assignments x distinct column codes x
-    heuristic rows, where a column's code numbers its tuple of heuristic-row
-    payload symbols, plus one 1-D ``np.unique`` over the N columns per
-    heuristic row.  With no heuristic rows the lightest assignment is the
-    all-zero one, so no search runs.
+    Returns (estimates (h, N) uint8, confidence (h, N) uint8) over the N
+    symbols of a payload, with confidence 2 = certain (unique under current
+    rank), 1 = heuristic (minimum-weight pick over the affine solution set),
+    0 = undecoded.  Row c is source packet c, the tag column.  Certain
+    symbols always agree with earliest decoding; the heuristic is a
+    stand-in for an LP lowest-weight decoder.  It costs q^T cached
+    assignments x distinct column codes x heuristic rows, where a column's
+    code numbers its tuple of heuristic-row payload symbols, plus one 1-D
+    ``np.unique`` over the N columns per heuristic row.  With no heuristic
+    rows the lightest assignment is the all-zero one, so no search runs.
+
+    The one place a payload is split into symbols: the RREF's payload
+    block is unpacked once per call.
     """
     if state.received == 0:
         raise ValueError("decoder state holds no rows")
     ctx = state.ctx
-    h, n = state.block_size, state.packet_len
+    h = state.block_size
+    n = state.packet_len * gf.symbols_per_byte(ctx.m)
+    tags = state.rref[:, :h]
+    P = gf.bytes_to_symbols(state.rref[:, h:].tobytes(), ctx.m).reshape(state.rank, n)
     est = np.zeros((h, n), dtype=np.uint8)
     conf = np.zeros((h, n), dtype=np.uint8)
-    tag_pivots = [c for c in state.pivot_cols if c < h]
-    R = state.rref
-    free_cols = [c for c in range(h) if c not in tag_pivots]
+    free_cols = [c for c in range(h) if c not in state.pivot_cols]
     # certain rows: pivot rows with no dependence on free columns
     heuristic_rows = []
     for r, c in enumerate(state.pivot_cols):
-        if c >= h:
-            continue
-        if len(free_cols) == 0 or not R[r, free_cols].any():
-            est[c] = R[r, h:]
+        if len(free_cols) == 0 or not tags[r, free_cols].any():
+            est[c] = P[r]
             conf[c] = 2
         else:
             heuristic_rows.append((r, c))
@@ -352,7 +360,7 @@ def rank_deficient_solve(
     A, nnz = _assignments(q, len(free_cols))
     rows = [r for r, _ in heuristic_rows]
     # f[a, i]: the symbol assignment a subtracts from heuristic row i
-    G = R[rows][:, free_cols]
+    G = tags[rows][:, free_cols]
     f = np.bitwise_xor.reduce(ctx.mul_table[G[None], A[:, None, :]], axis=2)
     # A candidate's weight in column l is nnz(a) plus the heuristic rows
     # whose payload symbol differs from f[a] (certain rows add the same
@@ -362,16 +370,16 @@ def rank_deficient_solve(
     # each distinct code once and map the pick back to its columns.
     codes = np.zeros(n, dtype=np.intp)
     for r in rows:
-        _, first, codes = np.unique(codes * q + R[r, h:], return_index=True,
+        _, first, codes = np.unique(codes * q + P[r], return_index=True,
                                     return_inverse=True)
-    patterns = R[rows][:, h + first]  # (k, n_patterns)
+    patterns = P[rows][:, first]  # (k, n_patterns)
     weights = np.repeat(nnz[:, None], len(first), axis=1)  # (n_assign, n_patterns)
     for i in range(len(rows)):
         weights += f[:, i, None] != patterns[i]
     # first minimal index, deterministic
     best = np.argmin(weights, axis=0)[codes]
     for i, (r, c) in enumerate(heuristic_rows):
-        est[c] = R[r, h:] ^ f[best, i]
+        est[c] = P[r] ^ f[best, i]
         conf[c] = 1
     est[free_cols] = A[best].T
     return est, conf

@@ -468,6 +468,24 @@ def test_scenario_file_count_must_be_an_integer(path, value):
         ch.scenario_from_dict(_line7_dict_with(path, value))
 
 
+@pytest.mark.parametrize("value", ["off", "on", 1, 0, None])
+@pytest.mark.parametrize("path", [("coding", "enabled"), ("sensing_enabled",)])
+def test_scenario_switch_must_be_a_bool(path, value):
+    # "off" is truthy, so a coerced or unchecked switch would turn its layer on
+    with pytest.raises(ScenarioError, match=path[-1]):
+        ch.scenario_from_dict(_line7_dict_with(path, value))
+
+
+def test_unquoted_yaml_off_loads_as_false(tmp_path):
+    text = yaml.safe_dump(ch.scenario_to_dict(butterfly7()))
+    text = text.replace("sensing_enabled: true", "sensing_enabled: off")
+    text = text.replace("  enabled: true", "  enabled: off")
+    path = tmp_path / "scn.yaml"
+    path.write_text(text)
+    scn = load_scenario(path)
+    assert scn.coding.enabled is False and scn.sensing_enabled is False
+
+
 @pytest.mark.parametrize("value", ["x", None, [1]], ids=["str", "none", "list"])
 @pytest.mark.parametrize("path", _line7_field_paths(),
                          ids=lambda p: ".".join(map(str, p)))

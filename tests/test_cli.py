@@ -45,6 +45,7 @@ def test_field_bits_not_dividing_a_byte_exits_2(tmp_path):
     ("coding", "tag_mode", "bogus"),
     ("timing", "sample_interval_s", 0),
     ("power", "min_dbm", 0),
+    ("coding", "enabled", "off"),  # a quoted string, not YAML's false
 ])
 def test_scenario_file_with_invalid_setting_exits_2(tmp_path, section, key, value):
     d = ch.scenario_to_dict(ch.butterfly7())
@@ -213,7 +214,8 @@ def test_empty_param_values_exit_2(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("param", ["frame_loss=abc", "block_size=2.5", "arrival_rate=fast"])
+@pytest.mark.parametrize("param", ["frame_loss=abc", "block_size=2.5", "arrival_rate=fast",
+                                   "sensing=maybe"])
 def test_sweep_param_value_that_does_not_convert_exits_2(tmp_path, capsys, param):
     rc = main(["sweep", "--builtin", "line7", "--param", param, "--seeds", "1",
                "--out", str(tmp_path / "o")])

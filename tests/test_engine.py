@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bpnc import channel as ch
-from bpnc import engine, protocol, rlnc, wire
+from bpnc import engine, gf, protocol, rlnc, wire
 
 
 def test_zero_duration_run_is_empty():
@@ -423,25 +423,26 @@ def test_run_makes_no_gain_lookups(monkeypatch):
 
 def test_unchanged_decoder_state_is_scored_once_truth_arrives():
     # receptions before the source registers a generation's truth are not
-    # scored, so the first one after it is, even when it adds no rank
+    # scored, so the first one after it is, even when it adds no rank; the
+    # truth is packed bytes, scored against the estimates symbol by symbol
     eng = engine.Engine(_lossy_coded_butterfly7(), seed=1)
-    X = np.arange(32, dtype=np.uint8).reshape(4, 8) % 16
+    X = np.frombuffer(gf.symbols_to_bytes(np.arange(32) % 16, 4), np.uint8).reshape(4, 4)
     pkt = rlnc.CodedPacket([1, 0, 0, 0], X[0])
-    dec = rlnc.DecoderState(eng.ctx, 4, 8)
+    dec = rlnc.DecoderState(eng.ctx, 4, 4)
     dec.ingest(pkt)
     eng.on_destination_ingest(6, 0, 0, dec, 0)
     assert eng.best_pre_full == {}
     eng.register_truth(0, 0, X, 4)
     dec.ingest(pkt)
     eng.on_destination_ingest(6, 0, 0, dec, 1)
-    assert eng.best_pre_full == {(0, 0, 6): 8}  # row 0 is certain
+    assert eng.best_pre_full == {(0, 0, 6): 8}  # row 0's 8 symbols are certain
 
 
 def test_generation_decoded_once_every_tag_column_is_a_pivot(monkeypatch):
-    # h=2: a zero tag with a nonzero payload pivots in a payload column, so
-    # it raises the rank to h without decoding anything; the generation
-    # decodes on the row that makes both tag columns pivots, once, and a
-    # row inconsistent with the decoded sources after that changes neither
+    # h=2: a zero tag with a nonzero payload is not innovative, so it raises
+    # neither the rank nor anything else; the generation decodes on the row
+    # that makes both tag columns pivots, once, and a row inconsistent with
+    # the decoded sources after that changes nothing either
     eng = engine.Engine(_lossy_coded_butterfly7(), seed=1)
     decoded = []
     on_decoded = engine.Engine._on_generation_decoded
@@ -452,18 +453,19 @@ def test_generation_decoded_once_every_tag_column_is_a_pivot(monkeypatch):
 
     monkeypatch.setattr(engine.Engine, "_on_generation_decoded", recording)
     dec = rlnc.DecoderState(eng.ctx, 2, 4)
-    rows = [([1, 0], [1, 2, 3, 4]), ([0, 0], [0, 0, 5, 0]),
-            ([0, 1], [6, 7, 8, 9]), ([1, 0], [9, 9, 9, 9])]
+    rows = [([1, 0], [0x12, 0x34, 0x56, 0x78]), ([0, 0], [0, 0, 0xF5, 0]),
+            ([0, 1], [0x9A, 0xBC, 0xDE, 0xF0]), ([1, 0], [9, 9, 9, 9])]
     trace = []
     for tag, payload in rows:
         rank_before = dec.rank
         dec.ingest(rlnc.CodedPacket(tag, payload))
         eng.on_destination_ingest(6, 0, 0, dec, rank_before)
         trace.append((dec.rank, dec.full_rank, len(decoded)))
-    assert trace == [(1, False, 0), (2, False, 0), (3, True, 1), (4, True, 1)]
+    assert trace == [(1, False, 0), (1, False, 0), (2, True, 1), (2, True, 1)]
     assert decoded == [(6, 0, 0)]
     assert eng.dest_done == {(0, 0): {6}}
-    assert sorted(dec.delivered) == [0, 1]
+    assert {c: p.tolist() for c, p in dec.delivered.items()} == {
+        0: [0x12, 0x34, 0x56, 0x78], 1: [0x9A, 0xBC, 0xDE, 0xF0]}
 
 
 def test_different_seeds_differ():
@@ -633,6 +635,32 @@ def test_override_aliases_and_types():
     assert all(f.arrival_rate == 0.5 for f in scn.flows)
     scn = engine.apply_override(ch.line7(), "sensing", "false")
     assert scn.sensing_enabled is False
+
+
+@pytest.mark.parametrize("value,want", [
+    (True, True), (False, False), ("on", True), ("OFF", False), ("Yes", True),
+    ("no", False), ("1", True), ("0", False), (1, True), (0, False),
+])
+def test_bool_override_accepts_switch_words(value, want):
+    assert engine.apply_override(ch.line7(), "sensing", value).sensing_enabled is want
+
+
+@pytest.mark.parametrize("value", ["maybe", "", "2", 2.0, None], ids=repr)
+def test_bool_override_rejects_other_values(value):
+    with pytest.raises(ch.ScenarioError, match="sensing"):
+        engine.apply_override(ch.line7(), "sensing", value)
+
+
+@pytest.mark.parametrize("value", [2.7, "2.7", 2.5, float("nan"), float("inf")], ids=repr)
+def test_int_override_rejects_values_it_would_round(value):
+    with pytest.raises(ch.ScenarioError, match="block_size"):
+        engine.apply_override(ch.butterfly7(), "block_size", value)
+
+
+@pytest.mark.parametrize("value", [4, "4", 4.0], ids=repr)
+def test_int_override_accepts_integral_values(value):
+    block_size = engine.apply_override(ch.butterfly7(), "block_size", value).coding.block_size
+    assert block_size == 4 and type(block_size) is int
 
 
 @pytest.mark.parametrize("duration_s,samples", [(600, 121), (602.5, 122), (0, 1)])

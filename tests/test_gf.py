@@ -97,6 +97,19 @@ def test_all_field_sizes_construct_and_invert(m):
         assert ctx.mul(a, ctx.inv(a)) == 1
 
 
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_mul_table_scales_each_packed_group(m):
+    # column b is a byte of packed m-bit symbols: every scalar times every
+    # byte equals unpack, then mul_slow per symbol, then pack
+    ctx = FieldContext(m)
+    assert ctx.mul_table.shape == (ctx.size, 256)
+    groups = [gf.bytes_to_symbols(bytes([b]), m).tolist() for b in range(256)]
+    for c in range(ctx.size):
+        for b in range(256):
+            want = gf.symbols_to_bytes([mul_slow(c, g, m, ctx.poly) for g in groups[b]], m)
+            assert bytes([ctx.mul_table[c, b]]) == want
+
+
 def test_rref_identity(f16):
     I = np.eye(5, dtype=np.uint8)
     rref, rk, pivots = gaussian_eliminate(f16, I)

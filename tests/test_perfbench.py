@@ -1,0 +1,23 @@
+"""The benchmark harness in perfbench/ still runs against the package."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_benchmark_harness_smoke():
+    # perfbench/run.py reads engine and node internals (Engine._seq, _heap
+    # and packet_log, Node.relay_gens and decoders) and wraps every traced
+    # function by name, so a change to any of them must fail here
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "coded_lossy",
+         "--seed", "1", "--seconds", "1.5", "--trace", "1"],
+        capture_output=True, text=True, timeout=300, cwd=ROOT)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert {m["name"] for m in declared} <= result["metrics"].keys()

@@ -370,10 +370,11 @@ def test_relay_forwards_received_frame():
     assert node.next_coded_packet(0, 5) is None
 
 
-def test_payload_converted_only_for_gf_arithmetic(monkeypatch):
+def test_payload_packed_once_at_the_source(monkeypatch):
     # On line7 (coding off, so one packet per arrival and no recoding) a
-    # payload becomes bytes once, when the source creates the packet, and
-    # symbols once per destination decoder ingest, never at a relay hop.
+    # payload's symbols are packed once, when the source draws them, and the
+    # bytes are never split into symbols again: not at a relay hop, not at
+    # a destination's decoder.
     calls = {"bytes_to_symbols": 0, "symbols_to_bytes": 0, "ingest": 0}
 
     def counted(name, fn):
@@ -389,8 +390,8 @@ def test_payload_converted_only_for_gf_arithmetic(monkeypatch):
     eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 600), seed=1)
     hops = sum(sent["DATA"] for sent in eng.frames_sent.values())
     assert calls["ingest"] > 0 and hops > calls["ingest"]
-    assert calls["bytes_to_symbols"] == calls["ingest"]
-    assert calls["symbols_to_bytes"] == sum(eng.injected.values())
+    assert calls["bytes_to_symbols"] == 0
+    assert calls["symbols_to_bytes"] == sum(eng.injected.values()) > 0
 
 
 def test_relay_choice_does_not_scan_spent_generations(monkeypatch):

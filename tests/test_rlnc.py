@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpnc import rlnc
+from bpnc import gf, rlnc
 from bpnc.gf import FieldContext, gaussian_eliminate, invert
 from bpnc.rlnc import (
     CodedPacket,
@@ -25,6 +25,21 @@ from bpnc.rlnc import (
 @pytest.fixture(scope="module")
 def f16():
     return FieldContext(4)
+
+
+def packed(symbols, m):
+    """Rows of symbols packed as payload bytes, as ``gf.symbols_to_bytes``
+    packs each row."""
+    S = np.asarray(symbols, dtype=np.uint8)
+    out = np.frombuffer(gf.symbols_to_bytes(S.ravel(), m), dtype=np.uint8)
+    return out.reshape(S.shape[:-1] + (S.shape[-1] * m // 8,))
+
+
+def unpacked(data, m):
+    """Rows of payload bytes split into symbols, as ``gf.bytes_to_symbols``
+    splits each row."""
+    D = np.asarray(data, dtype=np.uint8)
+    return gf.bytes_to_symbols(D.tobytes(), m).reshape(D.shape[:-1] + (D.shape[-1] * 8 // m,))
 
 
 def make_generation(ctx, h, n_sym, rng, gen_id=0):
@@ -204,10 +219,11 @@ def reference_recode(ctx, buffered, rng):
 
 @st.composite
 def recode_buffers(draw):
+    """Buffered packets as symbols: payloads of whole bytes, up to 8."""
     m = draw(st.sampled_from([1, 2, 4, 8]))
     ctx = FieldContext(m)
     h = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8)) * gf.symbols_per_byte(m)
     sym = st.integers(0, ctx.size - 1)
     # zero tags included: an all-zero buffer exhausts the retries
     buffered = [
@@ -221,12 +237,14 @@ def recode_buffers(draw):
 @given(recode_buffers())
 @settings(max_examples=300, deadline=None)
 def test_recode_matches_reference(case):
+    # recode combines packed payload bytes; the oracle combines the symbols
     ctx, buffered, seed = case
+    m = ctx.m
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = recode(ctx, buffered, rng_a)
+    got = recode(ctx, [CodedPacket(p.tag, packed(p.payload, m)) for p in buffered], rng_a)
     want = reference_recode(ctx, buffered, rng_b)
     assert np.array_equal(got.tag, want.tag)
-    assert np.array_equal(got.payload, want.payload)
+    assert np.array_equal(got.payload, packed(want.payload, m))
     # the same draws were taken, so the stream continues identically
     assert rng_a.integers(0, 2**32) == rng_b.integers(0, 2**32)
 
@@ -342,31 +360,31 @@ def test_prefix_equivalence_rates_small(f16):
 # -- rank-deficient decoding ------------------------------------------------
 
 def test_rank_deficient_full_rank_matches_invert(f16):
+    # payloads are ingested packed; estimates come back as symbols
     rng = np.random.default_rng(14)
-    gen = make_generation(f16, 4, 8, rng)
+    X = rng.integers(0, 16, size=(4, 8), dtype=np.uint8)
     G = sample_tags(f16, 4, 4, rng, mode="rank_increasing")
-    Y = f16.matmul(G, gen.matrix())
-    state = DecoderState(f16, 4, 8)
+    Y = f16.matmul(G, X)
+    state = DecoderState(f16, 4, 4)
     for i in range(4):
-        state.ingest(CodedPacket(G[i], Y[i]))
+        state.ingest(CodedPacket(G[i], packed(Y[i], 4)))
     est, conf = rank_deficient_solve(state, 2)
     assert (conf == 2).all()
-    X = f16.matmul(invert(f16, G), Y)
+    assert np.array_equal(est, f16.matmul(invert(f16, G), Y))
     assert np.array_equal(est, X)
-    assert np.array_equal(est, gen.matrix())
 
 
 def test_rank_deficient_unit_rows_certain(f16):
     rng = np.random.default_rng(15)
     h = 4
-    gen = make_generation(f16, h, 6, rng)
-    X = gen.matrix()
+    X = rng.integers(0, 16, size=(h, 12), dtype=np.uint8)
     state = DecoderState(f16, h, 6)
     for i in range(h - 1):
         tag = np.zeros(h, dtype=np.uint8)
         tag[i] = 1
-        state.ingest(CodedPacket(tag, X[i]))
+        state.ingest(CodedPacket(tag, packed(X[i], 4)))
     est, conf = rank_deficient_solve(state, 2)
+    assert est.shape == conf.shape == (h, 12)
     for i in range(h - 1):
         assert (conf[i] == 2).all()
         assert np.array_equal(est[i], X[i])
@@ -377,15 +395,21 @@ def test_rank_deficient_certain_agrees_with_earliest(f16):
     rng = np.random.default_rng(16)
     for _ in range(100):
         h = 4
-        gen = make_generation(f16, h, 5, rng)
+        gen = Generation(0, h, 5)
+        for _ in range(h):
+            gen.add_source_packet(rng.integers(0, 256, size=5, dtype=np.uint8))
         pkts = encode_generation(f16, gen, 3, rng)
         state = DecoderState(f16, h, 5)
         for p in pkts:
-            state.ingest(p)
+            earliest = dict(state.ingest(p))
+            for i, payload in earliest.items():
+                assert np.array_equal(payload, gen.source_rows[i])
         est, conf = rank_deficient_solve(state, 2)
         for i in range(h):
             if (conf[i] == 2).all():
-                assert np.array_equal(est[i], gen.source_rows[i])
+                assert np.array_equal(packed(est[i], 4), gen.source_rows[i])
+            if i in state.delivered:
+                assert (conf[i] == 2).all()
 
 
 def test_rank_deficient_too_many_free_vars_undecoded(f16):
@@ -417,18 +441,17 @@ def test_monotonicity_of_decoded_set(f16):
 
 def reference_rank_deficient_solve(state, free_var_limit):
     """Full enumeration: every q^n_free assignment is expanded to an (h, N)
-    candidate and scored per column by its count of nonzero symbols."""
+    candidate and scored per column by its count of nonzero symbols, on the
+    RREF with its payload bytes split into symbols."""
     ctx = state.ctx
-    h, n = state.block_size, state.packet_len
+    h = state.block_size
+    R = np.concatenate([state.rref[:, :h], unpacked(state.rref[:, h:], ctx.m)], axis=1)
+    n = state.packet_len * 8 // ctx.m
     est = np.zeros((h, n), dtype=np.uint8)
     conf = np.zeros((h, n), dtype=np.uint8)
-    tag_pivots = [c for c in state.pivot_cols if c < h]
-    R = state.rref
-    free_cols = [c for c in range(h) if c not in tag_pivots]
+    free_cols = [c for c in range(h) if c not in state.pivot_cols]
     heuristic_rows = []
     for r, c in enumerate(state.pivot_cols):
-        if c >= h:
-            continue
         if len(free_cols) == 0 or not R[r, free_cols].any():
             est[c] = R[r, h:]
             conf[c] = 2
@@ -444,8 +467,6 @@ def reference_rank_deficient_solve(state, free_var_limit):
         for fi, c in enumerate(free_cols):
             W[:, c, :] = A[:, fi][:, None]
         for r, c in enumerate(state.pivot_cols):
-            if c >= h:
-                continue
             contrib = np.zeros((n_assign, n), dtype=np.uint8)
             for fi, fc in enumerate(free_cols):
                 g = int(R[r, fc])
@@ -467,20 +488,20 @@ def reference_rank_deficient_solve(state, free_var_limit):
 @st.composite
 def rank_deficient_states(draw):
     """A decoder state with a chosen number of free tag columns, built by
-    ingesting the rows of an RREF: free-column coefficients are zero when
-    the draw asks for no heuristic rows, and payloads use few symbols so
-    columns repeat.  The limit stays at 1 or less over GF(2^8), where the
-    reference enumerates 256^limit full candidates."""
+    ingesting the rows of an RREF with packed payloads: free-column
+    coefficients are zero when the draw asks for no heuristic rows, and
+    payloads use few symbols so columns repeat.  The limit stays at 1 or
+    less over GF(2^8), where the reference enumerates 256^limit full
+    candidates."""
     m = draw(st.sampled_from([1, 2, 4, 8]))
     ctx = FieldContext(m)
     h = draw(st.integers(2, 6))
     n_free = draw(st.integers(0, min(3, h)))
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 40 // gf.symbols_per_byte(m))) * gf.symbols_per_byte(m)
     heuristic = draw(st.booleans())
     free = sorted(draw(st.permutations(range(h)))[:n_free])
     pivots = [c for c in range(h) if c not in free]
     symbols = st.integers(0, draw(st.integers(1, ctx.size - 1)))
-    state = DecoderState(ctx, h, n)
     rows = []
     for p in pivots:
         tag = np.zeros(h, dtype=np.uint8)
@@ -492,13 +513,14 @@ def rank_deficient_states(draw):
         payload = np.array(draw(st.lists(symbols, min_size=n, max_size=n)), np.uint8)
         rows.append((tag, payload))
     if not rows or draw(st.booleans()):
-        # a zero-tag row pivots in the payload and must be ignored
+        # a zero-tag row is not innovative, whatever its payload
         payload = np.zeros(n, dtype=np.uint8)
         payload[draw(st.integers(0, n - 1))] = draw(st.integers(1, ctx.size - 1))
         rows.append((np.zeros(h, dtype=np.uint8), payload))
+    state = DecoderState(ctx, h, n * m // 8)
     for tag, payload in rows:
-        state.ingest(CodedPacket(tag, payload))
-    assert len([c for c in state.pivot_cols if c < h]) == h - n_free
+        state.ingest(CodedPacket(tag, packed(payload, m)))
+    assert state.pivot_cols == pivots and state.received == len(rows)
     return state, draw(st.integers(0, 1 if m == 8 else 3))
 
 
@@ -557,7 +579,9 @@ def test_assignment_table_is_cached_and_read_only():
 
 def test_full_rank_redundant_ingest_changes_nothing(f16):
     rng = np.random.default_rng(19)
-    gen = make_generation(f16, 4, 6, rng)
+    gen = Generation(0, 4, 6)
+    for _ in range(4):
+        gen.add_source_packet(rng.integers(0, 256, size=6, dtype=np.uint8))
     pkts = encode_generation(f16, gen, 6, rng, mode="rank_increasing")
     state = DecoderState(f16, 4, 6)
     for p in pkts[:4]:
@@ -567,26 +591,30 @@ def test_full_rank_redundant_ingest_changes_nothing(f16):
     for p in pkts[4:]:
         assert state.ingest(p) == []
     assert state.received == 6 and state.rank == 4 and state.rref is rref
-    # a payload inconsistent with the decoded sources is still inserted, as
-    # full elimination would: it pivots in the payload
-    bad = CodedPacket(pkts[4].tag, pkts[4].payload ^ 1)
+    # a payload inconsistent with the decoded sources has a tag that
+    # reduces to zero, so it is not innovative either and changes nothing
+    bad = CodedPacket(pkts[4].tag, pkts[4].payload ^ 0xA5)
     assert state.ingest(bad) == []
-    assert state.rank == 5 and state.pivot_cols[-1] >= 4
+    assert state.received == 7 and state.rank == 4 and state.rref is rref
+    assert state.pivot_cols == [0, 1, 2, 3]
 
 
 @st.composite
 def row_sequences(draw):
+    """Rows of symbols, h tag symbols then a payload of whole bytes."""
     m = draw(st.sampled_from([1, 4]))
     ctx = FieldContext(m)
     h = draw(st.integers(1, 5))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 3)) * gf.symbols_per_byte(m)
     sym = st.integers(0, ctx.size - 1)
     rows = []
     for _ in range(draw(st.integers(1, 10))):
-        kind = draw(st.sampled_from(["random", "duplicate", "zero_tag"]))
-        if kind == "duplicate" and rows:
+        kind = draw(st.sampled_from(["random", "duplicate", "inconsistent", "zero_tag"]))
+        if kind in ("duplicate", "inconsistent") and rows:
             row = ctx.scale_row(draw(st.integers(1, ctx.size - 1)),
                                 rows[draw(st.integers(0, len(rows) - 1))])
+            if kind == "inconsistent":
+                row[h:] = draw(st.lists(sym, min_size=n, max_size=n))
         else:
             row = np.array(draw(st.lists(sym, min_size=h + n, max_size=h + n)), np.uint8)
             if kind == "zero_tag":
@@ -598,11 +626,24 @@ def row_sequences(draw):
 @given(row_sequences())
 @settings(max_examples=300, deadline=None)
 def test_incremental_ingest_matches_full_elimination(case):
+    # the reference is the symbol-wise elimination of the rows whose tag
+    # raised the tag rank; every other row leaves the state as it was
     ctx, h, n, rows = case
-    state = DecoderState(ctx, h, n)
-    for i, row in enumerate(rows):
-        state.ingest(CodedPacket(row[:h], row[h:]))
-        rref, rank, pivots = gaussian_eliminate(ctx, np.array(rows[: i + 1]))
-        assert state.rank == rank
+    state = DecoderState(ctx, h, n * ctx.m // 8)
+    kept = []
+    for row in rows:
+        before = state.rref
+        state.ingest(CodedPacket(row[:h], packed(row[h:], ctx.m)))
+        tags = np.array([r[:h] for r in kept + [row]])
+        if gaussian_eliminate(ctx, tags)[1] > len(kept):
+            kept.append(row)
+        else:
+            assert state.rref is before
+        if kept:
+            rref, rank, pivots = gaussian_eliminate(ctx, np.array(kept))
+        else:
+            rref, rank, pivots = np.zeros((0, h + n), np.uint8), 0, []
+        assert state.rank == rank == len(kept)
         assert state.pivot_cols == pivots
-        assert np.array_equal(state.rref, rref[:rank])
+        assert np.array_equal(state.rref[:, :h], rref[:rank, :h])
+        assert np.array_equal(state.rref[:, h:], packed(rref[:rank, h:], ctx.m))
