@@ -13,26 +13,32 @@ frame caches its bytes, so a relay re-sends the very object it received and
 the medium never packs it again.
 
 What does not change from frame to frame is kept in per-run tables.  For
-each (sender, channel), ``Engine.reach`` lists the receivers at or above
-sensitivity with their received power, built for the sender's power and
-rebuilt only when it transmits at another one.  Airtime is kept by frame
-length.  Channel uniforms come from ``DRAW_BUFFER``-sized blocks of the
-channel generator, the same stream as one scalar draw at a time.  The
-success probability of a reception no other carrier reaches depends only on
-its received power and frame length, so each run computes it once per such
-pair (``Engine.clear_p_ok``).  A coded packet travels as its
+each (sender, channel), ``Engine.receivers`` maps every node the sender
+reaches to its gain; a delivery skips those below sensitivity at the
+sender's power of the moment.  Airtime is kept by frame length.  Channel
+uniforms come from ``DRAW_BUFFER``-sized blocks of the channel generator,
+the same stream as one scalar draw at a time.  The success probability of a
+reception no other carrier reaches depends only on its received power and
+frame length, so each run computes it once per such pair
+(``Engine.clear_p_ok``).  A coded packet travels as its
 ``wire.DataFrame``, and its payload stays packed bytes from source to
-decoder.  The ground truth of a generation is its source rows as packed
-bytes, and the decode check compares bytes; symbols are unpacked only to
-score rank-deficient estimates, once per generation for the truth.
+decoder.
+
+Each engine fact is kept once.  The one per-generation table is ``truth``:
+a generation's ``Truth`` holds its source rows as packed bytes, and, for the
+rank-deficient decoder, its symbols (unpacked at the first scoring) and each
+destination's best score before full rank.  It is dropped once every
+destination has decoded.  Which destinations have decoded is read from
+their own decoders (``Node.decoders``), so the engine keeps no copy of it.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import typing
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -62,6 +68,18 @@ class Transmission:
     frame: object  # the sender's own frame, on the wire grid and frozen, so
                    # receivers and later hops share it
     nbytes: int
+
+
+@dataclass(slots=True)
+class Truth:
+    """A generation's ground truth, until every destination decodes it."""
+
+    rows: np.ndarray  # the source rows, as packed bytes
+    real: int         # rows that are not padding
+    # the rows split into symbols, built when an estimate is first scored
+    symbols: np.ndarray | None = None
+    # destination -> most symbols estimated right below full rank
+    best: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -131,10 +149,6 @@ class Engine:
                   for chan in range(len(scn.channels))]
             for src in self.nodes
         }
-        # (src, chan) -> (power, [(node id, received dBm, Node)]): the nodes
-        # src reaches at or above sensitivity when it sends at that power,
-        # in ascending node id; rebuilt when src sends at another power
-        self.reach: dict[tuple[int, int], tuple[float, list[tuple[int, float, Node]]]] = {}
         # frame length in bytes -> airtime
         self.airtimes: dict[int, int] = {}
         self.noise_mw = ch.dbm_to_mw(scn.phy.noise_floor_dbm)
@@ -144,16 +158,10 @@ class Engine:
         self.clear_p_ok: dict[tuple[float, int], float] = {}
         self.packet_log: list[str] = []
         self.log = MetricsLog()
-        # ground truth and delivery accounting: (flow, generation) -> (source
-        # rows as packed bytes, rows that are not padding)
-        self.truth: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
-        # (flow, generation) -> its truth split into symbols, built when a
-        # rank-deficient estimate is first scored and dropped with the truth
-        self.truth_symbols: dict[tuple[int, int], np.ndarray] = {}
+        # (flow, generation) -> its truth, until every destination decodes it
+        self.truth: dict[tuple[int, int], Truth] = {}
         self.injected: dict[int, int] = {i: 0 for i in range(len(scn.flows))}
         self.delivered: dict[int, int] = {i: 0 for i in range(len(scn.flows))}
-        self.dest_done: dict[tuple[int, int], set[int]] = {}
-        self.best_pre_full: dict[tuple[int, int, int], int] = {}
         # node -> frame type name -> frames it sent
         self.frames_sent: dict[int, Counter] = {n: Counter() for n in self.nodes}
         self.collision_losses = 0
@@ -223,20 +231,8 @@ class Engine:
         self.schedule_at(end, lambda: self._deliver(tx))
         return air
 
-    def _reach(self, src: int, chan: int, power_dbm: float) -> list[tuple[int, float, Node]]:
-        """The nodes src reaches on chan at power_dbm, as ``reach`` keeps them."""
-        built = self.reach.get((src, chan))
-        if built is None or built[0] != power_dbm:
-            sensitivity = self.scn.phy.sensitivity_dbm
-            built = self.reach[(src, chan)] = (power_dbm, [
-                (nid, rxp, self.nodes[nid])
-                for nid, g in self.receivers[src][chan].items()
-                if (rxp := power_dbm + g) >= sensitivity
-            ])
-        return built[1]
-
     def _deliver(self, tx: Transmission) -> None:
-        chan, nbytes = tx.chan, tx.nbytes
+        chan, nbytes, power = tx.chan, tx.nbytes, tx.power_dbm
         concurrent = [
             a for a in self.active
             if a is not tx and a.chan == chan
@@ -247,8 +243,12 @@ class Engine:
         interferers = [(a.power_dbm, self.receivers[a.src][chan])
                        for a in concurrent if a.src != tx.src]
         lossy = isinstance(tx.frame, wire.DataFrame) and self.scn.frame_loss > 0
-        uniforms = self.uniforms
-        for nid, rxp, node in self._reach(tx.src, chan, tx.power_dbm):
+        uniforms, nodes = self.uniforms, self.nodes
+        sensitivity = self.scn.phy.sensitivity_dbm
+        for nid, g in self.receivers[tx.src][chan].items():
+            rxp = power + g
+            if rxp < sensitivity:
+                continue
             # every in-range node gets its own draw from this transmission,
             # whether or not it is tuned here, so logging can't shift draws
             interference = [p + gains[nid] for p, gains in interferers if nid in gains]
@@ -261,13 +261,14 @@ class Engine:
             ok = next(uniforms) < p_ok
             if ok and lossy:
                 ok = next(uniforms) >= self.scn.frame_loss
+            node = nodes[nid]
             tuned = node.channel == chan and node.tx_until_us <= tx.start_us
             if not ok:
                 if concurrent and tuned:
                     self.collision_losses += 1
                 continue
             if tuned:
-                node.handle_frame(tx.src, chan, tx.frame, rxp, tx.power_dbm)
+                node.handle_frame(tx.src, chan, tx.frame, rxp, power)
 
     def sense(self, node_id: int, chan: int) -> float:
         """Received power in mW at a node from all live co-channel carriers."""
@@ -284,7 +285,7 @@ class Engine:
 
     def register_truth(self, flow_index: int, gen_id: int,
                        matrix: np.ndarray, real_count: int) -> None:
-        self.truth[(flow_index, gen_id)] = (matrix, real_count)
+        self.truth[(flow_index, gen_id)] = Truth(matrix, real_count)
 
     def count_injected(self, flow_index: int) -> None:
         self.injected[flow_index] += 1
@@ -293,46 +294,41 @@ class Engine:
                               dec, rank_before: int) -> None:
         h = dec.block_size
         self.log.accuracy.setdefault(dec.received, []).append(dec.decoded_count() / h)
-        gen = (flow_index, gen_id)
-        truth = self.truth.get(gen)
-        k = (flow_index, gen_id, dest)
+        truth = self.truth.get((flow_index, gen_id))
         # A reception that did not raise the rank left the decoder state as it
-        # was; truth is kept until every destination has decoded, so if k is
-        # already in best_pre_full that state has been scored and solving
+        # was; truth is kept until every destination has decoded, so if dest
+        # already has a best score that state has been scored and solving
         # again is waste.
         coding = self.scn.coding
         if (coding.decoder == "rank_deficient" and not dec.full_rank and truth is not None
-                and (dec.rank > rank_before or k not in self.best_pre_full)):
+                and (dec.rank > rank_before or dest not in truth.best)):
             est, conf = rlnc.rank_deficient_solve(dec, coding.min_weight_limit)
-            want = self.truth_symbols.get(gen)
-            if want is None:
-                want = self.truth_symbols[gen] = gf.bytes_to_symbols(
-                    truth[0].tobytes(), coding.field_bits).reshape(est.shape)
+            if truth.symbols is None:
+                truth.symbols = gf.bytes_to_symbols(
+                    truth.rows.tobytes(), coding.field_bits).reshape(est.shape)
             mask = conf > 0
-            correct = int(np.count_nonzero(est[mask] == want[mask]))
-            self.best_pre_full[k] = max(self.best_pre_full.get(k, 0), correct)
+            correct = int(np.count_nonzero(est[mask] == truth.symbols[mask]))
+            truth.best[dest] = max(truth.best.get(dest, 0), correct)
         # decoded on the reception after which every tag column is a pivot
-        if dec.full_rank and dest not in self.dest_done.get(gen, ()):
+        if dec.full_rank and dec.rank > rank_before:
             self._on_generation_decoded(dest, flow_index, gen_id, dec, truth)
 
     def _on_generation_decoded(self, dest, flow_index, gen_id, dec, truth) -> None:
         h = dec.block_size
+        gen = (flow_index, gen_id)
         if truth is not None:
             for src_idx, payload in dec.delivered.items():
-                if not np.array_equal(payload, truth[0][src_idx]):
+                if not np.array_equal(payload, truth.rows[src_idx]):
                     self.decode_errors += 1
-            k = (flow_index, gen_id, dest)
-            if k in self.best_pre_full:
+            if dest in truth.best:
                 # a fraction of the generation's symbols
                 symbols = h * dec.packet_len * gf.symbols_per_byte(self.ctx.m)
-                self.log.early_recovery.append(self.best_pre_full.pop(k) / symbols)
-        done = self.dest_done.setdefault((flow_index, gen_id), set())
-        done.add(dest)
-        if done == set(self.scn.flows[flow_index].dsts):
-            self.delivered[flow_index] += truth[1] if truth is not None else h
+                self.log.early_recovery.append(truth.best.pop(dest) / symbols)
+        if all((d := self.nodes[n].decoders.get(gen)) is not None and d.full_rank
+               for n in self.scn.flows[flow_index].dsts):
+            self.delivered[flow_index] += truth.real if truth is not None else h
             # no destination ingests this generation below full rank again
-            self.truth.pop((flow_index, gen_id), None)
-            self.truth_symbols.pop((flow_index, gen_id), None)
+            self.truth.pop(gen, None)
 
     # -- metrics ------------------------------------------------------------
 
@@ -378,7 +374,8 @@ class Engine:
                 "median_backlog": float(np.median(backlogs)),
                 "power_dbm": round(self.nodes[nid].power_dbm, 3),
             }
-        decoded = Counter(d for done in self.dest_done.values() for d in done)
+        decoded = {nid: n for nid, node in sorted(self.nodes.items())
+                   if (n := sum(d.full_rank for d in node.decoders.values()))}
         er = self.log.early_recovery
         self.log.summary = {
             "scenario": self.scn.name,
@@ -388,7 +385,7 @@ class Engine:
             "delivered": {str(k): v for k, v in self.delivered.items()},
             "per_node": per_node,
             "decoded_generations_per_destination": {
-                str(k): v for k, v in sorted(decoded.items())
+                str(k): v for k, v in decoded.items()
             },
             "collision_losses": self.collision_losses,
             "decode_errors": self.decode_errors,
@@ -442,8 +439,15 @@ def _to_int(value) -> int:
     return out
 
 
+# a field's declared type -> how a sweep value converts to it; no field of
+# another type can be swept
+CONVERTERS = {bool: lambda v: BOOL_WORDS[str(v).lower()], int: _to_int, float: float,
+              str: str}
+
+
 def apply_override(scn: ch.Scenario, key: str, value) -> ch.Scenario:
-    """Deep-copied scenario with one dotted-path (or aliased) field changed."""
+    """Deep-copied scenario with one dotted-path (or aliased) field changed,
+    the value converted by the field's declared type."""
     import copy
     scn = copy.deepcopy(scn)
     key = SWEEP_ALIASES.get(key, key)
@@ -460,16 +464,12 @@ def apply_override(scn: ch.Scenario, key: str, value) -> ch.Scenario:
             raise ch.ScenarioError(f"unknown sweep parameter {key!r}")
         obj = getattr(obj, p)
     leaf = parts[-1]
-    if not hasattr(obj, leaf):
+    hints = typing.get_type_hints(type(obj)) if is_dataclass(obj) else {}
+    if leaf not in hints:
         raise ch.ScenarioError(f"unknown sweep parameter {key!r}")
-    old = getattr(obj, leaf)
-    if isinstance(old, bool):
-        value = _convert(key, lambda v: BOOL_WORDS[str(v).lower()], value)
-    elif isinstance(old, int):
-        value = _convert(key, _to_int, value)
-    elif isinstance(old, float):
-        value = _convert(key, float, value)
-    setattr(obj, leaf, value)
+    if hints[leaf] not in CONVERTERS:
+        raise ch.ScenarioError(f"sweep parameter {key!r} is not a single value")
+    setattr(obj, leaf, _convert(key, CONVERTERS[hints[leaf]], value))
     scn.validate()
     return scn
 

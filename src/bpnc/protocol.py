@@ -37,7 +37,6 @@ class Phase(enum.Enum):
 
 @dataclass
 class NeighborRecord:
-    node_id: int
     gains_db: dict[int, float] = field(default_factory=dict)  # channel -> dB
     last_heard_us: int = 0
     # flow index -> {dest: backlog} from the last SYN
@@ -382,7 +381,7 @@ class Node:
             return
         rec = self.neighbors.get(src)
         if rec is None:
-            rec = self.neighbors[src] = NeighborRecord(src)
+            rec = self.neighbors[src] = NeighborRecord()
         rec.gains_db[chan] = rx_power_dbm - tx_power_dbm
         rec.last_heard_us = self.now()
 
@@ -504,7 +503,7 @@ class Node:
                     del credited[i]
                     # a source keeps no frame it has sent: a later frame of
                     # a generation it still fills starts a new entry
-                    if flow_index in self.open_gens:
+                    if self.flows[flow_index][0] == self.id:
                         del self.relay_gens[(flow_index, gid)]
                 # send each held frame once in the order it came (keeps the
                 # tag staircase intact); recode only for surplus credit

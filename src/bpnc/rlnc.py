@@ -243,6 +243,11 @@ class DecoderState:
     ``rank`` is the rank of the tags received, and the state is full rank
     when every tag column is a pivot.
 
+    ``decoded`` holds the tag columns whose pivot row is a unit tag.  Later
+    rows never touch such a row, so a column once decoded stays decoded,
+    and its source packet is that row's payload: ``delivered`` reads it out
+    of ``rref`` and keeps no copy.
+
     Single-owner mutable; distinct generations decode independently.
     """
 
@@ -254,7 +259,7 @@ class DecoderState:
         h, n = self.block_size, self.packet_len
         self.rref = np.zeros((0, h + n), dtype=np.uint8)
         self.pivot_cols: list[int] = []
-        self.delivered: dict[int, np.ndarray] = {}
+        self.decoded: set[int] = set()
         self.received = 0
 
     @property
@@ -266,8 +271,17 @@ class DecoderState:
         """Every tag column is a pivot, so every source packet is decoded."""
         return len(self.pivot_cols) == self.block_size
 
+    @property
+    def delivered(self) -> dict[int, np.ndarray]:
+        """Source index -> payload of every decoded source packet, as views
+        of the rows of ``rref``."""
+        h = self.block_size
+        return {c: self.rref[r, h:] for r, c in enumerate(self.pivot_cols)
+                if c in self.decoded}
+
     def ingest(self, pkt: CodedPacket) -> list[tuple[int, np.ndarray]]:
-        """Add one packet; return newly decoded (source_index, payload) pairs.
+        """Add one packet; return newly decoded (source_index, payload) pairs,
+        each payload a view of its row of ``rref``.
 
         Only the new row is reduced against the stored RREF; a row that is
         not innovative changes nothing.  A source index is its tag column.
@@ -288,14 +302,13 @@ class DecoderState:
         fresh = []
         for r, c in enumerate(self.pivot_cols):
             tag_part = self.rref[r, :h]
-            if tag_part.sum() == 1 and tag_part[c] == 1 and c not in self.delivered:
-                payload = self.rref[r, h:].copy()
-                self.delivered[c] = payload
-                fresh.append((c, payload))
+            if c not in self.decoded and tag_part.sum() == 1 and tag_part[c] == 1:
+                self.decoded.add(c)
+                fresh.append((c, self.rref[r, h:]))
         return fresh
 
     def decoded_count(self) -> int:
-        return len(self.delivered)
+        return len(self.decoded)
 
 
 @functools.cache

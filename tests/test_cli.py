@@ -226,6 +226,20 @@ def test_sweep_param_value_that_does_not_convert_exits_2(tmp_path, capsys, param
     assert not (tmp_path / "o").exists()
 
 
+def test_sweep_float_field_a_scenario_file_wrote_as_int(tmp_path):
+    # a scenario file may write a float field as an int; the field still
+    # takes a float sweep value
+    d = ch.scenario_to_dict(ch.line7())
+    d["timing"]["data_s"] = 30
+    d["duration_s"] = 30
+    path = tmp_path / "scn.yaml"
+    path.write_text(yaml.safe_dump(d))
+    rc = main(["sweep", "--scenario", str(path), "--param", "timing.data_s=2.5",
+               "--seeds", "1", "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert (tmp_path / "o" / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_sweep_without_seeds_exits_2(tmp_path, seeds):
     rc = main(["sweep", "--builtin", "line7", "--param", "duration=5",

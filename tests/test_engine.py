@@ -266,22 +266,31 @@ def test_channel_draws_are_the_scalar_stream():
 def test_reach_follows_the_senders_power(monkeypatch):
     # node 1 reaches node 3 on channel 1 over a -75 dB link: above the
     # -88 dBm sensitivity at -10 dBm, below it at -15 dBm.  Power is forced
-    # to alternate mid-run, and every delivery reaches the nodes the
-    # scenario's gains put at or above sensitivity at the sender's power
+    # to alternate mid-run.  The run is lossless, so a delivery draws once
+    # per receiver, and it draws for exactly the nodes the scenario's gains
+    # put at or above sensitivity at the sender's power
     scn = engine.apply_override(_asymmetric_line7(), "duration_s", 300)
+    assert scn.frame_loss == 0
     eng = engine.Engine(scn, seed=1)
-    n_tables = len(eng.nodes) * len(scn.channels)
     seen = Counter()  # (src, chan, power) -> deliveries
+    drawn = 0
+
+    def counting(uniforms):
+        nonlocal drawn
+        for u in uniforms:
+            drawn += 1
+            yield u
+
+    eng.uniforms = counting(eng.uniforms)
     deliver = engine.Engine._deliver
 
     def checked(eng, tx):
+        before = drawn
         deliver(eng, tx)
-        expected = [(nid, tx.power_dbm + g, eng.nodes[nid]) for nid in sorted(eng.nodes)
-                    if nid != tx.src
-                    and tx.power_dbm + (g := scn.gain_db(tx.src, nid, tx.chan))
-                    >= scn.phy.sensitivity_dbm]
-        assert eng.reach[(tx.src, tx.chan)] == (tx.power_dbm, expected)
-        assert len(eng.reach) <= n_tables
+        expected = sum(1 for nid in eng.nodes if nid != tx.src
+                       and tx.power_dbm + scn.gain_db(tx.src, nid, tx.chan)
+                       >= scn.phy.sensitivity_dbm)
+        assert drawn - before == expected
         seen[(tx.src, tx.chan, tx.power_dbm)] += 1
 
     def force_power(dbm):
@@ -294,7 +303,6 @@ def test_reach_follows_the_senders_power(monkeypatch):
     monkeypatch.setattr(engine.Engine, "_deliver", checked)
     eng.run()
     assert seen[(1, 1, -10.0)] > 0 and seen[(1, 1, -15.0)] > 0
-    assert len(eng.reach) == n_tables
 
 
 def test_later_hops_resend_the_sources_frame(monkeypatch):
@@ -431,11 +439,11 @@ def test_unchanged_decoder_state_is_scored_once_truth_arrives():
     dec = rlnc.DecoderState(eng.ctx, 4, 4)
     dec.ingest(pkt)
     eng.on_destination_ingest(6, 0, 0, dec, 0)
-    assert eng.best_pre_full == {}
+    assert eng.truth == {}
     eng.register_truth(0, 0, X, 4)
     dec.ingest(pkt)
     eng.on_destination_ingest(6, 0, 0, dec, 1)
-    assert eng.best_pre_full == {(0, 0, 6): 8}  # row 0's 8 symbols are certain
+    assert eng.truth[(0, 0)].best == {6: 8}  # row 0's 8 symbols are certain
 
 
 def test_generation_decoded_once_every_tag_column_is_a_pivot(monkeypatch):
@@ -452,7 +460,7 @@ def test_generation_decoded_once_every_tag_column_is_a_pivot(monkeypatch):
         return on_decoded(eng, dest, flow_index, gen_id, *args)
 
     monkeypatch.setattr(engine.Engine, "_on_generation_decoded", recording)
-    dec = rlnc.DecoderState(eng.ctx, 2, 4)
+    dec = eng.nodes[6].decoders[(0, 0)] = rlnc.DecoderState(eng.ctx, 2, 4)
     rows = [([1, 0], [0x12, 0x34, 0x56, 0x78]), ([0, 0], [0, 0, 0xF5, 0]),
             ([0, 1], [0x9A, 0xBC, 0xDE, 0xF0]), ([1, 0], [9, 9, 9, 9])]
     trace = []
@@ -463,9 +471,10 @@ def test_generation_decoded_once_every_tag_column_is_a_pivot(monkeypatch):
         trace.append((dec.rank, dec.full_rank, len(decoded)))
     assert trace == [(1, False, 0), (1, False, 0), (2, True, 1), (2, True, 1)]
     assert decoded == [(6, 0, 0)]
-    assert eng.dest_done == {(0, 0): {6}}
     assert {c: p.tolist() for c, p in dec.delivered.items()} == {
         0: [0x12, 0x34, 0x56, 0x78], 1: [0x9A, 0xBC, 0xDE, 0xF0]}
+    # node 7 has not decoded, so the generation is not delivered
+    assert eng.delivered == {0: 0}
 
 
 def test_different_seeds_differ():
@@ -663,6 +672,23 @@ def test_int_override_accepts_integral_values(value):
     assert block_size == 4 and type(block_size) is int
 
 
+def test_override_converts_by_the_declared_field_type():
+    # a float field that a scenario file wrote as an int is still a float
+    d = ch.scenario_to_dict(ch.line7())
+    d["timing"]["data_s"] = 30
+    scn = ch.scenario_from_dict(d)
+    assert type(scn.timing.data_s) is int
+    for base in (scn, ch.line7()):
+        assert engine.apply_override(base, "timing.data_s", "2.5").timing.data_s == 2.5
+    assert type(engine.apply_override(scn, "timing.data_s", "30").timing.data_s) is float
+
+
+@pytest.mark.parametrize("key", ["timing", "channels", "flows"])
+def test_override_of_a_field_that_is_no_single_value_rejected(key):
+    with pytest.raises(ch.ScenarioError, match=key):
+        engine.apply_override(ch.line7(), key, 1)
+
+
 @pytest.mark.parametrize("duration_s,samples", [(600, 121), (602.5, 122), (0, 1)])
 def test_each_sample_taken_once(duration_s, samples):
     # an end on the sampling grid (every 5 s) is sampled once, after every
@@ -711,11 +737,31 @@ def test_metrics_csv_and_outputs(tmp_path):
     assert log == eng.packet_log
 
 
+def _decoded_everywhere(eng) -> set[tuple[int, int]]:
+    """The (flow, generation) keys every destination's decoder holds at full
+    rank, read from the nodes' decoders alone."""
+    return {key for n in eng.nodes.values() for key in n.decoders
+            if all((d := eng.nodes[dst].decoders.get(key)) is not None and d.full_rank
+                   for dst in eng.scn.flows[key[0]].dsts)}
+
+
+@pytest.mark.parametrize("make_scn,duration_s", [(_lossy_coded_butterfly7, 300), (ch.line7, 600)])
+def test_decoders_hold_no_payload_copy(make_scn, duration_s):
+    # a decoded source packet is read out of its pivot row, not copied
+    eng = engine.run(engine.apply_override(make_scn(), "duration_s", duration_s), seed=1)
+    decoders = [d for n in eng.nodes.values() for d in n.decoders.values()]
+    assert any(d.full_rank for d in decoders)
+    for dec in decoders:
+        delivered = dec.delivered
+        assert len(delivered) == dec.decoded_count()
+        assert all(np.shares_memory(p, dec.rref) for p in delivered.values())
+
+
 def test_butterfly_counts_only_joint_decodes():
     eng = engine.run(engine.apply_override(ch.butterfly7(), "duration_s", 400), seed=1)
     per_dest = {int(d): n for d, n in
                 eng.log.summary["decoded_generations_per_destination"].items()}
-    joint = sum(1 for done in eng.dest_done.values() if done == {6, 7})
+    joint = len(_decoded_everywhere(eng))
     h = eng.scn.coding.block_size
     assert sum(eng.delivered.values()) <= joint * h
     assert eng.delivered[0] <= min(per_dest.get(6, 0), per_dest.get(7, 0)) * h
@@ -725,8 +771,7 @@ def test_butterfly_counts_only_joint_decodes():
                          [(ch.butterfly7, 600), (_unicast_and_multicast_butterfly7, 300)])
 def test_truth_freed_once_every_destination_decoded(make_scn, duration_s):
     eng = engine.run(engine.apply_override(make_scn(), "duration_s", duration_s), seed=1)
-    joint = {key for key, done in eng.dest_done.items()
-             if done == set(eng.scn.flows[key[0]].dsts)}
+    joint = _decoded_everywhere(eng)
     assert joint and eng.truth
     assert not joint & eng.truth.keys()
 

@@ -21,3 +21,14 @@ def test_benchmark_harness_smoke():
     assert result["correct"] is True and result["failed"] == 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert {m["name"] for m in declared} <= result["metrics"].keys()
+
+
+def test_traced_counts_match_the_profiler():
+    # the tracer counts calls by wrapping named methods; a refactor that moves
+    # work out of a traced method would skew its counts, and --check-counts
+    # holds every traced count against cProfile's
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "coded_lossy",
+         "--seed", "1", "--check-counts"],
+        capture_output=True, text=True, timeout=300, cwd=ROOT)
+    assert out.returncode == 0, out.stdout + out.stderr
