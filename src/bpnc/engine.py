@@ -10,7 +10,9 @@ field a frame carries when the frame is built, so the frame equals its own
 parse, and every receiver is handed the sender's own frozen object.  The
 bytes serve only for airtime, the success model and the packet log.  A DATA
 frame caches its bytes, so a relay re-sends the very object it received and
-the medium never packs it again.
+the medium never packs it again.  The packet log (``PacketLog``) keeps one
+``(t_us, chan, src, raw)`` record per transmission, holding those same bytes
+objects, and renders its text lines only when they are read.
 
 What does not change from frame to frame is kept in per-run tables.  For
 each (sender, channel), ``Engine.receivers`` maps every node the sender
@@ -38,6 +40,7 @@ import heapq
 import math
 import typing
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
@@ -80,6 +83,45 @@ class Truth:
     symbols: np.ndarray | None = None
     # destination -> most symbols estimated right below full rank
     best: dict[int, int] = field(default_factory=dict)
+
+
+class PacketLog(Sequence):
+    """The packet log: one ``(t_us, chan, src, raw)`` record per
+    transmission, where ``raw`` is the very bytes object the frame's
+    ``pack`` returned (for a DATA frame its cached ``raw``, which every hop
+    that re-sends the frame shares).  It reads as the list of its text
+    lines, ``"<t_us> <chan> <src> <KIND> <hex>"``: iteration, index and
+    slice render the lines they return, and ``len`` and ``==`` (against a
+    list of lines or another log) answer as that list would."""
+
+    __slots__ = ("records",)
+
+    def __init__(self) -> None:
+        self.records: list[tuple[int, int, int, bytes]] = []
+
+    @staticmethod
+    def line(record: tuple[int, int, int, bytes]) -> str:
+        t_us, chan, src, raw = record
+        return f"{t_us} {chan} {src} {wire.TYPE_NAMES[raw[0]]} {raw.hex()}"
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self.line(r) for r in self.records[i]]
+        return self.line(self.records[i])
+
+    def __iter__(self):
+        return map(self.line, self.records)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PacketLog):
+            return self.records == other.records
+        if isinstance(other, list):
+            return len(other) == len(self.records) and all(
+                a == b for a, b in zip(self, other))
+        return NotImplemented
 
 
 @dataclass
@@ -156,7 +198,7 @@ class Engine:
         # (received dBm, frame bytes) -> success probability of a reception
         # no other carrier reaches: it depends on nothing else in a run
         self.clear_p_ok: dict[tuple[float, int], float] = {}
-        self.packet_log: list[str] = []
+        self.packet_log = PacketLog()
         self.log = MetricsLog()
         # (flow, generation) -> its truth, until every destination decodes it
         self.truth: dict[tuple[int, int], Truth] = {}
@@ -227,7 +269,7 @@ class Engine:
         node.tx_energy_mj += ch.dbm_to_mw(node.power_dbm) * air / US
         kind = wire.TYPE_NAMES[raw[0]]
         self.frames_sent[node.id][kind] += 1
-        self.packet_log.append(f"{self.now_us} {chan} {node.id} {kind} {raw.hex()}")
+        self.packet_log.records.append((self.now_us, chan, node.id, raw))
         self.schedule_at(end, lambda: self._deliver(tx))
         return air
 
@@ -484,7 +526,7 @@ def _run_one(args) -> dict:
     return out
 
 
-def packet_log_digest(lines: list[str]) -> str:
+def packet_log_digest(lines: Iterable[str]) -> str:
     import hashlib
     h = hashlib.sha256()
     for line in lines:

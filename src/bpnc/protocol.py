@@ -35,7 +35,7 @@ class Phase(enum.Enum):
     DATA_TRANSFER = "data_transfer"
 
 
-@dataclass
+@dataclass(slots=True)
 class NeighborRecord:
     gains_db: dict[int, float] = field(default_factory=dict)  # channel -> dB
     last_heard_us: int = 0
@@ -46,7 +46,7 @@ class NeighborRecord:
         return max(self.gains_db.values()) if self.gains_db else float("-inf")
 
 
-@dataclass
+@dataclass(slots=True)
 class Schedule:
     neighbor: int
     channel: int
@@ -55,7 +55,7 @@ class Schedule:
     covered_dests: tuple[int, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class RelayGen:
     """Coded frames a node holds credit for in one (flow, generation).
 

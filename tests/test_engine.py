@@ -796,3 +796,49 @@ def test_packet_log_line_format():
         assert kind in wire.TYPE_NAMES.values()
         frame = wire.unpack(bytes.fromhex(payload))
         assert frame is not None
+
+
+@pytest.mark.parametrize("make_scn,duration_s", [(ch.line7, 600), (_lossy_coded_butterfly7, 300)])
+def test_packet_log_keeps_the_frames_own_bytes(make_scn, duration_s):
+    # one record of bytes per transmission, no text; a DATA frame is logged
+    # as its cached raw, the object every hop that sends the frame shares
+    sent = []
+
+    class Recording(engine.Engine):
+        def transmit(self, node, chan, frame):
+            sent.append(frame)
+            return super().transmit(node, chan, frame)
+
+    eng = Recording(engine.apply_override(make_scn(), "duration_s", duration_s), seed=1)
+    eng.run()
+    records = eng.packet_log.records
+    assert len(records) == len(sent) > 0
+    assert not any(isinstance(x, str) for r in records for x in r)
+    data = [(r[3], f) for r, f in zip(records, sent) if isinstance(f, wire.DataFrame)]
+    assert data and all(raw is f.raw for raw, f in data)
+    # relays re-send frames they received: their records share its bytes
+    assert len({id(raw) for raw, _ in data}) < len(data)
+    for r, line in zip(records, eng.packet_log, strict=True):
+        assert bytes.fromhex(line.split(" ")[4]) == r[3]
+
+
+def test_packet_log_reads_like_the_list_of_its_lines():
+    a, b, c = (engine.run(engine.apply_override(ch.line7(), "duration_s", 150), seed=s).packet_log
+               for s in (11, 11, 12))
+    lines = [f"{t} {chan} {src} {wire.TYPE_NAMES[raw[0]]} {raw.hex()}"
+             for t, chan, src, raw in a.records]
+    assert len(a) == len(lines) > 50
+    assert a[0] == lines[0] and a[-1] == lines[-1]
+    assert a[:50] == lines[:50]
+    assert [line for line in a] == lines
+    assert a == lines and lines == a and a == list(a)
+    assert a == b and not a != b
+    assert a != c and c != a and a != lines[:-1] and a != lines[::-1]
+
+
+@pytest.mark.parametrize("make_scn,duration_s,digest", PINNED_DIGESTS[:2],
+                         ids=["line7", "butterfly7_lossy_coded"])
+def test_packets_log_file_hashes_to_the_pinned_digest(tmp_path, make_scn, duration_s, digest):
+    eng = engine.run(engine.apply_override(make_scn(), "duration_s", duration_s), seed=1)
+    engine.write_outputs(eng, tmp_path)
+    assert hashlib.sha256((tmp_path / "packets.log").read_bytes()).hexdigest() == digest
