@@ -7,6 +7,7 @@ All functions are pure over the scenario config; the engine owns time.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 
 
@@ -251,6 +252,15 @@ class Scenario:
             # arrival gaps are drawn with mean 1 / arrival_rate
             _require(f"flows[{i}]", f, ("arrival_rate",), lambda v: 0 < v < math.inf,
                      "a finite number > 0")
+        # a SYN counts its sender's (flow, destination) queues in one byte;
+        # node n can hold one for each destination of each flow but itself
+        queues = sum(len(f.dsts) for f in self.flows)
+        as_dst = Counter(d for f in self.flows for d in f.dsts)
+        for n in range(1, self.num_nodes + 1):
+            if queues - as_dst[n] > 255:
+                raise ScenarioError(
+                    f"flows: node {n} can hold {queues - as_dst[n]} (flow, destination) "
+                    f"queues, but a SYN carries at most 255")
         _require("", self, ("frame_loss",), lambda v: 0 <= v < 1, "in [0, 1)")
         _require_bool("", self, ("sensing_enabled",))
         _require_nonnegative("", self, ("duration_s",))

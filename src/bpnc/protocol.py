@@ -79,7 +79,7 @@ class RelayGen:
     origins: set[int] = field(default_factory=set)
 
     def credit(self) -> int:
-        return max(0, self.rcvd - self.sent)
+        return self.rcvd - self.sent
 
     def sendable_to(self, peer: int | None) -> bool:
         """Split horizon: never hand a generation back to a node it came

@@ -1,18 +1,27 @@
 """The five wire formats of the coordination protocol.
 
-All multi-byte integers are little-endian with a 1-byte type tag first.
+All multi-byte integers are little-endian with a 1-byte type tag first:
+
+    DIS   type 0x01 | sender (1) | next channel (1) | neighbour count (1) |
+          per neighbour: id (1) | channel (1) | gain (2)
+    SYN   type 0x02 | sender (1) | entry count (1) |
+          per entry: flow src (1) | dst count (1) | dsts (dst count) |
+                     backlog (2)
+    RTS   type 0x03 | tx (1) | rx (1) | channel (1) | flow index (1) |
+          utility (4)
+    CTS   type 0x04 | rx (1) | tx (1) | channel (1)
+    DATA  type 0x05 | flow index (1) | generation id (2, wraps at 2^16) |
+          block size h (1) | column order (h) | tag (tag_wire_len(h, m)) |
+          payload (rest, at most 500 bytes)
+
 Link gains travel as q8.8 fixed point of (gain_db + 128); utilities as
 q16.16 so receivers compare bit-exact values instead of floats.  A frame
 snaps its fields to that grid when it is built, and clamps SYN backlogs to
 0xFFFF, so ``unpack(f.pack()) == f`` for every frame a node can build.
 
-A DATA frame is the one representation of a coded packet outside ``rlnc``:
-
-    type 0x05 | flow index (1) | generation id (2, wraps at 2^16) |
-    block size h (1) | column order (h) | tag (tag_wire_len(h, m)) |
-    payload (rest, at most 500 bytes)
-
-The column order is always 0..h-1: the stack never reorders tag columns
+A DATA frame is the one representation of a coded packet outside
+``rlnc``.  Its tag symbols go 8 // m to a byte, so m must divide 8.  The
+column order is always 0..h-1: the stack never reorders tag columns
 (column reordering is only the offline preconditioning analysis), so
 ``unpack`` rejects any other order.  The bytes still travel because every
 packet-log digest covers them, and a shorter frame changes each DATA
@@ -70,15 +79,17 @@ def decode_utility(raw: int) -> float:
     return raw / 65536.0
 
 
-def pack_tag(tag, m: int) -> bytes:
-    """Tag symbols on the wire.
+def _require_field_bits(m: int) -> None:
+    if m not in (1, 2, 4, 8):
+        raise MalformedFrame(f"field_bits {m} does not divide 8")
 
-    When m divides 8, the symbols, each masked to m bits, go 8 // m to a
-    byte, the first in the byte's high group, and the last byte is padded
-    with zero symbols.  Otherwise each symbol takes one byte.
+
+def pack_tag(tag, m: int) -> bytes:
+    """Tag symbols on the wire, m dividing 8.
+
+    The symbols, each masked to m bits, go 8 // m to a byte, the first in
+    the byte's high group, and the last byte is padded with zero symbols.
     """
-    if 8 % m:
-        return bytes(tag)
     mask = (1 << m) - 1
     v = 0
     for t in tag:
@@ -88,16 +99,12 @@ def pack_tag(tag, m: int) -> bytes:
 
 
 def tag_wire_len(h: int, m: int) -> int:
-    if 8 % m:
-        return h
     spb = 8 // m
     return (h + spb - 1) // spb
 
 
 def unpack_tag(raw: bytes, h: int, m: int) -> list[int]:
     """The first h tag symbols in raw (fewer if raw is short)."""
-    if 8 % m:
-        return list(raw[:h])
     mask = (1 << m) - 1
     v = int.from_bytes(raw, "big")
     top = 8 * len(raw) - m
@@ -187,6 +194,7 @@ class DataFrame:
         h = len(self.tag)
         if h > 255:
             raise MalformedFrame("block size exceeds 255")
+        _require_field_bits(self.field_bits)
         out = bytearray([TYPE_DATA, self.flow_index])
         out += struct.pack("<H", self.gen_id)
         out.append(h)
@@ -239,6 +247,7 @@ def unpack(raw: bytes, field_bits: int = 4):
                 raise MalformedFrame("bad CTS length")
             return CtsFrame(raw[1], raw[2], raw[3])
         if t == TYPE_DATA:
+            _require_field_bits(field_bits)
             fidx = raw[1]
             (gen_id,) = struct.unpack_from("<H", raw, 2)
             h = raw[4]
@@ -251,7 +260,7 @@ def unpack(raw: bytes, field_bits: int = 4):
                 raise MalformedFrame("DATA column order must be 0..h-1")
             # only the bytes pack() writes parse, so they are the frame's
             # one wire form
-            pad_bits = 0 if 8 % field_bits else 8 * tl - field_bits * h
+            pad_bits = 8 * tl - field_bits * h
             if pad_bits and raw[off + tl - 1] & ((1 << pad_bits) - 1):
                 raise MalformedFrame("nonzero DATA tag padding")
             if len(raw) - off - tl > MAX_PAYLOAD_BYTES:

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import pytest
@@ -194,11 +193,12 @@ def test_validate_rejects_node_ids_beyond_a_byte():
 
 
 def test_validate_rejects_more_than_256_flows():
-    # line7 offers 7 sources x 63 destination sets, all distinct flows
-    flows = [FlowConfig(src, dsts, 0.01) for src in range(1, 8)
-             for n in range(1, 7)
-             for dsts in itertools.combinations([d for d in range(1, 8) if d != src], n)]
+    # 20 nodes offer 20 x 19 distinct unicast flows; of the first 256, each
+    # node is the destination of at least 12, so it holds at most 244 queues
+    flows = [FlowConfig(src, (dst,), 0.01) for src in range(1, 21)
+             for dst in range(1, 21) if dst != src]
     scn = line7()
+    scn.num_nodes = 20
     scn.flows = flows[:256]
     scn.validate()
     scn.flows = flows[:257]
@@ -230,6 +230,24 @@ def test_validate_accepts_flows_that_differ_in_source_or_destinations():
     scn.flows = [FlowConfig(1, (6, 7), 0.5), FlowConfig(1, (6,), 0.5),
                  FlowConfig(2, (6, 7), 0.5), FlowConfig(7, (1,), 0.5)]
     scn.validate()
+
+
+# a SYN counts its sender's (flow, destination) queues in one byte, and
+# node 1 holds one queue for each destination of each flow it sources
+
+
+def _fan_out(last_a, last_b):
+    scn = line7()
+    scn.num_nodes = 130
+    scn.flows = [FlowConfig(1, tuple(range(2, last_a + 1)), 0.5),
+                 FlowConfig(1, tuple(range(2, last_b + 1)), 0.5)]
+    return scn
+
+
+def test_validate_rejects_more_than_255_queues_at_a_node():
+    _fan_out(129, 128).validate()  # 128 + 127 queues
+    with pytest.raises(ScenarioError, match=r"flows: node 1 can hold 257 "):
+        _fan_out(130, 129).validate()
 
 
 def test_validate_rejects_more_than_256_channels():

@@ -115,6 +115,20 @@ def test_scenario_file_with_indistinct_flows_exits_2(tmp_path, flows):
     assert rc == 2
 
 
+def test_scenario_file_with_more_queues_than_a_syn_counts_exits_2(tmp_path):
+    # node 1 would hold 129 + 128 (flow, destination) queues, and a SYN
+    # counts them in one byte: this used to fail mid-run with exit code 3
+    d = ch.scenario_to_dict(ch.line7())
+    d["num_nodes"] = 130
+    d["flows"] = [{"src": 1, "dsts": list(range(2, 131)), "arrival_rate": 0.5},
+                  {"src": 1, "dsts": list(range(2, 130)), "arrival_rate": 0.5}]
+    path = tmp_path / "scn.yaml"
+    path.write_text(yaml.safe_dump(d))
+    rc = main(["run", "--scenario", str(path), "--duration", "30",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+
+
 @pytest.mark.parametrize("field,value", [
     ("arrival_rate", 0.0),          # used to divide by zero at the first arrival
     ("arrival_rate", float("nan")),

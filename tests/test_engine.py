@@ -183,6 +183,9 @@ def test_a_run_parses_no_frame(monkeypatch):
     eng = engine.run(engine.apply_override(_lossy_coded_butterfly7(), "duration_s", 300), seed=1)
     assert {"DIS", "SYN", "RTS", "CTS", "DATA"} <= {line.split(" ")[3] for line in eng.packet_log}
     assert calls == 0
+    # a node sends a held frame only while it has credit for it
+    held = [rg for n in eng.nodes.values() for rg in n.relay_gens.values()]
+    assert held and all(0 <= rg.sent <= rg.rcvd for rg in held)
 
 
 @pytest.mark.parametrize("make_scn", [*ch.BUILTINS.values(), _lossy_coded_butterfly7],
