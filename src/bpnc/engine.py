@@ -188,7 +188,7 @@ class Engine:
         self.receivers: dict[int, list[dict[int, float]]] = {
             src: [{dst: g for dst in self.nodes
                    if dst != src and (g := scn.gain_db(src, dst, chan)) != float("-inf")}
-                  for chan in range(len(scn.channels))]
+                  for chan in range(scn.num_channels)]
             for src in self.nodes
         }
         # frame length in bytes -> airtime

@@ -81,10 +81,10 @@ class RelayGen:
     def credit(self) -> int:
         return self.rcvd - self.sent
 
-    def sendable_to(self, peer: int | None) -> bool:
+    def sendable_to(self, peer: int) -> bool:
         """Split horizon: never hand a generation back to a node it came
         from."""
-        return self.credit() > 0 and (peer is None or peer not in self.origins)
+        return self.credit() > 0 and peer not in self.origins
 
 
 class Node:
@@ -234,9 +234,8 @@ class Node:
         if self.phase is not Phase.NEGOTIATION:
             return
         t = self.scn.timing
-        if self.pending is None or self.now() - self.phase_entry_us >= self.us(t.negotiation_s):
-            # TDT expiry (or nothing left to negotiate): fall back, but keep
-            # pending so a late CTS still wins
+        if self.now() - self.phase_entry_us >= self.us(t.negotiation_s):
+            # TDT expiry: fall back, but keep pending so a late CTS still wins
             self.enter_phase(Phase.FLOW_UPDATE)
             self.schedule_tick(self.us(t.syn_interval_s))
             return
@@ -251,7 +250,7 @@ class Node:
     def hop_next_channel(self) -> int:
         """Uniform hop to a different channel; degenerate 1-channel config
         stays put."""
-        n = len(self.scn.channels)
+        n = self.scn.num_channels
         if n > 1:
             step = int(self.rng.integers(1, n))
             self.channel = (self.channel + step) % n
@@ -317,7 +316,7 @@ class Node:
             if got is None:
                 continue
             fi, score = got
-            for chan in range(len(self.scn.channels)):
+            for chan in range(self.scn.num_channels):
                 c = self.link_rate_to(rec, chan)
                 cands.append((nid, chan, c, fi, score))
         pick = bp.select_next_hop(cands)
@@ -484,8 +483,7 @@ class Node:
             self.queues.decrement(s.flow_index, d)
         self.engine.schedule(airtime, self.send_next_data)
 
-    def next_coded_packet(self, flow_index: int,
-                          peer: int | None = None) -> wire.DataFrame | None:
+    def next_coded_packet(self, flow_index: int, peer: int) -> wire.DataFrame | None:
         """Oldest generation with send credit for peer, at a source or a relay.
 
         The walk covers only ``relay_credit[flow_index]``, which holds exactly
@@ -513,7 +511,7 @@ class Node:
                 return self.to_frame(flow_index, gid, rlnc.recode(self.ctx, pkts, self.rng))
         return None
 
-    def has_sendable(self, flow_index: int, peer: int | None = None) -> bool:
+    def has_sendable(self, flow_index: int, peer: int) -> bool:
         return any(
             self.relay_gens[(flow_index, gid)].sendable_to(peer)
             for gid in self.relay_credit[flow_index]
@@ -616,8 +614,7 @@ class Node:
 
     def queue_coded(self, flow_index: int, gen: rlnc.Generation, count: int) -> None:
         """Code count packets over gen's filled rows, to send in order."""
-        pkts = rlnc.encode_generation(self.ctx, gen, count, self.rng,
-                                      mode=self.scn.coding.tag_mode)
+        pkts = rlnc.encode_generation(self.ctx, gen, count, self.rng)
         for p in pkts:
             self.credit_frame(flow_index, gen.gen_id).pkts.append(
                 self.to_frame(flow_index, gen.gen_id, p))

@@ -315,10 +315,12 @@ class DecoderState:
 def _assignments(q: int, n_free: int) -> tuple[np.ndarray, np.ndarray]:
     """All q^n_free assignments of n_free free variables, lexicographic (the
     last variable varies fastest), and the nonzero count of each.  Both
-    depend only on (q, n_free), so each pair is built once, read-only.
+    depend only on (q, n_free), so each pair is built once, read-only.  The
+    counts are uint16, so the solve's (assignments x patterns) weight table
+    is too: at m=8, T=2 that is 65,536 rows, a quarter of the int64 size.
     """
     A = np.indices((q,) * n_free, dtype=np.uint8).reshape(n_free, -1).T.copy()
-    nnz = np.count_nonzero(A, axis=1)
+    nnz = np.count_nonzero(A, axis=1).astype(np.uint16)
     A.setflags(write=False)
     nnz.setflags(write=False)
     return A, nnz

@@ -1,6 +1,7 @@
 """CLI front end: flags, exit codes, files, doc coverage."""
 
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -85,7 +86,7 @@ def test_scenario_file_with_unusable_min_weight_limit_exits_2(tmp_path, capsys,
     ("fft_len", 0),
     ("sample_rate", -1),         # used to run and exit 0
     ("listen_power_frac", float("nan")),
-    ("modulation", "qpsk"),      # used to fail only at the first frame
+    ("modulation", "qpsk"),      # no longer a key: BPSK is the only model
 ])
 def test_scenario_file_with_invalid_phy_exits_2(tmp_path, key, value):
     d = ch.scenario_to_dict(ch.line7())
@@ -192,6 +193,55 @@ def test_scenario_with_node_id_past_a_byte_exits_2(tmp_path):
     rc = main(["run", "--scenario", str(path), "--duration", "30",
                "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("section,key,value", [
+    (None, "channels", [2410.0, 2430.0, 2460.0]),  # num_channels counts them
+    ("coding", "tag_mode", "uniform"),
+    ("phy", "modulation", "bpsk"),
+], ids=["channels", "tag_mode", "modulation"])
+def test_scenario_file_with_a_removed_key_exits_2(tmp_path, capsys, section, key, value):
+    # rejected even with the value every run used: no shim reads old files
+    d = ch.scenario_to_dict(ch.line7())
+    (d if section is None else d[section])[key] = value
+    path = tmp_path / "scn.yaml"
+    path.write_text(yaml.safe_dump(d))
+    rc = main(["run", "--scenario", str(path), "--duration", "30",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+def test_scenario_file_with_yaml_yes_for_a_number_exits_2(tmp_path):
+    # YAML reads yes as true, which is no duration
+    text = yaml.safe_dump(ch.scenario_to_dict(ch.line7()))
+    text = text.replace("duration_s: 600.0", "duration_s: yes")
+    path = tmp_path / "scn.yaml"
+    path.write_text(text)
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_scenario_runs(tmp_path):
+    # the scenario file README shows is the schema as loaded
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "scn.yaml"
+    path.write_text(block)
+    scn = ch.load_scenario(path)
+    assert scn.num_channels == 3
+    eng = engine.run(engine.apply_override(scn, "duration_s", 30), seed=1)
+    assert eng.packet_log
+
+
+def test_sweep_over_num_channels(tmp_path):
+    rc = main(["sweep", "--builtin", "line7", "--param", "num_channels=1,3",
+               "--seeds", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in lines[2:]] == [
+        ["num_channels", "1"], ["num_channels", "3"]]
 
 
 def test_scenario_file_with_unknown_key_exits_2(tmp_path):

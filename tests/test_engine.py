@@ -168,6 +168,22 @@ def test_early_recovery_pinned():
     assert s["early_recovery_count"] == 35
 
 
+def test_decoder_choice_leaves_the_packet_log_alone():
+    # coding.decoder only decides whether the engine scores estimates: with
+    # the earliest decoder the run is the rank-deficient one
+    scn = engine.apply_override(_lossy_coded_butterfly7(), "duration_s", 300)
+    eng = engine.run(engine.apply_override(scn, "coding.decoder", "earliest"), seed=1)
+    assert engine.packet_log_digest(eng.packet_log) == PINNED_DIGESTS[1][2]
+    assert eng.log.summary["early_recovery_count"] == 0
+
+
+def test_num_channels_override_keeps_every_frame_on_channel_0():
+    scn = engine.apply_override(ch.line7(), "num_channels", "1")
+    assert scn.num_channels == 1
+    eng = engine.run(engine.apply_override(scn, "duration_s", 120), seed=1)
+    assert eng.packet_log and all(line.split(" ")[1] == "0" for line in eng.packet_log)
+
+
 def test_a_run_parses_no_frame(monkeypatch):
     # frames are built on the wire grid, so receivers are handed the
     # sender's own frame and nothing is parsed, DATA or control
@@ -399,7 +415,7 @@ def test_receiver_table_matches_gain_lookup(make_scn):
     scn = make_scn()
     eng = engine.Engine(scn, seed=1)
     for src in eng.nodes:
-        for chan in range(len(scn.channels)):
+        for chan in range(scn.num_channels):
             expected = {dst: scn.gain_db(src, dst, chan) for dst in sorted(eng.nodes)
                         if dst != src and scn.gain_db(src, dst, chan) > float("-inf")}
             table = eng.receivers[src][chan]
@@ -572,7 +588,7 @@ def test_sense_backoff_reduces_collision_losses():
     """Two co-channel flows: paired-seed A/B with sensing on vs off."""
     def scenario(sensing):
         return ch.Scenario(
-            name="cross", num_nodes=4, channels=[2410.0],
+            name="cross", num_nodes=4, num_channels=1,
             links=[
                 ch.LinkConfig(1, 2, ch.STRONG_GAIN_DB),
                 ch.LinkConfig(3, 4, ch.STRONG_GAIN_DB),

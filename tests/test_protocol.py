@@ -62,7 +62,7 @@ def test_hop_never_repeats_with_three_channels():
 
 def test_single_channel_config_stays_put():
     scn = ch.line7()
-    scn.channels = [2410.0]
+    scn.num_channels = 1
     node, _ = make_node(scn=scn)
     assert all(node.hop_next_channel() == 0 for _ in range(20))
 
@@ -76,7 +76,7 @@ def test_seeded_hop_sequence_reproducible():
 
 def test_discovery_duration_is_channels_times_dwell():
     scn = ch.line7()
-    assert scn.timing.discovery_s == len(scn.channels) * scn.timing.channel_dwell_s
+    assert scn.timing.discovery_s == scn.num_channels * scn.timing.channel_dwell_s
 
 
 # -- DIS handling -----------------------------------------------------------
@@ -213,8 +213,8 @@ RELAY_STEP = st.one_of(
     # ("rx", flow, gen id, sender): one packet arrives; frames of OWN come
     # back to their source
     st.tuples(st.just("rx"), st.integers(0, 4), st.integers(0, 5), st.integers(1, 3)),
-    # ("tx", flow, peer): one packet is sent, peer None for a broadcast
-    st.tuples(st.just("tx"), st.integers(0, 4), st.none() | st.integers(1, 3)),
+    # ("tx", flow, peer): one packet is sent; peer 5 never sends to node 4
+    st.tuples(st.just("tx"), st.integers(0, 4), st.integers(1, 3) | st.just(5)),
     SOURCE_STEP,
 )
 
@@ -327,7 +327,7 @@ def test_source_choice_matches_source_gen_list(steps):
         else:
             _source_step(node, step)
             getattr(ref, step[0])()
-    assert node.has_sendable(OWN) == ref.has_sendable()
+    assert node.has_sendable(OWN, 5) == ref.has_sendable()
     _assert_credit_index(node)
 
 

@@ -577,6 +577,26 @@ def test_assignment_table_is_cached_and_read_only():
             arr[0] = 1
 
 
+def test_rank_deficient_solve_memory_at_the_validated_limit():
+    # m x T = 8 x 2 is the largest search validation allows: the weight
+    # table holds 65,536 assignments x the distinct payload patterns
+    import tracemalloc
+    f256 = FieldContext(8)
+    rng = np.random.default_rng(20)
+    state = DecoderState(f256, 4, 500)
+    for tag in ([1, 0, 3, 7], [0, 1, 5, 2]):
+        state.ingest(CodedPacket(np.array(tag, dtype=np.uint8),
+                                 rng.integers(0, 256, size=500, dtype=np.uint8)))
+    tracemalloc.start()
+    try:
+        est, conf = rank_deficient_solve(state, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (conf == 1).all()  # two heuristic rows and two free columns
+    assert peak < 200e6
+
+
 def test_full_rank_redundant_ingest_changes_nothing(f16):
     rng = np.random.default_rng(19)
     gen = Generation(0, 4, 6)
