@@ -75,19 +75,21 @@ class VirtualQueueSet:
         return [(f, d, self.backlogs[(f, d)]) for f, d in keys]
 
 
+def positive_differentials(local: dict[int, int], remote: dict[int, int]) -> dict[int, int]:
+    """Q_local - Q_remote for each destination where it is positive, in
+    local's order.  Remote backlogs come from the neighbor's last SYN and
+    may be stale; they are used as-is."""
+    return {d: diff for d, qi in local.items() if (diff := qi - remote.get(d, 0)) > 0}
+
+
 def flow_score(
     local: dict[int, int], remote: dict[int, int], alpha: float
 ) -> float:
     """Sum over destinations of [Q_local - Q_remote]^+ times the penalty.
 
-    Unicast is the single-destination special case.  Remote backlogs come
-    from the neighbor's last SYN and may be stale; they are used as-is.
+    Unicast is the single-destination special case.
     """
-    total = 0
-    for d, qi in local.items():
-        qj = remote.get(d, 0)
-        total += max(qi - qj, 0)
-    return total * alpha
+    return sum(positive_differentials(local, remote).values()) * alpha
 
 
 def select_flow(

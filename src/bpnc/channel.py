@@ -103,6 +103,7 @@ class TimingConfig:
 
 # one rank-deficient solve enumerates at most 2^16 = 65,536 assignments
 MIN_WEIGHT_SEARCH_BITS = 16
+DECODERS = ("earliest", "rank_deficient")
 
 
 @dataclass
@@ -114,7 +115,7 @@ class CodingConfig:
     # same; "rank_deficient" only has the engine score an estimate below full
     # rank (early_recovery_*).  The switch stays for that scoring's cost on
     # butterfly7: ~16% more CPU at m=4, ~2x CPU and ~5x peak RSS at m=8, T=2.
-    decoder: str = "earliest"      # or "rank_deficient"
+    decoder: str = "earliest"      # one of DECODERS
     packet_len: int = 500          # bytes
     redundancy: float = 0.25       # extra coded packets per generation
     gen_timeout_s: float = 10.0    # close a partial generation after this
@@ -126,7 +127,7 @@ class CodingConfig:
         _require("coding", self, ("field_bits",),
                  lambda v: type(v) is int and v in (1, 2, 4, 8), "1, 2, 4 or 8")
         _require_int("coding", self, ("block_size",), 1, 255)
-        if self.decoder not in ("earliest", "rank_deficient"):
+        if self.decoder not in DECODERS:
             raise ScenarioError(f"coding.decoder: unknown mode {self.decoder!r}")
         _require_int("coding", self, ("packet_len",), 1, 500)  # bytes
         # gen_timeout_s 0 disables the timeout

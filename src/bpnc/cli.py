@@ -15,8 +15,6 @@ from . import engine, gf, rlnc
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-DECODER_NAMES = {"full": "earliest", "rankdef": "rank_deficient"}
-
 
 def default_out() -> str:
     return os.environ.get("BPNC_OUT", "out")
@@ -35,13 +33,11 @@ def load_scenario(args) -> ch.Scenario:
     if getattr(args, "block_size", None) is not None:
         scn = engine.apply_override(scn, "coding.block_size", args.block_size)
     if getattr(args, "decoder", None) is not None:
-        scn = engine.apply_override(scn, "coding.decoder",
-                                    DECODER_NAMES[args.decoder])
+        scn = engine.apply_override(scn, "coding.decoder", args.decoder)
     if getattr(args, "field_bits", None) is not None:
         scn = engine.apply_override(scn, "coding.field_bits", args.field_bits)
     if getattr(args, "duration", None) is not None:
         scn = engine.apply_override(scn, "duration_s", args.duration)
-    scn.validate()
     return scn
 
 
@@ -74,8 +70,6 @@ def cmd_sweep(args) -> int:
     seeds = seed_list(args.seeds)
     scn = load_scenario(args)
     key, values = parse_param(args.param)
-    if key == "decoder":
-        values = [DECODER_NAMES.get(v, v) for v in values]
     rows = engine.sweep(scn, key, values, seeds, parallel=args.parallel)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -155,9 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (defaults to $BPNC_OUT or ./out)")
         sp.add_argument("--block-size", type=int,
                         help="coding generation size h (coding.block_size)")
-        sp.add_argument("--decoder", choices=sorted(DECODER_NAMES),
-                        help="decoder mode (coding.decoder): full=earliest "
-                        "Gaussian, rankdef=rank-deficient")
+        sp.add_argument("--decoder", choices=ch.DECODERS,
+                        help="decoder mode (coding.decoder)")
         sp.add_argument("--field-bits", type=int,
                         help="GF(2^m) symbol width m: 1, 2, 4 or 8 (coding.field_bits)")
 
@@ -171,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--param", required=True,
                     help="key=v1,v2,... e.g. block_size=2,4,6,8 or "
-                    "decoder=full,rankdef")
+                    "decoder=earliest,rank_deficient")
     sp.add_argument("--seeds", type=int, default=5, help="number of seeds (1..k)")
     sp.add_argument("--parallel", action="store_true",
                     help="run (value, seed) cells in worker processes")

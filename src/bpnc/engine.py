@@ -17,7 +17,9 @@ objects, and renders its text lines only when they are read.
 What does not change from frame to frame is kept in per-run tables.  For
 each (sender, channel), ``Engine.receivers`` maps every node the sender
 reaches to its gain; a delivery skips those below sensitivity at the
-sender's power of the moment.  Airtime is kept by frame length.  Channel
+sender's power of the moment.  That skip is the one reception rule: a node
+keeps no copy of it and learns its neighbours only from the frames
+``_deliver`` hands it.  Airtime is kept by frame length.  Channel
 uniforms come from ``DRAW_BUFFER``-sized blocks of the channel generator,
 the same stream as one scalar draw at a time.  The success probability of a
 reception no other carrier reaches depends only on its received power and

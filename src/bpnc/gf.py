@@ -57,12 +57,12 @@ class FieldContext:
     Safe to share across threads; every operation is a pure function.
     """
 
-    def __init__(self, m: int = 4, primitive_poly: int | None = None):
+    def __init__(self, m: int = 4):
         if not 1 <= m <= 8:
             raise ValueError(f"field bit-width must be in 1..8, got {m}")
         self.m = m
         self.size = 1 << m
-        self.poly = primitive_poly if primitive_poly is not None else DEFAULT_POLYS[m]
+        self.poly = DEFAULT_POLYS[m]
         order = self.size - 1
         exp = np.zeros(2 * order if order else 1, dtype=np.uint8)
         log = np.zeros(self.size, dtype=np.int32)
@@ -73,8 +73,6 @@ class FieldContext:
             x <<= 1
             if x & self.size:
                 x ^= self.poly
-        if x != 1:
-            raise ValueError(f"0x{self.poly:x} is not primitive for m={m}")
         for i in range(order, len(exp)):
             exp[i] = exp[i - order]
         self.exp_table = exp

@@ -43,7 +43,7 @@ class NeighborRecord:
     backlogs: dict[int, dict[int, int]] = field(default_factory=dict)
 
     def best_gain_db(self) -> float:
-        return max(self.gains_db.values()) if self.gains_db else float("-inf")
+        return max(self.gains_db.values())
 
 
 @dataclass(slots=True)
@@ -132,8 +132,7 @@ class Node:
         # flow -> the newest generation this node sources; it fills it with
         # arrivals until it is full, then opens the next
         self.open_gens: dict[int, rlnc.Generation] = {}
-        # (flow, generation id) -> the frames held to send; a relay keys by
-        # the wire id, a source by its own unwrapped id
+        # (flow, generation id) -> the frames held to send
         self.relay_gens: dict[tuple[int, int], RelayGen] = {}
         # flow -> ascending ids of the held generations with credit > 0
         self.relay_credit: dict[int, list[int]] = {i: [] for i in range(len(self.flows))}
@@ -163,7 +162,7 @@ class Node:
     def to_frame(self, flow_index: int, gen_id: int,
                  pkt: rlnc.CodedPacket) -> wire.DataFrame:
         """The wire form of a packet this node codes, built once."""
-        return wire.DataFrame(flow_index, gen_id % 0x10000, tuple(pkt.tag.tolist()),
+        return wire.DataFrame(flow_index, gen_id, tuple(pkt.tag.tolist()),
                               pkt.payload.tobytes(), self.scn.coding.field_bits)
 
     @staticmethod
@@ -265,7 +264,6 @@ class Node:
         nbrs = tuple(
             (nid, max(rec.gains_db, key=rec.gains_db.get), rec.best_gain_db())
             for nid, rec in sorted(self.neighbors.items())
-            if rec.gains_db
         )[:255]
         frame = wire.DisFrame(self.id, self.channel, nbrs)
         self.engine.transmit(self, self.channel, frame)
@@ -293,8 +291,6 @@ class Node:
         g = rec.gains_db.get(chan)
         if g is None:
             g = rec.best_gain_db()
-        if g == float("-inf"):
-            return 0.0
         snr = ch.db_to_linear(self.power_dbm + g - self.scn.phy.noise_floor_dbm)
         frame_len = self.scn.coding.packet_len
         return ch.link_rate(self.scn, snr, frame_len)[0]
@@ -307,11 +303,8 @@ class Node:
             for fi, src in self.flow_order:
                 if nid == src or not self.has_sendable(fi, nid):
                     continue
-                local = self.queues.flow_backlogs(fi)
-                if not local:
-                    continue
-                remote = rec.backlogs.get(fi, {})
-                flow_cands.append((fi, local, remote, self.penalty.alpha(fi, nid)))
+                flow_cands.append((fi, self.queues.flow_backlogs(fi), rec.backlogs.get(fi, {}),
+                                   self.penalty.alpha(fi, nid)))
             got = bp.select_flow(flow_cands)
             if got is None:
                 continue
@@ -323,12 +316,9 @@ class Node:
         if pick is None:
             return None
         nid, chan, fi, utility = pick
-        remote = self.neighbors[nid].backlogs.get(fi, {})
-        covered = tuple(
-            d for d, qi in self.queues.flow_backlogs(fi).items()
-            if qi - remote.get(d, 0) > 0
-        )
-        return Schedule(nid, chan, fi, utility, covered)
+        covered = bp.positive_differentials(self.queues.flow_backlogs(fi),
+                                            self.neighbors[nid].backlogs.get(fi, {}))
+        return Schedule(nid, chan, fi, utility, tuple(covered))
 
     def expire_stale_neighbors(self) -> None:
         horizon = 3 * self.us(self.scn.timing.discovery_s)
@@ -341,7 +331,7 @@ class Node:
     def update_power(self) -> None:
         rec = None
         for cand in self.neighbors.values():
-            if cand.gains_db and (rec is None or cand.best_gain_db() > rec.best_gain_db()):
+            if rec is None or cand.best_gain_db() > rec.best_gain_db():
                 rec = cand
         if rec is None:
             return
@@ -358,9 +348,8 @@ class Node:
 
     def handle_frame(self, src: int, chan: int, frame,
                      rx_power_dbm: float, tx_power_dbm: float) -> None:
+        # Engine._deliver alone decides reception: every sender here is heard
         self.note_neighbor(src, chan, rx_power_dbm, tx_power_dbm)
-        if src not in self.neighbors:
-            return  # below sensitivity: no table entry, nothing to act on
         if isinstance(frame, wire.SynFrame):
             rec = self.neighbors[src]
             for fsrc, dsts, backlog in frame.entries:
@@ -376,8 +365,6 @@ class Node:
 
     def note_neighbor(self, src: int, chan: int,
                       rx_power_dbm: float, tx_power_dbm: float) -> None:
-        if rx_power_dbm < self.scn.phy.sensitivity_dbm:
-            return
         rec = self.neighbors.get(src)
         if rec is None:
             rec = self.neighbors[src] = NeighborRecord()
@@ -408,7 +395,7 @@ class Node:
         inbox, self.rts_inbox = self.rts_inbox, []
         self.prune_overheard_rts()
         overheard = [f for _, f in self.overheard_rts]
-        if not inbox or self.phase is Phase.DATA_TRANSFER:
+        if self.phase is Phase.DATA_TRANSFER:
             return
         own_sched = self.pending
         if own_sched is None and self.phase is Phase.FLOW_UPDATE:
@@ -580,8 +567,12 @@ class Node:
 
     def open_generation(self, flow_index: int) -> rlnc.Generation:
         last = self.open_gens.get(flow_index)
+        gen_id = 0 if last is None else last.gen_id + 1
+        if gen_id > 0xFFFF:  # the one id is the DATA frame's 16-bit one
+            raise ch.ScenarioError(f"flows[{flow_index}]: needs more than 65536 "
+                                   "generations, all a 16-bit DATA id can number")
         gen = self.open_gens[flow_index] = rlnc.Generation(
-            0 if last is None else last.gen_id + 1, self.block_size(), self.scn.coding.packet_len)
+            gen_id, self.block_size(), self.scn.coding.packet_len)
         if self.scn.coding.enabled and self.scn.coding.gen_timeout_s > 0:
             self.engine.schedule(
                 self.us(self.scn.coding.gen_timeout_s),

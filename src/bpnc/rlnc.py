@@ -316,8 +316,8 @@ def _assignments(q: int, n_free: int) -> tuple[np.ndarray, np.ndarray]:
     """All q^n_free assignments of n_free free variables, lexicographic (the
     last variable varies fastest), and the nonzero count of each.  Both
     depend only on (q, n_free), so each pair is built once, read-only.  The
-    counts are uint16, so the solve's (assignments x patterns) weight table
-    is too: at m=8, T=2 that is 65,536 rows, a quarter of the int64 size.
+    counts are uint16, so the solve's (patterns x assignments) weight table
+    is too: at m=8, T=2 that is 65,536 columns, a quarter of the int64 size.
     """
     A = np.indices((q,) * n_free, dtype=np.uint8).reshape(n_free, -1).T.copy()
     nnz = np.count_nonzero(A, axis=1).astype(np.uint16)
@@ -388,11 +388,12 @@ def rank_deficient_solve(
         _, first, codes = np.unique(codes * q + P[r], return_index=True,
                                     return_inverse=True)
     patterns = P[rows][:, first]  # (k, n_patterns)
-    weights = np.repeat(nnz[:, None], len(first), axis=1)  # (n_assign, n_patterns)
+    # (n_patterns, n_assign): argmin reduces the contiguous axis, no copy
+    weights = np.repeat(nnz[None, :], len(first), axis=0)
     for i in range(len(rows)):
-        weights += f[:, i, None] != patterns[i]
+        weights += patterns[i][:, None] != f[:, i]
     # first minimal index, deterministic
-    best = np.argmin(weights, axis=0)[codes]
+    best = np.argmin(weights, axis=1)[codes]
     for i, (r, c) in enumerate(heuristic_rows):
         est[c] = P[r] ^ f[best, i]
         conf[c] = 1
@@ -420,12 +421,11 @@ def prefix_equivalence_report(
     num_blocks: int,
     rng,
     reorder: bool,
-    payload_len: int = 8,
     verify_payload_blocks: int = 0,
 ) -> np.ndarray:
     """Fraction of blocks, per packet position, whose preconditioned form is
     equivalent to the ideal reduced input.  Tags are sampled rank-increasing
-    (each new packet raises the rank); data is uniform."""
+    (each new packet raises the rank); data is uniform, 8 symbols a row."""
     hits = np.zeros(h, dtype=np.int64)
     for b in range(num_blocks):
         G = sample_tags(ctx, h, h, rng, mode="rank_increasing")
@@ -434,7 +434,7 @@ def prefix_equivalence_report(
         for p in range(1, h + 1):
             ok = _prefix_pivot_ok(ctx, G, p)
             if ok and b < verify_payload_blocks:
-                X = rng.integers(0, ctx.size, size=(h, payload_len), dtype=np.uint8)
+                X = rng.integers(0, ctx.size, size=(h, 8), dtype=np.uint8)
                 Y = ctx.matmul(G, X)
                 rref, _, pivots = gaussian_eliminate(
                     ctx, np.concatenate([G[:p], Y[:p]], axis=1)

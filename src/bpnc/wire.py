@@ -10,7 +10,7 @@ All multi-byte integers are little-endian with a 1-byte type tag first:
     RTS   type 0x03 | tx (1) | rx (1) | channel (1) | flow index (1) |
           utility (4)
     CTS   type 0x04 | rx (1) | tx (1) | channel (1)
-    DATA  type 0x05 | flow index (1) | generation id (2, wraps at 2^16) |
+    DATA  type 0x05 | flow index (1) | generation id (2) |
           block size h (1) | column order (h) | tag (tag_wire_len(h, m)) |
           payload (rest, at most 500 bytes)
 
@@ -20,12 +20,14 @@ snaps its fields to that grid when it is built, and clamps SYN backlogs to
 0xFFFF, so ``unpack(f.pack()) == f`` for every frame a node can build.
 
 A DATA frame is the one representation of a coded packet outside
-``rlnc``.  Its tag symbols go 8 // m to a byte, so m must divide 8.  The
-column order is always 0..h-1: the stack never reorders tag columns
-(column reordering is only the offline preconditioning analysis), so
-``unpack`` rejects any other order.  The bytes still travel because every
-packet-log digest covers them, and a shorter frame changes each DATA
-frame's airtime and loss draws, and with them the simulated routes.
+``rlnc``, and its generation id the generation's one id: a source numbers a
+flow's generations 0..0xFFFF and no further.  Its tag symbols go 8 // m to
+a byte, so m must divide 8.  The column order is always 0..h-1: the stack
+never reorders tag columns (column reordering is only the offline
+preconditioning analysis), so ``unpack`` rejects any other order.  The
+bytes still travel because every packet-log digest covers them, and a
+shorter frame changes each DATA frame's airtime and loss draws, and with
+them the simulated routes.
 
 Frames are built on the wire grid and packed once, and no frame is parsed
 during a run: receivers share the sender's frozen frame.  A DATA frame

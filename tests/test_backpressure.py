@@ -6,6 +6,7 @@ from bpnc.backpressure import (
     PenaltyTracker,
     VirtualQueueSet,
     flow_score,
+    positive_differentials,
     select_flow,
     select_next_hop,
     spectrum_utility,
@@ -47,6 +48,14 @@ def test_penalty_changes_selection():
 
 def test_multicast_score_sums_destinations():
     assert flow_score({6: 3, 7: 1}, {6: 1, 7: 2}, 1.0) == 2
+
+
+def test_positive_differentials_worked_example():
+    # destination 7 is at or below the neighbour's backlog and 5 is unknown
+    # there (0); the result keeps local's order, which covered_dests uses
+    local, remote = {6: 3, 7: 1, 5: 4}, {6: 1, 7: 2, 9: 8}
+    assert list(positive_differentials(local, remote).items()) == [(6, 2), (5, 4)]
+    assert flow_score(local, remote, 0.5) == (2 + 4) * 0.5
 
 
 def test_singleton_multicast_equals_unicast():

@@ -1,6 +1,7 @@
 """CLI front end: flags, exit codes, files, doc coverage."""
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -62,7 +63,7 @@ def test_scenario_file_with_invalid_setting_exits_2(tmp_path, section, key, valu
     ("rank_deficient", 2.5, []),
     ("rank_deficient", True, []),
     ("rank_deficient", 5, []),                      # 2^(4 x 5) assignments
-    ("earliest", 3, ["--decoder", "rankdef", "--field-bits", "8"]),
+    ("earliest", 3, ["--decoder", "rank_deficient", "--field-bits", "8"]),
     ("rank_deficient", 4, ["--field-bits", "8"]),   # accepted at m=4 only
 ])
 def test_scenario_file_with_unusable_min_weight_limit_exits_2(tmp_path, capsys,
@@ -265,7 +266,7 @@ def test_sweep_table_shape(tmp_path):
 
 def test_decoder_sweep_writes_accuracy_curves(tmp_path):
     rc = main(["sweep", "--builtin", "butterfly7", "--param",
-               "decoder=full,rankdef", "--seeds", "1", "--out", str(tmp_path)])
+               "decoder=earliest,rank_deficient", "--seeds", "1", "--out", str(tmp_path)])
     assert rc == 0
     acc = (tmp_path / "accuracy.csv").read_text().splitlines()
     assert acc[0] == "# bpnc-accuracy v1"
@@ -335,6 +336,21 @@ def test_bpnc_out_env_default(tmp_path, monkeypatch):
     rc = main(["run", "--builtin", "line7", "--duration", "10"])
     assert rc == 0
     assert (tmp_path / "envout" / "summary.json").exists()
+
+
+def test_readme_commands_parse():
+    # every bpnc command README shows parses, and each value its --param
+    # lists converts for the scenario field it names
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("bpnc ")]
+    assert len(lines) >= 6
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        if getattr(args, "param", None):
+            key, values = parse_param(args.param)
+            for v in values:
+                engine.apply_override(ch.BUILTINS[args.builtin](), key, v)
 
 
 def test_help_documents_every_flag():

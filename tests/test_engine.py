@@ -324,6 +324,35 @@ def test_reach_follows_the_senders_power(monkeypatch):
     assert seen[(1, 1, -10.0)] > 0 and seen[(1, 1, -15.0)] > 0
 
 
+def test_only_the_medium_decides_reception(monkeypatch):
+    # Engine._deliver is the one reception rule: a node is handed only frames
+    # at or above sensitivity and keeps no copy of the cut.  Nodes 1 and 3
+    # are -75 dB apart on channel 1, below the cut once power control takes
+    # either to -15 dBm
+    scn = engine.apply_override(_asymmetric_line7(), "duration_s", 300)
+    sensitivity = scn.phy.sensitivity_dbm
+    heard = []
+    skipping = 0  # deliveries that skipped a receiver below sensitivity
+    deliver = engine.Engine._deliver
+    handle = protocol.Node.handle_frame
+
+    def counting(eng, tx):
+        nonlocal skipping
+        skipping += any(tx.power_dbm + g < sensitivity
+                        for g in eng.receivers[tx.src][tx.chan].values())
+        return deliver(eng, tx)
+
+    def recording(node, src, chan, frame, rx_power_dbm, tx_power_dbm):
+        heard.append(rx_power_dbm)
+        return handle(node, src, chan, frame, rx_power_dbm, tx_power_dbm)
+
+    monkeypatch.setattr(engine.Engine, "_deliver", counting)
+    monkeypatch.setattr(protocol.Node, "handle_frame", recording)
+    engine.run(scn, seed=1)
+    assert heard and min(heard) >= sensitivity
+    assert skipping > 0
+
+
 def test_later_hops_resend_the_sources_frame(monkeypatch):
     # line7 with coding off: every DATA frame is built at node 1, packed
     # once there, and then relayed as that very object, hop by hop, to node 7

@@ -93,13 +93,6 @@ def test_mutual_dis_populates_both_tables():
     assert b.neighbors[1].gains_db[0] == pytest.approx(-55.0)
 
 
-def test_dis_below_sensitivity_ignored():
-    node, _ = make_node(2)
-    dis = wire.DisFrame(1, 0, ())
-    node.handle_frame(1, 0, dis, rx_power_dbm=-95.0, tx_power_dbm=-10.0)
-    assert node.neighbors == {}
-
-
 def test_dis_during_flow_update_still_updates_table():
     node, _ = make_node(2)
     node.enter_phase(Phase.FLOW_UPDATE)
@@ -347,6 +340,20 @@ def test_source_holds_no_frame_of_its_own_flow():
     assert node.relay_gens[(OWN, 0)].rcvd == 1
     assert node.next_coded_packet(OWN, 3) is own
     assert node.next_coded_packet(OWN, 3) is None
+
+
+def test_generation_ids_end_at_the_wires_16_bits():
+    # a generation's one id is its DATA frame's 16-bit id: a source opens
+    # 0xFFFF, and a flow that would need one more stops as a scenario error
+    node, _ = make_node(1)
+    n = node.scn.coding.packet_len
+    node.open_gens[0] = full = rlnc.Generation(0xFFFE, 1, n)
+    full.add_source_packet(np.zeros(n, dtype=np.uint8))
+    node.app_arrival(0)
+    assert node.open_gens[0].gen_id == 0xFFFF and node.open_gens[0].full
+    assert node.relay_gens[(0, 0xFFFF)].pkts[0].gen_id == 0xFFFF
+    with pytest.raises(ch.ScenarioError, match=r"^flows\[0\]: "):
+        node.app_arrival(0)
 
 
 def test_relay_forwards_received_frame():

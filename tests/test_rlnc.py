@@ -597,6 +597,27 @@ def test_rank_deficient_solve_memory_at_the_validated_limit():
     assert peak < 200e6
 
 
+def test_rank_deficient_weight_table_is_reduced_in_place():
+    # the (patterns x assignments) weight table is reduced along its
+    # contiguous last axis, so argmin makes no copy of it: at 65,536
+    # assignments x 500 patterns the peak is the table plus one bool mask
+    # (about 98 MB), not the 131 MB an (assignments x patterns) argmin takes
+    import tracemalloc
+    state = DecoderState(FieldContext(8), 4, 500)
+    # RREF rows whose 500 payload columns are 500 distinct patterns
+    cols = np.arange(500)
+    for tag, payload in (([1, 0, 3, 7], cols % 256), ([0, 1, 5, 2], cols // 256)):
+        state.ingest(CodedPacket(np.array(tag, dtype=np.uint8), payload.astype(np.uint8)))
+    tracemalloc.start()
+    try:
+        est, conf = rank_deficient_solve(state, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (conf == 1).all()
+    assert peak < 110e6
+
+
 def test_full_rank_redundant_ingest_changes_nothing(f16):
     rng = np.random.default_rng(19)
     gen = Generation(0, 4, 6)
