@@ -295,14 +295,14 @@ def ber(sinr: float) -> float:
     return 0.5 * math.erfc(math.sqrt(sinr))
 
 
-def frame_success_prob(scn: Scenario, sinr: float, frame_len_bytes: int) -> float:
+def frame_success_prob(sinr: float, frame_len_bytes: int) -> float:
     p_bit = ber(sinr)
     return (1.0 - p_bit) ** (8 * frame_len_bytes)
 
 
 def link_rate(scn: Scenario, sinr: float, frame_len_bytes: int) -> tuple[float, float]:
     """(c_ij in packets/s, frame success probability)."""
-    p = frame_success_prob(scn, sinr, frame_len_bytes)
+    p = frame_success_prob(sinr, frame_len_bytes)
     bits = 8 * frame_len_bytes
     return scn.phy.bit_rate() * p / bits, p
 

@@ -30,15 +30,11 @@ def load_scenario(args) -> ch.Scenario:
                 f"choices are {sorted(ch.BUILTINS)}"
             )
         scn = ch.BUILTINS[args.builtin]()
-    if getattr(args, "block_size", None) is not None:
-        scn = engine.apply_override(scn, "coding.block_size", args.block_size)
-    if getattr(args, "decoder", None) is not None:
-        scn = engine.apply_override(scn, "coding.decoder", args.decoder)
-    if getattr(args, "field_bits", None) is not None:
-        scn = engine.apply_override(scn, "coding.field_bits", args.field_bits)
-    if getattr(args, "duration", None) is not None:
-        scn = engine.apply_override(scn, "duration_s", args.duration)
-    return scn
+    # each option is a sweep alias; applied together, so only the final
+    # combination has to be valid
+    settings = {k: getattr(args, k, None)
+                for k in ("block_size", "decoder", "field_bits", "duration")}
+    return engine.apply_overrides(scn, {k: v for k, v in settings.items() if v is not None})
 
 
 def cmd_run(args) -> int:

@@ -9,8 +9,9 @@ and packed once, and no frame is parsed during a run: ``wire`` snaps every
 field a frame carries when the frame is built, so the frame equals its own
 parse, and every receiver is handed the sender's own frozen object.  The
 bytes serve only for airtime, the success model and the packet log.  A DATA
-frame caches its bytes, so a relay re-sends the very object it received and
-the medium never packs it again.  The packet log (``PacketLog``) keeps one
+frame's bytes are built with it, and its payload is a view of them, so a
+relay re-sends the very object it received and the medium never packs it
+again.  The packet log (``PacketLog``) keeps one
 ``(t_us, chan, src, raw)`` record per transmission, holding those same bytes
 objects, and renders its text lines only when they are read.
 
@@ -299,7 +300,7 @@ class Engine:
             p_ok = None if interference else self.clear_p_ok.get((rxp, nbytes))
             if p_ok is None:
                 sinr = ch.link_snr(self.scn, rxp, interference)
-                p_ok = ch.frame_success_prob(self.scn, sinr, nbytes)
+                p_ok = ch.frame_success_prob(sinr, nbytes)
                 if not interference:
                     self.clear_p_ok[(rxp, nbytes)] = p_ok
             ok = next(uniforms) < p_ok
@@ -489,18 +490,15 @@ CONVERTERS = {bool: lambda v: BOOL_WORDS[str(v).lower()], int: _to_int, float: f
               str: str}
 
 
-def apply_override(scn: ch.Scenario, key: str, value) -> ch.Scenario:
-    """Deep-copied scenario with one dotted-path (or aliased) field changed,
-    the value converted by the field's declared type."""
-    import copy
-    scn = copy.deepcopy(scn)
+def _set_field(scn: ch.Scenario, key: str, value) -> None:
+    """Change one dotted-path (or aliased) field of scn, the value converted
+    by the field's declared type."""
     key = SWEEP_ALIASES.get(key, key)
     if key == "arrival_rate":
         rate = _convert(key, float, value)
         for f in scn.flows:
             f.arrival_rate = rate
-        scn.validate()
-        return scn
+        return
     obj = scn
     parts = key.split(".")
     for p in parts[:-1]:
@@ -514,8 +512,20 @@ def apply_override(scn: ch.Scenario, key: str, value) -> ch.Scenario:
     if hints[leaf] not in CONVERTERS:
         raise ch.ScenarioError(f"sweep parameter {key!r} is not a single value")
     setattr(obj, leaf, _convert(key, CONVERTERS[hints[leaf]], value))
-    scn.validate()
-    return scn
+
+
+def apply_overrides(scn: ch.Scenario, settings: dict) -> ch.Scenario:
+    """Deep-copied scenario with every field of settings changed, validated
+    once, after all of them, so only the final combination has to be valid."""
+    import copy
+    scn = copy.deepcopy(scn)
+    for key, value in settings.items():
+        _set_field(scn, key, value)
+    return scn.validate()
+
+
+def apply_override(scn: ch.Scenario, key: str, value) -> ch.Scenario:
+    return apply_overrides(scn, {key: value})
 
 
 def _run_one(args) -> dict:
@@ -546,7 +556,8 @@ def sweep(scn: ch.Scenario, param: str, values, seeds, parallel: bool = False) -
     if not values or not seeds:
         raise ch.ScenarioError(
             f"sweep: needs at least one value and one seed, got {len(values)} and {len(seeds)}")
-    jobs = [(apply_override(scn, param, v), seed) for v in values for seed in seeds]
+    scns = [apply_override(scn, param, v) for v in values]  # one per value, run for each seed
+    jobs = [(s, seed) for s in scns for seed in seeds]
     if parallel:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor() as ex:

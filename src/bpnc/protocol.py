@@ -163,7 +163,7 @@ class Node:
                  pkt: rlnc.CodedPacket) -> wire.DataFrame:
         """The wire form of a packet this node codes, built once."""
         return wire.DataFrame(flow_index, gen_id, tuple(pkt.tag.tolist()),
-                              pkt.payload.tobytes(), self.scn.coding.field_bits)
+                              pkt.payload, self.scn.coding.field_bits)
 
     @staticmethod
     def to_packet(frame: wire.DataFrame) -> rlnc.CodedPacket:
@@ -546,19 +546,19 @@ class Node:
         m = self.scn.coding.field_bits
         n_sym = self.scn.coding.packet_len * gf.symbols_per_byte(m)
         symbols = self.rng.integers(0, self.ctx.size, size=n_sym, dtype=np.uint8)
-        # packed once: from here on the payload is only bytes
-        data = np.frombuffer(gf.symbols_to_bytes(symbols, m), dtype=np.uint8)
         gen = self.open_gens.get(flow_index)
         if gen is None or gen.full:
             gen = self.open_generation(flow_index)
-        gen.add_source_packet(data)
         # Systematic emission: the packet carries the newly arrived block
         # directly, so a destination decodes it even when earlier packets of
-        # the same generation were dropped.
-        tag = np.zeros(gen.block_size, dtype=np.uint8)
-        tag[gen.filled - 1] = 1
-        self.credit_frame(flow_index, gen.gen_id).pkts.append(
-            self.to_frame(flow_index, gen.gen_id, rlnc.CodedPacket(tag, data)))
+        # the same generation were dropped.  Packed once, into the frame: the
+        # generation's row is a view of the frame's payload.
+        row = gen.filled
+        frame = wire.DataFrame(flow_index, gen.gen_id,
+                               tuple(int(k == row) for k in range(gen.block_size)),
+                               gf.symbols_to_bytes(symbols, m), m)
+        gen.add_source_packet(np.frombuffer(frame.payload, dtype=np.uint8))
+        self.credit_frame(flow_index, gen.gen_id).pkts.append(frame)
         for d in self.queues.dests_here(flow_index):
             self.queues.increment(flow_index, d)
         self.engine.count_injected(flow_index)

@@ -29,13 +29,15 @@ bytes still travel because every packet-log digest covers them, and a
 shorter frame changes each DATA frame's airtime and loss draws, and with
 them the simulated routes.
 
-Frames are built on the wire grid and packed once, and no frame is parsed
-during a run: receivers share the sender's frozen frame.  A DATA frame
-caches the bytes of its first ``pack`` (``DataFrame.raw``, outside its
-value), so a relayed frame is packed once in its life.  ``unpack`` is the
-typed gate for bytes from outside a run (tests, fuzzing, packet-log
-readers); it accepts only the bytes ``pack`` writes (zero tag padding, at
-most 500 payload bytes), so those bytes are the frame's one wire form.
+Frames are built on the wire grid, and no frame is parsed during a run:
+receivers share the sender's frozen frame.  A DATA frame is built whole:
+its bytes (``DataFrame.raw``, outside its value) are written once, with the
+frame, and its payload is a read-only view of them.  So a held frame keeps
+one copy of its payload, and a relayed frame is never packed again.
+``unpack`` is the typed gate for bytes from outside a run (tests, fuzzing,
+packet-log readers).  Each branch parses the fields and builds the frame,
+and the bytes are accepted only if that frame packs back to exactly them:
+a frame's bytes are its one wire form.
 """
 
 from __future__ import annotations
@@ -182,15 +184,14 @@ class DataFrame:
     flow_index: int
     gen_id: int
     tag: tuple[int, ...]  # h symbols; h is the generation's block size
-    payload: bytes
+    # a read-only view of the payload's bytes in raw, compared and hashed as
+    # those bytes; out of the repr, which would show the view's address
+    payload: memoryview = field(repr=False)
     field_bits: int = 4
-    # the bytes the first ``pack`` wrote, or None before it; not part of
-    # the frame's value (==, hash, repr)
-    raw: bytes | None = field(default=None, init=False, compare=False, repr=False)
+    # the frame's one wire form, built with the frame
+    raw: bytes = field(init=False, compare=False, repr=False)
 
-    def pack(self) -> bytes:
-        if self.raw is not None:
-            return self.raw
+    def __post_init__(self):
         if len(self.payload) > MAX_PAYLOAD_BYTES:
             raise MalformedFrame("payload exceeds 500 bytes")
         h = len(self.tag)
@@ -202,73 +203,59 @@ class DataFrame:
         out.append(h)
         out += bytes(range(h))  # column order
         out += pack_tag(self.tag, self.field_bits)
-        out += self.payload
-        object.__setattr__(self, "raw", bytes(out))
+        head = len(out)
+        out += memoryview(self.payload)  # as bytes: += on a numpy array would broadcast
+        raw = bytes(out)
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "payload", memoryview(raw)[head:])
+
+    def pack(self) -> bytes:
         return self.raw
 
 
 def unpack(raw: bytes, field_bits: int = 4):
-    """Decode any frame; raises MalformedFrame on garbage."""
-    if not raw:
-        raise MalformedFrame("empty frame")
-    t = raw[0]
+    """Decode any frame; raises MalformedFrame on garbage.
+
+    Each branch parses the fields and builds the frame from them; only bytes
+    the frame packs back to exactly are accepted, so they are its one wire
+    form.
+    """
     try:
+        t = raw[0]
         if t == TYPE_DIS:
-            sender, next_chan, n = raw[1], raw[2], raw[3]
-            nbrs = []
-            off = 4
-            for _ in range(n):
-                nbr, chan, g = struct.unpack_from("<BBH", raw, off)
-                nbrs.append((nbr, chan, decode_gain_db(g)))
-                off += 4
-            if off != len(raw):
-                raise MalformedFrame("trailing bytes in DIS")
-            return DisFrame(sender, next_chan, tuple(nbrs))
-        if t == TYPE_SYN:
-            sender, n = raw[1], raw[2]
+            nbrs = [struct.unpack_from("<BBH", raw, 4 + 4 * k) for k in range(raw[3])]
+            frame = DisFrame(raw[1], raw[2], tuple((n, c, decode_gain_db(g)) for n, c, g in nbrs))
+        elif t == TYPE_SYN:
             off = 3
             entries = []
-            for _ in range(n):
+            for _ in range(raw[2]):
                 src, ndst = raw[off], raw[off + 1]
-                off += 2
-                dsts = tuple(raw[off : off + ndst])
-                if len(dsts) != ndst:
-                    raise MalformedFrame("short SYN entry")
-                off += ndst
+                dsts = tuple(raw[off + 2 : off + 2 + ndst])
+                off += 2 + ndst
                 (backlog,) = struct.unpack_from("<H", raw, off)
                 off += 2
                 entries.append((src, dsts, backlog))
-            if off != len(raw):
-                raise MalformedFrame("trailing bytes in SYN")
-            return SynFrame(sender, tuple(entries))
-        if t == TYPE_RTS:
-            _, tx, rx, chan, fidx, u = struct.unpack("<BBBBBI", raw)
-            return RtsFrame(tx, rx, chan, fidx, decode_utility(u))
-        if t == TYPE_CTS:
-            if len(raw) != 4:
-                raise MalformedFrame("bad CTS length")
-            return CtsFrame(raw[1], raw[2], raw[3])
-        if t == TYPE_DATA:
+            frame = SynFrame(raw[1], tuple(entries))
+        elif t == TYPE_RTS:
+            _, tx, rx, chan, fidx, u = struct.unpack_from("<BBBBBI", raw)
+            frame = RtsFrame(tx, rx, chan, fidx, decode_utility(u))
+        elif t == TYPE_CTS:
+            frame = CtsFrame(raw[1], raw[2], raw[3])
+        elif t == TYPE_DATA:
+            # before any tag arithmetic: tag_wire_len divides by 8 // m
             _require_field_bits(field_bits)
-            fidx = raw[1]
             (gen_id,) = struct.unpack_from("<H", raw, 2)
             h = raw[4]
             off = 5 + h
             tl = tag_wire_len(h, field_bits)
             tag = tuple(unpack_tag(raw[off : off + tl], h, field_bits))
-            if len(tag) != h:
-                raise MalformedFrame("short DATA header")
-            if raw[5:off] != bytes(range(h)):
-                raise MalformedFrame("DATA column order must be 0..h-1")
-            # only the bytes pack() writes parse, so they are the frame's
-            # one wire form
-            pad_bits = 8 * tl - field_bits * h
-            if pad_bits and raw[off + tl - 1] & ((1 << pad_bits) - 1):
-                raise MalformedFrame("nonzero DATA tag padding")
-            if len(raw) - off - tl > MAX_PAYLOAD_BYTES:
-                raise MalformedFrame("payload exceeds 500 bytes")
-            return DataFrame(fidx, gen_id, tag, bytes(raw[off + tl :]), field_bits)
+            frame = DataFrame(raw[1], gen_id, tag, raw[off + tl :], field_bits)
+        else:
+            raise MalformedFrame(f"unknown frame type 0x{t:02x}")
     except (struct.error, IndexError) as e:
-        # IndexError: a header or entry cut short reads past the end of raw
+        # IndexError: an empty frame, or a header or entry cut short, reads
+        # past the end of raw
         raise MalformedFrame(str(e)) from e
-    raise MalformedFrame(f"unknown frame type 0x{t:02x}")
+    if frame.pack() != raw:
+        raise MalformedFrame(f"{TYPE_NAMES[t]} bytes are not the ones the frame packs")
+    return frame

@@ -95,7 +95,7 @@ def test_rate_tracks_success_probability_monte_carlo():
     lo, hi = 1.0, 20.0
     for _ in range(60):
         mid = (lo + hi) / 2
-        if ch.frame_success_prob(scn, mid, 500) < 0.5:
+        if ch.frame_success_prob(mid, 500) < 0.5:
             lo = mid
         else:
             hi = mid

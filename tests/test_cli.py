@@ -82,6 +82,22 @@ def test_scenario_file_with_unusable_min_weight_limit_exits_2(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+def test_overrides_are_validated_together(tmp_path):
+    # --decoder alone would pair rank_deficient with the file's m=8, which
+    # allows no limit of 3; with --field-bits 2 the final combination is
+    # valid, and only it is validated
+    d = ch.scenario_to_dict(ch.butterfly7())
+    d["coding"]["field_bits"] = 8
+    d["coding"]["min_weight_limit"] = 3
+    path = tmp_path / "scn.yaml"
+    path.write_text(yaml.safe_dump(d))
+    rc = main(["run", "--scenario", str(path), "--duration", "30", "--out", str(tmp_path / "o"),
+               "--decoder", "rank_deficient", "--field-bits", "2"])
+    assert rc == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["scenario"] == "butterfly7"
+
+
 @pytest.mark.parametrize("key,value", [
     ("occupied", 0),             # used to divide by zero at the first frame
     ("fft_len", 0),

@@ -384,6 +384,15 @@ def test_later_hops_resend_the_sources_frame(monkeypatch):
     assert max(hops.values()) >= 6  # relayed all the way, 1 -> 7
 
 
+def test_held_frames_keep_one_copy_of_their_payload():
+    # a frame's payload is a view of its bytes, not a second copy of them
+    eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 600), seed=1)
+    held = [f for node in eng.nodes.values() for rg in node.relay_gens.values() for f in rg.pkts]
+    assert held
+    for f in held:
+        assert np.shares_memory(np.frombuffer(f.payload, np.uint8), np.frombuffer(f.raw, np.uint8))
+
+
 def _sensing_off_butterfly7():
     scn = ch.butterfly7()
     scn.sensing_enabled = False

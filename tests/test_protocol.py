@@ -292,14 +292,14 @@ def test_source_choice_matches_source_gen_list(steps):
     node = _relay_node()
     ref = ReferenceSource(node.block_size(), node.extra_packets())
     coded = {}  # generation id -> every frame the source coded, in order
-    to_frame = node.to_frame
 
-    def recording(fi, gid, pkt):
-        frame = to_frame(fi, gid, pkt)
-        if fi == OWN:
-            coded.setdefault(gid, []).append(frame)
-        return frame
-    node.to_frame = recording
+    def record_coded():
+        # a source step adds its frames to the held ones, which keep every
+        # frame not yet sent: new frames are the held ones not yet recorded
+        for (fi, gid), rg in node.relay_gens.items():
+            if fi == OWN:
+                seen = coded.setdefault(gid, [])
+                seen += [f for f in rg.pkts if not any(f is g for g in seen)]
     for step in steps:
         if step[0] == "rx":
             _, fi, gid, sender = step
@@ -319,6 +319,7 @@ def test_source_choice_matches_source_gen_list(steps):
             node.next_coded_packet(step[1], step[2])
         else:
             _source_step(node, step)
+            record_coded()
             getattr(ref, step[0])()
     assert node.has_sendable(OWN, 5) == ref.has_sendable()
     _assert_credit_index(node)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,19 +89,18 @@ def test_data_payload_limit():
         DataFrame(0, 0, (1,), b"\x00" * 501, 4).pack()
 
 
-def test_data_parse_keeps_its_bytes_outside_its_value():
-    # only pack() writes a DATA frame's bytes, once, whether the frame was
-    # built or parsed, and they stay outside the frame's value
+def test_data_frame_is_built_whole():
+    # a DATA frame's bytes are built with it, once, and its payload is a
+    # view of them; a parse of those bytes is the same frame
     built = DataFrame(3, 9, (1, 2, 3), b"xyz", 4)
-    assert built.raw is None
-    raw = built.pack()
-    assert built.pack() is raw and built.raw is raw
+    raw = built.raw
+    assert raw == bytes.fromhex("05 03 0900 03 000102 1230") + b"xyz"
+    assert built.pack() is raw
+    assert built.payload.obj is raw and built.payload == b"xyz"
     parsed = unpack(raw, field_bits=4)
-    assert parsed.raw is None
     assert parsed == built and hash(parsed) == hash(built)
     assert repr(parsed) == repr(built)
-    first = parsed.pack()
-    assert first == raw and parsed.pack() is first and parsed.raw is first
+    assert parsed.pack() == raw
 
 
 @pytest.mark.parametrize("field_bits,raw", [
@@ -157,10 +158,12 @@ ANY_FRAME_BYTES = st.one_of(
 )
 
 
-@given(ANY_FRAME_BYTES, st.integers(1, 8))
+@given(ANY_FRAME_BYTES, st.integers(0, 16))
 @settings(max_examples=1000)
 def test_unpack_fails_only_with_malformed_frame(raw, field_bits):
-    # any byte string is a frame or a MalformedFrame, never a stray error
+    # any byte string is a frame or a MalformedFrame, never a stray error;
+    # a DATA frame with an unusable field size is a MalformedFrame too, not a
+    # ZeroDivisionError
     try:
         frame = unpack(raw, field_bits=field_bits)
     except MalformedFrame:
@@ -283,3 +286,106 @@ def test_gain_encoding_monotone_and_clamped():
     assert wire.encode_gain_db(-200.0) == 0
     assert wire.encode_gain_db(200.0) == 0xFFFF
     assert wire.decode_gain_db(wire.encode_gain_db(-55.0)) == pytest.approx(-55.0, abs=1 / 256)
+
+
+def reference_unpack(raw: bytes, field_bits: int = 4):
+    """unpack as it was: one hand-written check for each byte string pack
+    cannot write."""
+    if not raw:
+        raise MalformedFrame("empty frame")
+    t = raw[0]
+    try:
+        if t == wire.TYPE_DIS:
+            sender, next_chan, n = raw[1], raw[2], raw[3]
+            nbrs = []
+            off = 4
+            for _ in range(n):
+                nbr, chan, g = struct.unpack_from("<BBH", raw, off)
+                nbrs.append((nbr, chan, wire.decode_gain_db(g)))
+                off += 4
+            if off != len(raw):
+                raise MalformedFrame("trailing bytes in DIS")
+            return DisFrame(sender, next_chan, tuple(nbrs))
+        if t == wire.TYPE_SYN:
+            sender, n = raw[1], raw[2]
+            off = 3
+            entries = []
+            for _ in range(n):
+                src, ndst = raw[off], raw[off + 1]
+                off += 2
+                dsts = tuple(raw[off : off + ndst])
+                if len(dsts) != ndst:
+                    raise MalformedFrame("short SYN entry")
+                off += ndst
+                (backlog,) = struct.unpack_from("<H", raw, off)
+                off += 2
+                entries.append((src, dsts, backlog))
+            if off != len(raw):
+                raise MalformedFrame("trailing bytes in SYN")
+            return SynFrame(sender, tuple(entries))
+        if t == wire.TYPE_RTS:
+            _, tx, rx, chan, fidx, u = struct.unpack("<BBBBBI", raw)
+            return RtsFrame(tx, rx, chan, fidx, wire.decode_utility(u))
+        if t == wire.TYPE_CTS:
+            if len(raw) != 4:
+                raise MalformedFrame("bad CTS length")
+            return CtsFrame(raw[1], raw[2], raw[3])
+        if t == wire.TYPE_DATA:
+            wire._require_field_bits(field_bits)
+            fidx = raw[1]
+            (gen_id,) = struct.unpack_from("<H", raw, 2)
+            h = raw[4]
+            off = 5 + h
+            tl = wire.tag_wire_len(h, field_bits)
+            tag = tuple(wire.unpack_tag(raw[off : off + tl], h, field_bits))
+            if len(tag) != h:
+                raise MalformedFrame("short DATA header")
+            if raw[5:off] != bytes(range(h)):
+                raise MalformedFrame("DATA column order must be 0..h-1")
+            pad_bits = 8 * tl - field_bits * h
+            if pad_bits and raw[off + tl - 1] & ((1 << pad_bits) - 1):
+                raise MalformedFrame("nonzero DATA tag padding")
+            if len(raw) - off - tl > wire.MAX_PAYLOAD_BYTES:
+                raise MalformedFrame("payload exceeds 500 bytes")
+            return DataFrame(fidx, gen_id, tag, bytes(raw[off + tl :]), field_bits)
+    except (struct.error, IndexError) as e:
+        raise MalformedFrame(str(e)) from e
+    raise MalformedFrame(f"unknown frame type 0x{t:02x}")
+
+
+FIELD_BITS = st.integers(0, 16)
+
+
+@st.composite
+def mutated_packs(draw):
+    """A built frame's bytes, cut, extended or bit-flipped, with the frame's
+    own field size or any other."""
+    frame = draw(ANY_FRAME)
+    raw = bytearray(frame.pack())
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["cut", "extend", "flip"]))
+        if op == "cut":
+            del raw[draw(st.integers(0, len(raw))):]
+        elif op == "extend":
+            raw += draw(st.binary(min_size=1, max_size=4))
+        elif raw:
+            raw[draw(st.integers(0, len(raw) - 1))] ^= 1 << draw(st.integers(0, 7))
+    m = draw(st.just(getattr(frame, "field_bits", 4)) | FIELD_BITS)
+    return bytes(raw), m
+
+
+def _outcome(parse, raw, m):
+    try:
+        return parse(raw, field_bits=m)
+    except MalformedFrame:
+        return MalformedFrame
+
+
+@given(st.tuples(ANY_FRAME_BYTES, FIELD_BITS) | mutated_packs())
+@settings(max_examples=2000)
+def test_unpack_matches_reference(case):
+    # the one round-trip rule accepts and refuses what the hand-written
+    # checks did, and yields the same frames
+    raw, m = case
+    got, want = _outcome(unpack, raw, m), _outcome(reference_unpack, raw, m)
+    assert type(got) is type(want) and got == want
