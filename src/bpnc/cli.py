@@ -70,9 +70,8 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     engine.write_sweep_csv(rows, out / "sweep.csv")
-    if key in ("decoder", "coding.decoder"):
-        _write_accuracy_curves(rows, out)
-    print(f"wrote sweep.csv to {out}")
+    _write_accuracy_curves(rows, out)
+    print(f"wrote sweep.csv, accuracy.csv to {out}")
     return 0
 
 
@@ -116,6 +115,7 @@ def cmd_paper_suite(args) -> int:
                         parallel=args.parallel)
     (out / "blocksize").mkdir(exist_ok=True)
     engine.write_sweep_csv(rows, out / "blocksize" / "sweep.csv")
+    _write_accuracy_curves(rows, out / "blocksize")
     # the earliest decoder runs the same simulation, with no estimate scored
     rows = engine.sweep(bf, "decoder", ["rank_deficient"], seeds, parallel=args.parallel)
     (out / "decoder").mkdir(exist_ok=True)

@@ -230,13 +230,13 @@ class Engine:
         for nid in sorted(self.nodes):
             self.nodes[nid].start()
         self._sample_metrics()
-        while self._heap and self.duration_us > 0:
-            t, _, fn = heapq.heappop(self._heap)
-            if t > self.duration_us:
-                break
-            self.now_us = t
-            fn()
         if self.duration_us > 0:
+            # an event past the end stays queued, so _seq - len(_heap)
+            # counts exactly the events dispatched
+            while self._heap and self._heap[0][0] <= self.duration_us:
+                t, _, fn = heapq.heappop(self._heap)
+                self.now_us = t
+                fn()
             # the final sample, after every event at the run's end; a
             # zero-length run's only sample is its first
             self.now_us = self.duration_us
@@ -248,6 +248,7 @@ class Engine:
         gap = rng.exponential(1.0 / fc.arrival_rate)
         def fire():
             self.nodes[fc.src].app_arrival(flow_index)
+            self.injected[flow_index] += 1
             self._schedule_arrival(flow_index, fc, rng)
         self.schedule(int(round(gap * US)), fire)
 
@@ -331,9 +332,6 @@ class Engine:
     def register_truth(self, flow_index: int, gen_id: int,
                        matrix: np.ndarray, real_count: int) -> None:
         self.truth[(flow_index, gen_id)] = Truth(matrix, real_count)
-
-    def count_injected(self, flow_index: int) -> None:
-        self.injected[flow_index] += 1
 
     def on_destination_ingest(self, dest: int, flow_index: int, gen_id: int,
                               dec, rank_before: int) -> None:

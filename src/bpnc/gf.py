@@ -127,15 +127,14 @@ class FieldContext:
         return self.mul_table[c, np.asarray(row, dtype=np.uint8)]
 
     def matmul(self, A, B):
-        """Matrix product over GF(2^m).  A is (r,k), B is (k,c)."""
+        """Matrix product over GF(2^m).  A is (r,k), B is (k,c); B may hold
+        packed bytes, which each coefficient scales group by group."""
         A = np.asarray(A, dtype=np.uint8)
         B = np.asarray(B, dtype=np.uint8)
         out = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
-        for row, coeffs in zip(out, A.tolist()):
-            # row i is the xor of A[i, k] * B[k], one table row per coefficient
-            for k, c in enumerate(coeffs):
-                if c:
-                    row ^= self.mul_table[c].take(B[k])
+        # term k for every row at once: A[:, k] times row k of B
+        for k in range(A.shape[1]):
+            out ^= self.mul_table[A[:, k, None], B[k]]
         return out
 
 

@@ -5,11 +5,12 @@ events; nodes never share memory and interact only through transmitted
 frames.  Phases: Discovery -> FlowUpdate -> Negotiation -> DataTransfer,
 with RTS/CTS conflict resolution in between.
 
-Outside ``rlnc`` a coded packet is its ``wire.DataFrame``: sources build the
-frame once when they create the packet, and relays buffer and re-send the
-frames they receive.  A payload is packed bytes from the moment a source
-draws its symbols: generations, encoding, recoding and decoding all take the
-frame's payload bytes as they are.  Sources and relays share one send path:
+A received coded packet is its ``wire.DataFrame``: sources build the frame
+once when they create the packet, relays buffer and re-send the frames they
+receive, and ``rlnc`` decodes and recodes those frames as they are.  A
+payload is packed bytes from the moment a source draws its symbols:
+generations, encoding, recoding and decoding all take the frame's payload
+bytes as they are.  Sources and relays share one send path:
 every frame a node holds credit for, coded or received, sits in
 ``Node.relay_gens`` and goes out through ``next_coded_packet``.
 """
@@ -164,11 +165,6 @@ class Node:
         """The wire form of a packet this node codes, built once."""
         return wire.DataFrame(flow_index, gen_id, tuple(pkt.tag.tolist()),
                               pkt.payload, self.scn.coding.field_bits)
-
-    @staticmethod
-    def to_packet(frame: wire.DataFrame) -> rlnc.CodedPacket:
-        """A received frame as rlnc arrays, for decoding or recoding."""
-        return rlnc.CodedPacket(frame.tag, np.frombuffer(frame.payload, dtype=np.uint8))
 
     # -- phase drivers (called by engine timers) ----------------------------
 
@@ -494,8 +490,7 @@ class Node:
                 # tag staircase intact); recode only for surplus credit
                 if rg.sent <= len(rg.pkts):
                     return rg.pkts[rg.sent - 1]
-                pkts = [self.to_packet(f) for f in rg.pkts]
-                return self.to_frame(flow_index, gid, rlnc.recode(self.ctx, pkts, self.rng))
+                return self.to_frame(flow_index, gid, rlnc.recode(self.ctx, rg.pkts, self.rng))
         return None
 
     def has_sendable(self, flow_index: int, peer: int) -> bool:
@@ -527,7 +522,7 @@ class Node:
             if dec is None:
                 dec = self.decoders[key] = rlnc.DecoderState(self.ctx, h, len(frame.payload))
             rank_before = dec.rank
-            dec.ingest(self.to_packet(frame))
+            dec.ingest(frame)
             self.engine.on_destination_ingest(self.id, fi, frame.gen_id, dec, rank_before)
         # a destination of a multicast flow also relays it to the others; a
         # source already holds every frame of its own flow it may send
@@ -561,7 +556,6 @@ class Node:
         self.credit_frame(flow_index, gen.gen_id).pkts.append(frame)
         for d in self.queues.dests_here(flow_index):
             self.queues.increment(flow_index, d)
-        self.engine.count_injected(flow_index)
         if gen.full:
             self.finalize_generation(flow_index, gen, gen.block_size)
 

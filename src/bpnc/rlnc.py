@@ -2,15 +2,16 @@
 earliest (Gaussian) decoding and rank-deficient decoding, plus the offline
 column-reordering (preconditioning) analysis behind the Table-III report.
 
-A ``CodedPacket`` is only a tag (h symbols) and a payload (packed bytes, as
-on the wire) as numpy arrays, because this module is where GF arithmetic
-runs.  Everywhere else a coded packet is its ``wire.DataFrame``, which alone
-names its flow and generation.  A payload has one form from source to
-decoder: ``gf.FieldContext.mul_table`` scales a packed byte group by group,
-so encoding, recoding and elimination combine payload bytes as they are.
-Only ``rank_deficient_solve``, which scores single symbols, unpacks them.
-Tag column c always stands for source packet c; the live stack never
-reorders columns.
+A coded packet is a tag (h symbols) and a payload (packed bytes, as on the
+wire).  Decoding and recoding read both from whatever holds them, in the
+live stack the ``wire.DataFrame`` a node holds; ``CodedPacket`` is what
+``encode_generation`` and ``recode`` return.  A payload has one form from
+source to decoder: ``gf`` scales a packed byte group by group, and
+``gf.FieldContext.matmul`` is the one GF matrix product, so encoding,
+recoding and elimination combine payload bytes as they are.  Only
+``rank_deficient_solve``, which scores single symbols, unpacks them.  Tag
+column c always stands for source packet c; the live stack never reorders
+columns.
 """
 
 from __future__ import annotations
@@ -83,6 +84,13 @@ class CodedPacket:
     def __post_init__(self):
         self.tag = np.asarray(self.tag, dtype=np.uint8)
         self.payload = np.asarray(self.payload, dtype=np.uint8)
+
+
+def packet_row(pkt) -> np.ndarray:
+    """pkt's tag, then its payload, as one row; each part may be any byte
+    sequence, so a frame (tuple tag, memoryview payload) reads as it is."""
+    return np.concatenate([np.asarray(pkt.tag, dtype=np.uint8),
+                           np.asarray(pkt.payload, dtype=np.uint8)])
 
 
 @dataclass
@@ -172,20 +180,20 @@ def encode_generation(
     return [CodedPacket(tag, payload) for tag, payload in zip(tags, payloads)]
 
 
-def recode(ctx: FieldContext, buffered: list[CodedPacket], rng) -> CodedPacket:
-    """Random GF recombination of buffered packets of one (flow, generation)."""
+def recode(ctx: FieldContext, buffered, rng) -> CodedPacket:
+    """Random GF recombination of buffered packets of one (flow, generation),
+    each read as ``packet_row`` reads it."""
     if not buffered:
         raise ValueError("nothing to recode")
-    first = buffered[0]
-    h = len(first.tag)
-    # each buffered packet as one row, tag then payload: one gather combines both
-    rows = np.array([np.concatenate([p.tag, p.payload]) for p in buffered], dtype=np.uint8)
+    h = len(buffered[0].tag)
+    # each buffered packet as one row, tag then payload: one product combines both
+    rows = np.array([packet_row(p) for p in buffered])
     for _ in range(16):
         coeffs = rng.integers(0, ctx.size, size=len(buffered), dtype=np.uint8)
-        combo = np.bitwise_xor.reduce(ctx.mul_table[coeffs[:, None], rows], axis=0)
+        combo = ctx.matmul(coeffs[None], rows)[0]
         if combo[:h].any():
             return CodedPacket(combo[:h], combo[h:])
-    return CodedPacket(first.tag.copy(), first.payload.copy())
+    return CodedPacket(rows[0, :h], rows[0, h:])
 
 
 # -- column reordering (precondition step) ---------------------------------
@@ -202,8 +210,7 @@ def precondition_reorder(ctx: FieldContext, G) -> tuple[np.ndarray, tuple[int, .
     if G.ndim != 2 or G.size == 0:
         raise ValueError("matrix must be non-empty and 2-D")
     rows, cols = G.shape
-    W = G.astype(np.uint8).copy()   # working copy, gets eliminated
-    out = G.astype(np.uint8).copy()  # original values, columns permuted only
+    W = G.copy()  # working copy, gets eliminated
     perm = list(range(cols))
     pivot_rows: list[int] = []
     r = 0
@@ -221,12 +228,11 @@ def precondition_reorder(ctx: FieldContext, G) -> tuple[np.ndarray, tuple[int, .
         c = r + int(nz[0])
         if c != r:
             W[:, [r, c]] = W[:, [c, r]]
-            out[:, [r, c]] = out[:, [c, r]]
             perm[r], perm[c] = perm[c], perm[r]
         W[row_idx] = ctx.scale_row(ctx.inv(int(W[row_idx, r])), W[row_idx])
         pivot_rows.append(row_idx)
         r += 1
-    return out, tuple(perm)
+    return G[:, perm], tuple(perm)
 
 
 # -- decoding ---------------------------------------------------------------
@@ -279,9 +285,9 @@ class DecoderState:
         return {c: self.rref[r, h:] for r, c in enumerate(self.pivot_cols)
                 if c in self.decoded}
 
-    def ingest(self, pkt: CodedPacket) -> list[tuple[int, np.ndarray]]:
-        """Add one packet; return newly decoded (source_index, payload) pairs,
-        each payload a view of its row of ``rref``.
+    def ingest(self, pkt) -> list[tuple[int, np.ndarray]]:
+        """Add one packet (see ``packet_row``); return newly decoded
+        (source_index, payload) pairs, each a view of its row of ``rref``.
 
         Only the new row is reduced against the stored RREF; a row that is
         not innovative changes nothing.  A source index is its tag column.
@@ -292,10 +298,7 @@ class DecoderState:
         if len(pkt.payload) != self.packet_len:
             raise ValueError("payload length mismatch")
         self.received += 1
-        inserted = gf.rref_insert(
-            self.ctx, self.rref, self.pivot_cols,
-            np.concatenate([pkt.tag, pkt.payload]), h,
-        )
+        inserted = gf.rref_insert(self.ctx, self.rref, self.pivot_cols, packet_row(pkt), h)
         if inserted is None:
             return []
         self.rref, self.pivot_cols = inserted
@@ -357,10 +360,10 @@ def rank_deficient_solve(
     est = np.zeros((h, n), dtype=np.uint8)
     conf = np.zeros((h, n), dtype=np.uint8)
     free_cols = [c for c in range(h) if c not in state.pivot_cols]
-    # certain rows: pivot rows with no dependence on free columns
+    # certain rows: the decoded ones, pivot rows with no free-column entry
     heuristic_rows = []
     for r, c in enumerate(state.pivot_cols):
-        if len(free_cols) == 0 or not tags[r, free_cols].any():
+        if c in state.decoded:
             est[c] = P[r]
             conf[c] = 2
         else:
@@ -376,7 +379,7 @@ def rank_deficient_solve(
     rows = [r for r, _ in heuristic_rows]
     # f[a, i]: the symbol assignment a subtracts from heuristic row i
     G = tags[rows][:, free_cols]
-    f = np.bitwise_xor.reduce(ctx.mul_table[G[None], A[:, None, :]], axis=2)
+    f = ctx.matmul(A, G.T)
     # A candidate's weight in column l is nnz(a) plus the heuristic rows
     # whose payload symbol differs from f[a] (certain rows add the same
     # count to every candidate), so it depends on l only through the

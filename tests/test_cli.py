@@ -289,6 +289,15 @@ def test_decoder_sweep_writes_accuracy_curves(tmp_path):
     assert len(acc) > 2
 
 
+def test_every_sweep_writes_accuracy_curves(tmp_path):
+    rc = main(["sweep", "--builtin", "butterfly7", "--param", "block_size=2,4",
+               "--seeds", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    acc = (tmp_path / "accuracy.csv").read_text().splitlines()
+    assert acc[:2] == ["# bpnc-accuracy v1", "value,received,decoded_fraction"]
+    assert {line.split(",")[0] for line in acc[2:]} == {"2", "4"}
+
+
 def test_empty_param_values_exit_2(tmp_path):
     rc = main(["sweep", "--builtin", "line7", "--param", "block_size=",
                "--out", str(tmp_path)])

@@ -24,6 +24,27 @@ def test_zero_duration_run_is_empty():
     assert all(v in (0, 0.0) for s in series for _, v in s)
 
 
+@pytest.mark.parametrize("duration_s", [0, 60])
+def test_event_count_is_the_callbacks_dispatched(duration_s):
+    # an event past the run's end stays queued, so scheduled minus still
+    # queued is exactly the number of callbacks that ran
+    eng = engine.Engine(engine.apply_override(ch.line7(), "duration_s", duration_s), seed=1)
+    ran = 0
+    schedule_at = eng.schedule_at
+
+    def counted(t_us, fn):
+        def dispatch():
+            nonlocal ran
+            ran += 1
+            fn()
+        schedule_at(t_us, dispatch)
+
+    eng.schedule_at = counted
+    eng.run()
+    assert ran == eng._seq - len(eng._heap)
+    assert (ran > 0) == (duration_s > 0)
+
+
 def test_same_seed_identical_packet_logs():
     a = engine.run(engine.apply_override(ch.line7(), "duration_s", 150), seed=11)
     b = engine.run(engine.apply_override(ch.line7(), "duration_s", 150), seed=11)

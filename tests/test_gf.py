@@ -305,3 +305,39 @@ def test_matmul_matches_mul_slow(operands):
         for k in range(A.shape[1]):
             acc ^= mul_slow(int(A[i, k]), int(B[k, j]), m, ctx.poly)
         assert C[i, j] == acc
+
+
+def reference_matmul(ctx, A, B):
+    """The row-at-a-time product: row i is the xor of A[i, k] * B[k], one
+    table row per nonzero coefficient.  The oracle for ``matmul``, which
+    takes every row at once."""
+    A = np.asarray(A, dtype=np.uint8)
+    B = np.asarray(B, dtype=np.uint8)
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
+    for row, coeffs in zip(out, A.tolist()):
+        for k, c in enumerate(coeffs):
+            if c:
+                row ^= ctx.mul_table[c].take(B[k])
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+@pytest.mark.parametrize("r, k, c", [(3, 0, 5), (1, 4, 7), (1, 1, 1), (7, 3, 1),
+                                     (5, 6, 9), (0, 3, 2)])
+def test_matmul_matches_row_loop_reference(m, r, k, c):
+    ctx = FieldContext(m)
+    rng = np.random.default_rng([m, r, k, c])
+    A = rng.integers(0, ctx.size, size=(r, k), dtype=np.uint8)
+    B = rng.integers(0, 256, size=(k, c), dtype=np.uint8)  # packed payload bytes
+    got = ctx.matmul(A, B)
+    assert got.dtype == np.uint8 and got.shape == (r, c)
+    assert np.array_equal(got, reference_matmul(ctx, A, B))
+
+
+def test_matmul_tall_matches_row_loop_reference():
+    # the rank-deficient solve's largest product: all 65,536 assignments of
+    # two free symbols over GF(2^8)
+    ctx = FieldContext(8)
+    A = np.indices((256, 256), dtype=np.uint8).reshape(2, -1).T
+    B = np.random.default_rng(3).integers(0, 256, size=(2, 4), dtype=np.uint8)
+    assert np.array_equal(ctx.matmul(A, B), reference_matmul(ctx, A, B))

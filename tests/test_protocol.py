@@ -36,9 +36,6 @@ class FakeEngine:
     def register_truth(self, *a):
         pass
 
-    def count_injected(self, *a):
-        pass
-
     def on_destination_ingest(self, *a):
         pass
 

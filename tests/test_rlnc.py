@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpnc import gf, rlnc
+from bpnc import gf, rlnc, wire
 from bpnc.gf import FieldContext, gaussian_eliminate, invert
 from bpnc.rlnc import (
     CodedPacket,
@@ -247,6 +247,42 @@ def test_recode_matches_reference(case):
     assert np.array_equal(got.payload, packed(want.payload, m))
     # the same draws were taken, so the stream continues identically
     assert rng_a.integers(0, 2**32) == rng_b.integers(0, 2**32)
+
+
+@st.composite
+def frame_packets(draw):
+    """Packets as the same (tag, payload) twice: a received ``wire.DataFrame``
+    (tuple tag, memoryview payload) and a ``CodedPacket`` of arrays."""
+    m = draw(st.sampled_from([1, 2, 4, 8]))
+    h = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 40))
+    sym = st.integers(0, (1 << m) - 1)
+    pairs = []
+    for _ in range(draw(st.integers(1, 10))):
+        tag = draw(st.lists(sym, min_size=h, max_size=h))
+        payload = draw(st.binary(min_size=n, max_size=n))
+        pairs.append((wire.DataFrame(0, 0, tuple(tag), payload, m),
+                      CodedPacket(tag, np.frombuffer(payload, dtype=np.uint8))))
+    return FieldContext(m), h, n, pairs, draw(st.integers(0, 2**32 - 1))
+
+
+@given(frame_packets())
+@settings(max_examples=200, deadline=None)
+def test_frames_decode_and_recode_as_coded_packets(case):
+    ctx, h, n, pairs, seed = case
+    frames, pkts = [f for f, _ in pairs], [p for _, p in pairs]
+    by_frame, by_packet = DecoderState(ctx, h, n), DecoderState(ctx, h, n)
+    for frame, pkt in pairs:
+        got, want = by_frame.ingest(frame), by_packet.ingest(pkt)
+        assert [c for c, _ in got] == [c for c, _ in want]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+        assert np.array_equal(by_frame.rref, by_packet.rref)
+        assert by_frame.pivot_cols == by_packet.pivot_cols
+        assert by_frame.decoded == by_packet.decoded
+    got = recode(ctx, frames, np.random.default_rng(seed))
+    want = recode(ctx, pkts, np.random.default_rng(seed))
+    assert np.array_equal(got.tag, want.tag)
+    assert np.array_equal(got.payload, want.payload)
 
 
 # -- earliest decoding ------------------------------------------------------
@@ -532,6 +568,20 @@ def test_rank_deficient_solve_matches_enumeration(case):
     ref_est, ref_conf = reference_rank_deficient_solve(state, limit)
     assert np.array_equal(conf, ref_conf)
     assert np.array_equal(est, ref_est)
+
+
+@given(rank_deficient_states())
+@settings(max_examples=200, deadline=None)
+def test_certain_rows_are_the_decoded_columns(case):
+    # the solve reads its certain rows from the decoder's decoded set, which
+    # must be the pivot rows with no entry in a free column
+    state, limit = case
+    h = state.block_size
+    free = [c for c in range(h) if c not in state.pivot_cols]
+    unit = {c for r, c in enumerate(state.pivot_cols) if not state.rref[r, free].any()}
+    _, conf = rank_deficient_solve(state, limit)
+    assert set(np.flatnonzero((conf == 2).any(axis=1)).tolist()) == state.decoded == unit
+    assert (conf[sorted(state.decoded)] == 2).all()
 
 
 def test_rank_deficient_solve_matches_enumeration_in_a_lossy_run(monkeypatch):
