@@ -29,6 +29,14 @@ frame length, so each run computes it once per such pair
 ``wire.DataFrame``, and its payload stays packed bytes from source to
 decoder.
 
+A frame costs only the work it needs.  Every event still enters the heap
+through ``schedule_at``, the one place events are counted; ``transmit``
+schedules ``_deliver`` of its transmission as a partial, not a closure,
+and ``_deliver`` lists concurrent carriers and their interference only when
+another carrier is on the air.  A decode at full rank is checked against
+the truth in one comparison of the RREF's payload block, and a
+rank-deficient estimate is scored in one pass.
+
 Each engine fact is kept once.  The one per-generation table is ``truth``:
 a generation's ``Truth`` holds its source rows as packed bytes, and, for the
 rank-deficient decoder, its symbols (unpacked at the first scoring) and each
@@ -39,6 +47,7 @@ their own decoders (``Node.decoders``), so the engine keeps no copy of it.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import typing
@@ -233,8 +242,9 @@ class Engine:
         if self.duration_us > 0:
             # an event past the end stays queued, so _seq - len(_heap)
             # counts exactly the events dispatched
-            while self._heap and self._heap[0][0] <= self.duration_us:
-                t, _, fn = heapq.heappop(self._heap)
+            heap, heappop, end = self._heap, heapq.heappop, self.duration_us
+            while heap and heap[0][0] <= end:
+                t, _, fn = heappop(heap)
                 self.now_us = t
                 fn()
             # the final sample, after every event at the run's end; a
@@ -263,58 +273,70 @@ class Engine:
 
     def transmit(self, node: Node, chan: int, frame) -> int:
         raw = frame.pack()
-        air = self.airtime_us(raw)
-        end = self.now_us + air
-        tx = Transmission(self.now_us, end, node.id, chan, node.power_dbm, frame, len(raw))
-        self.active = [a for a in self.active if a.end_us > self.now_us]
+        nbytes = len(raw)
+        air = self.airtimes.get(nbytes)
+        if air is None:
+            air = self.airtime_us(raw)
+        now = self.now_us
+        end = now + air
+        tx = Transmission(now, end, node.id, chan, node.power_dbm, frame, nbytes)
+        self.active = [a for a in self.active if a.end_us > now]
         self.active.append(tx)
-        node.tx_until_us = max(node.tx_until_us, end)
+        if end > node.tx_until_us:
+            node.tx_until_us = end
         node.tx_airtime_us += air
         node.tx_energy_mj += ch.dbm_to_mw(node.power_dbm) * air / US
-        kind = wire.TYPE_NAMES[raw[0]]
-        self.frames_sent[node.id][kind] += 1
-        self.packet_log.records.append((self.now_us, chan, node.id, raw))
-        self.schedule_at(end, lambda: self._deliver(tx))
+        self.frames_sent[node.id][wire.TYPE_NAMES[raw[0]]] += 1
+        self.packet_log.records.append((now, chan, node.id, raw))
+        self.schedule_at(end, functools.partial(self._deliver, tx))
         return air
 
     def _deliver(self, tx: Transmission) -> None:
-        chan, nbytes, power = tx.chan, tx.nbytes, tx.power_dbm
-        concurrent = [
-            a for a in self.active
-            if a is not tx and a.chan == chan
-            and a.start_us < tx.end_us and a.end_us > tx.start_us
-        ]
-        # the other senders on this channel, each with the gains it reaches;
-        # a receiver's own carrier is not in its own table
-        interferers = [(a.power_dbm, self.receivers[a.src][chan])
-                       for a in concurrent if a.src != tx.src]
-        lossy = isinstance(tx.frame, wire.DataFrame) and self.scn.frame_loss > 0
-        uniforms, nodes = self.uniforms, self.nodes
+        src, chan, start, frame = tx.src, tx.chan, tx.start_us, tx.frame
+        nbytes, power = tx.nbytes, tx.power_dbm
+        active = self.active
+        if len(active) == 1 and active[0] is tx:
+            # no other carrier is on the air
+            concurrent = interferers = ()
+        else:
+            concurrent = [
+                a for a in active
+                if a is not tx and a.chan == chan
+                and a.start_us < tx.end_us and a.end_us > start
+            ]
+            # the other senders on this channel, each with the gains it
+            # reaches; a receiver's own carrier is not in its own table
+            interferers = [(a.power_dbm, self.receivers[a.src][chan])
+                           for a in concurrent if a.src != src]
+        # frame loss draws are made for DATA frames only
+        loss = self.scn.frame_loss if type(frame) is wire.DataFrame else 0.0
+        uniforms, nodes, clear_p_ok = self.uniforms, self.nodes, self.clear_p_ok
         sensitivity = self.scn.phy.sensitivity_dbm
-        for nid, g in self.receivers[tx.src][chan].items():
+        for nid, g in self.receivers[src][chan].items():
             rxp = power + g
             if rxp < sensitivity:
                 continue
             # every in-range node gets its own draw from this transmission,
             # whether or not it is tuned here, so logging can't shift draws
-            interference = [p + gains[nid] for p, gains in interferers if nid in gains]
-            p_ok = None if interference else self.clear_p_ok.get((rxp, nbytes))
+            interference = interferers and [p + gains[nid] for p, gains in interferers
+                                            if nid in gains]
+            p_ok = None if interference else clear_p_ok.get((rxp, nbytes))
             if p_ok is None:
                 sinr = ch.link_snr(self.scn, rxp, interference)
                 p_ok = ch.frame_success_prob(sinr, nbytes)
                 if not interference:
-                    self.clear_p_ok[(rxp, nbytes)] = p_ok
+                    clear_p_ok[(rxp, nbytes)] = p_ok
             ok = next(uniforms) < p_ok
-            if ok and lossy:
-                ok = next(uniforms) >= self.scn.frame_loss
+            if ok and loss:
+                ok = next(uniforms) >= loss
             node = nodes[nid]
-            tuned = node.channel == chan and node.tx_until_us <= tx.start_us
+            tuned = node.channel == chan and node.tx_until_us <= start
             if not ok:
                 if concurrent and tuned:
                     self.collision_losses += 1
                 continue
             if tuned:
-                node.handle_frame(tx.src, chan, tx.frame, rxp, power)
+                node.handle_frame(src, chan, frame, rxp, power)
 
     def sense(self, node_id: int, chan: int) -> float:
         """Received power in mW at a node from all live co-channel carriers."""
@@ -349,8 +371,7 @@ class Engine:
             if truth.symbols is None:
                 truth.symbols = gf.bytes_to_symbols(
                     truth.rows.tobytes(), coding.field_bits).reshape(est.shape)
-            mask = conf > 0
-            correct = int(np.count_nonzero(est[mask] == truth.symbols[mask]))
+            correct = int(np.count_nonzero((est == truth.symbols) & (conf > 0)))
             truth.best[dest] = max(truth.best.get(dest, 0), correct)
         # decoded on the reception after which every tag column is a pivot
         if dec.full_rank and dec.rank > rank_before:
@@ -360,9 +381,10 @@ class Engine:
         h = dec.block_size
         gen = (flow_index, gen_id)
         if truth is not None:
-            for src_idx, payload in dec.delivered.items():
-                if not np.array_equal(payload, truth.rows[src_idx]):
-                    self.decode_errors += 1
+            # at full rank every pivot row is a unit tag: its payload is the
+            # source row of its pivot column
+            wrong = dec.rref[:, h:] != truth.rows[dec.pivot_cols]
+            self.decode_errors += int(np.count_nonzero(wrong.any(axis=1)))
             if dest in truth.best:
                 # a fraction of the generation's symbols
                 symbols = h * dec.packet_len * gf.symbols_per_byte(self.ctx.m)

@@ -196,25 +196,36 @@ def rref_insert(
     ``gaussian_eliminate`` of R stacked over row (with the payload packed).
     Returns (rref, pivot_cols), or None when the row's first pivot_width
     columns reduce to zero.
+
+    The h <= 255 tag symbols are handled as a Python list, read from the
+    row once before and once after the reduction; numpy runs only the work
+    on whole rows, and none of it in place, so row may be read-only.
     """
-    v = np.array(row, dtype=np.uint8)
-    validate_symbols(ctx, v[:pivot_width])
+    v = np.asarray(row, dtype=np.uint8)
+    tag = v[:pivot_width].tolist()
+    if tag and max(tag) >= ctx.size:
+        raise ValueError(f"symbol out of range for GF(2^{ctx.m})")
+    mul = ctx.mul_table
     # each pivot row times the new row's symbol in its pivot column, taken
     # before any of them is subtracted
-    for r, c in enumerate(v[pivot_cols].tolist()):
+    reduced = False
+    for r, col in enumerate(pivot_cols):
+        c = tag[col]
         if c:
-            v ^= ctx.mul_table[c].take(R[r])
-    lead = np.flatnonzero(v[:pivot_width])
-    if not len(lead):
+            v = v ^ mul[c].take(R[r])
+            reduced = True
+    if reduced:
+        tag = v[:pivot_width].tolist()
+    p = next((k for k, s in enumerate(tag) if s), None)
+    if p is None:
         return None
-    p = int(lead[0])
-    if v[p] != 1:
-        v = ctx.scale_row(ctx.inv(int(v[p])), v)
+    if tag[p] != 1:
+        v = mul[ctx.inv(tag[p])].take(v)
     i = bisect.bisect(pivot_cols, p)
     out = np.concatenate((R[:i], v[None, :], R[i:]))
     for r, c in enumerate(out[:, p].tolist()):
         if c and r != i:
-            out[r] ^= ctx.mul_table[c].take(v)
+            out[r] ^= mul[c].take(v)
     return out, pivot_cols[:i] + [p] + pivot_cols[i:]
 
 

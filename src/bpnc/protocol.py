@@ -12,7 +12,11 @@ payload is packed bytes from the moment a source draws its symbols:
 generations, encoding, recoding and decoding all take the frame's payload
 bytes as they are.  Sources and relays share one send path:
 every frame a node holds credit for, coded or received, sits in
-``Node.relay_gens`` and goes out through ``next_coded_packet``.
+``Node.relay_gens`` and goes out through ``next_coded_packet``.  The send
+path walks ``Node.credit_index``, which lists, for each flow and peer, the
+generations that have credit and may go to that peer, so a pick or a
+``has_sendable`` test reads one entry however many generations the node
+holds.
 """
 
 from __future__ import annotations
@@ -67,11 +71,13 @@ class RelayGen:
     received or coded, and ``pkts`` keeps them, at a relay only until it
     holds 4h, so the first ``min(sent, len(pkts))`` have been sent.
     ``origins`` names the nodes a relay heard the generation from; a
-    source's entries have none.  While its credit (rcvd - sent) is positive,
-    the generation's id is listed in its node's ``relay_credit[flow]``; it
-    leaves that index when the credit falls to 0 and rejoins it when a new
-    frame arrives.  A source drops the entry instead, since it keeps no
-    frame it has sent.
+    source's entries have none.  While the generation is ``sendable_to`` a
+    peer (credit, rcvd - sent, positive and the peer not an origin), its id
+    is listed in its node's ``credit_index[flow][peer]``; it leaves every
+    peer's list when the credit falls to 0, and the list of a peer that
+    becomes an origin, and rejoins them when a new frame arrives.  A source
+    drops the entry once its credit is 0, since it keeps no frame it has
+    sent.
     """
 
     pkts: list[wire.DataFrame] = field(default_factory=list)
@@ -88,11 +94,36 @@ class RelayGen:
         return self.credit() > 0 and peer not in self.origins
 
 
+def us(seconds: float) -> int:
+    return int(round(seconds * 1e6))
+
+
+def unlist(gids: list[int] | None, gid: int) -> None:
+    """Remove gid from the ascending list gids, if it is there."""
+    if gids:
+        i = bisect.bisect_left(gids, gid)
+        if i < len(gids) and gids[i] == gid:
+            del gids[i]
+
+
 class Node:
     """One cognitive radio: identical code at every node."""
 
     def __init__(self, node_id: int, scn: ch.Scenario, engine, rng):
         self.id = node_id
+        t = scn.timing
+        # the timing constants in integer microseconds, converted once;
+        # us(2 * cts_wait_s) rounds on its own, unlike 2 * us(cts_wait_s)
+        self.dwell_us = us(t.channel_dwell_s)
+        self.discovery_us = us(t.discovery_s)
+        self.flow_update_us = us(t.flow_update_s)
+        self.syn_interval_us = us(t.syn_interval_s)
+        self.negotiation_us = us(t.negotiation_s)
+        self.rts_interval_us = us(t.rts_interval_s)
+        self.cts_wait_us = us(t.cts_wait_s)
+        self.rts_window_us = us(2 * t.cts_wait_s)
+        self.data_us = us(t.data_s)
+        self.gen_timeout_us = us(scn.coding.gen_timeout_s)
         self.scn = scn
         self.engine = engine
         self.rng = rng
@@ -135,17 +166,16 @@ class Node:
         self.open_gens: dict[int, rlnc.Generation] = {}
         # (flow, generation id) -> the frames held to send
         self.relay_gens: dict[tuple[int, int], RelayGen] = {}
-        # flow -> ascending ids of the held generations with credit > 0
-        self.relay_credit: dict[int, list[int]] = {i: [] for i in range(len(self.flows))}
+        # flow -> peer -> ascending ids of the held generations sendable to
+        # peer; a peer's list is built at its first query (sendable_ids)
+        self.credit_index: dict[int, dict[int, list[int]]] = {
+            i: {} for i in range(len(self.flows))}
         self.decoders: dict[tuple[int, int], rlnc.DecoderState] = {}
 
     # -- helpers ------------------------------------------------------------
 
     def now(self) -> int:
         return self.engine.now_us
-
-    def us(self, seconds: float) -> int:
-        return int(round(seconds * 1e6))
 
     def enter_phase(self, phase: Phase) -> None:
         self.phase = phase
@@ -183,33 +213,31 @@ class Node:
         self.enter_phase(Phase.DISCOVERY)
         self.hop_next_channel()
         self.engine.schedule(int(self.rng.integers(0, 200_000)), self.send_dis)
-        self.schedule_tick(self.us(self.scn.timing.channel_dwell_s))
+        self.schedule_tick(self.dwell_us)
 
     def on_tick(self, token: int) -> None:
         if token != self.tick_token:
             return
-        t = self.scn.timing
         if self.phase is Phase.DISCOVERY:
-            if self.now() - self.phase_entry_us >= self.us(t.discovery_s):
+            if self.now() - self.phase_entry_us >= self.discovery_us:
                 self.enter_phase(Phase.FLOW_UPDATE)
                 self.flow_update_tick()
                 return
             self.hop_next_channel()
             self.send_dis()
-            self.schedule_tick(self.us(t.channel_dwell_s))
+            self.schedule_tick(self.dwell_us)
         elif self.phase is Phase.FLOW_UPDATE:
             self.flow_update_tick()
         # negotiation and data phases run on their own timers
 
     def flow_update_tick(self) -> None:
-        t = self.scn.timing
         self.hop_next_channel()
         self.expire_stale_neighbors()
-        if not self.neighbors and self.now() - self.phase_entry_us >= self.us(t.flow_update_s):
+        if not self.neighbors and self.now() - self.phase_entry_us >= self.flow_update_us:
             # nothing heard for a whole update period: rediscover
             self.enter_phase(Phase.DISCOVERY)
             self.send_dis()
-            self.schedule_tick(self.us(t.channel_dwell_s))
+            self.schedule_tick(self.dwell_us)
             return
         self.send_syn()
         self.update_power()
@@ -217,7 +245,7 @@ class Node:
         if sched is not None:
             self.begin_negotiation(sched)
             return
-        self.schedule_tick(self.us(t.syn_interval_s))
+        self.schedule_tick(self.syn_interval_us)
 
     def begin_negotiation(self, sched: Schedule) -> None:
         self.pending = sched
@@ -228,17 +256,16 @@ class Node:
     def negotiation_tick(self) -> None:
         if self.phase is not Phase.NEGOTIATION:
             return
-        t = self.scn.timing
-        if self.now() - self.phase_entry_us >= self.us(t.negotiation_s):
+        if self.now() - self.phase_entry_us >= self.negotiation_us:
             # TDT expiry: fall back, but keep pending so a late CTS still wins
             self.enter_phase(Phase.FLOW_UPDATE)
-            self.schedule_tick(self.us(t.syn_interval_s))
+            self.schedule_tick(self.syn_interval_us)
             return
         busy = self.scn.sensing_enabled and self.channel_busy(self.pending.channel)
         if not busy:
             self.send_rts()
         jitter = int(self.rng.integers(0, 50_000))
-        self.engine.schedule(self.us(t.rts_interval_s) + jitter, self.negotiation_tick)
+        self.engine.schedule(self.rts_interval_us + jitter, self.negotiation_tick)
 
     # -- channel / sensing --------------------------------------------------
 
@@ -317,7 +344,7 @@ class Node:
         return Schedule(nid, chan, fi, utility, tuple(covered))
 
     def expire_stale_neighbors(self) -> None:
-        horizon = 3 * self.us(self.scn.timing.discovery_s)
+        horizon = 3 * self.discovery_us
         cutoff = self.now() - horizon
         for nid in [n for n, rec in self.neighbors.items() if rec.last_heard_us < cutoff]:
             del self.neighbors[nid]
@@ -344,28 +371,25 @@ class Node:
 
     def handle_frame(self, src: int, chan: int, frame,
                      rx_power_dbm: float, tx_power_dbm: float) -> None:
-        # Engine._deliver alone decides reception: every sender here is heard
-        self.note_neighbor(src, chan, rx_power_dbm, tx_power_dbm)
-        if isinstance(frame, wire.SynFrame):
-            rec = self.neighbors[src]
-            for fsrc, dsts, backlog in frame.entries:
-                fi = self.flow_by_key.get((fsrc, frozenset(dsts)))
-                if fi is not None:
-                    rec.backlogs.setdefault(fi, {})[dsts[0]] = backlog
-        elif isinstance(frame, wire.RtsFrame):
-            self.on_rts(frame)
-        elif isinstance(frame, wire.CtsFrame):
-            self.on_cts(frame)
-        elif isinstance(frame, wire.DataFrame):
-            self.on_data(src, frame)
-
-    def note_neighbor(self, src: int, chan: int,
-                      rx_power_dbm: float, tx_power_dbm: float) -> None:
+        # Engine._deliver alone decides reception: every sender here is
+        # heard, and is a neighbour from now on
         rec = self.neighbors.get(src)
         if rec is None:
             rec = self.neighbors[src] = NeighborRecord()
         rec.gains_db[chan] = rx_power_dbm - tx_power_dbm
-        rec.last_heard_us = self.now()
+        rec.last_heard_us = self.engine.now_us
+        kind = type(frame)  # frames are final dataclasses; DATA is the most common
+        if kind is wire.DataFrame:
+            self.on_data(src, frame)
+        elif kind is wire.SynFrame:
+            for fsrc, dsts, backlog in frame.entries:
+                fi = self.flow_by_key.get((fsrc, frozenset(dsts)))
+                if fi is not None:
+                    rec.backlogs.setdefault(fi, {})[dsts[0]] = backlog
+        elif kind is wire.RtsFrame:
+            self.on_rts(frame)
+        elif kind is wire.CtsFrame:
+            self.on_cts(frame)
 
     # -- negotiation --------------------------------------------------------
 
@@ -375,7 +399,7 @@ class Node:
         if frame.rx == self.id:
             # resolve_rts clears the inbox cts_wait_s after its first entry
             if not self.rts_inbox:
-                self.engine.schedule(self.us(self.scn.timing.cts_wait_s), self.resolve_rts)
+                self.engine.schedule(self.cts_wait_us, self.resolve_rts)
             self.rts_inbox.append(frame)
         else:
             self.overheard_rts.append((self.now(), frame))
@@ -384,7 +408,7 @@ class Node:
     def prune_overheard_rts(self) -> None:
         """Keep only the RTS frames overheard in the last 2 * cts_wait_s,
         the window resolve_rts weighs."""
-        horizon = self.now() - self.us(2 * self.scn.timing.cts_wait_s)
+        horizon = self.now() - self.rts_window_us
         self.overheard_rts = [(t, f) for t, f in self.overheard_rts if t >= horizon]
 
     def resolve_rts(self) -> None:
@@ -426,7 +450,7 @@ class Node:
         self.data_peer = peer
         self.channel = chan
         self.enter_phase(Phase.DATA_TRANSFER)
-        self.engine.schedule(self.us(self.scn.timing.data_s), self.end_data_phase)
+        self.engine.schedule(self.data_us, self.end_data_phase)
 
     def begin_data_tx(self) -> None:
         s = self.pending
@@ -448,7 +472,7 @@ class Node:
         if self.phase is not Phase.DATA_TRANSFER or self.pending is None:
             return
         s = self.pending
-        if self.now() >= self.phase_entry_us + self.us(self.scn.timing.data_s):
+        if self.now() >= self.phase_entry_us + self.data_us:
             self.end_data_phase()
             return
         if self.scn.sensing_enabled and self.channel_busy(s.channel):
@@ -469,19 +493,21 @@ class Node:
     def next_coded_packet(self, flow_index: int, peer: int) -> wire.DataFrame | None:
         """Oldest generation with send credit for peer, at a source or a relay.
 
-        The walk covers only ``relay_credit[flow_index]``, which holds exactly
-        the flow's generations with credit > 0 in ascending id order, so it
-        picks the same generation as a scan over every held one.  Each held
-        frame goes out once, in the order it was coded or received; a relay
-        recodes its buffer only for credit beyond it.
+        The walk covers only ``sendable_ids(flow_index, peer)``, which holds
+        exactly the flow's generations sendable to peer in ascending id
+        order, so it picks the same generation as a scan over every held
+        one, and stops at the first it tests.  Each held frame goes out
+        once, in the order it was coded or received; a relay recodes its
+        buffer only for credit beyond it.
         """
-        credited = self.relay_credit[flow_index]
-        for i, gid in enumerate(credited):
+        for gid in self.sendable_ids(flow_index, peer):
             rg = self.relay_gens[(flow_index, gid)]
             if rg.sendable_to(peer):
                 rg.sent += 1
                 if rg.credit() == 0:
-                    del credited[i]
+                    for p, gids in self.credit_index[flow_index].items():
+                        if p not in rg.origins:
+                            unlist(gids, gid)
                     # a source keeps no frame it has sent: a later frame of
                     # a generation it still fills starts a new entry
                     if self.flows[flow_index][0] == self.id:
@@ -494,19 +520,35 @@ class Node:
         return None
 
     def has_sendable(self, flow_index: int, peer: int) -> bool:
-        return any(
-            self.relay_gens[(flow_index, gid)].sendable_to(peer)
-            for gid in self.relay_credit[flow_index]
-        )
+        return bool(self.sendable_ids(flow_index, peer))
 
-    def credit_frame(self, flow_index: int, gid: int) -> RelayGen:
-        """The entry of (flow_index, gid), credited with one more frame."""
+    def sendable_ids(self, flow_index: int, peer: int) -> list[int]:
+        """Ascending ids of the flow's held generations sendable to peer:
+        ``credit_index[flow_index][peer]``, built from every held generation
+        at the peer's first query and kept by the send path from then on."""
+        peers = self.credit_index[flow_index]
+        gids = peers.get(peer)
+        if gids is None:
+            gids = peers[peer] = sorted(gid for (fi, gid), rg in self.relay_gens.items()
+                                        if fi == flow_index and rg.sendable_to(peer))
+        return gids
+
+    def credit_frame(self, flow_index: int, gid: int, origin: int | None = None) -> RelayGen:
+        """The entry of (flow_index, gid), credited with one more frame,
+        received from origin (None for a frame this node coded)."""
         key = (flow_index, gid)
         rg = self.relay_gens.get(key)
         if rg is None:
             rg = self.relay_gens[key] = RelayGen()
+        peers = self.credit_index[flow_index]
+        if origin is not None and origin not in rg.origins:
+            rg.origins.add(origin)
+            # split horizon: the generation no longer goes back to origin
+            unlist(peers.get(origin), gid)
         if rg.credit() == 0:
-            bisect.insort(self.relay_credit[flow_index], gid)
+            for peer, gids in peers.items():
+                if peer not in rg.origins:
+                    bisect.insort(gids, gid)
         rg.rcvd += 1
         return rg
 
@@ -528,10 +570,9 @@ class Node:
         # source already holds every frame of its own flow it may send
         relay_dests = self.queues.dests_here(fi)
         if relay_dests and self.flows[fi][0] != self.id:
-            rg = self.credit_frame(fi, frame.gen_id)
+            rg = self.credit_frame(fi, frame.gen_id, src)
             if len(rg.pkts) < 4 * h:
                 rg.pkts.append(frame)
-            rg.origins.add(src)
         for d in relay_dests:
             self.queues.increment(fi, d)
 
@@ -568,10 +609,8 @@ class Node:
         gen = self.open_gens[flow_index] = rlnc.Generation(
             gen_id, self.block_size(), self.scn.coding.packet_len)
         if self.scn.coding.enabled and self.scn.coding.gen_timeout_s > 0:
-            self.engine.schedule(
-                self.us(self.scn.coding.gen_timeout_s),
-                lambda: self.generation_timeout(flow_index, gen),
-            )
+            self.engine.schedule(self.gen_timeout_us,
+                                 lambda: self.generation_timeout(flow_index, gen))
         return gen
 
     def generation_timeout(self, flow_index: int, gen: rlnc.Generation) -> None:

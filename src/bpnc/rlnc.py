@@ -87,10 +87,10 @@ class CodedPacket:
 
 
 def packet_row(pkt) -> np.ndarray:
-    """pkt's tag, then its payload, as one row; each part may be any byte
-    sequence, so a frame (tuple tag, memoryview payload) reads as it is."""
-    return np.concatenate([np.asarray(pkt.tag, dtype=np.uint8),
-                           np.asarray(pkt.payload, dtype=np.uint8)])
+    """pkt's tag, then its payload, as one read-only row; each part may be
+    any byte sequence, so a frame (tuple tag, memoryview payload) reads as
+    it is."""
+    return np.frombuffer(bytes(pkt.tag) + bytes(pkt.payload), dtype=np.uint8)
 
 
 @dataclass
@@ -302,10 +302,13 @@ class DecoderState:
         if inserted is None:
             return []
         self.rref, self.pivot_cols = inserted
+        # a pivot row's tag holds a 1 in its pivot column, so it is a unit
+        # tag when every other symbol is 0; the h <= 255 symbols of each
+        # row are counted as a Python list
+        tags = self.rref[:, :h].tolist()
         fresh = []
         for r, c in enumerate(self.pivot_cols):
-            tag_part = self.rref[r, :h]
-            if c not in self.decoded and tag_part.sum() == 1 and tag_part[c] == 1:
+            if tags[r].count(0) == h - 1 and c not in self.decoded:
                 self.decoded.add(c)
                 fresh.append((c, self.rref[r, h:]))
         return fresh
@@ -343,9 +346,10 @@ def rank_deficient_solve(
     symbols always agree with earliest decoding; the heuristic is a
     stand-in for an LP lowest-weight decoder.  It costs q^T cached
     assignments x distinct column codes x heuristic rows, where a column's
-    code numbers its tuple of heuristic-row payload symbols, plus one 1-D
-    ``np.unique`` over the N columns per heuristic row.  With no heuristic
-    rows the lightest assignment is the all-zero one, so no search runs.
+    code numbers its tuple of heuristic-row payload symbols, plus, per
+    heuristic row, a presence table and a cumulative sum over at most N*q
+    entries.  With no heuristic rows the lightest assignment is the all-zero
+    one, so no search runs.
 
     The one place a payload is split into symbols: the RREF's payload
     block is unpacked once per call.
@@ -385,14 +389,24 @@ def rank_deficient_solve(
     # count to every candidate), so it depends on l only through the
     # column's tuple of heuristic-row payload symbols.  Number the tuples by
     # one row at a time, re-ranking after each (codes stay below N*q), score
-    # each distinct code once and map the pick back to its columns.
+    # each distinct code once and map the pick back to its columns.  The
+    # numbering is dense and follows the codes' order: a code's number is
+    # the count of distinct smaller codes, read off a presence table.
     codes = np.zeros(n, dtype=np.intp)
+    n_codes = 1
     for r in rows:
-        _, first, codes = np.unique(codes * q + P[r], return_index=True,
-                                    return_inverse=True)
+        codes = codes * q + P[r]
+        present = np.zeros(n_codes * q, dtype=np.intp)
+        present[codes] = 1
+        rank = np.cumsum(present) - 1
+        n_codes = int(rank[-1]) + 1
+        codes = rank[codes]
+    # any column of a pattern represents it
+    first = np.empty(n_codes, dtype=np.intp)
+    first[codes] = np.arange(n)
     patterns = P[rows][:, first]  # (k, n_patterns)
     # (n_patterns, n_assign): argmin reduces the contiguous axis, no copy
-    weights = np.repeat(nnz[None, :], len(first), axis=0)
+    weights = np.repeat(nnz[None, :], n_codes, axis=0)
     for i in range(len(rows)):
         weights += patterns[i][:, None] != f[:, i]
     # first minimal index, deterministic

@@ -22,10 +22,11 @@ snaps its fields to that grid when it is built, and clamps SYN backlogs to
 A DATA frame is the one representation of a coded packet outside
 ``rlnc``, and its generation id the generation's one id: a source numbers a
 flow's generations 0..0xFFFF and no further.  Its tag symbols go 8 // m to
-a byte, so m must divide 8.  The column order is always 0..h-1: the stack
-never reorders tag columns (column reordering is only the offline
-preconditioning analysis), so ``unpack`` rejects any other order.  The
-bytes still travel because every packet-log digest covers them, and a
+a byte, so m must divide 8, and each lies in 0..2^m - 1: a frame is not
+built from a symbol its m bits cannot carry.  The column order is always
+0..h-1: the stack never reorders tag columns (column reordering is only the
+offline preconditioning analysis), so ``unpack`` rejects any other order.
+The bytes still travel because every packet-log digest covers them, and a
 shorter frame changes each DATA frame's airtime and loss draws, and with
 them the simulated routes.
 
@@ -197,17 +198,17 @@ class DataFrame:
         h = len(self.tag)
         if h > 255:
             raise MalformedFrame("block size exceeds 255")
-        _require_field_bits(self.field_bits)
-        out = bytearray([TYPE_DATA, self.flow_index])
-        out += struct.pack("<H", self.gen_id)
-        out.append(h)
-        out += bytes(range(h))  # column order
-        out += pack_tag(self.tag, self.field_bits)
-        head = len(out)
-        out += memoryview(self.payload)  # as bytes: += on a numpy array would broadcast
-        raw = bytes(out)
+        m = self.field_bits
+        _require_field_bits(m)
+        if h and (min(self.tag) < 0 or max(self.tag) >> m):
+            raise MalformedFrame(f"tag symbol out of range for GF(2^{m})")
+        # header, column order and tag, then the payload as bytes, whatever
+        # holds them (+ on a numpy array would broadcast)
+        head = (bytes((TYPE_DATA, self.flow_index)) + struct.pack("<HB", self.gen_id, h)
+                + bytes(range(h)) + pack_tag(self.tag, m))
+        raw = head + memoryview(self.payload)
         object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "payload", memoryview(raw)[head:])
+        object.__setattr__(self, "payload", memoryview(raw)[len(head):])
 
     def pack(self) -> bytes:
         return self.raw

@@ -524,6 +524,27 @@ def test_unchanged_decoder_state_is_scored_once_truth_arrives():
     assert eng.truth[(0, 0)].best == {6: 8}  # row 0's 8 symbols are certain
 
 
+@pytest.mark.parametrize("wrong_rows", [(), (2,), (0, 3), (0, 1, 2, 3)])
+def test_decode_errors_count_each_wrong_source_row(wrong_rows):
+    # at full rank every decoded source row is held against the truth, and
+    # each one that differs counts once, whichever order the tags came in
+    eng = engine.Engine(_lossy_coded_butterfly7(), seed=1)
+    rng = np.random.default_rng(len(wrong_rows))
+    X = rng.integers(0, 256, size=(4, 6), dtype=np.uint8)
+    eng.register_truth(0, 0, X, 4)
+    got = X.copy()
+    for r in wrong_rows:  # a wrong row differs in most of its bytes
+        got[r, rng.permutation(6)[:4]] ^= 0x10
+    dec = rlnc.DecoderState(eng.ctx, 4, 6)
+    for c in (3, 1, 0, 2):
+        tag = np.zeros(4, dtype=np.uint8)
+        tag[c] = 1
+        rank_before = dec.rank
+        dec.ingest(rlnc.CodedPacket(tag, got[c]))
+        eng.on_destination_ingest(6, 0, 0, dec, rank_before)
+    assert dec.full_rank and eng.decode_errors == len(wrong_rows)
+
+
 def test_generation_decoded_once_every_tag_column_is_a_pivot(monkeypatch):
     # h=2: a zero tag with a nonzero payload is not innovative, so it raises
     # neither the rank nor anything else; the generation decodes on the row

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 
 import numpy as np
@@ -341,3 +342,79 @@ def test_matmul_tall_matches_row_loop_reference():
     A = np.indices((256, 256), dtype=np.uint8).reshape(2, -1).T
     B = np.random.default_rng(3).integers(0, 256, size=(2, 4), dtype=np.uint8)
     assert np.array_equal(ctx.matmul(A, B), reference_matmul(ctx, A, B))
+
+
+def reference_rref_insert(ctx, R, pivot_cols, row, pivot_width):
+    """rref_insert as it was: the tag symbols range-checked, searched and
+    scaled through numpy, and the new row reduced in place."""
+    v = np.array(row, dtype=np.uint8)
+    gf.validate_symbols(ctx, v[:pivot_width])
+    for r, c in enumerate(v[pivot_cols].tolist()):
+        if c:
+            v ^= ctx.mul_table[c].take(R[r])
+    lead = np.flatnonzero(v[:pivot_width])
+    if not len(lead):
+        return None
+    p = int(lead[0])
+    if v[p] != 1:
+        v = ctx.scale_row(ctx.inv(int(v[p])), v)
+    i = bisect.bisect(pivot_cols, p)
+    out = np.concatenate((R[:i], v[None, :], R[i:]))
+    for r, c in enumerate(out[:, p].tolist()):
+        if c and r != i:
+            out[r] ^= ctx.mul_table[c].take(v)
+    return out, pivot_cols[:i] + [p] + pivot_cols[i:]
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+@pytest.mark.parametrize("h", [1, 2, 4, 8])
+def test_rref_insert_matches_reference(m, h):
+    # rows reach every rank from 0 to h and go on past full rank: random,
+    # unit and zero tags, multiples of earlier rows and read-only rows
+    ctx = FieldContext(m)
+    rng = np.random.default_rng([m, h])
+    ranks = set()
+    for _ in range(6):
+        R, pivots = np.zeros((0, h + 3), dtype=np.uint8), []
+        seen = []
+        for _ in range(4 * h + 4):
+            kind = rng.integers(0, 5)
+            row = np.concatenate([rng.integers(0, ctx.size, size=h, dtype=np.uint8),
+                                  rng.integers(0, 256, size=3, dtype=np.uint8)])
+            if kind == 1:
+                row[:h] = 0
+            elif kind == 2:
+                row[:h] = 0
+                row[rng.integers(0, h)] = rng.integers(1, ctx.size)
+            elif kind == 3 and seen:
+                row = ctx.scale_row(int(rng.integers(1, ctx.size)),
+                                    seen[rng.integers(0, len(seen))])
+            elif kind == 4:
+                row.setflags(write=False)
+            seen.append(row.copy())
+            ranks.add(len(pivots))
+            got = gf.rref_insert(ctx, R, pivots, row, h)
+            expect = reference_rref_insert(ctx, R, pivots, row, h)
+            assert np.array_equal(row, seen[-1])  # the row is left as it was
+            if expect is None:
+                assert got is None
+                continue
+            assert got[1] == expect[1]
+            assert got[0].dtype == np.uint8 and np.array_equal(got[0], expect[0])
+            R, pivots = got
+        ranks.add(len(pivots))
+    assert ranks == set(range(h + 1))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])  # at m = 8 every byte is a symbol
+def test_rref_insert_rejects_an_out_of_range_tag(m):
+    ctx = FieldContext(m)
+    empty = (np.zeros((0, 3), np.uint8), [])
+    rank1 = gf.rref_insert(ctx, *empty, [1, 0, 7], 2)
+    for R, pivots in (empty, rank1):
+        for bad in ([ctx.size, 0, 0], [0, 255, 0]):
+            for insert in (gf.rref_insert, reference_rref_insert):
+                with pytest.raises(ValueError, match="out of range"):
+                    insert(ctx, R, pivots, bad, 2)
+    # the payload columns past pivot_width carry any byte
+    assert gf.rref_insert(ctx, *rank1, [0, 1, 255], 2) is not None

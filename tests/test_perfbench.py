@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -23,12 +25,14 @@ def test_benchmark_harness_smoke():
     assert {m["name"] for m in declared} <= result["metrics"].keys()
 
 
-def test_traced_counts_match_the_profiler():
+@pytest.mark.parametrize("workload", ["coded_lossy", "relay_long"])
+def test_traced_counts_match_the_profiler(workload):
     # the tracer counts calls by wrapping named methods; a refactor that moves
     # work out of a traced method would skew its counts, and --check-counts
-    # holds every traced count against cProfile's
+    # holds every traced count against cProfile's, on the coded multicast
+    # path and on the coding-off unicast one
     out = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "coded_lossy",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "1", "--check-counts"],
         capture_output=True, text=True, timeout=300, cwd=ROOT)
     assert out.returncode == 0, out.stdout + out.stderr

@@ -180,11 +180,13 @@ OWN = 4  # the flow _relay_node sources
 
 
 def _assert_credit_index(node):
-    """relay_credit lists exactly the held generations with credit, and a
-    source holds only the frames it has yet to send."""
-    for fi, gids in node.relay_credit.items():
-        assert gids == sorted(g for (f, g), rg in node.relay_gens.items()
-                              if f == fi and rg.credit() > 0)
+    """Each peer's list in credit_index is exactly what a brute-force
+    sendable_to scan of every held generation finds, and a source holds only
+    the frames it has yet to send."""
+    for fi, peers in node.credit_index.items():
+        for peer, gids in peers.items():
+            assert gids == sorted(g for (f, g), rg in node.relay_gens.items()
+                                  if f == fi and rg.sendable_to(peer))
     for (fi, _), rg in node.relay_gens.items():
         if fi in node.open_gens:
             assert rg.origins == set() and len(rg.pkts) == rg.rcvd > rg.sent
@@ -209,31 +211,37 @@ RELAY_STEP = st.one_of(
 )
 
 
-@given(st.lists(RELAY_STEP, max_size=60))
+@given(st.lists(RELAY_STEP, max_size=60), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_relay_choice_matches_full_scan(steps):
+def test_relay_choice_matches_full_scan(steps, index_first):
     node = _relay_node()
+    if index_first:
+        # every peer's list built before any frame is held, so the send path
+        # keeps all of them from the start; otherwise each is built at its
+        # peer's first query, from what the node holds by then
+        for fi in node.credit_index:
+            for peer in (1, 2, 3, 5):
+                assert not node.has_sendable(fi, peer)
     for step in steps:
         if step[0] == "rx":
             _, fi, gid, sender = step
             node.begin_data_rx(sender, 0)
             node.on_data(sender, wire.DataFrame(fi, gid, (1, 3), bytes(4), 4))
-            continue
-        if step[0] != "tx":
+        elif step[0] != "tx":
             _source_step(node, step)
-            continue
-        _, fi, peer = step
-        expect = _scan_pick(node, fi, peer)
-        assert node.has_sendable(fi, peer) == (expect is not None)
-        before = {k: rg.sent for k, rg in node.relay_gens.items()}
-        frame = node.next_coded_packet(fi, peer)
-        sent = [k for k, rg in before.items()
-                if k not in node.relay_gens or node.relay_gens[k].sent != rg]
-        if expect is None:
-            assert frame is None and sent == []
         else:
-            assert (frame.flow_index, frame.gen_id) == expect and sent == [expect]
-    _assert_credit_index(node)
+            _, fi, peer = step
+            expect = _scan_pick(node, fi, peer)
+            assert node.has_sendable(fi, peer) == (expect is not None)
+            before = {k: rg.sent for k, rg in node.relay_gens.items()}
+            frame = node.next_coded_packet(fi, peer)
+            sent = [k for k, rg in before.items()
+                    if k not in node.relay_gens or node.relay_gens[k].sent != rg]
+            if expect is None:
+                assert frame is None and sent == []
+            else:
+                assert (frame.flow_index, frame.gen_id) == expect and sent == [expect]
+        _assert_credit_index(node)
 
 
 @dataclass
@@ -318,7 +326,26 @@ def test_source_choice_matches_source_gen_list(steps):
             _source_step(node, step)
             record_coded()
             getattr(ref, step[0])()
+        _assert_credit_index(node)
     assert node.has_sendable(OWN, 5) == ref.has_sendable()
+    _assert_credit_index(node)
+
+
+def test_credit_index_follows_split_horizon():
+    # a generation leaves the list of each peer it is heard from, and every
+    # list once its credit is spent
+    node = _relay_node()
+    for peer in (1, 2, 3, 5):
+        assert not node.has_sendable(0, peer)
+    for sender in (1, 1, 2):
+        node.begin_data_rx(sender, 0)
+        node.on_data(sender, wire.DataFrame(0, 7, (1, 3), bytes(4), 4))
+    assert node.credit_index[0] == {1: [], 2: [], 3: [7], 5: [7]}
+    _assert_credit_index(node)
+    for _ in range(3):
+        assert node.next_coded_packet(0, 5).gen_id == 7
+    assert node.credit_index[0] == {1: [], 2: [], 3: [], 5: []}
+    assert node.next_coded_packet(0, 3) is None
     _assert_credit_index(node)
 
 
@@ -334,7 +361,7 @@ def test_source_holds_no_frame_of_its_own_flow():
     for gid in (0, 5):
         node.on_data(3, wire.DataFrame(OWN, gid, (1, 3), bytes(4), 4))
     assert node.queues.flow_backlogs(OWN) == {6: 3, 7: 3}
-    assert list(node.relay_gens) == [(OWN, 0)] and node.relay_credit[OWN] == [0]
+    assert list(node.relay_gens) == [(OWN, 0)] and node.sendable_ids(OWN, 3) == [0]
     assert node.relay_gens[(OWN, 0)].rcvd == 1
     assert node.next_coded_packet(OWN, 3) is own
     assert node.next_coded_packet(OWN, 3) is None
@@ -399,9 +426,9 @@ def test_payload_packed_once_at_the_source(monkeypatch):
     assert calls["symbols_to_bytes"] == sum(eng.injected.values()) > 0
 
 
-def test_relay_choice_does_not_scan_spent_generations(monkeypatch):
-    # each DATA frame looks only at generations with credit, not at every
-    # generation the relay has ever held
+def _walk_counts(monkeypatch, scn):
+    """RelayGen.sendable_to and Node.next_coded_packet calls in a seed-1 run
+    of scn."""
     calls = {"sendable_to": 0, "next_coded_packet": 0}
 
     def counted(name, fn):
@@ -414,9 +441,31 @@ def test_relay_choice_does_not_scan_spent_generations(monkeypatch):
                         counted("sendable_to", RelayGen.sendable_to))
     monkeypatch.setattr(Node, "next_coded_packet",
                         counted("next_coded_packet", Node.next_coded_packet))
-    engine.run(engine.apply_override(ch.line7(), "duration_s", 600), seed=1)
+    engine.run(scn, seed=1)
+    return calls
+
+
+def test_relay_choice_does_not_scan_spent_generations(monkeypatch):
+    # each DATA frame looks only at generations with credit, not at every
+    # generation the relay has ever held
+    calls = _walk_counts(monkeypatch, engine.apply_override(ch.line7(), "duration_s", 600))
     assert calls["next_coded_packet"] > 0
     assert calls["sendable_to"] <= 4 * calls["next_coded_packet"]
+
+
+def test_credit_walk_tests_one_generation_per_pick_under_loss(monkeypatch):
+    # lossy coded butterfly7 leaves relays holding credit that split horizon
+    # forbids sending back: the walk reads each peer's own list, so it
+    # tests about one generation per frame sent, not every credited one
+    scn = ch.butterfly7()
+    scn.coding.block_size = 4
+    scn.coding.field_bits = 4
+    scn.coding.decoder = "rank_deficient"
+    scn.frame_loss = 0.1
+    scn.duration_s = 600
+    calls = _walk_counts(monkeypatch, scn.validate())
+    assert calls["next_coded_packet"] > 3000
+    assert calls["sendable_to"] <= 1.5 * calls["next_coded_packet"]
 
 
 # -- conflict resolution ----------------------------------------------------

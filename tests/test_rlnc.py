@@ -738,3 +738,114 @@ def test_incremental_ingest_matches_full_elimination(case):
         assert state.pivot_cols == pivots
         assert np.array_equal(state.rref[:, :h], rref[:rank, :h])
         assert np.array_equal(state.rref[:, h:], packed(rref[:rank, h:], ctx.m))
+
+
+# -- equivalence with the former implementations -----------------------------
+
+def reference_newly_decoded(state, decoded_before):
+    """DecoderState.ingest's unit-tag check as it was: each pivot row's tag
+    summed and indexed through numpy."""
+    h = state.block_size
+    fresh = []
+    for r, c in enumerate(state.pivot_cols):
+        tag_part = state.rref[r, :h]
+        if c not in decoded_before and tag_part.sum() == 1 and tag_part[c] == 1:
+            fresh.append(c)
+    return fresh
+
+
+def reference_unique_rank_deficient_solve(state, free_var_limit):
+    """rank_deficient_solve as it was: the column patterns numbered by one
+    sorting ``np.unique`` per heuristic row."""
+    ctx = state.ctx
+    h = state.block_size
+    n = state.packet_len * gf.symbols_per_byte(ctx.m)
+    tags = state.rref[:, :h]
+    P = gf.bytes_to_symbols(state.rref[:, h:].tobytes(), ctx.m).reshape(state.rank, n)
+    est = np.zeros((h, n), dtype=np.uint8)
+    conf = np.zeros((h, n), dtype=np.uint8)
+    free_cols = [c for c in range(h) if c not in state.pivot_cols]
+    heuristic_rows = []
+    for r, c in enumerate(state.pivot_cols):
+        if c in state.decoded:
+            est[c] = P[r]
+            conf[c] = 2
+        else:
+            heuristic_rows.append((r, c))
+    if not free_cols or len(free_cols) > free_var_limit:
+        return est, conf
+    conf[free_cols] = 1
+    if not heuristic_rows:
+        return est, conf
+    q = ctx.size
+    A, nnz = rlnc._assignments(q, len(free_cols))
+    rows = [r for r, _ in heuristic_rows]
+    G = tags[rows][:, free_cols]
+    f = ctx.matmul(A, G.T)
+    codes = np.zeros(n, dtype=np.intp)
+    for r in rows:
+        _, first, codes = np.unique(codes * q + P[r], return_index=True,
+                                    return_inverse=True)
+    patterns = P[rows][:, first]
+    weights = np.repeat(nnz[None, :], len(first), axis=0)
+    for i in range(len(rows)):
+        weights += patterns[i][:, None] != f[:, i]
+    best = np.argmin(weights, axis=1)[codes]
+    for i, (r, c) in enumerate(heuristic_rows):
+        est[c] = P[r] ^ f[best, i]
+        conf[c] = 1
+    est[free_cols] = A[best].T
+    return est, conf
+
+
+def _states_at_every_rank(m, h, seed):
+    """Decoder states over GF(2^m), h tag columns and 2-byte payloads, at
+    every rank from 0 (a zero tag received) to full; each yielded once per
+    ingest, with the columns that ingest decoded and those decoded before.
+    Payloads draw from a few bytes in half the runs, so that columns share
+    patterns."""
+    ctx = FieldContext(m)
+    rng = np.random.default_rng([m, h, seed])
+    for trial in range(4):
+        alphabet = np.array([0, 1, 0x10, 0xFF], dtype=np.uint8) if trial % 2 else np.arange(256)
+        state = DecoderState(ctx, h, 2)
+        tags = [np.zeros(h, dtype=np.uint8)]
+        while len(tags) < 4 * h:
+            tag = rng.integers(0, ctx.size, size=h, dtype=np.uint8)
+            if rng.integers(0, 3) == 0:  # a unit tag, so rows decode early
+                tag[:] = 0
+                tag[rng.integers(0, h)] = 1
+            tags.append(tag)
+        for tag in tags:
+            before = set(state.decoded)
+            fresh = state.ingest(CodedPacket(tag, rng.choice(alphabet, size=2).astype(np.uint8)))
+            yield state, fresh, before
+            if state.full_rank:
+                break
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+@pytest.mark.parametrize("h", [1, 2, 4, 8])
+def test_newly_decoded_columns_match_reference(m, h):
+    ranks = set()
+    for state, fresh, before in _states_at_every_rank(m, h, 0):
+        ranks.add(state.rank)
+        assert [c for c, _ in fresh] == reference_newly_decoded(state, before)
+        assert state.decoded == before | {c for c, _ in fresh}
+        for c, payload in fresh:
+            assert np.array_equal(payload, state.rref[state.pivot_cols.index(c), h:])
+    assert ranks == set(range(h + 1))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+@pytest.mark.parametrize("h", [1, 2, 4, 8])
+def test_rank_deficient_solve_matches_unique_numbering(m, h):
+    ranks = set()
+    for state, _, _ in _states_at_every_rank(m, h, 1):
+        ranks.add(state.rank)
+        for limit in (0, 1, 2):
+            est, conf = rank_deficient_solve(state, limit)
+            ref_est, ref_conf = reference_unique_rank_deficient_solve(state, limit)
+            assert np.array_equal(conf, ref_conf)
+            assert np.array_equal(est, ref_est)
+    assert ranks == set(range(h + 1))

@@ -103,6 +103,49 @@ def test_data_frame_is_built_whole():
     assert parsed.pack() == raw
 
 
+@pytest.mark.parametrize("m,tag", [(4, (17, 3)), (4, (-1, 3)), (4, (1, 16)), (1, (0, 2)),
+                                   (2, (4,)), (8, (256,)), (8, (-1,))])
+def test_data_tag_symbol_out_of_range_is_malformed(m, tag):
+    # a symbol outside 0..2^m-1 has no wire form: packed, it would be masked
+    # to m bits, so the frame's tag would differ from its own parse
+    with pytest.raises(MalformedFrame, match="out of range"):
+        DataFrame(0, 0, tag, b"\x00", m)
+
+
+def test_data_tag_symbol_range_edges_are_accepted():
+    for m in (1, 2, 4, 8):
+        top = (1 << m) - 1
+        frame = DataFrame(0, 0, (0, top), bytes(1), m)
+        assert unpack(frame.pack(), field_bits=m).tag == (0, top)
+
+
+def reference_data_raw(flow_index, gen_id, tag, payload, m):
+    """A DATA frame's bytes as they were built: one bytearray, appended to
+    field by field."""
+    out = bytearray([wire.TYPE_DATA, flow_index])
+    out += struct.pack("<H", gen_id)
+    out.append(len(tag))
+    out += bytes(range(len(tag)))
+    out += wire.pack_tag(tag, m)
+    out += memoryview(payload)
+    return bytes(out)
+
+
+@given(st.sampled_from([1, 2, 4, 8]), st.data())
+@settings(max_examples=300)
+def test_data_raw_matches_reference(m, data):
+    h = data.draw(st.sampled_from([0, 1, 2, 4, 8, 255]))
+    tag = tuple(data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=h, max_size=h)))
+    body = data.draw(st.binary(max_size=wire.MAX_PAYLOAD_BYTES))
+    fidx, gid = data.draw(BYTE), data.draw(st.integers(0, 0xFFFF))
+    expect = reference_data_raw(fidx, gid, tag, body, m)
+    # a payload may come as bytes, a numpy array or a view into other bytes
+    for payload in (body, np.frombuffer(body, dtype=np.uint8), memoryview(b"#" + body)[1:]):
+        frame = DataFrame(fidx, gid, tag, payload, m)
+        assert frame.raw == expect
+        assert frame.payload == body and frame.payload.obj is frame.raw
+
+
 @pytest.mark.parametrize("field_bits,raw", [
     pytest.param(4, bytes.fromhex("05 00 0000 03 000102 a5f1 dead"), id="m4-pad-nibble"),
     pytest.param(2, bytes.fromhex("05 00 0000 01 00 c1"), id="m2-pad-bits"),
