@@ -15,12 +15,16 @@ again.  The packet log (``PacketLog``) keeps one
 ``(t_us, chan, src, raw)`` record per transmission, holding those same bytes
 objects, and renders its text lines only when they are read.
 
-What does not change from frame to frame is kept in per-run tables.  For
-each (sender, channel), ``Engine.receivers`` maps every node the sender
-reaches to its gain; a delivery skips those below sensitivity at the
-sender's power of the moment.  That skip is the one reception rule: a node
-keeps no copy of it and learns its neighbours only from the frames
-``_deliver`` hands it.  Airtime is kept by frame length.  Channel
+What does not change from frame to frame is kept in per-run tables, each
+keyed by the values its entry depends on and nothing else.  For each
+(sender, channel), ``Engine.receivers`` maps every node the sender reaches
+to its gain.  ``Engine.reach``, keyed by (sender, channel, the sender's
+power in dBm), lists the nodes at or above sensitivity at that power, each
+with its received power; a delivery walks that list, built at the key's
+first delivery.  That cut is the one reception rule: a node keeps no copy
+of it and learns its neighbours only from the frames ``_deliver`` hands it.
+Airtime is kept by frame length (``airtimes``), and a power in mW by the
+power in dBm (``mw``, for transmit energy and carrier sense).  Channel
 uniforms come from ``DRAW_BUFFER``-sized blocks of the channel generator,
 the same stream as one scalar draw at a time.  The success probability of a
 reception no other carrier reaches depends only on its received power and
@@ -31,11 +35,13 @@ decoder.
 
 A frame costs only the work it needs.  Every event still enters the heap
 through ``schedule_at``, the one place events are counted; ``transmit``
-schedules ``_deliver`` of its transmission as a partial, not a closure,
-and ``_deliver`` lists concurrent carriers and their interference only when
+schedules ``_deliver`` of its transmission as a closure, which costs less
+to build and call than a ``functools.partial`` of the bound method, and
+``_deliver`` lists concurrent carriers and their interference only when
 another carrier is on the air.  A decode at full rank is checked against
-the truth in one comparison of the RREF's payload block, and a
-rank-deficient estimate is scored in one pass.
+the truth by comparing the RREF's payload block with the source rows as
+bytes, and only a wrong decode counts its wrong rows; a rank-deficient
+estimate is scored in one pass.
 
 Each engine fact is kept once.  The one per-generation table is ``truth``:
 a generation's ``Truth`` holds its source rows as packed bytes, and, for the
@@ -47,7 +53,6 @@ their own decoders (``Node.decoders``), so the engine keeps no copy of it.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 import typing
@@ -203,9 +208,16 @@ class Engine:
                   for chan in range(scn.num_channels)]
             for src in self.nodes
         }
+        # (sender, channel, sender's power in dBm) -> (node id, node,
+        # received dBm) of each node at or above sensitivity, built from
+        # receivers at its first use
+        self.reach: dict[tuple[int, int, float], list[tuple[int, Node, float]]] = {}
         # frame length in bytes -> airtime
         self.airtimes: dict[int, int] = {}
+        # power in dBm -> mW, for a sender's power or a received power
+        self.mw: dict[float, float] = {}
         self.noise_mw = ch.dbm_to_mw(scn.phy.noise_floor_dbm)
+        self.listen_mw = scn.phy.listen_power_frac * ch.dbm_to_mw(scn.power.max_dbm)
         self.active: list[Transmission] = []
         # (received dBm, frame bytes) -> success probability of a reception
         # no other carrier reaches: it depends on nothing else in a run
@@ -271,6 +283,24 @@ class Engine:
             air = self.airtimes[n] = int(math.ceil(n * 8 / self.scn.phy.bit_rate() * US))
         return air
 
+    def to_mw(self, dbm: float) -> float:
+        mw = self.mw.get(dbm)
+        if mw is None:
+            mw = self.mw[dbm] = ch.dbm_to_mw(dbm)
+        return mw
+
+    def reach_of(self, src: int, chan: int, power: float) -> list[tuple[int, Node, float]]:
+        """(node id, node, received dBm) of each node src reaches on chan at
+        or above sensitivity at power, in ascending id; built once per key."""
+        key = (src, chan, power)
+        reach = self.reach.get(key)
+        if reach is None:
+            sensitivity = self.scn.phy.sensitivity_dbm
+            reach = self.reach[key] = [
+                (nid, self.nodes[nid], rxp) for nid, g in self.receivers[src][chan].items()
+                if (rxp := power + g) >= sensitivity]
+        return reach
+
     def transmit(self, node: Node, chan: int, frame) -> int:
         raw = frame.pack()
         nbytes = len(raw)
@@ -279,16 +309,22 @@ class Engine:
             air = self.airtime_us(raw)
         now = self.now_us
         end = now + air
-        tx = Transmission(now, end, node.id, chan, node.power_dbm, frame, nbytes)
-        self.active = [a for a in self.active if a.end_us > now]
-        self.active.append(tx)
+        power = node.power_dbm
+        tx = Transmission(now, end, node.id, chan, power, frame, nbytes)
+        active = self.active
+        if active:
+            active = self.active = [a for a in active if a.end_us > now]
+        active.append(tx)
         if end > node.tx_until_us:
             node.tx_until_us = end
         node.tx_airtime_us += air
-        node.tx_energy_mj += ch.dbm_to_mw(node.power_dbm) * air / US
+        mw = self.mw.get(power)
+        if mw is None:
+            mw = self.to_mw(power)
+        node.tx_energy_mj += mw * air / US
         self.frames_sent[node.id][wire.TYPE_NAMES[raw[0]]] += 1
         self.packet_log.records.append((now, chan, node.id, raw))
-        self.schedule_at(end, functools.partial(self._deliver, tx))
+        self.schedule_at(end, lambda: self._deliver(tx))
         return air
 
     def _deliver(self, tx: Transmission) -> None:
@@ -310,12 +346,11 @@ class Engine:
                            for a in concurrent if a.src != src]
         # frame loss draws are made for DATA frames only
         loss = self.scn.frame_loss if type(frame) is wire.DataFrame else 0.0
-        uniforms, nodes, clear_p_ok = self.uniforms, self.nodes, self.clear_p_ok
-        sensitivity = self.scn.phy.sensitivity_dbm
-        for nid, g in self.receivers[src][chan].items():
-            rxp = power + g
-            if rxp < sensitivity:
-                continue
+        uniforms, clear_p_ok = self.uniforms, self.clear_p_ok
+        reach = self.reach.get((src, chan, power))
+        if reach is None:
+            reach = self.reach_of(src, chan, power)
+        for nid, node, rxp in reach:
             # every in-range node gets its own draw from this transmission,
             # whether or not it is tuned here, so logging can't shift draws
             interference = interferers and [p + gains[nid] for p, gains in interferers
@@ -329,7 +364,6 @@ class Engine:
             ok = next(uniforms) < p_ok
             if ok and loss:
                 ok = next(uniforms) >= loss
-            node = nodes[nid]
             tuned = node.channel == chan and node.tx_until_us <= start
             if not ok:
                 if concurrent and tuned:
@@ -346,7 +380,7 @@ class Engine:
                 continue
             g = self.receivers[a.src][chan].get(node_id)
             if g is not None:
-                total += ch.dbm_to_mw(a.power_dbm + g)
+                total += self.to_mw(a.power_dbm + g)
         return total
 
     # -- coding bookkeeping -------------------------------------------------
@@ -381,10 +415,13 @@ class Engine:
         h = dec.block_size
         gen = (flow_index, gen_id)
         if truth is not None:
-            # at full rank every pivot row is a unit tag: its payload is the
-            # source row of its pivot column
-            wrong = dec.rref[:, h:] != truth.rows[dec.pivot_cols]
-            self.decode_errors += int(np.count_nonzero(wrong.any(axis=1)))
+            # at full rank the pivot columns are 0..h-1 and every pivot row
+            # is a unit tag, so the payload block is the source rows, in
+            # order, when the decode is right
+            payload = dec.rref[:, h:]
+            if payload.tobytes() != truth.rows.tobytes():
+                wrong = payload != truth.rows
+                self.decode_errors += int(np.count_nonzero(wrong.any(axis=1)))
             if dest in truth.best:
                 # a fraction of the generation's symbols
                 symbols = h * dec.packet_len * gf.symbols_per_byte(self.ctx.m)
@@ -401,12 +438,11 @@ class Engine:
         """A node's backlog, energy and frames sent so far, keyed by the
         metric names of ``metrics.csv``."""
         n = self.nodes[nid]
-        listen_mw = self.scn.phy.listen_power_frac * ch.dbm_to_mw(self.scn.power.max_dbm)
         listen_s = max(0, self.now_us - n.tx_airtime_us) / US
         sent = self.frames_sent[nid]
         return {
             "backlog": n.queues.total(),
-            "energy_mj": round(n.tx_energy_mj + listen_mw * listen_s, 6),
+            "energy_mj": round(n.tx_energy_mj + self.listen_mw * listen_s, 6),
             "overhead": sent.total() - sent["DATA"],
             "data_frames": sent["DATA"],
         }

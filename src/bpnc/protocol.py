@@ -14,15 +14,22 @@ bytes as they are.  Sources and relays share one send path:
 every frame a node holds credit for, coded or received, sits in
 ``Node.relay_gens`` and goes out through ``next_coded_packet``.  The send
 path walks ``Node.credit_index``, which lists, for each flow and peer, the
-generations that have credit and may go to that peer, so a pick or a
-``has_sendable`` test reads one entry however many generations the node
-holds.
+generations that have credit and may go to that peer, so a pick takes the
+head of that list, and a ``has_sendable`` test reads one entry, however
+many generations the node holds.
+
+A node computes what its frames need once per distinct value, keyed by
+that value: ``Node.link_rates`` holds the link rate per received power
+(power + gain), ``Schedule.rts`` the RTS of a pending schedule, sent
+unchanged on every retry, and ``Node.syn_sent`` the last SYN with its
+entries, sent again while they are equal.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +45,11 @@ class Phase(enum.Enum):
     FLOW_UPDATE = "flow_update"
     NEGOTIATION = "negotiation"
     DATA_TRANSFER = "data_transfer"
+
+
+# The members under plain names: reading a member off the class runs a
+# descriptor each time, and the MAC compares phases on every frame.
+DISCOVERY, FLOW_UPDATE, NEGOTIATION, DATA_TRANSFER = Phase
 
 
 @dataclass(slots=True)
@@ -58,6 +70,8 @@ class Schedule:
     flow_index: int
     utility: float
     covered_dests: tuple[int, ...]
+    # the RTS that negotiates this schedule, built at its first send
+    rts: wire.RtsFrame | None = field(default=None, compare=False)
 
 
 @dataclass(slots=True)
@@ -98,6 +112,12 @@ def us(seconds: float) -> int:
     return int(round(seconds * 1e6))
 
 
+@functools.cache
+def unit_tag(h: int, row: int) -> tuple[int, ...]:
+    """The tag of source row ``row`` of h, sent as it is."""
+    return tuple(int(k == row) for k in range(h))
+
+
 def unlist(gids: list[int] | None, gid: int) -> None:
     """Remove gid from the ascending list gids, if it is there."""
     if gids:
@@ -124,11 +144,13 @@ class Node:
         self.rts_window_us = us(2 * t.cts_wait_s)
         self.data_us = us(t.data_s)
         self.gen_timeout_us = us(scn.coding.gen_timeout_s)
+        # symbols in one source packet
+        self.arrival_symbols = scn.coding.packet_len * gf.symbols_per_byte(scn.coding.field_bits)
         self.scn = scn
         self.engine = engine
         self.rng = rng
         self.ctx = engine.ctx
-        self.phase = Phase.DISCOVERY
+        self.phase = DISCOVERY
         self.phase_entry_us = 0
         self.tick_token = 0
         self.channel = 0
@@ -150,6 +172,11 @@ class Node:
         self.tx_airtime_us = 0
         self.tx_energy_mj = 0.0
         self.tx_until_us = 0
+        # received dBm (power + gain) -> link rate of a DATA frame
+        self.link_rates: dict[float, float] = {}
+        # (entries, frame) of the last SYN sent, which the next reuses while
+        # its entries are equal
+        self.syn_sent: tuple[tuple, wire.SynFrame] | None = None
         # negotiation state
         self.pending: Schedule | None = None
         # RTS frames addressed here since the last resolve_rts, which the
@@ -210,7 +237,7 @@ class Node:
         self.engine.schedule(delay_us + jitter, lambda: self.on_tick(token))
 
     def start(self) -> None:
-        self.enter_phase(Phase.DISCOVERY)
+        self.enter_phase(DISCOVERY)
         self.hop_next_channel()
         self.engine.schedule(int(self.rng.integers(0, 200_000)), self.send_dis)
         self.schedule_tick(self.dwell_us)
@@ -218,15 +245,15 @@ class Node:
     def on_tick(self, token: int) -> None:
         if token != self.tick_token:
             return
-        if self.phase is Phase.DISCOVERY:
+        if self.phase is DISCOVERY:
             if self.now() - self.phase_entry_us >= self.discovery_us:
-                self.enter_phase(Phase.FLOW_UPDATE)
+                self.enter_phase(FLOW_UPDATE)
                 self.flow_update_tick()
                 return
             self.hop_next_channel()
             self.send_dis()
             self.schedule_tick(self.dwell_us)
-        elif self.phase is Phase.FLOW_UPDATE:
+        elif self.phase is FLOW_UPDATE:
             self.flow_update_tick()
         # negotiation and data phases run on their own timers
 
@@ -235,7 +262,7 @@ class Node:
         self.expire_stale_neighbors()
         if not self.neighbors and self.now() - self.phase_entry_us >= self.flow_update_us:
             # nothing heard for a whole update period: rediscover
-            self.enter_phase(Phase.DISCOVERY)
+            self.enter_phase(DISCOVERY)
             self.send_dis()
             self.schedule_tick(self.dwell_us)
             return
@@ -249,20 +276,21 @@ class Node:
 
     def begin_negotiation(self, sched: Schedule) -> None:
         self.pending = sched
-        self.enter_phase(Phase.NEGOTIATION)
+        self.enter_phase(NEGOTIATION)
         self.channel = sched.channel
         self.negotiation_tick()
 
     def negotiation_tick(self) -> None:
-        if self.phase is not Phase.NEGOTIATION:
+        if self.phase is not NEGOTIATION:
             return
-        if self.now() - self.phase_entry_us >= self.negotiation_us:
+        engine = self.engine
+        if engine.now_us - self.phase_entry_us >= self.negotiation_us:
             # TDT expiry: fall back, but keep pending so a late CTS still wins
-            self.enter_phase(Phase.FLOW_UPDATE)
+            self.enter_phase(FLOW_UPDATE)
             self.schedule_tick(self.syn_interval_us)
             return
-        busy = self.scn.sensing_enabled and self.channel_busy(self.pending.channel)
-        if not busy:
+        if not (self.scn.sensing_enabled
+                and engine.sense(self.id, self.pending.channel) > self.busy_threshold_mw):
             self.send_rts()
         jitter = int(self.rng.integers(0, 50_000))
         self.engine.schedule(self.rts_interval_us + jitter, self.negotiation_tick)
@@ -296,13 +324,17 @@ class Node:
         for fi, dest, backlog in self.queues.entries():
             src, dsts = self.flows[fi]
             entries.append((src, (dest,) + tuple(d for d in dsts if d != dest), backlog))
-        frame = wire.SynFrame(self.id, tuple(entries))
-        self.engine.transmit(self, self.channel, frame)
+        entries = tuple(entries)
+        sent = self.syn_sent
+        if sent is None or sent[0] != entries:
+            sent = self.syn_sent = (entries, wire.SynFrame(self.id, entries))
+        self.engine.transmit(self, self.channel, sent[1])
 
     def send_rts(self) -> None:
         s = self.pending
-        frame = wire.RtsFrame(self.id, s.neighbor, s.channel, s.flow_index, s.utility)
-        self.engine.transmit(self, s.channel, frame)
+        if s.rts is None:
+            s.rts = wire.RtsFrame(self.id, s.neighbor, s.channel, s.flow_index, s.utility)
+        self.engine.transmit(self, s.channel, s.rts)
 
     def send_cts(self, tx: int, chan: int) -> None:
         frame = wire.CtsFrame(self.id, tx, chan)
@@ -314,9 +346,12 @@ class Node:
         g = rec.gains_db.get(chan)
         if g is None:
             g = rec.best_gain_db()
-        snr = ch.db_to_linear(self.power_dbm + g - self.scn.phy.noise_floor_dbm)
-        frame_len = self.scn.coding.packet_len
-        return ch.link_rate(self.scn, snr, frame_len)[0]
+        rxp = self.power_dbm + g
+        rate = self.link_rates.get(rxp)
+        if rate is None:
+            snr = ch.db_to_linear(rxp - self.scn.phy.noise_floor_dbm)
+            rate = self.link_rates[rxp] = ch.link_rate(self.scn, snr, self.scn.coding.packet_len)[0]
+        return rate
 
     def compute_schedule(self) -> Schedule | None:
         cands = []
@@ -394,7 +429,7 @@ class Node:
     # -- negotiation --------------------------------------------------------
 
     def on_rts(self, frame: wire.RtsFrame) -> None:
-        if self.phase is Phase.DATA_TRANSFER:
+        if self.phase is DATA_TRANSFER:
             return  # half-duplex: busy in a data phase
         if frame.rx == self.id:
             # resolve_rts clears the inbox cts_wait_s after its first entry
@@ -415,10 +450,10 @@ class Node:
         inbox, self.rts_inbox = self.rts_inbox, []
         self.prune_overheard_rts()
         overheard = [f for _, f in self.overheard_rts]
-        if self.phase is Phase.DATA_TRANSFER:
+        if self.phase is DATA_TRANSFER:
             return
         own_sched = self.pending
-        if own_sched is None and self.phase is Phase.FLOW_UPDATE:
+        if own_sched is None and self.phase is FLOW_UPDATE:
             # receive, or insist on our own (would-be) transmission?
             own_sched = self.compute_schedule()
         own = (own_sched.utility, self.id) if own_sched is not None else None
@@ -435,7 +470,7 @@ class Node:
         self.begin_data_rx(winner.tx, winner.channel)
 
     def on_cts(self, frame: wire.CtsFrame) -> None:
-        if frame.tx != self.id or self.pending is None or self.phase is Phase.DATA_TRANSFER:
+        if frame.tx != self.id or self.pending is None or self.phase is DATA_TRANSFER:
             return
         s = self.pending
         if frame.rx != s.neighbor or frame.channel != s.channel:
@@ -449,75 +484,76 @@ class Node:
     def begin_data_rx(self, peer: int, chan: int) -> None:
         self.data_peer = peer
         self.channel = chan
-        self.enter_phase(Phase.DATA_TRANSFER)
+        self.enter_phase(DATA_TRANSFER)
         self.engine.schedule(self.data_us, self.end_data_phase)
 
     def begin_data_tx(self) -> None:
         s = self.pending
         self.data_peer = s.neighbor
         self.channel = s.channel
-        self.enter_phase(Phase.DATA_TRANSFER)
+        self.enter_phase(DATA_TRANSFER)
         self.send_next_data()
 
     def end_data_phase(self) -> None:
-        if self.phase is not Phase.DATA_TRANSFER:
+        if self.phase is not DATA_TRANSFER:
             return
         self.pending = None
-        self.enter_phase(Phase.FLOW_UPDATE)
+        self.enter_phase(FLOW_UPDATE)
         # prompt tick: a SYN right after a burst keeps neighbor backlog
         # views from going a whole dwell stale
         self.schedule_tick(0)
 
     def send_next_data(self) -> None:
-        if self.phase is not Phase.DATA_TRANSFER or self.pending is None:
-            return
         s = self.pending
-        if self.now() >= self.phase_entry_us + self.data_us:
+        if self.phase is not DATA_TRANSFER or s is None:
+            return
+        engine = self.engine
+        if engine.now_us >= self.phase_entry_us + self.data_us:
             self.end_data_phase()
             return
-        if self.scn.sensing_enabled and self.channel_busy(s.channel):
+        if self.scn.sensing_enabled and engine.sense(self.id, s.channel) > self.busy_threshold_mw:
             # carrier sense: another live transmission owns the channel;
             # retry after a random hold-off
-            self.engine.schedule(int(self.rng.integers(2_000, 10_000)),
-                                 self.send_next_data)
+            engine.schedule(int(self.rng.integers(2_000, 10_000)), self.send_next_data)
             return
         frame = self.next_coded_packet(s.flow_index, self.data_peer)
         if frame is None:
             self.end_data_phase()
             return
-        airtime = self.engine.transmit(self, s.channel, frame)
+        airtime = engine.transmit(self, s.channel, frame)
         for d in s.covered_dests:
             self.queues.decrement(s.flow_index, d)
-        self.engine.schedule(airtime, self.send_next_data)
+        engine.schedule(airtime, self.send_next_data)
 
     def next_coded_packet(self, flow_index: int, peer: int) -> wire.DataFrame | None:
         """Oldest generation with send credit for peer, at a source or a relay.
 
-        The walk covers only ``sendable_ids(flow_index, peer)``, which holds
-        exactly the flow's generations sendable to peer in ascending id
-        order, so it picks the same generation as a scan over every held
-        one, and stops at the first it tests.  Each held frame goes out
-        once, in the order it was coded or received; a relay recodes its
-        buffer only for credit beyond it.
+        ``sendable_ids(flow_index, peer)`` holds exactly the flow's
+        generations sendable to peer in ascending id order, so its head is
+        the generation a scan over every held one would pick, and is taken
+        without a test.  Each held frame goes out once, in the order it was
+        coded or received; a relay recodes its buffer only for credit
+        beyond it.
         """
-        for gid in self.sendable_ids(flow_index, peer):
-            rg = self.relay_gens[(flow_index, gid)]
-            if rg.sendable_to(peer):
-                rg.sent += 1
-                if rg.credit() == 0:
-                    for p, gids in self.credit_index[flow_index].items():
-                        if p not in rg.origins:
-                            unlist(gids, gid)
-                    # a source keeps no frame it has sent: a later frame of
-                    # a generation it still fills starts a new entry
-                    if self.flows[flow_index][0] == self.id:
-                        del self.relay_gens[(flow_index, gid)]
-                # send each held frame once in the order it came (keeps the
-                # tag staircase intact); recode only for surplus credit
-                if rg.sent <= len(rg.pkts):
-                    return rg.pkts[rg.sent - 1]
-                return self.to_frame(flow_index, gid, rlnc.recode(self.ctx, rg.pkts, self.rng))
-        return None
+        gids = self.sendable_ids(flow_index, peer)
+        if not gids:
+            return None
+        gid = gids[0]
+        rg = self.relay_gens[(flow_index, gid)]
+        rg.sent += 1
+        if rg.rcvd == rg.sent:
+            for p, listed in self.credit_index[flow_index].items():
+                if p not in rg.origins:
+                    unlist(listed, gid)
+            # a source keeps no frame it has sent: a later frame of a
+            # generation it still fills starts a new entry
+            if self.flows[flow_index][0] == self.id:
+                del self.relay_gens[(flow_index, gid)]
+        # send each held frame once in the order it came (keeps the tag
+        # staircase intact); recode only for surplus credit
+        if rg.sent <= len(rg.pkts):
+            return rg.pkts[rg.sent - 1]
+        return self.to_frame(flow_index, gid, rlnc.recode(self.ctx, rg.pkts, self.rng))
 
     def has_sendable(self, flow_index: int, peer: int) -> bool:
         return bool(self.sendable_ids(flow_index, peer))
@@ -537,15 +573,17 @@ class Node:
         """The entry of (flow_index, gid), credited with one more frame,
         received from origin (None for a frame this node coded)."""
         key = (flow_index, gid)
+        peers = self.credit_index[flow_index]
         rg = self.relay_gens.get(key)
         if rg is None:
+            # a new entry is listed nowhere yet
             rg = self.relay_gens[key] = RelayGen()
-        peers = self.credit_index[flow_index]
-        if origin is not None and origin not in rg.origins:
-            rg.origins.add(origin)
+        elif origin is not None and origin not in rg.origins:
             # split horizon: the generation no longer goes back to origin
             unlist(peers.get(origin), gid)
-        if rg.credit() == 0:
+        if origin is not None:
+            rg.origins.add(origin)
+        if rg.rcvd == rg.sent:
             for peer, gids in peers.items():
                 if peer not in rg.origins:
                     bisect.insort(gids, gid)
@@ -553,7 +591,7 @@ class Node:
         return rg
 
     def on_data(self, src: int, frame: wire.DataFrame) -> None:
-        if (self.phase is not Phase.DATA_TRANSFER or self.pending is not None
+        if (self.phase is not DATA_TRANSFER or self.pending is not None
                 or src != self.data_peer):
             return
         fi = frame.flow_index
@@ -579,9 +617,8 @@ class Node:
     # -- application layer (source only) ------------------------------------
 
     def app_arrival(self, flow_index: int) -> None:
-        m = self.scn.coding.field_bits
-        n_sym = self.scn.coding.packet_len * gf.symbols_per_byte(m)
-        symbols = self.rng.integers(0, self.ctx.size, size=n_sym, dtype=np.uint8)
+        m = self.ctx.m
+        symbols = self.rng.integers(0, self.ctx.size, size=self.arrival_symbols, dtype=np.uint8)
         gen = self.open_gens.get(flow_index)
         if gen is None or gen.full:
             gen = self.open_generation(flow_index)
@@ -589,11 +626,9 @@ class Node:
         # directly, so a destination decodes it even when earlier packets of
         # the same generation were dropped.  Packed once, into the frame: the
         # generation's row is a view of the frame's payload.
-        row = gen.filled
-        frame = wire.DataFrame(flow_index, gen.gen_id,
-                               tuple(int(k == row) for k in range(gen.block_size)),
+        frame = wire.DataFrame(flow_index, gen.gen_id, unit_tag(gen.block_size, gen.filled),
                                gf.symbols_to_bytes(symbols, m), m)
-        gen.add_source_packet(np.frombuffer(frame.payload, dtype=np.uint8))
+        gen.add_source_packet(frame.payload)
         self.credit_frame(flow_index, gen.gen_id).pkts.append(frame)
         for d in self.queues.dests_here(flow_index):
             self.queues.increment(flow_index, d)

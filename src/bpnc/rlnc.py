@@ -351,27 +351,32 @@ def rank_deficient_solve(
     entries.  With no heuristic rows the lightest assignment is the all-zero
     one, so no search runs.
 
-    The one place a payload is split into symbols: the RREF's payload
-    block is unpacked once per call.
+    The one place a payload is split into symbols, at most once per call:
+    the RREF's whole payload block when the search runs, else only the
+    decoded rows, the only ones read.
     """
     if state.received == 0:
         raise ValueError("decoder state holds no rows")
     ctx = state.ctx
     h = state.block_size
     n = state.packet_len * gf.symbols_per_byte(ctx.m)
-    tags = state.rref[:, :h]
-    P = gf.bytes_to_symbols(state.rref[:, h:].tobytes(), ctx.m).reshape(state.rank, n)
     est = np.zeros((h, n), dtype=np.uint8)
     conf = np.zeros((h, n), dtype=np.uint8)
     free_cols = [c for c in range(h) if c not in state.pivot_cols]
     # certain rows: the decoded ones, pivot rows with no free-column entry
-    heuristic_rows = []
+    certain, heuristic_rows = [], []
     for r, c in enumerate(state.pivot_cols):
-        if c in state.decoded:
-            est[c] = P[r]
-            conf[c] = 2
-        else:
-            heuristic_rows.append((r, c))
+        (certain if c in state.decoded else heuristic_rows).append((r, c))
+    search = heuristic_rows and 0 < len(free_cols) <= free_var_limit
+    # without a search only the certain rows are read, so only they are
+    # unpacked (none while no row is decoded), and P[k] is the k-th of them
+    read = range(state.rank) if search else [r for r, _ in certain]
+    if read:
+        P = gf.bytes_to_symbols(b"".join([state.rref[r, h:] for r in read]),
+                                ctx.m).reshape(len(read), n)
+    for k, (r, c) in enumerate(certain):
+        est[c] = P[r if search else k]
+        conf[c] = 2
     if not free_cols or len(free_cols) > free_var_limit:
         return est, conf
     conf[free_cols] = 1
@@ -382,7 +387,7 @@ def rank_deficient_solve(
     A, nnz = _assignments(q, len(free_cols))
     rows = [r for r, _ in heuristic_rows]
     # f[a, i]: the symbol assignment a subtracts from heuristic row i
-    G = tags[rows][:, free_cols]
+    G = state.rref[:, :h][rows][:, free_cols]
     f = ctx.matmul(A, G.T)
     # A candidate's weight in column l is nnz(a) plus the heuristic rows
     # whose payload symbol differs from f[a] (certain rows add the same

@@ -34,7 +34,9 @@ Frames are built on the wire grid, and no frame is parsed during a run:
 receivers share the sender's frozen frame.  A DATA frame is built whole:
 its bytes (``DataFrame.raw``, outside its value) are written once, with the
 frame, and its payload is a read-only view of them.  So a held frame keeps
-one copy of its payload, and a relayed frame is never packed again.
+one copy of its payload, and a relayed frame is never packed again.  RTS
+and SYN frames, which a node re-sends unchanged, keep their ``raw`` bytes
+the same way.
 ``unpack`` is the typed gate for bytes from outside a run (tests, fuzzing,
 packet-log readers).  Each branch parses the fields and builds the frame,
 and the bytes are accepted only if that frame packs back to exactly them:
@@ -116,7 +118,7 @@ def unpack_tag(raw: bytes, h: int, m: int) -> list[int]:
     return [v >> (top - m * k) & mask for k in range(min(h, 8 * len(raw) // m))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DisFrame:
     sender: int
     next_channel: int
@@ -133,44 +135,51 @@ class DisFrame:
         return bytes(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SynFrame:
     sender: int
     # one entry per virtual queue: (flow src, flow dst set with the entry's
     # destination listed first, backlog)
     entries: tuple[tuple[int, tuple[int, ...], int], ...]
+    # the frame's one wire form, built with the frame: a node re-sends an
+    # unchanged SYN as the same frame
+    raw: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(
             (src, dsts, min(backlog, 0xFFFF)) for src, dsts, backlog in self.entries))
-
-    def pack(self) -> bytes:
         out = bytearray([TYPE_SYN, self.sender, len(self.entries)])
         for src, dsts, backlog in self.entries:
             out += bytes([src, len(dsts), *dsts])
             out += struct.pack("<H", backlog)
-        return bytes(out)
+        object.__setattr__(self, "raw", bytes(out))
+
+    def pack(self) -> bytes:
+        return self.raw
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RtsFrame:
     tx: int
     rx: int
     channel: int
     flow_index: int
     utility: float
+    # the frame's one wire form, built with the frame: every retry of one
+    # negotiation sends the same frame
+    raw: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "utility", decode_utility(encode_utility(self.utility)))
+        u = encode_utility(self.utility)
+        object.__setattr__(self, "utility", decode_utility(u))
+        object.__setattr__(self, "raw", struct.pack(
+            "<BBBBBI", TYPE_RTS, self.tx, self.rx, self.channel, self.flow_index, u))
 
     def pack(self) -> bytes:
-        return struct.pack(
-            "<BBBBBI", TYPE_RTS, self.tx, self.rx, self.channel, self.flow_index,
-            encode_utility(self.utility),
-        )
+        return self.raw
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CtsFrame:
     rx: int
     tx: int
@@ -180,7 +189,7 @@ class CtsFrame:
         return bytes([TYPE_CTS, self.rx, self.tx, self.channel])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataFrame:
     flow_index: int
     gen_id: int

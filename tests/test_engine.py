@@ -345,6 +345,92 @@ def test_reach_follows_the_senders_power(monkeypatch):
     assert seen[(1, 1, -10.0)] > 0 and seen[(1, 1, -15.0)] > 0
 
 
+def _fresh_reach(eng, src, chan, power):
+    """The receivers of src on chan at or above sensitivity at power, found
+    from the scenario's gains."""
+    scn = eng.scn
+    return [(nid, eng.nodes[nid], power + g) for nid in sorted(eng.nodes)
+            if nid != src and (g := scn.gain_db(src, nid, chan)) != float("-inf")
+            and power + g >= scn.phy.sensitivity_dbm]
+
+
+def _fresh_link_rate(node, rxp):
+    scn = node.scn
+    snr = ch.db_to_linear(rxp - scn.phy.noise_floor_dbm)
+    return ch.link_rate(scn, snr, scn.coding.packet_len)[0]
+
+
+@pytest.mark.parametrize("make_scn,duration", [(ch.line7, 600), (_lossy_coded_butterfly7, 300)])
+def test_memoized_values_equal_a_fresh_build(monkeypatch, make_scn, duration):
+    # each per-value table (RTS per schedule, SYN per entries, reach per
+    # sender power, link rate per received power) holds what building the
+    # value afresh at that moment gives
+    checked = Counter()
+    transmit = engine.Engine.transmit
+
+    def checking(eng, node, chan, frame):
+        if isinstance(frame, wire.RtsFrame):
+            s = node.pending
+            assert frame == wire.RtsFrame(node.id, s.neighbor, s.channel, s.flow_index,
+                                          s.utility)
+            checked["rts"] += 1
+        elif isinstance(frame, wire.SynFrame):
+            entries = tuple(
+                (node.flows[fi][0], (d, *(x for x in node.flows[fi][1] if x != d)), backlog)
+                for fi, d, backlog in node.queues.entries())
+            assert frame == wire.SynFrame(node.id, entries)
+            checked["syn"] += 1
+        key = (node.id, chan, node.power_dbm)
+        if key in eng.reach:
+            assert eng.reach[key] == _fresh_reach(eng, *key)
+            checked["reach"] += 1
+        for rec in node.neighbors.values():
+            for c in range(eng.scn.num_channels):
+                g = rec.gains_db.get(c, rec.best_gain_db())
+                assert node.link_rate_to(rec, c) == _fresh_link_rate(node, node.power_dbm + g)
+                checked["link_rate"] += 1
+        return transmit(eng, node, chan, frame)
+
+    monkeypatch.setattr(engine.Engine, "transmit", checking)
+    eng = engine.run(engine.apply_override(make_scn(), "duration_s", duration), seed=1)
+    assert min(checked[k] for k in ("rts", "syn", "reach", "link_rate")) > 100
+    for key, reach in eng.reach.items():
+        assert reach == _fresh_reach(eng, *key)
+    # and at every power a node may take, also over a weak link, whose rate
+    # (unlike a builtin link's) changes with power
+    power = eng.scn.power
+    weak = protocol.NeighborRecord(gains_db={0: ch.WEAK_GAIN_DB})
+    for node in eng.nodes.values():
+        for node.power_dbm in (power.min_dbm, power.init_dbm, power.max_dbm):
+            for rec in [*node.neighbors.values(), weak]:
+                for c in range(eng.scn.num_channels):
+                    g = rec.gains_db.get(c, rec.best_gain_db())
+                    assert node.link_rate_to(rec, c) == _fresh_link_rate(node, node.power_dbm + g)
+        for rxp, rate in node.link_rates.items():
+            assert rate == _fresh_link_rate(node, rxp)
+
+
+def test_memos_do_not_grow_with_simulated_time(monkeypatch):
+    # every per-value table is keyed by values a run takes few of, so a run
+    # four times longer holds the same entries
+    powers = set()
+    transmit = engine.Engine.transmit
+
+    def recording(eng, node, chan, frame):
+        powers.add(node.power_dbm)
+        return transmit(eng, node, chan, frame)
+
+    monkeypatch.setattr(engine.Engine, "transmit", recording)
+    sizes = []
+    for duration in (600, 2400):
+        eng = engine.run(engine.apply_override(ch.line7(), "duration_s", duration), seed=1)
+        assert len(eng.reach) <= len(eng.nodes) * eng.scn.num_channels * len(powers)
+        sizes.append((len(eng.reach), len(eng.mw), len(eng.airtimes), len(eng.clear_p_ok),
+                      [len(n.link_rates) for n in eng.nodes.values()]))
+    assert sizes[0] == sizes[1]
+    assert sizes[0][0] > 0 and sum(sizes[0][4]) > 0
+
+
 def test_only_the_medium_decides_reception(monkeypatch):
     # Engine._deliver is the one reception rule: a node is handed only frames
     # at or above sensitivity and keeps no copy of the cut.  Nodes 1 and 3

@@ -837,6 +837,59 @@ def test_newly_decoded_columns_match_reference(m, h):
     assert ranks == set(range(h + 1))
 
 
+def reference_full_unpack_rank_deficient_solve(state, free_var_limit):
+    """rank_deficient_solve as it was: the whole RREF payload block
+    unpacked on every call, searched or not."""
+    if state.received == 0:
+        raise ValueError("decoder state holds no rows")
+    ctx = state.ctx
+    h = state.block_size
+    n = state.packet_len * gf.symbols_per_byte(ctx.m)
+    tags = state.rref[:, :h]
+    P = gf.bytes_to_symbols(state.rref[:, h:].tobytes(), ctx.m).reshape(state.rank, n)
+    est = np.zeros((h, n), dtype=np.uint8)
+    conf = np.zeros((h, n), dtype=np.uint8)
+    free_cols = [c for c in range(h) if c not in state.pivot_cols]
+    heuristic_rows = []
+    for r, c in enumerate(state.pivot_cols):
+        if c in state.decoded:
+            est[c] = P[r]
+            conf[c] = 2
+        else:
+            heuristic_rows.append((r, c))
+    if not free_cols or len(free_cols) > free_var_limit:
+        return est, conf
+    conf[free_cols] = 1
+    if not heuristic_rows:
+        return est, conf
+    q = ctx.size
+    A, nnz = rlnc._assignments(q, len(free_cols))
+    rows = [r for r, _ in heuristic_rows]
+    G = tags[rows][:, free_cols]
+    f = ctx.matmul(A, G.T)
+    codes = np.zeros(n, dtype=np.intp)
+    n_codes = 1
+    for r in rows:
+        codes = codes * q + P[r]
+        present = np.zeros(n_codes * q, dtype=np.intp)
+        present[codes] = 1
+        rank = np.cumsum(present) - 1
+        n_codes = int(rank[-1]) + 1
+        codes = rank[codes]
+    first = np.empty(n_codes, dtype=np.intp)
+    first[codes] = np.arange(n)
+    patterns = P[rows][:, first]
+    weights = np.repeat(nnz[None, :], n_codes, axis=0)
+    for i in range(len(rows)):
+        weights += patterns[i][:, None] != f[:, i]
+    best = np.argmin(weights, axis=1)[codes]
+    for i, (r, c) in enumerate(heuristic_rows):
+        est[c] = P[r] ^ f[best, i]
+        conf[c] = 1
+    est[free_cols] = A[best].T
+    return est, conf
+
+
 @pytest.mark.parametrize("m", [1, 2, 4, 8])
 @pytest.mark.parametrize("h", [1, 2, 4, 8])
 def test_rank_deficient_solve_matches_unique_numbering(m, h):
@@ -848,4 +901,35 @@ def test_rank_deficient_solve_matches_unique_numbering(m, h):
             ref_est, ref_conf = reference_unique_rank_deficient_solve(state, limit)
             assert np.array_equal(conf, ref_conf)
             assert np.array_equal(est, ref_est)
+    assert ranks == set(range(h + 1))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+@pytest.mark.parametrize("h", [1, 2, 4, 8])
+def test_rank_deficient_solve_unpacks_only_the_rows_it_reads(m, h, monkeypatch):
+    # a solve that does not search reads only the decoded rows, so only they
+    # are unpacked; the estimates are those of a full unpack either way
+    unpacked = []
+    to_symbols = gf.bytes_to_symbols
+
+    def recording(data, m):
+        unpacked.append(len(data))
+        return to_symbols(data, m)
+
+    ranks = set()
+    for state, _, _ in _states_at_every_rank(m, h, 2):
+        ranks.add(state.rank)
+        for limit in (0, 1, 2):
+            ref_est, ref_conf = reference_full_unpack_rank_deficient_solve(state, limit)
+            monkeypatch.setattr(gf, "bytes_to_symbols", recording)
+            unpacked.clear()
+            est, conf = rank_deficient_solve(state, limit)
+            monkeypatch.setattr(gf, "bytes_to_symbols", to_symbols)
+            assert np.array_equal(conf, ref_conf)
+            assert np.array_equal(est, ref_est)
+            # the search runs when some free columns, at most limit, and
+            # some pivot rows not yet decoded leave a choice to make
+            search = 0 < h - state.rank <= limit and state.rank > len(state.decoded)
+            rows = state.rank if search else len(state.decoded)
+            assert unpacked == ([rows * state.packet_len] if rows else [])
     assert ranks == set(range(h + 1))
