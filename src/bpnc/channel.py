@@ -23,6 +23,21 @@ def db_to_linear(db: float) -> float:
     return 10 ** (db / 10)
 
 
+class Table(dict):
+    """A per-run table: reading a missing key by subscript builds its entry
+    as ``build(key)`` and keeps it.  ``get`` and ``in`` never build."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 def _check(label: str, v, ok, what: str) -> None:
     """v is a number (not a bool) for which ok holds."""
     # every comparison is False for NaN
@@ -305,6 +320,12 @@ def link_rate(scn: Scenario, sinr: float, frame_len_bytes: int) -> tuple[float, 
     p = frame_success_prob(sinr, frame_len_bytes)
     bits = 8 * frame_len_bytes
     return scn.phy.bit_rate() * p / bits, p
+
+
+def link_rate_table(scn: Scenario) -> Table:
+    """Received dBm -> c_ij of a DATA frame that no other carrier reaches."""
+    return Table(lambda rxp: link_rate(
+        scn, db_to_linear(rxp - scn.phy.noise_floor_dbm), scn.coding.packet_len)[0])
 
 
 # -- canonical topologies ---------------------------------------------------

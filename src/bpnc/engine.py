@@ -18,18 +18,18 @@ objects, and renders its text lines only when they are read.
 What does not change from frame to frame is kept in per-run tables, each
 keyed by the values its entry depends on and nothing else.  For each
 (sender, channel), ``Engine.receivers`` maps every node the sender reaches
-to its gain.  ``Engine.reach``, keyed by (sender, channel, the sender's
-power in dBm), lists the nodes at or above sensitivity at that power, each
-with its received power; a delivery walks that list, built at the key's
-first delivery.  That cut is the one reception rule: a node keeps no copy
-of it and learns its neighbours only from the frames ``_deliver`` hands it.
-Airtime is kept by frame length (``airtimes``), and a power in mW by the
-power in dBm (``mw``, for transmit energy and carrier sense).  Channel
-uniforms come from ``DRAW_BUFFER``-sized blocks of the channel generator,
-the same stream as one scalar draw at a time.  The success probability of a
-reception no other carrier reaches depends only on its received power and
-frame length, so each run computes it once per such pair
-(``Engine.clear_p_ok``).  A coded packet travels as its
+to its gain.  Every other table is a ``channel.Table``, which builds an
+entry from its key on first read.  ``Engine.reach``, keyed by (sender,
+channel, the sender's power in dBm), lists the nodes at or above
+sensitivity at that power, with their received power; a delivery walks
+that list.  That cut is the one reception rule: a node keeps no copy of it
+and learns its neighbours only from the frames ``_deliver`` hands it.
+``airtimes`` is keyed by frame length, ``mw`` by power in dBm (for energy
+and carrier sense), the ``link_rates`` all nodes share by received power,
+and ``clear_p_ok``, the success probability of a reception no other
+carrier reaches, by received power and frame length.  Channel uniforms
+come from ``DRAW_BUFFER``-sized blocks of the channel generator, the same
+stream as one scalar draw at a time.  A coded packet travels as its
 ``wire.DataFrame``, and its payload stays packed bytes from source to
 decoder.
 
@@ -209,19 +209,22 @@ class Engine:
             for src in self.nodes
         }
         # (sender, channel, sender's power in dBm) -> (node id, node,
-        # received dBm) of each node at or above sensitivity, built from
-        # receivers at its first use
-        self.reach: dict[tuple[int, int, float], list[tuple[int, Node, float]]] = {}
+        # received dBm) of each node at or above sensitivity, in ascending id
+        self.reach = ch.Table(lambda key: [
+            (nid, self.nodes[nid], rxp) for nid, g in self.receivers[key[0]][key[1]].items()
+            if (rxp := key[2] + g) >= scn.phy.sensitivity_dbm])
         # frame length in bytes -> airtime
-        self.airtimes: dict[int, int] = {}
+        self.airtimes = ch.Table(lambda n: int(math.ceil(n * 8 / scn.phy.bit_rate() * US)))
         # power in dBm -> mW, for a sender's power or a received power
-        self.mw: dict[float, float] = {}
+        self.mw = ch.Table(ch.dbm_to_mw)
+        # received dBm -> link rate, which every node's schedules weigh by
+        self.link_rates = ch.link_rate_table(scn)
         self.noise_mw = ch.dbm_to_mw(scn.phy.noise_floor_dbm)
         self.listen_mw = scn.phy.listen_power_frac * ch.dbm_to_mw(scn.power.max_dbm)
         self.active: list[Transmission] = []
         # (received dBm, frame bytes) -> success probability of a reception
         # no other carrier reaches: it depends on nothing else in a run
-        self.clear_p_ok: dict[tuple[float, int], float] = {}
+        self.clear_p_ok = ch.Table(lambda k: ch.frame_success_prob(ch.link_snr(scn, k[0]), k[1]))
         self.packet_log = PacketLog()
         self.log = MetricsLog()
         # (flow, generation) -> its truth, until every destination decodes it
@@ -276,37 +279,10 @@ class Engine:
 
     # -- the medium ---------------------------------------------------------
 
-    def airtime_us(self, raw: bytes) -> int:
-        n = len(raw)
-        air = self.airtimes.get(n)
-        if air is None:
-            air = self.airtimes[n] = int(math.ceil(n * 8 / self.scn.phy.bit_rate() * US))
-        return air
-
-    def to_mw(self, dbm: float) -> float:
-        mw = self.mw.get(dbm)
-        if mw is None:
-            mw = self.mw[dbm] = ch.dbm_to_mw(dbm)
-        return mw
-
-    def reach_of(self, src: int, chan: int, power: float) -> list[tuple[int, Node, float]]:
-        """(node id, node, received dBm) of each node src reaches on chan at
-        or above sensitivity at power, in ascending id; built once per key."""
-        key = (src, chan, power)
-        reach = self.reach.get(key)
-        if reach is None:
-            sensitivity = self.scn.phy.sensitivity_dbm
-            reach = self.reach[key] = [
-                (nid, self.nodes[nid], rxp) for nid, g in self.receivers[src][chan].items()
-                if (rxp := power + g) >= sensitivity]
-        return reach
-
     def transmit(self, node: Node, chan: int, frame) -> int:
         raw = frame.pack()
         nbytes = len(raw)
-        air = self.airtimes.get(nbytes)
-        if air is None:
-            air = self.airtime_us(raw)
+        air = self.airtimes[nbytes]
         now = self.now_us
         end = now + air
         power = node.power_dbm
@@ -318,10 +294,7 @@ class Engine:
         if end > node.tx_until_us:
             node.tx_until_us = end
         node.tx_airtime_us += air
-        mw = self.mw.get(power)
-        if mw is None:
-            mw = self.to_mw(power)
-        node.tx_energy_mj += mw * air / US
+        node.tx_energy_mj += self.mw[power] * air / US
         self.frames_sent[node.id][wire.TYPE_NAMES[raw[0]]] += 1
         self.packet_log.records.append((now, chan, node.id, raw))
         self.schedule_at(end, lambda: self._deliver(tx))
@@ -347,20 +320,13 @@ class Engine:
         # frame loss draws are made for DATA frames only
         loss = self.scn.frame_loss if type(frame) is wire.DataFrame else 0.0
         uniforms, clear_p_ok = self.uniforms, self.clear_p_ok
-        reach = self.reach.get((src, chan, power))
-        if reach is None:
-            reach = self.reach_of(src, chan, power)
-        for nid, node, rxp in reach:
+        for nid, node, rxp in self.reach[src, chan, power]:
             # every in-range node gets its own draw from this transmission,
             # whether or not it is tuned here, so logging can't shift draws
             interference = interferers and [p + gains[nid] for p, gains in interferers
                                             if nid in gains]
-            p_ok = None if interference else clear_p_ok.get((rxp, nbytes))
-            if p_ok is None:
-                sinr = ch.link_snr(self.scn, rxp, interference)
-                p_ok = ch.frame_success_prob(sinr, nbytes)
-                if not interference:
-                    clear_p_ok[(rxp, nbytes)] = p_ok
+            p_ok = (ch.frame_success_prob(ch.link_snr(self.scn, rxp, interference), nbytes)
+                    if interference else clear_p_ok[rxp, nbytes])
             ok = next(uniforms) < p_ok
             if ok and loss:
                 ok = next(uniforms) >= loss
@@ -380,7 +346,7 @@ class Engine:
                 continue
             g = self.receivers[a.src][chan].get(node_id)
             if g is not None:
-                total += self.to_mw(a.power_dbm + g)
+                total += self.mw[a.power_dbm + g]
         return total
 
     # -- coding bookkeeping -------------------------------------------------

@@ -16,13 +16,14 @@ every frame a node holds credit for, coded or received, sits in
 path walks ``Node.credit_index``, which lists, for each flow and peer, the
 generations that have credit and may go to that peer, so a pick takes the
 head of that list, and a ``has_sendable`` test reads one entry, however
-many generations the node holds.
+many generations the node holds.  Each flow's lists are a ``channel.Table``,
+which builds a peer's list at its first read.
 
-A node computes what its frames need once per distinct value, keyed by
-that value: ``Node.link_rates`` holds the link rate per received power
-(power + gain), ``Schedule.rts`` the RTS of a pending schedule, sent
-unchanged on every retry, and ``Node.syn_sent`` the last SYN with its
-entries, sent again while they are equal.
+A node computes what its frames need once per distinct value: link rates
+come from the one ``Engine.link_rates``, by received power (power + gain),
+``Schedule.rts`` is the RTS of a pending schedule, sent unchanged on every
+retry, and ``Node.syn_sent`` the last SYN, sent again while its entries are
+equal.
 """
 
 from __future__ import annotations
@@ -172,8 +173,6 @@ class Node:
         self.tx_airtime_us = 0
         self.tx_energy_mj = 0.0
         self.tx_until_us = 0
-        # received dBm (power + gain) -> link rate of a DATA frame
-        self.link_rates: dict[float, float] = {}
         # (entries, frame) of the last SYN sent, which the next reuses while
         # its entries are equal
         self.syn_sent: tuple[tuple, wire.SynFrame] | None = None
@@ -194,9 +193,12 @@ class Node:
         # (flow, generation id) -> the frames held to send
         self.relay_gens: dict[tuple[int, int], RelayGen] = {}
         # flow -> peer -> ascending ids of the held generations sendable to
-        # peer; a peer's list is built at its first query (sendable_ids)
-        self.credit_index: dict[int, dict[int, list[int]]] = {
-            i: {} for i in range(len(self.flows))}
+        # peer, built at the peer's first read and kept by the send path
+        self.credit_index: dict[int, ch.Table] = {
+            fi: ch.Table(lambda peer, fi=fi: sorted(
+                gid for (f, gid), rg in self.relay_gens.items()
+                if f == fi and rg.sendable_to(peer)))
+            for fi in range(len(self.flows))}
         self.decoders: dict[tuple[int, int], rlnc.DecoderState] = {}
 
     # -- helpers ------------------------------------------------------------
@@ -289,8 +291,7 @@ class Node:
             self.enter_phase(FLOW_UPDATE)
             self.schedule_tick(self.syn_interval_us)
             return
-        if not (self.scn.sensing_enabled
-                and engine.sense(self.id, self.pending.channel) > self.busy_threshold_mw):
+        if not self.channel_busy(self.pending.channel):
             self.send_rts()
         jitter = int(self.rng.integers(0, 50_000))
         self.engine.schedule(self.rts_interval_us + jitter, self.negotiation_tick)
@@ -307,7 +308,9 @@ class Node:
         return self.channel
 
     def channel_busy(self, chan: int) -> bool:
-        return self.engine.sense(self.id, chan) > self.busy_threshold_mw
+        """Carrier sense; with sensing off, nothing is sensed and no channel is busy."""
+        return (self.scn.sensing_enabled
+                and self.engine.sense(self.id, chan) > self.busy_threshold_mw)
 
     # -- outbound frames ----------------------------------------------------
 
@@ -346,12 +349,7 @@ class Node:
         g = rec.gains_db.get(chan)
         if g is None:
             g = rec.best_gain_db()
-        rxp = self.power_dbm + g
-        rate = self.link_rates.get(rxp)
-        if rate is None:
-            snr = ch.db_to_linear(rxp - self.scn.phy.noise_floor_dbm)
-            rate = self.link_rates[rxp] = ch.link_rate(self.scn, snr, self.scn.coding.packet_len)[0]
-        return rate
+        return self.engine.link_rates[self.power_dbm + g]
 
     def compute_schedule(self) -> Schedule | None:
         cands = []
@@ -387,15 +385,10 @@ class Node:
     # -- power control ------------------------------------------------------
 
     def update_power(self) -> None:
-        rec = None
-        for cand in self.neighbors.values():
-            if rec is None or cand.best_gain_db() > rec.best_gain_db():
-                rec = cand
-        if rec is None:
+        best = max((r.best_gain_db() for r in self.neighbors.values()), default=None)
+        if best is None:
             return
-        gamma_hat = ch.db_to_linear(
-            self.power_dbm + rec.best_gain_db() - self.scn.phy.noise_floor_dbm
-        )
+        gamma_hat = ch.db_to_linear(self.power_dbm + best - self.scn.phy.noise_floor_dbm)
         gamma_t = ch.db_to_linear(self.scn.power.target_snr_db)
         self.power_dbm = apply_power_update(
             self.power_dbm, gamma_t, gamma_hat,
@@ -511,7 +504,7 @@ class Node:
         if engine.now_us >= self.phase_entry_us + self.data_us:
             self.end_data_phase()
             return
-        if self.scn.sensing_enabled and engine.sense(self.id, s.channel) > self.busy_threshold_mw:
+        if self.channel_busy(s.channel):
             # carrier sense: another live transmission owns the channel;
             # retry after a random hold-off
             engine.schedule(int(self.rng.integers(2_000, 10_000)), self.send_next_data)
@@ -528,14 +521,14 @@ class Node:
     def next_coded_packet(self, flow_index: int, peer: int) -> wire.DataFrame | None:
         """Oldest generation with send credit for peer, at a source or a relay.
 
-        ``sendable_ids(flow_index, peer)`` holds exactly the flow's
+        ``credit_index[flow_index][peer]`` holds exactly the flow's
         generations sendable to peer in ascending id order, so its head is
         the generation a scan over every held one would pick, and is taken
         without a test.  Each held frame goes out once, in the order it was
         coded or received; a relay recodes its buffer only for credit
         beyond it.
         """
-        gids = self.sendable_ids(flow_index, peer)
+        gids = self.credit_index[flow_index][peer]
         if not gids:
             return None
         gid = gids[0]
@@ -556,18 +549,7 @@ class Node:
         return self.to_frame(flow_index, gid, rlnc.recode(self.ctx, rg.pkts, self.rng))
 
     def has_sendable(self, flow_index: int, peer: int) -> bool:
-        return bool(self.sendable_ids(flow_index, peer))
-
-    def sendable_ids(self, flow_index: int, peer: int) -> list[int]:
-        """Ascending ids of the flow's held generations sendable to peer:
-        ``credit_index[flow_index][peer]``, built from every held generation
-        at the peer's first query and kept by the send path from then on."""
-        peers = self.credit_index[flow_index]
-        gids = peers.get(peer)
-        if gids is None:
-            gids = peers[peer] = sorted(gid for (fi, gid), rg in self.relay_gens.items()
-                                        if fi == flow_index and rg.sendable_to(peer))
-        return gids
+        return bool(self.credit_index[flow_index][peer])
 
     def credit_frame(self, flow_index: int, gid: int, origin: int | None = None) -> RelayGen:
         """The entry of (flow_index, gid), credited with one more frame,

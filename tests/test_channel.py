@@ -109,6 +109,23 @@ def test_rate_tracks_success_probability_monte_carlo():
     assert draws.mean() == pytest.approx(p, abs=0.02)
 
 
+def test_table_builds_each_entry_once_on_first_read():
+    built = []
+
+    def square(k):
+        built.append(k)
+        return k * k
+
+    table = ch.Table(square)
+    # neither get nor in builds an entry
+    assert table.get(3) is None and 3 not in table and table.get(3, "x") == "x"
+    assert built == [] and table == {}
+    assert [table[k] for k in (3, 4, 3, 4, 3)] == [9, 16, 9, 16, 9]
+    assert built == [3, 4]
+    assert 3 in table and table.get(4) == 16 and built == [3, 4]
+    assert table == {k: square(k) for k in (3, 4)}
+
+
 def test_builtins_shapes():
     scns = builtin_scenarios()
     assert set(scns) == {"line7", "ring7", "grid6", "butterfly7"}

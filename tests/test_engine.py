@@ -406,8 +406,25 @@ def test_memoized_values_equal_a_fresh_build(monkeypatch, make_scn, duration):
                 for c in range(eng.scn.num_channels):
                     g = rec.gains_db.get(c, rec.best_gain_db())
                     assert node.link_rate_to(rec, c) == _fresh_link_rate(node, node.power_dbm + g)
-        for rxp, rate in node.link_rates.items():
-            assert rate == _fresh_link_rate(node, rxp)
+    for rxp, rate in eng.link_rates.items():
+        assert rate == _fresh_link_rate(eng.nodes[1], rxp)
+
+
+@pytest.mark.parametrize("make_scn,duration", [(ch.line7, 600), (_lossy_coded_butterfly7, 300)])
+def test_link_rate_computed_once_per_received_power(monkeypatch, make_scn, duration):
+    # every node reads the engine's one link-rate table, so a received power
+    # any number of nodes weigh is computed once in the run
+    calls = 0
+    link_rate = ch.link_rate
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return link_rate(*args)
+
+    monkeypatch.setattr(ch, "link_rate", counted)
+    eng = engine.run(engine.apply_override(make_scn(), "duration_s", duration), seed=1)
+    assert calls == len(eng.link_rates) > 0
 
 
 def test_memos_do_not_grow_with_simulated_time(monkeypatch):
@@ -426,9 +443,9 @@ def test_memos_do_not_grow_with_simulated_time(monkeypatch):
         eng = engine.run(engine.apply_override(ch.line7(), "duration_s", duration), seed=1)
         assert len(eng.reach) <= len(eng.nodes) * eng.scn.num_channels * len(powers)
         sizes.append((len(eng.reach), len(eng.mw), len(eng.airtimes), len(eng.clear_p_ok),
-                      [len(n.link_rates) for n in eng.nodes.values()]))
+                      len(eng.link_rates)))
     assert sizes[0] == sizes[1]
-    assert sizes[0][0] > 0 and sum(sizes[0][4]) > 0
+    assert sizes[0][0] > 0 and sizes[0][4] > 0
 
 
 def test_only_the_medium_decides_reception(monkeypatch):
@@ -725,7 +742,7 @@ def test_energy_meter_matches_log_recomputation():
     for line in eng.packet_log:
         _, _, src, _, payload = line.split()
         src = int(src)
-        air = eng.airtime_us(bytes.fromhex(payload))
+        air = eng.airtimes[len(bytes.fromhex(payload))]
         air_us[src] += air
     # power varies over a run; compare total airtime and energy bounds instead
     pmin, pmax = ch.dbm_to_mw(scn.power.min_dbm), ch.dbm_to_mw(scn.power.max_dbm)

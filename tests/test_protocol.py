@@ -22,6 +22,7 @@ class FakeEngine:
         self.scheduled = []
         self.sent = []  # (chan, frame)
         self.busy_mw = 0.0
+        self.link_rates = ch.link_rate_table(scn)
 
     def schedule(self, delay_us, fn):
         self.scheduled.append((self.now_us + delay_us, fn))
@@ -361,7 +362,7 @@ def test_source_holds_no_frame_of_its_own_flow():
     for gid in (0, 5):
         node.on_data(3, wire.DataFrame(OWN, gid, (1, 3), bytes(4), 4))
     assert node.queues.flow_backlogs(OWN) == {6: 3, 7: 3}
-    assert list(node.relay_gens) == [(OWN, 0)] and node.sendable_ids(OWN, 3) == [0]
+    assert list(node.relay_gens) == [(OWN, 0)] and node.credit_index[OWN][3] == [0]
     assert node.relay_gens[(OWN, 0)].rcvd == 1
     assert node.next_coded_packet(OWN, 3) is own
     assert node.next_coded_packet(OWN, 3) is None
@@ -548,6 +549,15 @@ def test_active_neighbor_trips_busy():
     assert node.channel_busy(0)
 
 
+def test_sensing_off_senses_nothing(monkeypatch):
+    scn = ch.line7()
+    scn.sensing_enabled = False
+    node, eng = make_node(scn=scn)
+    eng.busy_mw = ch.dbm_to_mw(-60.0)
+    monkeypatch.setattr(FakeEngine, "sense", lambda *a: pytest.fail("sensed"))
+    assert not node.channel_busy(0)
+
+
 # -- data round accounting --------------------------------------------------
 
 def run_logging_phases(monkeypatch, scn, seed):
@@ -568,7 +578,7 @@ def test_data_phase_rate_bound(monkeypatch):
     """30 s at the medium's frame airtime bounds the packets one phase sends."""
     scn = ch.line7()
     eng, phases = run_logging_phases(monkeypatch, engine.apply_override(scn, "duration_s", 200), 3)
-    airtime_s = eng.airtime_us(b"\x00" * 510) / 1e6
+    airtime_s = eng.airtimes[510] / 1e6
     cap = int(scn.timing.data_s / airtime_s) + 1
     for node in eng.nodes.values():
         data_windows = sum(1 for _, p in phases[node.id] if p is Phase.DATA_TRANSFER)
