@@ -56,6 +56,14 @@ def _require_nonnegative(section: str, cfg, names) -> None:
     _require(section, cfg, names, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 
 
+# every dB and dBm field and every finite link gain lies within +-DB_LIMIT,
+# and a bit rate is at least MIN_BIT_RATE: the model then takes 10 ** (x / 10)
+# of sums of up to three of them, and divides by the rate, without overflow
+DB_LIMIT = 1000.0
+DB_RANGE = f"a number in [-{DB_LIMIT:g}, {DB_LIMIT:g}]"
+MIN_BIT_RATE = 1.0  # bits/s
+
+
 def _require_bool(section: str, cfg, names) -> None:
     """Switches are bools: any truthy value would otherwise switch a layer
     on, "off" included."""
@@ -167,7 +175,8 @@ class PowerConfig:
     target_snr_db: float = 15.0
 
     def validate(self):
-        _require("power", self, [f.name for f in fields(self)], math.isfinite, "a finite number")
+        _require("power", self, [f.name for f in fields(self)],
+                 lambda v: abs(v) <= DB_LIMIT, DB_RANGE)
         if not self.min_dbm <= self.init_dbm <= self.max_dbm:
             raise ScenarioError(
                 "power: need min_dbm <= init_dbm <= max_dbm, got "
@@ -192,11 +201,14 @@ class PhyConfig:
         _require_int("phy", self, ("fft_len", "occupied"), 1)
         _require_int("phy", self, ("cp_len",), 0)
         _require("phy", self, ("noise_floor_dbm", "sensitivity_dbm", "busy_threshold_db"),
-                 math.isfinite, "a finite number")
+                 lambda v: abs(v) <= DB_LIMIT, DB_RANGE)
         _require("phy", self, ("listen_power_frac",), lambda v: 0 <= v <= 1, "in [0, 1]")
         if self.occupied > self.fft_len:
             raise ScenarioError(
                 f"phy.occupied: at most fft_len {self.fft_len}, got {self.occupied}")
+        if not self.bit_rate() >= MIN_BIT_RATE:
+            raise ScenarioError(f"phy: bit rate must be at least {MIN_BIT_RATE:g} bit/s, "
+                                f"got {self.bit_rate()!r}")
 
     def bit_rate(self) -> float:
         """OFDM goodput in bits/s: symbol rate x occupied fraction x CP
@@ -230,8 +242,8 @@ class Scenario:
         for i, l in enumerate(self.links):
             _require_int(f"links[{i}]", l, ("src", "dst"), 1, self.num_nodes)
             # -inf means no link, as for a pair that no link names
-            _require(f"links[{i}]", l, ("gain_db",), lambda v: v < math.inf,
-                     "a finite number or -inf")
+            _require(f"links[{i}]", l, ("gain_db",),
+                     lambda v: v == -math.inf or abs(v) <= DB_LIMIT, f"{DB_RANGE} or -inf")
             if l.channel is not None:
                 _require_int(f"links[{i}]", l, ("channel",), 0, self.num_channels - 1)
         if not self.flows:
@@ -283,14 +295,11 @@ class Scenario:
 
         Resolved from the current ``links``, so a link added or edited after
         construction counts; of two links with the same key, the later wins.
+        Directed beats symmetric, and channel-pinned beats all-channel.
         """
-        keys = ((i, j, chan), (j, i, chan), (i, j, None), (j, i, None))
-        rank, gain = len(keys), float("-inf")
-        for l in self.links:
-            key = (l.src, l.dst, l.channel)
-            if key in keys and keys.index(key) <= rank:
-                rank, gain = keys.index(key), l.gain_db
-        return gain
+        gains = {(l.src, l.dst, l.channel): l.gain_db for l in self.links}
+        return next((gains[k] for k in ((i, j, chan), (j, i, chan), (i, j, None), (j, i, None))
+                     if k in gains), float("-inf"))
 
 
 # -- SNR / BER / rate -------------------------------------------------------

@@ -139,8 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("--scenario", help="scenario YAML file path")
         g.add_argument("--builtin", default="line7",
                        help="builtin scenario: line7, ring7, grid6, butterfly7")
-        sp.add_argument("--seed", type=int, default=1,
-                        help="run seed (engine argument, not a scenario field)")
         sp.add_argument("--out", default=default_out(),
                         help="output directory (defaults to $BPNC_OUT or ./out)")
         sp.add_argument("--block-size", type=int,
@@ -152,22 +150,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("run", help="single simulation run")
     common(sp)
+    sp.add_argument("--seed", type=int, default=1,
+                    help="run seed (engine argument, not a scenario field)")
     sp.add_argument("--duration", type=float,
                     help="simulated seconds (scenario.duration_s)")
     sp.set_defaults(fn=cmd_run)
 
-    sp = sub.add_parser("sweep", help="parameter sweep over seeds")
+    # a command that takes --seeds does not read --seed as its abbreviation
+    sp = sub.add_parser("sweep", help="parameter sweep over seeds", allow_abbrev=False)
     common(sp)
     sp.add_argument("--param", required=True,
                     help="key=v1,v2,... e.g. block_size=2,4,6,8 or "
                     "decoder=earliest,rank_deficient")
-    sp.add_argument("--seeds", type=int, default=5, help="number of seeds (1..k)")
+    sp.add_argument("--seeds", type=int, default=5, help="number of seeds k: runs seeds 1..k")
     sp.add_argument("--parallel", action="store_true",
                     help="run (value, seed) cells in worker processes")
     sp.set_defaults(fn=cmd_sweep)
 
-    sp = sub.add_parser("paper-suite",
-                        help="regenerate the full experiment set")
+    sp = sub.add_parser("paper-suite", help="regenerate the full experiment set",
+                        allow_abbrev=False)
     sp.add_argument("--out", default=default_out(),
                     help="output directory (defaults to $BPNC_OUT or ./out)")
     sp.add_argument("--seeds", type=int, default=3, help="seeds per experiment")

@@ -201,13 +201,14 @@ class Engine:
             self.nodes[nid] = Node(nid, scn, self, rng)
         # the topology is static for a run: receivers[src][chan] maps each
         # node that src reaches on chan (never src itself) to its gain,
-        # in ascending node id
-        self.receivers: dict[int, list[dict[int, float]]] = {
-            src: [{dst: g for dst in self.nodes
-                   if dst != src and (g := scn.gain_db(src, dst, chan)) != float("-inf")}
-                  for chan in range(scn.num_channels)]
-            for src in self.nodes
-        }
+        # in ascending node id.  Only a pair some link names, either way
+        # round, can be connected, so only those pairs are looked up.
+        self.receivers = {src: [{} for _ in range(scn.num_channels)] for src in self.nodes}
+        for src, dst in sorted({p for l in scn.links if l.src != l.dst
+                                for p in ((l.src, l.dst), (l.dst, l.src))}):
+            for chan, table in enumerate(self.receivers[src]):
+                if (g := scn.gain_db(src, dst, chan)) != float("-inf"):
+                    table[dst] = g
         # (sender, channel, sender's power in dBm) -> (node id, node,
         # received dBm) of each node at or above sensitivity, in ascending id
         self.reach = ch.Table(lambda key: [

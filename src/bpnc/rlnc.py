@@ -429,12 +429,7 @@ def _prefix_pivot_ok(ctx: FieldContext, G: np.ndarray, p: int) -> bool:
     """Does column p-1 obtain a pivot from the first p rows, scanning columns
     left to right?  This is the condition for the p-th packet's reduced form
     to match the ideal (data-side) reduction."""
-    sub = G[:p, :p]
-    r_full = gaussian_eliminate(ctx, sub)[1] if p else 0
-    if p == 1:
-        return bool(G[0, 0])
-    r_prev = gaussian_eliminate(ctx, G[:p, : p - 1])[1]
-    return r_full - r_prev == 1
+    return p - 1 in gaussian_eliminate(ctx, G[:p, :p])[2]
 
 
 def prefix_equivalence_report(

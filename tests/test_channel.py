@@ -407,6 +407,67 @@ def test_validate_accepts_range_edges():
     scn.validate()
 
 
+def _set(scn, section, name, value):
+    """Set one scenario setting: a field of a section, or the gain of the
+    first link."""
+    setattr(scn.links[0] if section == "links" else getattr(scn, section), name, value)
+
+
+# the first seven passed validation once, then stopped a run with
+# OverflowError or ZeroDivisionError; the rest lie just outside the range
+@pytest.mark.parametrize("section,name,value", [
+    ("phy", "noise_floor_dbm", 4000.0),
+    ("phy", "noise_floor_dbm", -4000.0),
+    ("phy", "busy_threshold_db", 4000.0),
+    ("power", "target_snr_db", 4000.0),
+    ("power", "max_dbm", 4000.0),
+    ("phy", "sample_rate", 1e-300),
+    ("links", "gain_db", 1e308),
+    ("links", "gain_db", math.nextafter(-ch.DB_LIMIT, -math.inf)),
+    ("phy", "sensitivity_dbm", math.nextafter(ch.DB_LIMIT, math.inf)),
+    ("power", "min_dbm", math.nextafter(-ch.DB_LIMIT, -math.inf)),
+])
+def test_validate_rejects_settings_the_model_overflows_on(section, name, value):
+    scn = line7()
+    _set(scn, section, name, value)
+    with pytest.raises(ScenarioError, match=section):
+        scn.validate()
+    with pytest.raises(ScenarioError):
+        engine.run(engine.apply_override(scn, "duration_s", 60), seed=1)
+
+
+@pytest.mark.parametrize("section,name,value", [
+    ("phy", "noise_floor_dbm", ch.DB_LIMIT),
+    ("phy", "noise_floor_dbm", -ch.DB_LIMIT),
+    ("phy", "sensitivity_dbm", -ch.DB_LIMIT),
+    ("phy", "busy_threshold_db", ch.DB_LIMIT),
+    ("power", "target_snr_db", ch.DB_LIMIT),
+    ("power", "target_snr_db", -ch.DB_LIMIT),
+    ("power", "max_dbm", ch.DB_LIMIT),
+    ("power", "min_dbm", -ch.DB_LIMIT),
+    ("links", "gain_db", ch.DB_LIMIT),
+    ("links", "gain_db", -ch.DB_LIMIT),
+    ("links", "gain_db", -math.inf),  # no link
+])
+def test_settings_at_the_range_edges_run(section, name, value):
+    scn = line7()
+    _set(scn, section, name, value)
+    engine.run(engine.apply_override(scn, "duration_s", 60), seed=1)
+
+
+def test_bit_rate_at_the_minimum_runs_and_below_it_is_refused():
+    # one carrier of a one-point FFT with no prefix: bit rate = sample rate
+    scn = line7()
+    scn.phy.fft_len = scn.phy.occupied = 1
+    scn.phy.cp_len = 0
+    scn.phy.sample_rate = ch.MIN_BIT_RATE
+    assert scn.phy.bit_rate() == ch.MIN_BIT_RATE
+    engine.run(engine.apply_override(scn, "duration_s", 60), seed=1)
+    scn.phy.sample_rate = math.nextafter(ch.MIN_BIT_RATE, 0)
+    with pytest.raises(ScenarioError, match="phy: bit rate"):
+        scn.validate()
+
+
 # arrivals are drawn with mean gap 1 / arrival_rate: 0 divides by zero, NaN
 # fails mid-run and infinity never lets simulated time advance, so validation
 # is the only place these are tested

@@ -1,6 +1,7 @@
 """CLI front end: flags, exit codes, files, doc coverage."""
 
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -338,6 +339,16 @@ def test_sweep_without_seeds_exits_2(tmp_path, seeds):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", [["sweep", "--builtin", "line7", "--param", "duration=5"],
+                                     ["paper-suite"]])
+def test_commands_over_seeds_take_no_seed(tmp_path, command):
+    # they run seeds 1..--seeds; --seed is neither read nor taken for --seeds
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--seed", "3", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_paper_suite_without_seeds_exits_2(tmp_path):
     rc = main(["paper-suite", "--seeds", "0", "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -386,11 +397,13 @@ def test_help_documents_every_flag():
             if hasattr(action, "choices") and action.choices and sub in action.choices:
                 help_text = action.choices[sub].format_help()
         assert help_text is not None
-        expected = ["--scenario", "--builtin", "--seed", "--out"]
+        expected = ["--scenario", "--builtin", "--out"]
         if sub == "run":
-            expected += ["--duration", "--block-size", "--decoder", "--field-bits"]
+            expected += ["--seed", "--duration", "--block-size", "--decoder", "--field-bits"]
         else:
             expected += ["--param", "--seeds", "--parallel"]
+            # a sweep runs seeds 1..--seeds, so it takes no --seed
+            assert not re.search(r"--seed\b", help_text)
         for flag in expected:
             assert flag in help_text
         # every flag names the scenario field it maps to

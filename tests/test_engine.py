@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpnc import channel as ch
 from bpnc import engine, gf, protocol, rlnc, wire
@@ -90,6 +92,23 @@ def _unicast_and_multicast_butterfly7():
     return scn.validate()
 
 
+def _grid(k):
+    """k x k nodes, numbered row by row, each with a strong link to its right
+    and lower neighbours.  Coded multicast goes from corner 1 to corners k
+    and k*k, and one unicast crosses from corner k*k-k+1 to corner k."""
+    links = [ch.LinkConfig(a, a + 1, ch.STRONG_GAIN_DB)
+             for a in range(1, k * k + 1) if a % k]
+    links += [ch.LinkConfig(a, a + k, ch.STRONG_GAIN_DB) for a in range(1, k * k - k + 1)]
+    return ch.Scenario(
+        name=f"grid{k}x{k}", num_nodes=k * k, num_channels=3, links=links,
+        flows=[ch.FlowConfig(1, (k, k * k), 1.0), ch.FlowConfig(k * k - k + 1, (k,), 1.0)],
+        coding=ch.CodingConfig(enabled=True, block_size=4)).validate()
+
+
+def _grid3x3():
+    return _grid(3)
+
+
 # The packet-log digest is the behaviour contract: a change that is meant to
 # be behaviour-preserving (a speed-up, a deletion) must leave these as they are.
 PINNED_DIGESTS = [
@@ -111,13 +130,16 @@ PINNED_DIGESTS = [
      "51128f92cb21a83c1f2c314435f386b349c6bd6f3301b126e11389233337551b"),
     (_unicast_and_multicast_butterfly7, 300,
      "44f63dd8d9dfa30ed89a96f369a359e8fc57ac44690013164d51e021798082dd"),
+    # nine nodes: both flows deliver within 300 s
+    (_grid3x3, 300,
+     "4cf822a94ac927ca2f122a38d14ef940c398965e81eeb5864439bf8ad8fb9e9d"),
 ]
 
 
 @pytest.mark.parametrize("make_scn,duration_s,digest", PINNED_DIGESTS,
                          ids=["line7", "butterfly7_lossy_coded", "ring7", "grid6",
                               "butterfly7", "line7_asymmetric", "line7_two_way",
-                              "butterfly7_unicast_and_multicast"])
+                              "butterfly7_unicast_and_multicast", "grid3x3"])
 def test_packet_log_digest_pinned(make_scn, duration_s, digest):
     eng = engine.run(engine.apply_override(make_scn(), "duration_s", duration_s), seed=1)
     assert engine.packet_log_digest(eng.packet_log) == digest
@@ -608,6 +630,62 @@ def test_run_makes_no_gain_lookups(monkeypatch):
     eng.run()
     assert len(eng.packet_log) > 0
     assert calls == 0
+
+
+def reference_gain_db(scn, i, j, chan):
+    """gain_db as a scan of every link, ranking each link by its key's place
+    in the precedence order; of two links at the same rank, the later wins."""
+    keys = ((i, j, chan), (j, i, chan), (i, j, None), (j, i, None))
+    rank, gain = len(keys), float("-inf")
+    for l in scn.links:
+        key = (l.src, l.dst, l.channel)
+        if key in keys and keys.index(key) <= rank:
+            rank, gain = keys.index(key), l.gain_db
+    return gain
+
+
+@st.composite
+def linked_scenarios(draw):
+    """Up to 14 links, repeated keys and self-links included, either
+    direction, pinned to a channel or not, with -inf and sub-sensitivity
+    gains among them."""
+    n = draw(st.integers(2, 9))
+    num_channels = draw(st.integers(1, 4))
+    node = st.integers(1, n)
+    gain = st.sampled_from([float("-inf"), -200.0, -70.0, -55.0]) | st.floats(-1000, 1000)
+    link = st.builds(ch.LinkConfig, node, node, gain,
+                     st.none() | st.integers(0, num_channels - 1))
+    return ch.Scenario("generated", n, num_channels, draw(st.lists(link, max_size=14)),
+                       [ch.FlowConfig(1, (2,), 1.0)]).validate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(linked_scenarios())
+def test_receiver_table_is_the_all_pairs_gain_lookup(scn):
+    eng = engine.Engine(scn, seed=1)
+    for src in eng.nodes:
+        for chan in range(scn.num_channels):
+            gains = {dst: scn.gain_db(src, dst, chan) for dst in sorted(eng.nodes)}
+            assert gains == {dst: reference_gain_db(scn, src, dst, chan) for dst in gains}
+            assert list(eng.receivers[src][chan].items()) == [
+                (dst, g) for dst, g in gains.items() if dst != src and g != float("-inf")]
+
+
+def test_engine_looks_up_linked_pairs_only(monkeypatch):
+    # a pair that no link names is unconnected, so a 10 x 10 grid needs one
+    # lookup per linked pair, direction and channel, not one per node pair
+    scn = _grid(10)
+    calls = 0
+    gain_db = ch.Scenario.gain_db
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return gain_db(*args, **kwargs)
+
+    monkeypatch.setattr(ch.Scenario, "gain_db", counted)
+    engine.Engine(scn, seed=1)
+    assert 0 < calls <= 2 * len(scn.links) * scn.num_channels == 1080
 
 
 def test_unchanged_decoder_state_is_scored_once_truth_arrives():
