@@ -67,37 +67,20 @@ def cmd_sweep(args) -> int:
     scn = load_scenario(args)
     key, values = parse_param(args.param)
     rows = engine.sweep(scn, key, values, seeds, parallel=args.parallel)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    engine.write_sweep_csv(rows, out / "sweep.csv")
-    _write_accuracy_curves(rows, out)
-    print(f"wrote sweep.csv, accuracy.csv to {out}")
+    engine.write_sweep(rows, args.out)
+    print(f"wrote sweep.csv, accuracy.csv to {args.out}")
     return 0
-
-
-def _write_accuracy_curves(rows, out: Path) -> None:
-    """Per-value decoded-fraction vs packets-received curves."""
-    with open(out / "accuracy.csv", "w") as f:
-        f.write("# bpnc-accuracy v1\n")
-        f.write("value,received,decoded_fraction\n")
-        for r in rows:
-            for received, frac in r["accuracy_curve"]:
-                f.write(f"{r['value']},{received},{frac}\n")
 
 
 def cmd_paper_suite(args) -> int:
     seeds = seed_list(args.seeds)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     # block preconditioning report (per-packet equivalence rates)
-    ctx = gf.FieldContext(4)
-    rng = np.random.default_rng(1)
-    before = rlnc.prefix_equivalence_report(ctx, 4, 2000, rng, reorder=False)
-    rng = np.random.default_rng(1)
-    after = rlnc.prefix_equivalence_report(ctx, 4, 2000, rng, reorder=True)
+    before, after = rlnc.prefix_equivalence_report(
+        gf.FieldContext(4), 4, 2000, np.random.default_rng(1))
     tdir = out / "preconditioning"
-    tdir.mkdir(exist_ok=True)
+    tdir.mkdir(parents=True, exist_ok=True)
     with open(tdir / "report.csv", "w") as f:
         f.write("packet,rate_before,rate_after\n")
         for i in range(4):
@@ -109,18 +92,11 @@ def cmd_paper_suite(args) -> int:
             eng = engine.run(ch.BUILTINS[name](), seed=seed)
             engine.write_outputs(eng, out / name / f"seed{seed}")
 
-    # multicast coding: block-size sweep and rank-deficient early recovery
-    bf = ch.butterfly7()
-    rows = engine.sweep(bf, "block_size", [2, 4, 6, 8], seeds,
-                        parallel=args.parallel)
-    (out / "blocksize").mkdir(exist_ok=True)
-    engine.write_sweep_csv(rows, out / "blocksize" / "sweep.csv")
-    _write_accuracy_curves(rows, out / "blocksize")
-    # the earliest decoder runs the same simulation, with no estimate scored
-    rows = engine.sweep(bf, "decoder", ["rank_deficient"], seeds, parallel=args.parallel)
-    (out / "decoder").mkdir(exist_ok=True)
-    engine.write_sweep_csv(rows, out / "decoder" / "sweep.csv")
-    _write_accuracy_curves(rows, out / "decoder")
+    # multicast coding: block-size sweep; the rank-deficient decoder runs
+    # the same simulation as the earliest one and also scores early recovery
+    bf = engine.apply_override(ch.butterfly7(), "decoder", "rank_deficient")
+    rows = engine.sweep(bf, "block_size", [2, 4, 6, 8], seeds, parallel=args.parallel)
+    engine.write_sweep(rows, out / "blocksize")
     print(f"wrote experiment suite to {out}")
     return 0
 

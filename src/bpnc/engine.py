@@ -379,25 +379,28 @@ class Engine:
             self._on_generation_decoded(dest, flow_index, gen_id, dec, truth)
 
     def _on_generation_decoded(self, dest, flow_index, gen_id, dec, truth) -> None:
+        # truth is present: the source registers it in the event that adds
+        # the generation's last row, tags are zero beyond the filled rows so
+        # no frame reaches full rank before that, and it is dropped only
+        # once every destination has decoded
         h = dec.block_size
         gen = (flow_index, gen_id)
-        if truth is not None:
-            # at full rank the pivot columns are 0..h-1 and every pivot row
-            # is a unit tag, so the payload block is the source rows, in
-            # order, when the decode is right
-            payload = dec.rref[:, h:]
-            if payload.tobytes() != truth.rows.tobytes():
-                wrong = payload != truth.rows
-                self.decode_errors += int(np.count_nonzero(wrong.any(axis=1)))
-            if dest in truth.best:
-                # a fraction of the generation's symbols
-                symbols = h * dec.packet_len * gf.symbols_per_byte(self.ctx.m)
-                self.log.early_recovery.append(truth.best.pop(dest) / symbols)
+        # at full rank the pivot columns are 0..h-1 and every pivot row is a
+        # unit tag, so the payload block is the source rows, in order, when
+        # the decode is right
+        payload = dec.rref[:, h:]
+        if payload.tobytes() != truth.rows.tobytes():
+            wrong = payload != truth.rows
+            self.decode_errors += int(np.count_nonzero(wrong.any(axis=1)))
+        if dest in truth.best:
+            # a fraction of the generation's symbols
+            symbols = h * dec.packet_len * gf.symbols_per_byte(self.ctx.m)
+            self.log.early_recovery.append(truth.best.pop(dest) / symbols)
         if all((d := self.nodes[n].decoders.get(gen)) is not None and d.full_rank
                for n in self.scn.flows[flow_index].dsts):
-            self.delivered[flow_index] += truth.real if truth is not None else h
+            self.delivered[flow_index] += truth.real
             # no destination ingests this generation below full rank again
-            self.truth.pop(gen, None)
+            del self.truth[gen]
 
     # -- metrics ------------------------------------------------------------
 
@@ -611,14 +614,25 @@ def sweep(scn: ch.Scenario, param: str, values, seeds, parallel: bool = False) -
     return rows
 
 
-def write_sweep_csv(rows: list[dict], path) -> None:
-    with open(path, "w") as f:
+def write_sweep(rows: list[dict], out_dir) -> None:
+    """``sweep.csv``, one row per value, and ``accuracy.csv``, each value's
+    decoded fraction by packets received, into out_dir."""
+    from pathlib import Path
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "sweep.csv", "w") as f:
         f.write("# bpnc-sweep v2\n")
         f.write("param,value,runs,delivered_mean,delivered_std,early_recovery_mean\n")
         for r in rows:
             er = r["early_recovery_mean"]
             f.write(f"{r['param']},{r['value']},{r['runs']},"
                     f"{r['delivered_mean']},{r['delivered_std']},{'' if er is None else er}\n")
+    with open(out / "accuracy.csv", "w") as f:
+        f.write("# bpnc-accuracy v1\n")
+        f.write("value,received,decoded_fraction\n")
+        for r in rows:
+            for received, frac in r["accuracy_curve"]:
+                f.write(f"{r['value']},{received},{frac}\n")
 
 
 def write_outputs(eng: Engine, out_dir) -> None:

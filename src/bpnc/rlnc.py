@@ -200,7 +200,8 @@ def recode(ctx: FieldContext, buffered, rng) -> CodedPacket:
 
 def precondition_reorder(ctx: FieldContext, G) -> tuple[np.ndarray, tuple[int, ...]]:
     """Greedy column permutation of a tag matrix, for the offline
-    preconditioning report (``prefix_equivalence_report``) only.
+    preconditioning report only: ``prefix_equivalence_report`` tests each
+    sampled block as drawn and as reordered here.
 
     For each row r (after eliminating the contribution of earlier pivots),
     the earliest column with a nonzero entry is swapped into position r.  The
@@ -433,31 +434,18 @@ def _prefix_pivot_ok(ctx: FieldContext, G: np.ndarray, p: int) -> bool:
 
 
 def prefix_equivalence_report(
-    ctx: FieldContext,
-    h: int,
-    num_blocks: int,
-    rng,
-    reorder: bool,
-    verify_payload_blocks: int = 0,
-) -> np.ndarray:
-    """Fraction of blocks, per packet position, whose preconditioned form is
-    equivalent to the ideal reduced input.  Tags are sampled rank-increasing
-    (each new packet raises the rank); data is uniform, 8 symbols a row."""
-    hits = np.zeros(h, dtype=np.int64)
-    for b in range(num_blocks):
+    ctx: FieldContext, h: int, num_blocks: int, rng
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fraction of blocks, per packet position, whose reduced form is
+    equivalent to the ideal reduced input: ``(before, after)``, without and
+    with ``precondition_reorder``.  Each block's tags are sampled once,
+    rank-increasing (each new packet raises the rank), and both forms of
+    the same block are tested."""
+    hits = np.zeros((2, h), dtype=np.int64)
+    for _ in range(num_blocks):
         G = sample_tags(ctx, h, h, rng, mode="rank_increasing")
-        if reorder:
-            G, _ = precondition_reorder(ctx, G)
-        for p in range(1, h + 1):
-            ok = _prefix_pivot_ok(ctx, G, p)
-            if ok and b < verify_payload_blocks:
-                X = rng.integers(0, ctx.size, size=(h, 8), dtype=np.uint8)
-                Y = ctx.matmul(G, X)
-                rref, _, pivots = gaussian_eliminate(
-                    ctx, np.concatenate([G[:p], Y[:p]], axis=1)
-                )
-                ideal_rref, _, _ = gaussian_eliminate(ctx, G[:p])
-                ideal = np.concatenate([ideal_rref, ctx.matmul(ideal_rref, X)], axis=1)
-                assert np.array_equal(rref, ideal)
-            hits[p - 1] += ok
-    return hits / num_blocks
+        for form, M in enumerate((G, precondition_reorder(ctx, G)[0])):
+            for p in range(1, h + 1):
+                hits[form, p - 1] += _prefix_pivot_ok(ctx, M, p)
+    before, after = hits / num_blocks
+    return before, after

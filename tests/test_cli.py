@@ -355,6 +355,25 @@ def test_paper_suite_without_seeds_exits_2(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_paper_suite_writes_every_report_once(tmp_path):
+    assert main(["paper-suite", "--seeds", "1", "--out", str(tmp_path)]) == 0
+    files = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+    assert files == {"preconditioning/report.csv", "blocksize/sweep.csv",
+                     "blocksize/accuracy.csv"} | {
+        f"{name}/seed1/{f}" for name in ("line7", "ring7", "grid6")
+        for f in ("metrics.csv", "summary.json", "packets.log")}
+    assert (tmp_path / "preconditioning" / "report.csv").read_text().splitlines() == [
+        "packet,rate_before,rate_after", "1,0.943,1.0", "2,0.9405,1.0", "3,0.941,1.0",
+        "4,1.0,1.0"]
+    # one butterfly7 sweep: the rank-deficient decoder scores early recovery
+    # on every row and runs the same simulation as the earliest decoder
+    rows = (tmp_path / "blocksize" / "sweep.csv").read_text().splitlines()[2:]
+    cells = [r.split(",") for r in rows]
+    assert all(c[-1] for c in cells)
+    plain = engine.sweep(ch.butterfly7(), "block_size", [2, 4, 6, 8], [1])
+    assert [float(c[3]) for c in cells] == [r["delivered_mean"] for r in plain]
+
+
 @pytest.mark.parametrize("values,seeds", [([], [1]), ([5], [])])
 def test_sweep_over_nothing_is_a_scenario_error(values, seeds):
     with pytest.raises(ch.ScenarioError):

@@ -740,6 +740,8 @@ def test_generation_decoded_once_every_tag_column_is_a_pivot(monkeypatch):
         return on_decoded(eng, dest, flow_index, gen_id, *args)
 
     monkeypatch.setattr(engine.Engine, "_on_generation_decoded", recording)
+    eng.register_truth(0, 0, np.array([[0x12, 0x34, 0x56, 0x78],
+                                       [0x9A, 0xBC, 0xDE, 0xF0]], dtype=np.uint8), 2)
     dec = eng.nodes[6].decoders[(0, 0)] = rlnc.DecoderState(eng.ctx, 2, 4)
     rows = [([1, 0], [0x12, 0x34, 0x56, 0x78]), ([0, 0], [0, 0, 0xF5, 0]),
             ([0, 1], [0x9A, 0xBC, 0xDE, 0xF0]), ([1, 0], [9, 9, 9, 9])]
@@ -882,7 +884,7 @@ def test_sweep_reports_early_recovery_mean(tmp_path):
     # coding off: no run recovers symbols early, so the field is left blank
     plain = engine.sweep(ch.line7(), "duration", [60], seeds=[1])
     assert plain[0]["early_recovery_mean"] is None
-    engine.write_sweep_csv(rows + plain, tmp_path / "sweep.csv")
+    engine.write_sweep(rows + plain, tmp_path)
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[:2] == ["# bpnc-sweep v2", "param,value,runs,delivered_mean,"
                          "delivered_std,early_recovery_mean"]

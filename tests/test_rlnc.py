@@ -382,15 +382,30 @@ def test_reorder_is_pure_column_permutation(f16):
 
 
 def test_prefix_equivalence_rates_small(f16):
-    rng = np.random.default_rng(13)
-    before = prefix_equivalence_report(f16, 4, 800, rng, reorder=False,
-                                       verify_payload_blocks=25)
-    after = prefix_equivalence_report(f16, 4, 800, np.random.default_rng(13), reorder=True)
+    before, after = prefix_equivalence_report(f16, 4, 800, np.random.default_rng(13))
     assert before[3] == 1.0
     assert after[3] == 1.0
     for p in range(3):
         assert 0.88 <= before[p] <= 0.98
         assert after[p] >= 0.99
+    # on the report's first 25 blocks, as drawn: wherever the p-th packet
+    # obtains its pivot, reducing the received rows (tags and payloads)
+    # gives the ideal reduced input, RREF(tags) and RREF(tags) times the data
+    tags_rng, data_rng = np.random.default_rng(13), np.random.default_rng(14)
+    checked = 0
+    for _ in range(25):
+        G = sample_tags(f16, 4, 4, tags_rng, mode="rank_increasing")
+        for p in range(1, 5):
+            if p - 1 not in gaussian_eliminate(f16, G[:p, :p])[2]:
+                continue
+            X = data_rng.integers(0, 16, size=(4, 8), dtype=np.uint8)
+            Y = f16.matmul(G, X)
+            rref, _, _ = gaussian_eliminate(f16, np.concatenate([G[:p], Y[:p]], axis=1))
+            ideal_rref, _, _ = gaussian_eliminate(f16, G[:p])
+            ideal = np.concatenate([ideal_rref, f16.matmul(ideal_rref, X)], axis=1)
+            assert np.array_equal(rref, ideal)
+            checked += 1
+    assert checked > 75
 
 
 # -- rank-deficient decoding ------------------------------------------------
