@@ -13,7 +13,7 @@ frame's bytes are built with it, and its payload is a view of them, so a
 relay re-sends the very object it received and the medium never packs it
 again.  The packet log (``PacketLog``) keeps one
 ``(t_us, chan, src, raw)`` record per transmission, holding those same bytes
-objects, and renders its text lines only when they are read.
+objects, and renders its text lines only as it is iterated.
 
 What does not change from frame to frame is kept in per-run tables, each
 keyed by the values its entry depends on and nothing else.  For each
@@ -41,14 +41,16 @@ to build and call than a ``functools.partial`` of the bound method, and
 another carrier is on the air.  A decode at full rank is checked against
 the truth by comparing the RREF's payload block with the source rows as
 bytes, and only a wrong decode counts its wrong rows; a rank-deficient
-estimate is scored in one pass.
+estimate is scored in one pass, against the source rows unpacked into
+symbols for that score alone.
 
 Each engine fact is kept once.  The one per-generation table is ``truth``:
-a generation's ``Truth`` holds its source rows as packed bytes, and, for the
-rank-deficient decoder, its symbols (unpacked at the first scoring) and each
-destination's best score before full rank.  It is dropped once every
-destination has decoded.  Which destinations have decoded is read from
-their own decoders (``Node.decoders``), so the engine keeps no copy of it.
+a generation's ``Truth`` holds its source rows as one packed ``bytes`` and,
+for the rank-deficient decoder, each destination's best score before full
+rank.  It is dropped once every destination has decoded.  Which
+destinations have decoded is read from their own decoders
+(``Node.decoders``), so the engine keeps no copy of it.  ``write_outputs``
+writes a run's files.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import heapq
 import math
 import typing
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
@@ -94,22 +96,20 @@ class Transmission:
 class Truth:
     """A generation's ground truth, until every destination decodes it."""
 
-    rows: np.ndarray  # the source rows, as packed bytes
-    real: int         # rows that are not padding
-    # the rows split into symbols, built when an estimate is first scored
-    symbols: np.ndarray | None = None
+    rows: bytes  # the source rows, packed, in order
+    real: int    # rows that are not padding
     # destination -> most symbols estimated right below full rank
     best: dict[int, int] = field(default_factory=dict)
 
 
-class PacketLog(Sequence):
+class PacketLog:
     """The packet log: one ``(t_us, chan, src, raw)`` record per
     transmission, where ``raw`` is the very bytes object the frame's
     ``pack`` returned (for a DATA frame its cached ``raw``, which every hop
-    that re-sends the frame shares).  It reads as the list of its text
-    lines, ``"<t_us> <chan> <src> <KIND> <hex>"``: iteration, index and
-    slice render the lines they return, and ``len`` and ``==`` (against a
-    list of lines or another log) answer as that list would."""
+    that re-sends the frame shares).  It is iterated as its text lines,
+    ``"<t_us> <chan> <src> <KIND> <hex>"``, in transmission order, each
+    rendered as it is read; ``len`` counts them, and two logs are equal when
+    their records are."""
 
     __slots__ = ("records",)
 
@@ -124,20 +124,12 @@ class PacketLog(Sequence):
     def __len__(self) -> int:
         return len(self.records)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self.line(r) for r in self.records[i]]
-        return self.line(self.records[i])
-
     def __iter__(self):
         return map(self.line, self.records)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PacketLog):
             return self.records == other.records
-        if isinstance(other, list):
-            return len(other) == len(self.records) and all(
-                a == b for a, b in zip(self, other))
         return NotImplemented
 
 
@@ -156,20 +148,6 @@ class MetricsLog:
     accuracy: dict[int, list[float]] = field(default_factory=dict)
     early_recovery: list[float] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("# bpnc-metrics v1\n")
-            f.write("time_s,kind,node,flow,value\n")
-            for i, t in enumerate(self.times):
-                for (kind, node, flow), values in self.columns.items():
-                    f.write(f"{t},{kind},{node},{flow},{values[i]}\n")
-
-    def write_summary(self, path) -> None:
-        import json
-        with open(path, "w") as f:
-            json.dump(self.summary, f, indent=2, sort_keys=True)
-            f.write("\n")
 
     def series(self, kind: str, node: int | str = "", flow: int | str = ""):
         """(time_s, value) of every sample of one series."""
@@ -352,9 +330,9 @@ class Engine:
 
     # -- coding bookkeeping -------------------------------------------------
 
-    def register_truth(self, flow_index: int, gen_id: int,
-                       matrix: np.ndarray, real_count: int) -> None:
-        self.truth[(flow_index, gen_id)] = Truth(matrix, real_count)
+    def register_truth(self, flow_index: int, gen_id: int, rows, real_count: int) -> None:
+        """rows: the source rows, packed, in order; kept as one bytes copy."""
+        self.truth[(flow_index, gen_id)] = Truth(bytes(rows), real_count)
 
     def on_destination_ingest(self, dest: int, flow_index: int, gen_id: int,
                               dec, rank_before: int) -> None:
@@ -369,10 +347,8 @@ class Engine:
         if (coding.decoder == "rank_deficient" and not dec.full_rank and truth is not None
                 and (dec.rank > rank_before or dest not in truth.best)):
             est, conf = rlnc.rank_deficient_solve(dec, coding.min_weight_limit)
-            if truth.symbols is None:
-                truth.symbols = gf.bytes_to_symbols(
-                    truth.rows.tobytes(), coding.field_bits).reshape(est.shape)
-            correct = int(np.count_nonzero((est == truth.symbols) & (conf > 0)))
+            symbols = gf.bytes_to_symbols(truth.rows, coding.field_bits).reshape(est.shape)
+            correct = int(np.count_nonzero((est == symbols) & (conf > 0)))
             truth.best[dest] = max(truth.best.get(dest, 0), correct)
         # decoded on the reception after which every tag column is a pivot
         if dec.full_rank and dec.rank > rank_before:
@@ -389,8 +365,8 @@ class Engine:
         # unit tag, so the payload block is the source rows, in order, when
         # the decode is right
         payload = dec.rref[:, h:]
-        if payload.tobytes() != truth.rows.tobytes():
-            wrong = payload != truth.rows
+        if payload.tobytes() != truth.rows:
+            wrong = payload != np.frombuffer(truth.rows, np.uint8).reshape(payload.shape)
             self.decode_errors += int(np.count_nonzero(wrong.any(axis=1)))
         if dest in truth.best:
             # a fraction of the generation's symbols
@@ -636,11 +612,21 @@ def write_sweep(rows: list[dict], out_dir) -> None:
 
 
 def write_outputs(eng: Engine, out_dir) -> None:
+    """A run's ``metrics.csv``, ``summary.json`` and ``packets.log``, into out_dir."""
+    import json
     from pathlib import Path
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    eng.log.write_csv(out / "metrics.csv")
-    eng.log.write_summary(out / "summary.json")
+    log = eng.log
+    with open(out / "metrics.csv", "w") as f:
+        f.write("# bpnc-metrics v1\n")
+        f.write("time_s,kind,node,flow,value\n")
+        for i, t in enumerate(log.times):
+            for (kind, node, flow), values in log.columns.items():
+                f.write(f"{t},{kind},{node},{flow},{values[i]}\n")
+    with open(out / "summary.json", "w") as f:
+        json.dump(log.summary, f, indent=2, sort_keys=True)
+        f.write("\n")
     with open(out / "packets.log", "w") as f:
         for line in eng.packet_log:
             f.write(line + "\n")

@@ -450,7 +450,7 @@ class Node:
             # receive, or insist on our own (would-be) transmission?
             own_sched = self.compute_schedule()
         own = (own_sched.utility, self.id) if own_sched is not None else None
-        decision = resolve_conflicts(self.id, inbox, overheard, own)
+        decision = resolve_conflicts(inbox, overheard, own)
         if decision is None:
             if self.pending is None and own_sched is not None:
                 # our utility won: start negotiating it right away
@@ -651,7 +651,7 @@ class Node:
         extra = self.extra_packets()
         if extra > 0:
             self.queue_coded(flow_index, gen, extra)
-        self.engine.register_truth(flow_index, gen.gen_id, gen.matrix(), real_count)
+        self.engine.register_truth(flow_index, gen.gen_id, b"".join(gen.source_rows), real_count)
 
     def queue_coded(self, flow_index: int, gen: rlnc.Generation, count: int) -> None:
         """Code count packets over gen's filled rows, to send in order."""
@@ -664,7 +664,6 @@ class Node:
 # -- pure decision functions (replayable in tests) --------------------------
 
 def resolve_conflicts(
-    me: int,
     inbox: list[wire.RtsFrame],
     overheard: list[wire.RtsFrame],
     own: tuple[float, int] | None,
@@ -674,7 +673,8 @@ def resolve_conflicts(
     Winner has the highest quantized utility; ties go to the lower node id.
     The decision uses only frames this node heard: a competing transmission
     we overhear (hidden from the contenders) suppresses the CTS, and our own
-    pending transmission competes on equal terms.
+    pending transmission, own = (utility, this node's id), competes on equal
+    terms.
     """
     if not inbox:
         return None

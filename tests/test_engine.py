@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import importlib
+import itertools
 import subprocess
 import sys
 from collections import Counter
@@ -19,7 +20,7 @@ from bpnc import engine, gf, protocol, rlnc, wire
 
 def test_zero_duration_run_is_empty():
     eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 0), seed=1)
-    assert eng.packet_log == []
+    assert len(eng.packet_log) == 0
     series = [eng.log.series(kind, node=nid) for kind in ("backlog", "overhead")
               for nid in eng.nodes]
     series += [eng.log.series("delivered", flow=fi) for fi in eng.delivered]
@@ -705,6 +706,19 @@ def test_unchanged_decoder_state_is_scored_once_truth_arrives():
     assert eng.truth[(0, 0)].best == {6: 8}  # row 0's 8 symbols are certain
 
 
+def test_truth_is_one_packed_copy():
+    # a generation's truth is its source rows packed once; a rank-deficient
+    # score unpacks them for itself and leaves nothing behind
+    eng = engine.run(engine.apply_override(_lossy_coded_butterfly7(), "duration_s", 300), seed=1)
+    coding = eng.scn.coding
+    assert eng.log.summary["early_recovery_count"] > 0 and eng.truth
+    for truth in eng.truth.values():
+        assert type(truth.rows) is bytes
+        assert len(truth.rows) == coding.block_size * coding.packet_len
+        assert not any(isinstance(getattr(truth, f.name), np.ndarray)
+                       for f in dataclasses.fields(truth))
+
+
 @pytest.mark.parametrize("wrong_rows", [(), (2,), (0, 3), (0, 1, 2, 3)])
 def test_decode_errors_count_each_wrong_source_row(wrong_rows):
     # at full rank every decoded source row is held against the truth, and
@@ -1016,7 +1030,7 @@ def test_metrics_csv_and_outputs(tmp_path):
     assert len(text) > 10
     assert (tmp_path / "summary.json").exists()
     log = (tmp_path / "packets.log").read_text().splitlines()
-    assert log == eng.packet_log
+    assert log == list(eng.packet_log)
 
 
 def _decoded_everywhere(eng) -> set[tuple[int, int]]:
@@ -1072,7 +1086,7 @@ def test_link_added_after_construction_is_used(tmp_path):
 
 def test_packet_log_line_format():
     eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 60), seed=2)
-    for line in eng.packet_log[:50]:
+    for line in itertools.islice(eng.packet_log, 50):
         t, chan, src, kind, payload = line.split()
         assert t.isdigit() and chan.isdigit() and src.isdigit()
         assert kind in wire.TYPE_NAMES.values()
@@ -1104,18 +1118,15 @@ def test_packet_log_keeps_the_frames_own_bytes(make_scn, duration_s):
         assert bytes.fromhex(line.split(" ")[4]) == r[3]
 
 
-def test_packet_log_reads_like_the_list_of_its_lines():
+def test_packet_log_is_iterated_as_its_lines_and_compared_as_records():
     a, b, c = (engine.run(engine.apply_override(ch.line7(), "duration_s", 150), seed=s).packet_log
                for s in (11, 11, 12))
     lines = [f"{t} {chan} {src} {wire.TYPE_NAMES[raw[0]]} {raw.hex()}"
              for t, chan, src, raw in a.records]
     assert len(a) == len(lines) > 50
-    assert a[0] == lines[0] and a[-1] == lines[-1]
-    assert a[:50] == lines[:50]
     assert [line for line in a] == lines
-    assert a == lines and lines == a and a == list(a)
     assert a == b and not a != b
-    assert a != c and c != a and a != lines[:-1] and a != lines[::-1]
+    assert a != c and c != a
 
 
 @pytest.mark.parametrize("make_scn,duration_s,digest", PINNED_DIGESTS[:2],

@@ -25,6 +25,20 @@ def test_benchmark_harness_smoke():
     assert {m["name"] for m in declared} <= result["metrics"].keys()
 
 
+def test_benchmark_end_to_end_smoke():
+    # --trace 0 is the mode the benchmark's end-to-end metrics come from: one
+    # untraced simulation here, reporting exactly the declared metrics
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "coded_lossy",
+         "--seed", "1", "--seconds", "1.5", "--trace", "0"],
+        capture_output=True, text=True, timeout=300, cwd=ROOT)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0 and result["attempted"] == 1
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert {m["name"] for m in declared} == result["metrics"].keys()
+
+
 @pytest.mark.parametrize("workload", ["coded_lossy", "relay_long"])
 def test_traced_counts_match_the_profiler(workload):
     # the tracer counts calls by wrapping named methods; a refactor that moves

@@ -476,29 +476,29 @@ def rts(tx, rx, chan=0, u=1.0):
 
 
 def test_higher_utility_rts_wins():
-    assert resolve_conflicts(5, [rts(1, 5, u=6.0), rts(2, 5, u=4.0)], [], None).tx == 1
+    assert resolve_conflicts([rts(1, 5, u=6.0), rts(2, 5, u=4.0)], [], None).tx == 1
 
 
 def test_mutual_rts_higher_utility_transmits():
     # i and j RTS each other; U_ij > U_ji means j receives (answers CTS)
-    assert resolve_conflicts(7, [rts(3, 7, u=9.0)], [], (4.0, 7)).tx == 3
-    assert resolve_conflicts(7, [rts(3, 7, u=2.0)], [], (4.0, 7)) is None
+    assert resolve_conflicts([rts(3, 7, u=9.0)], [], (4.0, 7)).tx == 3
+    assert resolve_conflicts([rts(3, 7, u=2.0)], [], (4.0, 7)) is None
 
 
 def test_utility_tie_lower_node_id_wins():
-    winner = resolve_conflicts(9, [rts(7, 9, u=5.0), rts(3, 9, u=5.0)], [], None)
+    winner = resolve_conflicts([rts(7, 9, u=5.0), rts(3, 9, u=5.0)], [], None)
     assert winner.tx == 3
 
 
 def test_hidden_node_suppresses_cts():
     # an overheard stronger transmission on the same channel blocks the CTS
-    assert resolve_conflicts(5, [rts(1, 5, u=3.0)], [rts(8, 9, u=7.0)], None) is None
-    assert resolve_conflicts(5, [rts(1, 5, u=3.0)], [rts(8, 9, 1, u=7.0)], None).tx == 1
+    assert resolve_conflicts([rts(1, 5, u=3.0)], [rts(8, 9, u=7.0)], None) is None
+    assert resolve_conflicts([rts(1, 5, u=3.0)], [rts(8, 9, 1, u=7.0)], None).tx == 1
 
 
 def test_resolution_uses_quantized_utilities():
     # difference below the q16.16 step is not a difference at all: tie, lower id
-    winner = resolve_conflicts(5, [rts(4, 5, u=1.0), rts(2, 5, u=1.0 + 2**-20)], [], None)
+    winner = resolve_conflicts([rts(4, 5, u=1.0), rts(2, 5, u=1.0 + 2**-20)], [], None)
     assert winner.tx == 2
 
 
