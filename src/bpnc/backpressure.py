@@ -3,8 +3,9 @@ flow selection, spectrum utility, and next-hop choice.
 
 A flow is its index in the scenario's flow list, the number RTS and DATA
 frames carry.  The queue set is given each index's (source, destinations)
-once, at construction, and orders SYN entries by them.  Pure functions over
-plain dict state; owned by a single node's state machine.
+once, at construction, and lists its queues as the SYN entries that name
+them.  Pure functions over plain dict state; owned by a single node's state
+machine.
 """
 
 from __future__ import annotations
@@ -68,11 +69,15 @@ class VirtualQueueSet:
     def total(self) -> int:
         return sum(self.backlogs.values())
 
-    def entries(self) -> list[tuple[int, int, int]]:
-        """(flow, destination, backlog) triples in (source, destinations,
-        destination) order."""
-        keys = sorted(self.backlogs, key=lambda k: (self.flows[k[0]], k[1]))
-        return [(f, d, self.backlogs[(f, d)]) for f, d in keys]
+    def entries(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+        """The SYN entries, one per virtual queue: (source, destinations
+        with the queue's destination first, backlog), in (source,
+        destinations, destination) order."""
+        out = []
+        for f, d in sorted(self.backlogs, key=lambda k: (self.flows[k[0]], k[1])):
+            src, dsts = self.flows[f]
+            out.append((src, (d, *(x for x in dsts if x != d)), self.backlogs[(f, d)]))
+        return tuple(out)
 
 
 def positive_differentials(local: dict[int, int], remote: dict[int, int]) -> dict[int, int]:

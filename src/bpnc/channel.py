@@ -408,10 +408,6 @@ def butterfly7() -> Scenario:
 BUILTINS = {"line7": line7, "ring7": ring7, "grid6": grid6, "butterfly7": butterfly7}
 
 
-def builtin_scenarios() -> dict[str, Scenario]:
-    return {name: fn() for name, fn in BUILTINS.items()}
-
-
 # -- scenario files ---------------------------------------------------------
 
 def scenario_to_dict(scn: Scenario) -> dict:

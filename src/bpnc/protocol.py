@@ -19,11 +19,12 @@ head of that list, and a ``has_sendable`` test reads one entry, however
 many generations the node holds.  Each flow's lists are a ``channel.Table``,
 which builds a peer's list at its first read.
 
-A node computes what its frames need once per distinct value: link rates
-come from the one ``Engine.link_rates``, by received power (power + gain),
-``Schedule.rts`` is the RTS of a pending schedule, sent unchanged on every
-retry, and ``Node.syn_sent`` the last SYN, sent again while its entries are
-equal.
+Each frame a node sends is kept in one form, the frame itself: a pending
+``Schedule`` is the RTS that negotiates it, sent unchanged on every retry,
+beside the destinations its DATA covers; ``Node.syn_sent`` is the last SYN,
+sent again while the queues' entries equal its own; and a packet the node
+codes goes straight into a DATA frame.  Link rates come from the one
+``Engine.link_rates``, by received power (power + gain).
 """
 
 from __future__ import annotations
@@ -66,13 +67,12 @@ class NeighborRecord:
 
 @dataclass(slots=True)
 class Schedule:
-    neighbor: int
-    channel: int
-    flow_index: int
-    utility: float
+    """A pending transmission.  Its receiver, channel, flow and (snapped)
+    utility are the fields of the RTS that negotiates it, sent unchanged
+    on every retry."""
+
+    rts: wire.RtsFrame
     covered_dests: tuple[int, ...]
-    # the RTS that negotiates this schedule, built at its first send
-    rts: wire.RtsFrame | None = field(default=None, compare=False)
 
 
 @dataclass(slots=True)
@@ -173,9 +173,8 @@ class Node:
         self.tx_airtime_us = 0
         self.tx_energy_mj = 0.0
         self.tx_until_us = 0
-        # (entries, frame) of the last SYN sent, which the next reuses while
-        # its entries are equal
-        self.syn_sent: tuple[tuple, wire.SynFrame] | None = None
+        # the last SYN sent, which the next reuses while its entries are equal
+        self.syn_sent: wire.SynFrame | None = None
         # negotiation state
         self.pending: Schedule | None = None
         # RTS frames addressed here since the last resolve_rts, which the
@@ -218,12 +217,6 @@ class Node:
             return 0
         h = self.scn.coding.block_size
         return max(1, math.ceil(self.scn.coding.redundancy * h))
-
-    def to_frame(self, flow_index: int, gen_id: int,
-                 pkt: rlnc.CodedPacket) -> wire.DataFrame:
-        """The wire form of a packet this node codes, built once."""
-        return wire.DataFrame(flow_index, gen_id, tuple(pkt.tag.tolist()),
-                              pkt.payload, self.scn.coding.field_bits)
 
     # -- phase drivers (called by engine timers) ----------------------------
 
@@ -279,7 +272,7 @@ class Node:
     def begin_negotiation(self, sched: Schedule) -> None:
         self.pending = sched
         self.enter_phase(NEGOTIATION)
-        self.channel = sched.channel
+        self.channel = sched.rts.channel
         self.negotiation_tick()
 
     def negotiation_tick(self) -> None:
@@ -291,7 +284,7 @@ class Node:
             self.enter_phase(FLOW_UPDATE)
             self.schedule_tick(self.syn_interval_us)
             return
-        if not self.channel_busy(self.pending.channel):
+        if not self.channel_busy(self.pending.rts.channel):
             self.send_rts()
         jitter = int(self.rng.integers(0, 50_000))
         self.engine.schedule(self.rts_interval_us + jitter, self.negotiation_tick)
@@ -323,21 +316,18 @@ class Node:
         self.engine.transmit(self, self.channel, frame)
 
     def send_syn(self) -> None:
-        entries = []
-        for fi, dest, backlog in self.queues.entries():
-            src, dsts = self.flows[fi]
-            entries.append((src, (dest,) + tuple(d for d in dsts if d != dest), backlog))
-        entries = tuple(entries)
+        entries = self.queues.entries()
         sent = self.syn_sent
-        if sent is None or sent[0] != entries:
-            sent = self.syn_sent = (entries, wire.SynFrame(self.id, entries))
-        self.engine.transmit(self, self.channel, sent[1])
+        # a backlog above 0xFFFF is clamped in the frame, so its entries
+        # differ from the queues' and the frame is rebuilt, same bytes, on
+        # each send
+        if sent is None or sent.entries != entries:
+            sent = self.syn_sent = wire.SynFrame(self.id, entries)
+        self.engine.transmit(self, self.channel, sent)
 
     def send_rts(self) -> None:
-        s = self.pending
-        if s.rts is None:
-            s.rts = wire.RtsFrame(self.id, s.neighbor, s.channel, s.flow_index, s.utility)
-        self.engine.transmit(self, s.channel, s.rts)
+        rts = self.pending.rts
+        self.engine.transmit(self, rts.channel, rts)
 
     def send_cts(self, tx: int, chan: int) -> None:
         frame = wire.CtsFrame(self.id, tx, chan)
@@ -374,7 +364,7 @@ class Node:
         nid, chan, fi, utility = pick
         covered = bp.positive_differentials(self.queues.flow_backlogs(fi),
                                             self.neighbors[nid].backlogs.get(fi, {}))
-        return Schedule(nid, chan, fi, utility, tuple(covered))
+        return Schedule(wire.RtsFrame(self.id, nid, chan, fi, utility), tuple(covered))
 
     def expire_stale_neighbors(self) -> None:
         horizon = 3 * self.discovery_us
@@ -449,7 +439,7 @@ class Node:
         if own_sched is None and self.phase is FLOW_UPDATE:
             # receive, or insist on our own (would-be) transmission?
             own_sched = self.compute_schedule()
-        own = (own_sched.utility, self.id) if own_sched is not None else None
+        own = (own_sched.rts.utility, self.id) if own_sched is not None else None
         decision = resolve_conflicts(inbox, overheard, own)
         if decision is None:
             if self.pending is None and own_sched is not None:
@@ -465,11 +455,11 @@ class Node:
     def on_cts(self, frame: wire.CtsFrame) -> None:
         if frame.tx != self.id or self.pending is None or self.phase is DATA_TRANSFER:
             return
-        s = self.pending
-        if frame.rx != s.neighbor or frame.channel != s.channel:
+        rts = self.pending.rts
+        if frame.rx != rts.rx or frame.channel != rts.channel:
             return
         # a CTS after fallback to flow update still starts the data phase
-        self.penalty.record_visit(s.flow_index, s.neighbor)
+        self.penalty.record_visit(rts.flow_index, rts.rx)
         self.begin_data_tx()
 
     # -- data phase ---------------------------------------------------------
@@ -481,9 +471,9 @@ class Node:
         self.engine.schedule(self.data_us, self.end_data_phase)
 
     def begin_data_tx(self) -> None:
-        s = self.pending
-        self.data_peer = s.neighbor
-        self.channel = s.channel
+        rts = self.pending.rts
+        self.data_peer = rts.rx
+        self.channel = rts.channel
         self.enter_phase(DATA_TRANSFER)
         self.send_next_data()
 
@@ -504,18 +494,19 @@ class Node:
         if engine.now_us >= self.phase_entry_us + self.data_us:
             self.end_data_phase()
             return
-        if self.channel_busy(s.channel):
+        rts = s.rts
+        if self.channel_busy(rts.channel):
             # carrier sense: another live transmission owns the channel;
             # retry after a random hold-off
             engine.schedule(int(self.rng.integers(2_000, 10_000)), self.send_next_data)
             return
-        frame = self.next_coded_packet(s.flow_index, self.data_peer)
+        frame = self.next_coded_packet(rts.flow_index, self.data_peer)
         if frame is None:
             self.end_data_phase()
             return
-        airtime = engine.transmit(self, s.channel, frame)
+        airtime = engine.transmit(self, rts.channel, frame)
         for d in s.covered_dests:
-            self.queues.decrement(s.flow_index, d)
+            self.queues.decrement(rts.flow_index, d)
         engine.schedule(airtime, self.send_next_data)
 
     def next_coded_packet(self, flow_index: int, peer: int) -> wire.DataFrame | None:
@@ -546,7 +537,8 @@ class Node:
         # staircase intact); recode only for surplus credit
         if rg.sent <= len(rg.pkts):
             return rg.pkts[rg.sent - 1]
-        return self.to_frame(flow_index, gid, rlnc.recode(self.ctx, rg.pkts, self.rng))
+        return wire.DataFrame(flow_index, gid, *rlnc.recode(self.ctx, rg.pkts, self.rng),
+                              self.scn.coding.field_bits)
 
     def has_sendable(self, flow_index: int, peer: int) -> bool:
         return bool(self.credit_index[flow_index][peer])
@@ -655,10 +647,10 @@ class Node:
 
     def queue_coded(self, flow_index: int, gen: rlnc.Generation, count: int) -> None:
         """Code count packets over gen's filled rows, to send in order."""
-        pkts = rlnc.encode_generation(self.ctx, gen, count, self.rng)
-        for p in pkts:
+        m = self.scn.coding.field_bits
+        for pkt in rlnc.encode_generation(self.ctx, gen, count, self.rng):
             self.credit_frame(flow_index, gen.gen_id).pkts.append(
-                self.to_frame(flow_index, gen.gen_id, p))
+                wire.DataFrame(flow_index, gen.gen_id, *pkt, m))
 
 
 # -- pure decision functions (replayable in tests) --------------------------

@@ -4,8 +4,9 @@ column-reordering (preconditioning) analysis behind the Table-III report.
 
 A coded packet is a tag (h symbols) and a payload (packed bytes, as on the
 wire).  Decoding and recoding read both from whatever holds them, in the
-live stack the ``wire.DataFrame`` a node holds; ``CodedPacket`` is what
-``encode_generation`` and ``recode`` return.  A payload has one form from
+live stack the ``wire.DataFrame`` a node holds.  ``encode_generation`` and
+``recode`` return a ``CodedPacket``, the (tag, payload) fields a DATA frame
+is built from, unpacked straight into it.  A payload has one form from
 source to decoder: ``gf`` scales a packed byte group by group, and
 ``gf.FieldContext.matmul`` is the one GF matrix product, so encoding,
 recoding and elimination combine payload bytes as they are.  Only
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,14 +78,12 @@ def unpad_block(packets: list[bytes]) -> bytes:
 
 # -- domain types -----------------------------------------------------------
 
-@dataclass
-class CodedPacket:
-    tag: np.ndarray        # h symbols
-    payload: np.ndarray    # N bytes of packed symbols
+class CodedPacket(NamedTuple):
+    """A coded packet as the fields a ``wire.DataFrame`` takes after its
+    flow and generation: h tag symbols and the payload's packed bytes."""
 
-    def __post_init__(self):
-        self.tag = np.asarray(self.tag, dtype=np.uint8)
-        self.payload = np.asarray(self.payload, dtype=np.uint8)
+    tag: tuple[int, ...]
+    payload: np.ndarray | memoryview
 
 
 def packet_row(pkt) -> np.ndarray:
@@ -177,7 +177,7 @@ def encode_generation(
     tags = np.zeros((count, gen.block_size), dtype=np.uint8)
     tags[:, :j] = sample_tags(ctx, j, count, rng, mode)
     payloads = ctx.matmul(tags[:, :j], gen.matrix())
-    return [CodedPacket(tag, payload) for tag, payload in zip(tags, payloads)]
+    return [CodedPacket(tuple(tag), payload) for tag, payload in zip(tags.tolist(), payloads)]
 
 
 def recode(ctx: FieldContext, buffered, rng) -> CodedPacket:
@@ -192,8 +192,8 @@ def recode(ctx: FieldContext, buffered, rng) -> CodedPacket:
         coeffs = rng.integers(0, ctx.size, size=len(buffered), dtype=np.uint8)
         combo = ctx.matmul(coeffs[None], rows)[0]
         if combo[:h].any():
-            return CodedPacket(combo[:h], combo[h:])
-    return CodedPacket(rows[0, :h], rows[0, h:])
+            return CodedPacket(tuple(combo[:h].tolist()), combo[h:])
+    return CodedPacket(buffered[0].tag, buffered[0].payload)
 
 
 # -- column reordering (precondition step) ---------------------------------

@@ -158,4 +158,4 @@ def test_entries_deterministic_order():
     q.increment(0, 7)
     q.increment(1, 7)
     q.increment(1, 6)
-    assert [(flows[f][0], d) for f, d, _ in q.entries()] == [(1, 6), (1, 7), (2, 7)]
+    assert q.entries() == ((1, (6, 7), 1), (1, (7, 6), 1), (2, (7,), 1))

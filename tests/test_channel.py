@@ -12,7 +12,6 @@ from bpnc.channel import (
     Scenario,
     ScenarioError,
     ber,
-    builtin_scenarios,
     butterfly7,
     grid6,
     line7,
@@ -127,7 +126,7 @@ def test_table_builds_each_entry_once_on_first_read():
 
 
 def test_builtins_shapes():
-    scns = builtin_scenarios()
+    scns = {name: make() for name, make in ch.BUILTINS.items()}
     assert set(scns) == {"line7", "ring7", "grid6", "butterfly7"}
     for s in scns.values():
         s.validate()

@@ -170,7 +170,7 @@ def test_known_scenarios_pass_validation(monkeypatch):
     # range checks must not reject any scenario the suite or benchmark runs
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     workloads = importlib.import_module("workloads")
-    scenarios = list(ch.builtin_scenarios().values())
+    scenarios = [make() for make in ch.BUILTINS.values()]
     scenarios += [build() for build, _ in workloads.WORKLOADS.values()]
     scenarios += [make_scn() for make_scn, _, _ in PINNED_DIGESTS]
     assert len(scenarios) == 4 + 2 + len(PINNED_DIGESTS)
@@ -393,15 +393,10 @@ def test_memoized_values_equal_a_fresh_build(monkeypatch, make_scn, duration):
 
     def checking(eng, node, chan, frame):
         if isinstance(frame, wire.RtsFrame):
-            s = node.pending
-            assert frame == wire.RtsFrame(node.id, s.neighbor, s.channel, s.flow_index,
-                                          s.utility)
+            assert frame is node.pending.rts and frame.tx == node.id
             checked["rts"] += 1
         elif isinstance(frame, wire.SynFrame):
-            entries = tuple(
-                (node.flows[fi][0], (d, *(x for x in node.flows[fi][1] if x != d)), backlog)
-                for fi, d, backlog in node.queues.entries())
-            assert frame == wire.SynFrame(node.id, entries)
+            assert frame == wire.SynFrame(node.id, node.queues.entries())
             checked["syn"] += 1
         key = (node.id, chan, node.power_dbm)
         if key in eng.reach:

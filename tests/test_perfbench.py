@@ -25,11 +25,13 @@ def test_benchmark_harness_smoke():
     assert {m["name"] for m in declared} <= result["metrics"].keys()
 
 
-def test_benchmark_end_to_end_smoke():
+@pytest.mark.parametrize("workload", ["coded_lossy", "relay_long"])
+def test_benchmark_end_to_end_smoke(workload):
     # --trace 0 is the mode the benchmark's end-to-end metrics come from: one
-    # untraced simulation here, reporting exactly the declared metrics
+    # untraced simulation of each judged workload here, reporting exactly
+    # the declared metrics
     out = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "coded_lossy",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "1.5", "--trace", "0"],
         capture_output=True, text=True, timeout=300, cwd=ROOT)
     assert out.returncode == 0, out.stderr

@@ -133,9 +133,9 @@ def test_syn_backlogs_feed_flow_selection():
     syn = wire.SynFrame(3, ((1, (7,), 4),))
     node.handle_frame(3, 0, syn, -65.0, -10.0)
     sched = node.compute_schedule()
-    assert sched is not None and sched.neighbor == 3
+    assert sched is not None and sched.rts.rx == 3
     # score = [10 - 4]^+ = 6, utility = c * 6
-    assert sched.utility == pytest.approx(6 * node.link_rate_to(node.neighbors[3], 0))
+    assert sched.rts.utility == pytest.approx(6 * node.link_rate_to(node.neighbors[3], 0))
 
 
 def test_flow_tie_goes_to_lower_source_and_destinations():
@@ -150,9 +150,45 @@ def test_flow_tie_goes_to_lower_source_and_destinations():
             node.on_data(3, wire.DataFrame(fi, 0, (1,), bytes(500), 4))
     node.handle_frame(5, 0, wire.SynFrame(5, ()), -65.0, -10.0)
     sched = node.compute_schedule()
-    assert sched is not None and sched.neighbor == 5
-    assert sched.flow_index == 1
+    assert sched is not None and sched.rts.rx == 5
+    assert sched.rts.flow_index == 1
     assert sched.covered_dests == (7,)
+
+
+@pytest.mark.parametrize("timed_out", [False, True])
+def test_cts_matches_the_pending_rts(timed_out):
+    # node 2 of line7 relays ten frames from node 1 and hears node 3's SYN,
+    # so it schedules toward 3 and negotiates with that schedule's RTS
+    node, eng = make_node(2)
+    node.begin_data_rx(1, 0)
+    for _ in range(10):
+        node.on_data(1, wire.DataFrame(0, 0, (1,), bytes(500), 4))
+    node.end_data_phase()
+    node.handle_frame(3, 0, wire.SynFrame(3, ((1, (7,), 4),)), -65.0, -10.0)
+    sched = node.compute_schedule()
+    rts = sched.rts
+    assert isinstance(rts, wire.RtsFrame) and rts.tx == node.id and rts.rx == 3
+    node.begin_negotiation(sched)
+    node.negotiation_tick()
+    assert eng.sent[-2:] == [(rts.channel, rts)] * 2
+    assert all(frame is rts for _, frame in eng.sent[-2:])
+    if timed_out:
+        # TDT expiry falls back to flow update and keeps the schedule
+        eng.now_us += node.negotiation_us
+        node.negotiation_tick()
+        assert node.phase is Phase.FLOW_UPDATE and node.pending is sched
+    phase = node.phase
+    other_chan = (rts.channel + 1) % node.scn.num_channels
+    for cts in (wire.CtsFrame(rts.rx, node.id, other_chan), wire.CtsFrame(1, node.id, rts.channel)):
+        node.on_cts(cts)
+        assert node.phase is phase and node.penalty.count(rts.flow_index, rts.rx) == 0
+    node.on_cts(wire.CtsFrame(rts.rx, node.id, rts.channel))
+    assert node.phase is Phase.DATA_TRANSFER
+    assert (node.data_peer, node.channel) == (rts.rx, rts.channel)
+    assert node.penalty.count(rts.flow_index, rts.rx) == 1
+    chan, frame = eng.sent[-1]
+    assert chan == rts.channel and isinstance(frame, wire.DataFrame)
+    assert frame.flow_index == rts.flow_index
 
 
 # -- relay generation choice ------------------------------------------------

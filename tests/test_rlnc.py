@@ -144,14 +144,14 @@ def test_encode_prefix_only_touches_filled_rows(f16):
     gen.add_source_packet(rng.integers(0, 16, 8, dtype=np.uint8))
     pkts = encode_generation(f16, gen, 5, rng)
     for p in pkts:
-        assert not p.tag[2:].any()
+        assert not any(p.tag[2:])
 
 
 def test_all_zero_tags_rejected(f16):
     rng = np.random.default_rng(4)
     gen = make_generation(f16, 4, 4, rng)
     for p in encode_generation(f16, gen, 200, rng):
-        assert p.tag.any()
+        assert any(p.tag)
 
 
 # -- recoding ---------------------------------------------------------------
