@@ -52,16 +52,26 @@ def _require(section: str, cfg, names, ok, what: str) -> None:
         _check(f"{section}.{name}" if section else name, getattr(cfg, name), ok, what)
 
 
-def _require_nonnegative(section: str, cfg, names) -> None:
-    _require(section, cfg, names, lambda v: 0 <= v < math.inf, "a finite number >= 0")
-
-
 # every dB and dBm field and every finite link gain lies within +-DB_LIMIT,
 # and a bit rate is at least MIN_BIT_RATE: the model then takes 10 ** (x / 10)
 # of sums of up to three of them, and divides by the rate, without overflow
 DB_LIMIT = 1000.0
 DB_RANGE = f"a number in [-{DB_LIMIT:g}, {DB_LIMIT:g}]"
 MIN_BIT_RATE = 1.0  # bits/s
+# every seconds field, and the mean arrival gap 1 / arrival_rate, is at most
+# 2^53 us (about 285 years), the most whole microseconds a float holds
+# exactly: each then converts to integer microseconds without overflow
+MAX_SECONDS = 2.0 ** 53 / 1e6
+MIN_ARRIVAL_RATE = 1 / MAX_SECONDS  # packets/s
+# a full generation codes ceil(redundancy x block_size) extra packets at
+# once, in one array: at most this many keeps it within tens of MB, where a
+# count near the float maximum made numpy refuse it mid-run
+MAX_EXTRA_PACKETS = 0xFFFF
+
+
+def _require_seconds(section: str, cfg, names) -> None:
+    _require(section, cfg, names, lambda v: 0 <= v <= MAX_SECONDS,
+             f"a number of seconds in [0, {MAX_SECONDS:g}]")
 
 
 def _require_bool(section: str, cfg, names) -> None:
@@ -116,7 +126,7 @@ class TimingConfig:
     sample_interval_s: float = 5.0
 
     def validate(self):
-        _require_nonnegative("timing", self, [f.name for f in fields(self)])
+        _require_seconds("timing", self, [f.name for f in fields(self)])
         # metrics sampling reschedules itself this far ahead, in whole
         # microseconds: 0 would never let simulated time advance
         if round(self.sample_interval_s * 1e6) < 1:
@@ -154,7 +164,11 @@ class CodingConfig:
             raise ScenarioError(f"coding.decoder: unknown mode {self.decoder!r}")
         _require_int("coding", self, ("packet_len",), 1, 500)  # bytes
         # gen_timeout_s 0 disables the timeout
-        _require_nonnegative("coding", self, ("redundancy", "gen_timeout_s"))
+        _require_seconds("coding", self, ("gen_timeout_s",))
+        # compared as floats: ceil of a product near the float maximum overflows
+        _require("coding", self, ("redundancy",),
+                 lambda v: 0 <= v and v * self.block_size <= MAX_EXTRA_PACKETS,
+                 f"a number >= 0 with redundancy x block_size at most {MAX_EXTRA_PACKETS}")
         _require_int("coding", self, ("min_weight_limit",), 0)
         limit = self.min_weight_limit
         # the rank-deficient solve scores all 2^(field_bits x limit)
@@ -270,8 +284,9 @@ class Scenario:
                     f"flows: two flows {f.src}->{f.dsts} share a source and destination set")
             seen.add(key)
             # arrival gaps are drawn with mean 1 / arrival_rate
-            _require(f"flows[{i}]", f, ("arrival_rate",), lambda v: 0 < v < math.inf,
-                     "a finite number > 0")
+            _require(f"flows[{i}]", f, ("arrival_rate",),
+                     lambda v: MIN_ARRIVAL_RATE <= v < math.inf,
+                     f"a finite number >= {MIN_ARRIVAL_RATE:g}")
         # a SYN counts its sender's (flow, destination) queues in one byte;
         # node n can hold one for each destination of each flow but itself
         queues = sum(len(f.dsts) for f in self.flows)
@@ -283,7 +298,7 @@ class Scenario:
                     f"queues, but a SYN carries at most 255")
         _require("", self, ("frame_loss",), lambda v: 0 <= v < 1, "in [0, 1)")
         _require_bool("", self, ("sensing_enabled",))
-        _require_nonnegative("", self, ("duration_s",))
+        _require_seconds("", self, ("duration_s",))
         self.timing.validate()
         self.coding.validate()
         self.power.validate()

@@ -10,14 +10,14 @@ once when they create the packet, relays buffer and re-send the frames they
 receive, and ``rlnc`` decodes and recodes those frames as they are.  A
 payload is packed bytes from the moment a source draws its symbols:
 generations, encoding, recoding and decoding all take the frame's payload
-bytes as they are.  Sources and relays share one send path:
-every frame a node holds credit for, coded or received, sits in
-``Node.relay_gens`` and goes out through ``next_coded_packet``.  The send
-path walks ``Node.credit_index``, which lists, for each flow and peer, the
-generations that have credit and may go to that peer, so a pick takes the
-head of that list, and a ``has_sendable`` test reads one entry, however
-many generations the node holds.  Each flow's lists are a ``channel.Table``,
-which builds a peer's list at its first read.
+bytes as they are.  Sources and relays share one send path: every frame a
+node holds credit for, coded or received, sits in its ``RelayStore``,
+``Node.relay_gens``, and goes out through ``next_coded_packet``.  The
+store's ``index`` lists, for each flow and peer, the generations that have
+credit and may go to that peer, so a pick takes the head of that list, and
+a ``has_sendable`` test reads one entry, however many generations the node
+holds.  Each flow's lists are a ``channel.Table``, which builds a peer's
+list at its first read.
 
 Each frame a node sends is kept in one form, the frame itself: a pending
 ``Schedule`` is the RTS that negotiates it, sent unchanged on every retry,
@@ -86,13 +86,7 @@ class RelayGen:
     received or coded, and ``pkts`` keeps them, at a relay only until it
     holds 4h, so the first ``min(sent, len(pkts))`` have been sent.
     ``origins`` names the nodes a relay heard the generation from; a
-    source's entries have none.  While the generation is ``sendable_to`` a
-    peer (credit, rcvd - sent, positive and the peer not an origin), its id
-    is listed in its node's ``credit_index[flow][peer]``; it leaves every
-    peer's list when the credit falls to 0, and the list of a peer that
-    becomes an origin, and rejoins them when a new frame arrives.  A source
-    drops the entry once its credit is 0, since it keeps no frame it has
-    sent.
+    source's entries have none.  Only a ``RelayStore`` changes an entry.
     """
 
     pkts: list[wire.DataFrame] = field(default_factory=list)
@@ -125,6 +119,61 @@ def unlist(gids: list[int] | None, gid: int) -> None:
         i = bisect.bisect_left(gids, gid)
         if i < len(gids) and gids[i] == gid:
             del gids[i]
+
+
+class RelayStore(dict):
+    """(flow, generation id) -> the ``RelayGen`` of the frames a node holds
+    to send.  ``index[flow][peer]`` lists, in ascending order and built at
+    the peer's first read, the ids of the flow's generations ``sendable_to``
+    peer.  An entry with no origins, a source's, is dropped once its credit
+    is 0, since a source keeps no frame it has sent."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, num_flows: int):
+        super().__init__()
+        self.index: dict[int, ch.Table] = {
+            fi: ch.Table(lambda peer, fi=fi: sorted(
+                gid for (f, gid), rg in self.items() if f == fi and rg.sendable_to(peer)))
+            for fi in range(num_flows)}
+
+    def hold(self, frame: wire.DataFrame, origin: int | None = None) -> None:
+        """Credit frame's generation with one frame from origin (None for
+        one this node coded) and keep the frame; a relay keeps at most 4h."""
+        fi, gid = frame.flow_index, frame.gen_id
+        peers = self.index[fi]
+        rg = self.get((fi, gid))
+        if rg is None:
+            # a new entry is listed nowhere yet
+            rg = self[fi, gid] = RelayGen()
+        elif origin is not None and origin not in rg.origins:
+            # split horizon: the generation no longer goes back to origin
+            unlist(peers.get(origin), gid)
+        if origin is not None:
+            rg.origins.add(origin)
+        if rg.rcvd == rg.sent:
+            for peer, gids in peers.items():
+                if peer not in rg.origins:
+                    bisect.insort(gids, gid)
+        rg.rcvd += 1
+        if origin is None or len(rg.pkts) < 4 * len(frame.tag):
+            rg.pkts.append(frame)
+
+    def take(self, flow: int, peer: int) -> tuple[int, RelayGen] | None:
+        """The oldest generation sendable to peer, as (id, entry), charged a frame sent."""
+        gids = self.index[flow][peer]
+        if not gids:
+            return None
+        gid = gids[0]
+        rg = self[flow, gid]
+        rg.sent += 1
+        if rg.rcvd == rg.sent:
+            for p, listed in self.index[flow].items():
+                if p not in rg.origins:
+                    unlist(listed, gid)
+            if not rg.origins:
+                del self[flow, gid]
+        return gid, rg
 
 
 class Node:
@@ -190,14 +239,7 @@ class Node:
         # arrivals until it is full, then opens the next
         self.open_gens: dict[int, rlnc.Generation] = {}
         # (flow, generation id) -> the frames held to send
-        self.relay_gens: dict[tuple[int, int], RelayGen] = {}
-        # flow -> peer -> ascending ids of the held generations sendable to
-        # peer, built at the peer's first read and kept by the send path
-        self.credit_index: dict[int, ch.Table] = {
-            fi: ch.Table(lambda peer, fi=fi: sorted(
-                gid for (f, gid), rg in self.relay_gens.items()
-                if f == fi and rg.sendable_to(peer)))
-            for fi in range(len(self.flows))}
+        self.relay_gens = RelayStore(len(self.flows))
         self.decoders: dict[tuple[int, int], rlnc.DecoderState] = {}
 
     # -- helpers ------------------------------------------------------------
@@ -510,59 +552,20 @@ class Node:
         engine.schedule(airtime, self.send_next_data)
 
     def next_coded_packet(self, flow_index: int, peer: int) -> wire.DataFrame | None:
-        """Oldest generation with send credit for peer, at a source or a relay.
-
-        ``credit_index[flow_index][peer]`` holds exactly the flow's
-        generations sendable to peer in ascending id order, so its head is
-        the generation a scan over every held one would pick, and is taken
-        without a test.  Each held frame goes out once, in the order it was
-        coded or received; a relay recodes its buffer only for credit
-        beyond it.
-        """
-        gids = self.credit_index[flow_index][peer]
-        if not gids:
+        """The next frame of the oldest generation with credit for peer:
+        each held frame once, in the order it came (keeping the tag
+        staircase intact), then recodes of a relay's buffer."""
+        got = self.relay_gens.take(flow_index, peer)
+        if got is None:
             return None
-        gid = gids[0]
-        rg = self.relay_gens[(flow_index, gid)]
-        rg.sent += 1
-        if rg.rcvd == rg.sent:
-            for p, listed in self.credit_index[flow_index].items():
-                if p not in rg.origins:
-                    unlist(listed, gid)
-            # a source keeps no frame it has sent: a later frame of a
-            # generation it still fills starts a new entry
-            if self.flows[flow_index][0] == self.id:
-                del self.relay_gens[(flow_index, gid)]
-        # send each held frame once in the order it came (keeps the tag
-        # staircase intact); recode only for surplus credit
+        gid, rg = got
         if rg.sent <= len(rg.pkts):
             return rg.pkts[rg.sent - 1]
         return wire.DataFrame(flow_index, gid, *rlnc.recode(self.ctx, rg.pkts, self.rng),
                               self.scn.coding.field_bits)
 
     def has_sendable(self, flow_index: int, peer: int) -> bool:
-        return bool(self.credit_index[flow_index][peer])
-
-    def credit_frame(self, flow_index: int, gid: int, origin: int | None = None) -> RelayGen:
-        """The entry of (flow_index, gid), credited with one more frame,
-        received from origin (None for a frame this node coded)."""
-        key = (flow_index, gid)
-        peers = self.credit_index[flow_index]
-        rg = self.relay_gens.get(key)
-        if rg is None:
-            # a new entry is listed nowhere yet
-            rg = self.relay_gens[key] = RelayGen()
-        elif origin is not None and origin not in rg.origins:
-            # split horizon: the generation no longer goes back to origin
-            unlist(peers.get(origin), gid)
-        if origin is not None:
-            rg.origins.add(origin)
-        if rg.rcvd == rg.sent:
-            for peer, gids in peers.items():
-                if peer not in rg.origins:
-                    bisect.insort(gids, gid)
-        rg.rcvd += 1
-        return rg
+        return bool(self.relay_gens.index[flow_index][peer])
 
     def on_data(self, src: int, frame: wire.DataFrame) -> None:
         if (self.phase is not DATA_TRANSFER or self.pending is not None
@@ -582,9 +585,7 @@ class Node:
         # source already holds every frame of its own flow it may send
         relay_dests = self.queues.dests_here(fi)
         if relay_dests and self.flows[fi][0] != self.id:
-            rg = self.credit_frame(fi, frame.gen_id, src)
-            if len(rg.pkts) < 4 * h:
-                rg.pkts.append(frame)
+            self.relay_gens.hold(frame, src)
         for d in relay_dests:
             self.queues.increment(fi, d)
 
@@ -603,7 +604,7 @@ class Node:
         frame = wire.DataFrame(flow_index, gen.gen_id, unit_tag(gen.block_size, gen.filled),
                                gf.symbols_to_bytes(symbols, m), m)
         gen.add_source_packet(frame.payload)
-        self.credit_frame(flow_index, gen.gen_id).pkts.append(frame)
+        self.relay_gens.hold(frame)
         for d in self.queues.dests_here(flow_index):
             self.queues.increment(flow_index, d)
         if gen.full:
@@ -649,8 +650,7 @@ class Node:
         """Code count packets over gen's filled rows, to send in order."""
         m = self.scn.coding.field_bits
         for pkt in rlnc.encode_generation(self.ctx, gen, count, self.rng):
-            self.credit_frame(flow_index, gen.gen_id).pkts.append(
-                wire.DataFrame(flow_index, gen.gen_id, *pkt, m))
+            self.relay_gens.hold(wire.DataFrame(flow_index, gen.gen_id, *pkt, m))
 
 
 # -- pure decision functions (replayable in tests) --------------------------

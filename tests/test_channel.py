@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import pytest
 import yaml
@@ -345,7 +346,16 @@ def test_min_weight_limit_search_bound_applies_to_rank_deficient_only():
     ("timing", "cts_wait_s", math.inf),
     ("timing", "negotiation_s", "60"),
     ("coding", "redundancy", -0.25),
+    ("coding", "redundancy", 1e300),  # ceil(redundancy x h) packets coded at once
+    ("coding", "redundancy", math.nextafter(ch.MAX_EXTRA_PACKETS / 4, math.inf)),
     ("coding", "gen_timeout_s", -1.0),
+    # the first four passed validation once, then stopped the run with
+    # OverflowError converting to integer microseconds
+    ("timing", "data_s", 1e308),
+    ("timing", "channel_dwell_s", 1e308),
+    ("timing", "sample_interval_s", 1e308),
+    ("coding", "gen_timeout_s", 1e308),
+    ("timing", "cts_wait_s", math.nextafter(ch.MAX_SECONDS, math.inf)),
     ("coding", "min_weight_limit", -1),
     ("power", "max_dbm", -20.0),   # below min_dbm and init_dbm
     ("power", "init_dbm", -16.0),  # below min_dbm
@@ -472,7 +482,8 @@ def test_bit_rate_at_the_minimum_runs_and_below_it_is_refused():
 # is the only place these are tested
 
 
-@pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf,
+                                  1e-320])  # a subnormal: its mean gap overflows
 def test_validate_rejects_bad_arrival_rate(rate):
     scn = line7()
     scn.flows[0].arrival_rate = rate
@@ -480,7 +491,7 @@ def test_validate_rejects_bad_arrival_rate(rate):
         scn.validate()
 
 
-@pytest.mark.parametrize("duration", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("duration", [-1.0, math.nan, math.inf, 1e308])
 def test_validate_rejects_bad_duration(duration):
     scn = line7()
     scn.duration_s = duration
@@ -492,6 +503,18 @@ def test_validate_accepts_small_arrival_rate():
     scn = line7()
     scn.flows[0].arrival_rate = 1e-9
     scn.validate()
+
+
+def test_settings_at_the_time_bounds_convert_to_integer_us():
+    scn = butterfly7()
+    for f in fields(scn.timing):
+        setattr(scn.timing, f.name, ch.MAX_SECONDS)
+    scn.coding.gen_timeout_s = scn.duration_s = ch.MAX_SECONDS
+    scn.flows[0].arrival_rate = ch.MIN_ARRIVAL_RATE
+    scn.coding.redundancy = ch.MAX_EXTRA_PACKETS / scn.coding.block_size
+    engine.Engine(scn.validate(), 1)
+    # a zero-length run still draws the first arrivals and takes a sample
+    engine.run(engine.apply_override(scn, "duration_s", 0), seed=1)
 
 
 def test_scenario_file_roundtrip(tmp_path):

@@ -168,6 +168,33 @@ def test_scenario_file_with_bad_rate_or_duration_exits_2(tmp_path, field, value)
     assert rc == 2
 
 
+# each passed validation once, then stopped the run with exit code 3:
+# OverflowError converting to integer microseconds, or numpy refusing to
+# code that many redundancy packets
+@pytest.mark.parametrize("keys,value", [
+    (("timing", "data_s"), 1e308),
+    (("timing", "channel_dwell_s"), 1e308),
+    (("timing", "sample_interval_s"), 1e308),
+    (("coding", "gen_timeout_s"), 1e308),
+    (("duration_s",), 1e308),
+    (("flows", 0, "arrival_rate"), 1e-320),
+    (("coding", "redundancy"), 1e300),
+])
+def test_scenario_file_with_a_value_the_run_overflows_on_exits_2(tmp_path, capsys, keys, value):
+    d = ch.scenario_to_dict(ch.butterfly7())
+    *path, key = keys
+    section = d
+    for k in path:
+        section = section[k]
+    section[key] = value
+    path = tmp_path / "scn.yaml"
+    path.write_text(yaml.safe_dump(d))
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    label = keys[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys[1:])
+    assert f"{label}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("duration", ["nan", "inf", "-5"])
 def test_run_with_bad_duration_exits_2(tmp_path, duration):
     # --duration is applied to duration_s and validated like a scenario field

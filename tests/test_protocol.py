@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from bpnc import channel as ch
 from bpnc import engine, gf, rlnc, wire
-from bpnc.protocol import Node, Phase, RelayGen, apply_power_update, resolve_conflicts
+from bpnc.protocol import (Node, Phase, RelayGen, RelayStore, apply_power_update,
+                           resolve_conflicts)
 
 
 class FakeEngine:
@@ -193,10 +194,10 @@ def test_cts_matches_the_pending_rts(timed_out):
 
 # -- relay generation choice ------------------------------------------------
 
-def _scan_pick(node, fi, peer):
+def _scan_pick(store, fi, peer):
     """The relay choice by a full scan: oldest sendable generation of fi."""
-    for key in sorted(node.relay_gens):
-        if key[0] == fi and node.relay_gens[key].sendable_to(peer):
+    for key in sorted(store):
+        if key[0] == fi and store[key].sendable_to(peer):
             return key
     return None
 
@@ -216,17 +217,21 @@ def _relay_node():
 OWN = 4  # the flow _relay_node sources
 
 
-def _assert_credit_index(node):
-    """Each peer's list in credit_index is exactly what a brute-force
-    sendable_to scan of every held generation finds, and a source holds only
-    the frames it has yet to send."""
-    for fi, peers in node.credit_index.items():
+def _assert_credit_index(store, sourced):
+    """Each peer's list in the store's index is exactly what a brute-force
+    sendable_to scan of every held generation finds.  An entry without
+    origins is of a flow in sourced and keeps every frame credited to it,
+    not all of them sent yet; a relay entry keeps its first 4h frames."""
+    for fi, peers in store.index.items():
         for peer, gids in peers.items():
-            assert gids == sorted(g for (f, g), rg in node.relay_gens.items()
+            assert gids == sorted(g for (f, g), rg in store.items()
                                   if f == fi and rg.sendable_to(peer))
-    for (fi, _), rg in node.relay_gens.items():
-        if fi in node.open_gens:
-            assert rg.origins == set() and len(rg.pkts) == rg.rcvd > rg.sent
+    for (fi, _), rg in store.items():
+        if rg.origins:
+            assert fi not in sourced
+            assert len(rg.pkts) == min(rg.rcvd, 4 * len(rg.pkts[0].tag))
+        else:
+            assert fi in sourced and len(rg.pkts) == rg.rcvd > rg.sent
 
 
 def _source_step(node, step):
@@ -256,7 +261,7 @@ def test_relay_choice_matches_full_scan(steps, index_first):
         # every peer's list built before any frame is held, so the send path
         # keeps all of them from the start; otherwise each is built at its
         # peer's first query, from what the node holds by then
-        for fi in node.credit_index:
+        for fi in node.relay_gens.index:
             for peer in (1, 2, 3, 5):
                 assert not node.has_sendable(fi, peer)
     for step in steps:
@@ -268,7 +273,7 @@ def test_relay_choice_matches_full_scan(steps, index_first):
             _source_step(node, step)
         else:
             _, fi, peer = step
-            expect = _scan_pick(node, fi, peer)
+            expect = _scan_pick(node.relay_gens, fi, peer)
             assert node.has_sendable(fi, peer) == (expect is not None)
             before = {k: rg.sent for k, rg in node.relay_gens.items()}
             frame = node.next_coded_packet(fi, peer)
@@ -278,7 +283,67 @@ def test_relay_choice_matches_full_scan(steps, index_first):
                 assert frame is None and sent == []
             else:
                 assert (frame.flow_index, frame.gen_id) == expect and sent == [expect]
-        _assert_credit_index(node)
+        _assert_credit_index(node.relay_gens, {OWN})
+
+
+# ("hold", flow, gen id, origin): flow 0 is coded at the store's node, and
+# frames of flows 1 (h = 1) and 2 (h = 2) come from origin; ("take", flow,
+# peer): one frame is sent
+STORE_STEP = st.one_of(
+    st.tuples(st.just("hold"), st.integers(0, 2), st.integers(0, 2), st.integers(1, 3)),
+    st.tuples(st.just("take"), st.integers(0, 2), st.integers(1, 4)),
+)
+
+
+@given(st.lists(STORE_STEP, max_size=80), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_relay_store_keeps_its_index(steps, index_first):
+    # a bare store, driven by hold and take alone
+    store = RelayStore(3)
+    if index_first:
+        for peers in store.index.values():
+            for peer in (1, 2, 3, 4):
+                assert peers[peer] == []
+    for step in steps:
+        if step[0] == "hold":
+            _, fi, gid, origin = step
+            store.hold(wire.DataFrame(fi, gid, (1,) * max(fi, 1), bytes(4), 4),
+                       None if fi == 0 else origin)
+        else:
+            _, fi, peer = step
+            expect = _scan_pick(store, fi, peer)
+            before = {k: (rg, rg.sent) for k, rg in store.items()}
+            got = store.take(fi, peer)
+            if expect is None:
+                assert got is None
+                assert {k: (rg, rg.sent) for k, rg in store.items()} == before
+            else:
+                gid, rg = got
+                assert (fi, gid) == expect and rg is before[expect][0]
+                assert rg.sent == before[expect][1] + 1
+                # drained, a coded entry is gone and a relayed one stays
+                drained = rg.credit() == 0
+                assert (expect in store) == (fi != 0 or not drained)
+        _assert_credit_index(store, {0})
+
+
+def _lossy_coded_butterfly7():
+    scn = ch.butterfly7()
+    scn.coding.block_size = 4
+    scn.coding.field_bits = 4
+    scn.coding.decoder = "rank_deficient"
+    scn.frame_loss = 0.1
+    return scn
+
+
+@pytest.mark.parametrize("make_scn,duration_s",
+                         [(ch.line7, 600), (_lossy_coded_butterfly7, 300)],
+                         ids=["line7", "butterfly7_lossy_coded"])
+def test_every_store_keeps_its_index_through_a_run(make_scn, duration_s):
+    eng = engine.run(engine.apply_override(make_scn(), "duration_s", duration_s), seed=1)
+    for node in eng.nodes.values():
+        sourced = {fi for fi, (src, _) in enumerate(node.flows) if src == node.id}
+        _assert_credit_index(node.relay_gens, sourced)
 
 
 @dataclass
@@ -363,9 +428,9 @@ def test_source_choice_matches_source_gen_list(steps):
             _source_step(node, step)
             record_coded()
             getattr(ref, step[0])()
-        _assert_credit_index(node)
+        _assert_credit_index(node.relay_gens, {OWN})
     assert node.has_sendable(OWN, 5) == ref.has_sendable()
-    _assert_credit_index(node)
+    _assert_credit_index(node.relay_gens, {OWN})
 
 
 def test_credit_index_follows_split_horizon():
@@ -377,13 +442,13 @@ def test_credit_index_follows_split_horizon():
     for sender in (1, 1, 2):
         node.begin_data_rx(sender, 0)
         node.on_data(sender, wire.DataFrame(0, 7, (1, 3), bytes(4), 4))
-    assert node.credit_index[0] == {1: [], 2: [], 3: [7], 5: [7]}
-    _assert_credit_index(node)
+    assert node.relay_gens.index[0] == {1: [], 2: [], 3: [7], 5: [7]}
+    _assert_credit_index(node.relay_gens, {OWN})
     for _ in range(3):
         assert node.next_coded_packet(0, 5).gen_id == 7
-    assert node.credit_index[0] == {1: [], 2: [], 3: [], 5: []}
+    assert node.relay_gens.index[0] == {1: [], 2: [], 3: [], 5: []}
     assert node.next_coded_packet(0, 3) is None
-    _assert_credit_index(node)
+    _assert_credit_index(node.relay_gens, {OWN})
 
 
 def test_source_holds_no_frame_of_its_own_flow():
@@ -398,7 +463,7 @@ def test_source_holds_no_frame_of_its_own_flow():
     for gid in (0, 5):
         node.on_data(3, wire.DataFrame(OWN, gid, (1, 3), bytes(4), 4))
     assert node.queues.flow_backlogs(OWN) == {6: 3, 7: 3}
-    assert list(node.relay_gens) == [(OWN, 0)] and node.credit_index[OWN][3] == [0]
+    assert list(node.relay_gens) == [(OWN, 0)] and node.relay_gens.index[OWN][3] == [0]
     assert node.relay_gens[(OWN, 0)].rcvd == 1
     assert node.next_coded_packet(OWN, 3) is own
     assert node.next_coded_packet(OWN, 3) is None
@@ -494,13 +559,8 @@ def test_credit_walk_tests_one_generation_per_pick_under_loss(monkeypatch):
     # lossy coded butterfly7 leaves relays holding credit that split horizon
     # forbids sending back: the walk reads each peer's own list, so it
     # tests about one generation per frame sent, not every credited one
-    scn = ch.butterfly7()
-    scn.coding.block_size = 4
-    scn.coding.field_bits = 4
-    scn.coding.decoder = "rank_deficient"
-    scn.frame_loss = 0.1
-    scn.duration_s = 600
-    calls = _walk_counts(monkeypatch, scn.validate())
+    scn = engine.apply_override(_lossy_coded_butterfly7(), "duration_s", 600)
+    calls = _walk_counts(monkeypatch, scn)
     assert calls["next_coded_packet"] > 3000
     assert calls["sendable_to"] <= 1.5 * calls["next_coded_packet"]
 
