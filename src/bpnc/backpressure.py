@@ -3,9 +3,10 @@ flow selection, spectrum utility, and next-hop choice.
 
 A flow is its index in the scenario's flow list, the number RTS and DATA
 frames carry.  The queue set is given each index's (source, destinations)
-once, at construction, and lists its queues as the SYN entries that name
-them.  Pure functions over plain dict state; owned by a single node's state
-machine.
+once, at construction; it keeps a backlog per destination of each flow it
+has seen, which only ``add`` and ``pay`` change, and lists its queues as
+the SYN entries that name them.  Pure functions over plain dict state;
+owned by a single node's state machine.
 """
 
 from __future__ import annotations
@@ -36,47 +37,52 @@ class PenaltyTracker:
 class VirtualQueueSet:
     """Per (flow, destination) backlogs at one node.
 
-    ``flows[i]`` is flow i's (source, destinations).  The node's own virtual
-    queue for a flow it terminates is never created: a virtual queue
-    disappears once its destination is reached.
+    ``flows[i]`` is flow i's (source, destinations).  ``backlogs[flow]``,
+    made at the flow's first ``add``, maps each destination but this node,
+    in the flow's order, to its backlog: a virtual queue disappears once its
+    destination is reached.
     """
 
     def __init__(self, node_id: int, flows: list[tuple[int, tuple[int, ...]]]):
-        self.node_id = node_id
         self.flows = flows
         self._dests_here = [tuple(d for d in dsts if d != node_id) for _, dsts in flows]
-        self.backlogs: dict[tuple[int, int], int] = {}
+        # flow indices in (source, destinations) order, the SYN's
+        self._order = sorted(range(len(flows)), key=flows.__getitem__)
+        self.backlogs: dict[int, dict[int, int]] = {}
 
     def dests_here(self, flow: int) -> tuple[int, ...]:
         return self._dests_here[flow]
 
-    def backlog(self, flow: int, dest: int) -> int:
-        return self.backlogs.get((flow, dest), 0)
+    def add(self, flow: int) -> None:
+        """One packet of flow, arrived or received, for every destination."""
+        q = self.backlogs.get(flow)
+        if q is None:
+            q = self.backlogs[flow] = dict.fromkeys(self._dests_here[flow], 0)
+        for d in q:
+            q[d] += 1
 
-    def increment(self, flow: int, dest: int, n: int = 1) -> None:
-        if dest == self.node_id:
-            return
-        self.backlogs[(flow, dest)] = self.backlogs.get((flow, dest), 0) + n
-
-    def decrement(self, flow: int, dest: int, n: int = 1) -> None:
-        key = (flow, dest)
-        cur = self.backlogs.get(key, 0)
-        self.backlogs[key] = max(0, cur - n)
+    def pay(self, flow: int, dests) -> None:
+        """One packet of flow sent toward each of dests, never below 0."""
+        q = self.backlogs[flow]
+        for d in dests:
+            q[d] = max(0, q[d] - 1)
 
     def flow_backlogs(self, flow: int) -> dict[int, int]:
-        return {d: self.backlog(flow, d) for d in self.dests_here(flow)}
+        """flow's backlogs, the live dict once the flow is seen: read only."""
+        return self.backlogs.get(flow) or dict.fromkeys(self._dests_here[flow], 0)
 
     def total(self) -> int:
-        return sum(self.backlogs.values())
+        return sum(sum(q.values()) for q in self.backlogs.values())
 
     def entries(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
         """The SYN entries, one per virtual queue: (source, destinations
         with the queue's destination first, backlog), in (source,
         destinations, destination) order."""
         out = []
-        for f, d in sorted(self.backlogs, key=lambda k: (self.flows[k[0]], k[1])):
+        for f in self._order:
             src, dsts = self.flows[f]
-            out.append((src, (d, *(x for x in dsts if x != d)), self.backlogs[(f, d)]))
+            out += ((src, (d, *(x for x in dsts if x != d)), n)
+                    for d, n in sorted(self.backlogs.get(f, {}).items()))
         return tuple(out)
 
 

@@ -159,6 +159,8 @@ class Engine:
 
     def __init__(self, scn: ch.Scenario, seed: int):
         scn.validate()
+        if type(seed) is not int or not 0 <= seed <= 0xFFFFFFFF:
+            raise ch.ScenarioError(f"seed: must be an integer in 0..{0xFFFFFFFF}, got {seed!r}")
         self.scn = scn
         self.seed = seed
         self.duration_us = int(round(scn.duration_s * US))
@@ -169,12 +171,12 @@ class Engine:
         # the channel's draws: one per in-range receiver of a transmission,
         # and one more per DATA frame that draw lets through under frame loss
         self.uniforms = _uniforms(np.random.default_rng(
-            np.random.SeedSequence([seed & 0xFFFFFFFF, 0x5EED])
+            np.random.SeedSequence([seed, 0x5EED])
         ))
         self.nodes: dict[int, Node] = {}
         for nid in range(1, scn.num_nodes + 1):
             rng = np.random.default_rng(
-                np.random.SeedSequence([seed & 0xFFFFFFFF, nid])
+                np.random.SeedSequence([seed, nid])
             )
             self.nodes[nid] = Node(nid, scn, self, rng)
         # the topology is static for a run: receivers[src][chan] maps each
@@ -227,7 +229,7 @@ class Engine:
     def run(self) -> MetricsLog:
         for flow_index, fc in enumerate(self.scn.flows):
             rng = np.random.default_rng(
-                np.random.SeedSequence([self.seed & 0xFFFFFFFF, 0xA44, flow_index])
+                np.random.SeedSequence([self.seed, 0xA44, flow_index])
             )
             self._schedule_arrival(flow_index, fc, rng)
         for nid in sorted(self.nodes):

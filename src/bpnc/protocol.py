@@ -5,26 +5,27 @@ events; nodes never share memory and interact only through transmitted
 frames.  Phases: Discovery -> FlowUpdate -> Negotiation -> DataTransfer,
 with RTS/CTS conflict resolution in between.
 
-A received coded packet is its ``wire.DataFrame``: sources build the frame
-once when they create the packet, relays buffer and re-send the frames they
-receive, and ``rlnc`` decodes and recodes those frames as they are.  A
-payload is packed bytes from the moment a source draws its symbols:
-generations, encoding, recoding and decoding all take the frame's payload
-bytes as they are.  Sources and relays share one send path: every frame a
-node holds credit for, coded or received, sits in its ``RelayStore``,
-``Node.relay_gens``, and goes out through ``next_coded_packet``.  The
-store's ``index`` lists, for each flow and peer, the generations that have
-credit and may go to that peer, so a pick takes the head of that list, and
-a ``has_sendable`` test reads one entry, however many generations the node
-holds.  Each flow's lists are a ``channel.Table``, which builds a peer's
-list at its first read.
+Each coding record a node keeps has one writer.  The frames it holds to
+send, coded or received, sit in its ``RelayStore``, ``Node.relay_gens``,
+which only ``hold`` and ``take`` change.  The store's ``index`` lists, for
+each flow and peer (built at the peer's first read), the generations with
+credit that may go to that peer, so a ``next_coded_packet`` pick takes the
+head of a list and a ``has_sendable`` test reads one entry.  The virtual
+queues change only by ``VirtualQueueSet.add``, for an arrival or a
+reception, and ``pay``, for a DATA frame sent.  ``Node.decoders``, a
+``channel.Table``, opens a destination's decoder at its generation's first
+frame, and ``close_generation`` closes a source's generation, full or timed
+out.
 
-Each frame a node sends is kept in one form, the frame itself: a pending
-``Schedule`` is the RTS that negotiates it, sent unchanged on every retry,
-beside the destinations its DATA covers; ``Node.syn_sent`` is the last SYN,
-sent again while the queues' entries equal its own; and a packet the node
-codes goes straight into a DATA frame.  Link rates come from the one
-``Engine.link_rates``, by received power (power + gain).
+A coded packet is its ``wire.DataFrame``: a source builds it once, relays
+buffer and re-send the frames they receive, and ``rlnc`` decodes and
+recodes them as they are, the payload packed bytes from the moment a
+source draws its symbols.  Each frame a node sends is kept in one form, the
+frame itself: a pending ``Schedule`` is the RTS that negotiates it, sent
+unchanged on every retry, beside the destinations its DATA covers, and
+``Node.syn_sent`` is the last SYN, sent again while the queues' entries
+equal its own.  Link rates come from the one ``Engine.link_rates``, by
+received power (power + gain).
 """
 
 from __future__ import annotations
@@ -240,7 +241,9 @@ class Node:
         self.open_gens: dict[int, rlnc.Generation] = {}
         # (flow, generation id) -> the frames held to send
         self.relay_gens = RelayStore(len(self.flows))
-        self.decoders: dict[tuple[int, int], rlnc.DecoderState] = {}
+        # (flow, generation id) -> decoder, opened at its first frame here
+        self.decoders = ch.Table(lambda key: rlnc.DecoderState(
+            self.ctx, self.block_size(), scn.coding.packet_len))
 
     # -- helpers ------------------------------------------------------------
 
@@ -547,8 +550,7 @@ class Node:
             self.end_data_phase()
             return
         airtime = engine.transmit(self, rts.channel, frame)
-        for d in s.covered_dests:
-            self.queues.decrement(rts.flow_index, d)
+        self.queues.pay(rts.flow_index, s.covered_dests)
         engine.schedule(airtime, self.send_next_data)
 
     def next_coded_packet(self, flow_index: int, peer: int) -> wire.DataFrame | None:
@@ -572,22 +574,16 @@ class Node:
                 or src != self.data_peer):
             return
         fi = frame.flow_index
-        h = len(frame.tag)
         if fi in self.dest_flows:
-            key = (fi, frame.gen_id)
-            dec = self.decoders.get(key)
-            if dec is None:
-                dec = self.decoders[key] = rlnc.DecoderState(self.ctx, h, len(frame.payload))
+            dec = self.decoders[fi, frame.gen_id]
             rank_before = dec.rank
             dec.ingest(frame)
             self.engine.on_destination_ingest(self.id, fi, frame.gen_id, dec, rank_before)
         # a destination of a multicast flow also relays it to the others; a
         # source already holds every frame of its own flow it may send
-        relay_dests = self.queues.dests_here(fi)
-        if relay_dests and self.flows[fi][0] != self.id:
+        if self.queues.dests_here(fi) and self.flows[fi][0] != self.id:
             self.relay_gens.hold(frame, src)
-        for d in relay_dests:
-            self.queues.increment(fi, d)
+        self.queues.add(fi)
 
     # -- application layer (source only) ------------------------------------
 
@@ -605,10 +601,9 @@ class Node:
                                gf.symbols_to_bytes(symbols, m), m)
         gen.add_source_packet(frame.payload)
         self.relay_gens.hold(frame)
-        for d in self.queues.dests_here(flow_index):
-            self.queues.increment(flow_index, d)
+        self.queues.add(flow_index)
         if gen.full:
-            self.finalize_generation(flow_index, gen, gen.block_size)
+            self.close_generation(flow_index, gen)
 
     def open_generation(self, flow_index: int) -> rlnc.Generation:
         last = self.open_gens.get(flow_index)
@@ -619,28 +614,23 @@ class Node:
         gen = self.open_gens[flow_index] = rlnc.Generation(
             gen_id, self.block_size(), self.scn.coding.packet_len)
         if self.scn.coding.enabled and self.scn.coding.gen_timeout_s > 0:
+            # a block that filled was closed then, and its timeout does nothing
             self.engine.schedule(self.gen_timeout_us,
-                                 lambda: self.generation_timeout(flow_index, gen))
+                                 lambda: gen.full or self.close_generation(flow_index, gen))
         return gen
 
-    def generation_timeout(self, flow_index: int, gen: rlnc.Generation) -> None:
-        """Close a block still short at its timeout with rlnc.pad_block's
-        padding rows."""
-        if gen.full:
-            return
+    def close_generation(self, flow_index: int, gen: rlnc.Generation) -> None:
+        """Close gen, full or at its timeout: pad a short block with
+        rlnc.pad_block's rows, code the redundancy packets, and register the
+        truth of the rows that are not padding."""
         real_count = gen.filled
-        pad = rlnc.pad_block(b"", self.scn.coding.packet_len, gen.block_size - gen.filled)
-        for row in pad[0]:
-            gen.add_source_packet(np.frombuffer(row, dtype=np.uint8))
-            # padding rows get coded coverage like any other arrival, or the
-            # block could never reach full rank
-            self.queue_coded(flow_index, gen, 1)
-        self.finalize_generation(flow_index, gen, real_count)
-
-    def finalize_generation(self, flow_index: int, gen: rlnc.Generation,
-                            real_count: int) -> None:
-        """Code the redundancy packets of a full block and register its truth;
-        real_count is the number of rows that are not padding."""
+        if real_count < gen.block_size:
+            pad = rlnc.pad_block(b"", self.scn.coding.packet_len, gen.block_size - real_count)
+            for row in pad[0]:
+                gen.add_source_packet(np.frombuffer(row, dtype=np.uint8))
+                # a padding row is coded like an arrival, or the block could
+                # never reach full rank
+                self.queue_coded(flow_index, gen, 1)
         extra = self.extra_packets()
         if extra > 0:
             self.queue_coded(flow_index, gen, extra)

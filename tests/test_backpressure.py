@@ -133,21 +133,19 @@ def test_alpha_non_increasing():
 def test_virtual_queue_accounting():
     q = VirtualQueueSet(node_id=4, flows=[(1, (6, 7))])
     f = 0
-    q.increment(f, 6)
-    q.increment(f, 7)
+    q.add(f)
     assert q.total() == 2
-    q.decrement(f, 6)
-    assert q.backlog(f, 6) == 0
-    q.decrement(f, 6)  # clamped at zero
-    assert q.backlog(f, 6) == 0
+    q.pay(f, (6,))
+    assert q.flow_backlogs(f) == {6: 0, 7: 1}
+    q.pay(f, (6,))  # clamped at zero
+    assert q.flow_backlogs(f) == {6: 0, 7: 1}
 
 
 def test_own_destination_queue_absent():
     q = VirtualQueueSet(node_id=6, flows=[(1, (6, 7))])
     f = 0
-    q.increment(f, 6)
-    q.increment(f, 7)
-    assert q.backlog(f, 6) == 0
+    q.add(f)
+    assert q.flow_backlogs(f) == {7: 1}
     assert q.dests_here(f) == (7,)
 
 
@@ -155,7 +153,50 @@ def test_entries_deterministic_order():
     # entries follow (source, destinations, destination), not flow index
     flows = [(2, (7,)), (1, (6, 7))]
     q = VirtualQueueSet(node_id=4, flows=flows)
-    q.increment(0, 7)
-    q.increment(1, 7)
-    q.increment(1, 6)
+    q.add(0)
+    q.add(1)
     assert q.entries() == ((1, (6, 7), 1), (1, (7, 6), 1), (2, (7,), 1))
+
+
+# five flows seen from node 4: it relays the first three, is a destination
+# of the fourth and the only destination of the fifth; destinations are not
+# listed in ascending order
+QUEUE_FLOWS = [(1, (7, 6)), (2, (7,)), (1, (5, 6, 7)), (1, (4, 7)), (3, (4,))]
+QUEUE_STEP = st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 4)),
+    st.tuples(st.just("pay"), st.integers(0, 4), st.lists(st.sampled_from([5, 6, 7]),
+                                                          max_size=3, unique=True)),
+)
+
+
+@given(st.lists(QUEUE_STEP, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_queue_set_matches_brute_force_counts(steps):
+    # a bare queue set, driven by add and pay alone, against a count per
+    # (flow, destination) kept for every queue the flow's first add opens
+    q = VirtualQueueSet(node_id=4, flows=QUEUE_FLOWS)
+    model: dict[tuple[int, int], int] = {}
+    seen = set()
+    for step in steps:
+        fi = step[1]
+        here = [d for d in QUEUE_FLOWS[fi][1] if d != 4]
+        if step[0] == "add":
+            seen.add(fi)
+            for d in here:
+                model[fi, d] = model.get((fi, d), 0) + 1
+            q.add(fi)
+        elif fi in seen:
+            # a node pays only destinations of a flow it has seen
+            dests = [d for d in step[2] if d in here]
+            for d in dests:
+                model[fi, d] = max(0, model[fi, d] - 1)
+            q.pay(fi, dests)
+        assert q.entries() == tuple(
+            (QUEUE_FLOWS[f][0], (d, *(x for x in QUEUE_FLOWS[f][1] if x != d)), n)
+            for (f, d), n in sorted(model.items(), key=lambda k: (QUEUE_FLOWS[k[0][0]], k[0][1])))
+        for f, (_, dsts) in enumerate(QUEUE_FLOWS):
+            backlogs = q.flow_backlogs(f)
+            assert 4 not in backlogs and list(backlogs) == [d for d in dsts if d != 4]
+            assert backlogs == {d: model.get((f, d), 0) for d in backlogs}
+            assert min(backlogs.values(), default=0) >= 0
+        assert q.total() == sum(model.values())

@@ -358,6 +358,15 @@ def test_sweep_float_field_a_scenario_file_wrote_as_int(tmp_path):
     assert (tmp_path / "o" / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "4294967296"])
+def test_run_with_a_seed_outside_32_bits_exits_2(tmp_path, capsys, seed):
+    rc = main(["run", "--builtin", "line7", "--seed", seed,
+               "--duration", "10", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_sweep_without_seeds_exits_2(tmp_path, seeds):
     rc = main(["sweep", "--builtin", "line7", "--param", "duration=5",

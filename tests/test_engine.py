@@ -54,6 +54,20 @@ def test_same_seed_identical_packet_logs():
     assert a.packet_log == b.packet_log
 
 
+@pytest.mark.parametrize("seed", [-1, 2**32, True, 1.0])
+def test_engine_refuses_a_seed_outside_32_bits(seed):
+    # every generator takes the seed as one 32-bit word, so a wider seed
+    # would run as another seed's digest under its own name
+    with pytest.raises(ch.ScenarioError, match=r"^seed: "):
+        engine.Engine(ch.line7(), seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1])
+def test_engine_takes_the_32_bit_seed_bounds(seed):
+    eng = engine.run(engine.apply_override(ch.line7(), "duration_s", 30), seed)
+    assert eng.log.summary["seed"] == seed
+
+
 def _lossy_coded_butterfly7():
     scn = ch.butterfly7()
     scn.coding.block_size = 4

@@ -11,6 +11,7 @@ from bpnc import channel as ch
 from bpnc import engine, gf, rlnc, wire
 from bpnc.protocol import (Node, Phase, RelayGen, RelayStore, apply_power_update,
                            resolve_conflicts)
+from test_engine import _lossy_coded_butterfly7
 
 
 class FakeEngine:
@@ -108,9 +109,9 @@ def test_syn_lists_every_virtual_queue():
         ch.FlowConfig(1, (5, 6), 1.0),
     ]
     node, eng = make_node(1, scn=scn)
-    for fi, (_, dsts) in enumerate(node.flows):
-        for d in dsts:
-            node.queues.increment(fi, d, 3)
+    for fi in range(len(node.flows)):
+        for _ in range(3):
+            node.queues.add(fi)
     node.send_syn()
     frame = eng.sent[-1][1]
     assert len(frame.entries) == 4
@@ -235,11 +236,13 @@ def _assert_credit_index(store, sourced):
 
 
 def _source_step(node, step):
-    """Run an "arrive" or "timeout" step at the source of OWN."""
+    """Run an "arrive" or "timeout" step at the source of OWN; a timeout
+    closes the open generation unless it filled, as the timer does."""
+    gen = node.open_gens.get(OWN)
     if step[0] == "arrive":
         node.app_arrival(OWN)
-    elif OWN in node.open_gens:
-        node.generation_timeout(OWN, node.open_gens[OWN])
+    elif gen is not None and not gen.full:
+        node.close_generation(OWN, gen)
 
 
 SOURCE_STEP = st.tuples(st.sampled_from(["arrive", "timeout"]))
@@ -327,23 +330,26 @@ def test_relay_store_keeps_its_index(steps, index_first):
         _assert_credit_index(store, {0})
 
 
-def _lossy_coded_butterfly7():
-    scn = ch.butterfly7()
-    scn.coding.block_size = 4
-    scn.coding.field_bits = 4
-    scn.coding.decoder = "rank_deficient"
-    scn.frame_loss = 0.1
-    return scn
+def _assert_queues(node):
+    """No backlog is negative and the node keeps no queue for itself.  With
+    one unicast flow, the node's backlog is the credit it holds."""
+    for fi in range(len(node.flows)):
+        backlogs = node.queues.flow_backlogs(fi)
+        assert node.id not in backlogs and min(backlogs.values(), default=0) >= 0
+    if len(node.flows) == 1 and len(node.flows[0][1]) == 1:
+        assert node.queues.total() == sum(rg.credit() for rg in node.relay_gens.values())
 
 
 @pytest.mark.parametrize("make_scn,duration_s",
-                         [(ch.line7, 600), (_lossy_coded_butterfly7, 300)],
-                         ids=["line7", "butterfly7_lossy_coded"])
+                         [(ch.line7, 600), (_lossy_coded_butterfly7, 300),
+                          (ch.ring7, 600), (ch.grid6, 600)],
+                         ids=["line7", "butterfly7_lossy_coded", "ring7", "grid6"])
 def test_every_store_keeps_its_index_through_a_run(make_scn, duration_s):
     eng = engine.run(engine.apply_override(make_scn(), "duration_s", duration_s), seed=1)
     for node in eng.nodes.values():
         sourced = {fi for fi, (src, _) in enumerate(node.flows) if src == node.id}
         _assert_credit_index(node.relay_gens, sourced)
+        _assert_queues(node)
 
 
 @dataclass
@@ -431,6 +437,26 @@ def test_source_choice_matches_source_gen_list(steps):
         _assert_credit_index(node.relay_gens, {OWN})
     assert node.has_sendable(OWN, 5) == ref.has_sendable()
     _assert_credit_index(node.relay_gens, {OWN})
+
+
+def test_generation_closes_once_when_full_or_at_its_timeout():
+    # a block that fills is closed then and its timeout does nothing; a
+    # block still short at its timeout is padded and closed by it
+    node = _relay_node()
+    eng = node.engine
+    truths = []
+    eng.register_truth = lambda fi, gid, rows, real: truths.append((gid, real))
+    extra = node.extra_packets()
+    for _ in range(2):
+        node.app_arrival(OWN)
+    timeout = eng.scheduled[-1][1]
+    assert truths == [(0, 2)] and node.relay_gens[(OWN, 0)].rcvd == 2 + extra
+    timeout()
+    assert truths == [(0, 2)] and node.relay_gens[(OWN, 0)].rcvd == 2 + extra
+    node.app_arrival(OWN)
+    eng.scheduled[-1][1]()
+    assert truths == [(0, 2), (1, 1)] and node.open_gens[OWN].full
+    assert node.relay_gens[(OWN, 1)].rcvd == 2 + extra
 
 
 def test_credit_index_follows_split_horizon():
@@ -685,9 +711,12 @@ def test_destination_never_enqueues_own_queue():
     scn = ch.butterfly7()
     eng = engine.run(engine.apply_override(scn, "duration_s", 200), seed=2)
     flow = 0  # 1 -> (6, 7)
-    # destination 6 keeps a virtual queue for 7 but never one for itself
-    assert (flow, 6) not in eng.nodes[6].queues.backlogs
-    assert (flow, 7) not in eng.nodes[7].queues.backlogs
+    # destination 6 keeps a virtual queue for 7 but never one for itself,
+    # and 7 one for 6
+    for nid, other in ((6, 7), (7, 6)):
+        queues = eng.nodes[nid].queues
+        assert nid not in queues.flow_backlogs(flow)
+        assert [dsts[0] for _, dsts, _ in queues.entries()] == [other]
 
 
 def test_phase_transitions_logged_and_power_in_range(monkeypatch):
