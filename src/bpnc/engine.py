@@ -11,9 +11,10 @@ parse, and every receiver is handed the sender's own frozen object.  The
 bytes serve only for airtime, the success model and the packet log.  A DATA
 frame's bytes are built with it, and its payload is a view of them, so a
 relay re-sends the very object it received and the medium never packs it
-again.  The packet log (``PacketLog``) keeps one
-``(t_us, chan, src, raw)`` record per transmission, holding those same bytes
-objects, and renders its text lines only as it is iterated.
+again.  The packet log (``PacketLog``) keeps one record per transmission
+in columns: the times in an ``array``, the channel and sender a byte each,
+and those same bytes objects in a list.  It renders its text lines only as
+it is iterated, and it stays in memory until the run ends.
 
 What does not change from frame to frame is kept in per-run tables, each
 keyed by the values its entry depends on and nothing else.  For each
@@ -58,6 +59,7 @@ from __future__ import annotations
 import heapq
 import math
 import typing
+from array import array
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field, is_dataclass
@@ -103,33 +105,48 @@ class Truth:
 
 
 class PacketLog:
-    """The packet log: one ``(t_us, chan, src, raw)`` record per
-    transmission, where ``raw`` is the very bytes object the frame's
+    """The packet log: one record per transmission, held in four columns
+    rather than as one object per record.  ``times`` is each start time in
+    µs, an ``array('q')`` (a validated run is at most 2^53 µs long);
+    ``chans`` and ``srcs`` are the channel and the sender, a byte each (both
+    are at most 255); ``raws`` lists the very bytes objects the frames'
     ``pack`` returned (for a DATA frame its cached ``raw``, which every hop
-    that re-sends the frame shares).  It is iterated as its text lines,
-    ``"<t_us> <chan> <src> <KIND> <hex>"``, in transmission order, each
-    rendered as it is read; ``len`` counts them, and two logs are equal when
-    their records are."""
+    that re-sends the frame shares).
 
-    __slots__ = ("records",)
+    It is iterated as its text lines, ``"<t_us> <chan> <src> <KIND>
+    <hex>"``, in transmission order, each rendered from the columns as it
+    is read; ``len`` counts them, and two logs are equal when their columns
+    are.  The log stays in memory for the whole run: nothing streams it to
+    disk yet."""
+
+    __slots__ = ("times", "chans", "srcs", "raws")
 
     def __init__(self) -> None:
-        self.records: list[tuple[int, int, int, bytes]] = []
+        self.times = array("q")
+        self.chans = bytearray()
+        self.srcs = bytearray()
+        self.raws: list[bytes] = []
+
+    def append(self, t_us: int, chan: int, src: int, raw: bytes) -> None:
+        self.times.append(t_us)
+        self.chans.append(chan)
+        self.srcs.append(src)
+        self.raws.append(raw)
 
     @staticmethod
-    def line(record: tuple[int, int, int, bytes]) -> str:
-        t_us, chan, src, raw = record
+    def line(t_us: int, chan: int, src: int, raw: bytes) -> str:
         return f"{t_us} {chan} {src} {wire.TYPE_NAMES[raw[0]]} {raw.hex()}"
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.raws)
 
     def __iter__(self):
-        return map(self.line, self.records)
+        return map(self.line, self.times, self.chans, self.srcs, self.raws)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PacketLog):
-            return self.records == other.records
+            return (self.times == other.times and self.chans == other.chans
+                    and self.srcs == other.srcs and self.raws == other.raws)
         return NotImplemented
 
 
@@ -277,7 +294,7 @@ class Engine:
         node.tx_airtime_us += air
         node.tx_energy_mj += self.mw[power] * air / US
         self.frames_sent[node.id][wire.TYPE_NAMES[raw[0]]] += 1
-        self.packet_log.records.append((now, chan, node.id, raw))
+        self.packet_log.append(now, chan, node.id, raw)
         self.schedule_at(end, lambda: self._deliver(tx))
         return air
 

@@ -86,14 +86,17 @@ class RelayGen:
     lower-triangular) and sent later in order.  ``rcvd`` counts the frames
     received or coded, and ``pkts`` keeps them, at a relay only until it
     holds 4h, so the first ``min(sent, len(pkts))`` have been sent.
-    ``origins`` names the nodes a relay heard the generation from; a
-    source's entries have none.  Only a ``RelayStore`` changes an entry.
+    ``origins`` is a bit mask of the nodes a relay heard the generation
+    from: bit k is set once a frame came from node k.  Node ids are at most
+    255, so an int holds it, and costs less than a set in each of the
+    entries a long run keeps.  A source's entries have none (``origins ==
+    0``).  Only a ``RelayStore`` changes an entry.
     """
 
     pkts: list[wire.DataFrame] = field(default_factory=list)
     rcvd: int = 0
     sent: int = 0
-    origins: set[int] = field(default_factory=set)
+    origins: int = 0
 
     def credit(self) -> int:
         return self.rcvd - self.sent
@@ -101,7 +104,7 @@ class RelayGen:
     def sendable_to(self, peer: int) -> bool:
         """Split horizon: never hand a generation back to a node it came
         from."""
-        return self.credit() > 0 and peer not in self.origins
+        return self.credit() > 0 and not (self.origins >> peer) & 1
 
 
 def us(seconds: float) -> int:
@@ -126,8 +129,9 @@ class RelayStore(dict):
     """(flow, generation id) -> the ``RelayGen`` of the frames a node holds
     to send.  ``index[flow][peer]`` lists, in ascending order and built at
     the peer's first read, the ids of the flow's generations ``sendable_to``
-    peer.  An entry with no origins, a source's, is dropped once its credit
-    is 0, since a source keeps no frame it has sent."""
+    peer, which split horizon reads from the entry's ``origins`` mask.  An
+    entry with no origins, a source's, is dropped once its credit is 0,
+    since a source keeps no frame it has sent."""
 
     __slots__ = ("index",)
 
@@ -147,14 +151,14 @@ class RelayStore(dict):
         if rg is None:
             # a new entry is listed nowhere yet
             rg = self[fi, gid] = RelayGen()
-        elif origin is not None and origin not in rg.origins:
+        elif origin is not None and not (rg.origins >> origin) & 1:
             # split horizon: the generation no longer goes back to origin
             unlist(peers.get(origin), gid)
         if origin is not None:
-            rg.origins.add(origin)
+            rg.origins |= 1 << origin
         if rg.rcvd == rg.sent:
             for peer, gids in peers.items():
-                if peer not in rg.origins:
+                if not (rg.origins >> peer) & 1:
                     bisect.insort(gids, gid)
         rg.rcvd += 1
         if origin is None or len(rg.pkts) < 4 * len(frame.tag):
@@ -170,7 +174,7 @@ class RelayStore(dict):
         rg.sent += 1
         if rg.rcvd == rg.sent:
             for p, listed in self.index[flow].items():
-                if p not in rg.origins:
+                if not (rg.origins >> p) & 1:
                     unlist(listed, gid)
             if not rg.origins:
                 del self[flow, gid]

@@ -238,7 +238,7 @@ def precondition_reorder(ctx: FieldContext, G) -> tuple[np.ndarray, tuple[int, .
 
 # -- decoding ---------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class DecoderState:
     """Per-generation accumulator; earliest and rank-deficient decoding
     ingest alike.
@@ -255,18 +255,24 @@ class DecoderState:
     and its source packet is that row's payload: ``delivered`` reads it out
     of ``rref`` and keeps no copy.
 
-    Single-owner mutable; distinct generations decode independently.
+    Single-owner mutable; distinct generations decode independently.  A
+    destination keeps one per generation for the rest of a run, so the
+    state sits in slots, with no per-instance ``__dict__``.
     """
 
     ctx: FieldContext
     block_size: int
     packet_len: int
+    rref: np.ndarray = field(init=False)
+    pivot_cols: list[int] = field(init=False)
+    decoded: set[int] = field(init=False)
+    received: int = field(init=False)
 
     def __post_init__(self):
         h, n = self.block_size, self.packet_len
         self.rref = np.zeros((0, h + n), dtype=np.uint8)
-        self.pivot_cols: list[int] = []
-        self.decoded: set[int] = set()
+        self.pivot_cols = []
+        self.decoded = set()
         self.received = 0
 
     @property

@@ -1116,26 +1116,93 @@ def test_packet_log_keeps_the_frames_own_bytes(make_scn, duration_s):
 
     eng = Recording(engine.apply_override(make_scn(), "duration_s", duration_s), seed=1)
     eng.run()
-    records = eng.packet_log.records
-    assert len(records) == len(sent) > 0
-    assert not any(isinstance(x, str) for r in records for x in r)
-    data = [(r[3], f) for r, f in zip(records, sent) if isinstance(f, wire.DataFrame)]
+    log = eng.packet_log
+    columns = (log.times, log.chans, log.srcs, log.raws)
+    assert all(len(col) == len(sent) > 0 for col in columns) and len(log) == len(sent)
+    # the columns hold numbers and bytes, no text and no per-record object
+    assert log.times.typecode == "q" and type(log.chans) is type(log.srcs) is bytearray
+    assert all(type(raw) is bytes for raw in log.raws)
+    data = [(raw, f) for raw, f in zip(log.raws, sent) if isinstance(f, wire.DataFrame)]
     assert data and all(raw is f.raw for raw, f in data)
     # relays re-send frames they received: their records share its bytes
     assert len({id(raw) for raw, _ in data}) < len(data)
-    for r, line in zip(records, eng.packet_log, strict=True):
-        assert bytes.fromhex(line.split(" ")[4]) == r[3]
+    for *record, line in zip(*columns, log, strict=True):
+        t, chan, src, _, payload = line.split(" ")
+        assert [int(t), int(chan), int(src), bytes.fromhex(payload)] == record
 
 
 def test_packet_log_is_iterated_as_its_lines_and_compared_as_records():
     a, b, c = (engine.run(engine.apply_override(ch.line7(), "duration_s", 150), seed=s).packet_log
                for s in (11, 11, 12))
     lines = [f"{t} {chan} {src} {wire.TYPE_NAMES[raw[0]]} {raw.hex()}"
-             for t, chan, src, raw in a.records]
+             for t, chan, src, raw in zip(a.times, a.chans, a.srcs, a.raws, strict=True)]
     assert len(a) == len(lines) > 50
     assert [line for line in a] == lines
     assert a == b and not a != b
     assert a != c and c != a
+
+
+def test_packet_log_columns_hold_their_bounds():
+    # the longest validated run is 2^53 us, and channel and sender ids are
+    # at most 255: each fits its column and renders as the tuple did
+    raws = [wire.DataFrame(0, 7, (1, 2), bytes(range(8)), 4).raw, wire.SynFrame(255, ()).pack()]
+    records = [(2**53 - 1, 255, 255, raws[0]), (2**53, 0, 1, raws[1])]
+    a, b = engine.PacketLog(), engine.PacketLog()
+    for t, chan, src, raw in records:
+        a.append(t, chan, src, raw)
+        # equal bytes in another object
+        b.append(t, chan, src, bytes(bytearray(raw)))
+    assert list(a) == [f"{t} {chan} {src} {wire.TYPE_NAMES[raw[0]]} {raw.hex()}"
+                       for t, chan, src, raw in records]
+    assert list(a)[0].startswith("9007199254740991 255 255 DATA ")
+    assert len(a) == 2 and a == b and not a != b
+    # a log that differs from a in one field of its last record, for each column
+    t, chan, src, raw = records[1]
+    for changed in ((t ^ 1, chan, src, raw), (t, chan ^ 1, src, raw),
+                    (t, chan, src ^ 1, raw), (t, chan, src, raws[0])):
+        c = engine.PacketLog()
+        c.append(*records[0])
+        c.append(*changed)
+        assert a != c and c != a
+    b.append(0, 0, 1, raws[1])
+    assert a != b
+    # a value past a column's bound is refused, never wrapped
+    for bad in ((2**63, 0, 1), (0, 256, 1), (0, 0, 256)):
+        with pytest.raises((OverflowError, ValueError)):
+            engine.PacketLog().append(*bad, raws[1])
+
+
+def _bytes_held_after(make_scn, duration_s):
+    """Bytes a finished run of make_scn (seed 1) still holds, as traced by
+    tracemalloc with the engine alive, and its packet-log lines."""
+    import gc
+    import tracemalloc
+    gc.collect()
+    tracemalloc.start()
+    try:
+        eng = engine.run(engine.apply_override(make_scn(), "duration_s", duration_s), seed=1)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return held, len(eng.packet_log)
+
+
+@pytest.mark.parametrize("make_scn,bound", [(ch.line7, 500), (ch.butterfly7, 300)],
+                         ids=["line7", "butterfly7"])
+def test_bytes_held_per_packet_log_line(make_scn, bound):
+    # what a run keeps grows with its packet log: the log's own records,
+    # the relays' entries and the destinations' decoders.  Doubling the run
+    # from 600 s to 1200 s may add at most `bound` bytes per extra line
+    # (about 410 on line7 and 240 on butterfly7 with the log in columns and
+    # origins as a mask; 630 and 350 with a tuple per record and a set per
+    # entry).  A short run first makes the process's one-time allocations,
+    # which would otherwise land in the 600 s run of whichever test runs
+    # first and shrink the difference.
+    _bytes_held_after(make_scn, 60)
+    (b0, n0), (b1, n1) = _bytes_held_after(make_scn, 600), _bytes_held_after(make_scn, 1200)
+    assert n1 > n0 > 0
+    assert (b1 - b0) / (n1 - n0) <= bound
 
 
 @pytest.mark.parametrize("make_scn,duration_s,digest", PINNED_DIGESTS[:2],

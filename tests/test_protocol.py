@@ -218,6 +218,11 @@ def _relay_node():
 OWN = 4  # the flow _relay_node sources
 
 
+def _origin_ids(rg):
+    """The node ids an entry's origins mask holds: bit k is node k."""
+    return {k for k in range(256) if rg.origins >> k & 1}
+
+
 def _assert_credit_index(store, sourced):
     """Each peer's list in the store's index is exactly what a brute-force
     sendable_to scan of every held generation finds.  An entry without
@@ -228,7 +233,7 @@ def _assert_credit_index(store, sourced):
             assert gids == sorted(g for (f, g), rg in store.items()
                                   if f == fi and rg.sendable_to(peer))
     for (fi, _), rg in store.items():
-        if rg.origins:
+        if _origin_ids(rg):
             assert fi not in sourced
             assert len(rg.pkts) == min(rg.rcvd, 4 * len(rg.pkts[0].tag))
         else:
@@ -289,29 +294,36 @@ def test_relay_choice_matches_full_scan(steps, index_first):
         _assert_credit_index(node.relay_gens, {OWN})
 
 
+# node ids up to the largest a scenario allows, the low ones drawn often
+# enough to repeat
+NODE_ID = st.integers(1, 3) | st.sampled_from([127, 128, 254, 255]) | st.integers(1, 255)
 # ("hold", flow, gen id, origin): flow 0 is coded at the store's node, and
 # frames of flows 1 (h = 1) and 2 (h = 2) come from origin; ("take", flow,
 # peer): one frame is sent
 STORE_STEP = st.one_of(
-    st.tuples(st.just("hold"), st.integers(0, 2), st.integers(0, 2), st.integers(1, 3)),
-    st.tuples(st.just("take"), st.integers(0, 2), st.integers(1, 4)),
+    st.tuples(st.just("hold"), st.integers(0, 2), st.integers(0, 2), NODE_ID),
+    st.tuples(st.just("take"), st.integers(0, 2), NODE_ID | st.just(4)),
 )
 
 
 @given(st.lists(STORE_STEP, max_size=80), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_relay_store_keeps_its_index(steps, index_first):
-    # a bare store, driven by hold and take alone
+    # a bare store, driven by hold and take alone; origins models each
+    # entry's origins as a set of node ids
     store = RelayStore(3)
+    origins: dict[tuple[int, int], set[int]] = {}
     if index_first:
         for peers in store.index.values():
-            for peer in (1, 2, 3, 4):
+            for peer in (1, 2, 3, 4, 255):
                 assert peers[peer] == []
     for step in steps:
         if step[0] == "hold":
             _, fi, gid, origin = step
             store.hold(wire.DataFrame(fi, gid, (1,) * max(fi, 1), bytes(4), 4),
                        None if fi == 0 else origin)
+            if fi != 0:
+                origins.setdefault((fi, gid), set()).add(origin)
         else:
             _, fi, peer = step
             expect = _scan_pick(store, fi, peer)
@@ -327,6 +339,12 @@ def test_relay_store_keeps_its_index(steps, index_first):
                 # drained, a coded entry is gone and a relayed one stays
                 drained = rg.credit() == 0
                 assert (expect in store) == (fi != 0 or not drained)
+        # the mask is the set, and split horizon reads it as the set
+        for key, rg in store.items():
+            assert _origin_ids(rg) == origins.get(key, set())
+            for peer in (1, 2, 3, 4, 127, 128, 254, 255):
+                assert rg.sendable_to(peer) == (rg.credit() > 0
+                                                and peer not in origins.get(key, set()))
         _assert_credit_index(store, {0})
 
 
