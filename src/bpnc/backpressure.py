@@ -2,11 +2,12 @@
 flow selection, spectrum utility, and next-hop choice.
 
 A flow is its index in the scenario's flow list, the number RTS and DATA
-frames carry.  The queue set is given each index's (source, destinations)
-once, at construction; it keeps a backlog per destination of each flow it
-has seen, which only ``add`` and ``pay`` change, and lists its queues as
-the SYN entries that name them.  Pure functions over plain dict state;
-owned by a single node's state machine.
+frames carry.  A node's queue set is its one record of its flows, given
+each index's (source, destinations) once, at construction; it keeps a
+backlog per destination of each flow it has seen, which only ``add`` and
+``pay`` change, and lists its queues as the SYN entries that name them.
+Pure functions over plain dict state; owned by a single node's state
+machine.
 """
 
 from __future__ import annotations
@@ -35,29 +36,29 @@ class PenaltyTracker:
 
 
 class VirtualQueueSet:
-    """Per (flow, destination) backlogs at one node.
+    """Per (flow, destination) backlogs at one node, and its flows.
 
-    ``flows[i]`` is flow i's (source, destinations).  ``backlogs[flow]``,
-    made at the flow's first ``add``, maps each destination but this node,
+    ``flows[i]`` is flow i's (source, destinations), ``index`` maps its SYN
+    name (source, frozenset of destinations) to i, ``order`` lists the flows
+    in (source, destinations) order, the SYN's and ``select_flow``'s tie
+    order, and ``dests_here[i]`` is flow i's destinations but this node.
+    ``backlogs[flow]``, made at the flow's first ``add``, maps each of those,
     in the flow's order, to its backlog: a virtual queue disappears once its
     destination is reached.
     """
 
     def __init__(self, node_id: int, flows: list[tuple[int, tuple[int, ...]]]):
         self.flows = flows
-        self._dests_here = [tuple(d for d in dsts if d != node_id) for _, dsts in flows]
-        # flow indices in (source, destinations) order, the SYN's
-        self._order = sorted(range(len(flows)), key=flows.__getitem__)
+        self.order = sorted(range(len(flows)), key=flows.__getitem__)
+        self.index = {(src, frozenset(dsts)): i for i, (src, dsts) in enumerate(flows)}
+        self.dests_here = [tuple(d for d in dsts if d != node_id) for _, dsts in flows]
         self.backlogs: dict[int, dict[int, int]] = {}
-
-    def dests_here(self, flow: int) -> tuple[int, ...]:
-        return self._dests_here[flow]
 
     def add(self, flow: int) -> None:
         """One packet of flow, arrived or received, for every destination."""
         q = self.backlogs.get(flow)
         if q is None:
-            q = self.backlogs[flow] = dict.fromkeys(self._dests_here[flow], 0)
+            q = self.backlogs[flow] = dict.fromkeys(self.dests_here[flow], 0)
         for d in q:
             q[d] += 1
 
@@ -69,7 +70,7 @@ class VirtualQueueSet:
 
     def flow_backlogs(self, flow: int) -> dict[int, int]:
         """flow's backlogs, the live dict once the flow is seen: read only."""
-        return self.backlogs.get(flow) or dict.fromkeys(self._dests_here[flow], 0)
+        return self.backlogs.get(flow) or dict.fromkeys(self.dests_here[flow], 0)
 
     def total(self) -> int:
         return sum(sum(q.values()) for q in self.backlogs.values())
@@ -79,7 +80,7 @@ class VirtualQueueSet:
         with the queue's destination first, backlog), in (source,
         destinations, destination) order."""
         out = []
-        for f in self._order:
+        for f in self.order:
             src, dsts = self.flows[f]
             out += ((src, (d, *(x for x in dsts if x != d)), n)
                     for d, n in sorted(self.backlogs.get(f, {}).items()))

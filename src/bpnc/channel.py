@@ -69,6 +69,12 @@ MIN_ARRIVAL_RATE = 1 / MAX_SECONDS  # packets/s
 MAX_EXTRA_PACKETS = 0xFFFF
 
 
+def us(seconds: float) -> int:
+    """seconds in whole microseconds, rounded to the nearest: a run's one
+    seconds -> us rule.  A value in [0, MAX_SECONDS] gives at most 2^53."""
+    return int(round(seconds * 1_000_000))
+
+
 def _require_seconds(section: str, cfg, names) -> None:
     _require(section, cfg, names, lambda v: 0 <= v <= MAX_SECONDS,
              f"a number of seconds in [0, {MAX_SECONDS:g}]")
@@ -129,7 +135,7 @@ class TimingConfig:
         _require_seconds("timing", self, [f.name for f in fields(self)])
         # metrics sampling reschedules itself this far ahead, in whole
         # microseconds: 0 would never let simulated time advance
-        if round(self.sample_interval_s * 1e6) < 1:
+        if us(self.sample_interval_s) < 1:
             raise ScenarioError(
                 f"timing.sample_interval_s: must be at least 1e-6, got {self.sample_interval_s}")
 

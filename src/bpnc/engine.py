@@ -1,8 +1,8 @@
 """Deterministic discrete-event core: clock, frame delivery, metrics.
 
-Time is integer microseconds.  Events with equal timestamps run in
-scheduling order, so a run is a pure function of (scenario, seed); logging
-never consumes randomness.
+Time is integer microseconds; ``channel.us`` alone converts seconds to
+them.  Events with equal timestamps run in scheduling order, so a run is a
+pure function of (scenario, seed); logging never consumes randomness.
 
 The medium does each packet's work once.  Frames are built on the wire grid
 and packed once, and no frame is parsed during a run: ``wire`` snaps every
@@ -70,7 +70,7 @@ from . import channel as ch
 from . import gf, rlnc, wire
 from .protocol import Node
 
-US = 1_000_000
+US = 1_000_000  # us per second, for us -> s; channel.us is the one s -> us
 # channel uniforms are drawn this many at a time; Generator.random(n) yields
 # the same stream as n scalar draws
 DRAW_BUFFER = 1024
@@ -180,7 +180,7 @@ class Engine:
             raise ch.ScenarioError(f"seed: must be an integer in 0..{0xFFFFFFFF}, got {seed!r}")
         self.scn = scn
         self.seed = seed
-        self.duration_us = int(round(scn.duration_s * US))
+        self.duration_us = ch.us(scn.duration_s)
         self.ctx = gf.FieldContext(scn.coding.field_bits)
         self.now_us = 0
         self._seq = 0
@@ -273,7 +273,7 @@ class Engine:
             self.nodes[fc.src].app_arrival(flow_index)
             self.injected[flow_index] += 1
             self._schedule_arrival(flow_index, fc, rng)
-        self.schedule(int(round(gap * US)), fire)
+        self.schedule(ch.us(gap), fire)
 
     # -- the medium ---------------------------------------------------------
 
@@ -422,7 +422,7 @@ class Engine:
         for fi in self.delivered:
             cols.setdefault(("delivered", "", fi), []).append(self.delivered[fi])
             cols.setdefault(("injected", "", fi), []).append(self.injected[fi])
-        step = int(round(self.scn.timing.sample_interval_s * US))
+        step = ch.us(self.scn.timing.sample_interval_s)
         if self.now_us + step < self.duration_us:
             self.schedule(step, self._sample_metrics)
 
@@ -550,9 +550,7 @@ def apply_override(scn: ch.Scenario, key: str, value) -> ch.Scenario:
 
 
 def _run_one(args) -> dict:
-    scn, seed = args
-    eng = Engine(scn, seed)
-    eng.run()
+    eng = run(*args)
     out = dict(eng.log.summary)
     out["packet_log_digest"] = packet_log_digest(eng.packet_log)
     out["accuracy_curve"] = accuracy_curve(eng.log)

@@ -5,6 +5,10 @@ events; nodes never share memory and interact only through transmitted
 frames.  Phases: Discovery -> FlowUpdate -> Negotiation -> DataTransfer,
 with RTS/CTS conflict resolution in between.
 
+A node's flows live in its ``VirtualQueueSet``, ``Node.queues``, alone, and
+its coding rule (block size, redundancy packets, generation timeout) is
+worked out once, in ``Node.__init__``.
+
 Each coding record a node keeps has one writer.  The frames it holds to
 send, coded or received, sit in its ``RelayStore``, ``Node.relay_gens``,
 which only ``hold`` and ``take`` change.  The store's ``index`` lists, for
@@ -107,10 +111,6 @@ class RelayGen:
         return self.credit() > 0 and not (self.origins >> peer) & 1
 
 
-def us(seconds: float) -> int:
-    return int(round(seconds * 1e6))
-
-
 @functools.cache
 def unit_tag(h: int, row: int) -> tuple[int, ...]:
     """The tag of source row ``row`` of h, sent as it is."""
@@ -188,19 +188,25 @@ class Node:
         self.id = node_id
         t = scn.timing
         # the timing constants in integer microseconds, converted once;
-        # us(2 * cts_wait_s) rounds on its own, unlike 2 * us(cts_wait_s)
-        self.dwell_us = us(t.channel_dwell_s)
-        self.discovery_us = us(t.discovery_s)
-        self.flow_update_us = us(t.flow_update_s)
-        self.syn_interval_us = us(t.syn_interval_s)
-        self.negotiation_us = us(t.negotiation_s)
-        self.rts_interval_us = us(t.rts_interval_s)
-        self.cts_wait_us = us(t.cts_wait_s)
-        self.rts_window_us = us(2 * t.cts_wait_s)
-        self.data_us = us(t.data_s)
-        self.gen_timeout_us = us(scn.coding.gen_timeout_s)
+        # ch.us(2 * cts_wait_s) rounds on its own, unlike 2 * ch.us(cts_wait_s)
+        self.dwell_us = ch.us(t.channel_dwell_s)
+        self.discovery_us = ch.us(t.discovery_s)
+        self.flow_update_us = ch.us(t.flow_update_s)
+        self.syn_interval_us = ch.us(t.syn_interval_s)
+        self.negotiation_us = ch.us(t.negotiation_s)
+        self.rts_interval_us = ch.us(t.rts_interval_s)
+        self.cts_wait_us = ch.us(t.cts_wait_s)
+        self.rts_window_us = ch.us(2 * t.cts_wait_s)
+        self.data_us = ch.us(t.data_s)
+        # the coding rule, stated here alone: with coding off a generation
+        # is one packet, with no redundancy and no timeout.  gen_timeout_us
+        # is None when no timeout is scheduled; one under 0.5 us is 0 us.
+        c = scn.coding
+        self.block_size = c.block_size if c.enabled else 1
+        self.extra_packets = max(1, math.ceil(c.redundancy * c.block_size)) if c.enabled else 0
+        self.gen_timeout_us = ch.us(c.gen_timeout_s) if c.enabled and c.gen_timeout_s > 0 else None
         # symbols in one source packet
-        self.arrival_symbols = scn.coding.packet_len * gf.symbols_per_byte(scn.coding.field_bits)
+        self.arrival_symbols = c.packet_len * gf.symbols_per_byte(c.field_bits)
         self.scn = scn
         self.engine = engine
         self.rng = rng
@@ -210,15 +216,8 @@ class Node:
         self.tick_token = 0
         self.channel = 0
         self.neighbors: dict[int, NeighborRecord] = {}
-        # a flow is its index; (source, destinations) names it only in SYN
-        self.flows = [(f.src, f.dsts) for f in scn.flows]
-        self.flow_by_key = {(src, frozenset(dsts)): i for i, (src, dsts) in enumerate(self.flows)}
-        # (index, source) in (source, destinations) order, the order in
-        # which select_flow breaks ties
-        self.flow_order = [(i, src) for (src, _), i in
-                           sorted((flow, i) for i, flow in enumerate(self.flows))]
-        self.dest_flows = {i for i, (_, dsts) in enumerate(self.flows) if node_id in dsts}
-        self.queues = bp.VirtualQueueSet(node_id, self.flows)
+        # the node's one record of its flows; a flow is its index
+        self.queues = bp.VirtualQueueSet(node_id, [(f.src, f.dsts) for f in scn.flows])
         self.penalty = bp.PenaltyTracker()
         self.power_dbm = scn.power.init_dbm
         # sensed power above this reads as a busy channel
@@ -244,28 +243,16 @@ class Node:
         # arrivals until it is full, then opens the next
         self.open_gens: dict[int, rlnc.Generation] = {}
         # (flow, generation id) -> the frames held to send
-        self.relay_gens = RelayStore(len(self.flows))
+        self.relay_gens = RelayStore(len(scn.flows))
         # (flow, generation id) -> decoder, opened at its first frame here
         self.decoders = ch.Table(lambda key: rlnc.DecoderState(
-            self.ctx, self.block_size(), scn.coding.packet_len))
+            self.ctx, self.block_size, scn.coding.packet_len))
 
     # -- helpers ------------------------------------------------------------
 
-    def now(self) -> int:
-        return self.engine.now_us
-
     def enter_phase(self, phase: Phase) -> None:
         self.phase = phase
-        self.phase_entry_us = self.now()
-
-    def block_size(self) -> int:
-        return self.scn.coding.block_size if self.scn.coding.enabled else 1
-
-    def extra_packets(self) -> int:
-        if not self.scn.coding.enabled:
-            return 0
-        h = self.scn.coding.block_size
-        return max(1, math.ceil(self.scn.coding.redundancy * h))
+        self.phase_entry_us = self.engine.now_us
 
     # -- phase drivers (called by engine timers) ----------------------------
 
@@ -290,7 +277,7 @@ class Node:
         if token != self.tick_token:
             return
         if self.phase is DISCOVERY:
-            if self.now() - self.phase_entry_us >= self.discovery_us:
+            if self.engine.now_us - self.phase_entry_us >= self.discovery_us:
                 self.enter_phase(FLOW_UPDATE)
                 self.flow_update_tick()
                 return
@@ -304,7 +291,7 @@ class Node:
     def flow_update_tick(self) -> None:
         self.hop_next_channel()
         self.expire_stale_neighbors()
-        if not self.neighbors and self.now() - self.phase_entry_us >= self.flow_update_us:
+        if not self.neighbors and self.engine.now_us - self.phase_entry_us >= self.flow_update_us:
             # nothing heard for a whole update period: rediscover
             self.enter_phase(DISCOVERY)
             self.send_dis()
@@ -392,11 +379,12 @@ class Node:
 
     def compute_schedule(self) -> Schedule | None:
         cands = []
+        flows = self.queues.flows
         for nid in sorted(self.neighbors):
             rec = self.neighbors[nid]
             flow_cands = []
-            for fi, src in self.flow_order:
-                if nid == src or not self.has_sendable(fi, nid):
+            for fi in self.queues.order:
+                if nid == flows[fi][0] or not self.has_sendable(fi, nid):
                     continue
                 flow_cands.append((fi, self.queues.flow_backlogs(fi), rec.backlogs.get(fi, {}),
                                    self.penalty.alpha(fi, nid)))
@@ -417,7 +405,7 @@ class Node:
 
     def expire_stale_neighbors(self) -> None:
         horizon = 3 * self.discovery_us
-        cutoff = self.now() - horizon
+        cutoff = self.engine.now_us - horizon
         for nid in [n for n, rec in self.neighbors.items() if rec.last_heard_us < cutoff]:
             del self.neighbors[nid]
 
@@ -450,7 +438,7 @@ class Node:
             self.on_data(src, frame)
         elif kind is wire.SynFrame:
             for fsrc, dsts, backlog in frame.entries:
-                fi = self.flow_by_key.get((fsrc, frozenset(dsts)))
+                fi = self.queues.index.get((fsrc, frozenset(dsts)))
                 if fi is not None:
                     rec.backlogs.setdefault(fi, {})[dsts[0]] = backlog
         elif kind is wire.RtsFrame:
@@ -469,13 +457,13 @@ class Node:
                 self.engine.schedule(self.cts_wait_us, self.resolve_rts)
             self.rts_inbox.append(frame)
         else:
-            self.overheard_rts.append((self.now(), frame))
+            self.overheard_rts.append((self.engine.now_us, frame))
             self.prune_overheard_rts()
 
     def prune_overheard_rts(self) -> None:
         """Keep only the RTS frames overheard in the last 2 * cts_wait_s,
         the window resolve_rts weighs."""
-        horizon = self.now() - self.rts_window_us
+        horizon = self.engine.now_us - self.rts_window_us
         self.overheard_rts = [(t, f) for t, f in self.overheard_rts if t >= horizon]
 
     def resolve_rts(self) -> None:
@@ -578,14 +566,15 @@ class Node:
                 or src != self.data_peer):
             return
         fi = frame.flow_index
-        if fi in self.dest_flows:
+        source, dsts = self.queues.flows[fi]
+        if self.id in dsts:
             dec = self.decoders[fi, frame.gen_id]
             rank_before = dec.rank
             dec.ingest(frame)
             self.engine.on_destination_ingest(self.id, fi, frame.gen_id, dec, rank_before)
         # a destination of a multicast flow also relays it to the others; a
         # source already holds every frame of its own flow it may send
-        if self.queues.dests_here(fi) and self.flows[fi][0] != self.id:
+        if self.queues.dests_here[fi] and source != self.id:
             self.relay_gens.hold(frame, src)
         self.queues.add(fi)
 
@@ -616,8 +605,8 @@ class Node:
             raise ch.ScenarioError(f"flows[{flow_index}]: needs more than 65536 "
                                    "generations, all a 16-bit DATA id can number")
         gen = self.open_gens[flow_index] = rlnc.Generation(
-            gen_id, self.block_size(), self.scn.coding.packet_len)
-        if self.scn.coding.enabled and self.scn.coding.gen_timeout_s > 0:
+            gen_id, self.block_size, self.scn.coding.packet_len)
+        if self.gen_timeout_us is not None:
             # a block that filled was closed then, and its timeout does nothing
             self.engine.schedule(self.gen_timeout_us,
                                  lambda: gen.full or self.close_generation(flow_index, gen))
@@ -635,9 +624,8 @@ class Node:
                 # a padding row is coded like an arrival, or the block could
                 # never reach full rank
                 self.queue_coded(flow_index, gen, 1)
-        extra = self.extra_packets()
-        if extra > 0:
-            self.queue_coded(flow_index, gen, extra)
+        if self.extra_packets > 0:
+            self.queue_coded(flow_index, gen, self.extra_packets)
         self.engine.register_truth(flow_index, gen.gen_id, b"".join(gen.source_rows), real_count)
 
     def queue_coded(self, flow_index: int, gen: rlnc.Generation, count: int) -> None:
@@ -656,27 +644,20 @@ def resolve_conflicts(
 ) -> wire.RtsFrame | None:
     """Choose at most one RTS to answer with a CTS.
 
-    Winner has the highest quantized utility; ties go to the lower node id.
-    The decision uses only frames this node heard: a competing transmission
-    we overhear (hidden from the contenders) suppresses the CTS, and our own
-    pending transmission, own = (utility, this node's id), competes on equal
-    terms.
+    Winner has the highest utility, as its RTS frame snapped it to q16.16;
+    ties go to the lower node id.  The decision uses only frames this node
+    heard: a competing transmission we overhear (hidden from the contenders)
+    suppresses the CTS, and our own pending transmission, own = (its RTS's
+    utility, this node's id), competes on equal terms.
     """
     if not inbox:
         return None
-    def key(f: wire.RtsFrame):
-        return (-wire.encode_utility(f.utility), f.tx)
-    winner = min(inbox, key=key)
-    wq = wire.encode_utility(winner.utility)
-    if own is not None:
-        oq = wire.encode_utility(own[0])
-        if oq > wq or (oq == wq and own[1] < winner.tx):
-            return None  # insist on our own transmission
+    winner = min(inbox, key=lambda f: (-f.utility, f.tx))
+    best = (winner.utility, -winner.tx)
+    if own is not None and (own[0], -own[1]) > best:
+        return None  # insist on our own transmission
     for f in overheard:
-        if f.channel != winner.channel:
-            continue
-        fq = wire.encode_utility(f.utility)
-        if fq > wq or (fq == wq and f.tx < winner.tx):
+        if f.channel == winner.channel and (f.utility, -f.tx) > best:
             return None  # a stronger transmission we can hear would collide
     return winner
 

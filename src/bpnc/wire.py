@@ -15,9 +15,10 @@ All multi-byte integers are little-endian with a 1-byte type tag first:
           payload (rest, at most 500 bytes)
 
 Link gains travel as q8.8 fixed point of (gain_db + 128); utilities as
-q16.16 so receivers compare bit-exact values instead of floats.  A frame
-snaps its fields to that grid when it is built, and clamps SYN backlogs to
-0xFFFF, so ``unpack(f.pack()) == f`` for every frame a node can build.
+q16.16.  A frame snaps its fields to that grid when it is built, and clamps
+SYN backlogs to 0xFFFF, so ``unpack(f.pack()) == f`` for every frame a node
+can build.  ``encode_utility`` is exact and monotone on the q16.16 grid, so
+receivers compare the frames' snapped utilities as they are.
 
 A DATA frame is the one representation of a coded packet outside
 ``rlnc``, and its generation id the generation's one id: a source numbers a

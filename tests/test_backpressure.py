@@ -146,7 +146,7 @@ def test_own_destination_queue_absent():
     f = 0
     q.add(f)
     assert q.flow_backlogs(f) == {7: 1}
-    assert q.dests_here(f) == (7,)
+    assert q.dests_here[f] == (7,)
 
 
 def test_entries_deterministic_order():

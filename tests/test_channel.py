@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import pytest
 import yaml
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bpnc import channel as ch
 from bpnc import engine
@@ -515,6 +517,14 @@ def test_settings_at_the_time_bounds_convert_to_integer_us():
     engine.Engine(scn.validate(), 1)
     # a zero-length run still draws the first arrivals and takes a sample
     engine.run(engine.apply_override(scn, "duration_s", 0), seed=1)
+    assert ch.us(ch.MAX_SECONDS) == 2**53 and ch.us(1e-6) == 1
+
+
+@given(st.floats(0, ch.MAX_SECONDS) | st.floats(0, 1))
+@example(6e-7)
+def test_us_is_the_old_conversions(x):
+    # the engine's form, and the node's x * 1e6, the same float product
+    assert ch.us(x) == int(round(x * 1_000_000)) == int(round(x * 1e6))
 
 
 def test_scenario_file_roundtrip(tmp_path):

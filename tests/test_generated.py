@@ -1,0 +1,80 @@
+"""Whole-stack invariants over generated valid scenarios.
+
+The strategy draws small scenarios across the settings the stack reads:
+2-8 nodes, 1-4 channels, links with and without a pinned channel, 1-3
+flows mixing unicast and multicast, coding on and off across block sizes,
+fields, decoders, redundancy and timeouts, and frame loss.  Each example is
+run for 60 simulated seconds and checked against what must hold of any run.
+"""
+
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bpnc import channel as ch
+from bpnc import engine, wire
+
+
+@st.composite
+def flow_configs(draw, num_nodes: int):
+    src = draw(st.integers(1, num_nodes))
+    others = [n for n in range(1, num_nodes + 1) if n != src]
+    dsts = draw(st.lists(st.sampled_from(others), min_size=1, max_size=min(3, len(others)),
+                         unique=True))
+    return ch.FlowConfig(src, tuple(dsts), draw(st.sampled_from([0.2, 0.5, 1.0, 2.0])))
+
+
+@st.composite
+def scenarios(draw, duration_s: float = 60.0):
+    """A valid scenario, its links and flows drawn over its nodes.  The
+    links span a random tree, so most flows have a route, and add a few
+    more pairs; a link may name one channel or all of them."""
+    n = draw(st.integers(2, 8))
+    chans = draw(st.integers(1, 4))
+    nodes = draw(st.permutations(range(1, n + 1)))
+    tree = [(nodes[k], nodes[draw(st.integers(0, k - 1))]) for k in range(1, n)]
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=n, unique=True))
+    links = [ch.LinkConfig(a, b, draw(st.sampled_from([ch.STRONG_GAIN_DB, ch.WEAK_GAIN_DB])),
+                           draw(st.none() | st.integers(0, chans - 1)))
+             for a, b in tree + extra]
+    flows = draw(st.lists(flow_configs(n), min_size=1, max_size=3,
+                          unique_by=lambda f: (f.src, frozenset(f.dsts))))
+    coding = ch.CodingConfig(
+        enabled=draw(st.booleans()),
+        block_size=draw(st.integers(1, 6)),
+        field_bits=draw(st.sampled_from([1, 2, 4, 8])),
+        decoder=draw(st.sampled_from(ch.DECODERS)),
+        redundancy=draw(st.sampled_from([0.0, 0.25, 0.5])),
+        gen_timeout_s=draw(st.sampled_from([0.0, 5.0, 10.0])),
+    )
+    return ch.Scenario(name="generated", num_nodes=n, num_channels=chans, links=links,
+                       flows=flows, coding=coding,
+                       frame_loss=draw(st.sampled_from([0.0, 0.1])),
+                       duration_s=duration_s).validate()
+
+
+def _reloaded(scn: ch.Scenario) -> ch.Scenario:
+    """scn saved to a YAML file and loaded back."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "scenario.yaml"
+        ch.save_scenario(scn, path)
+        return ch.load_scenario(path)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scn=scenarios(), seed=st.integers(0, 2**32 - 1))
+def test_generated_scenarios_keep_the_run_invariants(scn, seed):
+    eng = engine.run(scn, seed)
+    log = eng.packet_log
+    assert (engine.packet_log_digest(log)
+            == engine.packet_log_digest(engine.run(_reloaded(scn), seed).packet_log))
+    assert all(eng.delivered[fi] <= eng.injected[fi] for fi in eng.injected)
+    assert all(a <= b for a, b in zip(log.times, log.times[1:]))
+    counts = {n: Counter() for n in eng.nodes}
+    for src, raw in zip(log.srcs, log.raws):
+        counts[src][wire.TYPE_NAMES[raw[0]]] += 1
+    assert eng.frames_sent == counts

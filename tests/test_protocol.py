@@ -109,7 +109,7 @@ def test_syn_lists_every_virtual_queue():
         ch.FlowConfig(1, (5, 6), 1.0),
     ]
     node, eng = make_node(1, scn=scn)
-    for fi in range(len(node.flows)):
+    for fi in range(len(node.queues.flows)):
         for _ in range(3):
             node.queues.add(fi)
     node.send_syn()
@@ -351,10 +351,10 @@ def test_relay_store_keeps_its_index(steps, index_first):
 def _assert_queues(node):
     """No backlog is negative and the node keeps no queue for itself.  With
     one unicast flow, the node's backlog is the credit it holds."""
-    for fi in range(len(node.flows)):
+    for fi in range(len(node.queues.flows)):
         backlogs = node.queues.flow_backlogs(fi)
         assert node.id not in backlogs and min(backlogs.values(), default=0) >= 0
-    if len(node.flows) == 1 and len(node.flows[0][1]) == 1:
+    if len(node.queues.flows) == 1 and len(node.queues.flows[0][1]) == 1:
         assert node.queues.total() == sum(rg.credit() for rg in node.relay_gens.values())
 
 
@@ -365,9 +365,49 @@ def _assert_queues(node):
 def test_every_store_keeps_its_index_through_a_run(make_scn, duration_s):
     eng = engine.run(engine.apply_override(make_scn(), "duration_s", duration_s), seed=1)
     for node in eng.nodes.values():
-        sourced = {fi for fi, (src, _) in enumerate(node.flows) if src == node.id}
+        sourced = {fi for fi, (src, _) in enumerate(node.queues.flows) if src == node.id}
         _assert_credit_index(node.relay_gens, sourced)
         _assert_queues(node)
+
+
+def _four_flows():
+    """butterfly7's links with four flows listed out of (source,
+    destinations) order: node 2 sources 2 -> 6, is a destination of
+    4 -> (7, 2) and relays 1 -> (6, 7)."""
+    scn = ch.butterfly7()
+    scn.flows = [ch.FlowConfig(5, (1,), 0.5), ch.FlowConfig(1, (6, 7), 0.5),
+                 ch.FlowConfig(4, (7, 2), 0.5), ch.FlowConfig(2, (6,), 0.5)]
+    return scn.validate()
+
+
+def test_the_queue_set_is_a_nodes_one_flow_record():
+    scn = _four_flows()
+    flows = [(f.src, f.dsts) for f in scn.flows]
+    for nid in range(1, scn.num_nodes + 1):
+        q = make_node(nid, scn=scn)[0].queues
+        assert q.flows == flows
+        assert [flows[f] for f in q.order] == sorted(flows)
+        for fi in range(len(flows)):
+            q.add(fi)
+        # one SYN entry per queue, the flows in order, each named by its
+        # source and destination set
+        named = [q.index[src, frozenset(dsts)] for src, dsts, _ in q.entries()]
+        assert named == [f for f in q.order for _ in q.dests_here[f]]
+        assert all(set(dsts) == set(flows[f][1])
+                   for f, (_, dsts, _) in zip(named, q.entries()))
+        assert q.dests_here == [tuple(d for d in dsts if d != nid) for _, dsts in flows]
+    # in this run node 2 hears frames of its own flow 3 from a relay
+    eng = engine.run(engine.apply_override(scn, "duration_s", 120), seed=2)
+    for node in eng.nodes.values():
+        assert {fi for fi, _ in node.decoders} <= {
+            fi for fi, (_, dsts) in enumerate(flows) if node.id in dsts}
+        assert not any(rg.origins for (fi, _), rg in node.relay_gens.items()
+                       if flows[fi][0] == node.id)
+    # node 2 plays all three parts
+    two = eng.nodes[2]
+    assert any(fi == 2 for fi, _ in two.decoders)
+    assert any(fi == 1 and rg.origins for (fi, _), rg in two.relay_gens.items())
+    assert eng.frames_sent[2]["DATA"] > 0 and eng.injected[3] > 0
 
 
 @dataclass
@@ -421,7 +461,7 @@ class ReferenceSource:
 @settings(max_examples=200, deadline=None)
 def test_source_choice_matches_source_gen_list(steps):
     node = _relay_node()
-    ref = ReferenceSource(node.block_size(), node.extra_packets())
+    ref = ReferenceSource(node.block_size, node.extra_packets)
     coded = {}  # generation id -> every frame the source coded, in order
 
     def record_coded():
@@ -464,7 +504,7 @@ def test_generation_closes_once_when_full_or_at_its_timeout():
     eng = node.engine
     truths = []
     eng.register_truth = lambda fi, gid, rows, real: truths.append((gid, real))
-    extra = node.extra_packets()
+    extra = node.extra_packets
     for _ in range(2):
         node.app_arrival(OWN)
     timeout = eng.scheduled[-1][1]
@@ -642,6 +682,53 @@ def test_resolution_uses_quantized_utilities():
     assert winner.tx == 2
 
 
+def reference_resolve_conflicts(inbox, overheard, own):
+    """resolve_conflicts as it was before it compared the frames' snapped
+    utilities: each utility re-encoded to its q16.16 integer."""
+    if not inbox:
+        return None
+    def key(f):
+        return (-wire.encode_utility(f.utility), f.tx)
+    winner = min(inbox, key=key)
+    wq = wire.encode_utility(winner.utility)
+    if own is not None:
+        oq = wire.encode_utility(own[0])
+        if oq > wq or (oq == wq and own[1] < winner.tx):
+            return None
+    for f in overheard:
+        if f.channel != winner.channel:
+            continue
+        fq = wire.encode_utility(f.utility)
+        if fq > wq or (fq == wq and f.tx < winner.tx):
+            return None
+    return winner
+
+
+# utilities on and off the q16.16 grid: a few shared bases, so ties are
+# common, each nudged by less than 2^-16 or not at all, and some above the
+# 0xFFFFFFFF / 2^16 clamp
+_utilities = st.one_of(
+    st.builds(lambda base, nudge: base + nudge,
+              st.sampled_from([0.0, 1.0, 2.5, 7.0, 65535.99998474121, 1e9]),
+              st.sampled_from([0.0, 0.0, 2**-20, -2**-20, 2**-17, 3 * 2**-18])),
+    st.floats(0, 2**17, allow_nan=False),
+)
+_rts_frames = st.builds(lambda tx, rx, chan, u: wire.RtsFrame(tx, rx, chan, 0, u),
+                        st.integers(1, 255), st.integers(1, 255), st.integers(0, 2),
+                        _utilities)
+
+
+@settings(max_examples=400, deadline=None)
+@given(inbox=st.lists(_rts_frames, max_size=5), overheard=st.lists(_rts_frames, max_size=5),
+       own=st.none() | st.tuples(_rts_frames.map(lambda f: f.utility), st.integers(1, 255)))
+def test_resolve_conflicts_matches_its_reference(inbox, overheard, own):
+    # frames snap their utility when built, so comparing the snapped floats
+    # decides as comparing their encodings did, ties and clamp included
+    got = resolve_conflicts(inbox, overheard, own)
+    want = reference_resolve_conflicts(inbox, overheard, own)
+    assert got is want
+
+
 # -- power control ----------------------------------------------------------
 
 def test_power_update_formula():
@@ -708,7 +795,7 @@ def run_logging_phases(monkeypatch, scn, seed):
 
     def logged(self, phase):
         enter_phase(self, phase)
-        phases.setdefault(self.id, []).append((self.now(), phase))
+        phases.setdefault(self.id, []).append((self.engine.now_us, phase))
 
     monkeypatch.setattr(Node, "enter_phase", logged)
     return engine.run(scn, seed=seed), phases
