@@ -41,9 +41,11 @@ to build and call than a ``functools.partial`` of the bound method, and
 ``_deliver`` lists concurrent carriers and their interference only when
 another carrier is on the air.  A decode at full rank is checked against
 the truth by comparing the RREF's payload block with the source rows as
-bytes, and only a wrong decode counts its wrong rows; a rank-deficient
-estimate is scored in one pass, against the source rows unpacked into
-symbols for that score alone.
+bytes, and only a wrong decode counts its wrong rows.  A rank-deficient
+estimate comes as packed rows, one confidence per row, and is scored in
+bytes too (``Truth.score``): its right symbols are the zero m-bit groups
+of estimate XOR truth in the rows with a confidence, counted through
+``gf.FieldContext.zero_groups``, so the truth is never unpacked.
 
 Each engine fact is kept once.  The one per-generation table is ``truth``:
 a generation's ``Truth`` holds its source rows as one packed ``bytes`` and,
@@ -102,6 +104,34 @@ class Truth:
     real: int    # rows that are not padding
     # destination -> most symbols estimated right below full rank
     best: dict[int, int] = field(default_factory=dict)
+
+    def score(self, ctx: gf.FieldContext, est: np.ndarray, conf: np.ndarray) -> int:
+        """Symbols of a packed estimate (``rlnc.rank_deficient_solve``)
+        that are right, in its rows with a confidence: the zero m-bit
+        groups of estimate XOR truth, counted through ``ctx.zero_groups``,
+        so the truth stays packed.
+
+        When only some rows have a confidence, they are most often just the
+        decoded ones, which are right: a row equal to its truth row as
+        bytes scores all its symbols, and only the other rows are counted.
+        """
+        scored = conf.tolist()
+        if 0 not in scored:
+            return int(ctx.zero_groups.take(est ^ np.ndarray(est.shape, np.uint8, self.rows)).sum())
+        n = est.shape[1]
+        packed = est.tobytes()
+        right, rows = 0, []
+        for c, k in enumerate(scored):
+            if not k:
+                continue
+            if packed[c * n:(c + 1) * n] == self.rows[c * n:(c + 1) * n]:
+                right += n * (8 // ctx.m)
+            else:
+                rows.append(c)
+        if rows:
+            truth = np.ndarray(est.shape, np.uint8, self.rows)
+            right += int(ctx.zero_groups.take(est[rows] ^ truth[rows]).sum())
+        return right
 
 
 class PacketLog:
@@ -356,21 +386,22 @@ class Engine:
     def on_destination_ingest(self, dest: int, flow_index: int, gen_id: int,
                               dec, rank_before: int) -> None:
         h = dec.block_size
-        self.log.accuracy.setdefault(dec.received, []).append(dec.decoded_count() / h)
+        rank = dec.rank
+        self.log.accuracy.setdefault(dec.received, []).append(len(dec.decoded) / h)
         truth = self.truth.get((flow_index, gen_id))
         # A reception that did not raise the rank left the decoder state as it
         # was; truth is kept until every destination has decoded, so if dest
         # already has a best score that state has been scored and solving
         # again is waste.
         coding = self.scn.coding
-        if (coding.decoder == "rank_deficient" and not dec.full_rank and truth is not None
-                and (dec.rank > rank_before or dest not in truth.best)):
-            est, conf = rlnc.rank_deficient_solve(dec, coding.min_weight_limit)
-            symbols = gf.bytes_to_symbols(truth.rows, coding.field_bits).reshape(est.shape)
-            correct = int(np.count_nonzero((est == symbols) & (conf > 0)))
-            truth.best[dest] = max(truth.best.get(dest, 0), correct)
-        # decoded on the reception after which every tag column is a pivot
-        if dec.full_rank and dec.rank > rank_before:
+        if rank < h:
+            if (coding.decoder == "rank_deficient" and truth is not None
+                    and (rank > rank_before or dest not in truth.best)):
+                est, conf = rlnc.rank_deficient_solve(dec, coding.min_weight_limit)
+                correct = truth.score(self.ctx, est, conf)
+                truth.best[dest] = max(truth.best.get(dest, 0), correct)
+        elif rank > rank_before:
+            # decoded on the reception after which every tag column is a pivot
             self._on_generation_decoded(dest, flow_index, gen_id, dec, truth)
 
     def _on_generation_decoded(self, dest, flow_index, gen_id, dec, truth) -> None:

@@ -5,14 +5,20 @@ Symbols are plain ints (or numpy uint8 arrays) in [0, 2^m).  Matrices are
 table-driven multiply here, ``FieldContext.mul_table``: it scales a symbol,
 and it scales a byte of packed m-bit symbols group by group, so a coded
 payload is combined, eliminated and recoded as the bytes it travels in.
-``bytes_to_symbols`` splits bytes into symbols only where single symbols
-are scored (the rank-deficient solve).  ``mul_slow`` is the independent
-shift-reduce reference kept for cross-checking.
+``FieldContext.matmul`` is the one matrix product: a wide one (encoding,
+recoding) is one gather of every term from the flattened table and one XOR
+reduce, and a tall one (the solve's assignments) adds its few terms one
+block at a time.  ``FieldContext.zero_groups`` counts the zero m-bit
+groups of a byte, so the XOR of two packed payloads counts the symbols
+they share.  ``bytes_to_symbols`` splits bytes into symbols only where the
+rank-deficient search scores single symbols.  ``mul_slow`` is the
+independent shift-reduce reference kept for cross-checking.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 
 import numpy as np
 
@@ -28,10 +34,6 @@ DEFAULT_POLYS = {
     7: 0x89,
     8: 0x11D,
 }
-
-
-class SingularMatrixError(ValueError):
-    """Matrix has rank below its dimension; inversion impossible."""
 
 
 def mul_slow(a: int, b: int, m: int, poly: int) -> int:
@@ -89,11 +91,19 @@ class FieldContext:
         # it reads the same as in sym.  Bytes are packed only for m dividing
         # 8; for other m the columns past size go unused.  At most 256 x 256,
         # cheap and fast to index.
+        # zero_groups[b]: the m-bit groups of the byte b that are 0, so
+        # the packed XOR of two payloads counts the symbols they share
+        # (m dividing 8).  intp, which numpy sums without a cast, and built
+        # in intp too: a bool-to-int cast here cost 0.2 MB of peak RSS.
         b = np.arange(256)
         tbl = np.zeros((self.size, 256), dtype=np.uint8)
+        zero_groups = np.zeros(256, dtype=np.intp)
         for shift in range(0, 8, m):
-            tbl |= sym[:, (b >> shift) & (self.size - 1)] << shift
+            group = (b >> shift) & (self.size - 1)
+            tbl |= sym[:, group] << shift
+            zero_groups += 1 - np.minimum(group, 1)  # 1 for a zero group
         self.mul_table = tbl
+        self.zero_groups = zero_groups
         inv = np.zeros(self.size, dtype=np.uint8)
         for v in range(1, self.size):
             inv[v] = exp[(order - log[v]) % max(order, 1)]
@@ -128,9 +138,19 @@ class FieldContext:
 
     def matmul(self, A, B):
         """Matrix product over GF(2^m).  A is (r,k), B is (k,c); B may hold
-        packed bytes, which each coefficient scales group by group."""
+        packed bytes, which each coefficient scales group by group.
+
+        A wide product (r <= k: encoding, recoding) is one gather from the
+        flat ``mul_table`` of every term A[i, k] * B[k], then one XOR
+        reduce over k; its (r, k, c) index array is at most (k, k, c).  A
+        tall one (the solve's q^T assignments times a few rows) adds the k
+        terms one (r, c) block at a time, so its temporaries stay (r, c).
+        """
         A = np.asarray(A, dtype=np.uint8)
         B = np.asarray(B, dtype=np.uint8)
+        if len(A) <= len(B):
+            idx = (A.astype(np.intp) << 8)[:, :, None] + B
+            return np.bitwise_xor.reduce(self.mul_table.ravel().take(idx), axis=1)
         out = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
         # term k for every row at once: A[:, k] times row k of B
         for k in range(A.shape[1]):
@@ -229,25 +249,6 @@ def rref_insert(
     return out, pivot_cols[:i] + [p] + pivot_cols[i:]
 
 
-def invert(ctx: FieldContext, M) -> np.ndarray:
-    """Inverse over GF(2^m); raises SingularMatrixError if rank < n.
-
-    No decoding path calls it: it is the independent cross-check oracle that
-    test_gf.py and test_rlnc.py hold the eliminations against, as ``mul_slow``
-    is for the multiply tables.
-    """
-    M = validate_symbols(ctx, M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    n = M.shape[0]
-    aug = np.concatenate([M, np.eye(n, dtype=np.uint8)], axis=1)
-    rref, rk, pivots = gaussian_eliminate(ctx, aug)
-    if rk < n or pivots[:n] != list(range(n)):
-        # [M | I] has rank n; M's own rank is its pivots left of the identity
-        raise SingularMatrixError(f"rank {sum(p < n for p in pivots)} < {n}")
-    return rref[:, n:]
-
-
 # -- symbol <-> byte packing -----------------------------------------------
 
 def symbols_per_byte(m: int) -> int:
@@ -271,17 +272,26 @@ def bytes_to_symbols(data: bytes, m: int) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _pair_table(m: int) -> np.ndarray:
+    """65,536 bytes: a pair of m-bit symbols, read as a little-endian uint16
+    (the first in its low byte), to the one 2m-bit symbol that packs them,
+    each masked to m bits, the first in the high group.  Built with numpy at
+    its first use, once per m."""
+    group = np.arange(256, dtype=np.uint8) & ((1 << m) - 1)
+    # row: the second symbol's byte (the high one); column: the first's
+    return ((group << m)[None, :] | group[:, None]).ravel()
+
+
 def symbols_to_bytes(symbols, m: int) -> bytes:
-    """Pack symbols, each masked to m bits, most-significant group first."""
+    """Pack symbols, each masked to m bits, most-significant group first:
+    pairs of m-bit symbols become 2m-bit ones, one ``_pair_table`` gather
+    per doubling, until they fill bytes."""
     spb = symbols_per_byte(m)
-    arr = np.asarray(symbols, dtype=np.uint8)
-    if spb == 1:
-        return arr.tobytes()
+    arr = np.ascontiguousarray(symbols, dtype=np.uint8)
     if len(arr) % spb:
         raise ValueError("symbol count not a multiple of symbols-per-byte")
-    mask = (1 << m) - 1
-    out = arr[0::spb] << (8 - m)  # uint8: bits above the top group drop out
-    for i in range(1, spb - 1):
-        out |= (arr[i::spb] & mask) << ((spb - 1 - i) * m)
-    out |= arr[spb - 1::spb] & mask
-    return out.tobytes()
+    while m < 8:
+        arr = _pair_table(m).take(arr.view("<u2"))
+        m *= 2
+    return arr.tobytes()

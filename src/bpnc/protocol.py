@@ -620,7 +620,7 @@ class Node:
         if real_count < gen.block_size:
             pad = rlnc.pad_block(b"", self.scn.coding.packet_len, gen.block_size - real_count)
             for row in pad[0]:
-                gen.add_source_packet(np.frombuffer(row, dtype=np.uint8))
+                gen.add_source_packet(row)
                 # a padding row is coded like an arrival, or the block could
                 # never reach full rank
                 self.queue_coded(flow_index, gen, 1)

@@ -9,8 +9,10 @@ live stack the ``wire.DataFrame`` a node holds.  ``encode_generation`` and
 is built from, unpacked straight into it.  A payload has one form from
 source to decoder: ``gf`` scales a packed byte group by group, and
 ``gf.FieldContext.matmul`` is the one GF matrix product, so encoding,
-recoding and elimination combine payload bytes as they are.  Only
-``rank_deficient_solve``, which scores single symbols, unpacks them.  Tag
+recoding and elimination combine payload bytes as they are.
+``rank_deficient_solve`` returns its estimates as packed rows too, one
+confidence per row.  It is the one place a payload is split into symbols:
+only when its search runs, and only the rows the search scores.  Tag
 column c always stands for source packet c; the live stack never reorders
 columns.
 """
@@ -100,10 +102,14 @@ class Generation:
     gen_id: int
     block_size: int
     packet_len: int
-    source_rows: list[np.ndarray] = field(default_factory=list)
+    # bytes-like rows: a source keeps each frame's payload view as it is
+    source_rows: list = field(default_factory=list)
 
     def add_source_packet(self, row) -> None:
-        row = np.asarray(row, dtype=np.uint8)
+        """Append one row; a row that is not bytes or a memoryview is read
+        as uint8 symbols or bytes."""
+        if not isinstance(row, (bytes, memoryview)):
+            row = np.asarray(row, dtype=np.uint8)
         if len(row) != self.packet_len:
             raise ValueError("source packet length mismatch")
         if len(self.source_rows) >= self.block_size:
@@ -116,21 +122,34 @@ class Generation:
 
     @property
     def full(self) -> bool:
-        return self.filled == self.block_size
+        return len(self.source_rows) == self.block_size
 
     def matrix(self) -> np.ndarray:
-        return np.array(self.source_rows, dtype=np.uint8).reshape(
-            self.filled, self.packet_len
-        )
+        """The filled rows as one read-only (filled, packet_len) array."""
+        return np.frombuffer(b"".join(self.source_rows), dtype=np.uint8).reshape(
+            self.filled, self.packet_len)
 
 
 # -- tag sampling -----------------------------------------------------------
 
-def _sample_nonzero_tag(ctx: FieldContext, width: int, rng) -> np.ndarray:
-    while True:
-        tag = rng.integers(0, ctx.size, size=width, dtype=np.uint8)
-        if tag.any():
-            return tag
+def _draw_tags(ctx: FieldContext, width: int, count: int, rng, mode: str) -> list[list[int]]:
+    """count random nonzero tags of width symbols, as lists (see
+    ``sample_tags``); each candidate is one draw of width symbols."""
+    if mode not in ("uniform", "rank_increasing"):
+        raise ValueError(f"unknown tag mode {mode!r}")
+    rows: list[list[int]] = []
+    rref, pivots = np.zeros((0, width), dtype=np.uint8), []
+    while len(rows) < count:
+        tag = rng.integers(0, ctx.size, size=width, dtype=np.uint8).tolist()
+        if not any(tag):
+            continue
+        if mode == "rank_increasing" and len(pivots) < width:
+            reduced = gf.rref_insert(ctx, rref, pivots, tag, width)
+            if reduced is None:
+                continue
+            rref, pivots = reduced
+        rows.append(tag)
+    return rows
 
 
 def sample_tags(ctx: FieldContext, width: int, count: int, rng,
@@ -143,19 +162,8 @@ def sample_tags(ctx: FieldContext, width: int, count: int, rng,
     rows are kept reduced (``gf.rref_insert``), so a candidate costs one
     reduction of one row.
     """
-    if mode not in ("uniform", "rank_increasing"):
-        raise ValueError(f"unknown tag mode {mode!r}")
-    rows: list[np.ndarray] = []
-    rref, pivots = np.zeros((0, width), dtype=np.uint8), []
-    while len(rows) < count:
-        tag = _sample_nonzero_tag(ctx, width, rng)
-        if mode == "rank_increasing" and len(pivots) < width:
-            reduced = gf.rref_insert(ctx, rref, pivots, tag, width)
-            if reduced is None:
-                continue
-            rref, pivots = reduced
-        rows.append(tag)
-    return np.array(rows, dtype=np.uint8).reshape(count, width)
+    return np.array(_draw_tags(ctx, width, count, rng, mode),
+                    dtype=np.uint8).reshape(count, width)
 
 
 def encode_generation(
@@ -169,15 +177,15 @@ def encode_generation(
 
     A partially filled generation is encodable: tags are zero beyond the
     filled rows, which is what makes received coding matrices tend toward a
-    lower-triangular staircase.
+    lower-triangular staircase.  The tags are drawn as ``sample_tags``
+    draws them, and all payloads come from one product.
     """
     if gen.filled == 0:
         raise ValueError("generation holds no source rows")
-    j = gen.filled
-    tags = np.zeros((count, gen.block_size), dtype=np.uint8)
-    tags[:, :j] = sample_tags(ctx, j, count, rng, mode)
-    payloads = ctx.matmul(tags[:, :j], gen.matrix())
-    return [CodedPacket(tuple(tag), payload) for tag, payload in zip(tags.tolist(), payloads)]
+    tags = _draw_tags(ctx, gen.filled, count, rng, mode)
+    payloads = ctx.matmul(tags, gen.matrix())
+    pad = (0,) * (gen.block_size - gen.filled)
+    return [CodedPacket(tuple(tag) + pad, payload) for tag, payload in zip(tags, payloads)]
 
 
 def recode(ctx: FieldContext, buffered, rng) -> CodedPacket:
@@ -186,13 +194,16 @@ def recode(ctx: FieldContext, buffered, rng) -> CodedPacket:
     if not buffered:
         raise ValueError("nothing to recode")
     h = len(buffered[0].tag)
-    # each buffered packet as one row, tag then payload: one product combines both
-    rows = np.array([packet_row(p) for p in buffered])
+    # each buffered packet as one row, tag then payload, all gathered by
+    # one join: one product combines both
+    rows = np.frombuffer(b"".join([bytes(p.tag) + bytes(p.payload) for p in buffered]),
+                         dtype=np.uint8).reshape(len(buffered), -1)
     for _ in range(16):
         coeffs = rng.integers(0, ctx.size, size=len(buffered), dtype=np.uint8)
         combo = ctx.matmul(coeffs[None], rows)[0]
-        if combo[:h].any():
-            return CodedPacket(tuple(combo[:h].tolist()), combo[h:])
+        tag = combo[:h].tolist()
+        if any(tag):
+            return CodedPacket(tuple(tag), combo[h:])
     return CodedPacket(buffered[0].tag, buffered[0].payload)
 
 
@@ -297,14 +308,21 @@ class DecoderState:
         (source_index, payload) pairs, each a view of its row of ``rref``.
 
         Only the new row is reduced against the stored RREF; a row that is
-        not innovative changes nothing.  A source index is its tag column.
+        not innovative changes nothing.  At full rank every tag reduces to
+        zero, so only the tag's range is checked and the payload is not
+        read.  A source index is its tag column.
         """
         h = self.block_size
-        if len(pkt.tag) != h:
-            raise TagLengthMismatch(f"tag length {len(pkt.tag)} != block size {h}")
+        tag = pkt.tag
+        if len(tag) != h:
+            raise TagLengthMismatch(f"tag length {len(tag)} != block size {h}")
         if len(pkt.payload) != self.packet_len:
             raise ValueError("payload length mismatch")
         self.received += 1
+        if len(self.pivot_cols) == h:
+            if max(tag) >= self.ctx.size:
+                raise ValueError(f"symbol out of range for GF(2^{self.ctx.m})")
+            return []
         inserted = gf.rref_insert(self.ctx, self.rref, self.pivot_cols, packet_row(pkt), h)
         if inserted is None:
             return []
@@ -342,92 +360,110 @@ def _assignments(q: int, n_free: int) -> tuple[np.ndarray, np.ndarray]:
 def rank_deficient_solve(
     state: DecoderState, free_var_limit: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-symbol estimates and confidence from a possibly rank-deficient
+    """Estimates of every source packet from a possibly rank-deficient
     state, searching only when at most T = free_var_limit tag columns are
     free.
 
-    Returns (estimates (h, N) uint8, confidence (h, N) uint8) over the N
-    symbols of a payload, with confidence 2 = certain (unique under current
-    rank), 1 = heuristic (minimum-weight pick over the affine solution set),
-    0 = undecoded.  Row c is source packet c, the tag column.  Certain
-    symbols always agree with earliest decoding; the heuristic is a
-    stand-in for an LP lowest-weight decoder.  It costs q^T cached
-    assignments x distinct column codes x heuristic rows, where a column's
-    code numbers its tuple of heuristic-row payload symbols, plus, per
-    heuristic row, a presence table and a cumulative sum over at most N*q
-    entries.  With no heuristic rows the lightest assignment is the all-zero
+    Returns (estimates (h, packet_len) uint8, confidence (h,) uint8): row c
+    is source packet c, the tag column, as packed payload bytes, and its one
+    confidence holds for every symbol of the row: 2 = certain (unique under
+    current rank), 1 = heuristic (minimum-weight pick over the affine
+    solution set), 0 = undecoded (an all-zero row).  Certain rows always
+    agree with earliest decoding; the heuristic is a stand-in for an LP
+    lowest-weight decoder.  The search costs q^T cached assignments x
+    column codes x heuristic rows, where a column's code numbers its tuple
+    of heuristic-row payload symbols and at most N codes are scored (N
+    symbols in a payload), plus, per heuristic row past the first N codes,
+    a presence table and a cumulative sum over at most N*q entries.  With
+    fewer than two heuristic rows the lightest assignment is the all-zero
     one, so no search runs.
 
-    The one place a payload is split into symbols, at most once per call:
-    the RREF's whole payload block when the search runs, else only the
-    decoded rows, the only ones read.
+    The one place a payload is split into symbols: only when the search
+    runs, only the heuristic rows it reads, once, and the rows it picks are
+    packed back once.  Without a search every row is copied as the bytes it
+    is.
     """
     if state.received == 0:
         raise ValueError("decoder state holds no rows")
+    h = state.block_size
+    est = np.zeros((h, state.packet_len), dtype=np.uint8)
+    # one confidence per row, a list until it is returned
+    conf = [0] * h
+    # certain rows: the decoded ones, pivot rows with no free-column entry
+    heuristic_rows = []
+    for r, c in enumerate(state.pivot_cols):
+        if c in state.decoded:
+            est[c] = state.rref[r, h:]
+            conf[c] = 2
+        else:
+            heuristic_rows.append((r, c))
+    if 0 < h - state.rank <= free_var_limit:
+        # every other row is picked.  In a column where at most one
+        # heuristic row's symbol is nonzero, a = 0 weighs at most 1, and
+        # every other candidate weighs nnz(a) >= 1 and comes after it, so
+        # a = 0 wins there.  With fewer than two heuristic rows it wins in
+        # every column: each heuristic row keeps its payload, and the free
+        # columns stay 0.
+        conf = [k or 1 for k in conf]
+        if len(heuristic_rows) < 2:
+            for r, c in heuristic_rows:
+                est[c] = state.rref[r, h:]
+        else:
+            _min_weight_pick(state, heuristic_rows, est)
+    return est, np.array(conf, dtype=np.uint8)
+
+
+def _min_weight_pick(state: DecoderState, heuristic_rows: list[tuple[int, int]],
+                     est: np.ndarray) -> None:
+    """Write into est the lightest candidate, column by column, for the
+    heuristic rows ((rref row, tag column) pairs) and the free columns."""
     ctx = state.ctx
     h = state.block_size
-    n = state.packet_len * gf.symbols_per_byte(ctx.m)
-    est = np.zeros((h, n), dtype=np.uint8)
-    conf = np.zeros((h, n), dtype=np.uint8)
     free_cols = [c for c in range(h) if c not in state.pivot_cols]
-    # certain rows: the decoded ones, pivot rows with no free-column entry
-    certain, heuristic_rows = [], []
-    for r, c in enumerate(state.pivot_cols):
-        (certain if c in state.decoded else heuristic_rows).append((r, c))
-    search = heuristic_rows and 0 < len(free_cols) <= free_var_limit
-    # without a search only the certain rows are read, so only they are
-    # unpacked (none while no row is decoded), and P[k] is the k-th of them
-    read = range(state.rank) if search else [r for r, _ in certain]
-    if read:
-        P = gf.bytes_to_symbols(b"".join([state.rref[r, h:] for r in read]),
-                                ctx.m).reshape(len(read), n)
-    for k, (r, c) in enumerate(certain):
-        est[c] = P[r if search else k]
-        conf[c] = 2
-    if not free_cols or len(free_cols) > free_var_limit:
-        return est, conf
-    conf[free_cols] = 1
-    if not heuristic_rows:
-        # every candidate weighs nnz(a) in every column: a = 0 wins alone
-        return est, conf
     q = ctx.size
+    n = state.packet_len * gf.symbols_per_byte(ctx.m)
     A, nnz = _assignments(q, len(free_cols))
     rows = [r for r, _ in heuristic_rows]
+    # P[i]: heuristic row i's payload symbols
+    P = gf.bytes_to_symbols(state.rref[rows, h:].tobytes(), ctx.m).reshape(len(rows), n)
     # f[a, i]: the symbol assignment a subtracts from heuristic row i
-    G = state.rref[:, :h][rows][:, free_cols]
+    G = state.rref[rows][:, free_cols]
     f = ctx.matmul(A, G.T)
     # A candidate's weight in column l is nnz(a) plus the heuristic rows
     # whose payload symbol differs from f[a] (certain rows add the same
     # count to every candidate), so it depends on l only through the
-    # column's tuple of heuristic-row payload symbols.  Number the tuples by
-    # one row at a time, re-ranking after each (codes stay below N*q), score
-    # each distinct code once and map the pick back to its columns.  The
-    # numbering is dense and follows the codes' order: a code's number is
-    # the count of distinct smaller codes, read off a presence table.
+    # column's tuple of heuristic-row payload symbols.  Number the tuples
+    # one row at a time, base q, score each code once and map the pick back
+    # to its columns.  Once there would be more codes than columns, they are
+    # re-ranked densely (codes stay below N*q), in the codes' order: a
+    # code's number is the count of distinct smaller codes, read off a
+    # presence table.  So at most N codes are scored.
     codes = np.zeros(n, dtype=np.intp)
     n_codes = 1
-    for r in rows:
-        codes = codes * q + P[r]
-        present = np.zeros(n_codes * q, dtype=np.intp)
-        present[codes] = 1
-        rank = np.cumsum(present) - 1
-        n_codes = int(rank[-1]) + 1
-        codes = rank[codes]
-    # any column of a pattern represents it
-    first = np.empty(n_codes, dtype=np.intp)
+    for p in P:
+        codes = codes * q + p
+        n_codes *= q
+        if n_codes > n:
+            present = np.zeros(n_codes, dtype=np.intp)
+            present[codes] = 1
+            rank = np.cumsum(present) - 1
+            n_codes = int(rank[-1]) + 1
+            codes = rank[codes]
+    # any column of a code represents it; a code no column has reads
+    # column 0, and its pick is never used
+    first = np.zeros(n_codes, dtype=np.intp)
     first[codes] = np.arange(n)
-    patterns = P[rows][:, first]  # (k, n_patterns)
+    patterns = P[:, first]  # (k, n_patterns)
     # (n_patterns, n_assign): argmin reduces the contiguous axis, no copy
     weights = np.repeat(nnz[None, :], n_codes, axis=0)
     for i in range(len(rows)):
         weights += patterns[i][:, None] != f[:, i]
     # first minimal index, deterministic
     best = np.argmin(weights, axis=1)[codes]
-    for i, (r, c) in enumerate(heuristic_rows):
-        est[c] = P[r] ^ f[best, i]
-        conf[c] = 1
-    est[free_cols] = A[best].T
-    return est, conf
+    # the picked symbols, heuristic rows then free columns, packed at once
+    picked = np.concatenate((P ^ f[best].T, A[best].T))
+    est[[c for _, c in heuristic_rows] + free_cols] = np.frombuffer(
+        gf.symbols_to_bytes(picked.ravel(), ctx.m), dtype=np.uint8).reshape(len(picked), -1)
 
 
 # -- preconditioning experiment (Table III analog) --------------------------

@@ -46,6 +46,7 @@ a frame's bytes are its one wire form.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -190,6 +191,16 @@ class CtsFrame:
         return bytes([TYPE_CTS, self.rx, self.tx, self.channel])
 
 
+# type, flow index, generation id and block size h
+_DATA_HEAD = struct.Struct("<BBHB")
+
+
+@functools.cache
+def _column_order(h: int) -> bytes:
+    """The identity column order 0..h-1 (h <= 255), as it travels."""
+    return bytes(range(h))
+
+
 @dataclass(frozen=True, slots=True)
 class DataFrame:
     flow_index: int
@@ -212,11 +223,11 @@ class DataFrame:
         _require_field_bits(m)
         if h and (min(self.tag) < 0 or max(self.tag) >> m):
             raise MalformedFrame(f"tag symbol out of range for GF(2^{m})")
-        # header, column order and tag, then the payload as bytes, whatever
-        # holds them (+ on a numpy array would broadcast)
-        head = (bytes((TYPE_DATA, self.flow_index)) + struct.pack("<HB", self.gen_id, h)
-                + bytes(range(h)) + pack_tag(self.tag, m))
-        raw = head + memoryview(self.payload)
+        # header, column order and tag, then the payload's bytes, whatever
+        # holds them
+        head = (_DATA_HEAD.pack(TYPE_DATA, self.flow_index, self.gen_id, h)
+                + _column_order(h) + pack_tag(self.tag, m))
+        raw = b"".join((head, self.payload))
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "payload", memoryview(raw)[len(head):])
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpnc import gf, rlnc, wire
-from bpnc.gf import FieldContext, gaussian_eliminate, invert
+from bpnc.gf import FieldContext, gaussian_eliminate
 from bpnc.rlnc import (
     CodedPacket,
     DecoderState,
@@ -20,6 +20,7 @@ from bpnc.rlnc import (
     sample_tags,
     unpad_block,
 )
+from references import invert
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +41,14 @@ def unpacked(data, m):
     splits each row."""
     D = np.asarray(data, dtype=np.uint8)
     return gf.bytes_to_symbols(D.tobytes(), m).reshape(D.shape[:-1] + (D.shape[-1] * 8 // m,))
+
+
+def symbol_form(est, conf, m):
+    """A packed estimate (``rank_deficient_solve``: rows of payload bytes,
+    one confidence per row) as the per-symbol (h, N) estimate and
+    confidence it stands for."""
+    est = unpacked(est, m)
+    return est, np.repeat(conf[:, None], est.shape[1], axis=1)
 
 
 def make_generation(ctx, h, n_sym, rng, gen_id=0):
@@ -419,7 +428,7 @@ def test_rank_deficient_full_rank_matches_invert(f16):
     state = DecoderState(f16, 4, 4)
     for i in range(4):
         state.ingest(CodedPacket(G[i], packed(Y[i], 4)))
-    est, conf = rank_deficient_solve(state, 2)
+    est, conf = symbol_form(*rank_deficient_solve(state, 2), 4)
     assert (conf == 2).all()
     assert np.array_equal(est, f16.matmul(invert(f16, G), Y))
     assert np.array_equal(est, X)
@@ -434,7 +443,7 @@ def test_rank_deficient_unit_rows_certain(f16):
         tag = np.zeros(h, dtype=np.uint8)
         tag[i] = 1
         state.ingest(CodedPacket(tag, packed(X[i], 4)))
-    est, conf = rank_deficient_solve(state, 2)
+    est, conf = symbol_form(*rank_deficient_solve(state, 2), 4)
     assert est.shape == conf.shape == (h, 12)
     for i in range(h - 1):
         assert (conf[i] == 2).all()
@@ -457,10 +466,10 @@ def test_rank_deficient_certain_agrees_with_earliest(f16):
                 assert np.array_equal(payload, gen.source_rows[i])
         est, conf = rank_deficient_solve(state, 2)
         for i in range(h):
-            if (conf[i] == 2).all():
-                assert np.array_equal(packed(est[i], 4), gen.source_rows[i])
+            if conf[i] == 2:
+                assert np.array_equal(est[i], gen.source_rows[i])
             if i in state.delivered:
-                assert (conf[i] == 2).all()
+                assert conf[i] == 2
 
 
 def test_rank_deficient_too_many_free_vars_undecoded(f16):
@@ -580,9 +589,42 @@ def rank_deficient_states(draw):
 def test_rank_deficient_solve_matches_enumeration(case):
     state, limit = case
     est, conf = rank_deficient_solve(state, limit)
+    assert est.shape == (state.block_size, state.packet_len) and conf.shape == (state.block_size,)
+    est, conf = symbol_form(est, conf, state.ctx.m)
     ref_est, ref_conf = reference_rank_deficient_solve(state, limit)
     assert np.array_equal(conf, ref_conf)
     assert np.array_equal(est, ref_est)
+
+
+def reference_score(est, conf, truth_rows, m):
+    """The engine's score as it was, in the symbol domain: the symbols of a
+    per-symbol estimate (h, N) that have a confidence and equal the truth,
+    its packed source rows split into symbols."""
+    symbols = gf.bytes_to_symbols(truth_rows, m).reshape(est.shape)
+    return int(np.count_nonzero((est == symbols) & (conf > 0)))
+
+
+def packed_score(state, est, conf, truth_rows):
+    """The engine's score of a packed estimate against truth_rows."""
+    from bpnc import engine
+    return engine.Truth(truth_rows, state.block_size).score(state.ctx, est, conf)
+
+
+@given(rank_deficient_states(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_packed_score_matches_reference_score(case, data):
+    # against random truths and against the estimate itself with a few
+    # bytes changed, so that scores run from none right to all right
+    state, limit = case
+    m = state.ctx.m
+    est, conf = rank_deficient_solve(state, limit)
+    ref_est, ref_conf = reference_rank_deficient_solve(state, limit)
+    size = est.size
+    near = bytearray(est.tobytes())
+    for k in data.draw(st.lists(st.integers(0, size - 1), max_size=4)):
+        near[k] ^= data.draw(st.integers(1, 255))
+    for truth in (data.draw(st.binary(min_size=size, max_size=size)), bytes(near)):
+        assert packed_score(state, est, conf, truth) == reference_score(ref_est, ref_conf, truth, m)
 
 
 @given(rank_deficient_states())
@@ -594,14 +636,16 @@ def test_certain_rows_are_the_decoded_columns(case):
     h = state.block_size
     free = [c for c in range(h) if c not in state.pivot_cols]
     unit = {c for r, c in enumerate(state.pivot_cols) if not state.rref[r, free].any()}
-    _, conf = rank_deficient_solve(state, limit)
+    _, conf = symbol_form(*rank_deficient_solve(state, limit), state.ctx.m)
     assert set(np.flatnonzero((conf == 2).any(axis=1)).tolist()) == state.decoded == unit
     assert (conf[sorted(state.decoded)] == 2).all()
 
 
 def test_rank_deficient_solve_matches_enumeration_in_a_lossy_run(monkeypatch):
     # every solve of the 300 s lossy butterfly7 run (the run behind
-    # test_early_recovery_pinned), reached through the module-level name
+    # test_early_recovery_pinned), reached through the module-level name,
+    # and the engine's packed score of each against the symbol-domain score
+    # of the enumeration
     from bpnc import channel as ch
     from bpnc import engine
 
@@ -611,21 +655,32 @@ def test_rank_deficient_solve_matches_enumeration_in_a_lossy_run(monkeypatch):
     scn.coding.decoder = "rank_deficient"
     scn.frame_loss = 0.1
     scn.duration_s = 300
-    calls = 0
+    calls = scored = 0
     solve = rlnc.rank_deficient_solve
+    score = engine.Truth.score
+    reference = None
 
     def checked(state, free_var_limit):
-        nonlocal calls
+        nonlocal calls, reference
         calls += 1
         est, conf = solve(state, free_var_limit)
-        ref_est, ref_conf = reference_rank_deficient_solve(state, free_var_limit)
-        assert np.array_equal(conf, ref_conf)
-        assert np.array_equal(est, ref_est)
+        reference = reference_rank_deficient_solve(state, free_var_limit)
+        got = symbol_form(est, conf, state.ctx.m)
+        assert np.array_equal(got[1], reference[1])
+        assert np.array_equal(got[0], reference[0])
         return est, conf
 
+    def checked_score(truth, ctx, est, conf):
+        nonlocal scored
+        scored += 1
+        correct = score(truth, ctx, est, conf)
+        assert correct == reference_score(*reference, truth.rows, ctx.m)
+        return correct
+
     monkeypatch.setattr(rlnc, "rank_deficient_solve", checked)
+    monkeypatch.setattr(engine.Truth, "score", checked_score)
     s = engine.run(scn.validate(), seed=1).log.summary
-    assert calls > 100
+    assert calls > 100 and scored == calls
     assert s["early_recovery_count"] == 35
 
 
@@ -703,6 +758,19 @@ def test_full_rank_redundant_ingest_changes_nothing(f16):
     assert state.ingest(bad) == []
     assert state.received == 7 and state.rank == 4 and state.rref is rref
     assert state.pivot_cols == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])  # at m = 8 every byte is a symbol
+def test_full_rank_ingest_still_rejects_an_out_of_range_tag(m):
+    # at full rank the payload is not read, but the tag's range still is
+    ctx = FieldContext(m)
+    state = DecoderState(ctx, 2, 1)
+    for tag in ([1, 0], [0, 1]):
+        state.ingest(CodedPacket(tag, [0x5A]))
+    assert state.full_rank
+    with pytest.raises(ValueError, match="out of range"):
+        state.ingest(CodedPacket([ctx.size, 0], [0x5A]))
+    assert state.ingest(CodedPacket([ctx.size - 1, 1], [0x5A])) == []
 
 
 @st.composite
@@ -912,7 +980,7 @@ def test_rank_deficient_solve_matches_unique_numbering(m, h):
     for state, _, _ in _states_at_every_rank(m, h, 1):
         ranks.add(state.rank)
         for limit in (0, 1, 2):
-            est, conf = rank_deficient_solve(state, limit)
+            est, conf = symbol_form(*rank_deficient_solve(state, limit), m)
             ref_est, ref_conf = reference_unique_rank_deficient_solve(state, limit)
             assert np.array_equal(conf, ref_conf)
             assert np.array_equal(est, ref_est)
@@ -922,8 +990,9 @@ def test_rank_deficient_solve_matches_unique_numbering(m, h):
 @pytest.mark.parametrize("m", [1, 2, 4, 8])
 @pytest.mark.parametrize("h", [1, 2, 4, 8])
 def test_rank_deficient_solve_unpacks_only_the_rows_it_reads(m, h, monkeypatch):
-    # a solve that does not search reads only the decoded rows, so only they
-    # are unpacked; the estimates are those of a full unpack either way
+    # a solve that does not search copies its rows as bytes and unpacks
+    # nothing; one that does unpacks the rows it scores, the pivot rows not
+    # yet decoded, once; the estimates are those of a full unpack either way
     unpacked = []
     to_symbols = gf.bytes_to_symbols
 
@@ -940,11 +1009,12 @@ def test_rank_deficient_solve_unpacks_only_the_rows_it_reads(m, h, monkeypatch):
             unpacked.clear()
             est, conf = rank_deficient_solve(state, limit)
             monkeypatch.setattr(gf, "bytes_to_symbols", to_symbols)
+            est, conf = symbol_form(est, conf, m)
             assert np.array_equal(conf, ref_conf)
             assert np.array_equal(est, ref_est)
             # the search runs when some free columns, at most limit, and
-            # some pivot rows not yet decoded leave a choice to make
-            search = 0 < h - state.rank <= limit and state.rank > len(state.decoded)
-            rows = state.rank if search else len(state.decoded)
-            assert unpacked == ([rows * state.packet_len] if rows else [])
+            # at least two pivot rows not yet decoded leave a choice to make
+            rows = state.rank - len(state.decoded)
+            search = 0 < h - state.rank <= limit and rows >= 2
+            assert unpacked == ([rows * state.packet_len] if search else [])
     assert ranks == set(range(h + 1))
