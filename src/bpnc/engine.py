@@ -39,13 +39,12 @@ through ``schedule_at``, the one place events are counted; ``transmit``
 schedules ``_deliver`` of its transmission as a closure, which costs less
 to build and call than a ``functools.partial`` of the bound method, and
 ``_deliver`` lists concurrent carriers and their interference only when
-another carrier is on the air.  A decode at full rank is checked against
-the truth by comparing the RREF's payload block with the source rows as
-bytes, and only a wrong decode counts its wrong rows.  A rank-deficient
-estimate comes as packed rows, one confidence per row, and is scored in
-bytes too (``Truth.score``): its right symbols are the zero m-bit groups
-of estimate XOR truth in the rows with a confidence, counted through
-``gf.FieldContext.zero_groups``, so the truth is never unpacked.
+another carrier is on the air.  A decoder's rows are judged against the
+truth one way, ``Truth.compare``, row by row in packed bytes: a row equal
+to its truth row is right throughout, and only the other rows are counted,
+as the zero m-bit groups of row XOR truth (``gf.FieldContext.zero_groups``).
+A rank-deficient estimate scores the symbols right in its rows with a
+confidence; a decode at full rank adds its wrong rows to ``decode_errors``.
 
 Each engine fact is kept once.  The one per-generation table is ``truth``:
 a generation's ``Truth`` holds its source rows as one packed ``bytes`` and,
@@ -62,9 +61,10 @@ import heapq
 import math
 import typing
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field, is_dataclass
+from functools import partial
 
 import numpy as np
 
@@ -105,33 +105,26 @@ class Truth:
     # destination -> most symbols estimated right below full rank
     best: dict[int, int] = field(default_factory=dict)
 
-    def score(self, ctx: gf.FieldContext, est: np.ndarray, conf: np.ndarray) -> int:
-        """Symbols of a packed estimate (``rlnc.rank_deficient_solve``)
-        that are right, in its rows with a confidence: the zero m-bit
-        groups of estimate XOR truth, counted through ``ctx.zero_groups``,
-        so the truth stays packed.
-
-        When only some rows have a confidence, they are most often just the
-        decoded ones, which are right: a row equal to its truth row as
-        bytes scores all its symbols, and only the other rows are counted.
-        """
-        scored = conf.tolist()
-        if 0 not in scored:
-            return int(ctx.zero_groups.take(est ^ np.ndarray(est.shape, np.uint8, self.rows)).sum())
-        n = est.shape[1]
-        packed = est.tobytes()
-        right, rows = 0, []
-        for c, k in enumerate(scored):
-            if not k:
-                continue
-            if packed[c * n:(c + 1) * n] == self.rows[c * n:(c + 1) * n]:
-                right += n * (8 // ctx.m)
-            else:
-                rows.append(c)
-        if rows:
-            truth = np.ndarray(est.shape, np.uint8, self.rows)
-            right += int(ctx.zero_groups.take(est[rows] ^ truth[rows]).sum())
-        return right
+    def compare(self, ctx: gf.FieldContext, est: np.ndarray, rows) -> tuple[int, int]:
+        """(symbols right, rows wrong) of the given rows of a decoder's
+        packed (h, packet_len) rows against the truth.  A row equal to its
+        truth row as bytes is right throughout; only the other rows are
+        counted, as the zero m-bit groups of their XOR with the truth
+        through ``ctx.zero_groups``, so the truth stays packed."""
+        n, per = est.shape[1], 8 // ctx.m
+        packed, truth = est.tobytes(), self.rows
+        if packed == truth:  # every row is right
+            return len(rows) * n * per, 0
+        mine, theirs = [], []
+        for c in rows:
+            if (a := packed[c * n:(c + 1) * n]) != (b := truth[c * n:(c + 1) * n]):
+                mine.append(a)
+                theirs.append(b)
+        right = (len(rows) - len(mine)) * n * per
+        if mine:
+            right += int(ctx.zero_groups.take(np.frombuffer(b"".join(mine), np.uint8)
+                                              ^ np.frombuffer(b"".join(theirs), np.uint8)).sum())
+        return right, len(mine)
 
 
 class PacketLog:
@@ -191,8 +184,8 @@ class MetricsLog:
     times: list[float] = field(default_factory=list)
     columns: dict[tuple[str, int | str, int | str], list] = field(default_factory=dict)
     # packets received -> decoded fraction at each destination ingest, in
-    # arrival order
-    accuracy: dict[int, list[float]] = field(default_factory=dict)
+    # arrival order, 8 bytes each
+    accuracy: dict[int, array] = field(default_factory=lambda: defaultdict(partial(array, "d")))
     early_recovery: list[float] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
@@ -384,23 +377,22 @@ class Engine:
         self.truth[(flow_index, gen_id)] = Truth(bytes(rows), real_count)
 
     def on_destination_ingest(self, dest: int, flow_index: int, gen_id: int,
-                              dec, rank_before: int) -> None:
-        h = dec.block_size
-        rank = dec.rank
-        self.log.accuracy.setdefault(dec.received, []).append(len(dec.decoded) / h)
+                              dec, innovative: bool) -> None:
+        self.log.accuracy[dec.received].append(len(dec.decoded) / dec.block_size)
         truth = self.truth.get((flow_index, gen_id))
-        # A reception that did not raise the rank left the decoder state as it
-        # was; truth is kept until every destination has decoded, so if dest
-        # already has a best score that state has been scored and solving
-        # again is waste.
+        # A reception that is not innovative (``DecoderState.ingest``'s result)
+        # left the decoder state as it was; truth is kept until every
+        # destination has decoded, so if dest already has a best score that
+        # state has been scored and solving again is waste.
         coding = self.scn.coding
-        if rank < h:
+        if not dec.full_rank:
             if (coding.decoder == "rank_deficient" and truth is not None
-                    and (rank > rank_before or dest not in truth.best)):
+                    and (innovative or dest not in truth.best)):
                 est, conf = rlnc.rank_deficient_solve(dec, coding.min_weight_limit)
-                correct = truth.score(self.ctx, est, conf)
+                rows = [c for c, k in enumerate(conf.tolist()) if k]  # with a confidence
+                correct = truth.compare(self.ctx, est, rows)[0]
                 truth.best[dest] = max(truth.best.get(dest, 0), correct)
-        elif rank > rank_before:
+        elif innovative:
             # decoded on the reception after which every tag column is a pivot
             self._on_generation_decoded(dest, flow_index, gen_id, dec, truth)
 
@@ -414,10 +406,7 @@ class Engine:
         # at full rank the pivot columns are 0..h-1 and every pivot row is a
         # unit tag, so the payload block is the source rows, in order, when
         # the decode is right
-        payload = dec.rref[:, h:]
-        if payload.tobytes() != truth.rows:
-            wrong = payload != np.frombuffer(truth.rows, np.uint8).reshape(payload.shape)
-            self.decode_errors += int(np.count_nonzero(wrong.any(axis=1)))
+        self.decode_errors += truth.compare(self.ctx, dec.rref[:, h:], range(h))[1]
         if dest in truth.best:
             # a fraction of the generation's symbols
             symbols = h * dec.packet_len * gf.symbols_per_byte(self.ctx.m)

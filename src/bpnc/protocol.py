@@ -569,9 +569,7 @@ class Node:
         source, dsts = self.queues.flows[fi]
         if self.id in dsts:
             dec = self.decoders[fi, frame.gen_id]
-            rank_before = dec.rank
-            dec.ingest(frame)
-            self.engine.on_destination_ingest(self.id, fi, frame.gen_id, dec, rank_before)
+            self.engine.on_destination_ingest(self.id, fi, frame.gen_id, dec, dec.ingest(frame))
         # a destination of a multicast flow also relays it to the others; a
         # source already holds every frame of its own flow it may send
         if self.queues.dests_here[fi] and source != self.id:

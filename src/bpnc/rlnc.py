@@ -303,14 +303,15 @@ class DecoderState:
         return {c: self.rref[r, h:] for r, c in enumerate(self.pivot_cols)
                 if c in self.decoded}
 
-    def ingest(self, pkt) -> list[tuple[int, np.ndarray]]:
-        """Add one packet (see ``packet_row``); return newly decoded
-        (source_index, payload) pairs, each a view of its row of ``rref``.
+    def ingest(self, pkt) -> bool:
+        """Add one packet (see ``packet_row``); return whether it raised
+        the rank.
 
         Only the new row is reduced against the stored RREF; a row that is
         not innovative changes nothing.  At full rank every tag reduces to
         zero, so only the tag's range is checked and the payload is not
-        read.  A source index is its tag column.
+        read.  After an innovative row, ``decoded`` is the pivot columns
+        whose row is a unit tag.
         """
         h = self.block_size
         tag = pkt.tag
@@ -322,24 +323,16 @@ class DecoderState:
         if len(self.pivot_cols) == h:
             if max(tag) >= self.ctx.size:
                 raise ValueError(f"symbol out of range for GF(2^{self.ctx.m})")
-            return []
+            return False
         inserted = gf.rref_insert(self.ctx, self.rref, self.pivot_cols, packet_row(pkt), h)
         if inserted is None:
-            return []
+            return False
         self.rref, self.pivot_cols = inserted
         # a pivot row's tag holds a 1 in its pivot column, so it is a unit
-        # tag when every other symbol is 0; the h <= 255 symbols of each
-        # row are counted as a Python list
+        # tag when its other h - 1 symbols, counted in a Python list, are 0
         tags = self.rref[:, :h].tolist()
-        fresh = []
-        for r, c in enumerate(self.pivot_cols):
-            if tags[r].count(0) == h - 1 and c not in self.decoded:
-                self.decoded.add(c)
-                fresh.append((c, self.rref[r, h:]))
-        return fresh
-
-    def decoded_count(self) -> int:
-        return len(self.decoded)
+        self.decoded = {c for r, c in enumerate(self.pivot_cols) if tags[r].count(0) == h - 1}
+        return True
 
 
 @functools.cache

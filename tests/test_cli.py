@@ -326,6 +326,18 @@ def test_every_sweep_writes_accuracy_curves(tmp_path):
     assert {line.split(",")[0] for line in acc[2:]} == {"2", "4"}
 
 
+def test_accuracy_csv_pinned(tmp_path):
+    # each point is np.mean over a received index's fractions; a running
+    # sum / count differs from it in the last bit at h=6, so the file is
+    # pinned byte for byte
+    import hashlib
+    rc = main(["sweep", "--builtin", "butterfly7", "--param", "block_size=4,6",
+               "--seeds", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    assert hashlib.sha256((tmp_path / "accuracy.csv").read_bytes()).hexdigest() == (
+        "62fd6a27ca56010f82912203c1c88a3a4d09e56dfcf865a3ac22614564c94a9d")
+
+
 def test_empty_param_values_exit_2(tmp_path):
     rc = main(["sweep", "--builtin", "line7", "--param", "block_size=",
                "--out", str(tmp_path)])

@@ -706,12 +706,10 @@ def test_unchanged_decoder_state_is_scored_once_truth_arrives():
     X = np.frombuffer(gf.symbols_to_bytes(np.arange(32) % 16, 4), np.uint8).reshape(4, 4)
     pkt = rlnc.CodedPacket([1, 0, 0, 0], X[0])
     dec = rlnc.DecoderState(eng.ctx, 4, 4)
-    dec.ingest(pkt)
-    eng.on_destination_ingest(6, 0, 0, dec, 0)
+    eng.on_destination_ingest(6, 0, 0, dec, dec.ingest(pkt))
     assert eng.truth == {}
     eng.register_truth(0, 0, X, 4)
-    dec.ingest(pkt)
-    eng.on_destination_ingest(6, 0, 0, dec, 1)
+    eng.on_destination_ingest(6, 0, 0, dec, dec.ingest(pkt))
     assert eng.truth[(0, 0)].best == {6: 8}  # row 0's 8 symbols are certain
 
 
@@ -743,9 +741,7 @@ def test_decode_errors_count_each_wrong_source_row(wrong_rows):
     for c in (3, 1, 0, 2):
         tag = np.zeros(4, dtype=np.uint8)
         tag[c] = 1
-        rank_before = dec.rank
-        dec.ingest(rlnc.CodedPacket(tag, got[c]))
-        eng.on_destination_ingest(6, 0, 0, dec, rank_before)
+        eng.on_destination_ingest(6, 0, 0, dec, dec.ingest(rlnc.CodedPacket(tag, got[c])))
     assert dec.full_rank and eng.decode_errors == len(wrong_rows)
 
 
@@ -770,9 +766,7 @@ def test_generation_decoded_once_every_tag_column_is_a_pivot(monkeypatch):
             ([0, 1], [0x9A, 0xBC, 0xDE, 0xF0]), ([1, 0], [9, 9, 9, 9])]
     trace = []
     for tag, payload in rows:
-        rank_before = dec.rank
-        dec.ingest(rlnc.CodedPacket(tag, payload))
-        eng.on_destination_ingest(6, 0, 0, dec, rank_before)
+        eng.on_destination_ingest(6, 0, 0, dec, dec.ingest(rlnc.CodedPacket(tag, payload)))
         trace.append((dec.rank, dec.full_rank, len(decoded)))
     assert trace == [(1, False, 0), (1, False, 0), (2, True, 1), (2, True, 1)]
     assert decoded == [(6, 0, 0)]
@@ -1058,7 +1052,7 @@ def test_decoders_hold_no_payload_copy(make_scn, duration_s):
     assert any(d.full_rank for d in decoders)
     for dec in decoders:
         delivered = dec.delivered
-        assert len(delivered) == dec.decoded_count()
+        assert len(delivered) == len(dec.decoded)
         assert all(np.shares_memory(p, dec.rref) for p in delivered.values())
 
 

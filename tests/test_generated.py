@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from bpnc import channel as ch
 from bpnc import engine, wire
+from test_protocol import _assert_credit_index
 
 
 @st.composite
@@ -65,7 +66,7 @@ def _reloaded(scn: ch.Scenario) -> ch.Scenario:
         return ch.load_scenario(path)
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scn=scenarios(), seed=st.integers(0, 2**32 - 1))
 def test_generated_scenarios_keep_the_run_invariants(scn, seed):
     eng = engine.run(scn, seed)
@@ -78,3 +79,21 @@ def test_generated_scenarios_keep_the_run_invariants(scn, seed):
     for src, raw in zip(log.srcs, log.raws):
         counts[src][wire.TYPE_NAMES[raw[0]]] += 1
     assert eng.frames_sent == counts
+    flows = eng.scn.flows
+    for node in eng.nodes.values():
+        for dec in node.decoders.values():
+            h = dec.block_size
+            assert dec.rank <= h
+            # decoded: the pivot columns whose RREF row is a unit tag
+            assert dec.decoded == {c for r, c in enumerate(dec.pivot_cols)
+                                   if dec.rref[r, :h].tolist() == [int(k == c) for k in range(h)]}
+        for rg in node.relay_gens.values():
+            assert 0 <= rg.sent <= rg.rcvd
+        _assert_credit_index(node.relay_gens, {fi for fi, f in enumerate(flows)
+                                               if f.src == node.id})
+        for fi in range(len(flows)):
+            assert min(node.queues.flow_backlogs(fi).values(), default=0) >= 0
+    # truth is dropped once every destination has decoded
+    for fi, gid in eng.truth:
+        assert not all((d := eng.nodes[dst].decoders.get((fi, gid))) is not None and d.full_rank
+                       for dst in flows[fi].dsts)

@@ -16,33 +16,6 @@ def f16():
     return FieldContext(4)
 
 
-def span_size_oracle(ctx, M):
-    """Brute-force row-span enumeration, independent of Gaussian elimination.
-
-    Rows are packed into ints (one symbol per m-bit slot) so the span can be
-    built with vectorized xors.  rank = log_q(|span|).
-    """
-    M = np.asarray(M, dtype=np.uint8)
-    cols = M.shape[1]
-    shifts = np.array([ctx.m * i for i in range(cols)], dtype=np.uint64)
-
-    def pack(row):
-        return int(np.bitwise_or.reduce(row.astype(np.uint64) << shifts))
-
-    span = np.array([0], dtype=np.uint64)
-    for row in M:
-        multiples = np.array(
-            [pack(ctx.scale_row(c, row)) for c in range(ctx.size)], dtype=np.uint64
-        )
-        span = np.unique(span[:, None] ^ multiples[None, :])
-    n = len(span)
-    r = 0
-    while ctx.size**r < n:
-        r += 1
-    assert ctx.size**r == n
-    return r
-
-
 def test_mul_example(f16):
     assert f16.mul(0x2, 0x9) == 0x1
 
@@ -135,21 +108,6 @@ def test_rref_idempotent(f16):
         rref, _, _ = gaussian_eliminate(f16, M)
         again, _, _ = gaussian_eliminate(f16, rref)
         assert np.array_equal(rref, again)
-
-
-def test_rank_vs_bruteforce_all_gf2_small():
-    ctx = FieldContext(1)
-    for n in (2, 3):
-        for bits in itertools.product([0, 1], repeat=n * n):
-            M = np.array(bits, dtype=np.uint8).reshape(n, n)
-            assert gaussian_eliminate(ctx, M)[1] == span_size_oracle(ctx, M)
-
-
-def test_rank_vs_bruteforce_random_4x4_gf16(f16):
-    rng = np.random.default_rng(42)
-    for _ in range(1000):
-        M = rng.integers(0, 16, size=(4, 4), dtype=np.uint8)
-        assert gaussian_eliminate(f16, M)[1] == span_size_oracle(f16, M)
 
 
 def test_invert_identity_and_diagonal(f16):

@@ -141,7 +141,7 @@ def test_encode_decode_roundtrip_with_extra_packets(f16):
         state = DecoderState(f16, h, 10)
         for p in pkts:
             state.ingest(p)
-        assert state.decoded_count() == h
+        assert len(state.decoded) == h
         for i in range(h):
             assert np.array_equal(state.delivered[i], gen.source_rows[i])
 
@@ -206,7 +206,7 @@ def test_decode_through_two_relay_recodings(f16):
     state = DecoderState(f16, 4, 12)
     for p in relay2:
         state.ingest(p)
-    assert state.decoded_count() == 4
+    assert len(state.decoded) == 4
     for i in range(4):
         assert np.array_equal(state.delivered[i], gen.source_rows[i])
 
@@ -282,9 +282,7 @@ def test_frames_decode_and_recode_as_coded_packets(case):
     frames, pkts = [f for f, _ in pairs], [p for _, p in pairs]
     by_frame, by_packet = DecoderState(ctx, h, n), DecoderState(ctx, h, n)
     for frame, pkt in pairs:
-        got, want = by_frame.ingest(frame), by_packet.ingest(pkt)
-        assert [c for c, _ in got] == [c for c, _ in want]
-        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+        assert by_frame.ingest(frame) is by_packet.ingest(pkt)
         assert np.array_equal(by_frame.rref, by_packet.rref)
         assert by_frame.pivot_cols == by_packet.pivot_cols
         assert by_frame.decoded == by_packet.decoded
@@ -316,13 +314,13 @@ def test_duplicate_ingest_is_noop(f16):
     gen = make_generation(f16, 4, 4, rng)
     pkts = encode_generation(f16, gen, 2, rng)
     state = DecoderState(f16, 4, 4)
-    state.ingest(pkts[0])
+    assert state.ingest(pkts[0]) is True
     rank_before = state.rank
-    decoded_before = state.decoded_count()
+    decoded_before = set(state.decoded)
     out = state.ingest(pkts[0])
-    assert out == []
+    assert out is False
     assert state.rank == rank_before
-    assert state.decoded_count() == decoded_before
+    assert state.decoded == decoded_before
 
 
 def test_full_rank_random_decodes_all(f16):
@@ -338,7 +336,7 @@ def test_full_rank_random_decodes_all(f16):
         state = DecoderState(f16, 4, 6)
         for p in pkts:
             state.ingest(p)
-        assert state.decoded_count() == 4
+        assert len(state.decoded) == 4
 
 
 def test_tag_length_mismatch_raises(f16):
@@ -356,11 +354,12 @@ def test_never_emits_wrong_packet(f16):
         state = DecoderState(f16, h, 5)
         seen: set[int] = set()
         for p in pkts:
-            for idx, payload in state.ingest(p):
-                assert idx not in seen
-                seen.add(idx)
-                assert np.array_equal(payload, gen.source_rows[idx])
-            assert seen == set(state.delivered)
+            state.ingest(p)
+            delivered = state.delivered
+            assert seen <= set(delivered)
+            for idx in set(delivered) - seen:
+                assert np.array_equal(delivered[idx], gen.source_rows[idx])
+            seen = set(delivered)
 
 
 # -- preconditioning --------------------------------------------------------
@@ -461,8 +460,8 @@ def test_rank_deficient_certain_agrees_with_earliest(f16):
         pkts = encode_generation(f16, gen, 3, rng)
         state = DecoderState(f16, h, 5)
         for p in pkts:
-            earliest = dict(state.ingest(p))
-            for i, payload in earliest.items():
+            state.ingest(p)
+            for i, payload in state.delivered.items():
                 assert np.array_equal(payload, gen.source_rows[i])
         est, conf = rank_deficient_solve(state, 2)
         for i in range(h):
@@ -605,9 +604,38 @@ def reference_score(est, conf, truth_rows, m):
 
 
 def packed_score(state, est, conf, truth_rows):
-    """The engine's score of a packed estimate against truth_rows."""
+    """The engine's score of a packed estimate against truth_rows: the
+    symbols right in its rows with a confidence."""
     from bpnc import engine
-    return engine.Truth(truth_rows, state.block_size).score(state.ctx, est, conf)
+    rows = [c for c, k in enumerate(conf.tolist()) if k]
+    return engine.Truth(truth_rows, state.block_size).compare(state.ctx, est, rows)[0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_truth_compares_each_row_on_its_own(m):
+    # rows 0..2 against their truth rows: equal, one m-bit group off, every
+    # group off; row 3 differs too but is not compared
+    from bpnc import engine
+    ctx = FieldContext(m)
+    per_byte = gf.symbols_per_byte(m)
+    rng = np.random.default_rng(m)
+    truth = rng.integers(0, 256, size=(4, 5), dtype=np.uint8)
+    est = truth.copy()
+    est[1, 2] ^= 1 << (8 - m)  # the high group of byte 2
+    est[2] ^= 0xFF             # every bit, so every group
+    est[3] ^= 0xFF
+    t = engine.Truth(truth.tobytes(), 4)
+    symbols = 5 * per_byte
+    assert t.compare(ctx, est, [0]) == (symbols, 0)
+    assert t.compare(ctx, est, [1]) == (symbols - 1, 1)
+    assert t.compare(ctx, est, [2]) == (0, 1)
+    assert t.compare(ctx, est, [0, 1, 2]) == (2 * symbols - 1, 2)
+    assert t.compare(ctx, est, []) == (0, 0)
+    assert t.compare(ctx, truth, range(4)) == (4 * symbols, 0)
+    # each count is the symbol-domain count of equal symbols
+    for rows in ([0], [1], [2], [0, 1, 2], [0, 1, 2, 3]):
+        want = int(np.count_nonzero(unpacked(est[rows], m) == unpacked(truth[rows], m)))
+        assert t.compare(ctx, est, rows) == (want, sum(r > 0 for r in rows))
 
 
 @given(rank_deficient_states(), st.data())
@@ -657,28 +685,32 @@ def test_rank_deficient_solve_matches_enumeration_in_a_lossy_run(monkeypatch):
     scn.duration_s = 300
     calls = scored = 0
     solve = rlnc.rank_deficient_solve
-    score = engine.Truth.score
-    reference = None
+    compare = engine.Truth.compare
+    solved = reference = None
 
     def checked(state, free_var_limit):
-        nonlocal calls, reference
+        nonlocal calls, solved, reference
         calls += 1
-        est, conf = solve(state, free_var_limit)
+        est, conf = solved = solve(state, free_var_limit)
         reference = reference_rank_deficient_solve(state, free_var_limit)
         got = symbol_form(est, conf, state.ctx.m)
         assert np.array_equal(got[1], reference[1])
         assert np.array_equal(got[0], reference[0])
         return est, conf
 
-    def checked_score(truth, ctx, est, conf):
+    def checked_compare(truth, ctx, est, rows):
+        # the decode check at full rank compares too; a score compares the
+        # estimate the last solve returned, in its rows with a confidence
         nonlocal scored
-        scored += 1
-        correct = score(truth, ctx, est, conf)
-        assert correct == reference_score(*reference, truth.rows, ctx.m)
-        return correct
+        got = compare(truth, ctx, est, rows)
+        if solved is not None and est is solved[0]:
+            scored += 1
+            assert list(rows) == np.flatnonzero(solved[1]).tolist()
+            assert got[0] == reference_score(*reference, truth.rows, ctx.m)
+        return got
 
     monkeypatch.setattr(rlnc, "rank_deficient_solve", checked)
-    monkeypatch.setattr(engine.Truth, "score", checked_score)
+    monkeypatch.setattr(engine.Truth, "compare", checked_compare)
     s = engine.run(scn.validate(), seed=1).log.summary
     assert calls > 100 and scored == calls
     assert s["early_recovery_count"] == 35
@@ -750,12 +782,12 @@ def test_full_rank_redundant_ingest_changes_nothing(f16):
     assert state.full_rank
     rref = state.rref
     for p in pkts[4:]:
-        assert state.ingest(p) == []
+        assert state.ingest(p) is False
     assert state.received == 6 and state.rank == 4 and state.rref is rref
     # a payload inconsistent with the decoded sources has a tag that
     # reduces to zero, so it is not innovative either and changes nothing
     bad = CodedPacket(pkts[4].tag, pkts[4].payload ^ 0xA5)
-    assert state.ingest(bad) == []
+    assert state.ingest(bad) is False
     assert state.received == 7 and state.rank == 4 and state.rref is rref
     assert state.pivot_cols == [0, 1, 2, 3]
 
@@ -770,7 +802,7 @@ def test_full_rank_ingest_still_rejects_an_out_of_range_tag(m):
     assert state.full_rank
     with pytest.raises(ValueError, match="out of range"):
         state.ingest(CodedPacket([ctx.size, 0], [0x5A]))
-    assert state.ingest(CodedPacket([ctx.size - 1, 1], [0x5A])) == []
+    assert state.ingest(CodedPacket([ctx.size - 1, 1], [0x5A])) is False
 
 
 @st.composite
@@ -807,9 +839,10 @@ def test_incremental_ingest_matches_full_elimination(case):
     kept = []
     for row in rows:
         before = state.rref
-        state.ingest(CodedPacket(row[:h], packed(row[h:], ctx.m)))
+        raised = state.ingest(CodedPacket(row[:h], packed(row[h:], ctx.m)))
         tags = np.array([r[:h] for r in kept + [row]])
-        if gaussian_eliminate(ctx, tags)[1] > len(kept):
+        assert raised is (gaussian_eliminate(ctx, tags)[1] > len(kept))
+        if raised:
             kept.append(row)
         else:
             assert state.rref is before
@@ -884,7 +917,7 @@ def reference_unique_rank_deficient_solve(state, free_var_limit):
 def _states_at_every_rank(m, h, seed):
     """Decoder states over GF(2^m), h tag columns and 2-byte payloads, at
     every rank from 0 (a zero tag received) to full; each yielded once per
-    ingest, with the columns that ingest decoded and those decoded before.
+    ingest, with its result, and the rank and the columns decoded before.
     Payloads draw from a few bytes in half the runs, so that columns share
     patterns."""
     ctx = FieldContext(m)
@@ -900,9 +933,9 @@ def _states_at_every_rank(m, h, seed):
                 tag[rng.integers(0, h)] = 1
             tags.append(tag)
         for tag in tags:
-            before = set(state.decoded)
-            fresh = state.ingest(CodedPacket(tag, rng.choice(alphabet, size=2).astype(np.uint8)))
-            yield state, fresh, before
+            rank, before = state.rank, set(state.decoded)
+            raised = state.ingest(CodedPacket(tag, rng.choice(alphabet, size=2).astype(np.uint8)))
+            yield state, raised, rank, before
             if state.full_rank:
                 break
 
@@ -911,12 +944,15 @@ def _states_at_every_rank(m, h, seed):
 @pytest.mark.parametrize("h", [1, 2, 4, 8])
 def test_newly_decoded_columns_match_reference(m, h):
     ranks = set()
-    for state, fresh, before in _states_at_every_rank(m, h, 0):
+    for state, raised, rank, before in _states_at_every_rank(m, h, 0):
         ranks.add(state.rank)
-        assert [c for c, _ in fresh] == reference_newly_decoded(state, before)
-        assert state.decoded == before | {c for c, _ in fresh}
-        for c, payload in fresh:
-            assert np.array_equal(payload, state.rref[state.pivot_cols.index(c), h:])
+        assert raised is (state.rank > rank)
+        # decoded only grows, by the reference's columns, in pivot order
+        fresh = [c for c in state.pivot_cols if c in state.decoded - before]
+        assert fresh == reference_newly_decoded(state, before)
+        assert state.decoded == before | set(fresh)
+        for c in fresh:
+            assert np.array_equal(state.delivered[c], state.rref[state.pivot_cols.index(c), h:])
     assert ranks == set(range(h + 1))
 
 
@@ -977,7 +1013,7 @@ def reference_full_unpack_rank_deficient_solve(state, free_var_limit):
 @pytest.mark.parametrize("h", [1, 2, 4, 8])
 def test_rank_deficient_solve_matches_unique_numbering(m, h):
     ranks = set()
-    for state, _, _ in _states_at_every_rank(m, h, 1):
+    for state, *_ in _states_at_every_rank(m, h, 1):
         ranks.add(state.rank)
         for limit in (0, 1, 2):
             est, conf = symbol_form(*rank_deficient_solve(state, limit), m)
@@ -1001,7 +1037,7 @@ def test_rank_deficient_solve_unpacks_only_the_rows_it_reads(m, h, monkeypatch):
         return to_symbols(data, m)
 
     ranks = set()
-    for state, _, _ in _states_at_every_rank(m, h, 2):
+    for state, *_ in _states_at_every_rank(m, h, 2):
         ranks.add(state.rank)
         for limit in (0, 1, 2):
             ref_est, ref_conf = reference_full_unpack_rank_deficient_solve(state, limit)
