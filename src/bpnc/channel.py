@@ -152,8 +152,8 @@ class CodingConfig:
     field_bits: int = 4
     # Nodes decode by elimination with either, so the packet log is the
     # same; "rank_deficient" only has the engine score an estimate below full
-    # rank (early_recovery_*).  The switch stays for that scoring's cost on
-    # butterfly7: ~16% more CPU at m=4, ~2x CPU and ~5x peak RSS at m=8, T=2.
+    # rank (early_recovery_*).  The switch stays because that scoring costs
+    # CPU, and at m=8, T=2 peak memory too (measured in the README).
     decoder: str = "earliest"      # one of DECODERS
     packet_len: int = 500          # bytes
     redundancy: float = 0.25       # extra coded packets per generation

@@ -8,9 +8,13 @@ payload is combined, eliminated and recoded as the bytes it travels in.
 ``FieldContext.matmul`` is the one matrix product: a wide one (encoding,
 recoding) is one gather of every term from the flattened table and one XOR
 reduce, and a tall one (the solve's assignments) adds its few terms one
-block at a time.  ``FieldContext.zero_groups`` counts the zero m-bit
-groups of a byte, so the XOR of two packed payloads counts the symbols
-they share.  ``bytes_to_symbols`` splits bytes into symbols only where the
+block at a time.  ``rref_insert`` is the one elimination: it adds a row
+to a reduced row-echelon form, and ``gaussian_eliminate`` folds it over a
+matrix's rows; the textbook column-by-column loop is kept apart, in
+``tests/references.py``, as the independent oracle.
+``FieldContext.zero_groups`` counts the zero m-bit groups of a byte, so
+the XOR of two packed payloads counts the symbols they share.
+``bytes_to_symbols`` splits bytes into symbols only where the
 rank-deficient search scores single symbols.  ``mul_slow`` is the
 independent shift-reduce reference kept for cross-checking.
 """
@@ -66,7 +70,7 @@ class FieldContext:
         self.size = 1 << m
         self.poly = DEFAULT_POLYS[m]
         order = self.size - 1
-        exp = np.zeros(2 * order if order else 1, dtype=np.uint8)
+        exp = np.zeros(2 * order, dtype=np.uint8)
         log = np.zeros(self.size, dtype=np.int32)
         x = 1
         for i in range(order):
@@ -75,15 +79,15 @@ class FieldContext:
             x <<= 1
             if x & self.size:
                 x ^= self.poly
-        for i in range(order, len(exp)):
-            exp[i] = exp[i - order]
+        exp[order:] = exp[:order]
         self.exp_table = exp
         self.log_table = log
         self.order = order
         # symbol products, size x size
         a = np.arange(self.size, dtype=np.int32)
         la = log[a]
-        sym = exp[(la[:, None] + la[None, :]) % max(order, 1)].astype(np.uint8)
+        # exp holds two periods, so a sum of two logs indexes it unreduced
+        sym = exp[la[:, None] + la[None, :]]
         sym[0, :] = 0
         sym[:, 0] = 0
         # mul_table[c, b] multiplies each m-bit group of the byte b by c on
@@ -106,7 +110,7 @@ class FieldContext:
         self.zero_groups = zero_groups
         inv = np.zeros(self.size, dtype=np.uint8)
         for v in range(1, self.size):
-            inv[v] = exp[(order - log[v]) % max(order, 1)]
+            inv[v] = exp[order - log[v]]
         self.inv_table = inv
 
     # -- scalar ops ---------------------------------------------------------
@@ -124,7 +128,7 @@ class FieldContext:
         return int(self.inv_table[a])
 
     def exp(self, k: int) -> int:
-        return int(self.exp_table[k % max(self.order, 1)])
+        return int(self.exp_table[k % self.order])
 
     def log(self, a: int) -> int:
         if a == 0:
@@ -132,9 +136,6 @@ class FieldContext:
         return int(self.log_table[a])
 
     # -- vector ops ---------------------------------------------------------
-
-    def scale_row(self, c: int, row):
-        return self.mul_table[c, np.asarray(row, dtype=np.uint8)]
 
     def matmul(self, A, B):
         """Matrix product over GF(2^m).  A is (r,k), B is (k,c); B may hold
@@ -166,40 +167,25 @@ def validate_symbols(ctx: FieldContext, M) -> np.ndarray:
 
 
 def gaussian_eliminate(ctx: FieldContext, M) -> tuple[np.ndarray, int, list[int]]:
-    """Reduced row-echelon form over GF(2^m).
+    """Reduced row-echelon form over GF(2^m), zero rows below the rank.
 
     Returns (rref, rank, pivot_cols).  Pivot columns identify the
-    coordinates recoverable from the rows so far.
+    coordinates recoverable from the rows so far.  M's rows are inserted
+    one at a time by ``rref_insert``, every column a pivot candidate.
     """
-    R = validate_symbols(ctx, M).copy()
-    if R.ndim != 2 or R.size == 0:
+    M = validate_symbols(ctx, M)
+    if M.ndim != 2 or M.size == 0:
         raise ValueError("matrix must be non-empty and 2-D")
-    rows, cols = R.shape
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
+    rows, cols = M.shape
+    R, pivot_cols = M[:0], []
+    for row in M:
+        if len(pivot_cols) == cols:
             break
-        pivot = None
-        for rr in range(r, rows):
-            if R[rr, c]:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            R[[r, pivot]] = R[[pivot, r]]
-        if R[r, c] != 1:
-            R[r] = ctx.scale_row(ctx.inv(int(R[r, c])), R[r])
-        # eliminate the column everywhere else
-        col = R[:, c].copy()
-        col[r] = 0
-        nz = col != 0
-        if nz.any():
-            R[nz] ^= ctx.mul_table[col[nz][:, None], R[r][None, :]]
-        pivot_cols.append(c)
-        r += 1
-    return R, len(pivot_cols), pivot_cols
+        inserted = rref_insert(ctx, R, pivot_cols, row, cols)
+        if inserted is not None:
+            R, pivot_cols = inserted
+    zeros = np.zeros((rows - len(pivot_cols), cols), dtype=np.uint8)
+    return np.concatenate((R, zeros)), len(pivot_cols), pivot_cols
 
 
 def rref_insert(
@@ -212,10 +198,13 @@ def rref_insert(
     as packed bytes) are carried along.  R holds one row per pivot.  Only
     the new row is reduced; if its first pivot_width columns do not reduce
     to zero, it becomes a pivot row and its pivot column is cleared from the
-    others.  The RREF of a row space is unique, so an inserted row gives
-    ``gaussian_eliminate`` of R stacked over row (with the payload packed).
-    Returns (rref, pivot_cols), or None when the row's first pivot_width
-    columns reduce to zero.
+    others.  Returns (rref, pivot_cols), or None when the row's first
+    pivot_width columns reduce to zero.
+
+    The RREF of a row space is unique, so inserting rows one at a time
+    gives the RREF of them all.  This is the one elimination:
+    ``gaussian_eliminate``, ``rlnc.precondition_reorder``, the decoder and
+    rank-increasing tag sampling all reduce through it.
 
     The h <= 255 tag symbols are handled as a Python list, read from the
     row once before and once after the reduction; numpy runs only the work

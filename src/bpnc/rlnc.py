@@ -9,7 +9,9 @@ live stack the ``wire.DataFrame`` a node holds.  ``encode_generation`` and
 is built from, unpacked straight into it.  A payload has one form from
 source to decoder: ``gf`` scales a packed byte group by group, and
 ``gf.FieldContext.matmul`` is the one GF matrix product, so encoding,
-recoding and elimination combine payload bytes as they are.
+recoding and elimination combine payload bytes as they are.  Every
+elimination here, the decoder's, rank-increasing tag sampling's and the
+column reordering's, adds one row at a time through ``gf.rref_insert``.
 ``rank_deficient_solve`` returns its estimates as packed rows too, one
 confidence per row.  It is the one place a payload is split into symbols:
 only when its search runs, and only the rows the search scores.  Tag
@@ -216,34 +218,30 @@ def precondition_reorder(ctx: FieldContext, G) -> tuple[np.ndarray, tuple[int, .
 
     For each row r (after eliminating the contribution of earlier pivots),
     the earliest column with a nonzero entry is swapped into position r.  The
-    returned permutation maps position -> original column.
+    returned permutation maps position -> original column.  Each row is
+    inserted by ``gf.rref_insert`` in the current column order, so pivot k
+    sits at column k, and the new pivot's column is swapped into the next
+    position.
     """
     G = gf.validate_symbols(ctx, G)
     if G.ndim != 2 or G.size == 0:
         raise ValueError("matrix must be non-empty and 2-D")
-    rows, cols = G.shape
-    W = G.copy()  # working copy, gets eliminated
+    cols = G.shape[1]
     perm = list(range(cols))
-    pivot_rows: list[int] = []
-    r = 0
-    for row_idx in range(rows):
-        if r >= cols:
+    R, pivot_cols = G[:0], []
+    for row in G:
+        if len(pivot_cols) == cols:
             break
-        # forward-eliminate prior pivots (pivot k lives at column k)
-        for k, pr in enumerate(pivot_rows):
-            f = int(W[row_idx, k])
-            if f:
-                W[row_idx] ^= ctx.scale_row(f, W[pr])
-        nz = np.nonzero(W[row_idx, r:])[0]
-        if len(nz) == 0:
+        inserted = gf.rref_insert(ctx, R, pivot_cols, row[perm], cols)
+        if inserted is None:
             continue
-        c = r + int(nz[0])
+        R, pivot_cols = inserted
+        # columns 0..r-1 are the earlier pivots, so the new one, c, is last
+        r, c = len(pivot_cols) - 1, pivot_cols[-1]
         if c != r:
-            W[:, [r, c]] = W[:, [c, r]]
+            R[:, [r, c]] = R[:, [c, r]]
             perm[r], perm[c] = perm[c], perm[r]
-        W[row_idx] = ctx.scale_row(ctx.inv(int(W[row_idx, r])), W[row_idx])
-        pivot_rows.append(row_idx)
-        r += 1
+            pivot_cols[-1] = r
     return G[:, perm], tuple(perm)
 
 

@@ -4,7 +4,8 @@ The strategy draws small scenarios across the settings the stack reads:
 2-8 nodes, 1-4 channels, links with and without a pinned channel, 1-3
 flows mixing unicast and multicast, coding on and off across block sizes,
 fields, decoders, redundancy and timeouts, and frame loss.  Each example is
-run for 60 simulated seconds and checked against what must hold of any run.
+run for 60 simulated seconds and checked against what must hold of any run,
+the state's invariants after every event.
 """
 
 import tempfile
@@ -66,10 +67,51 @@ def _reloaded(scn: ch.Scenario) -> ch.Scenario:
         return ch.load_scenario(path)
 
 
+def _assert_run_state(eng: engine.Engine, sourced: dict[int, set[int]]) -> None:
+    """What holds of every node between two events: no decoder above full
+    rank, no relay entry that sent more than it received, a credit index
+    equal to a full scan of the store, and no negative backlog.  sourced
+    maps each node to the flows it is the source of."""
+    for node in eng.nodes.values():
+        for dec in node.decoders.values():
+            assert dec.rank <= dec.block_size
+        for rg in node.relay_gens.values():
+            assert 0 <= rg.sent <= rg.rcvd
+        _assert_credit_index(node.relay_gens, sourced[node.id])
+        for fi in range(len(eng.scn.flows)):
+            assert min(node.queues.flow_backlogs(fi).values(), default=0) >= 0
+
+
+def _run_checking_every_event(scn: ch.Scenario, seed: int) -> engine.Engine:
+    """engine.run(scn, seed), with the clock and ``_assert_run_state``
+    checked after every event.  The test wraps each callback handed to
+    ``Engine.schedule_at``; the engine runs as it always does."""
+    eng = engine.Engine(scn, seed)
+    sourced = {nid: {fi for fi, f in enumerate(scn.flows) if f.src == nid} for nid in eng.nodes}
+    schedule_at = eng.schedule_at
+    clock = events = 0
+
+    def checked(fn):
+        def event():
+            nonlocal clock, events
+            assert eng.now_us >= clock  # the clock never runs back
+            clock = eng.now_us
+            fn()
+            events += 1
+            _assert_run_state(eng, sourced)
+        return event
+
+    eng.schedule_at = lambda t_us, fn: schedule_at(t_us, checked(fn))
+    eng.run()
+    assert events == eng._seq - len(eng._heap) > 0  # every event was checked
+    _assert_run_state(eng, sourced)
+    return eng
+
+
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scn=scenarios(), seed=st.integers(0, 2**32 - 1))
 def test_generated_scenarios_keep_the_run_invariants(scn, seed):
-    eng = engine.run(scn, seed)
+    eng = _run_checking_every_event(scn, seed)
     log = eng.packet_log
     assert (engine.packet_log_digest(log)
             == engine.packet_log_digest(engine.run(_reloaded(scn), seed).packet_log))
@@ -83,16 +125,9 @@ def test_generated_scenarios_keep_the_run_invariants(scn, seed):
     for node in eng.nodes.values():
         for dec in node.decoders.values():
             h = dec.block_size
-            assert dec.rank <= h
             # decoded: the pivot columns whose RREF row is a unit tag
             assert dec.decoded == {c for r, c in enumerate(dec.pivot_cols)
                                    if dec.rref[r, :h].tolist() == [int(k == c) for k in range(h)]}
-        for rg in node.relay_gens.values():
-            assert 0 <= rg.sent <= rg.rcvd
-        _assert_credit_index(node.relay_gens, {fi for fi, f in enumerate(flows)
-                                               if f.src == node.id})
-        for fi in range(len(flows)):
-            assert min(node.queues.flow_backlogs(fi).values(), default=0) >= 0
     # truth is dropped once every destination has decoded
     for fi, gid in eng.truth:
         assert not all((d := eng.nodes[dst].decoders.get((fi, gid))) is not None and d.full_rank

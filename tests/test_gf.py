@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bpnc import gf
 from bpnc.gf import FieldContext, gaussian_eliminate, mul_slow
+import references
 from references import SingularMatrixError, invert
 
 
@@ -67,8 +68,19 @@ def test_commutative_associative_exhaustive(f16):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_all_field_sizes_construct_and_invert(m):
+    # every table against mul_slow, GF(2) included: the tables are built
+    # with order = 2^m - 1 >= 1
     ctx = FieldContext(m)
+    for a in range(ctx.size):
+        for b in range(ctx.size):
+            assert ctx.mul(a, b) == mul_slow(a, b, m, ctx.poly)
+    # exp runs through every nonzero symbol once per period, each power the
+    # last times the generator exp(1)
+    assert sorted(ctx.exp(k) for k in range(ctx.order)) == list(range(1, ctx.size))
+    for k in range(3 * ctx.order):
+        assert ctx.exp(k + 1) == mul_slow(ctx.exp(k), ctx.exp(1), m, ctx.poly)
     for a in range(1, ctx.size):
+        assert ctx.exp(ctx.log(a)) == a
         assert ctx.mul(a, ctx.inv(a)) == 1
 
 
@@ -108,6 +120,40 @@ def test_rref_idempotent(f16):
         rref, _, _ = gaussian_eliminate(f16, M)
         again, _, _ = gaussian_eliminate(f16, rref)
         assert np.array_equal(rref, again)
+
+
+@st.composite
+def symbol_matrices(draw):
+    """(m, M): an r x c matrix over GF(2^m), r and c in 1..8, some of its
+    rows multiples of others, some rows and columns zero, and read-only or
+    not."""
+    m = draw(st.sampled_from([1, 2, 4, 8]))
+    r, c = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    sym = st.integers(0, (1 << m) - 1)
+    M = np.array(draw(st.lists(st.lists(sym, min_size=c, max_size=c),
+                               min_size=r, max_size=r)), dtype=np.uint8)
+    def picked(n):  # indices of some rows (or columns)
+        return sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    mul = FieldContext(m).mul_table
+    for i in picked(r):
+        M[i] = mul[draw(st.integers(1, (1 << m) - 1)), M[draw(st.integers(0, r - 1))]]
+    M[picked(r), :] = 0
+    M[:, picked(c)] = 0
+    M.setflags(write=draw(st.booleans()))
+    return m, M
+
+
+@given(symbol_matrices())
+@settings(max_examples=400)
+def test_gaussian_eliminate_matches_reference(case):
+    m, M = case
+    ctx = FieldContext(m)
+    before = M.copy()
+    rref, rank, pivots = gaussian_eliminate(ctx, M)
+    expect, expect_rank, expect_pivots = references.gaussian_eliminate(ctx, M)
+    assert rref.dtype == np.uint8 and np.array_equal(rref, expect)
+    assert (rank, pivots) == (expect_rank, expect_pivots)
+    assert np.array_equal(M, before) and not np.shares_memory(rref, M)
 
 
 def test_invert_identity_and_diagonal(f16):
@@ -321,7 +367,7 @@ def reference_rref_insert(ctx, R, pivot_cols, row, pivot_width):
         return None
     p = int(lead[0])
     if v[p] != 1:
-        v = ctx.scale_row(ctx.inv(int(v[p])), v)
+        v = ctx.mul_table[ctx.inv(int(v[p])), v]
     i = bisect.bisect(pivot_cols, p)
     out = np.concatenate((R[:i], v[None, :], R[i:]))
     for r, c in enumerate(out[:, p].tolist()):
@@ -351,8 +397,8 @@ def test_rref_insert_matches_reference(m, h):
                 row[:h] = 0
                 row[rng.integers(0, h)] = rng.integers(1, ctx.size)
             elif kind == 3 and seen:
-                row = ctx.scale_row(int(rng.integers(1, ctx.size)),
-                                    seen[rng.integers(0, len(seen))])
+                row = ctx.mul_table[int(rng.integers(1, ctx.size)),
+                                    seen[rng.integers(0, len(seen))]]
             elif kind == 4:
                 row.setflags(write=False)
             seen.append(row.copy())

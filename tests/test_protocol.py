@@ -233,7 +233,7 @@ def _assert_credit_index(store, sourced):
             assert gids == sorted(g for (f, g), rg in store.items()
                                   if f == fi and rg.sendable_to(peer))
     for (fi, _), rg in store.items():
-        if _origin_ids(rg):
+        if rg.origins:
             assert fi not in sourced
             assert len(rg.pkts) == min(rg.rcvd, 4 * len(rg.pkts[0].tag))
         else:

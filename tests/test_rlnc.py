@@ -20,7 +20,9 @@ from bpnc.rlnc import (
     sample_tags,
     unpad_block,
 )
+import references
 from references import invert
+from test_gf import symbol_matrices
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +138,7 @@ def test_encode_decode_roundtrip_with_extra_packets(f16):
         gen = make_generation(f16, h, 10, rng)
         pkts = encode_generation(f16, gen, h + 2, rng)
         tags = np.array([p.tag for p in pkts], dtype=np.uint8)
-        if gaussian_eliminate(f16, tags)[1] < h:
+        if references.gaussian_eliminate(f16, tags)[1] < h:
             continue
         state = DecoderState(f16, h, 10)
         for p in pkts:
@@ -172,11 +174,11 @@ def test_recode_single_packet_is_scaled_combination(f16):
     out = recode(f16, [pkt], rng)
     c = None
     for cand in range(1, 16):
-        if np.array_equal(out.tag, f16.scale_row(cand, pkt.tag)):
+        if np.array_equal(out.tag, f16.mul_table[cand, pkt.tag]):
             c = cand
             break
     assert c is not None
-    assert np.array_equal(out.payload, f16.scale_row(c, pkt.payload))
+    assert np.array_equal(out.payload, f16.mul_table[c, pkt.payload])
 
 
 def test_recode_is_componentwise_combination(f16):
@@ -330,7 +332,7 @@ def test_full_rank_random_decodes_all(f16):
         gen = make_generation(f16, 4, 6, rng)
         pkts = encode_generation(f16, gen, 4, rng)
         tags = np.array([p.tag for p in pkts])
-        if gaussian_eliminate(f16, tags)[1] < 4:
+        if references.gaussian_eliminate(f16, tags)[1] < 4:
             continue
         trials += 1
         state = DecoderState(f16, 4, 6)
@@ -387,6 +389,52 @@ def test_reorder_is_pure_column_permutation(f16):
         out, perm = precondition_reorder(f16, G)
         assert sorted(perm) == [0, 1, 2, 3]
         assert np.array_equal(out, G[:, list(perm)])
+
+
+def reference_precondition_reorder(ctx, G):
+    """precondition_reorder as it was: its own greedy loop.  Each row is
+    forward-eliminated against the earlier pivot rows (pivot k at column
+    k), its earliest nonzero column from r on is swapped into column r, and
+    the row is scaled to a leading 1."""
+    G = gf.validate_symbols(ctx, G)
+    if G.ndim != 2 or G.size == 0:
+        raise ValueError("matrix must be non-empty and 2-D")
+    rows, cols = G.shape
+    W = G.copy()
+    perm = list(range(cols))
+    pivot_rows = []
+    r = 0
+    for row_idx in range(rows):
+        if r >= cols:
+            break
+        for k, pr in enumerate(pivot_rows):
+            f = int(W[row_idx, k])
+            if f:
+                W[row_idx] ^= ctx.mul_table[f, W[pr]]
+        nz = np.nonzero(W[row_idx, r:])[0]
+        if len(nz) == 0:
+            continue
+        c = r + int(nz[0])
+        if c != r:
+            W[:, [r, c]] = W[:, [c, r]]
+            perm[r], perm[c] = perm[c], perm[r]
+        W[row_idx] = ctx.mul_table[ctx.inv(int(W[row_idx, r])), W[row_idx]]
+        pivot_rows.append(row_idx)
+        r += 1
+    return G[:, perm], tuple(perm)
+
+
+@given(symbol_matrices())
+@settings(max_examples=400)
+def test_precondition_reorder_matches_reference(case):
+    m, G = case
+    ctx = FieldContext(m)
+    before = G.copy()
+    out, perm = precondition_reorder(ctx, G)
+    expect, expect_perm = reference_precondition_reorder(ctx, G)
+    assert perm == expect_perm
+    assert out.dtype == np.uint8 and np.array_equal(out, expect)
+    assert np.array_equal(G, before)
 
 
 def test_prefix_equivalence_rates_small(f16):
@@ -817,8 +865,8 @@ def row_sequences(draw):
     for _ in range(draw(st.integers(1, 10))):
         kind = draw(st.sampled_from(["random", "duplicate", "inconsistent", "zero_tag"]))
         if kind in ("duplicate", "inconsistent") and rows:
-            row = ctx.scale_row(draw(st.integers(1, ctx.size - 1)),
-                                rows[draw(st.integers(0, len(rows) - 1))])
+            row = ctx.mul_table[draw(st.integers(1, ctx.size - 1)),
+                                rows[draw(st.integers(0, len(rows) - 1))]]
             if kind == "inconsistent":
                 row[h:] = draw(st.lists(sym, min_size=n, max_size=n))
         else:
@@ -841,13 +889,13 @@ def test_incremental_ingest_matches_full_elimination(case):
         before = state.rref
         raised = state.ingest(CodedPacket(row[:h], packed(row[h:], ctx.m)))
         tags = np.array([r[:h] for r in kept + [row]])
-        assert raised is (gaussian_eliminate(ctx, tags)[1] > len(kept))
+        assert raised is (references.gaussian_eliminate(ctx, tags)[1] > len(kept))
         if raised:
             kept.append(row)
         else:
             assert state.rref is before
         if kept:
-            rref, rank, pivots = gaussian_eliminate(ctx, np.array(kept))
+            rref, rank, pivots = references.gaussian_eliminate(ctx, np.array(kept))
         else:
             rref, rank, pivots = np.zeros((0, h + n), np.uint8), 0, []
         assert state.rank == rank == len(kept)
