@@ -45,6 +45,10 @@ to its truth row is right throughout, and only the other rows are counted,
 as the zero m-bit groups of row XOR truth (``gf.FieldContext.zero_groups``).
 A rank-deficient estimate scores the symbols right in its rows with a
 confidence; a decode at full rank adds its wrong rows to ``decode_errors``.
+That judgement is the last read of a decoder's rows: it takes them
+(``DecoderState.take_block``), and the decoder keeps only its counts, so
+its rank, the frames it still receives and its accuracy entries read as
+before while a decoded generation holds no payload.
 
 Each engine fact is kept once.  The one per-generation table is ``truth``:
 a generation's ``Truth`` holds its source rows as one packed ``bytes`` and,
@@ -405,8 +409,9 @@ class Engine:
         gen = (flow_index, gen_id)
         # at full rank the pivot columns are 0..h-1 and every pivot row is a
         # unit tag, so the payload block is the source rows, in order, when
-        # the decode is right
-        self.decode_errors += truth.compare(self.ctx, dec.rref[:, h:], range(h))[1]
+        # the decode is right.  Nothing reads the rows after this judgement,
+        # so the decoder hands them over and keeps only its counts.
+        self.decode_errors += truth.compare(self.ctx, dec.take_block(), range(h))[1]
         if dest in truth.best:
             # a fraction of the generation's symbols
             symbols = h * dec.packet_len * gf.symbols_per_byte(self.ctx.m)

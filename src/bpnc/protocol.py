@@ -149,11 +149,16 @@ class RelayStore(dict):
         peers = self.index[fi]
         rg = self.get((fi, gid))
         if rg is None:
-            # a new entry is listed nowhere yet
-            rg = self[fi, gid] = RelayGen()
-        elif origin is not None and not (rg.origins >> origin) & 1:
-            # split horizon: the generation no longer goes back to origin
-            unlist(peers.get(origin), gid)
+            # a new entry is listed nowhere yet; it is built holding the
+            # frame, in a list of one slot, which an append to an empty
+            # list would over-allocate
+            rg = self[fi, gid] = RelayGen([frame])
+        else:
+            if origin is not None and not (rg.origins >> origin) & 1:
+                # split horizon: the generation no longer goes back to origin
+                unlist(peers.get(origin), gid)
+            if origin is None or len(rg.pkts) < 4 * len(frame.tag):
+                rg.pkts.append(frame)
         if origin is not None:
             rg.origins |= 1 << origin
         if rg.rcvd == rg.sent:
@@ -161,8 +166,6 @@ class RelayStore(dict):
                 if not (rg.origins >> peer) & 1:
                     bisect.insort(gids, gid)
         rg.rcvd += 1
-        if origin is None or len(rg.pkts) < 4 * len(frame.tag):
-            rg.pkts.append(frame)
 
     def take(self, flow: int, peer: int) -> tuple[int, RelayGen] | None:
         """The oldest generation sendable to peer, as (id, entry), charged a frame sent."""

@@ -16,7 +16,9 @@ column reordering's, adds one row at a time through ``gf.rref_insert``.
 confidence per row.  It is the one place a payload is split into symbols:
 only when its search runs, and only the rows the search scores.  Tag
 column c always stands for source packet c; the live stack never reorders
-columns.
+columns.  A decoder at full rank hands its payload block over once, through
+``DecoderState.take_block``, and then keeps only its counts, so a decoded
+generation holds no rows for the rest of a run.
 """
 
 from __future__ import annotations
@@ -247,6 +249,17 @@ def precondition_reorder(ctx: FieldContext, G) -> tuple[np.ndarray, tuple[int, .
 
 # -- decoding ---------------------------------------------------------------
 
+@functools.cache
+def _taken(h: int, packet_len: int) -> tuple[np.ndarray, frozenset[int]]:
+    """What a decoder of block size h holds once ``take_block`` took its
+    rows: a read-only array of no rows, its own and not a slice of the old
+    rows, which would keep them alive, and every tag column as decoded.
+    Both are built once for each shape and shared."""
+    empty = np.zeros((0, h + packet_len), dtype=np.uint8)
+    empty.setflags(write=False)
+    return empty, frozenset(range(h))
+
+
 @dataclass(slots=True)
 class DecoderState:
     """Per-generation accumulator; earliest and rank-deficient decoding
@@ -264,6 +277,12 @@ class DecoderState:
     and its source packet is that row's payload: ``delivered`` reads it out
     of ``rref`` and keeps no copy.
 
+    At full rank the rows are read once more, by ``take_block``, which hands
+    over the decoded payload block and keeps only the counts: ``rref`` has no
+    rows after it, ``decoded`` is every column and ``delivered`` is empty.
+    A later frame is still counted and still rejected, since ``ingest`` at
+    full rank reads no rows.
+
     Single-owner mutable; distinct generations decode independently.  A
     destination keeps one per generation for the rest of a run, so the
     state sits in slots, with no per-instance ``__dict__``.
@@ -274,7 +293,7 @@ class DecoderState:
     packet_len: int
     rref: np.ndarray = field(init=False)
     pivot_cols: list[int] = field(init=False)
-    decoded: set[int] = field(init=False)
+    decoded: set[int] | frozenset[int] = field(init=False)
     received: int = field(init=False)
 
     def __post_init__(self):
@@ -296,10 +315,22 @@ class DecoderState:
     @property
     def delivered(self) -> dict[int, np.ndarray]:
         """Source index -> payload of every decoded source packet, as views
-        of the rows of ``rref``."""
+        of the rows of ``rref``; empty once ``take_block`` took them."""
         h = self.block_size
-        return {c: self.rref[r, h:] for r, c in enumerate(self.pivot_cols)
+        return {c: row[h:] for row, c in zip(self.rref, self.pivot_cols)
                 if c in self.decoded}
+
+    def take_block(self) -> np.ndarray:
+        """At full rank, the (h, packet_len) payload block, source packet c
+        in row c, and the state gives up its rows: it stays at full rank
+        with its counts, ``rref`` has no rows and ``decoded`` is every
+        column (see ``_taken``)."""
+        h = self.block_size
+        if len(self.rref) != h:
+            raise ValueError("take_block needs a full-rank state that holds its rows")
+        block = self.rref[:, h:]
+        self.rref, self.decoded = _taken(h, self.packet_len)
+        return block
 
     def ingest(self, pkt) -> bool:
         """Add one packet (see ``packet_row``); return whether it raised

@@ -749,14 +749,16 @@ def test_generation_decoded_once_every_tag_column_is_a_pivot(monkeypatch):
     # h=2: a zero tag with a nonzero payload is not innovative, so it raises
     # neither the rank nor anything else; the generation decodes on the row
     # that makes both tag columns pivots, once, and a row inconsistent with
-    # the decoded sources after that changes nothing either
+    # the decoded sources after that changes nothing either.  The decoded
+    # rows are read as the hook is handed them, before the engine takes them.
     eng = engine.Engine(_lossy_coded_butterfly7(), seed=1)
     decoded = []
     on_decoded = engine.Engine._on_generation_decoded
 
-    def recording(eng, dest, flow_index, gen_id, *args):
-        decoded.append((dest, flow_index, gen_id))
-        return on_decoded(eng, dest, flow_index, gen_id, *args)
+    def recording(eng, dest, flow_index, gen_id, dec, *args):
+        decoded.append((dest, flow_index, gen_id,
+                        {c: p.tolist() for c, p in dec.delivered.items()}))
+        return on_decoded(eng, dest, flow_index, gen_id, dec, *args)
 
     monkeypatch.setattr(engine.Engine, "_on_generation_decoded", recording)
     eng.register_truth(0, 0, np.array([[0x12, 0x34, 0x56, 0x78],
@@ -769,11 +771,32 @@ def test_generation_decoded_once_every_tag_column_is_a_pivot(monkeypatch):
         eng.on_destination_ingest(6, 0, 0, dec, dec.ingest(rlnc.CodedPacket(tag, payload)))
         trace.append((dec.rank, dec.full_rank, len(decoded)))
     assert trace == [(1, False, 0), (1, False, 0), (2, True, 1), (2, True, 1)]
-    assert decoded == [(6, 0, 0)]
-    assert {c: p.tolist() for c, p in dec.delivered.items()} == {
-        0: [0x12, 0x34, 0x56, 0x78], 1: [0x9A, 0xBC, 0xDE, 0xF0]}
+    assert decoded == [(6, 0, 0, {0: [0x12, 0x34, 0x56, 0x78], 1: [0x9A, 0xBC, 0xDE, 0xF0]})]
+    assert eng.decode_errors == 0
     # node 7 has not decoded, so the generation is not delivered
     assert eng.delivered == {0: 0}
+
+
+def test_a_frame_after_the_judged_decode_is_counted_and_rejected():
+    # the engine takes a decoder's rows once it has judged the decode; a
+    # late frame still finds the counts it reads, and nothing else
+    eng = engine.Engine(_lossy_coded_butterfly7(), seed=1)
+    rows = [[0x12, 0x34, 0x56, 0x78], [0x9A, 0xBC, 0xDE, 0xF0]]
+    eng.register_truth(0, 0, np.array(rows, dtype=np.uint8), 2)
+    dec = eng.nodes[6].decoders[(0, 0)] = rlnc.DecoderState(eng.ctx, 2, 4)
+    for c, payload in enumerate(rows):
+        tag = [int(k == c) for k in range(2)]
+        eng.on_destination_ingest(6, 0, 0, dec, dec.ingest(rlnc.CodedPacket(tag, payload)))
+    assert dec.full_rank and eng.decode_errors == 0
+    assert dec.rref.shape == (0, 6) and dec.decoded == {0, 1} and dec.delivered == {}
+    innovative = dec.ingest(rlnc.CodedPacket([3, 7], [1, 2, 3, 4]))
+    assert (innovative, dec.received, dec.rank, dec.full_rank) == (False, 3, 2, True)
+    eng.on_destination_ingest(6, 0, 0, dec, innovative)
+    assert eng.log.accuracy[3].tolist() == [1.0]
+    assert eng.decode_errors == 0
+    # GF(2^4): a symbol of 16 is out of range, at full rank as below it
+    with pytest.raises(ValueError, match="out of range"):
+        dec.ingest(rlnc.CodedPacket([16, 0], [1, 2, 3, 4]))
 
 
 def test_different_seeds_differ():
@@ -1036,6 +1059,18 @@ def test_metrics_csv_and_outputs(tmp_path):
     assert log == list(eng.packet_log)
 
 
+def _assert_rows_held_until_full_rank(dec) -> None:
+    """Below full rank dec's decoded packets are views of its rows; at full
+    rank it holds no rows and every column is decoded."""
+    if dec.full_rank:
+        assert dec.rref.shape == (0, dec.block_size + dec.packet_len)
+        assert dec.decoded == set(range(dec.block_size)) and dec.delivered == {}
+    else:
+        delivered = dec.delivered
+        assert len(delivered) == len(dec.decoded)
+        assert all(np.shares_memory(p, dec.rref) for p in delivered.values())
+
+
 def _decoded_everywhere(eng) -> set[tuple[int, int]]:
     """The (flow, generation) keys every destination's decoder holds at full
     rank, read from the nodes' decoders alone."""
@@ -1046,14 +1081,14 @@ def _decoded_everywhere(eng) -> set[tuple[int, int]]:
 
 @pytest.mark.parametrize("make_scn,duration_s", [(_lossy_coded_butterfly7, 300), (ch.line7, 600)])
 def test_decoders_hold_no_payload_copy(make_scn, duration_s):
-    # a decoded source packet is read out of its pivot row, not copied
+    # below full rank a decoded source packet is read out of its pivot row,
+    # not copied; at full rank the engine has judged the decode and taken
+    # the rows, and the decoder keeps only its counts
     eng = engine.run(engine.apply_override(make_scn(), "duration_s", duration_s), seed=1)
     decoders = [d for n in eng.nodes.values() for d in n.decoders.values()]
     assert any(d.full_rank for d in decoders)
     for dec in decoders:
-        delivered = dec.delivered
-        assert len(delivered) == len(dec.decoded)
-        assert all(np.shares_memory(p, dec.rref) for p in delivered.values())
+        _assert_rows_held_until_full_rank(dec)
 
 
 def test_butterfly_counts_only_joint_decodes():
@@ -1182,14 +1217,15 @@ def _bytes_held_after(make_scn, duration_s):
     return held, len(eng.packet_log)
 
 
-@pytest.mark.parametrize("make_scn,bound", [(ch.line7, 500), (ch.butterfly7, 300)],
+@pytest.mark.parametrize("make_scn,bound", [(ch.line7, 360), (ch.butterfly7, 210)],
                          ids=["line7", "butterfly7"])
 def test_bytes_held_per_packet_log_line(make_scn, bound):
     # what a run keeps grows with its packet log: the log's own records,
     # the relays' entries and the destinations' decoders.  Doubling the run
     # from 600 s to 1200 s may add at most `bound` bytes per extra line
-    # (about 410 on line7 and 240 on butterfly7 with the log in columns and
-    # origins as a mask; 630 and 350 with a tuple per record and a set per
+    # (about 300 on line7 and 186 on butterfly7 with a judged decoder's rows
+    # freed and each new relay entry's list built to size; 410 and 232 with
+    # both kept; 630 and 350 with a tuple per log record and a set per
     # entry).  A short run first makes the process's one-time allocations,
     # which would otherwise land in the 600 s run of whichever test runs
     # first and shrink the difference.

@@ -3,9 +3,13 @@
 The strategy draws small scenarios across the settings the stack reads:
 2-8 nodes, 1-4 channels, links with and without a pinned channel, 1-3
 flows mixing unicast and multicast, coding on and off across block sizes,
-fields, decoders, redundancy and timeouts, and frame loss.  Each example is
-run for 60 simulated seconds and checked against what must hold of any run,
-the state's invariants after every event.
+fields, decoders, redundancy and timeouts, frame loss, and the default
+phase lengths or short ones that fit several data phases in a run.  The
+links span a random tree, or join a source to its destinations through a
+triangle of relays that hear each other, so a relay hears one generation
+from two nodes.  Each example is run for 60 simulated seconds and checked
+against what must hold of any run, the state's invariants after every
+event.
 """
 
 import tempfile
@@ -16,7 +20,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bpnc import channel as ch
-from bpnc import engine, wire
+from bpnc import engine, protocol, wire
+from test_engine import _assert_rows_held_until_full_rank
 from test_protocol import _assert_credit_index
 
 
@@ -30,12 +35,10 @@ def flow_configs(draw, num_nodes: int):
 
 
 @st.composite
-def scenarios(draw, duration_s: float = 60.0):
-    """A valid scenario, its links and flows drawn over its nodes.  The
-    links span a random tree, so most flows have a route, and add a few
-    more pairs; a link may name one channel or all of them."""
+def tree_shapes(draw, chans: int):
+    """(nodes, links, flows): links that span a random tree, so most flows
+    have a route, and a few more pairs, and flows drawn over the nodes."""
     n = draw(st.integers(2, 8))
-    chans = draw(st.integers(1, 4))
     nodes = draw(st.permutations(range(1, n + 1)))
     tree = [(nodes[k], nodes[draw(st.integers(0, k - 1))]) for k in range(1, n)]
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
@@ -45,6 +48,36 @@ def scenarios(draw, duration_s: float = 60.0):
              for a, b in tree + extra]
     flows = draw(st.lists(flow_configs(n), min_size=1, max_size=3,
                           unique_by=lambda f: (f.src, frozenset(f.dsts))))
+    return n, links, flows
+
+
+@st.composite
+def relay_triangle_shapes(draw, chans: int):
+    """(nodes, links, flows): a source that hears relays a and b, the three
+    relays a, b and c all hearing each other, and one or two destinations
+    that hear b and c; strong links, and one flow from the source.  A
+    relay can then hear a generation from the source or a relay, and again
+    from another relay."""
+    n = draw(st.integers(5, 6))
+    src, a, b, c, *dsts = draw(st.permutations(range(1, n + 1)))
+    pairs = [(src, a), (src, b), (a, b), (b, c), (a, c)]
+    pairs += [(d, r) for d in dsts for r in (b, c)]
+    links = [ch.LinkConfig(x, y, ch.STRONG_GAIN_DB, draw(st.none() | st.integers(0, chans - 1)))
+             for x, y in pairs]
+    return n, links, [ch.FlowConfig(src, tuple(dsts), draw(st.sampled_from([0.5, 1.0, 2.0])))]
+
+
+# short phases: a 60 s run holds several negotiation and data phases
+SHORT_PHASES = ch.TimingConfig(flow_update_s=4.0, negotiation_s=6.0, data_s=4.0)
+
+
+@st.composite
+def scenarios(draw, duration_s: float = 60.0):
+    """A valid scenario, its links and flows drawn over its nodes in one
+    of the two shapes; a link may name one channel or all of them."""
+    chans = draw(st.integers(1, 4))
+    triangle = draw(st.booleans())
+    n, links, flows = draw(relay_triangle_shapes(chans) if triangle else tree_shapes(chans))
     coding = ch.CodingConfig(
         enabled=draw(st.booleans()),
         block_size=draw(st.integers(1, 6)),
@@ -56,6 +89,8 @@ def scenarios(draw, duration_s: float = 60.0):
     return ch.Scenario(name="generated", num_nodes=n, num_channels=chans, links=links,
                        flows=flows, coding=coding,
                        frame_loss=draw(st.sampled_from([0.0, 0.1])),
+                       timing=SHORT_PHASES if triangle else draw(
+                           st.sampled_from([ch.TimingConfig(), SHORT_PHASES])),
                        duration_s=duration_s).validate()
 
 
@@ -108,9 +143,28 @@ def _run_checking_every_event(scn: ch.Scenario, seed: int) -> engine.Engine:
     return eng
 
 
+def test_generated_scenarios_keep_the_run_invariants(monkeypatch):
+    # Split horizon: a relay that hears a generation from a second origin
+    # takes it off that origin's list.  Count the frames that reach that
+    # branch while the generation is on the list, so the examples are known
+    # to test the unlisting, which the credit-index check then reads.
+    unlisting = []
+    hold = protocol.RelayStore.hold
+
+    def counting(store, frame, origin=None):
+        rg = store.get((frame.flow_index, frame.gen_id))
+        if rg is not None and origin is not None and not (rg.origins >> origin) & 1:
+            unlisting.append(frame.gen_id in store.index[frame.flow_index].get(origin, ()))
+        hold(store, frame, origin)
+
+    monkeypatch.setattr(protocol.RelayStore, "hold", counting)
+    _check_generated_runs()
+    assert any(unlisting)
+
+
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scn=scenarios(), seed=st.integers(0, 2**32 - 1))
-def test_generated_scenarios_keep_the_run_invariants(scn, seed):
+def _check_generated_runs(scn, seed):
     eng = _run_checking_every_event(scn, seed)
     log = eng.packet_log
     assert (engine.packet_log_digest(log)
@@ -124,10 +178,14 @@ def test_generated_scenarios_keep_the_run_invariants(scn, seed):
     flows = eng.scn.flows
     for node in eng.nodes.values():
         for dec in node.decoders.values():
+            _assert_rows_held_until_full_rank(dec)
             h = dec.block_size
-            # decoded: the pivot columns whose RREF row is a unit tag
-            assert dec.decoded == {c for r, c in enumerate(dec.pivot_cols)
-                                   if dec.rref[r, :h].tolist() == [int(k == c) for k in range(h)]}
+            # decoded: the pivot columns whose RREF row is a unit tag, until
+            # the decode is judged and the rows are taken
+            if not dec.full_rank:
+                assert dec.decoded == {
+                    c for r, c in enumerate(dec.pivot_cols)
+                    if dec.rref[r, :h].tolist() == [int(k == c) for k in range(h)]}
     # truth is dropped once every destination has decoded
     for fi, gid in eng.truth:
         assert not all((d := eng.nodes[dst].decoders.get((fi, gid))) is not None and d.full_rank

@@ -840,6 +840,40 @@ def test_full_rank_redundant_ingest_changes_nothing(f16):
     assert state.pivot_cols == [0, 1, 2, 3]
 
 
+def test_take_block_hands_over_the_sources_and_keeps_the_counts(f16):
+    rng = np.random.default_rng(23)
+    gen = Generation(0, 4, 6)
+    for _ in range(4):
+        gen.add_source_packet(rng.integers(0, 256, size=6, dtype=np.uint8))
+    pkts = encode_generation(f16, gen, 5, rng, mode="rank_increasing")
+    state = DecoderState(f16, 4, 6)
+    for p in pkts[:3]:
+        state.ingest(p)
+    # below full rank there is no block to take, and the rows stay
+    with pytest.raises(ValueError, match="full-rank"):
+        state.take_block()
+    assert state.rank == 3 and len(state.rref) == 3
+    state.ingest(pkts[3])
+    old = state.rref
+    block = state.take_block()
+    assert np.array_equal(block, gen.matrix()) and np.shares_memory(block, old)
+    # an array of no rows, not a slice that would keep old alive
+    assert state.rref.shape == (0, 10) and state.rref.base is None
+    assert not state.rref.flags.writeable
+    assert (state.rank, state.full_rank, state.received) == (4, True, 4)
+    assert state.decoded == {0, 1, 2, 3} and state.delivered == {}
+    # every emptied state of one shape shares them
+    other = DecoderState(f16, 4, 6)
+    for p in pkts[:4]:
+        other.ingest(p)
+    other.take_block()
+    assert other.rref is state.rref and other.decoded is state.decoded
+    # the rows are taken once
+    with pytest.raises(ValueError, match="full-rank"):
+        state.take_block()
+    assert state.ingest(pkts[4]) is False and state.received == 5
+
+
 @pytest.mark.parametrize("m", [1, 2, 4])  # at m = 8 every byte is a symbol
 def test_full_rank_ingest_still_rejects_an_out_of_range_tag(m):
     # at full rank the payload is not read, but the tag's range still is
