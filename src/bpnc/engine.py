@@ -9,9 +9,9 @@ and packed once, and no frame is parsed during a run: ``wire`` snaps every
 field a frame carries when the frame is built, so the frame equals its own
 parse, and every receiver is handed the sender's own frozen object.  The
 bytes serve only for airtime, the success model and the packet log.  A DATA
-frame's bytes are built with it, and its payload is a view of them, so a
-relay re-sends the very object it received and the medium never packs it
-again.  The packet log (``PacketLog``) keeps one record per transmission
+frame's bytes are built with it, and its payload is read out of them, never
+kept apart, so a relay re-sends the very object it received and the medium
+never packs it again.  The packet log (``PacketLog``) keeps one record per transmission
 in columns: the times in an ``array``, the channel and sender a byte each,
 and those same bytes objects in a list.  It renders its text lines only as
 it is iterated, and it stays in memory until the run ends.
@@ -48,7 +48,10 @@ confidence; a decode at full rank adds its wrong rows to ``decode_errors``.
 That judgement is the last read of a decoder's rows: it takes them
 (``DecoderState.take_block``), and the decoder keeps only its counts, so
 its rank, the frames it still receives and its accuracy entries read as
-before while a decoded generation holds no payload.
+before while a decoded generation holds no payload.  Every node keys its
+relay entries and decoders of a generation by the one tuple the
+generation's frames hold (``wire.DataFrame.key``), so a long run keeps one
+key per generation, not one per record.
 
 Each engine fact is kept once.  The one per-generation table is ``truth``:
 a generation's ``Truth`` holds its source rows as one packed ``bytes`` and,

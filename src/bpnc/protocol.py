@@ -21,6 +21,15 @@ reception, and ``pay``, for a DATA frame sent.  ``Node.decoders``, a
 frame, and ``close_generation`` closes a source's generation, full or timed
 out.
 
+A long run keeps a relay entry or a decoder for every generation a node
+hears, so each is held once and small.  Every record of one generation, at
+every node, is keyed by one (flow, generation id) tuple, the ``key`` its
+frames hold (``wire.DataFrame.key``): a source builds it when it opens the
+generation, every frame it codes and every recode of the generation holds
+it, and a relay entry or a decoder is keyed by the tuple of the frame that
+opens it.  A relay entry, a ``RelayGen``, is itself the list of its frames,
+its counts in slots.
+
 A coded packet is its ``wire.DataFrame``: a source builds it once, relays
 buffer and re-send the frames they receive, and ``rlnc`` decodes and
 recodes them as they are, the payload packed bytes from the moment a
@@ -80,16 +89,18 @@ class Schedule:
     covered_dests: tuple[int, ...]
 
 
-@dataclass(slots=True)
-class RelayGen:
-    """Coded frames a node holds credit for in one (flow, generation).
+class RelayGen(list):
+    """Coded frames a node holds credit for in one (flow, generation): the
+    entry is the list of the frames, with its counts in slots, so it is one
+    object, not an object and a list.  A list compares by its items alone,
+    so entries are told apart by ``is``, never by ``==``.
 
     A relay holds the frames it receives; a source's own frames live here
     too, coded the moment source data arrives (a combination can only cover
     packets that exist yet, which is what makes received tag matrices tend
     lower-triangular) and sent later in order.  ``rcvd`` counts the frames
-    received or coded, and ``pkts`` keeps them, at a relay only until it
-    holds 4h, so the first ``min(sent, len(pkts))`` have been sent.
+    received or coded, and the entry keeps them, at a relay only until it
+    holds 4h, so its first ``min(sent, len(entry))`` have been sent.
     ``origins`` is a bit mask of the nodes a relay heard the generation
     from: bit k is set once a frame came from node k.  Node ids are at most
     255, so an int holds it, and costs less than a set in each of the
@@ -97,10 +108,11 @@ class RelayGen:
     0``).  Only a ``RelayStore`` changes an entry.
     """
 
-    pkts: list[wire.DataFrame] = field(default_factory=list)
-    rcvd: int = 0
-    sent: int = 0
-    origins: int = 0
+    __slots__ = ("rcvd", "sent", "origins")
+
+    def __init__(self, frames=()):
+        list.__init__(self, frames)
+        self.rcvd = self.sent = self.origins = 0
 
     def credit(self) -> int:
         return self.rcvd - self.sent
@@ -127,11 +139,12 @@ def unlist(gids: list[int] | None, gid: int) -> None:
 
 class RelayStore(dict):
     """(flow, generation id) -> the ``RelayGen`` of the frames a node holds
-    to send.  ``index[flow][peer]`` lists, in ascending order and built at
-    the peer's first read, the ids of the flow's generations ``sendable_to``
-    peer, which split horizon reads from the entry's ``origins`` mask.  An
-    entry with no origins, a source's, is dropped once its credit is 0,
-    since a source keeps no frame it has sent."""
+    to send, keyed by the generation's own tuple, the ``key`` of the frame
+    that opened the entry.  ``index[flow][peer]`` lists, in ascending order
+    and built at the peer's first read, the ids of the flow's generations
+    ``sendable_to`` peer, which split horizon reads from the entry's
+    ``origins`` mask.  An entry with no origins, a source's, is dropped once
+    its credit is 0, since a source keeps no frame it has sent."""
 
     __slots__ = ("index",)
 
@@ -145,20 +158,21 @@ class RelayStore(dict):
     def hold(self, frame: wire.DataFrame, origin: int | None = None) -> None:
         """Credit frame's generation with one frame from origin (None for
         one this node coded) and keep the frame; a relay keeps at most 4h."""
-        fi, gid = frame.flow_index, frame.gen_id
+        key = frame.key
+        fi, gid = key
         peers = self.index[fi]
-        rg = self.get((fi, gid))
+        rg = self.get(key)
         if rg is None:
             # a new entry is listed nowhere yet; it is built holding the
-            # frame, in a list of one slot, which an append to an empty
-            # list would over-allocate
-            rg = self[fi, gid] = RelayGen([frame])
+            # frame, its list sized to it, where an append to an empty list
+            # would reserve four slots
+            rg = self[key] = RelayGen((frame,))
         else:
             if origin is not None and not (rg.origins >> origin) & 1:
                 # split horizon: the generation no longer goes back to origin
                 unlist(peers.get(origin), gid)
-            if origin is None or len(rg.pkts) < 4 * len(frame.tag):
-                rg.pkts.append(frame)
+            if origin is None or len(rg) < 4 * len(frame.tag):
+                rg.append(frame)
         if origin is not None:
             rg.origins |= 1 << origin
         if rg.rcvd == rg.sent:
@@ -436,7 +450,7 @@ class Node:
             rec = self.neighbors[src] = NeighborRecord()
         rec.gains_db[chan] = rx_power_dbm - tx_power_dbm
         rec.last_heard_us = self.engine.now_us
-        kind = type(frame)  # frames are final dataclasses; DATA is the most common
+        kind = type(frame)  # frame classes are never subclassed; DATA is the most common
         if kind is wire.DataFrame:
             self.on_data(src, frame)
         elif kind is wire.SynFrame:
@@ -555,11 +569,12 @@ class Node:
         got = self.relay_gens.take(flow_index, peer)
         if got is None:
             return None
-        gid, rg = got
-        if rg.sent <= len(rg.pkts):
-            return rg.pkts[rg.sent - 1]
-        return wire.DataFrame(flow_index, gid, *rlnc.recode(self.ctx, rg.pkts, self.rng),
-                              self.scn.coding.field_bits)
+        rg = got[1]
+        if rg.sent <= len(rg):
+            return rg[rg.sent - 1]
+        # a recode is a frame of the generation its entry's frames name
+        return wire.DataFrame.of(rg[0].key, *rlnc.recode(self.ctx, rg, self.rng),
+                                 self.scn.coding.field_bits)
 
     def has_sendable(self, flow_index: int, peer: int) -> bool:
         return bool(self.relay_gens.index[flow_index][peer])
@@ -568,11 +583,13 @@ class Node:
         if (self.phase is not DATA_TRANSFER or self.pending is not None
                 or src != self.data_peer):
             return
-        fi = frame.flow_index
+        key = frame.key
+        fi = key[0]
         source, dsts = self.queues.flows[fi]
         if self.id in dsts:
-            dec = self.decoders[fi, frame.gen_id]
-            self.engine.on_destination_ingest(self.id, fi, frame.gen_id, dec, dec.ingest(frame))
+            # a decoder opened here is keyed by the frame's own tuple
+            dec = self.decoders[key]
+            self.engine.on_destination_ingest(self.id, fi, key[1], dec, dec.ingest(frame))
         # a destination of a multicast flow also relays it to the others; a
         # source already holds every frame of its own flow it may send
         if self.queues.dests_here[fi] and source != self.id:
@@ -591,8 +608,8 @@ class Node:
         # directly, so a destination decodes it even when earlier packets of
         # the same generation were dropped.  Packed once, into the frame: the
         # generation's row is a view of the frame's payload.
-        frame = wire.DataFrame(flow_index, gen.gen_id, unit_tag(gen.block_size, gen.filled),
-                               gf.symbols_to_bytes(symbols, m), m)
+        frame = wire.DataFrame.of(gen.key, unit_tag(gen.block_size, gen.filled),
+                                  gf.symbols_to_bytes(symbols, m), m)
         gen.add_source_packet(frame.payload)
         self.relay_gens.hold(frame)
         self.queues.add(flow_index)
@@ -605,8 +622,9 @@ class Node:
         if gen_id > 0xFFFF:  # the one id is the DATA frame's 16-bit one
             raise ch.ScenarioError(f"flows[{flow_index}]: needs more than 65536 "
                                    "generations, all a 16-bit DATA id can number")
+        # the generation's one key tuple, which every frame of it holds
         gen = self.open_gens[flow_index] = rlnc.Generation(
-            gen_id, self.block_size, self.scn.coding.packet_len)
+            gen_id, self.block_size, self.scn.coding.packet_len, key=(flow_index, gen_id))
         if self.gen_timeout_us is not None:
             # a block that filled was closed then, and its timeout does nothing
             self.engine.schedule(self.gen_timeout_us,
@@ -633,7 +651,7 @@ class Node:
         """Code count packets over gen's filled rows, to send in order."""
         m = self.scn.coding.field_bits
         for pkt in rlnc.encode_generation(self.ctx, gen, count, self.rng):
-            self.relay_gens.hold(wire.DataFrame(flow_index, gen.gen_id, *pkt, m))
+            self.relay_gens.hold(wire.DataFrame.of(gen.key, *pkt, m))
 
 
 # -- pure decision functions (replayable in tests) --------------------------

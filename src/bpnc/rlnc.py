@@ -17,8 +17,12 @@ confidence per row.  It is the one place a payload is split into symbols:
 only when its search runs, and only the rows the search scores.  Tag
 column c always stands for source packet c; the live stack never reorders
 columns.  A decoder at full rank hands its payload block over once, through
-``DecoderState.take_block``, and then keeps only its counts, so a decoded
-generation holds no rows for the rest of a run.
+``DecoderState.take_block``, and then keeps only its reception count: its
+empty rows, its pivot columns and its decoded set are the ones every taken
+decoder of its shape shares, so a decoded generation holds no rows, and no
+list or set of its own, for the rest of a run.  ``DecoderState.ingest``
+counts a packet only once it has checked it whole, so a packet it refuses
+is not a reception.
 """
 
 from __future__ import annotations
@@ -108,6 +112,9 @@ class Generation:
     packet_len: int
     # bytes-like rows: a source keeps each frame's payload view as it is
     source_rows: list = field(default_factory=list)
+    # the (flow index, generation id) tuple a node names the generation by
+    # and builds each of its frames with, so they all hold that one tuple
+    key: tuple[int, int] | None = None
 
     def add_source_packet(self, row) -> None:
         """Append one row; a row that is not bytes or a memoryview is read
@@ -250,14 +257,15 @@ def precondition_reorder(ctx: FieldContext, G) -> tuple[np.ndarray, tuple[int, .
 # -- decoding ---------------------------------------------------------------
 
 @functools.cache
-def _taken(h: int, packet_len: int) -> tuple[np.ndarray, frozenset[int]]:
+def _taken(h: int, packet_len: int) -> tuple[np.ndarray, tuple[int, ...], frozenset[int]]:
     """What a decoder of block size h holds once ``take_block`` took its
     rows: a read-only array of no rows, its own and not a slice of the old
-    rows, which would keep them alive, and every tag column as decoded.
-    Both are built once for each shape and shared."""
+    rows, which would keep them alive, every tag column as a pivot column,
+    in order, and every tag column as decoded.  All three are built once
+    for each shape and shared."""
     empty = np.zeros((0, h + packet_len), dtype=np.uint8)
     empty.setflags(write=False)
-    return empty, frozenset(range(h))
+    return empty, tuple(range(h)), frozenset(range(h))
 
 
 @dataclass(slots=True)
@@ -279,8 +287,9 @@ class DecoderState:
 
     At full rank the rows are read once more, by ``take_block``, which hands
     over the decoded payload block and keeps only the counts: ``rref`` has no
-    rows after it, ``decoded`` is every column and ``delivered`` is empty.
-    A later frame is still counted and still rejected, since ``ingest`` at
+    rows after it, ``pivot_cols`` and ``decoded`` are every column, shared
+    by every taken state of the same shape, and ``delivered`` is empty.  A
+    later frame is still counted and still rejected, since ``ingest`` at
     full rank reads no rows.
 
     Single-owner mutable; distinct generations decode independently.  A
@@ -292,7 +301,7 @@ class DecoderState:
     block_size: int
     packet_len: int
     rref: np.ndarray = field(init=False)
-    pivot_cols: list[int] = field(init=False)
+    pivot_cols: list[int] | tuple[int, ...] = field(init=False)
     decoded: set[int] | frozenset[int] = field(init=False)
     received: int = field(init=False)
 
@@ -323,24 +332,26 @@ class DecoderState:
     def take_block(self) -> np.ndarray:
         """At full rank, the (h, packet_len) payload block, source packet c
         in row c, and the state gives up its rows: it stays at full rank
-        with its counts, ``rref`` has no rows and ``decoded`` is every
-        column (see ``_taken``)."""
+        with its counts, ``rref`` has no rows, and ``pivot_cols`` and
+        ``decoded`` are every column (see ``_taken``)."""
         h = self.block_size
         if len(self.rref) != h:
             raise ValueError("take_block needs a full-rank state that holds its rows")
         block = self.rref[:, h:]
-        self.rref, self.decoded = _taken(h, self.packet_len)
+        self.rref, self.pivot_cols, self.decoded = _taken(h, self.packet_len)
         return block
 
     def ingest(self, pkt) -> bool:
         """Add one packet (see ``packet_row``); return whether it raised
         the rank.
 
-        Only the new row is reduced against the stored RREF; a row that is
-        not innovative changes nothing.  At full rank every tag reduces to
-        zero, so only the tag's range is checked and the payload is not
-        read.  After an innovative row, ``decoded`` is the pivot columns
-        whose row is a unit tag.
+        A packet is checked whole before it is counted: a tag of another
+        length, a payload of another length or a tag symbol outside the
+        field raises, and ``received`` stays as it was.  Only the new row
+        is reduced against the stored RREF; a row that is not innovative
+        changes nothing.  At full rank every tag reduces to zero, so the
+        payload is not read.  After an innovative row, ``decoded`` is the
+        pivot columns whose row is a unit tag.
         """
         h = self.block_size
         tag = pkt.tag
@@ -348,10 +359,10 @@ class DecoderState:
             raise TagLengthMismatch(f"tag length {len(tag)} != block size {h}")
         if len(pkt.payload) != self.packet_len:
             raise ValueError("payload length mismatch")
+        if h and (min(tag) < 0 or max(tag) >= self.ctx.size):
+            raise ValueError(f"symbol out of range for GF(2^{self.ctx.m})")
         self.received += 1
         if len(self.pivot_cols) == h:
-            if max(tag) >= self.ctx.size:
-                raise ValueError(f"symbol out of range for GF(2^{self.ctx.m})")
             return False
         inserted = gf.rref_insert(self.ctx, self.rref, self.pivot_cols, packet_row(pkt), h)
         if inserted is None:

@@ -32,12 +32,11 @@ shorter frame changes each DATA frame's airtime and loss draws, and with
 them the simulated routes.
 
 Frames are built on the wire grid, and no frame is parsed during a run:
-receivers share the sender's frozen frame.  A DATA frame is built whole:
-its bytes (``DataFrame.raw``, outside its value) are written once, with the
-frame, and its payload is a read-only view of them.  So a held frame keeps
-one copy of its payload, and a relayed frame is never packed again.  RTS
-and SYN frames, which a node re-sends unchanged, keep their ``raw`` bytes
-the same way.
+receivers share the sender's frozen frame.  A DATA frame is built whole
+(see ``DataFrame``): its bytes are written once, with the frame, and its
+payload is read out of them, so a held frame keeps one copy of its payload
+and a relayed frame is never packed again.  RTS and SYN frames, which a
+node re-sends unchanged, keep their ``raw`` bytes the same way.
 ``unpack`` is the typed gate for bytes from outside a run (tests, fuzzing,
 packet-log readers).  Each branch parses the fields and builds the frame,
 and the bytes are accepted only if that frame packs back to exactly them:
@@ -48,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 TYPE_DIS = 0x01
 TYPE_SYN = 0x02
@@ -201,35 +200,87 @@ def _column_order(h: int) -> bytes:
     return bytes(range(h))
 
 
-@dataclass(frozen=True, slots=True)
 class DataFrame:
-    flow_index: int
-    gen_id: int
-    tag: tuple[int, ...]  # h symbols; h is the generation's block size
-    # a read-only view of the payload's bytes in raw, compared and hashed as
-    # those bytes; out of the repr, which would show the view's address
-    payload: memoryview = field(repr=False)
-    field_bits: int = 4
-    # the frame's one wire form, built with the frame
-    raw: bytes = field(init=False, compare=False, repr=False)
+    """A DATA frame: one coded packet of generation ``key``, (flow index,
+    generation id), built whole.
 
-    def __post_init__(self):
-        if len(self.payload) > MAX_PAYLOAD_BYTES:
+    Its bytes, ``raw``, are written once, with the frame, and the payload
+    is not kept apart from them: ``payload`` is a read-only view of
+    ``raw`` from ``offset`` on, made when it is read.  ``key`` is the one
+    tuple that names the generation in every record a run keeps of it:
+    ``DataFrame.of`` builds a frame of a generation another frame already
+    names, holding that frame's very tuple, so a generation's frames, relay
+    entries and decoders share one.  The frame is immutable, and two frames
+    are equal, and hash alike, when their bytes and field size are.
+    """
+
+    __slots__ = ("key", "tag", "field_bits", "raw", "offset")
+
+    def __init__(self, flow_index: int, gen_id: int, tag: tuple[int, ...], payload,
+                 field_bits: int = 4):
+        # tag: h symbols, h the generation's block size; payload: any
+        # bytes-like object, copied into raw
+        self._build((flow_index, gen_id), tag, payload, field_bits)
+
+    @classmethod
+    def of(cls, key: tuple[int, int], tag: tuple[int, ...], payload,
+           field_bits: int = 4) -> DataFrame:
+        """The frame of generation key (flow index, generation id) with tag
+        and payload, holding key itself."""
+        frame = object.__new__(cls)
+        frame._build(key, tag, payload, field_bits)
+        return frame
+
+    def _build(self, key, tag, payload, m) -> None:
+        if len(payload) > MAX_PAYLOAD_BYTES:
             raise MalformedFrame("payload exceeds 500 bytes")
-        h = len(self.tag)
+        h = len(tag)
         if h > 255:
             raise MalformedFrame("block size exceeds 255")
-        m = self.field_bits
         _require_field_bits(m)
-        if h and (min(self.tag) < 0 or max(self.tag) >> m):
+        if h and (min(tag) < 0 or max(tag) >> m):
             raise MalformedFrame(f"tag symbol out of range for GF(2^{m})")
         # header, column order and tag, then the payload's bytes, whatever
         # holds them
-        head = (_DATA_HEAD.pack(TYPE_DATA, self.flow_index, self.gen_id, h)
-                + _column_order(h) + pack_tag(self.tag, m))
-        raw = b"".join((head, self.payload))
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "payload", memoryview(raw)[len(head):])
+        head = _DATA_HEAD.pack(TYPE_DATA, *key, h) + _column_order(h) + pack_tag(tag, m)
+        init = object.__setattr__
+        init(self, "key", key)
+        init(self, "tag", tag)
+        init(self, "field_bits", m)
+        init(self, "raw", b"".join((head, payload)))
+        init(self, "offset", len(head))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def flow_index(self) -> int:
+        return self.key[0]
+
+    @property
+    def gen_id(self) -> int:
+        return self.key[1]
+
+    @property
+    def payload(self) -> memoryview:
+        """The payload: a read-only view of raw, made on each read."""
+        return memoryview(self.raw)[self.offset:]
+
+    def __eq__(self, other):
+        if type(other) is not DataFrame:
+            return NotImplemented
+        return self.raw == other.raw and self.field_bits == other.field_bits
+
+    def __hash__(self):
+        return hash((self.raw, self.field_bits))
+
+    def __repr__(self):
+        # the fields a reader needs, and no address of a view or of bytes
+        return (f"DataFrame(flow_index={self.flow_index!r}, gen_id={self.gen_id!r}, "
+                f"tag={self.tag!r}, field_bits={self.field_bits!r})")
 
     def pack(self) -> bytes:
         return self.raw

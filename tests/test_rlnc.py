@@ -868,6 +868,7 @@ def test_take_block_hands_over_the_sources_and_keeps_the_counts(f16):
         other.ingest(p)
     other.take_block()
     assert other.rref is state.rref and other.decoded is state.decoded
+    assert state.pivot_cols == (0, 1, 2, 3) and other.pivot_cols is state.pivot_cols
     # the rows are taken once
     with pytest.raises(ValueError, match="full-rank"):
         state.take_block()
@@ -885,6 +886,24 @@ def test_full_rank_ingest_still_rejects_an_out_of_range_tag(m):
     with pytest.raises(ValueError, match="out of range"):
         state.ingest(CodedPacket([ctx.size, 0], [0x5A]))
     assert state.ingest(CodedPacket([ctx.size - 1, 1], [0x5A])) is False
+
+
+def test_a_refused_tag_is_not_counted(f16):
+    # a frame ingest refuses is not a reception: with one row, at full rank
+    # and once the block is taken, a GF(2^4) symbol of 16 raises and leaves
+    # received, the rank and the rows as they were
+    state = DecoderState(f16, 2, 4)
+    refused = CodedPacket([16, 0], bytes(4))
+    for tag in ([1, 0], [0, 1], None):
+        if tag is None:
+            state.take_block()
+        else:
+            state.ingest(CodedPacket(tag, bytes([tag[0], 2, 3, 4])))
+        before = (state.received, state.rank, state.rref)
+        with pytest.raises(ValueError, match="out of range"):
+            state.ingest(refused)
+        assert (state.received, state.rank) == before[:2] and state.rref is before[2]
+    assert state.received == 2 and state.full_rank
 
 
 @st.composite

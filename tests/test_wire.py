@@ -103,6 +103,44 @@ def test_data_frame_is_built_whole():
     assert parsed.pack() == raw
 
 
+def test_data_frame_equals_by_its_bytes_and_field():
+    # a parse equals the frame and hashes alike; a frame that differs in
+    # any one field differs, the field size too when the bytes are the same
+    fields = (2, 0x0102, (0xA, 0x5, 0xF), b"\xde\xad", 4)
+    f = DataFrame(*fields)
+    g = unpack(f.pack(), field_bits=4)
+    assert g is not f and g == f and hash(g) == hash(f) and not g != f
+    for k, value in enumerate((3, 0x0103, (0xA, 0x5, 0xE), b"\xde\xae", 8)):
+        other = DataFrame(*fields[:k], value, *fields[k + 1:])
+        assert other != f and f != other
+    assert DataFrame(0, 0, (), b"x", 4).raw == DataFrame(0, 0, (), b"x", 8).raw
+    assert DataFrame(0, 0, (), b"x", 4) != DataFrame(0, 0, (), b"x", 8)
+    assert f != f.raw and f != 0
+
+
+def test_data_frame_holds_no_payload_view():
+    # the payload is read out of raw when asked for; the frame keeps only
+    # raw and where the payload starts in it, and no field can be changed
+    f = DataFrame(3, 9, (1, 2, 3), b"xyz", 4)
+    held = [getattr(f, name) for name in DataFrame.__slots__]
+    assert not any(isinstance(v, memoryview) for v in held)
+    assert f.payload.obj is f.raw and f.payload.readonly and f.payload is not f.payload
+    assert f.raw[f.offset:] == b"xyz"
+    for name in ("key", "tag", "raw", "offset", "field_bits", "payload", "gen_id"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+    with pytest.raises(AttributeError):
+        del f.raw
+    assert f.raw[f.offset:] == b"xyz"
+
+
+def test_a_frame_of_a_named_generation_holds_its_key():
+    key = (3, 9)
+    f = DataFrame.of(key, (1, 2), b"xy", 8)
+    assert f.key is key and (f.flow_index, f.gen_id) == key
+    assert f == DataFrame(3, 9, (1, 2), b"xy", 8)
+
+
 @pytest.mark.parametrize("m,tag", [(4, (17, 3)), (4, (-1, 3)), (4, (1, 16)), (1, (0, 2)),
                                    (2, (4,)), (8, (256,)), (8, (-1,))])
 def test_data_tag_symbol_out_of_range_is_malformed(m, tag):
@@ -296,7 +334,8 @@ ANY_FRAME = st.one_of(
 @given(ANY_FRAME)
 @settings(max_examples=500)
 def test_unpack_inverts_pack(frame):
-    assert unpack(frame.pack(), field_bits=getattr(frame, "field_bits", 4)) == frame
+    parsed = unpack(frame.pack(), field_bits=getattr(frame, "field_bits", 4))
+    assert parsed == frame and hash(parsed) == hash(frame)
 
 
 FLOAT = st.floats(allow_nan=False)
