@@ -51,7 +51,9 @@ its rank, the frames it still receives and its accuracy entries read as
 before while a decoded generation holds no payload.  Every node keys its
 relay entries and decoders of a generation by the one tuple the
 generation's frames hold (``wire.DataFrame.key``), so a long run keeps one
-key per generation, not one per record.
+key per generation, not one per record.  The engine names a generation by
+that tuple too: ``register_truth``, ``on_destination_ingest`` and
+``_on_generation_decoded`` take it as it is, and ``truth`` is keyed by it.
 
 Each engine fact is kept once.  The one per-generation table is ``truth``:
 a generation's ``Truth`` holds its source rows as one packed ``bytes`` and,
@@ -255,7 +257,8 @@ class Engine:
         self.clear_p_ok = ch.Table(lambda k: ch.frame_success_prob(ch.link_snr(scn, k[0]), k[1]))
         self.packet_log = PacketLog()
         self.log = MetricsLog()
-        # (flow, generation) -> its truth, until every destination decodes it
+        # the source's own (flow, generation id) key -> its truth, until
+        # every destination decodes it
         self.truth: dict[tuple[int, int], Truth] = {}
         self.injected: dict[int, int] = {i: 0 for i in range(len(scn.flows))}
         self.delivered: dict[int, int] = {i: 0 for i in range(len(scn.flows))}
@@ -379,14 +382,15 @@ class Engine:
 
     # -- coding bookkeeping -------------------------------------------------
 
-    def register_truth(self, flow_index: int, gen_id: int, rows, real_count: int) -> None:
-        """rows: the source rows, packed, in order; kept as one bytes copy."""
-        self.truth[(flow_index, gen_id)] = Truth(bytes(rows), real_count)
+    def register_truth(self, key: tuple[int, int], rows, real: int) -> None:
+        """The truth of generation key, the source's own tuple; rows: the
+        source rows, packed, in order, kept as one bytes copy."""
+        self.truth[key] = Truth(bytes(rows), real)
 
-    def on_destination_ingest(self, dest: int, flow_index: int, gen_id: int,
-                              dec, innovative: bool) -> None:
+    def on_destination_ingest(self, dest: int, key: tuple[int, int], dec,
+                              innovative: bool) -> None:
         self.log.accuracy[dec.received].append(len(dec.decoded) / dec.block_size)
-        truth = self.truth.get((flow_index, gen_id))
+        truth = self.truth.get(key)
         # A reception that is not innovative (``DecoderState.ingest``'s result)
         # left the decoder state as it was; truth is kept until every
         # destination has decoded, so if dest already has a best score that
@@ -401,15 +405,14 @@ class Engine:
                 truth.best[dest] = max(truth.best.get(dest, 0), correct)
         elif innovative:
             # decoded on the reception after which every tag column is a pivot
-            self._on_generation_decoded(dest, flow_index, gen_id, dec, truth)
+            self._on_generation_decoded(dest, key, dec, truth)
 
-    def _on_generation_decoded(self, dest, flow_index, gen_id, dec, truth) -> None:
+    def _on_generation_decoded(self, dest, key, dec, truth) -> None:
         # truth is present: the source registers it in the event that adds
         # the generation's last row, tags are zero beyond the filled rows so
         # no frame reaches full rank before that, and it is dropped only
         # once every destination has decoded
         h = dec.block_size
-        gen = (flow_index, gen_id)
         # at full rank the pivot columns are 0..h-1 and every pivot row is a
         # unit tag, so the payload block is the source rows, in order, when
         # the decode is right.  Nothing reads the rows after this judgement,
@@ -419,11 +422,12 @@ class Engine:
             # a fraction of the generation's symbols
             symbols = h * dec.packet_len * gf.symbols_per_byte(self.ctx.m)
             self.log.early_recovery.append(truth.best.pop(dest) / symbols)
-        if all((d := self.nodes[n].decoders.get(gen)) is not None and d.full_rank
-               for n in self.scn.flows[flow_index].dsts):
-            self.delivered[flow_index] += truth.real
+        fi = key[0]
+        if all((d := self.nodes[n].decoders.get(key)) is not None and d.full_rank
+               for n in self.scn.flows[fi].dsts):
+            self.delivered[fi] += truth.real
             # no destination ingests this generation below full rank again
-            del self.truth[gen]
+            del self.truth[key]
 
     # -- metrics ------------------------------------------------------------
 

@@ -248,17 +248,11 @@ def symbols_per_byte(m: int) -> int:
 
 def bytes_to_symbols(data: bytes, m: int) -> np.ndarray:
     """Split bytes into GF(2^m) symbols, most-significant group first."""
-    spb = symbols_per_byte(m)
+    symbols_per_byte(m)  # m must divide 8
+    # each byte's groups, the top one first, by one broadcast shift
+    shifts = np.arange(8 - m, -1, -m, dtype=np.uint8)
     arr = np.frombuffer(data, dtype=np.uint8)
-    if spb == 1:
-        return arr.copy()
-    mask = (1 << m) - 1
-    out = np.empty(len(arr) * spb, dtype=np.uint8)
-    out[0::spb] = arr >> (8 - m)  # the shift leaves only the top group
-    for i in range(1, spb - 1):
-        out[i::spb] = (arr >> ((spb - 1 - i) * m)) & mask
-    out[spb - 1::spb] = arr & mask
-    return out
+    return ((arr[:, None] >> shifts) & ((1 << m) - 1)).ravel()
 
 
 @functools.cache

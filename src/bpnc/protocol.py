@@ -12,10 +12,10 @@ worked out once, in ``Node.__init__``.
 Each coding record a node keeps has one writer.  The frames it holds to
 send, coded or received, sit in its ``RelayStore``, ``Node.relay_gens``,
 which only ``hold`` and ``take`` change.  The store's ``index`` lists, for
-each flow and peer (built at the peer's first read), the generations with
-credit that may go to that peer, so a ``next_coded_packet`` pick takes the
-head of a list and a ``has_sendable`` test reads one entry.  The virtual
-queues change only by ``VirtualQueueSet.add``, for an arrival or a
+each flow and peer (built at the peer's first read), the keys of the
+generations with credit that may go to that peer, so a ``next_coded_packet``
+pick takes the head of a list and a ``has_sendable`` test reads one entry.
+The virtual queues change only by ``VirtualQueueSet.add``, for an arrival or a
 reception, and ``pay``, for a DATA frame sent.  ``Node.decoders``, a
 ``channel.Table``, opens a destination's decoder at its generation's first
 frame, and ``close_generation`` closes a source's generation, full or timed
@@ -25,10 +25,13 @@ A long run keeps a relay entry or a decoder for every generation a node
 hears, so each is held once and small.  Every record of one generation, at
 every node, is keyed by one (flow, generation id) tuple, the ``key`` its
 frames hold (``wire.DataFrame.key``): a source builds it when it opens the
-generation, every frame it codes and every recode of the generation holds
-it, and a relay entry or a decoder is keyed by the tuple of the frame that
-opens it.  A relay entry, a ``RelayGen``, is itself the list of its frames,
-its counts in slots.
+generation (``open_generation``), every frame it codes and every recode of
+the generation holds it, a relay entry or a decoder is keyed by the tuple
+of the frame that opens it, and the store's ``index`` lists that same
+tuple.  The engine is handed it too: ``close_generation`` registers the
+truth under ``gen.key`` and ``on_data`` reports a destination's ingest
+under ``frame.key``.  A relay entry, a ``RelayGen``, is itself the list of
+its frames, its counts in slots.
 
 A coded packet is its ``wire.DataFrame``: a source builds it once, relays
 buffer and re-send the frames they receive, and ``rlnc`` decodes and
@@ -129,22 +132,23 @@ def unit_tag(h: int, row: int) -> tuple[int, ...]:
     return tuple(int(k == row) for k in range(h))
 
 
-def unlist(gids: list[int] | None, gid: int) -> None:
-    """Remove gid from the ascending list gids, if it is there."""
-    if gids:
-        i = bisect.bisect_left(gids, gid)
-        if i < len(gids) and gids[i] == gid:
-            del gids[i]
+def unlist(keys: list[tuple[int, int]] | None, key: tuple[int, int]) -> None:
+    """Remove key from the ascending list keys, if it is there."""
+    if keys:
+        i = bisect.bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            del keys[i]
 
 
 class RelayStore(dict):
     """(flow, generation id) -> the ``RelayGen`` of the frames a node holds
     to send, keyed by the generation's own tuple, the ``key`` of the frame
     that opened the entry.  ``index[flow][peer]`` lists, in ascending order
-    and built at the peer's first read, the ids of the flow's generations
-    ``sendable_to`` peer, which split horizon reads from the entry's
-    ``origins`` mask.  An entry with no origins, a source's, is dropped once
-    its credit is 0, since a source keeps no frame it has sent."""
+    and built at the peer's first read, the keys of the flow's entries
+    ``sendable_to`` peer, each the entry's own tuple; split horizon reads
+    the entry's ``origins`` mask.  An entry with no origins, a source's, is
+    dropped once its credit is 0, since a source keeps no frame it has
+    sent."""
 
     __slots__ = ("index",)
 
@@ -152,15 +156,14 @@ class RelayStore(dict):
         super().__init__()
         self.index: dict[int, ch.Table] = {
             fi: ch.Table(lambda peer, fi=fi: sorted(
-                gid for (f, gid), rg in self.items() if f == fi and rg.sendable_to(peer)))
+                key for key, rg in self.items() if key[0] == fi and rg.sendable_to(peer)))
             for fi in range(num_flows)}
 
     def hold(self, frame: wire.DataFrame, origin: int | None = None) -> None:
         """Credit frame's generation with one frame from origin (None for
         one this node coded) and keep the frame; a relay keeps at most 4h."""
         key = frame.key
-        fi, gid = key
-        peers = self.index[fi]
+        peers = self.index[key[0]]
         rg = self.get(key)
         if rg is None:
             # a new entry is listed nowhere yet; it is built holding the
@@ -170,32 +173,32 @@ class RelayStore(dict):
         else:
             if origin is not None and not (rg.origins >> origin) & 1:
                 # split horizon: the generation no longer goes back to origin
-                unlist(peers.get(origin), gid)
+                unlist(peers.get(origin), key)
             if origin is None or len(rg) < 4 * len(frame.tag):
                 rg.append(frame)
         if origin is not None:
             rg.origins |= 1 << origin
         if rg.rcvd == rg.sent:
-            for peer, gids in peers.items():
+            for peer, keys in peers.items():
                 if not (rg.origins >> peer) & 1:
-                    bisect.insort(gids, gid)
+                    bisect.insort(keys, key)
         rg.rcvd += 1
 
-    def take(self, flow: int, peer: int) -> tuple[int, RelayGen] | None:
-        """The oldest generation sendable to peer, as (id, entry), charged a frame sent."""
-        gids = self.index[flow][peer]
-        if not gids:
+    def take(self, flow: int, peer: int) -> RelayGen | None:
+        """The entry of the oldest generation sendable to peer, charged a frame sent."""
+        keys = self.index[flow][peer]
+        if not keys:
             return None
-        gid = gids[0]
-        rg = self[flow, gid]
+        key = keys[0]
+        rg = self[key]
         rg.sent += 1
         if rg.rcvd == rg.sent:
             for p, listed in self.index[flow].items():
                 if not (rg.origins >> p) & 1:
-                    unlist(listed, gid)
+                    unlist(listed, key)
             if not rg.origins:
-                del self[flow, gid]
-        return gid, rg
+                del self[key]
+        return rg
 
 
 class Node:
@@ -566,15 +569,14 @@ class Node:
         """The next frame of the oldest generation with credit for peer:
         each held frame once, in the order it came (keeping the tag
         staircase intact), then recodes of a relay's buffer."""
-        got = self.relay_gens.take(flow_index, peer)
-        if got is None:
+        rg = self.relay_gens.take(flow_index, peer)
+        if rg is None:
             return None
-        rg = got[1]
         if rg.sent <= len(rg):
             return rg[rg.sent - 1]
         # a recode is a frame of the generation its entry's frames name
-        return wire.DataFrame.of(rg[0].key, *rlnc.recode(self.ctx, rg, self.rng),
-                                 self.scn.coding.field_bits)
+        return wire.DataFrame(rg[0].key, *rlnc.recode(self.ctx, rg, self.rng),
+                              self.scn.coding.field_bits)
 
     def has_sendable(self, flow_index: int, peer: int) -> bool:
         return bool(self.relay_gens.index[flow_index][peer])
@@ -589,7 +591,7 @@ class Node:
         if self.id in dsts:
             # a decoder opened here is keyed by the frame's own tuple
             dec = self.decoders[key]
-            self.engine.on_destination_ingest(self.id, fi, key[1], dec, dec.ingest(frame))
+            self.engine.on_destination_ingest(self.id, key, dec, dec.ingest(frame))
         # a destination of a multicast flow also relays it to the others; a
         # source already holds every frame of its own flow it may send
         if self.queues.dests_here[fi] and source != self.id:
@@ -608,13 +610,13 @@ class Node:
         # directly, so a destination decodes it even when earlier packets of
         # the same generation were dropped.  Packed once, into the frame: the
         # generation's row is a view of the frame's payload.
-        frame = wire.DataFrame.of(gen.key, unit_tag(gen.block_size, gen.filled),
-                                  gf.symbols_to_bytes(symbols, m), m)
+        frame = wire.DataFrame(gen.key, unit_tag(gen.block_size, gen.filled),
+                               gf.symbols_to_bytes(symbols, m), m)
         gen.add_source_packet(frame.payload)
         self.relay_gens.hold(frame)
         self.queues.add(flow_index)
         if gen.full:
-            self.close_generation(flow_index, gen)
+            self.close_generation(gen)
 
     def open_generation(self, flow_index: int) -> rlnc.Generation:
         last = self.open_gens.get(flow_index)
@@ -628,10 +630,10 @@ class Node:
         if self.gen_timeout_us is not None:
             # a block that filled was closed then, and its timeout does nothing
             self.engine.schedule(self.gen_timeout_us,
-                                 lambda: gen.full or self.close_generation(flow_index, gen))
+                                 lambda: gen.full or self.close_generation(gen))
         return gen
 
-    def close_generation(self, flow_index: int, gen: rlnc.Generation) -> None:
+    def close_generation(self, gen: rlnc.Generation) -> None:
         """Close gen, full or at its timeout: pad a short block with
         rlnc.pad_block's rows, code the redundancy packets, and register the
         truth of the rows that are not padding."""
@@ -642,16 +644,16 @@ class Node:
                 gen.add_source_packet(row)
                 # a padding row is coded like an arrival, or the block could
                 # never reach full rank
-                self.queue_coded(flow_index, gen, 1)
+                self.queue_coded(gen, 1)
         if self.extra_packets > 0:
-            self.queue_coded(flow_index, gen, self.extra_packets)
-        self.engine.register_truth(flow_index, gen.gen_id, b"".join(gen.source_rows), real_count)
+            self.queue_coded(gen, self.extra_packets)
+        self.engine.register_truth(gen.key, b"".join(gen.source_rows), real_count)
 
-    def queue_coded(self, flow_index: int, gen: rlnc.Generation, count: int) -> None:
+    def queue_coded(self, gen: rlnc.Generation, count: int) -> None:
         """Code count packets over gen's filled rows, to send in order."""
         m = self.scn.coding.field_bits
         for pkt in rlnc.encode_generation(self.ctx, gen, count, self.rng):
-            self.relay_gens.hold(wire.DataFrame.of(gen.key, *pkt, m))
+            self.relay_gens.hold(wire.DataFrame(gen.key, *pkt, m))
 
 
 # -- pure decision functions (replayable in tests) --------------------------

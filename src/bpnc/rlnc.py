@@ -96,13 +96,6 @@ class CodedPacket(NamedTuple):
     payload: np.ndarray | memoryview
 
 
-def packet_row(pkt) -> np.ndarray:
-    """pkt's tag, then its payload, as one read-only row; each part may be
-    any byte sequence, so a frame (tuple tag, memoryview payload) reads as
-    it is."""
-    return np.frombuffer(bytes(pkt.tag) + bytes(pkt.payload), dtype=np.uint8)
-
-
 @dataclass
 class Generation:
     """Source-side packet block: up to block_size rows of packet_len bytes."""
@@ -201,7 +194,7 @@ def encode_generation(
 
 def recode(ctx: FieldContext, buffered, rng) -> CodedPacket:
     """Random GF recombination of buffered packets of one (flow, generation),
-    each read as ``packet_row`` reads it."""
+    each read as ``DecoderState.ingest`` reads it."""
     if not buffered:
         raise ValueError("nothing to recode")
     h = len(buffered[0].tag)
@@ -342,29 +335,32 @@ class DecoderState:
         return block
 
     def ingest(self, pkt) -> bool:
-        """Add one packet (see ``packet_row``); return whether it raised
-        the rank.
+        """Add one packet; return whether it raised the rank.
 
-        A packet is checked whole before it is counted: a tag of another
-        length, a payload of another length or a tag symbol outside the
-        field raises, and ``received`` stays as it was.  Only the new row
+        The packet's tag and payload may each be any byte sequence, so a
+        frame (tuple tag, memoryview payload) reads as it is: its payload is
+        read once, and the row reduced is its tag, then its payload, as one
+        read-only array.  A packet is checked whole before it is counted: a
+        tag of another length, a payload of another length or a tag symbol
+        outside the field raises, and ``received`` stays as it was.  Only the new row
         is reduced against the stored RREF; a row that is not innovative
         changes nothing.  At full rank every tag reduces to zero, so the
         payload is not read.  After an innovative row, ``decoded`` is the
         pivot columns whose row is a unit tag.
         """
         h = self.block_size
-        tag = pkt.tag
+        tag, payload = pkt.tag, pkt.payload
         if len(tag) != h:
             raise TagLengthMismatch(f"tag length {len(tag)} != block size {h}")
-        if len(pkt.payload) != self.packet_len:
+        if len(payload) != self.packet_len:
             raise ValueError("payload length mismatch")
         if h and (min(tag) < 0 or max(tag) >= self.ctx.size):
             raise ValueError(f"symbol out of range for GF(2^{self.ctx.m})")
         self.received += 1
         if len(self.pivot_cols) == h:
             return False
-        inserted = gf.rref_insert(self.ctx, self.rref, self.pivot_cols, packet_row(pkt), h)
+        row = np.frombuffer(bytes(tag) + bytes(payload), dtype=np.uint8)
+        inserted = gf.rref_insert(self.ctx, self.rref, self.pivot_cols, row, h)
         if inserted is None:
             return False
         self.rref, self.pivot_cols = inserted
@@ -404,12 +400,10 @@ def rank_deficient_solve(
     solution set), 0 = undecoded (an all-zero row).  Certain rows always
     agree with earliest decoding; the heuristic is a stand-in for an LP
     lowest-weight decoder.  The search costs q^T cached assignments x
-    column codes x heuristic rows, where a column's code numbers its tuple
-    of heuristic-row payload symbols and at most N codes are scored (N
-    symbols in a payload), plus, per heuristic row past the first N codes,
-    a presence table and a cumulative sum over at most N*q entries.  With
-    fewer than two heuristic rows the lightest assignment is the all-zero
-    one, so no search runs.
+    distinct column patterns x heuristic rows, where a column's pattern is
+    its tuple of heuristic-row payload symbols and at most N patterns are
+    scored (N symbols in a payload).  With fewer than two heuristic rows
+    the lightest assignment is the all-zero one, so no search runs.
 
     The one place a payload is split into symbols: only when the search
     runs, only the heuristic rows it reads, once, and the rows it picks are
@@ -465,31 +459,18 @@ def _min_weight_pick(state: DecoderState, heuristic_rows: list[tuple[int, int]],
     # A candidate's weight in column l is nnz(a) plus the heuristic rows
     # whose payload symbol differs from f[a] (certain rows add the same
     # count to every candidate), so it depends on l only through the
-    # column's tuple of heuristic-row payload symbols.  Number the tuples
-    # one row at a time, base q, score each code once and map the pick back
-    # to its columns.  Once there would be more codes than columns, they are
-    # re-ranked densely (codes stay below N*q), in the codes' order: a
-    # code's number is the count of distinct smaller codes, read off a
-    # presence table.  So at most N codes are scored.
-    codes = np.zeros(n, dtype=np.intp)
-    n_codes = 1
-    for p in P:
-        codes = codes * q + p
-        n_codes *= q
-        if n_codes > n:
-            present = np.zeros(n_codes, dtype=np.intp)
-            present[codes] = 1
-            rank = np.cumsum(present) - 1
-            n_codes = int(rank[-1]) + 1
-            codes = rank[codes]
-    # any column of a code represents it; a code no column has reads
-    # column 0, and its pick is never used
-    first = np.zeros(n_codes, dtype=np.intp)
-    first[codes] = np.arange(n)
-    patterns = P[:, first]  # (k, n_patterns)
+    # column's tuple of heuristic-row payload symbols, its pattern.  Each
+    # distinct pattern, at most N of them, is scored once, and codes maps
+    # every column to its pattern's pick.  The patterns are found by one
+    # 1-D unique over the columns, each read as one k-byte value, which
+    # sorts several times faster than np.unique's axis=1 path.
+    k = len(rows)
+    found, codes = np.unique(np.ascontiguousarray(P.T).view(np.dtype((np.void, k))).ravel(),
+                             return_inverse=True)
+    patterns = found.view(np.uint8).reshape(-1, k).T  # (k, n_patterns)
     # (n_patterns, n_assign): argmin reduces the contiguous axis, no copy
-    weights = np.repeat(nnz[None, :], n_codes, axis=0)
-    for i in range(len(rows)):
+    weights = np.repeat(nnz[None, :], patterns.shape[1], axis=0)
+    for i in range(k):
         weights += patterns[i][:, None] != f[:, i]
     # first minimal index, deterministic
     best = np.argmin(weights, axis=1)[codes]

@@ -21,12 +21,15 @@ can build.  ``encode_utility`` is exact and monotone on the q16.16 grid, so
 receivers compare the frames' snapped utilities as they are.
 
 A DATA frame is the one representation of a coded packet outside
-``rlnc``, and its generation id the generation's one id: a source numbers a
-flow's generations 0..0xFFFF and no further.  Its tag symbols go 8 // m to
-a byte, so m must divide 8, and each lies in 0..2^m - 1: a frame is not
-built from a symbol its m bits cannot carry.  The column order is always
-0..h-1: the stack never reorders tag columns (column reordering is only the
-offline preconditioning analysis), so ``unpack`` rejects any other order.
+``rlnc``, and its ``key``, the (flow index, generation id) tuple, the
+generation's one name: ``DataFrame(key, tag, payload, field_bits)`` is its
+one constructor and holds the tuple it is given, and ``unpack`` builds the
+key from the bytes.  A source numbers a flow's generations 0..0xFFFF and no
+further.  Its tag symbols go 8 // m to a byte, so m must divide 8, and
+each lies in 0..2^m - 1: a frame is not built from a symbol its m bits
+cannot carry.  The column order is always 0..h-1: the stack never
+reorders tag columns (column reordering is only the offline
+preconditioning analysis), so ``unpack`` rejects any other order.
 The bytes still travel because every packet-log digest covers them, and a
 shorter frame changes each DATA frame's airtime and loss draws, and with
 them the simulated routes.
@@ -207,31 +210,20 @@ class DataFrame:
     Its bytes, ``raw``, are written once, with the frame, and the payload
     is not kept apart from them: ``payload`` is a read-only view of
     ``raw`` from ``offset`` on, made when it is read.  ``key`` is the one
-    tuple that names the generation in every record a run keeps of it:
-    ``DataFrame.of`` builds a frame of a generation another frame already
-    names, holding that frame's very tuple, so a generation's frames, relay
-    entries and decoders share one.  The frame is immutable, and two frames
-    are equal, and hash alike, when their bytes and field size are.
+    tuple that names the generation in every record a run keeps of it: the
+    frame holds the very tuple it is built with, so a generation's frames,
+    relay entries, decoders and truth share one.  The frame is immutable,
+    and two frames are equal, and hash alike, when their bytes and field
+    size are.
     """
 
     __slots__ = ("key", "tag", "field_bits", "raw", "offset")
 
-    def __init__(self, flow_index: int, gen_id: int, tag: tuple[int, ...], payload,
+    def __init__(self, key: tuple[int, int], tag: tuple[int, ...], payload,
                  field_bits: int = 4):
         # tag: h symbols, h the generation's block size; payload: any
         # bytes-like object, copied into raw
-        self._build((flow_index, gen_id), tag, payload, field_bits)
-
-    @classmethod
-    def of(cls, key: tuple[int, int], tag: tuple[int, ...], payload,
-           field_bits: int = 4) -> DataFrame:
-        """The frame of generation key (flow index, generation id) with tag
-        and payload, holding key itself."""
-        frame = object.__new__(cls)
-        frame._build(key, tag, payload, field_bits)
-        return frame
-
-    def _build(self, key, tag, payload, m) -> None:
+        m = field_bits
         if len(payload) > MAX_PAYLOAD_BYTES:
             raise MalformedFrame("payload exceeds 500 bytes")
         h = len(tag)
@@ -257,14 +249,6 @@ class DataFrame:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
-    def flow_index(self) -> int:
-        return self.key[0]
-
-    @property
-    def gen_id(self) -> int:
-        return self.key[1]
-
-    @property
     def payload(self) -> memoryview:
         """The payload: a read-only view of raw, made on each read."""
         return memoryview(self.raw)[self.offset:]
@@ -279,8 +263,8 @@ class DataFrame:
 
     def __repr__(self):
         # the fields a reader needs, and no address of a view or of bytes
-        return (f"DataFrame(flow_index={self.flow_index!r}, gen_id={self.gen_id!r}, "
-                f"tag={self.tag!r}, field_bits={self.field_bits!r})")
+        return (f"DataFrame(key={self.key!r}, tag={self.tag!r}, "
+                f"field_bits={self.field_bits!r})")
 
     def pack(self) -> bytes:
         return self.raw
@@ -317,12 +301,11 @@ def unpack(raw: bytes, field_bits: int = 4):
         elif t == TYPE_DATA:
             # before any tag arithmetic: tag_wire_len divides by 8 // m
             _require_field_bits(field_bits)
-            (gen_id,) = struct.unpack_from("<H", raw, 2)
-            h = raw[4]
+            _, fidx, gen_id, h = _DATA_HEAD.unpack_from(raw)
             off = 5 + h
             tl = tag_wire_len(h, field_bits)
             tag = tuple(unpack_tag(raw[off : off + tl], h, field_bits))
-            frame = DataFrame(raw[1], gen_id, tag, raw[off + tl :], field_bits)
+            frame = DataFrame((fidx, gen_id), tag, raw[off + tl :], field_bits)
         else:
             raise MalformedFrame(f"unknown frame type 0x{t:02x}")
     except (struct.error, IndexError) as e:

@@ -5,6 +5,7 @@ checklist.  These are intentionally heavier than the unit suites: they run
 full simulations across many seeds.  Expect a few minutes total.
 """
 
+import sys
 import time
 from itertools import product
 
@@ -321,19 +322,36 @@ def test_energy_scales_linearly_with_time():
 
 
 def test_decode_cost_grows_with_field_width():
+    # the cost of a symbol multiply, counted as the lines gf.mul_slow
+    # executes under sys.settrace rather than timed, so the load of the
+    # host cannot change it
     from bpnc.gf import mul_slow
 
-    def workload(m: int, poly: int) -> float:
+    def workload(m: int, poly: int) -> int:
         mask = (1 << m) - 1
         rng = np.random.default_rng(m)
         pairs = rng.integers(1, mask + 1, size=(4000, 2))
-        t0 = time.perf_counter()
-        for a, b in pairs:
-            mul_slow(int(a), int(b), m, poly)
-        return time.perf_counter() - t0
+        lines = 0
 
-    narrow = min(workload(2, 0b111) for _ in range(3))
-    wide = min(workload(8, 0x11B) for _ in range(3))
+        def count_lines(frame, event, arg):
+            nonlocal lines
+            lines += event == "line"
+            return count_lines
+
+        def on_call(frame, event, arg):
+            # only mul_slow's own frames are traced line by line
+            return count_lines if frame.f_code is mul_slow.__code__ else None
+
+        previous = sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            for a, b in pairs:
+                mul_slow(int(a), int(b), m, poly)
+        finally:
+            sys.settrace(previous)
+        return lines
+
+    narrow = workload(2, 0b111)
+    wide = workload(8, 0x11B)
     report("decode cost vs field width", wide > narrow,
-           f"symbol-multiply benchmark: m=2 {narrow * 1e3:.1f}ms, "
-           f"m=8 {wide * 1e3:.1f}ms")
+           f"symbol-multiply lines executed: m=2 {narrow}, m=8 {wide}")

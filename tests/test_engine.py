@@ -1,5 +1,6 @@
 """Event loop, conservation, energy accounting, sweeps, determinism."""
 
+import ast
 import bisect
 import dataclasses
 import hashlib
@@ -553,10 +554,11 @@ def test_held_frames_keep_one_copy_of_their_payload():
 @pytest.mark.parametrize("make_scn,duration_s", [(_lossy_coded_butterfly7, 300),
                                                   (ch.butterfly7, 600)])
 def test_a_generation_is_named_by_one_tuple_everywhere(make_scn, duration_s):
-    # each generation's key is built once, with its first frame: every
-    # frame of it, coded, relayed or recoded (lossless butterfly7 recodes
-    # by 600 s), holds that tuple, and every relay entry and decoder of it,
-    # at every node, is keyed by it
+    # each generation's key is built once, by its source: every frame of
+    # it, coded, relayed or recoded (lossless butterfly7 recodes by 600 s),
+    # holds that tuple, every relay entry and decoder of it, at every node,
+    # is keyed by it, each relay index lists it, and the engine's truth is
+    # keyed by it
     eng = engine.run(engine.apply_override(make_scn(), "duration_s", duration_s), seed=1)
     keys = {}
     records = 0
@@ -569,6 +571,12 @@ def test_a_generation_is_named_by_one_tuple_everywhere(make_scn, duration_s):
             assert all(f.key is key for f in rg)
     # most generations are held at several nodes
     assert records > 2 * len(keys) > 0
+    listed = [key for node in eng.nodes.values() for peers in node.relay_gens.index.values()
+              for keys_listed in peers.values() for key in keys_listed]
+    assert listed and all(keys.get(key) is key for key in listed)
+    # a generation still in flight has a truth and records at the nodes
+    in_flight = [key for key in eng.truth if key in keys]
+    assert in_flight and all(keys[key] is key for key in in_flight)
 
 
 def _sensing_off_butterfly7():
@@ -728,10 +736,10 @@ def test_unchanged_decoder_state_is_scored_once_truth_arrives():
     X = np.frombuffer(gf.symbols_to_bytes(np.arange(32) % 16, 4), np.uint8).reshape(4, 4)
     pkt = rlnc.CodedPacket([1, 0, 0, 0], X[0])
     dec = rlnc.DecoderState(eng.ctx, 4, 4)
-    eng.on_destination_ingest(6, 0, 0, dec, dec.ingest(pkt))
+    eng.on_destination_ingest(6, (0, 0), dec, dec.ingest(pkt))
     assert eng.truth == {}
-    eng.register_truth(0, 0, X, 4)
-    eng.on_destination_ingest(6, 0, 0, dec, dec.ingest(pkt))
+    eng.register_truth((0, 0), X, 4)
+    eng.on_destination_ingest(6, (0, 0), dec, dec.ingest(pkt))
     assert eng.truth[(0, 0)].best == {6: 8}  # row 0's 8 symbols are certain
 
 
@@ -755,7 +763,7 @@ def test_decode_errors_count_each_wrong_source_row(wrong_rows):
     eng = engine.Engine(_lossy_coded_butterfly7(), seed=1)
     rng = np.random.default_rng(len(wrong_rows))
     X = rng.integers(0, 256, size=(4, 6), dtype=np.uint8)
-    eng.register_truth(0, 0, X, 4)
+    eng.register_truth((0, 0), X, 4)
     got = X.copy()
     for r in wrong_rows:  # a wrong row differs in most of its bytes
         got[r, rng.permutation(6)[:4]] ^= 0x10
@@ -763,7 +771,7 @@ def test_decode_errors_count_each_wrong_source_row(wrong_rows):
     for c in (3, 1, 0, 2):
         tag = np.zeros(4, dtype=np.uint8)
         tag[c] = 1
-        eng.on_destination_ingest(6, 0, 0, dec, dec.ingest(rlnc.CodedPacket(tag, got[c])))
+        eng.on_destination_ingest(6, (0, 0), dec, dec.ingest(rlnc.CodedPacket(tag, got[c])))
     assert dec.full_rank and eng.decode_errors == len(wrong_rows)
 
 
@@ -777,23 +785,22 @@ def test_generation_decoded_once_every_tag_column_is_a_pivot(monkeypatch):
     decoded = []
     on_decoded = engine.Engine._on_generation_decoded
 
-    def recording(eng, dest, flow_index, gen_id, dec, *args):
-        decoded.append((dest, flow_index, gen_id,
-                        {c: p.tolist() for c, p in dec.delivered.items()}))
-        return on_decoded(eng, dest, flow_index, gen_id, dec, *args)
+    def recording(eng, dest, key, dec, *args):
+        decoded.append((dest, key, {c: p.tolist() for c, p in dec.delivered.items()}))
+        return on_decoded(eng, dest, key, dec, *args)
 
     monkeypatch.setattr(engine.Engine, "_on_generation_decoded", recording)
-    eng.register_truth(0, 0, np.array([[0x12, 0x34, 0x56, 0x78],
+    eng.register_truth((0, 0), np.array([[0x12, 0x34, 0x56, 0x78],
                                        [0x9A, 0xBC, 0xDE, 0xF0]], dtype=np.uint8), 2)
     dec = eng.nodes[6].decoders[(0, 0)] = rlnc.DecoderState(eng.ctx, 2, 4)
     rows = [([1, 0], [0x12, 0x34, 0x56, 0x78]), ([0, 0], [0, 0, 0xF5, 0]),
             ([0, 1], [0x9A, 0xBC, 0xDE, 0xF0]), ([1, 0], [9, 9, 9, 9])]
     trace = []
     for tag, payload in rows:
-        eng.on_destination_ingest(6, 0, 0, dec, dec.ingest(rlnc.CodedPacket(tag, payload)))
+        eng.on_destination_ingest(6, (0, 0), dec, dec.ingest(rlnc.CodedPacket(tag, payload)))
         trace.append((dec.rank, dec.full_rank, len(decoded)))
     assert trace == [(1, False, 0), (1, False, 0), (2, True, 1), (2, True, 1)]
-    assert decoded == [(6, 0, 0, {0: [0x12, 0x34, 0x56, 0x78], 1: [0x9A, 0xBC, 0xDE, 0xF0]})]
+    assert decoded == [(6, (0, 0), {0: [0x12, 0x34, 0x56, 0x78], 1: [0x9A, 0xBC, 0xDE, 0xF0]})]
     assert eng.decode_errors == 0
     # node 7 has not decoded, so the generation is not delivered
     assert eng.delivered == {0: 0}
@@ -804,16 +811,16 @@ def test_a_frame_after_the_judged_decode_is_counted_and_rejected():
     # late frame still finds the counts it reads, and nothing else
     eng = engine.Engine(_lossy_coded_butterfly7(), seed=1)
     rows = [[0x12, 0x34, 0x56, 0x78], [0x9A, 0xBC, 0xDE, 0xF0]]
-    eng.register_truth(0, 0, np.array(rows, dtype=np.uint8), 2)
+    eng.register_truth((0, 0), np.array(rows, dtype=np.uint8), 2)
     dec = eng.nodes[6].decoders[(0, 0)] = rlnc.DecoderState(eng.ctx, 2, 4)
     for c, payload in enumerate(rows):
         tag = [int(k == c) for k in range(2)]
-        eng.on_destination_ingest(6, 0, 0, dec, dec.ingest(rlnc.CodedPacket(tag, payload)))
+        eng.on_destination_ingest(6, (0, 0), dec, dec.ingest(rlnc.CodedPacket(tag, payload)))
     assert dec.full_rank and eng.decode_errors == 0
     assert dec.rref.shape == (0, 6) and dec.decoded == {0, 1} and dec.delivered == {}
     innovative = dec.ingest(rlnc.CodedPacket([3, 7], [1, 2, 3, 4]))
     assert (innovative, dec.received, dec.rank, dec.full_rank) == (False, 3, 2, True)
-    eng.on_destination_ingest(6, 0, 0, dec, innovative)
+    eng.on_destination_ingest(6, (0, 0), dec, innovative)
     assert eng.log.accuracy[3].tolist() == [1.0]
     assert eng.decode_errors == 0
     # GF(2^4): a symbol of 16 is out of range, at full rank as below it
@@ -1211,7 +1218,7 @@ def test_packet_log_is_iterated_as_its_lines_and_compared_as_records():
 def test_packet_log_columns_hold_their_bounds():
     # the longest validated run is 2^53 us, and channel and sender ids are
     # at most 255: each fits its column and renders as the tuple did
-    raws = [wire.DataFrame(0, 7, (1, 2), bytes(range(8)), 4).raw, wire.SynFrame(255, ()).pack()]
+    raws = [wire.DataFrame((0, 7), (1, 2), bytes(range(8)), 4).raw, wire.SynFrame(255, ()).pack()]
     records = [(2**53 - 1, 255, 255, raws[0]), (2**53, 0, 1, raws[1])]
     a, b = engine.PacketLog(), engine.PacketLog()
     for t, chan, src, raw in records:
@@ -1280,3 +1287,34 @@ def test_packets_log_file_hashes_to_the_pinned_digest(tmp_path, make_scn, durati
     eng = engine.run(engine.apply_override(make_scn(), "duration_s", duration_s), seed=1)
     engine.write_outputs(eng, tmp_path)
     assert hashlib.sha256((tmp_path / "packets.log").read_bytes()).hexdigest() == digest
+
+
+# the layer seams, gf -> rlnc -> protocol <- backpressure/wire/channel,
+# driven by engine: each module may import from bpnc only the modules listed
+# for it (cli, the front end, may import any)
+LAYERS = {"gf": set(), "wire": set(), "channel": set(), "backpressure": set(), "rlnc": {"gf"}}
+LAYERS["protocol"] = set(LAYERS)
+LAYERS["engine"] = LAYERS["protocol"] | {"protocol"}
+
+
+def _bpnc_imports(path: Path) -> set[str]:
+    """The bpnc modules a source file imports, at any depth of its code."""
+    dotted = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            dotted += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import is from bpnc itself
+            base = ".".join(filter(None, ["bpnc", node.module])) if node.level else node.module
+            dotted += [f"{base}.{a.name}" for a in node.names]
+    return {name.split(".")[1] for name in dotted if name.startswith("bpnc.")}
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    src = Path(engine.__file__).parent
+    modules = {p.stem: _bpnc_imports(p) for p in src.glob("*.py") if p.stem != "__init__"}
+    assert set(modules) == set(LAYERS) | {"cli"}
+    for name, allowed in LAYERS.items():
+        assert modules[name] <= allowed, (name, modules[name] - allowed)
+    # the imports are read, not missed: rlnc's one and engine's protocol
+    assert modules["rlnc"] == {"gf"} and "protocol" in modules["engine"]

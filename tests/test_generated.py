@@ -151,9 +151,9 @@ def test_generated_scenarios_keep_the_run_invariants(monkeypatch):
     hold = protocol.RelayStore.hold
 
     def counting(store, frame, origin=None):
-        rg = store.get((frame.flow_index, frame.gen_id))
+        rg = store.get(frame.key)
         if rg is not None and origin is not None and not (rg.origins >> origin) & 1:
-            unlisting.append(frame.gen_id in store.index[frame.flow_index].get(origin, ()))
+            unlisting.append(frame.key in store.index[frame.key[0]].get(origin, ()))
         hold(store, frame, origin)
 
     monkeypatch.setattr(protocol.RelayStore, "hold", counting)

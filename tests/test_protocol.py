@@ -129,7 +129,7 @@ def test_syn_backlogs_feed_flow_selection():
     node, _ = make_node(2)
     # ten packets of generation 0 relayed from node 1 queue 10 for node 7
     node.begin_data_rx(1, 0)
-    data = wire.DataFrame(0, 0, (1,), bytes(500), 4)
+    data = wire.DataFrame((0, 0), (1,), bytes(500), 4)
     for _ in range(10):
         node.on_data(1, data)
     syn = wire.SynFrame(3, ((1, (7,), 4),))
@@ -149,7 +149,7 @@ def test_flow_tie_goes_to_lower_source_and_destinations():
     node.begin_data_rx(3, 0)
     for fi in (0, 1):
         for _ in range(10):
-            node.on_data(3, wire.DataFrame(fi, 0, (1,), bytes(500), 4))
+            node.on_data(3, wire.DataFrame((fi, 0), (1,), bytes(500), 4))
     node.handle_frame(5, 0, wire.SynFrame(5, ()), -65.0, -10.0)
     sched = node.compute_schedule()
     assert sched is not None and sched.rts.rx == 5
@@ -164,7 +164,7 @@ def test_cts_matches_the_pending_rts(timed_out):
     node, eng = make_node(2)
     node.begin_data_rx(1, 0)
     for _ in range(10):
-        node.on_data(1, wire.DataFrame(0, 0, (1,), bytes(500), 4))
+        node.on_data(1, wire.DataFrame((0, 0), (1,), bytes(500), 4))
     node.end_data_phase()
     node.handle_frame(3, 0, wire.SynFrame(3, ((1, (7,), 4),)), -65.0, -10.0)
     sched = node.compute_schedule()
@@ -190,7 +190,7 @@ def test_cts_matches_the_pending_rts(timed_out):
     assert node.penalty.count(rts.flow_index, rts.rx) == 1
     chan, frame = eng.sent[-1]
     assert chan == rts.channel and isinstance(frame, wire.DataFrame)
-    assert frame.flow_index == rts.flow_index
+    assert frame.key[0] == rts.flow_index
 
 
 # -- relay generation choice ------------------------------------------------
@@ -229,9 +229,9 @@ def _assert_credit_index(store, sourced):
     origins is of a flow in sourced and keeps every frame credited to it,
     not all of them sent yet; a relay entry keeps its first 4h frames."""
     for fi, peers in store.index.items():
-        for peer, gids in peers.items():
-            assert gids == sorted(g for (f, g), rg in store.items()
-                                  if f == fi and rg.sendable_to(peer))
+        for peer, keys in peers.items():
+            assert keys == sorted(key for key, rg in store.items()
+                                  if key[0] == fi and rg.sendable_to(peer))
     for (fi, _), rg in store.items():
         if rg.origins:
             assert fi not in sourced
@@ -247,7 +247,7 @@ def _source_step(node, step):
     if step[0] == "arrive":
         node.app_arrival(OWN)
     elif gen is not None and not gen.full:
-        node.close_generation(OWN, gen)
+        node.close_generation(gen)
 
 
 SOURCE_STEP = st.tuples(st.sampled_from(["arrive", "timeout"]))
@@ -276,7 +276,7 @@ def test_relay_choice_matches_full_scan(steps, index_first):
         if step[0] == "rx":
             _, fi, gid, sender = step
             node.begin_data_rx(sender, 0)
-            node.on_data(sender, wire.DataFrame(fi, gid, (1, 3), bytes(4), 4))
+            node.on_data(sender, wire.DataFrame((fi, gid), (1, 3), bytes(4), 4))
         elif step[0] != "tx":
             _source_step(node, step)
         else:
@@ -290,7 +290,7 @@ def test_relay_choice_matches_full_scan(steps, index_first):
             if expect is None:
                 assert frame is None and sent == []
             else:
-                assert (frame.flow_index, frame.gen_id) == expect and sent == [expect]
+                assert frame.key == expect and sent == [expect]
         _assert_credit_index(node.relay_gens, {OWN})
 
 
@@ -320,7 +320,7 @@ def test_relay_store_keeps_its_index(steps, index_first):
     for step in steps:
         if step[0] == "hold":
             _, fi, gid, origin = step
-            store.hold(wire.DataFrame(fi, gid, (1,) * max(fi, 1), bytes(4), 4),
+            store.hold(wire.DataFrame((fi, gid), (1,) * max(fi, 1), bytes(4), 4),
                        None if fi == 0 else origin)
             if fi != 0:
                 origins.setdefault((fi, gid), set()).add(origin)
@@ -328,15 +328,15 @@ def test_relay_store_keeps_its_index(steps, index_first):
             _, fi, peer = step
             expect = _scan_pick(store, fi, peer)
             before = {k: (rg, rg.sent) for k, rg in store.items()}
-            got = store.take(fi, peer)
+            rg = store.take(fi, peer)
             if expect is None:
-                assert got is None
+                assert rg is None
                 # the same entries, told apart by identity, with the same counts
                 assert store.keys() == before.keys()
                 assert all(store[k] is rg and rg.sent == sent for k, (rg, sent) in before.items())
             else:
-                gid, rg = got
-                assert (fi, gid) == expect and rg is before[expect][0]
+                # take hands back the entry itself
+                assert rg is before[expect][0]
                 assert rg.sent == before[expect][1] + 1
                 # drained, a coded entry is gone and a relayed one stays
                 drained = rg.credit() == 0
@@ -477,7 +477,7 @@ def test_source_choice_matches_source_gen_list(steps):
         if step[0] == "rx":
             _, fi, gid, sender = step
             node.begin_data_rx(sender, 0)
-            node.on_data(sender, wire.DataFrame(fi, gid, (1, 3), bytes(4), 4))
+            node.on_data(sender, wire.DataFrame((fi, gid), (1, 3), bytes(4), 4))
         elif step[0] == "tx" and step[1] == OWN:
             peer = step[2]
             assert node.has_sendable(OWN, peer) == ref.has_sendable()
@@ -505,7 +505,7 @@ def test_generation_closes_once_when_full_or_at_its_timeout():
     node = _relay_node()
     eng = node.engine
     truths = []
-    eng.register_truth = lambda fi, gid, rows, real: truths.append((gid, real))
+    eng.register_truth = lambda key, rows, real: truths.append((key[1], real))
     extra = node.extra_packets
     for _ in range(2):
         node.app_arrival(OWN)
@@ -527,11 +527,11 @@ def test_credit_index_follows_split_horizon():
         assert not node.has_sendable(0, peer)
     for sender in (1, 1, 2):
         node.begin_data_rx(sender, 0)
-        node.on_data(sender, wire.DataFrame(0, 7, (1, 3), bytes(4), 4))
-    assert node.relay_gens.index[0] == {1: [], 2: [], 3: [7], 5: [7]}
+        node.on_data(sender, wire.DataFrame((0, 7), (1, 3), bytes(4), 4))
+    assert node.relay_gens.index[0] == {1: [], 2: [], 3: [(0, 7)], 5: [(0, 7)]}
     _assert_credit_index(node.relay_gens, {OWN})
     for _ in range(3):
-        assert node.next_coded_packet(0, 5).gen_id == 7
+        assert node.next_coded_packet(0, 5).key == (0, 7)
     assert node.relay_gens.index[0] == {1: [], 2: [], 3: [], 5: []}
     assert node.next_coded_packet(0, 3) is None
     _assert_credit_index(node.relay_gens, {OWN})
@@ -547,9 +547,9 @@ def test_source_holds_no_frame_of_its_own_flow():
     assert backlog == {6: 1, 7: 1}
     node.begin_data_rx(3, 0)
     for gid in (0, 5):
-        node.on_data(3, wire.DataFrame(OWN, gid, (1, 3), bytes(4), 4))
+        node.on_data(3, wire.DataFrame((OWN, gid), (1, 3), bytes(4), 4))
     assert node.queues.flow_backlogs(OWN) == {6: 3, 7: 3}
-    assert list(node.relay_gens) == [(OWN, 0)] and node.relay_gens.index[OWN][3] == [0]
+    assert list(node.relay_gens) == [(OWN, 0)] and node.relay_gens.index[OWN][3] == [(OWN, 0)]
     assert node.relay_gens[(OWN, 0)].rcvd == 1
     assert node.next_coded_packet(OWN, 3) is own
     assert node.next_coded_packet(OWN, 3) is None
@@ -564,7 +564,7 @@ def test_generation_ids_end_at_the_wires_16_bits():
     full.add_source_packet(np.zeros(n, dtype=np.uint8))
     node.app_arrival(0)
     assert node.open_gens[0].gen_id == 0xFFFF and node.open_gens[0].full
-    assert node.relay_gens[(0, 0xFFFF)][0].gen_id == 0xFFFF
+    assert node.relay_gens[(0, 0xFFFF)][0].key == (0, 0xFFFF)
     with pytest.raises(ch.ScenarioError, match=r"^flows\[0\]: "):
         node.app_arrival(0)
 
@@ -574,7 +574,7 @@ def test_relay_forwards_received_frame():
     # codes a new frame only for credit beyond its buffer of 4h frames
     node = _relay_node()
     node.begin_data_rx(3, 0)
-    frames = [wire.DataFrame(0, 7, (1 + k % 3, k % 2), bytes([k, 2 * k, 3, 4]), 4)
+    frames = [wire.DataFrame((0, 7), (1 + k % 3, k % 2), bytes([k, 2 * k, 3, 4]), 4)
               for k in range(9)]
     for f in frames:
         node.on_data(3, f)
@@ -585,7 +585,7 @@ def test_relay_forwards_received_frame():
     recoded = node.next_coded_packet(0, 5)
     assert isinstance(recoded, wire.DataFrame)
     assert all(recoded is not f for f in frames)
-    assert (recoded.flow_index, recoded.gen_id, len(recoded.tag)) == (0, 7, 2)
+    assert (recoded.key, len(recoded.tag)) == ((0, 7), 2)
     assert recoded.key is frames[0].key is next(k for k in node.relay_gens if k == (0, 7))
     assert len(recoded.payload) == 4 and any(recoded.tag)
     assert node.next_coded_packet(0, 5) is None

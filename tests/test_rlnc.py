@@ -272,7 +272,7 @@ def frame_packets(draw):
     for _ in range(draw(st.integers(1, 10))):
         tag = draw(st.lists(sym, min_size=h, max_size=h))
         payload = draw(st.binary(min_size=n, max_size=n))
-        pairs.append((wire.DataFrame(0, 0, tuple(tag), payload, m),
+        pairs.append((wire.DataFrame((0, 0), tuple(tag), payload, m),
                       CodedPacket(tag, np.frombuffer(payload, dtype=np.uint8))))
     return FieldContext(m), h, n, pairs, draw(st.integers(0, 2**32 - 1))
 

@@ -56,17 +56,17 @@ def test_cts_roundtrip():
 
 
 def test_data_roundtrip_nibble_tag():
-    f = DataFrame(0, 7, (0xA, 0, 0x3, 0x1), b"hello", 4)
+    f = DataFrame((0, 7), (0xA, 0, 0x3, 0x1), b"hello", 4)
     raw = f.pack()
     assert raw[5:9] == bytes([0, 1, 2, 3])  # column order
     g = unpack(raw, field_bits=4)
-    assert g.gen_id == 7
+    assert g.key == (0, 7)
     assert g.tag == (0xA, 0, 0x3, 0x1)
     assert g.payload == b"hello"
 
 
 def test_data_odd_block_size_tag_padding():
-    f = DataFrame(1, 0, (1, 2, 3), b"\x00" * 10, 4)
+    f = DataFrame((1, 0), (1, 2, 3), b"\x00" * 10, 4)
     g = unpack(f.pack(), field_bits=4)
     assert g.tag == (1, 2, 3)
 
@@ -74,25 +74,25 @@ def test_data_odd_block_size_tag_padding():
 def test_data_frame_bytes_pinned():
     # m=4, h=3: type, flow, gen id (LE), h, column order 0..2, tag nibbles
     # high first with a zero pad nibble, payload
-    f = DataFrame(2, 0x0102, (0xA, 0x5, 0xF), b"\xde\xad", 4)
+    f = DataFrame((2, 0x0102), (0xA, 0x5, 0xF), b"\xde\xad", 4)
     assert f.pack() == bytes.fromhex("05 02 0201 03 000102 a5f0 dead")
 
 
 def test_data_byte_tag_for_m8():
-    f = DataFrame(0, 1, (200, 3), b"xy", 8)
+    f = DataFrame((0, 1), (200, 3), b"xy", 8)
     g = unpack(f.pack(), field_bits=8)
     assert g.tag == (200, 3)
 
 
 def test_data_payload_limit():
     with pytest.raises(MalformedFrame):
-        DataFrame(0, 0, (1,), b"\x00" * 501, 4).pack()
+        DataFrame((0, 0), (1,), b"\x00" * 501, 4).pack()
 
 
 def test_data_frame_is_built_whole():
     # a DATA frame's bytes are built with it, once, and its payload is a
     # view of them; a parse of those bytes is the same frame
-    built = DataFrame(3, 9, (1, 2, 3), b"xyz", 4)
+    built = DataFrame((3, 9), (1, 2, 3), b"xyz", 4)
     raw = built.raw
     assert raw == bytes.fromhex("05 03 0900 03 000102 1230") + b"xyz"
     assert built.pack() is raw
@@ -106,27 +106,28 @@ def test_data_frame_is_built_whole():
 def test_data_frame_equals_by_its_bytes_and_field():
     # a parse equals the frame and hashes alike; a frame that differs in
     # any one field differs, the field size too when the bytes are the same
-    fields = (2, 0x0102, (0xA, 0x5, 0xF), b"\xde\xad", 4)
-    f = DataFrame(*fields)
+    key, tag, payload = (2, 0x0102), (0xA, 0x5, 0xF), b"\xde\xad"
+    f = DataFrame(key, tag, payload, 4)
     g = unpack(f.pack(), field_bits=4)
     assert g is not f and g == f and hash(g) == hash(f) and not g != f
-    for k, value in enumerate((3, 0x0103, (0xA, 0x5, 0xE), b"\xde\xae", 8)):
-        other = DataFrame(*fields[:k], value, *fields[k + 1:])
+    for other in (DataFrame((3, 0x0102), tag, payload, 4), DataFrame((2, 0x0103), tag, payload, 4),
+                  DataFrame(key, (0xA, 0x5, 0xE), payload, 4), DataFrame(key, tag, b"\xde\xae", 4),
+                  DataFrame(key, tag, payload, 8)):
         assert other != f and f != other
-    assert DataFrame(0, 0, (), b"x", 4).raw == DataFrame(0, 0, (), b"x", 8).raw
-    assert DataFrame(0, 0, (), b"x", 4) != DataFrame(0, 0, (), b"x", 8)
+    assert DataFrame((0, 0), (), b"x", 4).raw == DataFrame((0, 0), (), b"x", 8).raw
+    assert DataFrame((0, 0), (), b"x", 4) != DataFrame((0, 0), (), b"x", 8)
     assert f != f.raw and f != 0
 
 
 def test_data_frame_holds_no_payload_view():
     # the payload is read out of raw when asked for; the frame keeps only
     # raw and where the payload starts in it, and no field can be changed
-    f = DataFrame(3, 9, (1, 2, 3), b"xyz", 4)
+    f = DataFrame((3, 9), (1, 2, 3), b"xyz", 4)
     held = [getattr(f, name) for name in DataFrame.__slots__]
     assert not any(isinstance(v, memoryview) for v in held)
     assert f.payload.obj is f.raw and f.payload.readonly and f.payload is not f.payload
     assert f.raw[f.offset:] == b"xyz"
-    for name in ("key", "tag", "raw", "offset", "field_bits", "payload", "gen_id"):
+    for name in ("key", "tag", "raw", "offset", "field_bits", "payload"):
         with pytest.raises(AttributeError):
             setattr(f, name, None)
     with pytest.raises(AttributeError):
@@ -135,10 +136,16 @@ def test_data_frame_holds_no_payload_view():
 
 
 def test_a_frame_of_a_named_generation_holds_its_key():
+    # the one constructor keeps the very tuple it is given, and a parse
+    # builds the same key from the bytes
     key = (3, 9)
-    f = DataFrame.of(key, (1, 2), b"xy", 8)
-    assert f.key is key and (f.flow_index, f.gen_id) == key
-    assert f == DataFrame(3, 9, (1, 2), b"xy", 8)
+    f = DataFrame(key, (1, 2), b"xy", 8)
+    assert f.key is key and f.raw[1:4] == bytes([3, 9, 0])
+    assert f == DataFrame((3, 9), (1, 2), b"xy", 8)
+    assert unpack(f.raw, field_bits=8).key == key
+    assert repr(f) == "DataFrame(key=(3, 9), tag=(1, 2), field_bits=8)"
+    for name in ("of", "_build", "flow_index", "gen_id"):
+        assert not hasattr(DataFrame, name)
 
 
 @pytest.mark.parametrize("m,tag", [(4, (17, 3)), (4, (-1, 3)), (4, (1, 16)), (1, (0, 2)),
@@ -147,13 +154,13 @@ def test_data_tag_symbol_out_of_range_is_malformed(m, tag):
     # a symbol outside 0..2^m-1 has no wire form: packed, it would be masked
     # to m bits, so the frame's tag would differ from its own parse
     with pytest.raises(MalformedFrame, match="out of range"):
-        DataFrame(0, 0, tag, b"\x00", m)
+        DataFrame((0, 0), tag, b"\x00", m)
 
 
 def test_data_tag_symbol_range_edges_are_accepted():
     for m in (1, 2, 4, 8):
         top = (1 << m) - 1
-        frame = DataFrame(0, 0, (0, top), bytes(1), m)
+        frame = DataFrame((0, 0), (0, top), bytes(1), m)
         assert unpack(frame.pack(), field_bits=m).tag == (0, top)
 
 
@@ -179,7 +186,7 @@ def test_data_raw_matches_reference(m, data):
     expect = reference_data_raw(fidx, gid, tag, body, m)
     # a payload may come as bytes, a numpy array or a view into other bytes
     for payload in (body, np.frombuffer(body, dtype=np.uint8), memoryview(b"#" + body)[1:]):
-        frame = DataFrame(fidx, gid, tag, payload, m)
+        frame = DataFrame((fidx, gid), tag, payload, m)
         assert frame.raw == expect
         assert frame.payload == body and frame.payload.obj is frame.raw
 
@@ -197,15 +204,15 @@ def test_data_bytes_pack_cannot_write_rejected(field_bits, raw):
 
 def test_data_block_size_limit():
     # h travels in one byte
-    assert len(DataFrame(0, 0, (1,) * 255, b"", 8).pack()) == 5 + 2 * 255
+    assert len(DataFrame((0, 0), (1,) * 255, b"", 8).pack()) == 5 + 2 * 255
     with pytest.raises(MalformedFrame):
-        DataFrame(0, 0, (1,) * 256, b"", 8).pack()
+        DataFrame((0, 0), (1,) * 256, b"", 8).pack()
 
 
 @pytest.mark.parametrize("order", [(1, 0, 2), (0, 1, 1), (0, 1, 3)])
 def test_data_column_order_other_than_identity_rejected(order):
     # the stack never reorders tag columns, so it cannot honour another order
-    raw = bytearray(DataFrame(0, 5, (1, 2, 3), b"abc", 4).pack())
+    raw = bytearray(DataFrame((0, 5), (1, 2, 3), b"abc", 4).pack())
     raw[5:8] = bytes(order)
     with pytest.raises(MalformedFrame):
         unpack(bytes(raw), field_bits=4)
@@ -260,9 +267,9 @@ def test_unpack_fails_only_with_malformed_frame(raw, field_bits):
 )
 @settings(max_examples=200)
 def test_data_roundtrip_property(fidx, gen, tag, payload):
-    f = DataFrame(fidx, gen, tuple(tag), payload, 4)
+    f = DataFrame((fidx, gen), tuple(tag), payload, 4)
     g = unpack(f.pack(), field_bits=4)
-    assert (g.flow_index, g.gen_id, g.tag, g.payload) == (fidx, gen, tuple(tag), payload)
+    assert (g.key, g.tag, g.payload) == ((fidx, gen), tuple(tag), payload)
 
 
 def reference_pack_tag(tag, m):
@@ -298,7 +305,7 @@ def test_tag_layout_high_group_first_zero_padded():
     assert wire.pack_tag([1, 0, 1], 1) == b"\xa0"
     # a DATA frame whose m does not divide 8 has no tag layout
     with pytest.raises(MalformedFrame, match="does not divide 8"):
-        DataFrame(0, 0, (5, 6), b"", 3).pack()
+        DataFrame((0, 0), (5, 6), b"", 3).pack()
     with pytest.raises(MalformedFrame, match="does not divide 8"):
         unpack(bytes.fromhex("05 00 0000 02 0001 0506"), field_bits=3)
     assert wire.pack_tag(np.array([3, 1], dtype=np.uint8), 2) == b"\xd0"
@@ -315,7 +322,7 @@ def data_frames(draw):
     m = draw(st.sampled_from([4, 8]))
     h = draw(st.integers(1, 255))
     tag = tuple(draw(st.lists(st.integers(0, (1 << m) - 1), min_size=h, max_size=h)))
-    return DataFrame(draw(BYTE), draw(st.integers(0, 0xFFFF)), tag,
+    return DataFrame((draw(BYTE), draw(st.integers(0, 0xFFFF))), tag,
                      draw(st.binary(max_size=wire.MAX_PAYLOAD_BYTES)), m)
 
 
@@ -429,7 +436,7 @@ def reference_unpack(raw: bytes, field_bits: int = 4):
                 raise MalformedFrame("nonzero DATA tag padding")
             if len(raw) - off - tl > wire.MAX_PAYLOAD_BYTES:
                 raise MalformedFrame("payload exceeds 500 bytes")
-            return DataFrame(fidx, gen_id, tag, bytes(raw[off + tl :]), field_bits)
+            return DataFrame((fidx, gen_id), tag, bytes(raw[off + tl :]), field_bits)
     except (struct.error, IndexError) as e:
         raise MalformedFrame(str(e)) from e
     raise MalformedFrame(f"unknown frame type 0x{t:02x}")
